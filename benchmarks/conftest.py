@@ -5,7 +5,8 @@ corresponding experiment (timed by pytest-benchmark) and emits a plain-text
 "paper vs measured" report both to stdout and to ``benchmarks/reports/``.
 The throughput / amortization benchmarks additionally emit machine-readable
 ``BENCH_*.json`` files (metrics + git revision) so the perf trajectory can
-be tracked across PRs.
+be tracked across runs.  The reports are run artefacts, not sources: the
+directory is git-ignored, so a test run leaves the working tree clean.
 """
 
 from __future__ import annotations
@@ -48,12 +49,11 @@ def emit_json_report(name: str, payload: dict) -> None:
     """Persist machine-readable benchmark metrics as BENCH_<name>.json.
 
     ``payload`` holds the benchmark's own metrics (rates, speedups, peer
-    counts…); the emitter stamps the git revision, a unix timestamp, the
-    plan executor the run used (``REPRO_EXECUTOR``, the process-wide
-    default — benchmarks that pin a different ``executor=`` override it in
-    their payload) and the discovery executor / worker count of the probe
-    phase (``REPRO_PROBE_EXECUTOR`` / ``REPRO_PROBE_WORKERS``, same
-    override rule) so the perf trajectory across PRs stays attributable.
+    counts…); the emitter stamps the git revision, a unix timestamp and the
+    discovery executor / worker count of the probe phase
+    (``REPRO_PROBE_EXECUTOR`` / ``REPRO_PROBE_WORKERS`` — benchmarks that
+    pin their own override them in their payload) so the perf trajectory
+    stays attributable.
     A chaos fault plan active for the run (``REPRO_FAULT_PLAN``) is
     stamped too, so chaos-smoke numbers are never mistaken for clean ones.
     Correctness provenance rides along as well: ``lint_clean`` (did the
@@ -72,7 +72,6 @@ def emit_json_report(name: str, payload: dict) -> None:
     record.setdefault("benchmark", name)
     record.setdefault("git_rev", _git_revision())
     record.setdefault("unix_time", int(time.time()))
-    record.setdefault("executor", os.environ.get("REPRO_EXECUTOR", "numpy"))
     record.setdefault(
         "probe_executor", os.environ.get("REPRO_PROBE_EXECUTOR", "serial")
     )

@@ -7,7 +7,7 @@ cycle/parallel-path structures are shared.  This benchmark times the full
 multi-attribute sweep on a 32-peer scale-free network with the sequential
 engine-per-attribute path and with the batched
 :class:`~repro.core.batched.BatchedEmbeddedMessagePassing` over one compiled
-:class:`~repro.core.batched.AssessmentPlan`, lossless and lossy, and doubles
+:class:`~repro.factorgraph.plan.SweepPlan`, lossless and lossy, and doubles
 as a regression tripwire: the batched sweep must stay ≥3x ahead of the
 sequential one at 32 peers while reproducing its posteriors to ``1e-9`` and
 compiling the plan exactly once.

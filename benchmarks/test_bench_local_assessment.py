@@ -8,7 +8,7 @@ sequential engine per origin.  This benchmark times the full all-origins
 ``assess_local_all`` pass on a 32-peer scale-free network with the
 per-origin sequential path and with the block-diagonal
 :class:`~repro.core.batched.BlockedEmbeddedMessagePassing` over one compiled
-per-origin :class:`~repro.core.batched.AssessmentPlan`, lossless and lossy,
+per-origin :class:`~repro.factorgraph.plan.SweepPlan`, lossless and lossy,
 and doubles as a regression tripwire: the batched pass must stay ≥3x ahead
 of the sequential one at 32 peers while reproducing its local views to
 ``1e-9``, compiling the local plan exactly once, and probing each origin's

@@ -1,34 +1,23 @@
-"""Plan IR + pluggable executors — the shared compiled core's two levers.
+"""Plan IR — the shared compiled core's kernel lever.
 
 The :mod:`repro.factorgraph.plan` IR gives every engine the same lowered
 sweep: edge row space, segment plans, transmission list and arity-bucketed
-kernel batches, executed by a pluggable executor.  This benchmark pins the
-two performance levers that landed with it:
-
-* the *fused all-targets kernel* (``messages_all``): evaluating a count
-  bucket's messages toward every target slot from one pre-gathered operand
-  array, instead of re-stacking ``arity - 1`` operand matrices per target —
-  the O(arity²) constant of the historical sweep loop.  Must stay ≥3x ahead
-  of the per-target loop at small bucket sizes and match it bit for bit.
-* the *threaded executor*: independent arity buckets scatter to disjoint
-  edge rows, so they run concurrently on a shared thread pool.  Results
-  must stay bit-identical to the NumPy executor on the full batched
-  multi-attribute sweep; on multi-core hosts the sweep must also get
-  faster (the floor is skipped on single-core CI runners, where a thread
-  pool cannot win).
+kernel batches, run through the plan's own round phases.  This benchmark
+pins the performance lever that landed with it: the *fused all-targets
+kernel* (``messages_all``), evaluating a count bucket's messages toward
+every target slot from one pre-gathered operand array, instead of
+re-stacking ``arity - 1`` operand matrices per target — the O(arity²)
+constant of the historical sweep loop.  It must stay ≥3x ahead of the
+per-target loop at small bucket sizes and match it bit for bit.
 """
 
-import os
 import time
 
 import numpy as np
-import pytest
 
-from repro.core.quality import MappingQualityAssessor
 from repro.factorgraph.plan import CountFactorBatch
 from repro.factorgraph.factors import CountFactor
 from repro.factorgraph.variables import BinaryVariable
-from repro.generators.scenarios import generate_scenario
 
 #: The fused-kernel measurement point: one count bucket far past the
 #: crossover with few structures — where the per-target Python loop's
@@ -37,10 +26,6 @@ from repro.generators.scenarios import generate_scenario
 KERNEL_ARITY = 40
 KERNEL_BUCKET_SIZE = 16
 MIN_KERNEL_SPEEDUP = 3.0
-
-#: Threaded-executor floor on the batched multi-attribute sweep, asserted
-#: only when the host actually has cores to fan out to.
-MIN_THREADED_SPEEDUP = 1.5
 
 REPEATS = 30
 
@@ -117,78 +102,4 @@ def test_bench_plan_ir_fused_kernel(benchmark, report, report_json):
     assert speedup >= MIN_KERNEL_SPEEDUP, (
         f"fused messages_all is only {speedup:.1f}x faster than the "
         f"per-target sweep loop (floor {MIN_KERNEL_SPEEDUP}x)"
-    )
-
-
-def test_bench_plan_ir_threaded_executor(report, report_json):
-    scenario = generate_scenario(
-        topology="scale-free",
-        peer_count=32,
-        attribute_count=10,
-        error_rate=0.15,
-        seed=32,
-    )
-    network = scenario.network
-
-    def sweep(executor):
-        best = float("inf")
-        assessments = None
-        for _ in range(3):
-            assessor = MappingQualityAssessor(
-                network,
-                delta=None,
-                ttl=3,
-                include_parallel_paths=False,
-                seed=0,
-                executor=executor,
-            )
-            assessor.structure_cache.structures()
-            start = time.perf_counter()
-            assessments = assessor.assess_all_attributes()
-            best = min(best, time.perf_counter() - start)
-        return assessments, best
-
-    numpy_assessments, numpy_seconds = sweep("numpy")
-    threaded_assessments, threaded_seconds = sweep("threaded")
-
-    # Buckets scatter to disjoint edge rows, so the thread fan-out must not
-    # change a single bit of any posterior.
-    assert set(numpy_assessments) == set(threaded_assessments)
-    for attribute, assessment in numpy_assessments.items():
-        assert (
-            threaded_assessments[attribute].posteriors == assessment.posteriors
-        )
-        assert (
-            threaded_assessments[attribute].iterations == assessment.iterations
-        )
-
-    cpu_count = os.cpu_count() or 1
-    speedup = numpy_seconds / threaded_seconds
-    lines = (
-        "batched multi-attribute sweep (32-peer scale-free, 10 attributes)\n"
-        f"numpy executor:    {numpy_seconds * 1e3:.1f} ms\n"
-        f"threaded executor: {threaded_seconds * 1e3:.1f} ms\n"
-        f"speedup: {speedup:.2f}x on {cpu_count} cores, posteriors "
-        "bit-identical"
-    )
-    report("EX_plan_ir_threaded", lines)
-    report_json(
-        "plan_ir_threaded",
-        {
-            "peer_count": 32,
-            "attribute_count": 10,
-            "cpu_count": cpu_count,
-            "numpy_seconds": numpy_seconds,
-            "threaded_seconds": threaded_seconds,
-            "speedup": speedup,
-        },
-    )
-    if cpu_count < 2:
-        pytest.skip(
-            "single-core host: a thread pool cannot beat the sequential "
-            "executor (bit-identity asserted above)"
-        )
-    assert speedup >= MIN_THREADED_SPEEDUP, (
-        f"threaded executor is only {speedup:.2f}x faster than the numpy "
-        f"executor on {cpu_count} cores (floor {MIN_THREADED_SPEEDUP}x)"
     )

@@ -153,14 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
         "runs (default 1.0)",
     )
     throughput.add_argument(
-        "--executor", choices=("numpy", "threaded"), default=None,
-        help="plan executor running the engines' sweep rounds (default "
-        "numpy, or the REPRO_EXECUTOR environment variable): 'threaded' "
-        "fans independent arity buckets out to a thread pool; not "
-        "applicable in sum-product mode, which times the centralised "
-        "loop vs vectorized backends",
-    )
-    throughput.add_argument(
         "--probe-workers", type=int, default=None,
         help="probe mode only: worker count of the process-pool discovery "
         "executor (default: REPRO_PROBE_WORKERS or the CPU count)",
@@ -376,7 +368,6 @@ def _render_embedded_throughput(args: argparse.Namespace) -> str:
         rounds=args.rounds if args.rounds is not None else 25,
         repeats=args.repeats,
         send_probability=send_probability,
-        executor=args.executor,
     )
     rows = [
         (
@@ -418,7 +409,6 @@ def _render_local_throughput(args: argparse.Namespace) -> str:
         ttl=args.ttl if args.ttl is not None else THROUGHPUT_DEFAULT_TTL,
         repeats=args.repeats,
         send_probability=send_probability,
-        executor=args.executor,
     )
     rows = [
         (
@@ -556,9 +546,7 @@ def _render_gossip_convergence(args: argparse.Namespace) -> str:
 
 def _render_long_cycle_throughput(args: argparse.Namespace) -> str:
     lengths = tuple(args.sizes) if args.sizes else (20, 30, 40)
-    result = run_long_cycle_throughput(
-        cycle_lengths=lengths, repeats=args.repeats, executor=args.executor
-    )
+    result = run_long_cycle_throughput(cycle_lengths=lengths, repeats=args.repeats)
     rows = [
         (
             point.cycle_length,
@@ -695,11 +683,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.mode in ("sum-product", "long-cycle", "probe", "gossip") and args.send_probability is not None:
             parser.error(
                 "--send-probability only applies to --mode embedded or local"
-            )
-        if args.mode in ("sum-product", "probe", "gossip") and args.executor is not None:
-            parser.error(
-                "--executor only applies to --mode embedded, local or "
-                "long-cycle"
             )
         if args.mode == "long-cycle" and args.ttl is not None:
             parser.error(

@@ -34,15 +34,11 @@ __all__ = [
     "BACKEND_VECTORIZED",
     "MAX_COMPILED_ARITY",
     "COUNT_KERNEL_MIN_ARITY",
-    "EXECUTOR_NUMPY",
-    "EXECUTOR_THREADED",
-    "DEFAULT_EXECUTOR",
     "PROBE_EXECUTOR_SERIAL",
     "PROBE_EXECUTOR_PROCESS",
     "PROBE_EXECUTOR_RESILIENT",
     "DEFAULT_PROBE_EXECUTOR",
     "DEFAULT_PROBE_WORKERS",
-    "EXECUTOR_ENV",
     "PROBE_EXECUTOR_ENV",
     "PROBE_WORKERS_ENV",
     "FAULT_PLAN_ENV",
@@ -109,19 +105,6 @@ BACKEND_VECTORIZED: str = "vectorized"
 #: graphs it cannot compile (mixed variable cardinalities).
 DEFAULT_BACKEND: str = BACKEND_VECTORIZED
 
-#: Single-threaded NumPy executor of the shared sweep-plan IR
-#: (:mod:`repro.factorgraph.plan`) — bit-identical to the historical
-#: per-engine sweep loops.
-EXECUTOR_NUMPY: str = "numpy"
-
-#: Thread-pool executor running independent arity buckets of a factor sweep
-#: concurrently.  Buckets scatter to disjoint edge rows, so the results are
-#: bit-identical to :data:`EXECUTOR_NUMPY`.
-EXECUTOR_THREADED: str = "threaded"
-
-#: Environment variable naming the default sweep executor.
-EXECUTOR_ENV: str = "REPRO_EXECUTOR"
-
 #: Environment variable naming the default discovery executor.
 PROBE_EXECUTOR_ENV: str = "REPRO_PROBE_EXECUTOR"
 
@@ -142,7 +125,6 @@ SHARD_TIMEOUT_ENV: str = "REPRO_SHARD_TIMEOUT"
 #: documented and validated here first.
 KNOWN_ENV_KNOBS = frozenset(
     {
-        EXECUTOR_ENV,
         PROBE_EXECUTOR_ENV,
         PROBE_WORKERS_ENV,
         FAULT_PLAN_ENV,
@@ -168,12 +150,6 @@ def read_env(name: str) -> str:
         )
     return os.environ.get(name, "").strip()
 
-#: Executor used when none is requested.  Overridable via the
-#: ``REPRO_EXECUTOR`` environment variable so whole test/benchmark runs can
-#: be switched without touching call sites (CI exercises the threaded
-#: executor this way).
-DEFAULT_EXECUTOR: str = os.environ.get(EXECUTOR_ENV, EXECUTOR_NUMPY)
-
 #: In-process discovery executor of the probe-plan IR
 #: (:mod:`repro.pdms.discovery`) — result-identical to the historical
 #: recursive walkers, discovery order included.
@@ -195,9 +171,9 @@ PROBE_EXECUTOR_PROCESS: str = "process"
 PROBE_EXECUTOR_RESILIENT: str = "resilient"
 
 #: Discovery executor used when none is requested, overridable via the
-#: ``REPRO_PROBE_EXECUTOR`` environment variable (mirrors
-#: :data:`DEFAULT_EXECUTOR` / ``REPRO_EXECUTOR`` one layer up, at the probe
-#: phase instead of the sweep phase).
+#: ``REPRO_PROBE_EXECUTOR`` environment variable so whole test/benchmark
+#: runs can be switched without touching call sites (CI exercises the
+#: process executor this way).
 DEFAULT_PROBE_EXECUTOR: str = os.environ.get(
     PROBE_EXECUTOR_ENV, PROBE_EXECUTOR_SERIAL
 )

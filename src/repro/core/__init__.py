@@ -36,9 +36,9 @@ from .pdms_factor_graph import (
     variable_name_for,
 )
 from .local_graph import LocalFactorGraph, build_local_graphs, mapping_owner
+from ..factorgraph.plan import SweepPlan
 from .batched import (
     AssessmentLane,
-    AssessmentPlan,
     BatchedEmbeddedMessagePassing,
     BlockedEmbeddedMessagePassing,
     compile_assessment_plan,
@@ -52,7 +52,7 @@ from .embedded import (
 )
 from .schedules import LazySchedule, PeriodicSchedule, ScheduleReport
 from .quality import AttributeAssessment, MappingQualityAssessor
-from .evolution import AssessmentRound, EvolvingPDMS, MappingEvent, MappingEventKind
+from .evolution import AssessmentRound, CorrespondenceChanged, EvolvingPDMS
 
 __all__ = [
     "Feedback",
@@ -79,7 +79,7 @@ __all__ = [
     "build_local_graphs",
     "mapping_owner",
     "AssessmentLane",
-    "AssessmentPlan",
+    "SweepPlan",
     "BatchedEmbeddedMessagePassing",
     "BlockedEmbeddedMessagePassing",
     "compile_assessment_plan",
@@ -94,7 +94,6 @@ __all__ = [
     "AttributeAssessment",
     "MappingQualityAssessor",
     "AssessmentRound",
+    "CorrespondenceChanged",
     "EvolvingPDMS",
-    "MappingEvent",
-    "MappingEventKind",
 ]

@@ -135,7 +135,7 @@ def structure_signatures(
 
     This is the naming contract shared by the per-attribute evidence
     (:func:`analyze_network` / :meth:`NetworkStructureCache.evidence_for`)
-    and the compiled :class:`~repro.core.batched.AssessmentPlan`: both must
+    and the compiled :class:`~repro.factorgraph.plan.SweepPlan`: both must
     list the same structures under the same identifiers, index for index,
     for the batched engine to bind evidence to its plan.
     """
@@ -169,6 +169,20 @@ def _evidence_from_structures(
             feedback_from_parallel_paths(paths, attribute, identifier=identifier)
         )
     return feedbacks
+
+
+def _rotate_to(cycle: MappingCycle, origin: str) -> Optional[MappingCycle]:
+    """``cycle`` re-oriented to start at ``origin`` (``None`` when the cycle
+    does not pass through it)."""
+    for index, mapping in enumerate(cycle.mappings):
+        if mapping.source == origin:
+            if index == 0 and cycle.origin == origin:
+                return cycle
+            return MappingCycle(
+                origin=origin,
+                mappings=cycle.mappings[index:] + cycle.mappings[:index],
+            )
+    return None
 
 
 @dataclass
@@ -348,12 +362,12 @@ class NetworkStructureCache:
     ``statistics.partial_refreshes`` / ``full_refreshes`` record which path
     served each miss.  Incrementally added structures are appended after the
     surviving ones, so feedback identifiers may be numbered differently than
-    a fresh probe would number them, and incrementally discovered cycles are
-    oriented from the added mapping's source peer (exactly what a real probe
-    from that peer reports) rather than from the peer a fresh global
-    enumeration happens to visit first.  The structure *set* — up to
-    rotation — is identical; both orientations are valid probe outcomes of
-    the same nondeterministic discovery the paper describes (§3.2.1).
+    a fresh probe would number them.  Grafted cycles are rotated to the
+    orientation a fresh full probe reports — starting at the cycle's first
+    peer in network order, the first origin whose probe discovers it —
+    because a cycle's feedback traces the attribute in its origin's schema:
+    the same cycle read from another peer can flip sign, and a live cache
+    must assess exactly like a fresh one.
 
     Correspondence-level edits (corruptions, repairs) deliberately do *not*
     invalidate: they change how a structure evaluates for an attribute — the
@@ -407,7 +421,7 @@ class NetworkStructureCache:
         structures, or ``None`` when nothing is cached yet.
 
         Consumers deriving further state from the structures (e.g. the
-        compiled :class:`~repro.core.batched.AssessmentPlan` of the quality
+        compiled :class:`~repro.factorgraph.plan.SweepPlan` of the quality
         assessor) key their own caches on this value.
         """
         return self._key
@@ -447,6 +461,9 @@ class NetworkStructureCache:
         if mutations is None or not mutations:
             return False
         include = key[2]
+        # Grafted cycles start at their first peer in network order: the
+        # orientation plan_full_probe's canonical merge keeps.
+        rank = {name: index for index, name in enumerate(self.network.peer_names)}
         refreshed = replay_structure_log(
             mutations,
             self._cycles,
@@ -455,6 +472,9 @@ class NetworkStructureCache:
             has_mapping=self.network.has_mapping,
             structures_through=lambda version, name: self._driver.structures_through(
                 name, include
+            ),
+            adapt_cycle=lambda cycle: _rotate_to(
+                cycle, min((m.source for m in cycle.mappings), key=rank.__getitem__)
             ),
         )
         if refreshed is None:
@@ -669,20 +689,6 @@ class NeighborhoodStructureCache:
         self._delta_memo[memo_key] = structures
         return structures
 
-    @staticmethod
-    def _rotate_to(cycle: MappingCycle, origin: str) -> Optional[MappingCycle]:
-        """``cycle`` re-oriented to start at ``origin`` (``None`` when the
-        cycle does not pass through it)."""
-        for index, mapping in enumerate(cycle.mappings):
-            if mapping.source == origin:
-                if index == 0 and cycle.origin == origin:
-                    return cycle
-                return MappingCycle(
-                    origin=origin,
-                    mappings=cycle.mappings[index:] + cycle.mappings[:index],
-                )
-        return None
-
     def _refresh_incrementally(
         self, entry: _NeighborhoodEntry, origin: str, key: Tuple[int, int, bool]
     ) -> bool:
@@ -711,7 +717,7 @@ class NeighborhoodStructureCache:
             structures_through=lambda version, name: self._structures_through_added(
                 version, name, include
             ),
-            adapt_cycle=lambda cycle: self._rotate_to(cycle, origin),
+            adapt_cycle=lambda cycle: _rotate_to(cycle, origin),
             adapt_path=lambda pair: pair if pair.source == origin else None,
         )
         if refreshed is None:

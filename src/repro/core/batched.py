@@ -9,19 +9,16 @@ the factor tables) change per attribute — yet the per-attribute
 full topology machinery (edge layouts, segment index plans, factor-batch
 gather/scatter operands, factor tables) from scratch for each attribute.
 
-This module splits that work along the topology/evidence boundary, on the
-same two axes the engine matrix in :mod:`repro.core.embedded` documents
-(normative statement of the underlying layering/determinism/process-safety
+This module splits that work along the topology/evidence boundary, as
+one of the plan lowerings :mod:`repro.core.embedded` documents (normative
+statement of the underlying layering/determinism/process-safety
 contracts: ``ARCHITECTURE.md`` at the repository root, enforced by
-``repro-lint`` / :mod:`repro.lintkit`) —
-*plan-IR lowering* × *executor choice* (plus the upstream probe-executor
-row of that matrix: the structure lists compiled here arrive from the
-discovery frontier of :mod:`repro.pdms.discovery`, serial or
-origin-sharded via ``probe_executor=``, identical either way):
+``repro-lint`` / :mod:`repro.lintkit`; the structure lists compiled here
+arrive from the discovery frontier of :mod:`repro.pdms.discovery`, serial
+or origin-sharded via ``probe_executor=``, identical either way):
 
-* :func:`compile_assessment_plan` lowers the structures **once** into an
-  :class:`AssessmentPlan` (an alias of the shared
-  :class:`~repro.factorgraph.plan.SweepPlan` IR, built by
+* :func:`compile_assessment_plan` lowers the structures **once** into a
+  shared :class:`~repro.factorgraph.plan.SweepPlan` (built by
   :func:`~repro.factorgraph.plan.compile_sweep_plan`) — everything in
   ``EmbeddedMessagePassing.__init__`` / ``_init_array_state`` /
   ``_compile_array_batches`` that depends only on which structures exist
@@ -33,26 +30,23 @@ origin-sharded via ``probe_executor=``, identical either way):
   historical arity-25 cliff is gone).
 * :class:`BatchedEmbeddedMessagePassing` binds one plan to per-**lane**
   evidence and runs **all lanes simultaneously** on stacked
-  ``(lanes, edges, 2)`` message matrices, delegating each round to a
-  pluggable executor (``executor=``, defaulting to
-  :data:`repro.constants.DEFAULT_EXECUTOR`): phase 1 is one zero-aware
-  segment product over the stacked factor→variable state, phase 2 one
-  Bernoulli mask per lane over the plan's transmission list (engine-side —
-  executors never touch the rng), phase 3 one stacked kernel sweep per
-  arity bucket
+  ``(lanes, edges, 2)`` message matrices, running each round through the
+  plan's phases: phase 1 is one zero-aware segment product over the
+  stacked factor→variable state, phase 2 one Bernoulli mask per lane over
+  the plan's transmission list (engine-side — the plan never touches the
+  rng), phase 3 one stacked kernel sweep per arity bucket
   (:class:`~repro.factorgraph.plan.StackedFactorBatch` einsum or
   count-space :class:`~repro.factorgraph.plan.StackedCountFactorBatch`).
   Per-lane convergence masking freezes finished lanes so they stop
   contributing work.
 
-Both axes also keep the resilience row of that matrix: a deterministic
+Both engines also keep the resilience row of that module: a deterministic
 :class:`~repro.reliability.FaultPlan` (``fault_plan=`` on the assessor,
 ``REPRO_FAULT_PLAN`` process-wide) upgrades the probe row to the retrying
-:class:`~repro.reliability.ResilientDiscoveryExecutor` and arms the
-threaded sweep executor's synchronous per-bucket NumPy fallback — the
-compiled plan, the structure lists and every lane's posteriors are
-bit-identical to the fault-free serial run, with the injected/survived
-fault counts reported by
+:class:`~repro.reliability.ResilientDiscoveryExecutor` — the compiled
+plan, the structure lists and every lane's posteriors are bit-identical to
+the fault-free serial run, with the injected/survived fault counts
+reported by
 :meth:`~repro.core.quality.MappingQualityAssessor.reliability_statistics`.
 
 A lane is any ``(evidence subset, priors, Δ, rng stream)`` tuple
@@ -68,7 +62,7 @@ A lane is any ``(evidence subset, priors, Δ, rng stream)`` tuple
   one shared row space instead, keeping per-lane rng streams, convergence
   counters and results while a round costs one set of numpy calls over the
   blocks' combined rows.  (:meth:`BatchedEmbeddedMessagePassing.from_lanes`
-  remains the general executor for arbitrary — possibly overlapping — lane
+  remains the general engine for arbitrary — possibly overlapping — lane
   subsets.)
 
 Equivalence with the sequential engine
@@ -116,11 +110,9 @@ from ..factorgraph.plan import (
     StackedCountFactorBatch,
     StackedFactorBatch,
     SweepPlan,
-    SweepState,
     bucket_kernel as _bucket_kernel,
     bucket_tables as _bucket_tables,
     compile_sweep_plan,
-    get_executor,
     make_bucket,
     normalize_rows,
     segment_plan,
@@ -139,7 +131,6 @@ from .local_graph import mapping_owner
 
 __all__ = [
     "AssessmentLane",
-    "AssessmentPlan",
     "BatchedEmbeddedMessagePassing",
     "BlockedEmbeddedMessagePassing",
     "compile_assessment_plan",
@@ -153,7 +144,7 @@ _KIND_CODES = {
 
 
 def _validated_lane_codes(
-    plan: "AssessmentPlan", lane: "AssessmentLane"
+    plan: SweepPlan, lane: "AssessmentLane"
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Validate one lane's evidence against the plan.
 
@@ -197,7 +188,7 @@ def _validated_lane_codes(
 
 
 def _lane_result(
-    plan: "AssessmentPlan",
+    plan: SweepPlan,
     active_indices: np.ndarray,
     final_values: np.ndarray,
     snapshots: Sequence[np.ndarray],
@@ -223,15 +214,10 @@ def _lane_result(
     )
 
 
-#: The assessment plan *is* the shared sweep-plan IR — the historical name
-#: is kept because it is public API (re-exported by :mod:`repro.core`).
-AssessmentPlan = SweepPlan
-
-
 def compile_assessment_plan(
     structures: Sequence[Tuple[str, Sequence[str]]],
     owners: Optional[TMapping[str, str]] = None,
-) -> AssessmentPlan:
+) -> SweepPlan:
     """Compile ``(identifier, mapping names)`` structures into a plan.
 
     ``structures`` lists the network's cycles and parallel paths in the
@@ -323,14 +309,11 @@ class BatchedEmbeddedMessagePassing:
         supply them explicitly.
     options:
         Iteration control, shared by all lanes.
-    executor:
-        Sweep executor (name or instance) the compiled plan runs on; the
-        default resolves :data:`repro.constants.DEFAULT_EXECUTOR`.
     """
 
     def __init__(
         self,
-        plan: AssessmentPlan,
+        plan: SweepPlan,
         feedback_sets: TMapping[str, Sequence[Feedback]],
         priors: object = None,
         deltas: TMapping[str, float] | float = 0.1,
@@ -338,7 +321,6 @@ class BatchedEmbeddedMessagePassing:
         seed: Optional[int] = DEFAULT_SEED,
         transports: Optional[TMapping[str, MessageTransport]] = None,
         options: Optional[EmbeddedOptions] = None,
-        executor: object = None,
     ) -> None:
         if isinstance(priors, PriorBeliefStore):
             raise FeedbackError(
@@ -371,17 +353,16 @@ class BatchedEmbeddedMessagePassing:
                     transport=transports.get(attribute) if transports else None,
                 )
             )
-        self._setup(plan, lanes, send_probability, seed, options, executor)
+        self._setup(plan, lanes, send_probability, seed, options)
 
     @classmethod
     def from_lanes(
         cls,
-        plan: AssessmentPlan,
+        plan: SweepPlan,
         lanes: Sequence[AssessmentLane],
         send_probability: float = DEFAULT_SEND_PROBABILITY,
         seed: Optional[int] = DEFAULT_SEED,
         options: Optional[EmbeddedOptions] = None,
-        executor: object = None,
     ) -> "BatchedEmbeddedMessagePassing":
         """Build an engine from explicit lanes (evidence subsets).
 
@@ -391,21 +372,19 @@ class BatchedEmbeddedMessagePassing:
         per-call transports.
         """
         engine = object.__new__(cls)
-        engine._setup(plan, list(lanes), send_probability, seed, options, executor)
+        engine._setup(plan, list(lanes), send_probability, seed, options)
         return engine
 
     def _setup(
         self,
-        plan: AssessmentPlan,
+        plan: SweepPlan,
         lanes: List[AssessmentLane],
         send_probability: float,
         seed: Optional[int],
         options: Optional[EmbeddedOptions],
-        executor: object = None,
     ) -> None:
         self.plan = plan
         self.options = options or EmbeddedOptions()
-        self._executor = get_executor(executor)
         self.lane_keys: Tuple[str, ...] = tuple(lane.key for lane in lanes)
         #: Historical alias of :attr:`lane_keys` (attribute names when built
         #: through the keyword constructor).
@@ -567,32 +546,26 @@ class BatchedEmbeddedMessagePassing:
     def _run_round(self) -> None:
         """One full round over every live lane (no per-lane indexing).
 
-        Phases 1 and 3 are the executor's (:meth:`NumpyExecutor.run_round`
-        over the shared plan); the transport exchange rides in the phase-2
-        callback slot and the posterior snapshot stays engine-side.
+        Phases 1 and 3 are the shared plan's; the transport exchange runs
+        between them and the posterior snapshot stays engine-side.
         """
         plan = self.plan
-        state = SweepState(
-            v2f=self._v2f,
-            f2v=self._f2v,
-            recv=self._recv,
-            kernels=self._kernels,
-            prior_edges=self._prior_edges,
-        )
-        self._executor.run_round(plan, state, exchange=self._exchange)
-        self._v2f = state.v2f
+        self._v2f = plan.variable_sweep(self._f2v, self._prior_edges)
+        self._exchange()
+        pool = plan.message_pool(self._v2f, self._recv)
+        plan.factor_sweep(self._kernels, pool, self._f2v)
         # Posterior snapshot of the live lanes.
         products = segment_products(self._f2v, plan.segment_starts)
         self._post = normalize_rows(self._priors * products)
 
-    def _exchange(self, state: SweepState) -> None:
+    def _exchange(self) -> None:
         plan = self.plan
         if plan.tx_src.size == 0:
             return
         if self._lossless:
             # Deliver everything in one stacked scatter; neutral cells are
             # only ever read by neutral (all-ones) factor sweeps.
-            self._recv[:, plan.tx_dest] = state.v2f[:, plan.tx_src]
+            self._recv[:, plan.tx_dest] = self._v2f[:, plan.tx_src]
             for row, lane in enumerate(self._live):
                 count = int(self._lane_tx[lane].size)
                 if count:
@@ -609,7 +582,7 @@ class BatchedEmbeddedMessagePassing:
                 delivered = positions[mask]
             else:
                 continue
-            self._recv[row, plan.tx_dest[delivered]] = state.v2f[
+            self._recv[row, plan.tx_dest[delivered]] = self._v2f[
                 row, plan.tx_src[delivered]
             ]
 
@@ -751,16 +724,14 @@ class BlockedEmbeddedMessagePassing:
 
     def __init__(
         self,
-        plan: AssessmentPlan,
+        plan: SweepPlan,
         lanes: Sequence[AssessmentLane],
         send_probability: float = DEFAULT_SEND_PROBABILITY,
         seed: Optional[int] = DEFAULT_SEED,
         options: Optional[EmbeddedOptions] = None,
-        executor: object = None,
     ) -> None:
         self.plan = plan
         self.options = options or EmbeddedOptions()
-        self._executor = get_executor(executor)
         lanes = list(lanes)
         self.lane_keys: Tuple[str, ...] = tuple(lane.key for lane in lanes)
         if len(set(self.lane_keys)) != len(self.lane_keys):
@@ -951,23 +922,16 @@ class BlockedEmbeddedMessagePassing:
         still exchanging."""
         plan = self._plan_live
         self.round_edge_counts.append(int(plan.edge_count))
-        state = SweepState(
-            v2f=self._v2f,
-            f2v=self._f2v,
-            recv=self._recv,
-            kernels=self._kernels,
-            prior_edges=self._prior_edges,
-        )
-        self._executor.run_round(
-            plan, state, exchange=lambda s: self._exchange(sending, s)
-        )
-        self._v2f = state.v2f
+        self._v2f = plan.variable_sweep(self._f2v, self._prior_edges)
+        self._exchange(sending)
+        pool = plan.message_pool(self._v2f, self._recv)
+        plan.factor_sweep(self._kernels, pool, self._f2v)
         self._post = normalize_rows(
             self._post_priors[None]
             * segment_products(self._f2v, plan.segment_starts)
         )
 
-    def _exchange(self, sending: Sequence[int], state: SweepState) -> None:
+    def _exchange(self, sending: Sequence[int]) -> None:
         tx_src = self._plan_live.tx_src
         tx_dest = self._plan_live.tx_dest
         for lane_id in sending:
@@ -976,7 +940,7 @@ class BlockedEmbeddedMessagePassing:
                 continue
             transport = self._transports[lane_id]
             if transport.send_probability >= 1.0:
-                self._recv[0, tx_dest[positions]] = state.v2f[
+                self._recv[0, tx_dest[positions]] = self._v2f[
                     0, tx_src[positions]
                 ]
                 transport.statistics.record_many(
@@ -990,7 +954,7 @@ class BlockedEmbeddedMessagePassing:
                 delivered = positions[mask]
             else:
                 continue
-            self._recv[0, tx_dest[delivered]] = state.v2f[
+            self._recv[0, tx_dest[delivered]] = self._v2f[
                 0, tx_src[delivered]
             ]
 

@@ -35,13 +35,15 @@ feedback list to a shared :class:`~repro.factorgraph.plan.SweepPlan`
 (:func:`~repro.factorgraph.plan.compile_sweep_plan`), the plan IR capturing
 once the edge row space, segment index plans, transmission list
 (``tx_src`` → ``tx_dest`` index arrays) and arity-bucketed kernel batches,
-and every phase of a round is delegated to a pluggable *executor*
-(:func:`~repro.factorgraph.plan.get_executor`): phase 2 is one vectorized
-Bernoulli mask over the plan's transmission list; phase 3 gathers each
-bucket's operands by fancy indexing into the concatenated message pool and
-scatters the fresh factor→variable rows back by edge id.  The historical
-dict-of-dicts state survives behind ``backend="dicts"`` as the loop
-reference the parity tests and the throughput benchmark compare against;
+and phases 1 and 3 of a round are the plan's own
+(:meth:`~repro.factorgraph.plan.SweepPlan.variable_sweep` /
+:meth:`~repro.factorgraph.plan.SweepPlan.factor_sweep`): phase 2 is one
+vectorized Bernoulli mask over the plan's transmission list; phase 3
+gathers each bucket's operands by fancy indexing into the concatenated
+message pool and scatters the fresh factor→variable rows back by edge id.
+The historical dict-of-dicts state survives behind ``backend="dicts"`` as
+the loop reference the parity tests and the throughput benchmark compare
+against;
 the array backend exposes the same ``_f2v`` / ``_v2f`` / ``_received``
 attributes as thin read-only dict views over the matrices, so introspection
 code works against either backend.
@@ -52,17 +54,17 @@ The Bernoulli keep/send decisions are drawn from the transport's single
 :meth:`MessageTransport.try_send`), so lossy runs with a shared seed make
 identical drop decisions and stay reproducible across backends.
 
-Plan lowering × executor matrix
--------------------------------
-Every array-state execution of the decentralised algorithm is a point on
-two orthogonal axes — *how the structures are lowered* to a
-:class:`~repro.factorgraph.plan.SweepPlan` and *which executor runs its
-rounds*; all combinations agree on posteriors to floating-point accuracy
-under shared seeds (the per-message ``backend="dicts"`` state sits off the
-matrix as the loop reference everything is compared against).
+Plan lowerings
+--------------
+Every array-state execution of the decentralised algorithm differs only in
+*how the structures are lowered* to a
+:class:`~repro.factorgraph.plan.SweepPlan`; the plan's round phases are
+shared, so all lowerings agree on posteriors to floating-point accuracy
+under shared seeds (the per-message ``backend="dicts"`` state sits beside
+them as the loop reference everything is compared against).
 
-The layering, determinism and process-safety invariants this matrix rests
-on — engines import kernels from the plan surface only, discovery flows
+The layering, determinism and process-safety invariants these lowerings
+rest on — engines import kernels from the plan surface only, discovery flows
 through probe plans, rng streams are explicitly seeded, wire payloads are
 registered picklable types — are stated normatively in ``ARCHITECTURE.md``
 at the repository root and enforced mechanically by ``repro-lint``
@@ -76,18 +78,18 @@ lowering                       plan shape / selected when
 =============================  ========================================
 ``EmbeddedMessagePassing``     Lowers its single feedback list with
 (``backend="arrays"``)         ``min_mappings=1``; one ``(edges, 2)``
-                               matrix per state.  Default for
-                               single-attribute runs
-                               (``assess_attribute``, ``assess_local``,
-                               schedules, one-engine experiments).
+                               matrix per state.  The per-call
+                               reference path (``assess_attribute``,
+                               ``assess_local``), schedules and
+                               one-engine experiments.
 ``BatchedEmbeddedMessage-      Lowers the assessor's structure
 Passing``                      signatures once
 (:mod:`repro.core.batched`)    (``compile_assessment_plan``) and stacks
                                ``(lanes, edges, 2)`` matrices over the
                                shared plan — one lane per attribute
                                (``from_lanes`` binds arbitrary evidence
-                               subsets).  Default for multi-attribute
-                               assessor sweeps and EM rounds.
+                               subsets).  Runs every multi-attribute
+                               assessor sweep and EM round.
 ``BlockedEmbeddedMessage-      Same assessment-plan lowering over
 Passing``                      *disjoint* per-origin structure blocks
 (:mod:`repro.core.batched`)    packed into one shared row space
@@ -103,39 +105,26 @@ Passing``                      *disjoint* per-origin structure blocks
                                factor-major edge rows.
 =============================  ========================================
 
-Executor axis — any engine above accepts ``executor=`` (defaulting to
-:data:`repro.constants.DEFAULT_EXECUTOR`, i.e. the ``REPRO_EXECUTOR``
-environment variable):
-
-* ``"numpy"`` — sequential NumPy kernels, bit-identical to the historical
-  per-engine sweeps.
-* ``"threaded"`` — fans independent arity buckets out to a shared thread
-  pool; buckets scatter to disjoint edge rows, so results stay
-  bit-identical to the NumPy executor.
-
-Probe-executor row — the same pattern one layer *up*: the structures every
-lowering consumes are themselves discovered by a
+Probe-executor row — one layer *up*: the structures every lowering
+consumes are themselves discovered by a
 :class:`~repro.pdms.discovery.ProbePlan` frontier run through a pluggable
 discovery executor (``probe_executor=`` on the assessor and both structure
 caches, defaulting to :data:`repro.constants.DEFAULT_PROBE_EXECUTOR`, i.e.
 the ``REPRO_PROBE_EXECUTOR`` environment variable): ``"serial"`` walks the
 frontier in-process, ``"process"`` shards it by origin over a
 ``multiprocessing`` pool and merges canonically.  Both yield identical
-structure lists, so the sweep axes above are completely independent of the
-probe axis — any lowering × sweep executor × probe executor combination
-agrees.
+structure lists, so the lowerings above are completely independent of the
+probe executor — any lowering × probe executor combination agrees.
 
-Resilience row — chaos moves no point on the matrix: under a deterministic
+Resilience row — chaos changes no result: under a deterministic
 :class:`~repro.reliability.FaultPlan` (``fault_plan=`` on the assessor and
 both structure caches, or ``REPRO_FAULT_PLAN`` process-wide) the
 ``"process"`` probe row upgrades to the retrying
 :class:`~repro.reliability.ResilientDiscoveryExecutor` — per-shard
 deadlines, bounded seeded-backoff retries, checksum-verified wire
-payloads, per-shard serial quarantine fallback — and the ``"threaded"``
-sweep executor re-runs each faulted bucket synchronously through the NumPy
-kernels over the same disjoint rows.  Merged structures and posteriors
-stay bit-identical to the fault-free serial run; what was injected,
-retried and quarantined is counted by
+payloads, per-shard serial quarantine fallback.  Merged structures and
+posteriors stay bit-identical to the fault-free serial run; what was
+injected, retried and quarantined is counted by
 :class:`~repro.reliability.ReliabilityStatistics`.
 
 The *kernel crossover rule* is stated once, in the plan IR, and applied by
@@ -158,10 +147,9 @@ The batched engines keep one independently seeded stream per lane — exactly
 the fresh per-call transport the sequential assessor builds per attribute
 (global sweeps) or per origin (local sweeps); per-origin lanes additionally
 keep each origin's own structure enumeration order and cycle orientation —
-so for a shared seed every lowering × executor combination makes identical
-drop decisions, lane for lane, and lossy posteriors match bit for bit in
-practice (the executors never touch the rng — the exchange phase stays on
-the engine).
+so for a shared seed every lowering makes identical drop decisions, lane
+for lane, and lossy posteriors match bit for bit in practice (the plan's
+phases never touch the rng — the exchange phase stays on the engine).
 
 Plan-IR equivalence contract
 ----------------------------
@@ -200,7 +188,6 @@ from ..factorgraph.plan import (
     FactorBatch,
     SweepPlan,
     compile_sweep_plan,
-    get_executor,
     normalize_rows,
     segment_products,
 )
@@ -445,17 +432,10 @@ class EmbeddedMessagePassing:
         source peer).
     backend:
         ``"arrays"`` (default) lowers the feedback structures to a shared
-        :class:`~repro.factorgraph.plan.SweepPlan` and delegates every
-        phase to the configured executor; ``"dicts"`` keeps the historical
-        per-message dict state as the loop reference.  Both produce
-        posteriors matching to floating-point accuracy under identical
-        transport seeds.
-    executor:
-        Executor of the compiled plan (arrays backend only): an executor
-        name (``"numpy"`` / ``"threaded"``), an executor object, or
-        ``None`` for the configured default
-        (:data:`repro.constants.DEFAULT_EXECUTOR`).  Both executors are
-        bit-identical; they differ only in wall-clock.
+        :class:`~repro.factorgraph.plan.SweepPlan` and runs the plan's
+        round phases; ``"dicts"`` keeps the historical per-message dict
+        state as the loop reference.  Both produce posteriors matching to
+        floating-point accuracy under identical transport seeds.
     """
 
     def __init__(
@@ -467,7 +447,6 @@ class EmbeddedMessagePassing:
         options: Optional[EmbeddedOptions] = None,
         owners: Optional[TMapping[str, str]] = None,
         backend: str = STATE_ARRAYS,
-        executor: object = None,
     ) -> None:
         if backend not in (STATE_ARRAYS, STATE_DICTS):
             raise FeedbackError(
@@ -475,7 +454,6 @@ class EmbeddedMessagePassing:
                 f"expected {STATE_ARRAYS!r} or {STATE_DICTS!r}"
             )
         self.backend = backend
-        self._executor = get_executor(executor)
         self.options = options or EmbeddedOptions()
         self.transport = transport or MessageTransport()
         self.delta = delta
@@ -866,9 +844,7 @@ class EmbeddedMessagePassing:
         if self.backend == STATE_DICTS:
             self._compute_variable_messages_dicts(mapping_names)
             return
-        fresh = self._executor.variable_sweep(
-            self._plan, self._f2v_mat, self._prior_edges
-        )
+        fresh = self._plan.variable_sweep(self._f2v_mat, self._prior_edges)
         if mapping_names is not None:
             keep = self._mapping_selection(mapping_names)[self._plan.edge_mapping]
             fresh = np.where(keep[:, None], fresh, self._v2f_mat)
@@ -936,19 +912,20 @@ class EmbeddedMessagePassing:
         """Phase 3: every replica recomputes µ_{F→v} for its owned variables.
 
         All replicas of same-shape factors are updated together through the
-        plan's arity buckets — the executor runs each bucket's compiled
+        plan's arity buckets — each bucket runs its compiled
         :class:`~repro.factorgraph.plan.FactorBatch` /
         :class:`~repro.factorgraph.plan.CountFactorBatch` kernel, the same
         path the vectorized global engine uses — instead of one scalar
-        :meth:`Factor.message_to` call per directed message.  The executor
+        :meth:`Factor.message_to` call per directed message.  The plan
         gathers the kernel operands by fancy indexing into the concatenated
         µ_{v→F} / received pool and scatters the fresh rows back by edge id.
         """
         if self.backend == STATE_DICTS:
             self._compute_factor_messages_dicts()
             return
-        pool = self._executor.message_pool(self._plan, self._v2f_mat, self._recv_mat)
-        self._executor.factor_sweep(self._plan, self._kernels, pool, self._f2v_mat)
+        plan = self._plan
+        pool = plan.message_pool(self._v2f_mat, self._recv_mat)
+        plan.factor_sweep(self._kernels, pool, self._f2v_mat)
         self._posterior_cache = None
 
     def _compute_factor_messages_dicts(self) -> None:

@@ -6,8 +6,11 @@ feeds the EM-style prior updates — "peers get new posterior probabilities on
 the correctness of the mappings as long as the network of mappings continues
 to evolve".  This module provides a small driver for that lifecycle:
 
-* :class:`MappingEvent` describes one change of the mapping network
-  (addition, removal, or the corruption/repair of a single correspondence);
+* events are the typed topology records of :mod:`repro.pdms.events`
+  (:class:`~repro.pdms.events.MappingAdded` /
+  :class:`~repro.pdms.events.MappingRemoved`) plus
+  :class:`CorrespondenceChanged`, the data churn (corruption or repair of a
+  single correspondence) that has no topology event;
 * :class:`EvolvingPDMS` applies events to a network, re-runs the quality
   assessment for the affected attributes after every change, and folds the
   resulting posteriors into the shared :class:`PriorBeliefStore` — so that
@@ -22,90 +25,43 @@ concurrency.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from ..exceptions import PDMSError
 from ..mapping.correspondence import Correspondence
-from ..mapping.mapping import Mapping
-from ..pdms.events import (
-    MappingAdded,
-    MappingRemoved,
-    TopologyEvent,
-    apply as apply_topology,
-)
+from ..pdms.events import MappingAdded, MappingRemoved, apply as apply_topology
 from ..pdms.network import PDMSNetwork
 from .beliefs import PriorBeliefStore
 from .quality import MappingQualityAssessor
 
-__all__ = ["MappingEventKind", "MappingEvent", "AssessmentRound", "EvolvingPDMS"]
-
-
-class MappingEventKind(str, Enum):
-    """Kind of change applied to the mapping network."""
-
-    ADD_MAPPING = "add-mapping"
-    REMOVE_MAPPING = "remove-mapping"
-    CORRUPT_CORRESPONDENCE = "corrupt-correspondence"
-    REPAIR_CORRESPONDENCE = "repair-correspondence"
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.value
+__all__ = ["CorrespondenceChanged", "AssessmentRound", "EvolvingPDMS"]
 
 
 @dataclass(frozen=True)
-class MappingEvent:
-    """One change of the mapping network.
+class CorrespondenceChanged:
+    """Data churn of one correspondence.
 
-    Depending on ``kind``:
-
-    * ``ADD_MAPPING`` — ``mapping`` is registered in the network;
-    * ``REMOVE_MAPPING`` — the mapping called ``mapping_name`` is removed;
-    * ``CORRUPT_CORRESPONDENCE`` — the correspondence of ``mapping_name``
-      for ``attribute`` is redirected to ``new_target`` (ground-truth label
-      becomes incorrect);
-    * ``REPAIR_CORRESPONDENCE`` — the correspondence of ``mapping_name``
-      for ``attribute`` is redirected to ``new_target`` (label becomes
-      correct).
+    The correspondence of ``mapping_name`` for ``attribute`` is redirected
+    to ``new_target``; ``is_correct`` is its new ground-truth label (a
+    corruption when ``False``, a repair when ``True``).  Unlike the
+    topology events it leaves every cycle and parallel path in place and
+    only changes the evidence they carry.
     """
 
-    kind: MappingEventKind
-    mapping: Optional[Mapping] = None
-    mapping_name: str = ""
-    attribute: str = ""
-    new_target: str = ""
+    mapping_name: str
+    attribute: str
+    new_target: str
+    is_correct: bool
 
-    def to_topology_event(self) -> Optional[TopologyEvent]:
-        """The typed :mod:`repro.pdms.events` record for topology kinds.
-
-        ``ADD_MAPPING`` / ``REMOVE_MAPPING`` are the same transitions the
-        event-sourced network records — this adapter is how the evolution
-        layer's vocabulary collapses onto the shared event types.
-        Correspondence-level kinds (corrupt / repair) are *data* churn,
-        not topology, and return ``None``.
-        """
-        if self.kind is MappingEventKind.ADD_MAPPING:
-            if self.mapping is None:
-                raise PDMSError("ADD_MAPPING events need a mapping")
-            return MappingAdded(mapping=self.mapping)
-        if self.kind is MappingEventKind.REMOVE_MAPPING:
-            return MappingRemoved(name=self.mapping_name)
-        return None
-
-    @classmethod
-    def from_topology_event(cls, event: TopologyEvent) -> "MappingEvent":
-        """Wrap a typed topology event in the evolution vocabulary —
-        the inverse of :meth:`to_topology_event`, for feeding gossiped
-        mapping churn into an :class:`EvolvingPDMS`."""
-        if isinstance(event, MappingAdded):
-            return cls(kind=MappingEventKind.ADD_MAPPING, mapping=event.mapping)
-        if isinstance(event, MappingRemoved):
-            return cls(
-                kind=MappingEventKind.REMOVE_MAPPING, mapping_name=event.name
+    def __post_init__(self) -> None:
+        if not self.attribute or not self.new_target:
+            raise PDMSError(
+                "correspondence changes need an attribute and a new target"
             )
-        raise PDMSError(
-            f"no mapping-churn equivalent for topology event {event!r}"
-        )
+
+
+#: The churn an :class:`EvolvingPDMS` applies.
+EvolutionEvent = Union[MappingAdded, MappingRemoved, CorrespondenceChanged]
 
 
 @dataclass
@@ -118,7 +74,7 @@ class AssessmentRound:
     per-origin run.
     """
 
-    event: MappingEvent
+    event: EvolutionEvent
     assessed_attributes: Tuple[str, ...]
     posteriors: Dict[Tuple[str, str], float]
     updated_priors: Dict[Tuple[str, str], float]
@@ -186,47 +142,42 @@ class EvolvingPDMS:
 
     # -- event application -------------------------------------------------------
 
-    def _apply(self, event: MappingEvent) -> Tuple[str, ...]:
+    def _apply(self, event: EvolutionEvent) -> Tuple[str, ...]:
         """Mutate the network; return the attributes whose evidence changed."""
-        topology_event = event.to_topology_event()
-        if topology_event is not None:
-            # Topology kinds lower onto the one shared transition the
+        if isinstance(event, (MappingAdded, MappingRemoved)):
+            # Topology churn lowers onto the one shared transition the
             # event-sourced network replays — no parallel mutation path.
-            mapping = apply_topology(self.network, topology_event)
+            mapping = apply_topology(self.network, event)
             return mapping.source_attributes
-
-        if event.kind in (
-            MappingEventKind.CORRUPT_CORRESPONDENCE,
-            MappingEventKind.REPAIR_CORRESPONDENCE,
-        ):
-            if not event.attribute or not event.new_target:
-                raise PDMSError(
-                    f"{event.kind.value} events need an attribute and a new target"
-                )
-            mapping = self.network.mapping(event.mapping_name)
-            existing = mapping.correspondence_for(event.attribute)
-            is_correct = event.kind is MappingEventKind.REPAIR_CORRESPONDENCE
-            if existing is None:
-                replacement = Correspondence(
-                    source_attribute=event.attribute,
-                    target_attribute=event.new_target,
-                    is_correct=is_correct,
-                    provenance="evolution",
-                )
-            else:
-                replacement = existing.with_target(event.new_target, is_correct=is_correct)
-            mapping._by_source[event.attribute] = replacement
-            return (event.attribute,)
-
-        raise PDMSError(f"unknown event kind {event.kind!r}")  # pragma: no cover
+        if not isinstance(event, CorrespondenceChanged):
+            raise PDMSError(f"no mapping-churn equivalent for event {event!r}")
+        mapping = self.network.mapping(event.mapping_name)
+        existing = mapping.correspondence_for(event.attribute)
+        if existing is None:
+            replacement = Correspondence(
+                source_attribute=event.attribute,
+                target_attribute=event.new_target,
+                is_correct=event.is_correct,
+                provenance="evolution",
+            )
+        else:
+            replacement = existing.with_target(
+                event.new_target, is_correct=event.is_correct
+            )
+        mapping._by_source[event.attribute] = replacement
+        return (event.attribute,)
 
     # -- public API ----------------------------------------------------------------
 
-    def apply_event(self, event: MappingEvent) -> AssessmentRound:
+    def apply_event(self, event: EvolutionEvent) -> AssessmentRound:
         """Apply one event, re-assess the affected attributes, update priors.
 
-        The affected attributes are assessed in one batched pass (one
-        compiled plan, one stacked engine) rather than engine-per-attribute.
+        Mapping additions / removals may come from anywhere — including a
+        replicated event log such as a
+        :class:`~repro.pdms.events.GossipJournal`; peer churn has no
+        mapping-level equivalent and is rejected.  The affected attributes
+        are assessed in one batched pass (one compiled plan, one stacked
+        engine) rather than engine-per-attribute.
         """
         affected = self._apply(event)
         assessor = MappingQualityAssessor(
@@ -253,24 +204,9 @@ class EvolvingPDMS:
         self.history.append(round_record)
         return round_record
 
-    def apply_events(self, events: Iterable[MappingEvent]) -> List[AssessmentRound]:
+    def apply_events(self, events: Iterable[EvolutionEvent]) -> List[AssessmentRound]:
         """Apply a sequence of events, one assessment round each."""
         return [self.apply_event(event) for event in events]
-
-    def apply_topology_event(self, event: TopologyEvent) -> AssessmentRound:
-        """Apply a typed :mod:`repro.pdms.events` record directly.
-
-        Mapping additions / removals arriving from a replicated event log
-        (e.g. a :class:`~repro.pdms.events.GossipJournal`) re-assess and
-        fold into the priors exactly like locally-decided churn.
-        """
-        return self.apply_event(MappingEvent.from_topology_event(event))
-
-    def apply_topology_events(
-        self, events: Iterable[TopologyEvent]
-    ) -> List[AssessmentRound]:
-        """Apply a sequence of typed topology events, one round each."""
-        return [self.apply_topology_event(event) for event in events]
 
     def current_belief(self, mapping_name: str, attribute: str) -> float:
         """The prior the peers currently hold for a (mapping, attribute) pair."""

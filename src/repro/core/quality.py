@@ -8,12 +8,11 @@ core contribution.  Given a PDMS network it
    exponential structure enumeration runs once per topology version instead
    of once per attribute and per EM round,
 2. runs the decentralised embedded message passing — all attributes at once
-   on one compiled :class:`~repro.core.batched.AssessmentPlan` and stacked
+   on one compiled :class:`~repro.factorgraph.plan.SweepPlan` and stacked
    :class:`~repro.core.batched.BatchedEmbeddedMessagePassing` engine for
    multi-attribute sweeps, or per attribute through
-   :mod:`repro.core.embedded` (the parity reference, and the single-attribute
-   path), both lowering to the shared :mod:`repro.factorgraph.plan` IR and
-   executing through the assessor-wide ``executor`` choice,
+   :mod:`repro.core.embedded` (the per-call reference path), both lowering
+   to the shared :mod:`repro.factorgraph.plan` IR,
 3. exposes the posterior correctness probabilities, both programmatically
    and as a quality oracle pluggable into the
    :class:`~repro.pdms.routing.QueryRouter`, and
@@ -41,11 +40,12 @@ disjoint lane per origin.  Both views share the same resolution order
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Mapping as TMapping, Optional, Sequence, Tuple
 
 from ..constants import DEFAULT_SEED, DEFAULT_TTL
-from ..exceptions import FactorGraphError, FeedbackError, ReproError
+from ..exceptions import FeedbackError, ReproError
+from ..factorgraph.plan import SweepPlan
 from ..mapping.mapping import Mapping
 from ..pdms.network import PDMSNetwork
 from ..pdms.routing import QueryRouter, RoutingPolicy
@@ -53,12 +53,10 @@ from .analysis import (
     NeighborhoodStructureCache,
     NetworkEvidence,
     NetworkStructureCache,
-    analyze_network,
     structure_signatures,
 )
 from .batched import (
     AssessmentLane,
-    AssessmentPlan,
     BatchedEmbeddedMessagePassing,
     BlockedEmbeddedMessagePassing,
     compile_assessment_plan,
@@ -66,6 +64,7 @@ from .batched import (
 from .beliefs import PriorBeliefStore
 from .embedded import EmbeddedMessagePassing, EmbeddedOptions, EmbeddedResult, MessageTransport
 from .feedback import compensation_probability
+from .local_graph import mapping_owner
 
 __all__ = ["AttributeAssessment", "MappingQualityAssessor"]
 
@@ -92,6 +91,19 @@ class AttributeAssessment:
 class MappingQualityAssessor:
     """Derives P(mapping correct) per attribute and answers θ decisions.
 
+    Multi-attribute sweeps (:meth:`assess_attributes`,
+    :meth:`assess_all_attributes`, the EM loop of :meth:`update_priors`)
+    always run every attribute on one stacked
+    :class:`~repro.core.batched.BatchedEmbeddedMessagePassing` over a plan
+    compiled once per network version, and the decentralised views
+    (:meth:`assess_locals`, :meth:`assess_local_all`) one block-diagonal
+    :class:`~repro.core.batched.BlockedEmbeddedMessagePassing` run.
+    :meth:`assess_attribute` and :meth:`assess_local` are the *per-call
+    reference paths*: one sequential
+    :class:`~repro.core.embedded.EmbeddedMessagePassing` per attribute or
+    origin, which the stacked paths match to floating-point accuracy
+    (lossless and lossy, under the same seed).
+
     Parameters
     ----------
     network:
@@ -112,28 +124,6 @@ class MappingQualityAssessor:
         (``seed=None`` opts into OS entropy).
     options:
         Iteration control for the embedded runs.
-    use_structure_cache:
-        When ``True`` (default), cycle / parallel-path discovery runs
-        through a :class:`~repro.core.analysis.NetworkStructureCache` and is
-        amortised across attributes and EM rounds; ``False`` restores the
-        probe-per-call behaviour (mainly useful for benchmarking the cache).
-    use_batched_engine:
-        When ``True`` (default), multi-attribute assessments
-        (:meth:`assess_attributes`, :meth:`assess_all_attributes`, the EM
-        loop of :meth:`update_priors`) compile the cached structures once
-        into an :class:`~repro.core.batched.AssessmentPlan` per network
-        version and run every attribute simultaneously on one
-        :class:`~repro.core.batched.BatchedEmbeddedMessagePassing` engine;
-        ``False`` restores the engine-per-attribute behaviour (the parity
-        reference, also used for benchmarking).  Requires the structure
-        cache; single-attribute :meth:`assess_attribute` always uses the
-        sequential engine.
-    executor:
-        Executor of the compiled sweep plans — an executor name
-        (``"numpy"`` / ``"threaded"``), an executor object, or ``None``
-        for the configured default
-        (:data:`repro.constants.DEFAULT_EXECUTOR`).  Forwarded to every
-        engine the assessor builds; bit-identical either way.
     probe_executor / probe_workers:
         Discovery executor of the probe plans — ``"serial"`` /
         ``"process"``, a :class:`~repro.pdms.discovery.DiscoveryExecutor`
@@ -165,9 +155,6 @@ class MappingQualityAssessor:
         seed: Optional[int] = DEFAULT_SEED,
         options: Optional[EmbeddedOptions] = None,
         include_parallel_paths: Optional[bool] = None,
-        use_structure_cache: bool = True,
-        use_batched_engine: bool = True,
-        executor: object = None,
         probe_executor: object = None,
         probe_workers: Optional[int] = None,
         shard_timeout: Optional[float] = None,
@@ -189,13 +176,6 @@ class MappingQualityAssessor:
         # to bound the evidence considered; passing ``False`` here keeps the
         # cycle evidence only.
         self.include_parallel_paths = include_parallel_paths
-        self.use_structure_cache = use_structure_cache
-        self.use_batched_engine = use_batched_engine
-        #: Executor of the compiled sweep plans (``"numpy"`` / ``"threaded"``
-        #: / an executor object / ``None`` for the configured default),
-        #: forwarded to every engine the assessor builds.  Executors are
-        #: bit-identical; the choice only affects wall-clock.
-        self.executor = executor
         #: Discovery executor of the probe plans (``"serial"`` /
         #: ``"process"`` / an executor object / ``None`` for the configured
         #: default), forwarded to both structure caches.  Executors produce
@@ -225,26 +205,25 @@ class MappingQualityAssessor:
             fault_plan=fault_plan,
         )
         self._assessments: Dict[str, AttributeAssessment] = {}
-        self._plan: Optional[AssessmentPlan] = None
+        self._plan: Optional[SweepPlan] = None
         self._plan_key: Optional[Tuple[int, int, bool]] = None
-        #: How many times an :class:`AssessmentPlan` was compiled — exactly
-        #: once per (network version, ttl, parallel-path flag) when the
-        #: batched engine is in use, however many attributes and EM rounds
-        #: are assessed.
+        #: How many times the global :class:`SweepPlan` was compiled —
+        #: exactly once per (network version, ttl, parallel-path flag),
+        #: however many attributes and EM rounds are assessed.
         self.plan_compile_count = 0
         # Compiled plan of the decentralised per-origin view: one block of
         # structures per origin, keyed on (cache key, origins tuple).
-        self._local_plan: Optional[AssessmentPlan] = None
+        self._local_plan: Optional[SweepPlan] = None
         self._local_plan_key: Optional[Tuple] = None
         self._local_blocks: Dict[str, Tuple[int, ...]] = {}
-        #: :class:`AssessmentPlan` compiles of the local view — once per
+        #: :class:`SweepPlan` compiles of the local view — once per
         #: (network version, ttl, parallel-path flag, origins) however many
         #: attributes and EM rounds are assessed locally.
         self.local_plan_compile_count = 0
-        #: Per-round edge-row counts of the most recent batched
+        #: Per-round edge-row counts of the most recent
         #: :meth:`assess_locals` run — the blocked engine's frozen-block
         #: compaction trajectory (shrinks as origins converge); empty until
-        #: a batched local sweep has run.
+        #: a local sweep has run.
         self.last_local_round_edge_counts: Tuple[int, ...] = ()
         # Cached per-attribute local views backing the local routing oracle,
         # keyed on the neighbourhood cache key so topology mutations refresh
@@ -268,19 +247,13 @@ class MappingQualityAssessor:
         """Run the full pipeline (probe → factor graph → embedded BP) for one
         attribute and cache the outcome.
 
+        The per-call reference path: one sequential engine for this
+        attribute, which :meth:`assess_attributes` matches lane for lane.
         The probe step is served by the assessor's structure cache: the
         cycles and parallel paths are enumerated once per topology version
         and only re-*evaluated* for each attribute.
         """
-        if self.use_structure_cache:
-            evidence = self.structure_cache.evidence_for(attribute)
-        else:
-            evidence = analyze_network(
-                self.network,
-                attribute,
-                ttl=self.ttl,
-                include_parallel_paths=self.include_parallel_paths,
-            )
+        evidence = self.structure_cache.evidence_for(attribute)
         informative = evidence.informative_feedbacks
         posteriors: Dict[str, float] = {}
         result: Optional[EmbeddedResult] = None
@@ -293,7 +266,6 @@ class MappingQualityAssessor:
                 delta=self._delta_for(attribute),
                 transport=MessageTransport(self.send_probability, seed=self.seed),
                 options=self.options,
-                executor=self.executor,
             )
             result = engine.run()
             posteriors = dict(result.posteriors)
@@ -320,7 +292,7 @@ class MappingQualityAssessor:
         the attribute is in scope: the ⊥ rule first (the origin's schema
         declares the attribute but the mapping provides no correspondence →
         0.0), then the posterior from the embedded run, then the prior
-        belief.  Shared by the sequential and the batched local paths so
+        belief.  Shared by the per-call and the stacked local paths so
         both return identical mapping sets and values.
         """
         unmappable_set = set(unmappable)
@@ -334,19 +306,6 @@ class MappingQualityAssessor:
             elif mapping.maps_attribute(attribute):
                 view[name] = self.priors.prior(name, attribute)
         return view
-
-    def _local_evidence(self, origin: str, attribute: str) -> NetworkEvidence:
-        if self.use_structure_cache:
-            return self.neighborhood_cache.evidence_for(origin, attribute)
-        from .analysis import analyze_neighborhood
-
-        return analyze_neighborhood(
-            self.network,
-            origin,
-            attribute,
-            ttl=self.ttl,
-            include_parallel_paths=self.include_parallel_paths,
-        )
 
     def assess_local(self, origin: str, attribute: str) -> Dict[str, float]:
         """Posteriors for ``origin``'s own outgoing mappings, from its local view.
@@ -362,10 +321,11 @@ class MappingQualityAssessor:
         own mapping in scope: 0.0 under the ⊥ rule, the posterior where the
         local run produced one, the prior belief otherwise.  The probe is
         served by the per-origin neighbourhood cache (at most one
-        enumeration per origin and topology version); batch over origins
-        with :meth:`assess_locals` / :meth:`assess_local_all`.
+        enumeration per origin and topology version).  This is the per-call
+        reference path of the decentralised view; batch over origins with
+        :meth:`assess_locals` / :meth:`assess_local_all`.
         """
-        evidence = self._local_evidence(origin, attribute)
+        evidence = self.neighborhood_cache.evidence_for(origin, attribute)
         informative = evidence.informative_feedbacks
         posteriors: Dict[str, float] = {}
         if informative:
@@ -377,7 +337,6 @@ class MappingQualityAssessor:
                 delta=self._delta_for(attribute),
                 transport=MessageTransport(self.send_probability, seed=self.seed),
                 options=self.options,
-                executor=self.executor,
             )
             posteriors = engine.run().posteriors
         return self._resolve_local_view(
@@ -397,7 +356,7 @@ class MappingQualityAssessor:
 
     def _local_assessment_plan(
         self, origins: Sequence[str]
-    ) -> Tuple[AssessmentPlan, Dict[str, Tuple[int, ...]]]:
+    ) -> Tuple[SweepPlan, Dict[str, Tuple[int, ...]]]:
         """Compiled plan of the per-origin view: one structure block per
         origin, concatenated in origin order.
 
@@ -417,8 +376,6 @@ class MappingQualityAssessor:
         key = self.neighborhood_cache.current_key() + (origins,)
         if key == self._local_plan_key and self._local_plan is not None:
             return self._local_plan, self._local_blocks
-        from .local_graph import mapping_owner
-
         signatures: List[Tuple[str, Tuple[str, ...]]] = []
         owners: Dict[str, str] = {}
         blocks: Dict[str, Tuple[int, ...]] = {}
@@ -448,37 +405,20 @@ class MappingQualityAssessor:
 
         Semantically identical to ``{o: assess_local(o, attribute) for o in
         origins}`` — every peer judges only its own outgoing mappings from
-        the structures its own probes discover — but with the batched engine
-        (the default) all origins run simultaneously as disjoint lanes of
-        one block-diagonal
+        the structures its own probes discover — but all origins run
+        simultaneously as disjoint lanes of one block-diagonal
         :class:`~repro.core.batched.BlockedEmbeddedMessagePassing` over one
         compiled per-origin plan, each lane drawing from its own rng stream
         seeded like the sequential per-call transports (so lossy runs replay
         bit for bit).  Probing is amortised to one neighbourhood enumeration
         per (origin, network version).
         """
-        from dataclasses import replace
-
         origin_list = list(dict.fromkeys(origins))
-        if not (self.use_batched_engine and self.use_structure_cache):
-            return {
-                origin: self.assess_local(origin, attribute)
-                for origin in origin_list
-            }
         # Batch the pending neighbourhood probes into one frontier so a
         # sharded discovery executor fans them out across its pool instead
         # of probing origin-by-origin inside the plan compilation below.
         self.neighborhood_cache.warm(origin_list)
-        try:
-            plan, blocks = self._local_assessment_plan(origin_list)
-        except FactorGraphError:
-            # Long structures no longer reject compilation (they route
-            # through the count-space kernels at any arity), so this
-            # fallback is purely defensive against degenerate plans.
-            return {
-                origin: self.assess_local(origin, attribute)
-                for origin in origin_list
-            }
+        plan, blocks = self._local_assessment_plan(origin_list)
         evidences = {
             origin: self.neighborhood_cache.evidence_for(origin, attribute)
             for origin in origin_list
@@ -513,9 +453,7 @@ class MappingQualityAssessor:
                     ),
                 )
             )
-        engine = BlockedEmbeddedMessagePassing(
-            plan, lanes, options=self.options, executor=self.executor
-        )
+        engine = BlockedEmbeddedMessagePassing(plan, lanes, options=self.options)
         results = engine.run()
         self.last_local_round_edge_counts = tuple(engine.round_edge_counts)
         views: Dict[str, Dict[str, float]] = {}
@@ -579,7 +517,7 @@ class MappingQualityAssessor:
         values = [self.probability(mapping, attribute) for attribute in targets]
         return sum(values) / len(values)
 
-    def assessment_plan(self) -> AssessmentPlan:
+    def assessment_plan(self) -> SweepPlan:
         """The compiled plan for the current cached structures.
 
         Compiled at most once per ``(network version, ttl, parallel-path
@@ -602,27 +540,12 @@ class MappingQualityAssessor:
     def assess_attributes(self, attributes: Iterable[str]) -> Dict[str, AttributeAssessment]:
         """Assess several attributes (fine granularity).
 
-        With the batched engine (the default) every attribute runs
-        simultaneously on one stacked engine over the shared compiled plan;
-        otherwise one sequential engine is built per attribute.  Both paths
-        produce the same posteriors to floating-point accuracy.
+        Every attribute runs simultaneously on one stacked engine over the
+        shared compiled plan, matching :meth:`assess_attribute` per
+        attribute to floating-point accuracy.
         """
         attribute_list = list(attributes)
-        if not (self.use_batched_engine and self.use_structure_cache):
-            return {
-                attribute: self.assess_attribute(attribute)
-                for attribute in attribute_list
-            }
-        try:
-            plan = self.assessment_plan()
-        except FactorGraphError:
-            # Long structures no longer reject compilation (they route
-            # through the count-space kernels at any arity), so this
-            # fallback is purely defensive against degenerate plans.
-            return {
-                attribute: self.assess_attribute(attribute)
-                for attribute in attribute_list
-            }
+        plan = self.assessment_plan()
         evidences = {
             attribute: self.structure_cache.evidence_for(attribute)
             for attribute in attribute_list
@@ -638,7 +561,6 @@ class MappingQualityAssessor:
             send_probability=self.send_probability,
             seed=self.seed,
             options=self.options,
-            executor=self.executor,
         )
         results = engine.run()
         assessments: Dict[str, AttributeAssessment] = {}
@@ -659,9 +581,8 @@ class MappingQualityAssessor:
     def assess_all_attributes(self) -> Dict[str, AttributeAssessment]:
         """Assess every attribute appearing in any peer schema.
 
-        With the batched engine the factor tables and index plans are built
-        exactly once per network version, however many attributes the
-        universe holds.
+        The factor tables and index plans are built exactly once per network
+        version, however many attributes the universe holds.
         """
         return self.assess_attributes(self.network.attribute_universe())
 
@@ -693,19 +614,14 @@ class MappingQualityAssessor:
         self._local_views.clear()
 
     def reliability_statistics(self):
-        """Aggregate fault / retry / fallback accounting across every
-        fan-out the assessor drives: both structure caches' probe executors
-        and — when the sweep executor is a chaos-armed
-        :class:`~repro.factorgraph.plan.ThreadedExecutor` — the sweep
-        buckets.  All-zero (falsy) under fault-free execution."""
+        """Aggregate fault / retry / fallback accounting across both
+        structure caches' probe executors.  All-zero (falsy) under
+        fault-free execution."""
         from ..reliability import ReliabilityStatistics
 
         total = ReliabilityStatistics()
         total.merge(self.structure_cache.statistics.reliability)
         total.merge(self.neighborhood_cache.statistics.reliability)
-        sweep = getattr(self.executor, "statistics", None)
-        if isinstance(sweep, ReliabilityStatistics):
-            total.merge(sweep)
         return total
 
     # -- queries -----------------------------------------------------------------------------
@@ -817,9 +733,9 @@ class MappingQualityAssessor:
     def update_priors(self, attributes: Optional[Iterable[str]] = None) -> Dict[Tuple[str, str], float]:
         """Fold the cached posteriors into the prior store (EM step, §4.4).
 
-        Attributes not yet assessed are computed first — in one batched run
-        when the batched engine is enabled — so an EM round over many
-        attributes shares a single compiled plan and stacked engine.
+        Attributes not yet assessed are computed first in one batched run,
+        so an EM round over many attributes shares a single compiled plan
+        and stacked engine.
         Returns the updated priors keyed by (mapping, attribute).
 
         The cached local views backing :meth:`local_probability` are

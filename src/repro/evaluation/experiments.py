@@ -20,7 +20,7 @@ from ..constants import COUNT_KERNEL_MIN_ARITY, DEFAULT_SEED
 from ..core.analysis import analyze_network
 from ..core.beliefs import PriorBeliefStore
 from ..core.embedded import EmbeddedMessagePassing, EmbeddedOptions, MessageTransport
-from ..core.feedback import Feedback, FeedbackKind, feedback_from_cycle
+from ..core.feedback import Feedback, FeedbackKind
 from ..core.pdms_factor_graph import build_factor_graph, variable_name_for
 from ..core.quality import MappingQualityAssessor
 from ..core.schedules import LazySchedule, PeriodicSchedule
@@ -48,7 +48,6 @@ from ..pdms.discovery import (
 from ..pdms.events import MappingAdded, PeerAdded
 from ..pdms.gossip import GossipHarness, SeededTransport
 from ..pdms.network import PDMSNetwork
-from ..pdms.probing import find_cycles_through
 from ..pdms.query import Query, substring_predicate
 from ..pdms.routing import QueryRouter, RoutingPolicy
 from .baselines import chatty_web_baseline
@@ -645,44 +644,31 @@ def run_real_world(
 ) -> RealWorldResult:
     """Reproduce Figure 12 on the synthetic EON bibliography network.
 
-    For every peer and every attribute of its schema, the peer probes its
-    neighbourhood (cycles through itself up to ``ttl`` mappings), evaluates
-    the feedback for that attribute, runs the embedded message passing with
-    uniform priors, and keeps the posterior of its *own* outgoing mappings —
-    the decision each peer can make locally.  Detection is then scored
-    against the alignment ground truth for every θ.
+    For every peer and every attribute of its schema, the peer judges its
+    *own* outgoing mappings from the cycles through itself (up to ``ttl``
+    mappings) with uniform priors — the §4.5 decision each peer can make
+    locally, taken on the production path
+    (:meth:`~repro.core.quality.MappingQualityAssessor.assess_locals`; the
+    attribute is interpreted in the peer's own schema).  Detection is then
+    scored against the alignment ground truth for every θ.
     """
     scenario = scenario or build_eon_network(threshold=alignment_threshold)
     network = scenario.network
+    assessor = MappingQualityAssessor(
+        network,
+        priors=PriorBeliefStore(default_prior=priors),
+        delta=delta,
+        ttl=ttl,
+        options=EmbeddedOptions(max_rounds=max_rounds, record_history=False),
+        include_parallel_paths=False,
+    )
     posteriors: Dict[Tuple[str, str], float] = {}
     for peer in network.peers:
-        cycles = find_cycles_through(network, peer.name, ttl=ttl)
-        if not cycles:
-            continue
-        own_mappings = {m.name for m in peer.outgoing_mappings}
         for attribute in peer.schema.attribute_names:
-            feedbacks = []
-            for index, cycle in enumerate(cycles, start=1):
-                feedback = feedback_from_cycle(
-                    cycle, attribute, identifier=f"{peer.name}-f{index}"
-                )
-                if feedback.is_informative:
-                    feedbacks.append(feedback)
-            if not feedbacks:
-                continue
-            engine = EmbeddedMessagePassing(
-                feedbacks,
-                priors=priors,
-                delta=delta,
-                options=EmbeddedOptions(max_rounds=max_rounds, record_history=False),
-            )
-            result = engine.run()
-            for mapping_name, posterior in result.posteriors.items():
-                if mapping_name not in own_mappings:
-                    continue
-                if (mapping_name, attribute) not in scenario.ground_truth:
-                    continue
-                posteriors[(mapping_name, attribute)] = posterior
+            view = assessor.assess_locals([peer.name], attribute)[peer.name]
+            for mapping_name, posterior in view.items():
+                if (mapping_name, attribute) in scenario.ground_truth:
+                    posteriors[(mapping_name, attribute)] = posterior
 
     metric_points = precision_curve(posteriors, scenario.ground_truth, thetas)
     return RealWorldResult(
@@ -1058,7 +1044,6 @@ def _time_embedded_rounds(
     repeats: int,
     send_probability: float,
     seed: int,
-    executor: object = None,
 ):
     """Best-of-``repeats`` wall time of ``rounds`` embedded rounds.
 
@@ -1077,7 +1062,6 @@ def _time_embedded_rounds(
             transport=MessageTransport(send_probability, seed=seed),
             options=EmbeddedOptions(record_history=False),
             backend=backend,
-            executor=executor,
         )
         start = time.perf_counter()
         for _ in range(rounds):
@@ -1093,7 +1077,6 @@ def run_embedded_throughput(
     repeats: int = 3,
     send_probability: float = 1.0,
     seed: int = 0,
-    executor: object = None,
 ) -> EmbeddedThroughputResult:
     """Measure embedded rounds per second of the dict vs array state backends.
 
@@ -1102,8 +1085,7 @@ def run_embedded_throughput(
     PR 1 per-message dict state) and ``backend="arrays"`` (the stacked
     matrices).  ``send_probability < 1`` exercises the lossy path: both
     transports are seeded identically, so the drop pattern — and therefore
-    the posteriors — must still agree.  ``executor`` selects the array
-    backend's plan executor (``"numpy"`` / ``"threaded"``).
+    the posteriors — must still agree.
     """
     points: List[EmbeddedThroughputPoint] = []
     for peer_count in peer_counts:
@@ -1112,8 +1094,7 @@ def run_embedded_throughput(
             feedbacks, "dicts", rounds, repeats, send_probability, seed
         )
         array_engine, array_seconds = _time_embedded_rounds(
-            feedbacks, "arrays", rounds, repeats, send_probability, seed,
-            executor=executor,
+            feedbacks, "arrays", rounds, repeats, send_probability, seed
         )
         dict_posteriors = dict_engine.posteriors()
         array_posteriors = array_engine.posteriors()
@@ -1145,7 +1126,7 @@ def run_embedded_throughput(
 
 @dataclass(frozen=True)
 class AssessorAmortizationResult:
-    """Cost of ``assess_all_attributes`` across the three assessor modes.
+    """Cost of assessing every attribute in three ways.
 
     The structure cache collapses the per-attribute cycle/parallel-path
     enumerations into a single probe (``cached_probe_count`` must be 1); the
@@ -1199,12 +1180,14 @@ def run_assessor_amortization(
 ) -> AssessorAmortizationResult:
     """Measure the probe-once cache and the batched engine on a full pass.
 
-    Runs ``assess_all_attributes`` on the same generated scale-free PDMS
-    three times — with ``use_structure_cache=False`` (the PR 1
-    probe-per-attribute behaviour), with the cache but sequential
-    per-attribute engines (``use_batched_engine=False``, the PR 2
-    behaviour), and with the batched all-attribute engine (the default) —
-    and compares probe counts, plan compiles, wall time and posteriors.
+    Assesses every attribute of the same generated scale-free PDMS three
+    ways — one fresh assessor per attribute (probe per attribute: nothing
+    is shared across attributes), one assessor running the per-call
+    :meth:`~repro.core.quality.MappingQualityAssessor.assess_attribute`
+    for each attribute (one cached probe, sequential engines), and one
+    ``assess_all_attributes`` pass (the cache plus the batched
+    all-attribute engine) — and compares probe counts, plan compiles, wall
+    time and posteriors.
     """
     scenario = generate_scenario(
         topology="scale-free",
@@ -1216,34 +1199,21 @@ def run_assessor_amortization(
     network = scenario.network
     attributes = network.attribute_universe()
 
-    cached = MappingQualityAssessor(
-        network,
-        delta=None,
-        ttl=ttl,
-        include_parallel_paths=False,
-        seed=seed,
-        use_batched_engine=False,
-    )
+    def assessor() -> MappingQualityAssessor:
+        return MappingQualityAssessor(
+            network, delta=None, ttl=ttl, include_parallel_paths=False, seed=seed
+        )
+
+    cached = assessor()
     start = time.perf_counter()
-    cached_assessments = cached.assess_all_attributes()
+    cached_assessments = {a: cached.assess_attribute(a) for a in attributes}
     cached_seconds = time.perf_counter() - start
 
-    uncached = MappingQualityAssessor(
-        network,
-        delta=None,
-        ttl=ttl,
-        include_parallel_paths=False,
-        seed=seed,
-        use_structure_cache=False,
-        use_batched_engine=False,
-    )
     start = time.perf_counter()
-    uncached_assessments = uncached.assess_all_attributes()
+    uncached_assessments = {a: assessor().assess_attribute(a) for a in attributes}
     uncached_seconds = time.perf_counter() - start
 
-    batched = MappingQualityAssessor(
-        network, delta=None, ttl=ttl, include_parallel_paths=False, seed=seed
-    )
+    batched = assessor()
     start = time.perf_counter()
     batched_assessments = batched.assess_all_attributes()
     batched_seconds = time.perf_counter() - start
@@ -1341,15 +1311,15 @@ def run_batched_assessment(
     send_probability: float = 1.0,
     error_rate: float = 0.15,
     seed: Optional[int] = 0,
-    executor: object = None,
 ) -> BatchedAssessmentResult:
-    """Measure ``assess_all_attributes`` on the batched vs sequential engine.
+    """Measure ``assess_all_attributes`` against the per-call reference.
 
     For each peer count a scale-free PDMS is generated and the full
     multi-attribute sweep is timed (best of ``repeats``, fresh assessor per
     repetition, structure cache warmed outside the timed region) once with
     one ``BatchedEmbeddedMessagePassing`` over the shared compiled plan and
-    once with a sequential ``EmbeddedMessagePassing`` per attribute.
+    once as one per-call ``assess_attribute`` (a sequential
+    ``EmbeddedMessagePassing``) per attribute.
     ``send_probability < 1`` exercises the lossy path: both sides seed one
     transport per attribute identically, so the posteriors must still agree.
     """
@@ -1377,12 +1347,15 @@ def run_batched_assessment(
                     include_parallel_paths=False,
                     seed=seed,
                     send_probability=send_probability,
-                    use_batched_engine=use_batched,
-                    executor=executor,
                 )
                 assessor.structure_cache.structures()
                 start = time.perf_counter()
-                assessments = assessor.assess_all_attributes()
+                if use_batched:
+                    assessments = assessor.assess_all_attributes()
+                else:
+                    assessments = {
+                        a: assessor.assess_attribute(a) for a in attributes
+                    }
                 best = min(best, time.perf_counter() - start)
             return assessor, assessments, best
 
@@ -1489,16 +1462,16 @@ def run_local_assessment(
     send_probability: float = 1.0,
     error_rate: float = 0.15,
     seed: Optional[int] = 0,
-    executor: object = None,
 ) -> LocalAssessmentResult:
-    """Measure ``assess_local_all`` batched vs per-origin sequential engines.
+    """Measure ``assess_local_all`` against the per-call reference.
 
     For each peer count a scale-free PDMS is generated and the full
     all-origins decentralised decision for one attribute is timed (best of
     ``repeats``, fresh assessor per repetition, per-origin neighbourhood
-    cache warmed outside the timed region) once as one stacked
-    per-origin-lane :class:`~repro.core.batched.BatchedEmbeddedMessagePassing`
-    run and once as one sequential ``EmbeddedMessagePassing`` per origin.
+    cache warmed outside the timed region) once as one block-diagonal
+    per-origin-lane :class:`~repro.core.batched.BlockedEmbeddedMessagePassing`
+    run and once as one per-call ``assess_local`` (a sequential
+    ``EmbeddedMessagePassing``) per origin.
     ``send_probability < 1`` exercises the lossy path: both sides seed one
     transport per origin identically, so the local views must still agree.
     """
@@ -1526,13 +1499,17 @@ def run_local_assessment(
                     include_parallel_paths=False,
                     seed=seed,
                     send_probability=send_probability,
-                    use_batched_engine=use_batched,
-                    executor=executor,
                 )
                 for origin in network.peer_names:
                     assessor.neighborhood_cache.structures_for(origin)
                 start = time.perf_counter()
-                views = assessor.assess_local_all(attribute)
+                if use_batched:
+                    views = assessor.assess_local_all(attribute)
+                else:
+                    views = {
+                        origin: assessor.assess_local(origin, attribute)
+                        for origin in network.peer_names
+                    }
                 best = min(best, time.perf_counter() - start)
             return assessor, views, best
 
@@ -1701,7 +1678,6 @@ def run_long_cycle_throughput(
     iterations: int = 25,
     repeats: int = 3,
     seed: int = 0,
-    executor: object = None,
 ) -> LongCycleThroughputResult:
     """Measure the count-space kernels against the loop reference on long
     cycles, and verify every engine family agrees on them.
@@ -1714,11 +1690,11 @@ def run_long_cycle_throughput(
       synchronous rounds (tolerance pinned below any representable change,
       best of ``repeats``), recording the worst marginal disagreement;
     * the batched multi-attribute assessor runs the same evidence on one
-      compiled :class:`~repro.core.batched.AssessmentPlan` — asserting the
-      long buckets landed on the count kernels, i.e. no sequential
-      fallback — and its posteriors are compared against the loop backend;
+      compiled :class:`~repro.factorgraph.plan.SweepPlan` — asserting the
+      long buckets landed on the count kernels — and its posteriors are
+      compared against the loop backend;
     * the blocked per-origin engine runs ``assess_local_all``, its local
-      views are compared against the sequential ``assess_local`` reference,
+      views are compared against the per-call ``assess_local`` reference,
       and its frozen-block compaction trajectory (per-round edge rows) is
       recorded.
 
@@ -1780,14 +1756,13 @@ def run_long_cycle_throughput(
             delta=0.1,
             ttl=cycle_length,
             include_parallel_paths=False,
-            executor=executor,
         )
         assessment = assessor.assess_attributes([attribute])[attribute]
         plan = assessor.assessment_plan()
         if assessor.plan_compile_count != 1:
             raise EvaluationError(
                 "expected exactly one plan compile, got "
-                f"{assessor.plan_compile_count} (sequential fallback?)"
+                f"{assessor.plan_compile_count}"
             )
         count_buckets = sum(1 for b in plan.batches if b.use_count_kernel)
         dense_buckets = len(plan.batches) - count_buckets
@@ -1808,19 +1783,12 @@ def run_long_cycle_throughput(
             for name, posterior in assessment.posteriors.items()
         )
 
-        # Blocked per-origin views vs the sequential per-origin reference.
+        # Blocked per-origin views vs the per-call per-origin reference.
         views = assessor.assess_local_all(attribute)
         compaction = assessor.last_local_round_edge_counts
-        sequential = MappingQualityAssessor(
-            network,
-            delta=0.1,
-            ttl=cycle_length,
-            include_parallel_paths=False,
-            use_batched_engine=False,
-        )
         blocked_worst = 0.0
         for origin in network.peer_names:
-            reference = sequential.assess_local(origin, attribute)
+            reference = assessor.assess_local(origin, attribute)
             view = views[origin]
             if set(view) != set(reference):
                 raise EvaluationError(

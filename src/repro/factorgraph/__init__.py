@@ -6,8 +6,7 @@ container, a loopy sum–product engine (with damping and message-loss
 injection) and an exact-inference reference used to quantify the loopy
 approximation error.  The :mod:`~repro.factorgraph.plan` module is the
 shared plan IR: every sweep engine lowers to one
-:class:`~repro.factorgraph.plan.SweepPlan` and runs it through a pluggable
-executor.
+:class:`~repro.factorgraph.plan.SweepPlan` and runs its round phases.
 """
 
 from .variables import (
@@ -26,17 +25,7 @@ from .compiled import (
     compile_factor_graph,
     normalize_rows,
 )
-from .plan import (
-    BucketPlan,
-    Executor,
-    NumpyExecutor,
-    SweepPlan,
-    SweepState,
-    ThreadedExecutor,
-    compile_sweep_plan,
-    get_executor,
-    lower_factor_graph,
-)
+from .plan import BucketPlan, SweepPlan, compile_sweep_plan, lower_factor_graph
 from .factors import (
     CountFactor,
     Factor,
@@ -63,13 +52,8 @@ __all__ = [
     "compile_factor_graph",
     "normalize_rows",
     "BucketPlan",
-    "Executor",
-    "NumpyExecutor",
     "SweepPlan",
-    "SweepState",
-    "ThreadedExecutor",
     "compile_sweep_plan",
-    "get_executor",
     "lower_factor_graph",
     "CountFactor",
     "Factor",

@@ -599,10 +599,10 @@ class CompiledFactorGraph:
     soft-failure variant.
     """
 
-    def __init__(self, graph: FactorGraph, executor: object = None) -> None:
+    def __init__(self, graph: FactorGraph) -> None:
         # Imported lazily: repro.factorgraph.plan imports the kernels from
         # this module at import time.
-        from .plan import get_executor, lower_factor_graph
+        from .plan import lower_factor_graph
 
         graph.validate()
         self.graph = graph
@@ -621,10 +621,9 @@ class CompiledFactorGraph:
         self._variable_index = {name: i for i, name in enumerate(self.variable_names)}
 
         # -- lower to the shared sweep-plan IR ---------------------------------
-        # Edge layout, arity buckets (dense einsum vs count space), and the
-        # variable segment plans all come out of the one lowering every
-        # engine shares; execution is delegated to the pluggable executor.
-        self._executor = get_executor(executor)
+        # Edge layout, arity buckets (dense einsum vs count space), the
+        # variable segment plans and the sweep phases all come out of the
+        # one lowering every engine shares.
         plan, kernels = lower_factor_graph(graph)
         self.plan = plan
         self._kernels = kernels
@@ -659,14 +658,12 @@ class CompiledFactorGraph:
 
     def variable_to_factor_sweep(self) -> np.ndarray:
         """µ_{x→f} for every edge, from the current factor→variable matrix."""
-        return self._executor.variable_sweep(self.plan, self.factor_to_variable)
+        return self.plan.variable_sweep(self.factor_to_variable)
 
     def factor_to_variable_sweep(self, variable_to_factor: np.ndarray) -> np.ndarray:
         """µ_{f→x} for every edge, from the given variable→factor matrix."""
         fresh = np.empty_like(variable_to_factor)
-        self._executor.factor_sweep(
-            self.plan, self._kernels, variable_to_factor, fresh
-        )
+        self.plan.factor_sweep(self._kernels, variable_to_factor, fresh)
         return fresh
 
     def draw_send_mask(self, rng: random.Random, send_probability: float) -> np.ndarray:
@@ -773,9 +770,7 @@ class CompiledFactorGraph:
         return self.marginal_matrix()[index].copy()
 
 
-def compile_factor_graph(
-    graph: FactorGraph, executor: object = None
-) -> Optional[CompiledFactorGraph]:
+def compile_factor_graph(graph: FactorGraph) -> Optional[CompiledFactorGraph]:
     """Compile ``graph``, or return ``None`` when it is not compilable.
 
     The only graphs the vectorized backend rejects are those with mixed
@@ -787,6 +782,6 @@ def compile_factor_graph(
     the count-space kernels.
     """
     try:
-        return CompiledFactorGraph(graph, executor=executor)
+        return CompiledFactorGraph(graph)
     except FactorGraphError:
         return None

@@ -1,4 +1,4 @@
-"""The shared sweep-plan IR and pluggable executors of every sweep engine.
+"""The shared sweep-plan IR of every sweep engine.
 
 Four engines run the paper's sum–product sweep: the centralised
 :class:`~repro.factorgraph.compiled.CompiledFactorGraph`, the sequential
@@ -23,12 +23,11 @@ all of that into one IR:
   :class:`~repro.factorgraph.graph.FactorGraph` (the centralised engine),
   which additionally records the variable-grouping permutation
   (:attr:`SweepPlan.edge_order`) because graph edges arrive factor-major.
-* :class:`NumpyExecutor` / :class:`ThreadedExecutor` — the pluggable
-  execution layer behind the ``run_round(plan, state)`` protocol
-  (:class:`Executor`).  The NumPy executor reproduces the historical
-  engine loops bit for bit; the threaded executor runs independent arity
-  buckets concurrently (their scatter rows are disjoint, so it is
-  race-free and bit-identical too).
+* The round phases themselves — :meth:`SweepPlan.variable_sweep`,
+  :meth:`SweepPlan.message_pool` and :meth:`SweepPlan.factor_sweep` — which
+  every engine calls directly, interleaving its own bookkeeping (selection
+  masks, transport exchanges, posterior snapshots) between them.  They
+  reproduce the historical engine loops bit for bit.
 
 The count-space buckets also carry a combined all-targets gather plan
 (:attr:`BucketPlan.gather_all`): one fused gather + count-space evaluation
@@ -45,9 +44,6 @@ collapsed.
 
 from __future__ import annotations
 
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import (
     Callable,
@@ -55,23 +51,13 @@ from typing import (
     List,
     Mapping as TMapping,
     Optional,
-    Protocol,
     Sequence,
     Tuple,
 )
 
 import numpy as np
 
-from ..constants import (
-    COUNT_KERNEL_MIN_ARITY,
-    DEFAULT_EXECUTOR,
-    EXECUTOR_ENV,
-    EXECUTOR_NUMPY,
-    EXECUTOR_THREADED,
-    FAULT_PLAN_ENV,
-    MAX_COMPILED_ARITY,
-    read_env,
-)
+from ..constants import COUNT_KERNEL_MIN_ARITY, MAX_COMPILED_ARITY
 from ..exceptions import FactorGraphError, FeedbackError, VariableDomainError
 from .compiled import (
     CountFactorBatch,
@@ -100,14 +86,9 @@ __all__ = [
     "StackedCountFactorBatch",
     "BucketPlan",
     "SweepPlan",
-    "SweepState",
-    "Executor",
-    "NumpyExecutor",
-    "ThreadedExecutor",
     "bucket_tables",
     "bucket_kernel",
     "compile_sweep_plan",
-    "get_executor",
     "lower_factor_graph",
     "make_bucket",
     "segment_plan",
@@ -171,6 +152,35 @@ class BucketPlan:
     def size(self) -> int:
         return int(self.feedback_indices.size)
 
+    def sweep(self, kernel, pool: np.ndarray, out: np.ndarray) -> None:
+        """This bucket's factor→variable messages, scattered into ``out``.
+
+        Scatter rows are disjoint across buckets and targets (every edge
+        belongs to exactly one (factor, slot)), so per-target normalisation
+        equals the historical whole-matrix normalisation bit for bit.
+        """
+        if self.gather_all is not None:
+            fresh = normalize_rows(
+                kernel.messages_all(pool[..., self.gather_all, :])
+            )
+            out[..., self.scatter_all, :] = fresh
+            return
+        if self.shared_gather is not None:
+            incoming = [pool[..., ids, :] for ids in self.shared_gather]
+            for target in range(self.arity):
+                out[..., self.scatter[target], :] = normalize_rows(
+                    kernel.messages_toward(target, incoming)
+                )
+            return
+        for target in range(self.arity):
+            incoming = [
+                None if ids is None else pool[..., ids, :]
+                for ids in self.gather[target]
+            ]
+            out[..., self.scatter[target], :] = normalize_rows(
+                kernel.messages_toward(target, incoming)
+            )
+
 
 @dataclass(frozen=True)
 class SweepPlan:
@@ -223,6 +233,50 @@ class SweepPlan:
     @property
     def mapping_count(self) -> int:
         return len(self.mapping_names)
+
+    # -- the round phases ------------------------------------------------------
+    #
+    # A round is ``variable_sweep`` → (the engine's exchange, if any) →
+    # ``factor_sweep`` over ``message_pool``.  The phases accept any leading
+    # lane axes (``(..., rows, 2)``), so the sequential, stacked and blocked
+    # engines and the centralised compiled graph all run the same code.
+
+    def variable_sweep(
+        self, f2v: np.ndarray, prior_edges: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """Fresh µ_{v→F} rows: normalised exclusive segment products,
+        optionally scaled by per-edge prior rows."""
+        order = self.edge_order
+        if self.edge_count == 0:
+            exclusive = f2v.copy()
+        elif order is None:
+            exclusive = segment_exclusive_products(
+                f2v, self.segment_starts, self.segment_of_edge
+            )
+        else:
+            grouped = segment_exclusive_products(
+                f2v[..., order, :], self.segment_starts, self.segment_of_edge
+            )
+            exclusive = np.empty_like(grouped)
+            exclusive[..., order, :] = grouped
+        if prior_edges is None:
+            return normalize_rows(exclusive)
+        return normalize_rows(prior_edges * exclusive)
+
+    @staticmethod
+    def message_pool(v2f: np.ndarray, recv: Optional[np.ndarray]) -> np.ndarray:
+        """The gather pool: owner rows first, received cells stacked after."""
+        if recv is not None and recv.shape[-2]:
+            return np.concatenate((v2f, recv), axis=-2)
+        return v2f
+
+    def factor_sweep(
+        self, kernels: Sequence, pool: np.ndarray, out: np.ndarray
+    ) -> None:
+        """All buckets' factor→variable messages, scattered into ``out``;
+        ``kernels`` is aligned with :attr:`batches`."""
+        for bucket, kernel in zip(self.batches, kernels):
+            bucket.sweep(kernel, pool, out)
 
 
 def segment_plan(
@@ -657,338 +711,3 @@ def bucket_kernel(
     if bucket.use_count_kernel:
         return StackedCountFactorBatch(tables)
     return StackedFactorBatch(tables)
-
-
-# ---------------------------------------------------------------------------
-# Executors
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class SweepState:
-    """The mutable message state one executor round advances.
-
-    ``v2f`` / ``f2v`` are the ``(..., edges, 2)`` directed message
-    matrices, ``recv`` the ``(..., recv, 2)`` received remote copies (may
-    be ``None`` for engines without an exchange phase), ``kernels`` the
-    per-bucket kernels aligned with ``plan.batches``, and ``prior_edges``
-    the optional per-edge prior rows folded into the variable sweep.
-    """
-
-    v2f: np.ndarray
-    f2v: np.ndarray
-    recv: Optional[np.ndarray]
-    kernels: Sequence[FactorBatch | CountFactorBatch | StackedFactorBatch | StackedCountFactorBatch]
-    prior_edges: Optional[np.ndarray] = None
-
-
-class Executor(Protocol):
-    """Pluggable execution layer of a compiled :class:`SweepPlan`."""
-
-    name: str
-
-    def run_round(
-        self,
-        plan: SweepPlan,
-        state: SweepState,
-        exchange: Optional[Callable[[SweepState], None]] = None,
-    ) -> SweepState:
-        """Advance ``state`` by one synchronous round and return it."""
-        ...  # pragma: no cover - protocol
-
-
-class NumpyExecutor:
-    """Single-threaded executor, bit-identical to the historical loops.
-
-    Each phase is exposed separately (``variable_sweep`` /
-    ``message_pool`` / ``factor_sweep``) because the engines interleave
-    their own bookkeeping — selection masks, transport exchanges, posterior
-    snapshots — between phases; :meth:`run_round` is the plain composition
-    with an optional exchange callback in phase-2 position.
-    """
-
-    name = EXECUTOR_NUMPY
-
-    def variable_sweep(
-        self,
-        plan: SweepPlan,
-        f2v: np.ndarray,
-        prior_edges: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Fresh µ_{v→F} rows: normalised exclusive segment products,
-        optionally scaled by per-edge prior rows."""
-        order = plan.edge_order
-        if plan.edge_count == 0:
-            exclusive = f2v.copy()
-        elif order is None:
-            exclusive = segment_exclusive_products(
-                f2v, plan.segment_starts, plan.segment_of_edge
-            )
-        else:
-            grouped = segment_exclusive_products(
-                f2v[..., order, :], plan.segment_starts, plan.segment_of_edge
-            )
-            exclusive = np.empty_like(grouped)
-            exclusive[..., order, :] = grouped
-        if prior_edges is None:
-            return normalize_rows(exclusive)
-        return normalize_rows(prior_edges * exclusive)
-
-    def message_pool(
-        self,
-        plan: SweepPlan,
-        v2f: np.ndarray,
-        recv: Optional[np.ndarray],
-    ) -> np.ndarray:
-        """The gather pool: owner rows first, received cells stacked after."""
-        if recv is not None and recv.shape[-2]:
-            return np.concatenate((v2f, recv), axis=-2)
-        return v2f
-
-    def sweep_bucket(
-        self,
-        bucket: BucketPlan,
-        kernel,
-        pool: np.ndarray,
-        out: np.ndarray,
-    ) -> None:
-        """One bucket's factor→variable messages, scattered into ``out``.
-
-        Scatter rows are disjoint across buckets and targets (every edge
-        belongs to exactly one (factor, slot)), so buckets may run
-        concurrently and per-target normalisation equals the historical
-        whole-matrix normalisation bit for bit.
-        """
-        if bucket.gather_all is not None:
-            fresh = normalize_rows(
-                kernel.messages_all(pool[..., bucket.gather_all, :])
-            )
-            out[..., bucket.scatter_all, :] = fresh
-            return
-        if bucket.shared_gather is not None:
-            incoming = [pool[..., ids, :] for ids in bucket.shared_gather]
-            for target in range(bucket.arity):
-                out[..., bucket.scatter[target], :] = normalize_rows(
-                    kernel.messages_toward(target, incoming)
-                )
-            return
-        for target in range(bucket.arity):
-            incoming = [
-                None if ids is None else pool[..., ids, :]
-                for ids in bucket.gather[target]
-            ]
-            out[..., bucket.scatter[target], :] = normalize_rows(
-                kernel.messages_toward(target, incoming)
-            )
-
-    def factor_sweep(
-        self,
-        plan: SweepPlan,
-        kernels: Sequence,
-        pool: np.ndarray,
-        out: np.ndarray,
-    ) -> None:
-        """All buckets' factor→variable messages, scattered into ``out``."""
-        for bucket, kernel in zip(plan.batches, kernels):
-            self.sweep_bucket(bucket, kernel, pool, out)
-
-    def run_round(
-        self,
-        plan: SweepPlan,
-        state: SweepState,
-        exchange: Optional[Callable[[SweepState], None]] = None,
-    ) -> SweepState:
-        state.v2f = self.variable_sweep(plan, state.f2v, state.prior_edges)
-        if exchange is not None:
-            exchange(state)
-        pool = self.message_pool(plan, state.v2f, state.recv)
-        self.factor_sweep(plan, state.kernels, pool, state.f2v)
-        return state
-
-
-_POOL_LOCK = threading.Lock()
-_POOL: Optional[ThreadPoolExecutor] = None
-
-
-def _shared_pool() -> ThreadPoolExecutor:
-    """The lazily created process-wide sweep thread pool."""
-    global _POOL
-    with _POOL_LOCK:
-        if _POOL is None:
-            _POOL = ThreadPoolExecutor(
-                max_workers=max(2, min(8, os.cpu_count() or 1)),
-                thread_name_prefix="sweep",
-            )
-        return _POOL
-
-
-class ThreadedExecutor(NumpyExecutor):
-    """Executor running independent arity buckets on a thread pool.
-
-    Each bucket's sweep reads the shared pool and writes a disjoint set of
-    ``out`` rows, so the concurrent execution is race-free and the results
-    are bit-identical to :class:`NumpyExecutor` — only wall-clock changes.
-    NumPy releases the GIL inside the kernels, so plans with several
-    buckets (mixed arities) overlap on multi-core hosts.
-
-    A bucket whose thread raises — an injected chaos fault under a
-    :class:`~repro.reliability.FaultPlan` (keyed by ``(bucket, 0)``), or a
-    genuine kernel error — is degraded to the synchronous
-    :class:`NumpyExecutor` sweep instead of aborting the round.  The
-    fallback re-runs the *whole* bucket, and buckets overwrite their full
-    disjoint row set, so a degraded round stays bit-identical to an
-    undisturbed one; :attr:`statistics` counts every fallback.
-    """
-
-    name = EXECUTOR_THREADED
-
-    def __init__(self, fault_plan: object = None) -> None:
-        # Lazy import: repro.reliability sits above the factor-graph layer
-        # (it pulls in the probe-plan IR), so the sweep module only reaches
-        # up when an executor is actually constructed.
-        from ..reliability import (
-            FaultInjector,
-            ReliabilityStatistics,
-            fault_plan_or_env,
-        )
-
-        resolved = fault_plan_or_env(fault_plan)
-        self.fault_plan = resolved
-        self._injector = (
-            FaultInjector(resolved) if resolved is not None else None
-        )
-        #: Cumulative fault / fallback accounting across every round this
-        #: executor instance ran.
-        self.statistics = ReliabilityStatistics()
-
-    def _guarded_bucket(
-        self,
-        index: int,
-        bucket: BucketPlan,
-        kernel,
-        pool: np.ndarray,
-        out: np.ndarray,
-    ) -> Optional[str]:
-        """One bucket's sweep, preceded by its scheduled chaos fault (if
-        any); returns the fired fault kind for the caller's accounting."""
-        fired = None
-        if self._injector is not None:
-            fired = self._injector.fire_in_thread(index, 0)
-        self.sweep_bucket(bucket, kernel, pool, out)
-        return fired
-
-    def _settle_bucket(
-        self,
-        index: int,
-        bucket: BucketPlan,
-        kernel,
-        pool: np.ndarray,
-        out: np.ndarray,
-        result,
-    ) -> None:
-        """Account for one guarded bucket's outcome, degrading a failed
-        bucket to the synchronous NumPy sweep."""
-        from ..reliability import (
-            FAULT_CORRUPT,
-            FAULT_CRASH,
-            FAULT_DELAY,
-            FAULT_HANG,
-        )
-
-        try:
-            fired = result()
-        except Exception:
-            stats = self.statistics
-            if self.fault_plan is not None:
-                kind = self.fault_plan.fault_for(index, 0)
-                if kind == FAULT_CRASH:
-                    stats.injected_crashes += 1
-                elif kind == FAULT_HANG:
-                    stats.injected_hangs += 1
-                elif kind == FAULT_CORRUPT:
-                    stats.injected_corruptions += 1
-            stats.worker_errors += 1
-            stats.bucket_fallbacks += 1
-            NumpyExecutor.sweep_bucket(self, bucket, kernel, pool, out)
-            return
-        if fired == FAULT_DELAY:
-            self.statistics.injected_delays += 1
-
-    def factor_sweep(
-        self,
-        plan: SweepPlan,
-        kernels: Sequence,
-        pool: np.ndarray,
-        out: np.ndarray,
-    ) -> None:
-        pairs = list(zip(plan.batches, kernels))
-        if len(pairs) <= 1 and self._injector is None:
-            for bucket, kernel in pairs:
-                self.sweep_bucket(bucket, kernel, pool, out)
-            return
-        if len(pairs) <= 1:
-            for index, (bucket, kernel) in enumerate(pairs):
-                self._settle_bucket(
-                    index,
-                    bucket,
-                    kernel,
-                    pool,
-                    out,
-                    lambda i=index, b=bucket, k=kernel: self._guarded_bucket(
-                        i, b, k, pool, out
-                    ),
-                )
-            return
-        futures = [
-            _shared_pool().submit(
-                self._guarded_bucket, index, bucket, kernel, pool, out
-            )
-            for index, (bucket, kernel) in enumerate(pairs)
-        ]
-        for index, ((bucket, kernel), future) in enumerate(
-            zip(pairs, futures)
-        ):
-            self._settle_bucket(index, bucket, kernel, pool, out, future.result)
-
-
-_EXECUTORS: Dict[str, Executor] = {}
-
-
-def get_executor(spec: object = None) -> Executor:
-    """Resolve an executor spec: ``None`` (the configured default, read
-    live from the ``REPRO_EXECUTOR`` environment variable), a name
-    (:data:`~repro.constants.EXECUTOR_NUMPY` /
-    :data:`~repro.constants.EXECUTOR_THREADED`), or an
-    :class:`Executor` instance passed through unchanged.
-
-    When a chaos fault plan is configured via ``REPRO_FAULT_PLAN``, the
-    threaded executor is built armed with it (and not cached, so each
-    resolution starts with fresh statistics).
-    """
-    from_env = False
-    if spec is None:
-        env = read_env(EXECUTOR_ENV)
-        from_env = bool(env)
-        spec = env or DEFAULT_EXECUTOR
-    if isinstance(spec, str):
-        if spec == EXECUTOR_NUMPY:
-            return _EXECUTORS.setdefault(spec, NumpyExecutor())
-        if spec == EXECUTOR_THREADED:
-            if read_env(FAULT_PLAN_ENV):
-                return ThreadedExecutor()  # arms itself from the environment
-            return _EXECUTORS.setdefault(spec, ThreadedExecutor())
-        raise FactorGraphError(
-            f"unknown sweep executor {spec!r}; expected "
-            f"{EXECUTOR_NUMPY!r} or {EXECUTOR_THREADED!r}"
-            + (
-                f" (from the {EXECUTOR_ENV} environment variable)"
-                if from_env
-                else ""
-            )
-        )
-    if hasattr(spec, "run_round"):
-        return spec  # type: ignore[return-value]
-    raise FactorGraphError(
-        f"executor must be an executor name or object, got "
-        f"{type(spec).__name__}"
-    )

@@ -26,7 +26,6 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Mapping, Tuple
 
 from ..constants import (
-    EXECUTOR_ENV,
     FAULT_PLAN_ENV,
     PROBE_EXECUTOR_ENV,
     PROBE_WORKERS_ENV,
@@ -62,7 +61,7 @@ __all__ = [
 #: Version of the rule set, stamped into every ``--json`` report and into
 #: the ``lintkit_version`` field of the ``BENCH_*.json`` provenance records.
 #: Bump it whenever a contract table or a rule's semantics change.
-RULESET_VERSION = "1.1.0"
+RULESET_VERSION = "1.2.0"
 
 
 # ---------------------------------------------------------------------------
@@ -177,12 +176,10 @@ IMPORT_DAG: Mapping[str, FrozenSet[str]] = {
 #: Function-scope imports sanctioned *against* the DAG — the lazy edges
 #: that break bootstrap cycles.  ``(from_layer, to_layer)`` pairs:
 #: ``repro.pdms.probing``/``repro.pdms.network`` lower onto discovery
-#: plans lazily, and ``repro.factorgraph.plan`` arms chaos executors from
-#: :mod:`repro.reliability` only when a fault plan is configured.
+#: plans lazily.
 DEFERRED_EDGES: FrozenSet[Tuple[str, str]] = frozenset(
     {
         ("pdms", "fanout"),
-        ("factorgraph", "fanout"),
     }
 )
 
@@ -403,7 +400,6 @@ KNOB_RESOLVER_MODULES: FrozenSet[str] = frozenset({"repro.constants"})
 #: names each one).
 KNOWN_ENV_KNOBS: FrozenSet[str] = frozenset(
     {
-        EXECUTOR_ENV,
         PROBE_EXECUTOR_ENV,
         PROBE_WORKERS_ENV,
         FAULT_PLAN_ENV,

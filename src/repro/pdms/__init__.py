@@ -19,7 +19,6 @@ from .events import (
     PeerAdded,
     PeerRemoved,
     TopologyEvent,
-    apply_topology_event,
 )
 from .query import Operation, OperationKind, Query, substring_predicate
 from .reformulation import ReformulationResult, reformulate, reformulate_through_chain
@@ -62,7 +61,6 @@ __all__ = [
     "PeerRemoved",
     "MappingAdded",
     "MappingRemoved",
-    "apply_topology_event",
     "JournalEntry",
     "GossipJournal",
     "Operation",

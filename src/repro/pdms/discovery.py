@@ -91,6 +91,7 @@ from ..constants import (
 )
 from ..exceptions import DiscoveryTimeoutError, PDMSError, UnknownPeerError
 from ..mapping.mapping import Mapping
+from .events import MappingAdded, MappingRemoved, TopologyEvent
 from .probing import (
     MappingCycle,
     ParallelPaths,
@@ -884,7 +885,7 @@ def resolve_discovery_executor(
 
 
 def replay_structure_log(
-    mutations: Sequence[Tuple],
+    mutations: Sequence[Tuple[int, TopologyEvent]],
     cycles: Sequence[MappingCycle],
     parallel_paths: Sequence[ParallelPaths],
     *,
@@ -901,9 +902,7 @@ def replay_structure_log(
     This is the one incremental-refresh algorithm both structure caches
     lower to (they used to duplicate it).  ``mutations`` holds the typed
     entries of :meth:`~repro.pdms.network.PDMSNetwork.events_since` —
-    ``(version, TopologyEvent)`` pairs — or, for older callers, the
-    derived legacy ``(version, kind, subject)`` tuples; the two forms may
-    not be mixed semantically but normalise to the same replay:
+    ``(version, TopologyEvent)`` pairs:
 
     * ``MappingRemoved`` filters the cached structures (exact: a structure
       stays valid iff all of its own mappings still exist);
@@ -915,22 +914,18 @@ def replay_structure_log(
       the consumer's view first (the per-origin cache rotates cycles to its
       origin and keeps only pairs departing from it); returning ``None``
       drops the structure;
-    * ``PeerAdded`` / ``PeerRemoved`` (or an unknown event kind) abort:
-      the caller must fall back to a full re-probe — peer churn changes
-      the reachable neighbourhood itself, not just one edge.
+    * ``PeerAdded`` / ``PeerRemoved`` (or any other event) abort: the
+      caller must fall back to a full re-probe — peer churn changes the
+      reachable neighbourhood itself, not just one edge.
 
     Returns the refreshed ``(cycles, parallel_paths)`` or ``None`` when the
     log cannot be replayed.  Mappings added and removed again later in the
     log are skipped (the later removal entry keeps the set consistent).
     """
-    mutations = tuple(
-        (entry[0], entry[1].kind, entry[1].subject)
-        if len(entry) == 2
-        else entry
-        for entry in mutations
-    )
-    kinds = {kind for _, kind, _ in mutations}
-    if not kinds <= {"add_mapping", "remove_mapping"}:
+    if not all(
+        isinstance(event, (MappingAdded, MappingRemoved))
+        for _, event in mutations
+    ):
         return None
     live_cycles = list(cycles)
     live_paths = list(parallel_paths)
@@ -938,8 +933,9 @@ def replay_structure_log(
     # common case) never pay for the sets.
     seen: Optional[set] = None
     seen_paths: Optional[set] = None
-    for version, kind, name in mutations:
-        if kind == "remove_mapping":
+    for version, event in mutations:
+        name = event.subject
+        if isinstance(event, MappingRemoved):
             live_cycles = [c for c in live_cycles if name not in c.mapping_names]
             live_paths = [p for p in live_paths if name not in p.mapping_names]
             seen = None

@@ -15,8 +15,7 @@ is one of four typed, frozen, picklable records —
 plus the deterministic transition :func:`apply` that turns an event into
 the corresponding network mutation.  ``PDMSNetwork.from_events`` replays
 a recorded log through :func:`apply`, reproducing peers, mappings and the
-``version`` counter exactly; the legacy ``(version, kind, subject)``
-tuples of ``mutations_since`` are now merely a derived view of this log.
+``version`` counter exactly.
 
 :class:`GossipJournal` is the replication substrate on top: it stamps
 each locally-originated event with a dynamically-growing
@@ -48,7 +47,6 @@ __all__ = [
     "MappingAdded",
     "MappingRemoved",
     "apply",
-    "apply_topology_event",
     "JournalEntry",
     "GossipJournal",
 ]
@@ -63,10 +61,8 @@ __all__ = [
 class TopologyEvent:
     """Base of the four topology transitions.
 
-    Every event exposes the legacy mutation-log vocabulary — ``kind``
-    (the old mutation-kind string) and ``subject`` (the peer / mapping
-    name) — so the ``(version, kind, subject)`` tuples consumed by older
-    incremental callers remain a cheap derived view of the typed log.
+    Every event names its transition (``kind``) and the peer or mapping it
+    touches (``subject``).
     """
 
     kind: ClassVar[str] = ""
@@ -74,10 +70,6 @@ class TopologyEvent:
     @property
     def subject(self) -> str:
         raise NotImplementedError  # pragma: no cover - abstract
-
-    def as_legacy(self, version: int) -> Tuple[int, str, str]:
-        """The old mutation-log tuple for this event at ``version``."""
-        return (version, self.kind, self.subject)
 
 
 @dataclass(frozen=True)
@@ -168,11 +160,6 @@ def apply(network: "PDMSNetwork", event: TopologyEvent) -> object:
     if isinstance(event, MappingRemoved):
         return network.remove_mapping(event.name)
     raise PDMSError(f"unknown topology event {event!r}")
-
-
-#: Qualified alias for namespaces where bare ``apply`` is too generic
-#: (e.g. the ``repro.pdms`` package surface).
-apply_topology_event = apply
 
 
 # ---------------------------------------------------------------------------

@@ -50,8 +50,7 @@ class PDMSNetwork:
     """
 
     #: Event-log entries kept for incremental consumers; older entries
-    #: are dropped and :meth:`events_since` / :meth:`mutations_since`
-    #: report the log as truncated.
+    #: are dropped and :meth:`events_since` reports the log as truncated.
     MUTATION_LOG_LIMIT = 256
 
     def __init__(self, name: str = "pdms", directed: bool = True) -> None:
@@ -105,22 +104,6 @@ class PDMSNetwork:
         return tuple(
             entry for entry in self._event_log if entry[0] > version
         )
-
-    def mutations_since(
-        self, version: int
-    ) -> Optional[Tuple[Tuple[int, str, str], ...]]:
-        """Legacy view of :meth:`events_since`: ``(version, kind, subject)``.
-
-        ``kind`` is one of ``"add_peer"``, ``"remove_peer"``,
-        ``"add_mapping"`` or ``"remove_mapping"`` and ``subject`` the
-        peer / mapping name — derived from the typed event log, kept for
-        consumers that predate :mod:`repro.pdms.events`.  Returns ``None``
-        on truncation exactly like :meth:`events_since`.
-        """
-        entries = self.events_since(version)
-        if entries is None:
-            return None
-        return tuple(event.as_legacy(entry_version) for entry_version, event in entries)
 
     def event_log(self) -> Tuple[TopologyEvent, ...]:
         """The retained typed events, oldest first.

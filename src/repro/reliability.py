@@ -1,12 +1,11 @@
-"""Deterministic fault injection and resilient fan-outs.
+"""Deterministic fault injection and the resilient discovery fan-out.
 
 The paper's system is decentralised by design — peers crash, messages get
 lost, feedback lies — but a reproduction's *runtime* must also survive the
-mundane failures of its own fan-outs: a discovery worker that dies, hangs
-or straggles, a wire payload corrupted in flight, a sweep bucket whose
-thread raises.  This module is the resilience substrate shared by the
-process-pool discovery executor of :mod:`repro.pdms.discovery` and the
-threaded sweep executor of :mod:`repro.factorgraph.plan`:
+mundane failures of its own fan-out: a discovery worker that dies, hangs
+or straggles, or a wire payload corrupted in flight.  This module is the
+resilience substrate of the process-pool discovery executor of
+:mod:`repro.pdms.discovery`:
 
 * :class:`FaultPlan` — a picklable, rng-seeded schedule of injectable
   faults (worker **crash**, **hang**, **delay**\\ ed return, **corrupt**\\ ed
@@ -17,8 +16,7 @@ threaded sweep executor of :mod:`repro.factorgraph.plan`:
   flag), so a chaos run is exactly reproducible from one string.
 * :class:`FaultInjector` — the worker-side trigger.  Discovery workers
   receive it through the same pool-initializer hook that ships the probe
-  plan (:func:`repro.pdms.discovery._install_worker_plan`); sweep buckets
-  through ``ThreadedExecutor(fault_injector=...)``.
+  plan (:func:`repro.pdms.discovery._install_worker_plan`).
 * :class:`ResilientDiscoveryExecutor` — the process fan-out wrapped with
   per-shard timeouts, bounded retry with exponential backoff and seeded
   jitter, wire-payload integrity checks (corrupted shard results are
@@ -381,9 +379,8 @@ def fault_plan_or_env(value: object = None) -> Optional[FaultPlan]:
 class FaultInjector:
     """Fires a :class:`FaultPlan`'s scheduled faults at execution sites.
 
-    Process workers call :meth:`fire` at the top of each shard attempt;
-    thread-pool sweep buckets call :meth:`fire_in_thread`.  Both consult
-    the same deterministic ``(shard, attempt)`` schedule.
+    Process workers call :meth:`fire` at the top of each shard attempt,
+    consulting the deterministic ``(shard, attempt)`` schedule.
     """
 
     def __init__(self, plan: FaultPlan) -> None:
@@ -406,24 +403,6 @@ class FaultInjector:
         if kind == FAULT_HANG:
             time.sleep(self.plan.hang_seconds)
         elif kind == FAULT_DELAY:
-            time.sleep(self.plan.delay_seconds)
-        return kind
-
-    def fire_in_thread(self, bucket: int, attempt: int) -> Optional[str]:
-        """Fire the fault scheduled for a threaded sweep bucket.
-
-        Threads cannot be killed or safely wedged, and their output buffers
-        are shared memory rather than wire payloads — so ``crash``,
-        ``hang`` and ``corrupt`` all degrade to an immediate
-        :class:`~repro.exceptions.InjectedFaultError` (exercising the
-        executor's synchronous per-bucket fallback), while ``delay`` sleeps
-        briefly to scramble completion order."""
-        kind = self.plan.fault_for(bucket, attempt)
-        if kind in (FAULT_CRASH, FAULT_HANG, FAULT_CORRUPT):
-            raise InjectedFaultError(
-                f"injected {kind} in sweep bucket {bucket}, attempt {attempt}"
-            )
-        if kind == FAULT_DELAY:
             time.sleep(self.plan.delay_seconds)
         return kind
 
@@ -487,8 +466,6 @@ class ReliabilityStatistics:
     quarantined_shards: int = 0
     #: Shards (or whole plans) degraded to in-parent serial execution.
     serial_fallbacks: int = 0
-    #: Threaded sweep buckets re-run synchronously after a failure.
-    bucket_fallbacks: int = 0
 
     @property
     def faults_injected(self) -> int:

@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.batched import (
     AssessmentLane,
-    AssessmentPlan,
     BatchedEmbeddedMessagePassing,
     BlockedEmbeddedMessagePassing,
     compile_assessment_plan,
@@ -20,9 +19,17 @@ from repro.generators.scenarios import generate_scenario
 
 
 def _assessor_pair(network, **kwargs):
-    batched = MappingQualityAssessor(network, **kwargs)
-    sequential = MappingQualityAssessor(network, use_batched_engine=False, **kwargs)
-    return batched, sequential
+    """Two identically configured assessors: one for the stacked path, one
+    for the per-call reference path (:func:`_per_call`)."""
+    return (
+        MappingQualityAssessor(network, **kwargs),
+        MappingQualityAssessor(network, **kwargs),
+    )
+
+
+def _per_call(assessor, attributes):
+    """The per-call reference: one sequential engine per attribute."""
+    return {attribute: assessor.assess_attribute(attribute) for attribute in attributes}
 
 
 def _worst_difference(batched_assessments, sequential_assessments):
@@ -108,7 +115,7 @@ class TestBatchedSequentialParity:
         attributes = network.attribute_universe()
         batched, sequential = _assessor_pair(network, delta=0.1, ttl=4, seed=0)
         b = batched.assess_attributes(attributes)
-        s = sequential.assess_attributes(attributes)
+        s = _per_call(sequential, attributes)
         assert _worst_difference(b, s) <= 1e-9
         for attribute in attributes:
             assert b[attribute].converged == s[attribute].converged
@@ -124,7 +131,7 @@ class TestBatchedSequentialParity:
             network, delta=0.1, ttl=4, seed=seed, send_probability=0.6
         )
         b = batched.assess_attributes(attributes)
-        s = sequential.assess_attributes(attributes)
+        s = _per_call(sequential, attributes)
         assert _worst_difference(b, s) <= 1e-9
         for attribute in attributes:
             rb, rs = b[attribute].result, s[attribute].result
@@ -155,14 +162,14 @@ class TestBatchedSequentialParity:
             send_probability=0.7,
         )
         b = batched.assess_attributes(attributes)
-        s = sequential.assess_attributes(attributes)
+        s = _per_call(sequential, attributes)
         assert _worst_difference(b, s) <= 1e-9
 
     def test_history_parity(self):
         network = intro_example_network(with_records=False)
         batched, sequential = _assessor_pair(network, delta=0.1, ttl=4, seed=0)
         b = batched.assess_attributes(["Creator"])["Creator"]
-        s = sequential.assess_attributes(["Creator"])["Creator"]
+        s = sequential.assess_attribute("Creator")
         assert b.result is not None and s.result is not None
         assert len(b.result.history) == len(s.result.history)
         for batched_round, sequential_round in zip(
@@ -178,7 +185,7 @@ class TestBatchedSequentialParity:
         # around, so every structure is neutral for it.
         batched, sequential = _assessor_pair(network, delta=0.1, ttl=4)
         b = batched.assess_attributes(["CreatedOn"])["CreatedOn"]
-        s = sequential.assess_attributes(["CreatedOn"])["CreatedOn"]
+        s = sequential.assess_attribute("CreatedOn")
         assert (b.result is None) == (s.result is None)
         assert b.posteriors == s.posteriors
 
@@ -208,9 +215,10 @@ class TestPlanReuse:
         assert "p2->p4" not in after["Creator"].posteriors
         # …and the batched posteriors still match a sequential assessor
         # built fresh on the mutated network.
-        fresh = MappingQualityAssessor(
-            network, delta=0.1, ttl=4, seed=0, use_batched_engine=False
-        ).assess_all_attributes()
+        fresh = _per_call(
+            MappingQualityAssessor(network, delta=0.1, ttl=4, seed=0),
+            network.attribute_universe(),
+        )
         assert _worst_difference(after, fresh) <= 1e-9
 
     def test_invalidate_clears_plan(self):
@@ -318,16 +326,7 @@ class TestEngineValidation:
         assert results["Creator"].posteriors["p2->p3"] > 0.5
 
 
-class TestAssessorFallbacks:
-    def test_disabled_structure_cache_falls_back_to_sequential(self):
-        network = intro_example_network(with_records=False)
-        assessor = MappingQualityAssessor(
-            network, delta=0.1, ttl=4, use_structure_cache=False
-        )
-        assessments = assessor.assess_attributes(["Creator", "Title"])
-        assert set(assessments) == {"Creator", "Title"}
-        assert assessor.plan_compile_count == 0
-
+class TestAssessorQueries:
     def test_batched_assessments_feed_probability_queries(self):
         network = intro_example_network(with_records=False)
         assessor = MappingQualityAssessor(network, delta=0.1, ttl=4)
@@ -363,7 +362,6 @@ class TestFrozenBlockCompaction:
             ttl=4,
             seed=0,
             send_probability=0.8,
-            use_batched_engine=False,
         )
         views = batched.assess_local_all("Creator")
         assert len(batched.last_local_round_edge_counts) > 1

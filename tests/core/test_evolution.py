@@ -3,10 +3,11 @@
 import pytest
 
 from repro.core.beliefs import PriorBeliefStore
-from repro.core.evolution import EvolvingPDMS, MappingEvent, MappingEventKind
+from repro.core.evolution import CorrespondenceChanged, EvolvingPDMS
 from repro.exceptions import PDMSError
 from repro.generators.paper import INTRO_ATTRIBUTE, intro_example_network
 from repro.mapping.mapping import Mapping
+from repro.pdms.events import MappingAdded, MappingRemoved, PeerRemoved
 
 
 @pytest.fixture
@@ -18,11 +19,11 @@ def evolving():
 class TestEventApplication:
     def test_corrupting_a_correspondence_lowers_its_belief(self, evolving):
         # p3->p4 starts correct; corrupt its Creator correspondence.
-        event = MappingEvent(
-            kind=MappingEventKind.CORRUPT_CORRESPONDENCE,
+        event = CorrespondenceChanged(
             mapping_name="p3->p4",
             attribute=INTRO_ATTRIBUTE,
             new_target="Title",
+            is_correct=False,
         )
         round_record = evolving.apply_event(event)
         assert round_record.assessed_attributes == (INTRO_ATTRIBUTE,)
@@ -30,11 +31,11 @@ class TestEventApplication:
         assert evolving.current_belief("p3->p4", INTRO_ATTRIBUTE) < 0.5
 
     def test_repairing_the_faulty_mapping_restores_belief(self, evolving):
-        repair = MappingEvent(
-            kind=MappingEventKind.REPAIR_CORRESPONDENCE,
+        repair = CorrespondenceChanged(
             mapping_name="p2->p4",
             attribute=INTRO_ATTRIBUTE,
             new_target=INTRO_ATTRIBUTE,
+            is_correct=True,
         )
         round_record = evolving.apply_event(repair)
         assert evolving.network.mapping("p2->p4").apply(INTRO_ATTRIBUTE) == INTRO_ATTRIBUTE
@@ -43,10 +44,7 @@ class TestEventApplication:
         assert evolving.current_belief("p2->p4", INTRO_ATTRIBUTE) > 0.5
 
     def test_removing_a_mapping_removes_it_from_the_network(self, evolving):
-        event = MappingEvent(
-            kind=MappingEventKind.REMOVE_MAPPING, mapping_name="p2->p4"
-        )
-        evolving.apply_event(event)
+        evolving.apply_event(MappingRemoved(name="p2->p4"))
         assert not evolving.network.has_mapping("p2->p4")
         assert "p2->p4" not in [m.name for m in evolving.network.peer("p2").outgoing_mappings]
 
@@ -55,23 +53,25 @@ class TestEventApplication:
             "p3", "p1", {concept: concept for concept in ("Creator", "Title")},
             is_correct=True,
         )
-        event = MappingEvent(kind=MappingEventKind.ADD_MAPPING, mapping=new_mapping)
-        round_record = evolving.apply_event(event)
+        round_record = evolving.apply_event(MappingAdded(mapping=new_mapping))
         assert evolving.network.has_mapping("p3->p1")
         assert set(round_record.assessed_attributes) == {"Creator", "Title"}
 
-    def test_add_event_requires_a_mapping(self, evolving):
+    def test_peer_churn_is_rejected(self, evolving):
+        # Peer churn has no mapping-level equivalent; the network is left
+        # untouched.
         with pytest.raises(PDMSError):
-            evolving.apply_event(MappingEvent(kind=MappingEventKind.ADD_MAPPING))
+            evolving.apply_event(PeerRemoved(name="p4"))
+        assert evolving.network.has_peer("p4")
+        assert evolving.history == []
 
-    def test_corrupt_event_requires_target(self, evolving):
+    def test_corrupt_event_requires_target(self):
         with pytest.raises(PDMSError):
-            evolving.apply_event(
-                MappingEvent(
-                    kind=MappingEventKind.CORRUPT_CORRESPONDENCE,
-                    mapping_name="p2->p3",
-                    attribute=INTRO_ATTRIBUTE,
-                )
+            CorrespondenceChanged(
+                mapping_name="p2->p3",
+                attribute=INTRO_ATTRIBUTE,
+                new_target="",
+                is_correct=False,
             )
 
 
@@ -79,17 +79,17 @@ class TestBeliefAccumulation:
     def test_priors_accumulate_across_rounds(self, evolving):
         """Evidence gathered before a change keeps influencing the prior
         after it (the running average of §4.4)."""
-        corrupt = MappingEvent(
-            kind=MappingEventKind.CORRUPT_CORRESPONDENCE,
+        corrupt = CorrespondenceChanged(
             mapping_name="p2->p3",
             attribute=INTRO_ATTRIBUTE,
             new_target="Subject",
+            is_correct=False,
         )
-        repair = MappingEvent(
-            kind=MappingEventKind.REPAIR_CORRESPONDENCE,
+        repair = CorrespondenceChanged(
             mapping_name="p2->p3",
             attribute=INTRO_ATTRIBUTE,
             new_target=INTRO_ATTRIBUTE,
+            is_correct=True,
         )
         evolving.apply_events([corrupt, repair])
         belief = evolving.current_belief("p2->p3", INTRO_ATTRIBUTE)

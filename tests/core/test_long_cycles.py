@@ -124,7 +124,6 @@ class TestLongRingVsLoops:
             delta=0.1,
             ttl=length,
             include_parallel_paths=False,
-            use_batched_engine=False,
         )
         origin = network.peer_names[0]
         reference_view = sequential.assess_local(origin, attribute)
@@ -150,7 +149,6 @@ class TestLongRingVsLoops:
             include_parallel_paths=False,
             send_probability=0.7,
             seed=11,
-            use_batched_engine=False,
         )
         b = batched.assess_attributes([attribute])[attribute]
         s = sequential.assess_attribute(attribute)

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.core.analysis import analyze_network
 from repro.core.beliefs import PriorBeliefStore
+from repro.core.embedded import EmbeddedMessagePassing
 from repro.core.quality import MappingQualityAssessor
 from repro.exceptions import ReproError
 from repro.generators.paper import intro_example_network
@@ -98,14 +100,17 @@ class TestStructureCacheWiring:
     def test_cache_matches_uncached_pipeline(self):
         network = intro_example_network(with_records=False)
         cached = MappingQualityAssessor(network, delta=0.1, ttl=4)
-        uncached = MappingQualityAssessor(
-            network, delta=0.1, ttl=4, use_structure_cache=False
-        )
         for attribute in network.attribute_universe():
             a = cached.assess_attribute(attribute)
-            b = uncached.assess_attribute(attribute)
-            assert a.posteriors == b.posteriors
-            assert a.unmappable == b.unmappable
+            evidence = analyze_network(network, attribute, ttl=4)
+            informative = evidence.informative_feedbacks
+            expected = (
+                EmbeddedMessagePassing(informative, delta=0.1).run().posteriors
+                if informative
+                else {}
+            )
+            assert a.posteriors == expected
+            assert a.unmappable == evidence.unmappable
 
     def test_topology_mutation_reprobes_automatically(self):
         from repro.mapping.correspondence import Correspondence

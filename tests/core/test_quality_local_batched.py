@@ -16,21 +16,38 @@ from repro.core.batched import (
     BlockedEmbeddedMessagePassing,
 )
 from repro.core.beliefs import PriorBeliefStore
-from repro.core.evolution import EvolvingPDMS, MappingEvent, MappingEventKind
+from repro.core.evolution import CorrespondenceChanged, EvolvingPDMS
 from repro.core.quality import MappingQualityAssessor
 from repro.exceptions import FeedbackError
 from repro.generators.paper import INTRO_SCHEMA_CONCEPTS, intro_example_network
 from repro.generators.scenarios import generate_scenario
 from repro.mapping.mapping import Mapping
+from repro.pdms.events import MappingRemoved
 from repro.pdms.peer import Peer
 from repro.pdms.routing import RoutingPolicy
 from repro.schema.schema import Schema
 
 
 def _assessor_pair(network, **kwargs):
-    batched = MappingQualityAssessor(network, **kwargs)
-    sequential = MappingQualityAssessor(network, use_batched_engine=False, **kwargs)
-    return batched, sequential
+    """Two identically configured assessors: one for the stacked path, one
+    for the per-call reference path (:func:`_per_call_views`)."""
+    return (
+        MappingQualityAssessor(network, **kwargs),
+        MappingQualityAssessor(network, **kwargs),
+    )
+
+
+def _per_call_views(assessor, origins, attribute):
+    """The per-call reference: one sequential engine per origin."""
+    return {origin: assessor.assess_local(origin, attribute) for origin in origins}
+
+
+def _both_views(assessor, origin, attribute):
+    """``origin``'s view from the stacked path and from the per-call path."""
+    return (
+        assessor.assess_locals([origin], attribute)[origin],
+        assessor.assess_local(origin, attribute),
+    )
 
 
 def _worst_view_difference(batched_views, sequential_views):
@@ -64,7 +81,7 @@ class TestBatchedLocalParity:
         network = intro_example_network(with_records=False)
         batched, sequential = _assessor_pair(network, delta=0.1, ttl=4, seed=seed)
         b = batched.assess_local_all("Creator")
-        s = sequential.assess_local_all("Creator")
+        s = _per_call_views(sequential, network.peer_names, "Creator")
         assert set(b) == set(network.peer_names)
         assert _worst_view_difference(b, s) <= 1e-9
 
@@ -75,7 +92,7 @@ class TestBatchedLocalParity:
             network, delta=0.1, ttl=4, seed=seed, send_probability=0.6
         )
         b = batched.assess_local_all("Creator")
-        s = sequential.assess_local_all("Creator")
+        s = _per_call_views(sequential, network.peer_names, "Creator")
         assert _worst_view_difference(b, s) <= 1e-9
 
     @pytest.mark.parametrize("seed", [3, 5, 9])
@@ -98,7 +115,7 @@ class TestBatchedLocalParity:
             send_probability=0.7,
         )
         b = batched.assess_locals(network.peer_names, attribute)
-        s = sequential.assess_locals(network.peer_names, attribute)
+        s = _per_call_views(sequential, network.peer_names, attribute)
         assert _worst_view_difference(b, s) <= 1e-9
 
     def test_subset_of_origins(self):
@@ -106,7 +123,7 @@ class TestBatchedLocalParity:
         batched, sequential = _assessor_pair(network, delta=0.1, ttl=4, seed=0)
         origins = ("p2", "p4")
         b = batched.assess_locals(origins, "Creator")
-        s = {o: sequential.assess_local(o, "Creator") for o in origins}
+        s = _per_call_views(sequential, origins, "Creator")
         assert _worst_view_difference(b, s) <= 1e-9
 
     def test_matches_single_assess_local(self):
@@ -195,24 +212,13 @@ class TestProbeOnce:
 
     def test_sequential_path_shares_the_cache(self):
         network = intro_example_network(with_records=False)
-        assessor = MappingQualityAssessor(
-            network, delta=0.1, ttl=4, use_batched_engine=False
-        )
+        assessor = MappingQualityAssessor(network, delta=0.1, ttl=4)
         for _ in range(2):
             for origin in network.peer_names:
                 assessor.assess_local(origin, "Creator")
         assert assessor.neighborhood_cache.statistics.probes == len(
             network.peer_names
         )
-
-    def test_disabled_cache_probes_per_call(self):
-        network = intro_example_network(with_records=False)
-        assessor = MappingQualityAssessor(
-            network, delta=0.1, ttl=4, use_structure_cache=False
-        )
-        assessor.assess_local("p2", "Creator")
-        assessor.assess_local("p2", "Creator")
-        assert assessor.neighborhood_cache.statistics.probes == 0
 
     def test_mutation_reprobes_once_per_new_version(self):
         network = intro_example_network(with_records=False)
@@ -228,9 +234,11 @@ class TestProbeOnce:
         assert statistics.partial_refreshes == len(network.peer_names)
         assert assessor.local_plan_compile_count == 2
         # The refreshed views match a fresh sequential assessor.
-        fresh = MappingQualityAssessor(
-            network, delta=0.1, ttl=4, seed=0, use_batched_engine=False
-        ).assess_local_all("Creator")
+        fresh = _per_call_views(
+            MappingQualityAssessor(network, delta=0.1, ttl=4, seed=0),
+            network.peer_names,
+            "Creator",
+        )
         assert _worst_view_difference(after, fresh) <= 1e-9
 
 
@@ -354,8 +362,8 @@ class TestLocalViewResolutionOrder:
         """An own mapping without informative evidence is no longer dropped
         from the local view — it falls back to its prior."""
         network, priors = _dangling_network(default_prior=0.8)
-        for assessor in _assessor_pair(network, priors=priors, delta=0.1, ttl=4):
-            local = assessor.assess_locals(["p3"], "Creator")["p3"]
+        assessor = MappingQualityAssessor(network, priors=priors, delta=0.1, ttl=4)
+        for local in _both_views(assessor, "p3", "Creator"):
             # p3->p4 sits in informative cycles; p3->p5 has no evidence.
             assert local["p3->p4"] > 0.5
             assert local["p3->p5"] == pytest.approx(0.8)
@@ -376,11 +384,11 @@ class TestLocalViewResolutionOrder:
             },
         )
         network.add_mapping(incomplete, bidirectional=False)
-        for assessor in _assessor_pair(network, delta=0.1, ttl=4):
-            local = assessor.assess_locals(["p2"], "Creator")["p2"]
+        assessor = MappingQualityAssessor(network, delta=0.1, ttl=4)
+        for local in _both_views(assessor, "p2", "Creator"):
             assert local["p2->p4"] == 0.0
             assert local["p2->p3"] > 0.5
-            assert assessor.probability("p2->p4", "Creator") == 0.0
+        assert assessor.probability("p2->p4", "Creator") == 0.0
 
     def test_bottom_rule_applies_without_evidence(self):
         """The no-evidence branch also applies the ⊥ rule instead of
@@ -391,10 +399,10 @@ class TestLocalViewResolutionOrder:
             Mapping.from_pairs("p6", "p1", {"Title": "Title"}),
             bidirectional=False,
         )
-        for assessor in _assessor_pair(network, delta=0.1, ttl=4):
-            local = assessor.assess_locals(["p6"], "Creator")["p6"]
+        assessor = MappingQualityAssessor(network, delta=0.1, ttl=4)
+        for local in _both_views(assessor, "p6", "Creator"):
             assert local == {"p6->p1": 0.0}
-            title_view = assessor.assess_local("p6", "Title")
+        for title_view in _both_views(assessor, "p6", "Title"):
             assert title_view["p6->p1"] == pytest.approx(0.5)
 
     def test_no_evidence_branch_returns_priors(self):
@@ -531,11 +539,11 @@ class TestEvolutionAndRoutingWiring:
             network, track_local_views=True, delta=0.1, ttl=4, seed=0
         )
         round_record = pdms.apply_event(
-            MappingEvent(
-                kind=MappingEventKind.CORRUPT_CORRESPONDENCE,
+            CorrespondenceChanged(
                 mapping_name="p2->p3",
                 attribute="Title",
                 new_target="Medium",
+                is_correct=False,
             )
         )
         assert "Title" in round_record.local_posteriors
@@ -548,9 +556,7 @@ class TestEvolutionAndRoutingWiring:
         network = intro_example_network(with_records=False)
         pdms = EvolvingPDMS(network, delta=0.1, ttl=4, seed=0)
         round_record = pdms.apply_event(
-            MappingEvent(
-                kind=MappingEventKind.REMOVE_MAPPING, mapping_name="p2->p4"
-            )
+            MappingRemoved(name="p2->p4")
         )
         assert round_record.local_posteriors == {}
 

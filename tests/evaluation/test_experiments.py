@@ -84,9 +84,36 @@ class TestFaultTolerance:
 
 
 class TestRealWorld:
+    #: Figure 12 as reproduced on the synthetic EON network: per θ, the
+    #: (true positives, false positives) of the flagged correspondences,
+    #: out of 72 erroneous ones.  Engine changes must reproduce them
+    #: exactly — this is the paper's headline result.
+    PINNED = {
+        0.1: (3, 0),
+        0.2: (7, 1),
+        0.3: (14, 1),
+        0.4: (18, 2),
+        0.5: (18, 2),
+        0.6: (18, 2),
+        0.7: (18, 2),
+        0.8: (19, 2),
+        0.9: (23, 6),
+    }
+
     @pytest.fixture(scope="class")
     def result(self):
-        return run_real_world(thetas=(0.2, 0.5, 0.8))
+        return run_real_world(thetas=tuple(self.PINNED))
+
+    def test_figure12_values_are_pinned(self, result):
+        assert len(result.posteriors) == 418
+        for theta, (true_positives, false_positives) in self.PINNED.items():
+            counts = result.metrics[theta].counts
+            assert counts.true_positives == true_positives
+            assert counts.false_positives == false_positives
+            assert counts.actual_errors == 72
+            flagged = true_positives + false_positives
+            assert result.precision_at(theta) == true_positives / flagged
+            assert result.recall_at(theta) == true_positives / 72
 
     def test_figure12_scale(self, result):
         assert 300 <= result.correspondence_count <= 500

@@ -4,4 +4,4 @@ import os
 
 
 def executor_choice():
-    return os.environ.get("REPRO_EXECUTOR", "")
+    return os.environ.get("REPRO_PROBE_EXECUTOR", "")

@@ -86,15 +86,6 @@ class TestEventLog:
             PeerRemoved,
         ]
 
-    def test_legacy_view_is_derived_from_events(self, network):
-        start = network.version
-        network.add_mapping(identity("p1", "p2"))
-        network.remove_peer("p3")
-        assert network.mutations_since(start) == tuple(
-            event.as_legacy(version)
-            for version, event in network.events_since(start)
-        )
-
     def test_remove_peer_cascades_incident_mappings_first(self, network):
         network.add_mapping(identity("p1", "p2"))
         network.add_mapping(identity("p2", "p3"))

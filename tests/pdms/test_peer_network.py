@@ -141,25 +141,25 @@ class TestPDMSNetwork:
 
 
 class TestMutationLog:
-    def test_mutations_since_reports_peer_and_mapping_changes(self, network):
+    def test_events_since_reports_peer_and_mapping_changes(self, network):
         start = network.version
         network.add_mapping(Mapping.from_pairs("p1", "p2", {"Creator": "Creator"}))
         network.add_peer(Peer("p4", schema("p4")))
         network.remove_mapping("p1->p2")
-        mutations = network.mutations_since(start)
-        assert [(kind, subject) for _, kind, subject in mutations] == [
+        entries = network.events_since(start)
+        assert [(event.kind, event.subject) for _, event in entries] == [
             ("add_mapping", "p1->p2"),
             ("add_peer", "p4"),
             ("remove_mapping", "p1->p2"),
         ]
         # Versions in the log are strictly increasing past the start.
-        versions = [version for version, _, _ in mutations]
+        versions = [version for version, _ in entries]
         assert versions == sorted(versions)
         assert all(version > start for version in versions)
 
-    def test_mutations_since_current_version_is_empty(self, network):
+    def test_events_since_current_version_is_empty(self, network):
         network.add_mapping(Mapping.from_pairs("p1", "p2", {"Creator": "Creator"}))
-        assert network.mutations_since(network.version) == ()
+        assert network.events_since(network.version) == ()
 
     def test_bidirectional_add_logs_both_directions(self):
         net = PDMSNetwork("undirected", directed=False)
@@ -167,7 +167,7 @@ class TestMutationLog:
         net.add_peer(Peer("b", schema("b")))
         start = net.version
         net.add_mapping(Mapping.from_pairs("a", "b", {"Creator": "Creator"}))
-        kinds = [(k, s) for _, k, s in net.mutations_since(start)]
+        kinds = [(e.kind, e.subject) for _, e in net.events_since(start)]
         assert ("add_mapping", "a->b") in kinds
         assert ("add_mapping", "b->a") in kinds
 
@@ -181,9 +181,9 @@ class TestMutationLog:
                 )
             )
             network.remove_mapping(f"p1->p2#m{index}")
-        assert network.mutations_since(start) is None
+        assert network.events_since(start) is None
         # Recent history is still reachable.
-        assert network.mutations_since(network.version) == ()
+        assert network.events_since(network.version) == ()
 
     def test_deque_truncation_preserves_floor_semantics(self, network):
         """Regression for the bounded log's O(1) rewrite: the deque must

@@ -7,7 +7,7 @@ posteriors downstream of them) *bit-identical* to a fault-free serial run,
 while its :class:`ReliabilityStatistics` count exactly the injected faults;
 exhausted retry budgets quarantine only the failed shards; the strict base
 executor fails fast with descriptive errors instead; and every env knob
-(``REPRO_PROBE_WORKERS`` / ``REPRO_PROBE_EXECUTOR`` / ``REPRO_EXECUTOR`` /
+(``REPRO_PROBE_WORKERS`` / ``REPRO_PROBE_EXECUTOR`` /
 ``REPRO_SHARD_TIMEOUT`` / ``REPRO_FAULT_PLAN``) rejects garbage with an
 error naming the variable.
 """
@@ -17,15 +17,11 @@ import pickle
 import pytest
 
 from repro.core.analysis import NetworkStructureCache, NeighborhoodStructureCache
-from repro.core.quality import MappingQualityAssessor
 from repro.exceptions import (
     DiscoveryTimeoutError,
-    FactorGraphError,
     InjectedFaultError,
     PDMSError,
 )
-from repro.factorgraph.plan import NumpyExecutor, ThreadedExecutor, get_executor
-from repro.generators.scenarios import generate_scenario
 from repro.generators.topologies import scale_free_network
 from repro.pdms.discovery import (
     ProcessPoolDiscoveryExecutor,
@@ -168,14 +164,6 @@ class TestFaultInjector:
         injector = FaultInjector(FaultPlan.parse("at=2.0.corrupt"))
         assert injector.fire(2, 0) == FAULT_CORRUPT
 
-    def test_threads_degrade_every_wedging_kind_to_a_crash(self):
-        injector = FaultInjector(
-            FaultPlan.parse("at=0.0.crash,1.0.hang,2.0.corrupt")
-        )
-        for bucket in (0, 1, 2):
-            with pytest.raises(InjectedFaultError, match=f"bucket {bucket}"):
-                injector.fire_in_thread(bucket, 0)
-
 
 class TestChaosParityMatrix:
     """3 seeds × every fault kind × both structure caches: structures and
@@ -299,38 +287,6 @@ class TestStrictBaseExecutor:
             executor.run(full_plan)
 
 
-class TestThreadedSweepFallback:
-    def test_bucket_faults_fall_back_to_bit_identical_numpy(self):
-        scenario = generate_scenario(peer_count=12, attribute_count=4, seed=0)
-        attribute = sorted(scenario.ground_truth)[0][1]
-        reference = (
-            MappingQualityAssessor(
-                scenario.network, ttl=TTL, executor=NumpyExecutor(),
-                probe_executor="serial",
-            )
-            .assess_attribute(attribute)
-            .posteriors
-        )
-        chaos_executor = ThreadedExecutor(
-            fault_plan=FaultPlan.seeded(
-                seed=2, rate=0.6, kinds=(FAULT_CRASH,), shards=64
-            )
-        )
-        chaos = (
-            MappingQualityAssessor(
-                scenario.network, ttl=TTL, executor=chaos_executor,
-                probe_executor="serial",
-            )
-            .assess_attribute(attribute)
-            .posteriors
-        )
-        assert chaos == reference
-        stats = chaos_executor.statistics
-        assert stats.bucket_fallbacks > 0, "no sweep bucket ever faulted"
-        assert stats.worker_errors == stats.bucket_fallbacks
-        assert stats.injected_crashes == stats.bucket_fallbacks
-
-
 class TestEnvKnobs:
     def test_probe_workers_env_garbage_names_the_variable(self, monkeypatch):
         monkeypatch.setenv("REPRO_PROBE_WORKERS", "banana")
@@ -359,11 +315,6 @@ class TestEnvKnobs:
         with pytest.raises(ValueError, match="REPRO_FAULT_PLAN"):
             fault_plan_or_env(None)
 
-    def test_sweep_executor_env_garbage_names_the_variable(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "bogus")
-        with pytest.raises(FactorGraphError, match="REPRO_EXECUTOR"):
-            get_executor()
-
     def test_fault_plan_env_upgrades_process_to_resilient(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULT_PLAN", "at=0.0.crash")
         executor = resolve_discovery_executor("process", workers=2)
@@ -380,17 +331,3 @@ class TestEnvKnobs:
         executor = resolve_discovery_executor("resilient", workers=2)
         assert isinstance(executor, ResilientDiscoveryExecutor)
         assert executor.fault_plan is None
-
-    def test_fault_plan_env_arms_fresh_threaded_executors(self, monkeypatch):
-        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
-        monkeypatch.delenv("REPRO_FAULT_PLAN", raising=False)
-        shared = get_executor("threaded")
-        assert shared.fault_plan is None
-        monkeypatch.setenv("REPRO_FAULT_PLAN", "at=0.0.crash")
-        armed = get_executor("threaded")
-        assert isinstance(armed, ThreadedExecutor)
-        assert armed.fault_plan is not None
-        assert armed is not shared
-        assert armed is not get_executor("threaded"), (
-            "armed chaos executors must never be cached"
-        )
