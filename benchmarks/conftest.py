@@ -12,7 +12,6 @@ directory is git-ignored, so a test run leaves the working tree clean.
 from __future__ import annotations
 
 import json
-import os
 import pathlib
 import subprocess
 import time
@@ -49,13 +48,8 @@ def emit_json_report(name: str, payload: dict) -> None:
     """Persist machine-readable benchmark metrics as BENCH_<name>.json.
 
     ``payload`` holds the benchmark's own metrics (rates, speedups, peer
-    counts…); the emitter stamps the git revision, a unix timestamp and the
-    discovery executor / worker count of the probe phase
-    (``REPRO_PROBE_EXECUTOR`` / ``REPRO_PROBE_WORKERS`` — benchmarks that
-    pin their own override them in their payload) so the perf trajectory
-    stays attributable.
-    A chaos fault plan active for the run (``REPRO_FAULT_PLAN``) is
-    stamped too, so chaos-smoke numbers are never mistaken for clean ones.
+    counts…); the emitter stamps the git revision and a unix timestamp so
+    the perf trajectory stays attributable.
     Correctness provenance rides along as well: ``lint_clean`` (did the
     tree pass ``repro-lint`` — linted once per process, cached) and
     ``lintkit_version`` (the rule-set version), so a perf number can never
@@ -72,15 +66,6 @@ def emit_json_report(name: str, payload: dict) -> None:
     record.setdefault("benchmark", name)
     record.setdefault("git_rev", _git_revision())
     record.setdefault("unix_time", int(time.time()))
-    record.setdefault(
-        "probe_executor", os.environ.get("REPRO_PROBE_EXECUTOR", "serial")
-    )
-    record.setdefault(
-        "probe_workers", os.environ.get("REPRO_PROBE_WORKERS") or None
-    )
-    record.setdefault(
-        "fault_plan", os.environ.get("REPRO_FAULT_PLAN") or None
-    )
     REPORT_DIR.mkdir(exist_ok=True)
     path = REPORT_DIR / f"BENCH_{name}.json"
     path.write_text(

@@ -12,7 +12,7 @@ of every feedback it originates, and the adversarial experiment records the
 rounds until all evidence-covered erroneous mappings drop below θ
 (``run_adversarial_feedback``).  Both series land in
 ``BENCH_fig11_fault_tolerance.json`` so robustness regressions in the
-assessment layer stay visible next to the executor-level chaos results.
+assessment layer stay visible.
 """
 
 from repro.evaluation.experiments import (

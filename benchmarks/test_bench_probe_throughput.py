@@ -1,22 +1,12 @@
-"""Probe throughput — origin-sharded process-pool discovery vs the serial
-walkers.
+"""Probe throughput — full-probe structure discovery.
 
-PR 6 compiled the sweeps; per the roadmap the wall at 1k+ peers is now the
-*probe* phase: cycle / parallel-path enumeration is recursive sequential
-Python.  This benchmark times one full-probe
+This benchmark times one full-probe
 :class:`~repro.pdms.discovery.ProbePlan` — every peer's cycles-through and
 paths-from work units at ttl 3 — on scale-free networks of 256 and 1024
-peers, executed serially and origin-sharded over a ``multiprocessing``
-pool, and doubles as a regression tripwire:
-
-* the merged structure lists of the two executors must be canonically
-  identical (the runner raises on any divergence — a speedup claim is only
-  ever made on verified-equal output);
-* serial discovery must sustain a minimum structure-enumeration rate
-  (catches accidental quadratic regressions in the walkers);
-* on a multi-core machine the process-pool executor must beat serial
-  discovery by ≥2x at 1024 peers (the floor is skipped on single-core
-  runners, where the pool degenerates to an inlined serial run).
+peers, run by :func:`~repro.pdms.discovery.run_plan`, and doubles as a
+regression tripwire: serial discovery must sustain a minimum
+structure-enumeration rate (catches accidental quadratic regressions in
+the walkers).
 """
 
 import os
@@ -29,12 +19,6 @@ from repro.evaluation.reporting import format_table
 SIZES = (256, 1024)
 
 TTL = 3
-
-#: Process-pool floor over serial discovery at 1024 peers.  Only asserted
-#: when the machine has at least 2 cores: with a single core the pool
-#: executor inlines the plan serially (``sharded=False``) and a speedup is
-#: meaningless.
-MIN_SHARDED_SPEEDUP_AT_1024_PEERS = 2.0
 
 #: Serial enumeration floor, structures per second, both sizes (measured
 #: ~47k/s at 256 peers and ~32k/s at 1024 on the baseline machine; the
@@ -55,14 +39,14 @@ def test_bench_probe_throughput(benchmark, report, report_json, peer_count):
     )
     point = result.point_for(peer_count)
 
-    # Time the serial enumeration under pytest-benchmark as well, so the
-    # walkers' raw cost is tracked alongside the executor comparison.
-    from repro.pdms.discovery import SerialDiscoveryExecutor, plan_full_probe
+    # Time the enumeration under pytest-benchmark as well, so the walkers'
+    # raw cost is tracked alongside the best-of timing.
+    from repro.pdms.discovery import plan_full_probe, run_plan
     from repro.generators.topologies import scale_free_network
 
     network = scale_free_network(peer_count, seed=peer_count)
     plan = plan_full_probe(network, ttl=TTL, include_parallel_paths=True)
-    benchmark(SerialDiscoveryExecutor().run, plan)
+    benchmark(run_plan, plan)
 
     lines = format_table(
         (
@@ -71,9 +55,7 @@ def test_bench_probe_throughput(benchmark, report, report_json, peer_count):
             "work units",
             "structures",
             "serial ms",
-            "process ms",
-            "speedup",
-            "workers",
+            "structures/s",
         ),
         [
             (
@@ -82,15 +64,12 @@ def test_bench_probe_throughput(benchmark, report, report_json, peer_count):
                 point.work_units,
                 point.structure_count,
                 f"{point.serial_seconds * 1e3:.1f}",
-                f"{point.process_seconds * 1e3:.1f}",
-                f"{point.speedup:.1f}x",
-                f"{point.workers}" if point.sharded else "inline",
+                f"{point.serial_structures_per_second:,.0f}",
             )
         ],
         title=(
-            f"Probe throughput — origin-sharded discovery vs serial walkers "
-            f"on the {peer_count}-peer scale-free network (ttl={TTL}, "
-            "structure sets verified identical)"
+            f"Probe throughput — full-probe structure discovery on the "
+            f"{peer_count}-peer scale-free network (ttl={TTL})"
         ),
     )
     report(f"EX_probe_throughput_{peer_count}_peers", lines)
@@ -105,19 +84,12 @@ def test_bench_probe_throughput(benchmark, report, report_json, peer_count):
             "parallel_path_count": point.parallel_path_count,
             "structure_count": point.structure_count,
             "serial_seconds": point.serial_seconds,
-            "process_seconds": point.process_seconds,
-            "speedup": point.speedup,
             "serial_structures_per_second": point.serial_structures_per_second,
-            "process_structures_per_second": point.process_structures_per_second,
-            "sharded": point.sharded,
-            "workers": point.workers,
             "cpu_count": os.cpu_count(),
         },
     )
 
-    # run_probe_throughput has already verified canonical identity of the
-    # sharded and serial structure lists (it raises on divergence); assert
-    # the run actually enumerated a non-trivial frontier.
+    # Assert the run actually enumerated a non-trivial frontier.
     assert point.work_units == 2 * peer_count
     assert point.structure_count > peer_count
     assert (
@@ -127,14 +99,3 @@ def test_bench_probe_throughput(benchmark, report, report_json, peer_count):
         f"{point.serial_structures_per_second:,.0f} structures/s at "
         f"{peer_count} peers (floor {MIN_SERIAL_STRUCTURES_PER_SECOND:,})"
     )
-    cores = os.cpu_count() or 1
-    if peer_count >= 1024 and cores >= 2:
-        assert point.sharded, (
-            f"process-pool executor did not shard the {peer_count}-peer "
-            f"frontier despite {cores} cores"
-        )
-        assert point.speedup >= MIN_SHARDED_SPEEDUP_AT_1024_PEERS, (
-            f"origin-sharded discovery is only {point.speedup:.1f}x faster "
-            f"than serial at {peer_count} peers on {cores} cores "
-            f"(floor {MIN_SHARDED_SPEEDUP_AT_1024_PEERS}x)"
-        )

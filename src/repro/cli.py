@@ -27,7 +27,7 @@ import argparse
 import sys
 from typing import List, Optional, Sequence
 
-from .constants import DEFAULT_SHARD_TIMEOUT, DEFAULT_TTL
+from .constants import DEFAULT_TTL
 from .core.quality import MappingQualityAssessor
 from .evaluation.experiments import (
     run_assessor_amortization,
@@ -104,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
         "backends, embedded dict vs array state with --mode embedded, "
         "the batched per-origin decentralised view with --mode local, "
         "the count-space kernels on long mapping rings with "
-        "--mode long-cycle, origin-sharded structure discovery with "
+        "--mode long-cycle, full-probe structure discovery with "
         "--mode probe, or the event-sourced multi-node gossip harness "
         "with --mode gossip)",
     )
@@ -127,10 +127,10 @@ def build_parser() -> argparse.ArgumentParser:
         "batched (one block-diagonal stacked engine) vs engine-per-origin; "
         "'long-cycle' times the count-space kernels against the loop "
         "reference on rings far beyond the dense arity limit; 'probe' times "
-        "full-probe structure discovery on the process-pool executor vs the "
-        "serial walkers; 'gossip' runs N event-sourced peer replicas to "
-        "convergence through a dropping/duplicating/reordering transport "
-        "and verifies every local view equals the single-process oracle",
+        "full-probe structure discovery; 'gossip' runs N event-sourced peer "
+        "replicas to convergence through a dropping/duplicating/reordering "
+        "transport and verifies every local view equals the single-process "
+        "oracle",
     )
     throughput.add_argument(
         "--ttl", type=int, default=None,
@@ -151,26 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--send-probability", type=float, default=None,
         help="embedded and local modes: transport reliability of the timed "
         "runs (default 1.0)",
-    )
-    throughput.add_argument(
-        "--probe-workers", type=int, default=None,
-        help="probe mode only: worker count of the process-pool discovery "
-        "executor (default: REPRO_PROBE_WORKERS or the CPU count)",
-    )
-    throughput.add_argument(
-        "--fault-plan", default=None, metavar="SPEC",
-        help="probe mode only: seeded chaos fault plan injected into the "
-        "process-side discovery shards (e.g. "
-        "'seed=7:rate=0.25:kinds=crash,hang'; default: REPRO_FAULT_PLAN). "
-        "Upgrades the process executor to the resilient wrapper; parity "
-        "with the serial run is still enforced and the survived faults "
-        "are reported",
-    )
-    throughput.add_argument(
-        "--shard-timeout", type=float, default=None, metavar="SECONDS",
-        help="probe mode only: per-shard deadline of the process-side "
-        "discovery fan-out (default: REPRO_SHARD_TIMEOUT or "
-        f"{DEFAULT_SHARD_TIMEOUT:.0f}s)",
     )
     throughput.add_argument(
         "--fanout", type=int, default=None,
@@ -442,25 +422,10 @@ def _render_local_throughput(args: argparse.Namespace) -> str:
 
 def _render_probe_throughput(args: argparse.Namespace) -> str:
     sizes = tuple(args.sizes) if args.sizes else (64, 128, 256)
+    ttl = args.ttl if args.ttl is not None else THROUGHPUT_DEFAULT_TTL
     result = run_probe_throughput(
-        peer_counts=sizes,
-        ttl=args.ttl if args.ttl is not None else THROUGHPUT_DEFAULT_TTL,
-        repeats=args.repeats,
-        probe_workers=args.probe_workers,
-        shard_timeout=args.shard_timeout,
-        fault_plan=args.fault_plan,
+        peer_counts=sizes, ttl=ttl, repeats=args.repeats
     )
-
-    def chaos_cell(point) -> str:
-        survived = point.reliability
-        if not survived:
-            return "-"
-        return (
-            f"{survived['faults_injected']}f/"
-            f"{survived['retries']}r/"
-            f"{survived['serial_fallbacks']}s"
-        )
-
     rows = [
         (
             point.peer_count,
@@ -468,10 +433,7 @@ def _render_probe_throughput(args: argparse.Namespace) -> str:
             point.work_units,
             point.structure_count,
             f"{point.serial_seconds * 1e3:.1f}",
-            f"{point.process_seconds * 1e3:.1f}",
-            f"{point.speedup:.1f}x",
-            f"{point.workers}" if point.sharded else "inline",
-            chaos_cell(point),
+            f"{point.serial_structures_per_second:,.0f}",
         )
         for point in result.points
     ]
@@ -482,17 +444,10 @@ def _render_probe_throughput(args: argparse.Namespace) -> str:
             "work units",
             "structures",
             "serial ms",
-            "process ms",
-            "speedup",
-            "workers",
-            "faults/retries/serial",
+            "structures/s",
         ),
         rows,
-        title=(
-            "Probe throughput — origin-sharded process-pool discovery vs "
-            f"serial walkers (ttl={args.ttl if args.ttl is not None else THROUGHPUT_DEFAULT_TTL}, "
-            "structure sets verified identical)"
-        ),
+        title=f"Probe throughput — full-probe structure discovery (ttl={ttl})",
     )
 
 
@@ -694,12 +649,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 "--ttl does not apply to --mode gossip (the assessor TTL "
                 "follows the workload's chord length)"
             )
-        if args.mode != "probe" and args.probe_workers is not None:
-            parser.error("--probe-workers only applies to --mode probe")
-        if args.mode != "probe" and args.fault_plan is not None:
-            parser.error("--fault-plan only applies to --mode probe")
-        if args.mode != "probe" and args.shard_timeout is not None:
-            parser.error("--shard-timeout only applies to --mode probe")
         if args.mode != "gossip" and args.fanout is not None:
             parser.error("--fanout only applies to --mode gossip")
         if args.mode != "gossip" and args.drop_probability is not None:

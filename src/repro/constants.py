@@ -34,21 +34,6 @@ __all__ = [
     "BACKEND_VECTORIZED",
     "MAX_COMPILED_ARITY",
     "COUNT_KERNEL_MIN_ARITY",
-    "PROBE_EXECUTOR_SERIAL",
-    "PROBE_EXECUTOR_PROCESS",
-    "PROBE_EXECUTOR_RESILIENT",
-    "DEFAULT_PROBE_EXECUTOR",
-    "DEFAULT_PROBE_WORKERS",
-    "PROBE_EXECUTOR_ENV",
-    "PROBE_WORKERS_ENV",
-    "FAULT_PLAN_ENV",
-    "SHARD_TIMEOUT_ENV",
-    "DEFAULT_SHARD_TIMEOUT",
-    "DEFAULT_SHARD_ATTEMPTS",
-    "DEFAULT_RETRY_BACKOFF",
-    "DEFAULT_RETRY_JITTER",
-    "DEFAULT_HANG_SECONDS",
-    "DEFAULT_DELAY_SECONDS",
     "KNOWN_ENV_KNOBS",
     "read_env",
 ]
@@ -105,32 +90,12 @@ BACKEND_VECTORIZED: str = "vectorized"
 #: graphs it cannot compile (mixed variable cardinalities).
 DEFAULT_BACKEND: str = BACKEND_VECTORIZED
 
-#: Environment variable naming the default discovery executor.
-PROBE_EXECUTOR_ENV: str = "REPRO_PROBE_EXECUTOR"
-
-#: Environment variable sizing the discovery worker pool.
-PROBE_WORKERS_ENV: str = "REPRO_PROBE_WORKERS"
-
-#: Environment variable selecting a seeded chaos fault plan (see
-#: :mod:`repro.reliability`) for every fan-out of the process.
-FAULT_PLAN_ENV: str = "REPRO_FAULT_PLAN"
-
-#: Environment variable overriding the per-shard discovery timeout.
-SHARD_TIMEOUT_ENV: str = "REPRO_SHARD_TIMEOUT"
-
-#: Every environment knob the package reads.  :func:`read_env` — the one
-#: sanctioned gate to ``os.environ`` outside this module (enforced by the
-#: ``knob-env-read`` rule of :mod:`repro.lintkit`) — refuses names missing
-#: from this registry, so a new knob cannot ship without being declared,
-#: documented and validated here first.
-KNOWN_ENV_KNOBS = frozenset(
-    {
-        PROBE_EXECUTOR_ENV,
-        PROBE_WORKERS_ENV,
-        FAULT_PLAN_ENV,
-        SHARD_TIMEOUT_ENV,
-    }
-)
+#: Every environment knob the package reads; empty, because it reads none.
+#: :func:`read_env` — the one sanctioned gate to ``os.environ`` outside this
+#: module (enforced by the ``knob-env-read`` rule of :mod:`repro.lintkit`) —
+#: refuses names missing from this registry, so a new knob cannot ship
+#: without being declared, documented and validated here first.
+KNOWN_ENV_KNOBS: frozenset = frozenset()
 
 
 def read_env(name: str) -> str:
@@ -149,99 +114,3 @@ def read_env(name: str) -> str:
             f"{', '.join(sorted(KNOWN_ENV_KNOBS))})"
         )
     return os.environ.get(name, "").strip()
-
-#: In-process discovery executor of the probe-plan IR
-#: (:mod:`repro.pdms.discovery`) — result-identical to the historical
-#: recursive walkers, discovery order included.
-PROBE_EXECUTOR_SERIAL: str = "serial"
-
-#: Origin-sharded discovery executor fanning a probe plan's work units out
-#: to a ``multiprocessing`` pool and merging the streamed results
-#: canonically, so the structure sets match :data:`PROBE_EXECUTOR_SERIAL`
-#: exactly regardless of worker scheduling.
-PROBE_EXECUTOR_PROCESS: str = "process"
-
-#: Chaos-hardened discovery executor
-#: (:class:`~repro.reliability.ResilientDiscoveryExecutor`): the process
-#: fan-out wrapped with per-shard timeouts, checksummed wire payloads,
-#: bounded retry with seeded backoff jitter, and per-shard serial fallback
-#: — structure sets stay canonically identical to ``serial`` no matter
-#: which faults fire.  Selected automatically whenever a fault plan is
-#: configured for a process fan-out.
-PROBE_EXECUTOR_RESILIENT: str = "resilient"
-
-#: Discovery executor used when none is requested, overridable via the
-#: ``REPRO_PROBE_EXECUTOR`` environment variable so whole test/benchmark
-#: runs can be switched without touching call sites (CI exercises the
-#: process executor this way).
-DEFAULT_PROBE_EXECUTOR: str = os.environ.get(
-    PROBE_EXECUTOR_ENV, PROBE_EXECUTOR_SERIAL
-)
-
-
-def _probe_workers_from_env() -> "int | None":
-    # Lenient on purpose: a malformed REPRO_PROBE_WORKERS must not abort
-    # module import.  resolve_probe_workers re-reads the variable at
-    # resolution time and raises the descriptive error there.
-    raw = os.environ.get(PROBE_WORKERS_ENV, "").strip()
-    if not raw:
-        return None
-    try:
-        workers = int(raw)
-    except ValueError:
-        return None
-    return workers if workers > 0 else None
-
-
-#: Worker count of the process-pool discovery executor when none is passed
-#: explicitly: the ``REPRO_PROBE_WORKERS`` environment variable (unset, empty
-#: or ``<= 0`` meaning "decide at runtime"), else ``None`` — resolved to the
-#: machine's CPU count by :func:`repro.pdms.discovery.resolve_probe_workers`,
-#: which also diagnoses malformed values with a clear error.
-DEFAULT_PROBE_WORKERS: "int | None" = _probe_workers_from_env()
-
-
-def _shard_timeout_from_env() -> "float | None":
-    # Same leniency contract as _probe_workers_from_env: malformed values
-    # are diagnosed by repro.pdms.discovery.resolve_shard_timeout, not at
-    # import time.
-    raw = os.environ.get(SHARD_TIMEOUT_ENV, "").strip()
-    if not raw:
-        return None
-    try:
-        timeout = float(raw)
-    except ValueError:
-        return None
-    return timeout if timeout > 0 else None
-
-
-#: Per-shard deadline (seconds) of the process-pool discovery fan-out when
-#: none is passed explicitly: the ``REPRO_SHARD_TIMEOUT`` environment
-#: variable, else 120 s — generous enough that it never fires on healthy
-#: probes (the 1024-peer full probe completes in well under a minute), but
-#: a wedged worker now raises a descriptive
-#: :class:`~repro.exceptions.DiscoveryTimeoutError` instead of blocking the
-#: parent forever.  ``None`` disables the deadline.
-DEFAULT_SHARD_TIMEOUT: "float | None" = _shard_timeout_from_env() or 120.0
-
-#: Attempts per shard (first run + retries) before the resilient discovery
-#: executor quarantines the shard and falls back to in-parent serial
-#: execution of its work units.
-DEFAULT_SHARD_ATTEMPTS: int = 3
-
-#: Base of the exponential retry backoff (seconds): attempt ``n`` waits
-#: ``DEFAULT_RETRY_BACKOFF * 2**n`` plus seeded jitter before resubmitting.
-DEFAULT_RETRY_BACKOFF: float = 0.05
-
-#: Upper bound of the uniform, fault-plan-seeded jitter added to each
-#: retry backoff so colliding retries de-synchronise deterministically.
-DEFAULT_RETRY_JITTER: float = 0.05
-
-#: How long an injected ``hang`` fault sleeps inside a worker.  Must exceed
-#: the shard timeout in use, so the parent observes a genuine deadline
-#: expiry; chaos runs shorten both together.
-DEFAULT_HANG_SECONDS: float = 30.0
-
-#: How long an injected ``delay`` fault sleeps — long enough to reorder
-#: shard completions, short enough never to trip a sane shard timeout.
-DEFAULT_DELAY_SECONDS: float = 0.05

@@ -9,9 +9,7 @@ factors.  It also reports, per mapping, whether the mapping provides *any*
 correspondence for the attribute — the paper treats a missing correspondence
 as correctness probability zero for that attribute (§3.2.1, the ⊥ case).
 
-Structure discovery is organised along two independent axes:
-
-**Cache scope** — *which* structures a consumer sees.
+Two caches differ in *scope* — which structures a consumer sees.
 :class:`NetworkStructureCache` caches the experimenter's global view: every
 cycle and parallel-path pair in the network, keyed on ``(network version,
 ttl, include_parallel_paths)``.  :class:`NeighborhoodStructureCache` caches
@@ -24,41 +22,30 @@ replay the network's typed event log (:func:`repro.pdms.discovery.replay_structu
 over :meth:`~repro.pdms.network.PDMSNetwork.events_since`) to refresh
 incrementally when only mappings changed.
 
-**Discovery executor** — *how* the probe work runs.  Neither cache walks
-the network itself: both lower their full probes and their
-incremental-refresh deltas onto :class:`~repro.pdms.discovery.ProbePlan`
-frontiers of per-origin work units, executed by a pluggable
-:class:`~repro.pdms.discovery.DiscoveryExecutor` (``probe_executor=``,
-defaulting through ``REPRO_PROBE_EXECUTOR`` /
-:data:`repro.constants.DEFAULT_PROBE_EXECUTOR`): ``"serial"`` runs the
-walkers in-process, result-identical to the historical recursive sweeps;
-``"process"`` shards the frontier by origin across a ``multiprocessing``
-pool and merges the streamed results canonically, so both executors produce
-identical structure sets at every cache scope.
-
-The axes compose freely — any scope runs on any executor — and
-:attr:`StructureCacheStatistics` accounts for both: lookups/refreshes per
-scope, work units / sharded probes / probe wall time per executor.
+Neither cache walks the network itself: both lower their full probes and
+their incremental-refresh deltas onto
+:class:`~repro.pdms.discovery.ProbePlan` frontiers of per-origin work units
+and run them with :func:`~repro.pdms.discovery.run_plan`, result-identical
+to the historical recursive sweeps.  :class:`StructureCacheStatistics`
+accounts for lookups, refreshes and the work units executed.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..constants import DEFAULT_TTL
 from ..exceptions import FeedbackError
 from ..mapping.mapping import Mapping
 from ..pdms.network import PDMSNetwork
-from ..reliability import ReliabilityStatistics
 from ..pdms.discovery import (
     TopologySnapshot,
     plan_full_probe,
     plan_mapping_delta,
     plan_neighborhood_probe,
     replay_structure_log,
-    resolve_discovery_executor,
+    run_plan,
 )
 from ..pdms.probing import (
     MappingCycle,
@@ -196,18 +183,9 @@ class StructureCacheStatistics:
     mapping-level changes the cache can replay — by an incremental update of
     the affected structures (``partial_refreshes``).
 
-    The remaining fields account for the probe *work* the discovery executor
-    performed on the cache's behalf: ``work_units`` counts the
-    :class:`~repro.pdms.discovery.ProbeWorkUnit`\\ s executed (full probes
-    and incremental deltas alike), ``sharded_probes`` the plan runs that
-    actually fanned out to a worker pool (an inlined small plan is not
-    sharded), and ``probe_seconds`` / ``last_probe_seconds`` the wall time
-    spent inside plan runs — cumulative and for the most recent run.
-
-    ``reliability`` accumulates the fault / retry / fallback accounting of
-    a chaos-hardened executor (see
-    :class:`~repro.reliability.ResilientDiscoveryExecutor`); it stays
-    all-zero under fault-free executors.
+    ``work_units`` counts the :class:`~repro.pdms.discovery.ProbeWorkUnit`\\ s
+    executed on the cache's behalf, full probes and incremental deltas
+    alike.
     """
 
     probes: int = 0
@@ -216,12 +194,6 @@ class StructureCacheStatistics:
     partial_refreshes: int = 0
     full_refreshes: int = 0
     work_units: int = 0
-    sharded_probes: int = 0
-    probe_seconds: float = 0.0
-    last_probe_seconds: float = 0.0
-    reliability: ReliabilityStatistics = field(
-        default_factory=ReliabilityStatistics
-    )
 
     @property
     def lookups(self) -> int:
@@ -231,11 +203,11 @@ class StructureCacheStatistics:
 class _ProbeDriver:
     """Shared probe-execution plumbing of both structure caches.
 
-    Owns the resolved :class:`~repro.pdms.discovery.DiscoveryExecutor`, a
-    per-topology-version memo of the network snapshot plans are built on,
-    and the probe-work accounting: every plan — full probe, neighbourhood
-    batch or incremental delta — runs through :meth:`run`, which times it
-    and updates the cache's :class:`StructureCacheStatistics`.
+    Owns a per-topology-version memo of the network snapshot plans are
+    built on, and the probe-work accounting: every plan — full probe,
+    neighbourhood batch or incremental delta — runs through :meth:`run`,
+    which counts its work units in the cache's
+    :class:`StructureCacheStatistics`.
     """
 
     def __init__(
@@ -243,20 +215,10 @@ class _ProbeDriver:
         network: PDMSNetwork,
         ttl: int,
         statistics: StructureCacheStatistics,
-        probe_executor: object = None,
-        probe_workers: Optional[int] = None,
-        shard_timeout: Optional[float] = None,
-        fault_plan: object = None,
     ) -> None:
         self.network = network
         self.ttl = ttl
         self.statistics = statistics
-        self.executor = resolve_discovery_executor(
-            probe_executor,
-            workers=probe_workers,
-            shard_timeout=shard_timeout,
-            fault_plan=fault_plan,
-        )
         self._snapshot: Optional[Tuple[int, TopologySnapshot]] = None
 
     def snapshot(self) -> TopologySnapshot:
@@ -267,21 +229,8 @@ class _ProbeDriver:
         return self._snapshot[1]
 
     def run(self, plan):
-        started = time.perf_counter()
-        run = self.executor.run(plan)
-        elapsed = time.perf_counter() - started
-        stats = self.statistics
-        stats.work_units += len(plan.work_units)
-        stats.probe_seconds += elapsed
-        stats.last_probe_seconds = elapsed
-        if run.sharded:
-            stats.sharded_probes += 1
-        # Duck-typed: only the chaos-hardened executors expose per-run
-        # reliability accounting (faults survived, retries, fallbacks).
-        survived = getattr(self.executor, "last_run_statistics", None)
-        if survived is not None:
-            stats.reliability.merge(survived)
-        return run
+        self.statistics.work_units += len(plan.work_units)
+        return run_plan(plan)
 
     def full_probe(
         self, include_parallel_paths: bool
@@ -295,8 +244,8 @@ class _ProbeDriver:
     def neighborhood_probe(
         self, origins: Sequence[str], include_parallel_paths: bool
     ) -> Dict[str, Tuple[Tuple[MappingCycle, ...], Tuple[ParallelPaths, ...]]]:
-        """Each origin's local structures, batched into one (possibly
-        sharded) neighbourhood plan."""
+        """Each origin's local structures, batched into one neighbourhood
+        plan."""
         plan = plan_neighborhood_probe(
             self.snapshot(),
             origins,
@@ -355,8 +304,8 @@ class NetworkStructureCache:
       :class:`~repro.pdms.events.PeerRemoved` always fall back to a full
       re-probe — peer churn changes the reachable neighbourhood itself.
 
-    Both the full probes and the incremental deltas run through the cache's
-    discovery executor (``probe_executor=``); the replay itself is the
+    Both the full probes and the incremental deltas are probe plans run by
+    :func:`~repro.pdms.discovery.run_plan`; the replay itself is the
     shared :func:`~repro.pdms.discovery.replay_structure_log`.
 
     ``statistics.partial_refreshes`` / ``full_refreshes`` record which path
@@ -380,10 +329,6 @@ class NetworkStructureCache:
         network: PDMSNetwork,
         ttl: int = DEFAULT_TTL,
         include_parallel_paths: Optional[bool] = None,
-        probe_executor: object = None,
-        probe_workers: Optional[int] = None,
-        shard_timeout: Optional[float] = None,
-        fault_plan: object = None,
     ) -> None:
         self.network = network
         # Fail fast: a nonsense ttl would otherwise only surface at the
@@ -391,24 +336,10 @@ class NetworkStructureCache:
         self.ttl = validate_ttl(ttl)
         self.include_parallel_paths = include_parallel_paths
         self.statistics = StructureCacheStatistics()
-        self._driver = _ProbeDriver(
-            network,
-            self.ttl,
-            self.statistics,
-            probe_executor,
-            probe_workers,
-            shard_timeout,
-            fault_plan,
-        )
+        self._driver = _ProbeDriver(network, self.ttl, self.statistics)
         self._key: Optional[Tuple[int, int, bool]] = None
         self._cycles: Tuple[MappingCycle, ...] = ()
         self._parallel_paths: Tuple[ParallelPaths, ...] = ()
-
-    @property
-    def probe_executor(self):
-        """The resolved :class:`~repro.pdms.discovery.DiscoveryExecutor`
-        running this cache's probe plans."""
-        return self._driver.executor
 
     def _resolved_include_parallel_paths(self) -> bool:
         if self.include_parallel_paths is None:
@@ -452,8 +383,7 @@ class NetworkStructureCache:
         re-probe (peer additions, truncated logs, or ttl / parallel-path
         flag changes).  The replay is the shared
         :func:`~repro.pdms.discovery.replay_structure_log`; the graft sets of
-        added mappings are mapping-delta plans run through the cache's
-        discovery executor.
+        added mappings are mapping-delta plans.
         """
         if self._key is None or self._key[1:] != key[1:]:
             return False
@@ -544,10 +474,10 @@ class NeighborhoodStructureCache:
     * ``add_peer`` (or a truncated log) always falls back to a full
       re-probe of the origin on its next lookup.
 
-    Full probes and deltas run through the cache's discovery executor
-    (``probe_executor=``); :meth:`warm` batches many origins' pending full
-    probes into one frontier so a sharded executor fans them out together
-    instead of origin-by-origin.
+    Full probes and deltas are probe plans run by
+    :func:`~repro.pdms.discovery.run_plan`; :meth:`warm` batches many
+    origins' pending full probes into one neighbourhood plan instead of one
+    plan per origin.
 
     As with the global cache, incrementally appended cycles are numbered
     after the surviving ones, so feedback identifiers may differ from what a
@@ -559,10 +489,6 @@ class NeighborhoodStructureCache:
         network: PDMSNetwork,
         ttl: int = DEFAULT_TTL,
         include_parallel_paths: Optional[bool] = None,
-        probe_executor: object = None,
-        probe_workers: Optional[int] = None,
-        shard_timeout: Optional[float] = None,
-        fault_plan: object = None,
     ) -> None:
         self.network = network
         # Fail fast: a nonsense ttl would otherwise only surface at the
@@ -570,15 +496,7 @@ class NeighborhoodStructureCache:
         self.ttl = validate_ttl(ttl)
         self.include_parallel_paths = include_parallel_paths
         self.statistics = StructureCacheStatistics()
-        self._driver = _ProbeDriver(
-            network,
-            self.ttl,
-            self.statistics,
-            probe_executor,
-            probe_workers,
-            shard_timeout,
-            fault_plan,
-        )
+        self._driver = _ProbeDriver(network, self.ttl, self.statistics)
         self._entries: Dict[str, _NeighborhoodEntry] = {}
         # Structures through a freshly added mapping, shared across the
         # origins replaying the same log entry at the same topology version.
@@ -589,12 +507,6 @@ class NeighborhoodStructureCache:
         # The unmappable-mapping scan is origin-independent; share it across
         # the per-origin evidence_for calls of one (attribute, version).
         self._unmappable_memo: Dict[Tuple[str, int], Tuple[str, ...]] = {}
-
-    @property
-    def probe_executor(self):
-        """The resolved :class:`~repro.pdms.discovery.DiscoveryExecutor`
-        running this cache's probe plans."""
-        return self._driver.executor
 
     def _resolved_include_parallel_paths(self) -> bool:
         if self.include_parallel_paths is None:
@@ -639,8 +551,7 @@ class NeighborhoodStructureCache:
         Fresh entries are left untouched (and unaccounted: no lookup
         happens), refreshable entries replay the mutation log exactly as a
         lazy lookup would, and the remaining origins' full probes are
-        batched into a *single* neighbourhood frontier — the plan a sharded
-        executor fans out across its worker pool.  Per-origin statistics
+        batched into a *single* neighbourhood plan.  Per-origin statistics
         (``misses`` / ``probes`` / ``partial_refreshes`` /
         ``full_refreshes``) are identical to probing the origins one
         :meth:`structures_for` call at a time.
@@ -761,18 +672,13 @@ def analyze_network(
     attribute: str,
     ttl: int = DEFAULT_TTL,
     include_parallel_paths: Optional[bool] = None,
-    probe_executor: object = None,
-    probe_workers: Optional[int] = None,
 ) -> NetworkEvidence:
     """Gather all feedback evidence for ``attribute`` across ``network``.
 
     ``include_parallel_paths`` defaults to the network's directedness:
     parallel paths are only meaningful in directed PDMS (§3.3) — in an
-    undirected network they already appear as cycles.
-
-    The enumeration is a full-probe plan run through ``probe_executor``
-    (default: the configured discovery executor); all executors yield the
-    same evidence, identifiers included.
+    undirected network they already appear as cycles.  The enumeration is
+    one full-probe plan.
 
     This probes the network from scratch on every call; use a
     :class:`NetworkStructureCache` when gathering evidence for several
@@ -780,11 +686,10 @@ def analyze_network(
     """
     if include_parallel_paths is None:
         include_parallel_paths = network.directed
-    executor = resolve_discovery_executor(probe_executor, workers=probe_workers)
     plan = plan_full_probe(
         network, ttl=ttl, include_parallel_paths=include_parallel_paths
     )
-    cycles, parallel_paths = executor.run(plan).merged()
+    cycles, parallel_paths = run_plan(plan).merged()
     feedbacks = _evidence_from_structures(cycles, parallel_paths, attribute)
     return NetworkEvidence(
         attribute=attribute,
@@ -801,25 +706,20 @@ def analyze_neighborhood(
     attribute: str,
     ttl: int = DEFAULT_TTL,
     include_parallel_paths: Optional[bool] = None,
-    probe_executor: object = None,
-    probe_workers: Optional[int] = None,
 ) -> NetworkEvidence:
     """Gather the feedback evidence one peer can see by probing with ``ttl``.
 
     This is the fully decentralised view: only cycles through ``origin`` and
     parallel paths departing from ``origin`` are considered, which is
     exactly what the peer can learn from its own probes (§3.2.1, §4.5).
-    The probe is a one-origin neighbourhood plan run through
-    ``probe_executor`` (default: the configured discovery executor).
+    The probe is a one-origin neighbourhood plan.
     """
     if include_parallel_paths is None:
         include_parallel_paths = network.directed
-    executor = resolve_discovery_executor(probe_executor, workers=probe_workers)
     plan = plan_neighborhood_probe(
         network, (origin,), ttl=ttl, include_parallel_paths=include_parallel_paths
     )
-    run = executor.run(plan)
-    (outcome,) = run.outcomes
+    (outcome,) = run_plan(plan).outcomes
     cycles, parallel_paths = outcome.cycles, outcome.parallel_paths
     feedbacks = _evidence_from_structures(cycles, parallel_paths, attribute)
     return NetworkEvidence(

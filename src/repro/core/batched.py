@@ -14,8 +14,7 @@ one of the plan lowerings :mod:`repro.core.embedded` documents (normative
 statement of the underlying layering/determinism/process-safety
 contracts: ``ARCHITECTURE.md`` at the repository root, enforced by
 ``repro-lint`` / :mod:`repro.lintkit`; the structure lists compiled here
-arrive from the discovery frontier of :mod:`repro.pdms.discovery`, serial
-or origin-sharded via ``probe_executor=``, identical either way):
+arrive from the discovery frontier of :mod:`repro.pdms.discovery`):
 
 * :func:`compile_assessment_plan` lowers the structures **once** into a
   shared :class:`~repro.factorgraph.plan.SweepPlan` (built by
@@ -39,15 +38,6 @@ or origin-sharded via ``probe_executor=``, identical either way):
   count-space :class:`~repro.factorgraph.plan.StackedCountFactorBatch`).
   Per-lane convergence masking freezes finished lanes so they stop
   contributing work.
-
-Both engines also keep the resilience row of that module: a deterministic
-:class:`~repro.reliability.FaultPlan` (``fault_plan=`` on the assessor,
-``REPRO_FAULT_PLAN`` process-wide) upgrades the probe row to the retrying
-:class:`~repro.reliability.ResilientDiscoveryExecutor` — the compiled
-plan, the structure lists and every lane's posteriors are bit-identical to
-the fault-free serial run, with the injected/survived fault counts
-reported by
-:meth:`~repro.core.quality.MappingQualityAssessor.reliability_statistics`.
 
 A lane is any ``(evidence subset, priors, Δ, rng stream)`` tuple
 (:class:`AssessmentLane`) bound to a subset of the plan's structures:

@@ -105,27 +105,9 @@ Passing``                      *disjoint* per-origin structure blocks
                                factor-major edge rows.
 =============================  ========================================
 
-Probe-executor row — one layer *up*: the structures every lowering
-consumes are themselves discovered by a
-:class:`~repro.pdms.discovery.ProbePlan` frontier run through a pluggable
-discovery executor (``probe_executor=`` on the assessor and both structure
-caches, defaulting to :data:`repro.constants.DEFAULT_PROBE_EXECUTOR`, i.e.
-the ``REPRO_PROBE_EXECUTOR`` environment variable): ``"serial"`` walks the
-frontier in-process, ``"process"`` shards it by origin over a
-``multiprocessing`` pool and merges canonically.  Both yield identical
-structure lists, so the lowerings above are completely independent of the
-probe executor — any lowering × probe executor combination agrees.
-
-Resilience row — chaos changes no result: under a deterministic
-:class:`~repro.reliability.FaultPlan` (``fault_plan=`` on the assessor and
-both structure caches, or ``REPRO_FAULT_PLAN`` process-wide) the
-``"process"`` probe row upgrades to the retrying
-:class:`~repro.reliability.ResilientDiscoveryExecutor` — per-shard
-deadlines, bounded seeded-backoff retries, checksum-verified wire
-payloads, per-shard serial quarantine fallback.  Merged structures and
-posteriors stay bit-identical to the fault-free serial run; what was
-injected, retried and quarantined is counted by
-:class:`~repro.reliability.ReliabilityStatistics`.
+One layer *up*, the structures every lowering consumes are themselves
+discovered by a :class:`~repro.pdms.discovery.ProbePlan` frontier that
+:func:`~repro.pdms.discovery.run_plan` walks in-process, in plan order.
 
 The *kernel crossover rule* is stated once, in the plan IR, and applied by
 every lowering: a feedback factor with ``arity >=``

@@ -99,18 +99,6 @@ class EvolvingPDMS:
         for the affected attributes — the traffic model of a live PDMS,
         where each peer re-judges its own mappings after churn — and records
         the per-origin views in :attr:`AssessmentRound.local_posteriors`.
-    probe_executor / probe_workers:
-        Discovery executor of the probe plans (``"serial"`` /
-        ``"process"`` / an executor object / ``None`` for the configured
-        default) and its pool size, forwarded to every assessor's structure
-        caches — structure sets are identical across executors, so churn
-        replays are invariant to the choice.
-    shard_timeout / fault_plan:
-        Fault policy of the probe fan-outs (per-shard deadline and chaos
-        :class:`~repro.reliability.FaultPlan`), forwarded to every
-        assessor — churn replays stay bit-identical under injected faults
-        because the resilient executor re-executes or serially re-walks
-        every disturbed shard.
     assessor_kwargs:
         Extra keyword arguments forwarded to every
         :class:`~repro.core.quality.MappingQualityAssessor` built after an
@@ -122,22 +110,12 @@ class EvolvingPDMS:
         network: PDMSNetwork,
         priors: Optional[PriorBeliefStore] = None,
         track_local_views: bool = False,
-        probe_executor: object = None,
-        probe_workers: Optional[int] = None,
-        shard_timeout: Optional[float] = None,
-        fault_plan: object = None,
         **assessor_kwargs,
     ) -> None:
         self.network = network
         self.priors = priors if priors is not None else PriorBeliefStore()
         self.track_local_views = track_local_views
-        self.assessor_kwargs = dict(
-            assessor_kwargs,
-            probe_executor=probe_executor,
-            probe_workers=probe_workers,
-            shard_timeout=shard_timeout,
-            fault_plan=fault_plan,
-        )
+        self.assessor_kwargs = assessor_kwargs
         self.history: List[AssessmentRound] = []
 
     # -- event application -------------------------------------------------------

@@ -124,25 +124,6 @@ class MappingQualityAssessor:
         (``seed=None`` opts into OS entropy).
     options:
         Iteration control for the embedded runs.
-    probe_executor / probe_workers:
-        Discovery executor of the probe plans — ``"serial"`` /
-        ``"process"``, a :class:`~repro.pdms.discovery.DiscoveryExecutor`
-        object, or ``None`` for the configured default
-        (:data:`repro.constants.DEFAULT_PROBE_EXECUTOR`).  Forwarded to
-        both structure caches; structure sets are identical across
-        executors, so the choice only affects probe wall-clock.
-        ``probe_workers`` sizes the process pool (``None`` = CPU count).
-    shard_timeout / fault_plan:
-        Fault policy of the probe fan-outs, forwarded to both structure
-        caches: the per-shard deadline in seconds (``None`` for
-        :data:`repro.constants.DEFAULT_SHARD_TIMEOUT`) and a chaos
-        :class:`~repro.reliability.FaultPlan` (object, spec string, or
-        ``None`` for the ``REPRO_FAULT_PLAN`` environment variable).
-        Configuring a fault plan upgrades a ``"process"`` probe executor
-        to the :class:`~repro.reliability.ResilientDiscoveryExecutor`;
-        structure sets and posteriors stay bit-identical to a fault-free
-        serial run, and the faults survived are tallied in
-        :meth:`reliability_statistics`.
     """
 
     def __init__(
@@ -155,10 +136,6 @@ class MappingQualityAssessor:
         seed: Optional[int] = DEFAULT_SEED,
         options: Optional[EmbeddedOptions] = None,
         include_parallel_paths: Optional[bool] = None,
-        probe_executor: object = None,
-        probe_workers: Optional[int] = None,
-        shard_timeout: Optional[float] = None,
-        fault_plan: object = None,
     ) -> None:
         self.network = network
         # Note: an empty PriorBeliefStore is falsy (it defines __len__), so
@@ -176,33 +153,11 @@ class MappingQualityAssessor:
         # to bound the evidence considered; passing ``False`` here keeps the
         # cycle evidence only.
         self.include_parallel_paths = include_parallel_paths
-        #: Discovery executor of the probe plans (``"serial"`` /
-        #: ``"process"`` / an executor object / ``None`` for the configured
-        #: default), forwarded to both structure caches.  Executors produce
-        #: identical structure sets; the choice only affects wall-clock.
-        self.probe_executor = probe_executor
-        self.probe_workers = probe_workers
-        #: Fault policy of the probe fan-outs (per-shard deadline + chaos
-        #: plan), forwarded to both structure caches' discovery executors.
-        self.shard_timeout = shard_timeout
-        self.fault_plan = fault_plan
         self.structure_cache = NetworkStructureCache(
-            network,
-            ttl=ttl,
-            include_parallel_paths=include_parallel_paths,
-            probe_executor=probe_executor,
-            probe_workers=probe_workers,
-            shard_timeout=shard_timeout,
-            fault_plan=fault_plan,
+            network, ttl=ttl, include_parallel_paths=include_parallel_paths
         )
         self.neighborhood_cache = NeighborhoodStructureCache(
-            network,
-            ttl=ttl,
-            include_parallel_paths=include_parallel_paths,
-            probe_executor=probe_executor,
-            probe_workers=probe_workers,
-            shard_timeout=shard_timeout,
-            fault_plan=fault_plan,
+            network, ttl=ttl, include_parallel_paths=include_parallel_paths
         )
         self._assessments: Dict[str, AttributeAssessment] = {}
         self._plan: Optional[SweepPlan] = None
@@ -414,9 +369,8 @@ class MappingQualityAssessor:
         per (origin, network version).
         """
         origin_list = list(dict.fromkeys(origins))
-        # Batch the pending neighbourhood probes into one frontier so a
-        # sharded discovery executor fans them out across its pool instead
-        # of probing origin-by-origin inside the plan compilation below.
+        # Batch the pending neighbourhood probes into one plan instead of
+        # probing origin-by-origin inside the plan compilation below.
         self.neighborhood_cache.warm(origin_list)
         plan, blocks = self._local_assessment_plan(origin_list)
         evidences = {
@@ -612,17 +566,6 @@ class MappingQualityAssessor:
         self._local_plan_key = None
         self._local_blocks = {}
         self._local_views.clear()
-
-    def reliability_statistics(self):
-        """Aggregate fault / retry / fallback accounting across both
-        structure caches' probe executors.  All-zero (falsy) under
-        fault-free execution."""
-        from ..reliability import ReliabilityStatistics
-
-        total = ReliabilityStatistics()
-        total.merge(self.structure_cache.statistics.reliability)
-        total.merge(self.neighborhood_cache.statistics.reliability)
-        return total
 
     # -- queries -----------------------------------------------------------------------------
 

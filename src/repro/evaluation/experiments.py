@@ -38,13 +38,7 @@ from ..generators.paper import (
     single_cycle_feedback,
 )
 from ..alignment.eon import EONScenario, build_eon_network
-from ..pdms.discovery import (
-    ProcessPoolDiscoveryExecutor,
-    SerialDiscoveryExecutor,
-    plan_full_probe,
-    resolve_discovery_executor,
-    resolve_probe_workers,
-)
+from ..pdms.discovery import plan_full_probe, run_plan
 from ..pdms.events import MappingAdded, PeerAdded
 from ..pdms.gossip import GossipHarness, SeededTransport
 from ..pdms.network import PDMSNetwork
@@ -1819,22 +1813,15 @@ def run_long_cycle_throughput(
 
 
 # ---------------------------------------------------------------------------
-# EX — probe throughput: origin-sharded discovery vs the serial walkers
+# EX — probe throughput: full-probe structure discovery
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class ProbeThroughputPoint:
-    """Timing of one full-probe frontier on both discovery executors.
-
-    Both executors run the *same* :class:`~repro.pdms.discovery.ProbePlan`
-    (one snapshot, one frontier of cycles-through / paths-from work units),
-    so the comparison isolates exactly what the sharding targets: the
-    recursive enumeration work.  The merged structure lists must be
-    canonically identical — the runner raises
-    :class:`~repro.exceptions.EvaluationError` otherwise, so a reported
-    speedup is always a speedup on verified-equal output.
-    """
+    """Timing of one full-probe frontier run by
+    :func:`~repro.pdms.discovery.run_plan` (one snapshot, one frontier of
+    cycles-through / paths-from work units)."""
 
     peer_count: int
     ttl: int
@@ -1843,36 +1830,16 @@ class ProbeThroughputPoint:
     cycle_count: int
     parallel_path_count: int
     serial_seconds: float
-    process_seconds: float
-    sharded: bool
-    workers: int
-    #: Fault / retry / fallback accounting of the process-side executor
-    #: (:meth:`~repro.reliability.ReliabilityStatistics.as_dict`, summed
-    #: over the timing repeats) when it ran chaos-hardened; ``None`` for a
-    #: plain fault-free pool.
-    reliability: Optional[Dict[str, int]] = None
 
     @property
     def structure_count(self) -> int:
         return self.cycle_count + self.parallel_path_count
 
     @property
-    def speedup(self) -> float:
-        if self.process_seconds <= 0.0:
-            return float("inf")
-        return self.serial_seconds / self.process_seconds
-
-    @property
     def serial_structures_per_second(self) -> float:
         if self.serial_seconds <= 0.0:
             return float("inf")
         return self.structure_count / self.serial_seconds
-
-    @property
-    def process_structures_per_second(self) -> float:
-        if self.process_seconds <= 0.0:
-            return float("inf")
-        return self.structure_count / self.process_seconds
 
 
 @dataclass(frozen=True)
@@ -1895,92 +1862,33 @@ def run_probe_throughput(
     peer_counts: Sequence[int] = (256,),
     ttl: int = 3,
     repeats: int = 2,
-    probe_workers: Optional[int] = None,
-    min_units: int = 4,
-    shard_timeout: Optional[float] = None,
-    fault_plan: object = None,
 ) -> ProbeThroughputResult:
-    """Measure full-probe discovery: process-pool sharding vs serial walkers.
+    """Measure full-probe structure discovery.
 
     For each peer count a scale-free PDMS is generated (mappings in both
     directions, the probe-heavy regime) and one full-probe plan — every
-    peer's cycles-through and paths-from units at ``ttl`` — is executed on
-    the :class:`~repro.pdms.discovery.SerialDiscoveryExecutor` and on the
-    :class:`~repro.pdms.discovery.ProcessPoolDiscoveryExecutor` (best of
-    ``repeats`` each).  ``probe_workers=None`` resolves through
-    ``REPRO_PROBE_WORKERS`` / the CPU count; on a single-core machine the
-    pool executor degenerates to an inlined serial run and the point records
-    ``sharded=False``.  The merged structure lists of the two executors are
-    compared structure-for-structure (canonical keys in merge order) and an
-    :class:`~repro.exceptions.EvaluationError` is raised on any divergence.
-
-    ``shard_timeout`` / ``fault_plan`` configure the process side's fault
-    policy: the process executor resolves through
-    :func:`~repro.pdms.discovery.resolve_discovery_executor`, so a chaos
-    plan — passed explicitly or via ``REPRO_FAULT_PLAN`` — upgrades it to
-    the :class:`~repro.reliability.ResilientDiscoveryExecutor` and the
-    point records the faults survived (parity is still enforced, making
-    this the CI chaos-smoke entry point).
+    peer's cycles-through and paths-from units at ``ttl`` — is run by
+    :func:`~repro.pdms.discovery.run_plan` (best of ``repeats``).
     """
-    workers = resolve_probe_workers(probe_workers)
     points: List[ProbeThroughputPoint] = []
     for peer_count in peer_counts:
         network = scale_free_network(peer_count, seed=peer_count)
         plan = plan_full_probe(network, ttl=ttl, include_parallel_paths=True)
-
-        serial_executor = SerialDiscoveryExecutor()
-        process_executor = resolve_discovery_executor(
-            "process",
-            workers=workers,
-            shard_timeout=shard_timeout,
-            fault_plan=fault_plan,
-        )
-        process_executor.min_units = min_units
-
-        def best_of(executor):
-            best_seconds = float("inf")
-            run = None
-            for _ in range(max(1, repeats)):
-                start = time.perf_counter()
-                run = executor.run(plan)
-                best_seconds = min(best_seconds, time.perf_counter() - start)
-            return run, best_seconds
-
-        serial_run, serial_seconds = best_of(serial_executor)
-        process_run, process_seconds = best_of(process_executor)
-
-        serial_cycles, serial_paths = serial_run.merged()
-        process_cycles, process_paths = process_run.merged()
-        if [c.canonical_key() for c in serial_cycles] != [
-            c.canonical_key() for c in process_cycles
-        ]:
-            raise EvaluationError(
-                f"sharded and serial cycle sets diverge at {peer_count} peers"
-            )
-        if [p.canonical_key() for p in serial_paths] != [
-            p.canonical_key() for p in process_paths
-        ]:
-            raise EvaluationError(
-                f"sharded and serial parallel-path sets diverge at "
-                f"{peer_count} peers"
-            )
-
-        survived = getattr(process_executor, "statistics", None)
+        best_seconds = float("inf")
+        for _ in range(max(1, repeats)):
+            start = time.perf_counter()
+            run = run_plan(plan)
+            best_seconds = min(best_seconds, time.perf_counter() - start)
+        cycles, paths = run.merged()
         points.append(
             ProbeThroughputPoint(
                 peer_count=peer_count,
                 ttl=ttl,
                 mapping_count=len(network.mapping_names),
                 work_units=len(plan.work_units),
-                cycle_count=len(serial_cycles),
-                parallel_path_count=len(serial_paths),
-                serial_seconds=serial_seconds,
-                process_seconds=process_seconds,
-                sharded=process_run.sharded,
-                workers=process_run.workers,
-                reliability=(
-                    survived.as_dict() if survived is not None else None
-                ),
+                cycle_count=len(cycles),
+                parallel_path_count=len(paths),
+                serial_seconds=best_seconds,
             )
         )
     return ProbeThroughputResult(points=tuple(points), ttl=ttl)

@@ -20,8 +20,6 @@ __all__ = [
     "MappingCompositionError",
     "PDMSError",
     "UnknownPeerError",
-    "DiscoveryTimeoutError",
-    "InjectedFaultError",
     "QueryError",
     "RoutingError",
     "FeedbackError",
@@ -93,22 +91,6 @@ class PDMSError(ReproError):
 
 class UnknownPeerError(PDMSError):
     """Raised when referencing a peer that is not part of the network."""
-
-
-class DiscoveryTimeoutError(PDMSError):
-    """Raised when a sharded probe's worker exceeds its per-shard timeout.
-
-    Carries enough context (shard, units, deadline) in its message to point
-    at the wedged fan-out; the :class:`~repro.reliability.ResilientDiscoveryExecutor`
-    catches it internally and retries instead of surfacing it."""
-
-
-class InjectedFaultError(ReproError):
-    """A deterministic chaos fault fired by a :class:`~repro.reliability.FaultInjector`.
-
-    Only ever raised under an explicitly configured
-    :class:`~repro.reliability.FaultPlan`; production code paths never
-    construct it."""
 
 
 class QueryError(PDMSError):

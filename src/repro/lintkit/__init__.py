@@ -1,13 +1,13 @@
 """``repro.lintkit`` — AST-based architectural analyzer for this repo.
 
 Every guarantee the reproduction makes — bit-identical posteriors across
-the four sweep engines, order-independent sharded discovery merges, chaos
-runs identical to fault-free serial — rests on conventions that used to
-live in docstrings and two ad-hoc test sweeps.  This subsystem states each
-invariant once, as data (:mod:`repro.lintkit.contracts`), and enforces it
-mechanically over the whole tree:
+the sweep engines, discovery order-identical to the recursive walkers —
+rests on conventions that used to live in docstrings and two ad-hoc test
+sweeps.  This subsystem states each invariant once, as data
+(:mod:`repro.lintkit.contracts`), and enforces it mechanically over the
+whole tree:
 
-* **layering** — the sanctioned import DAG (schema/mapping → fan-out →
+* **layering** — the sanctioned import DAG (schema/mapping → discovery →
   factorgraph → core → generators → evaluation → cli), the plan-IR kernel
   surface and the discovery-walker ban;
 * **determinism** — no hidden-global-state randomness, explicit seeds for

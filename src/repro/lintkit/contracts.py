@@ -3,8 +3,8 @@
 Every invariant the :mod:`repro.lintkit` rules enforce is declared in this
 module — the layering DAG, the plan-IR kernel surface, the discovery-walker
 ban, the rng-stream contract's banned global entry points, the
-picklable-boundary allowlist of the process fan-outs, and the registry of
-validated environment knobs.  ``ARCHITECTURE.md`` at the repository root is
+picklable-boundary allowlist of process submission sites, and the registry
+of validated environment knobs.  ``ARCHITECTURE.md`` at the repository root is
 the prose rendering of the same contracts (a doc-sync test asserts it names
 every layer, boundary type and knob declared here); the rules in
 :mod:`repro.lintkit.rules` are generated from these tables, so changing a
@@ -24,13 +24,6 @@ imports that break bootstrap cycles — is allowlisted in
 from __future__ import annotations
 
 from typing import Dict, FrozenSet, Mapping, Tuple
-
-from ..constants import (
-    FAULT_PLAN_ENV,
-    PROBE_EXECUTOR_ENV,
-    PROBE_WORKERS_ENV,
-    SHARD_TIMEOUT_ENV,
-)
 
 __all__ = [
     "RULESET_VERSION",
@@ -61,7 +54,7 @@ __all__ = [
 #: Version of the rule set, stamped into every ``--json`` report and into
 #: the ``lintkit_version`` field of the ``BENCH_*.json`` provenance records.
 #: Bump it whenever a contract table or a rule's semantics change.
-RULESET_VERSION = "1.2.0"
+RULESET_VERSION = "1.3.0"
 
 
 # ---------------------------------------------------------------------------
@@ -69,20 +62,18 @@ RULESET_VERSION = "1.2.0"
 # ---------------------------------------------------------------------------
 
 #: Layer assignment: dotted-module prefix -> layer name.  The most specific
-#: matching prefix wins, which is how ``repro.pdms.discovery`` (and the
-#: reliability substrate it forms one layer with) and the multi-node
-#: ``repro.pdms.gossip`` harness (which drives the core assessors over
-#: event-sourced replicas) escape the ``repro.pdms`` topology layer they
-#: physically live in.
+#: matching prefix wins, which is how ``repro.pdms.discovery`` and the
+#: multi-node ``repro.pdms.gossip`` harness (which drives the core assessors
+#: over event-sourced replicas) escape the ``repro.pdms`` topology layer
+#: they physically live in.
 LAYER_PREFIXES: Mapping[str, str] = {
     "repro.exceptions": "foundation",
     "repro.constants": "foundation",
     "repro.schema": "schema",
     "repro.mapping": "mapping",
     "repro.pdms": "pdms",
-    "repro.pdms.discovery": "fanout",
+    "repro.pdms.discovery": "discovery",
     "repro.pdms.gossip": "gossip",
-    "repro.reliability": "fanout",
     "repro.factorgraph": "factorgraph",
     "repro.core": "core",
     "repro.generators": "generators",
@@ -104,10 +95,10 @@ IMPORT_DAG: Mapping[str, FrozenSet[str]] = {
     "schema": frozenset({"foundation"}),
     "mapping": frozenset({"foundation", "schema"}),
     "pdms": frozenset({"foundation", "schema", "mapping"}),
-    "fanout": frozenset({"foundation", "schema", "mapping", "pdms"}),
+    "discovery": frozenset({"foundation", "schema", "mapping", "pdms"}),
     "factorgraph": frozenset({"foundation"}),
     "core": frozenset(
-        {"foundation", "schema", "mapping", "pdms", "fanout", "factorgraph"}
+        {"foundation", "schema", "mapping", "pdms", "discovery", "factorgraph"}
     ),
     "gossip": frozenset(
         {
@@ -115,7 +106,7 @@ IMPORT_DAG: Mapping[str, FrozenSet[str]] = {
             "schema",
             "mapping",
             "pdms",
-            "fanout",
+            "discovery",
             "factorgraph",
             "core",
         }
@@ -130,7 +121,7 @@ IMPORT_DAG: Mapping[str, FrozenSet[str]] = {
             "schema",
             "mapping",
             "pdms",
-            "fanout",
+            "discovery",
             "factorgraph",
             "core",
             "gossip",
@@ -144,7 +135,7 @@ IMPORT_DAG: Mapping[str, FrozenSet[str]] = {
             "schema",
             "mapping",
             "pdms",
-            "fanout",
+            "discovery",
             "factorgraph",
             "core",
             "gossip",
@@ -160,7 +151,7 @@ IMPORT_DAG: Mapping[str, FrozenSet[str]] = {
             "schema",
             "mapping",
             "pdms",
-            "fanout",
+            "discovery",
             "factorgraph",
             "core",
             "gossip",
@@ -179,7 +170,7 @@ IMPORT_DAG: Mapping[str, FrozenSet[str]] = {
 #: plans lazily.
 DEFERRED_EDGES: FrozenSet[Tuple[str, str]] = frozenset(
     {
-        ("pdms", "fanout"),
+        ("pdms", "discovery"),
     }
 )
 
@@ -262,7 +253,6 @@ DETERMINISM_SCOPE: Tuple[str, ...] = (
     "repro.factorgraph",
     "repro.core",
     "repro.pdms",
-    "repro.reliability",
 )
 
 #: Module-level functions of :mod:`random` that mutate the interpreter's
@@ -358,10 +348,10 @@ PROCESS_CONSTRUCTORS: FrozenSet[str] = frozenset(
     {"Process", "Pool", "ProcessPoolExecutor"}
 )
 
-#: Repository-defined types sanctioned to cross the shard wire — the
-#: ``TopologySnapshot``/``FaultPlan`` pattern of PRs 7–8: immutable,
-#: explicitly picklable, checksummable.  A repo class constructed inline
-#: at a process submission site must be registered here.  The topology
+#: Repository-defined types sanctioned to cross a process boundary —
+#: immutable and explicitly picklable, like ``TopologySnapshot``.  A repo
+#: class constructed inline at a process submission site must be
+#: registered here.  The topology
 #: event records, the vector clock and the journal entry are the wire
 #: vocabulary of the gossip substrate (:mod:`repro.pdms.events` /
 #: :mod:`repro.pdms.clock`): frozen dataclasses a future socket runtime
@@ -372,8 +362,6 @@ PICKLABLE_BOUNDARY: FrozenSet[str] = frozenset(
         "ProbePlan",
         "ProbeWorkUnit",
         "ProbeOutcome",
-        "FaultPlan",
-        "FaultInjector",
         "PeerAdded",
         "PeerRemoved",
         "MappingAdded",
@@ -394,18 +382,11 @@ PICKLABLE_BOUNDARY: FrozenSet[str] = frozenset(
 #: declared, documented and strictly parsed in exactly one place.
 KNOB_RESOLVER_MODULES: FrozenSet[str] = frozenset({"repro.constants"})
 
-#: Every environment knob the package reads, by its declared name.  Kept
-#: in lockstep with :data:`repro.constants.KNOWN_ENV_KNOBS` (they are the
-#: same frozenset re-exported; the doc-sync test asserts ARCHITECTURE.md
-#: names each one).
-KNOWN_ENV_KNOBS: FrozenSet[str] = frozenset(
-    {
-        PROBE_EXECUTOR_ENV,
-        PROBE_WORKERS_ENV,
-        FAULT_PLAN_ENV,
-        SHARD_TIMEOUT_ENV,
-    }
-)
+#: Every environment knob the package reads, by its declared name — none
+#: today.  Kept in lockstep with :data:`repro.constants.KNOWN_ENV_KNOBS`
+#: (the doc-sync test asserts the two sets are equal and that
+#: ARCHITECTURE.md names each knob).
+KNOWN_ENV_KNOBS: FrozenSet[str] = frozenset()
 
 
 def _validate_contracts() -> None:

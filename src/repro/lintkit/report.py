@@ -4,8 +4,8 @@
 assembled — the CLI serialises it verbatim and the schema-stability test
 pins its key set.  :func:`lint_status` is the benchmark-provenance hook:
 ``benchmarks/conftest.py`` stamps ``lint_clean`` / ``lintkit_version`` into
-every ``BENCH_*.json`` through it, so perf reports carry the same
-correctness provenance as ``executor`` / ``probe_executor``.
+every ``BENCH_*.json`` through it, next to the git revision, so a perf
+number always names the tree it came from and whether that tree was clean.
 """
 
 from __future__ import annotations

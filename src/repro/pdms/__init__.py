@@ -1,6 +1,6 @@
 """PDMS substrate: peers, mapping networks, typed topology events, vector
 clocks, queries, reformulation, routing, neighbourhood probing and the
-sharded discovery core.
+probe-plan discovery core.
 
 The multi-node gossip harness (:mod:`repro.pdms.gossip`) is *not*
 re-exported here: it sits in its own layer above the core engines, so
@@ -36,20 +36,16 @@ from .probing import (
     validate_ttl,
 )
 from .discovery import (
-    DiscoveryExecutor,
     ProbeOutcome,
     ProbePlan,
     ProbeRun,
     ProbeWorkUnit,
-    ProcessPoolDiscoveryExecutor,
-    SerialDiscoveryExecutor,
     TopologySnapshot,
     plan_full_probe,
     plan_mapping_delta,
     plan_neighborhood_probe,
     replay_structure_log,
-    resolve_discovery_executor,
-    resolve_probe_workers,
+    run_plan,
 )
 
 __all__ = [
@@ -85,18 +81,14 @@ __all__ = [
     "find_parallel_paths_from",
     "probe_neighborhood",
     "validate_ttl",
-    "DiscoveryExecutor",
     "ProbeOutcome",
     "ProbePlan",
     "ProbeRun",
     "ProbeWorkUnit",
-    "ProcessPoolDiscoveryExecutor",
-    "SerialDiscoveryExecutor",
     "TopologySnapshot",
     "plan_full_probe",
     "plan_mapping_delta",
     "plan_neighborhood_probe",
     "replay_structure_log",
-    "resolve_discovery_executor",
-    "resolve_probe_workers",
+    "run_plan",
 ]

@@ -1,68 +1,30 @@
-"""The discovery core: probe plans × executors × fault policy.
+"""The discovery core: probe plans run in-process.
 
 Cycle / parallel-path discovery is the probe phase of §3.2.1 — peers flood
 their neighbourhood with TTL-bounded probe messages.  The recursive walkers
 living in :mod:`repro.pdms.probing` enumerate one origin's view at a time;
 this module is the layer above them, mirroring what
-:mod:`repro.factorgraph.plan` did for the sweep engines one level down.
-Every probe is described, run and hardened along three independent axes:
+:mod:`repro.factorgraph.plan` does for the sweep engines one level down.
 
-**Plan** — *what* to discover.  A :class:`ProbePlan` IR: an immutable,
-picklable :class:`TopologySnapshot` of the network plus a *frontier* of
-per-origin :class:`ProbeWorkUnit`\\ s (cycles-through,
-parallel-paths-from/-through and full-neighbourhood probes), with the TTL
-and the parallel-path flag stated once for the whole plan.  Both structure
-caches of :mod:`repro.core.analysis` lower their full probes *and* their
-mutation-log incremental refreshes onto this frontier
-(:func:`replay_structure_log` is the shared replay that used to be
-duplicated per cache).
+A :class:`ProbePlan` states *what* to discover: an immutable, picklable
+:class:`TopologySnapshot` of the network plus a *frontier* of per-origin
+:class:`ProbeWorkUnit`\\ s (cycles-through, parallel-paths-from/-through
+and full-neighbourhood probes), with the TTL and the parallel-path flag
+stated once for the whole plan.  Both structure caches of
+:mod:`repro.core.analysis` lower their full probes *and* their mutation-log
+incremental refreshes onto this frontier (:func:`replay_structure_log` is
+the shared replay).
 
-**Executor** — *how* to run it.  A :class:`DiscoveryExecutor` protocol with
-three implementations: :class:`SerialDiscoveryExecutor` (in-process, result
-order identical to the historical recursive sweeps),
-:class:`ProcessPoolDiscoveryExecutor` (origin-sharded fan-out over a
-``multiprocessing`` pool — origins partition cleanly, every structure is
-discoverable from exactly the origins its work unit names — with results
-streamed back as compact, checksummed name tuples and rehydrated against
-the parent's snapshot) and the chaos-hardened
-:class:`~repro.reliability.ResilientDiscoveryExecutor` layered on top of
-the process fan-out.  Whatever the executor, outcomes are reassembled by
-work-unit position and merged canonically (:func:`merge_structures` via
-:meth:`ProbeRun.merged`): deduplication by the structures'
-rotation/order-invariant canonical keys makes the merged structure set
-deterministic and independent of worker scheduling — serial, sharded and
-chaos-ridden discovery produce identical structure lists.
-
-**Fault policy** — *what may go wrong, and what happens then*.  Workers
-can crash, hang, straggle or return corrupted payloads; the policy axis
-decides how the parent reacts.  The baseline
-:class:`ProcessPoolDiscoveryExecutor` is fail-fast but never silent: every
-shard carries a per-shard deadline (:func:`resolve_shard_timeout`, default
-:data:`repro.constants.DEFAULT_SHARD_TIMEOUT`) turning a wedged worker
-into a descriptive :class:`~repro.exceptions.DiscoveryTimeoutError`, and
-every wire payload carries a :func:`payload_checksum` so corruption is
-detected before — never merged after — rehydration.  The resilient
-executor upgrades detection to recovery: bounded retry with seeded
-backoff, quarantine, per-shard serial fallback.  Deterministic chaos
-(seeded :class:`~repro.reliability.FaultPlan` schedules, installed into
-workers through the same :func:`_install_worker_plan` pool initializer
-that ships the plan) exercises all of it reproducibly.
-
-The executor and fault policy are selected per consumer
-(``probe_executor=``, ``fault_plan=``, ``shard_timeout=``), falling back
-to the ``REPRO_PROBE_EXECUTOR`` / ``REPRO_FAULT_PLAN`` /
-``REPRO_SHARD_TIMEOUT`` environment variables; all resolution helpers
-(:func:`resolve_discovery_executor`, :func:`resolve_probe_workers`,
-:func:`resolve_shard_timeout`) validate their inputs eagerly and name the
-offending knob in their errors.
+:func:`run_plan` runs a plan's units in plan order on the calling thread,
+one :class:`ProbeOutcome` per unit, and :meth:`ProbeRun.merged` deduplicates
+them canonically (:func:`merge_structures`): cycles by their
+rotation-invariant key, parallel paths by their branch-order-invariant key,
+keeping the first discovery's orientation.  The merged lists are therefore
+order-identical to the historical recursive sweeps.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-import time
-import zlib
 from dataclasses import dataclass
 from typing import (
     Callable,
@@ -70,26 +32,12 @@ from typing import (
     Iterable,
     List,
     Optional,
-    Protocol,
     Sequence,
     Tuple,
-    runtime_checkable,
 )
 
-from ..constants import (
-    DEFAULT_PROBE_EXECUTOR,
-    DEFAULT_PROBE_WORKERS,
-    DEFAULT_SHARD_TIMEOUT,
-    DEFAULT_TTL,
-    PROBE_EXECUTOR_ENV,
-    PROBE_EXECUTOR_PROCESS,
-    PROBE_EXECUTOR_RESILIENT,
-    PROBE_EXECUTOR_SERIAL,
-    PROBE_WORKERS_ENV,
-    SHARD_TIMEOUT_ENV,
-    read_env,
-)
-from ..exceptions import DiscoveryTimeoutError, PDMSError, UnknownPeerError
+from ..constants import DEFAULT_TTL
+from ..exceptions import PDMSError, UnknownPeerError
 from ..mapping.mapping import Mapping
 from .events import MappingAdded, MappingRemoved, TopologyEvent
 from .probing import (
@@ -116,14 +64,8 @@ __all__ = [
     "plan_mapping_delta",
     "execute_work_unit",
     "merge_structures",
+    "run_plan",
     "replay_structure_log",
-    "DiscoveryExecutor",
-    "SerialDiscoveryExecutor",
-    "ProcessPoolDiscoveryExecutor",
-    "payload_checksum",
-    "resolve_discovery_executor",
-    "resolve_probe_workers",
-    "resolve_shard_timeout",
 ]
 
 
@@ -152,7 +94,7 @@ class TopologySnapshot:
     :meth:`has_peer`), so every walker runs unchanged against a live
     :class:`~repro.pdms.network.PDMSNetwork` or a snapshot of it.  The
     derived adjacency indexes are rebuilt lazily after unpickling instead of
-    being shipped to workers.
+    being pickled.
     """
 
     __slots__ = (
@@ -270,8 +212,6 @@ PATHS_THROUGH = "paths-through"
 #: includes them) its departing parallel paths, in one unit.
 NEIGHBORHOOD = "neighborhood"
 
-_UNIT_KINDS = frozenset({CYCLES_THROUGH, PATHS_FROM, PATHS_THROUGH, NEIGHBORHOOD})
-
 
 @dataclass(frozen=True)
 class ProbeWorkUnit:
@@ -280,8 +220,7 @@ class ProbeWorkUnit:
     ``subject`` names the origin peer (or, for :data:`PATHS_THROUGH`, the
     mapping whose source peer anchors the unit).  ``via`` optionally
     restricts the unit's results to structures traversing that mapping —
-    stated on the unit so the added-edge filter of incremental refreshes
-    runs inside the worker instead of shipping discarded structures back.
+    the added-edge filter of incremental refreshes.
     """
 
     kind: str
@@ -294,9 +233,8 @@ class ProbePlan:
     """An immutable, picklable description of one discovery problem.
 
     The TTL and the parallel-path flag are stated once for the whole plan;
-    executors and workers never re-derive them per unit.  Plans are
-    self-contained (snapshot included), so any executor — in-process or a
-    worker pool — produces identical outcomes from the same plan.
+    the units never re-derive them.  Plans are self-contained (snapshot
+    included), so the same plan always produces the same outcomes.
     """
 
     snapshot: TopologySnapshot
@@ -304,18 +242,11 @@ class ProbePlan:
     ttl: int
     include_parallel_paths: bool
 
-    def origin_of(self, unit: ProbeWorkUnit) -> str:
-        """The peer whose neighbourhood a unit probes (the sharding key)."""
-        if unit.kind == PATHS_THROUGH:
-            return self.snapshot.mapping(unit.subject).source
-        return unit.subject
-
 
 @dataclass(frozen=True)
 class ProbeOutcome:
-    """What one work unit discovered, tagged with its plan position."""
+    """What one work unit discovered."""
 
-    index: int
     cycles: Tuple[MappingCycle, ...]
     parallel_paths: Tuple[ParallelPaths, ...]
 
@@ -363,7 +294,7 @@ def plan_mapping_delta(
 ) -> ProbePlan:
     """The structures *through* a freshly added mapping — everything an
     incremental refresh must graft: the cycles containing it (enumerated
-    from its source peer, ``via``-filtered in the worker) and, when parallel
+    from its source peer, ``via``-filtered) and, when parallel
     paths are enabled, the pairs routing a branch through it."""
     snapshot = TopologySnapshot.of(snapshot)
     validate_ttl(ttl)
@@ -374,10 +305,9 @@ def plan_mapping_delta(
     return ProbePlan(snapshot, tuple(units), ttl, include_parallel_paths)
 
 
-def execute_work_unit(plan: ProbePlan, index: int) -> ProbeOutcome:
+def execute_work_unit(plan: ProbePlan, unit: ProbeWorkUnit) -> ProbeOutcome:
     """Run one unit of a plan with the recursive walkers of
     :mod:`repro.pdms.probing` against the plan's snapshot."""
-    unit = plan.work_units[index]
     snapshot, ttl = plan.snapshot, plan.ttl
     cycles: Tuple[MappingCycle, ...] = ()
     parallel_paths: Tuple[ParallelPaths, ...] = ()
@@ -402,7 +332,7 @@ def execute_work_unit(plan: ProbePlan, index: int) -> ProbeOutcome:
         parallel_paths = tuple(
             p for p in parallel_paths if unit.via in p.mapping_names
         )
-    return ProbeOutcome(index=index, cycles=cycles, parallel_paths=parallel_paths)
+    return ProbeOutcome(cycles=cycles, parallel_paths=parallel_paths)
 
 
 # ---------------------------------------------------------------------------
@@ -411,26 +341,22 @@ def execute_work_unit(plan: ProbePlan, index: int) -> ProbeOutcome:
 
 
 def merge_structures(
-    outcomes: Iterable[Optional[ProbeOutcome]],
+    outcomes: Iterable[ProbeOutcome],
 ) -> Tuple[Tuple[MappingCycle, ...], Tuple[ParallelPaths, ...]]:
     """Merge per-unit outcomes into one deduplicated structure set.
 
-    Outcomes are consumed in plan position (callers reassemble streamed
-    results by :attr:`ProbeOutcome.index` first) and deduplicated by the
+    Outcomes are consumed in plan position and deduplicated by the
     structures' canonical keys — rotation-invariant for cycles,
     branch-order-invariant for parallel paths — keeping the first
     discovery's orientation.  The merged lists therefore depend only on the
-    plan, never on which worker finished first, and coincide with the
-    historical sequential enumeration for the plans
-    :func:`plan_full_probe` builds.
+    plan, and coincide with the historical sequential enumeration for the
+    plans :func:`plan_full_probe` builds.
     """
     cycles: List[MappingCycle] = []
     parallel_paths: List[ParallelPaths] = []
     seen_cycles: set = set()
     seen_paths: set = set()
     for outcome in outcomes:
-        if outcome is None:
-            continue
         for cycle in outcome.cycles:
             key = cycle.canonical_key()
             if key not in seen_cycles:
@@ -446,436 +372,23 @@ def merge_structures(
 
 @dataclass(frozen=True)
 class ProbeRun:
-    """A plan's executed outcomes plus how they were produced."""
+    """A plan's executed outcomes, one per work unit in plan order."""
 
     plan: ProbePlan
     outcomes: Tuple[ProbeOutcome, ...]
-    sharded: bool
-    workers: int
 
     def merged(self) -> Tuple[Tuple[MappingCycle, ...], Tuple[ParallelPaths, ...]]:
         return merge_structures(self.outcomes)
 
 
-# ---------------------------------------------------------------------------
-# executors
-# ---------------------------------------------------------------------------
+def run_plan(plan: ProbePlan) -> ProbeRun:
+    """Run every unit of ``plan`` in plan order on the calling thread.
 
-
-@runtime_checkable
-class DiscoveryExecutor(Protocol):
-    """Anything that can run a :class:`ProbePlan` to a :class:`ProbeRun`."""
-
-    name: str
-
-    def run(self, plan: ProbePlan) -> ProbeRun:  # pragma: no cover - protocol
-        ...
-
-
-class SerialDiscoveryExecutor:
-    """In-process execution, one unit after the other.
-
-    Result-identical to the historical recursive walkers: the units run in
-    plan order on the calling thread, so even discovery *order* (not just
-    the canonical sets) matches the pre-frontier sequential code.
-    """
-
-    name = PROBE_EXECUTOR_SERIAL
-
-    def run(self, plan: ProbePlan) -> ProbeRun:
-        outcomes = tuple(
-            execute_work_unit(plan, index) for index in range(len(plan.work_units))
-        )
-        return ProbeRun(plan=plan, outcomes=outcomes, sharded=False, workers=1)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "SerialDiscoveryExecutor()"
-
-
-# -- worker-side machinery of the process pool --------------------------------
-
-#: Plan installed once per worker by the pool initializer, so shards only
-#: ship unit indices instead of re-pickling the snapshot per task.
-_WORKER_PLAN: Optional[ProbePlan] = None
-
-#: Chaos injector installed alongside the plan when the run carries a
-#: :class:`~repro.reliability.FaultPlan`; ``None`` in production runs.
-_WORKER_INJECTOR: Optional[object] = None
-
-
-def _install_worker_plan(plan: ProbePlan, fault_plan: object = None) -> None:
-    """Pool initializer: install the plan (and, under chaos, the injector).
-
-    This is the one hook through which anything reaches a discovery worker
-    — the probe plan always, and a seeded
-    :class:`~repro.reliability.FaultPlan` when the parent executor runs a
-    chaos schedule."""
-    global _WORKER_PLAN, _WORKER_INJECTOR
-    _WORKER_PLAN = plan
-    if fault_plan is None:
-        _WORKER_INJECTOR = None
-    else:
-        from ..reliability import FaultInjector
-
-        _WORKER_INJECTOR = FaultInjector(fault_plan)
-
-
-def _wire_cycle(cycle: MappingCycle) -> Tuple[str, Tuple[str, ...]]:
-    return (cycle.origin, cycle.mapping_names)
-
-
-def _wire_pair(pair: ParallelPaths) -> Tuple[str, str, Tuple[str, ...], Tuple[str, ...]]:
-    return (
-        pair.source,
-        pair.target,
-        tuple(m.name for m in pair.first),
-        tuple(m.name for m in pair.second),
-    )
-
-
-def _execute_shard(indices: Sequence[int]):
-    """Run one shard of unit indices; return *wire* outcomes.
-
-    Structures cross the process boundary as mapping-name tuples, not as
-    full :class:`~repro.mapping.mapping.Mapping` objects — a large probe
-    returns tens of thousands of structures, and shipping the (shared)
-    mapping objects per structure would make result pickling dominate the
-    fan-out.  The parent rehydrates against its own snapshot, so merged
-    structures reference the parent's mapping instances exactly as serial
-    discovery would.
-    """
-    plan = _WORKER_PLAN
-    assert plan is not None, "worker pool initialized without a probe plan"
-    wired = []
-    for index in indices:
-        outcome = execute_work_unit(plan, index)
-        wired.append(
-            (
-                index,
-                tuple(_wire_cycle(c) for c in outcome.cycles),
-                tuple(_wire_pair(p) for p in outcome.parallel_paths),
-            )
-        )
-    return wired
-
-
-def payload_checksum(wired) -> int:
-    """CRC32 over a shard's wire payload (nested tuples of names/indices).
-
-    The payload is pure strings, ints and tuples, whose ``repr`` is a
-    deterministic serialization — cheap enough to compute on both sides of
-    the process boundary, strong enough that a corrupted shard result is
-    detected and re-executed instead of merged."""
-    return zlib.crc32(repr(wired).encode("utf-8"))
-
-
-def _execute_shard_task(task):
-    """Run one ``(shard, attempt, indices)`` task; return a checksummed result.
-
-    The returned tuple is ``(shard, attempt, fired, wired, checksum)``:
-    ``fired`` names the injected fault that hit this attempt (``None``
-    outside chaos runs), and ``checksum`` is :func:`payload_checksum` over
-    the *authentic* payload — computed before an injected ``corrupt`` fault
-    mangles the wire tuples, so the parent's integrity check observes the
-    mismatch exactly as it would observe real corruption.
-    """
-    shard, attempt, indices = task
-    fired = None
-    if _WORKER_INJECTOR is not None:
-        # A "crash" raises out of the worker here; "hang"/"delay" sleep.
-        fired = _WORKER_INJECTOR.fire(shard, attempt)
-    wired = _execute_shard(indices)
-    checksum = payload_checksum(wired)
-    if fired == "corrupt":
-        from ..reliability import corrupt_payload
-
-        wired = corrupt_payload(wired)
-    return shard, attempt, fired, wired, checksum
-
-
-def _rehydrate_outcome(snapshot: TopologySnapshot, wire) -> ProbeOutcome:
-    index, wire_cycles, wire_pairs = wire
-    cycles = tuple(
-        MappingCycle(
-            origin=origin,
-            mappings=tuple(snapshot.mapping(name) for name in names),
-        )
-        for origin, names in wire_cycles
-    )
-    parallel_paths = tuple(
-        ParallelPaths(
-            source=source,
-            target=target,
-            first=tuple(snapshot.mapping(name) for name in first),
-            second=tuple(snapshot.mapping(name) for name in second),
-        )
-        for source, target, first, second in wire_pairs
-    )
-    return ProbeOutcome(index=index, cycles=cycles, parallel_paths=parallel_paths)
-
-
-def resolve_probe_workers(workers: Optional[int] = None) -> int:
-    """Resolve a worker count: explicit argument, then
-    ``REPRO_PROBE_WORKERS``, then the machine's CPU count.
-
-    The environment variable is re-read here (not only captured at import
-    in :data:`~repro.constants.DEFAULT_PROBE_WORKERS`) so a malformed value
-    surfaces as one clear error at resolution time, naming the variable and
-    the accepted values, instead of a raw ``ValueError`` at import."""
-    if workers is not None:
-        if isinstance(workers, bool) or not isinstance(workers, int):
-            raise ValueError(
-                f"probe workers must be an integer >= 1, got {workers!r}"
-            )
-        if workers < 1:
-            raise ValueError(f"probe workers must be >= 1, got {workers}")
-        return workers
-    raw = read_env(PROBE_WORKERS_ENV)
-    if raw:
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"{PROBE_WORKERS_ENV} must be an integer worker count "
-                f"(unset, empty or <= 0 meaning 'decide at runtime'), "
-                f"got {raw!r}"
-            ) from None
-        if value > 0:
-            return value
-        return os.cpu_count() or 1
-    if DEFAULT_PROBE_WORKERS is not None:
-        return DEFAULT_PROBE_WORKERS
-    return os.cpu_count() or 1
-
-
-def resolve_shard_timeout(timeout: object = None) -> float:
-    """Resolve a per-shard deadline (seconds): explicit argument, then
-    ``REPRO_SHARD_TIMEOUT``, then
-    :data:`~repro.constants.DEFAULT_SHARD_TIMEOUT`.
-
-    Pass ``float("inf")`` to disable the deadline entirely; zero and
-    negative values are rejected (they would time every shard out
-    immediately)."""
-    if timeout is not None:
-        try:
-            value = float(timeout)  # type: ignore[arg-type]
-        except (TypeError, ValueError):
-            raise ValueError(
-                f"shard timeout must be a positive number of seconds, "
-                f"got {timeout!r}"
-            ) from None
-        if not value > 0:
-            raise ValueError(
-                f"shard timeout must be > 0 seconds, got {timeout!r}"
-            )
-        return value
-    raw = read_env(SHARD_TIMEOUT_ENV)
-    if raw:
-        try:
-            value = float(raw)
-        except ValueError:
-            raise ValueError(
-                f"{SHARD_TIMEOUT_ENV} must be a positive number of "
-                f"seconds, got {raw!r}"
-            ) from None
-        if not value > 0:
-            raise ValueError(
-                f"{SHARD_TIMEOUT_ENV} must be > 0 seconds, got {raw!r}"
-            )
-        return value
-    return DEFAULT_SHARD_TIMEOUT if DEFAULT_SHARD_TIMEOUT else float("inf")
-
-
-#: How often the parent polls outstanding shard results for readiness or
-#: deadline expiry — short enough that healthy sub-second probes are not
-#: noticeably delayed, long enough not to busy-spin.
-_POLL_INTERVAL_SECONDS = 0.005
-
-
-class ProcessPoolDiscoveryExecutor:
-    """Origin-sharded fan-out of a probe plan over a ``multiprocessing`` pool.
-
-    The plan's units are grouped by origin peer (one origin's units never
-    split across workers — the per-origin caches key on exactly that
-    partition) and the origin groups are dealt round-robin into a few
-    shards per worker.  Each worker receives the plan once through the pool
-    initializer, executes its shards with the same per-unit walkers the
-    serial executor uses, and streams compact, checksummed results back;
-    the parent verifies each payload's :func:`payload_checksum` and
-    reassembles outcomes by unit index, so the outcome tuple — and hence
-    the canonical merge — is bit-identical to serial discovery regardless
-    of scheduling.
-
-    Fault policy: fail fast, never hang, never merge garbage.  Every shard
-    carries a per-shard deadline (``shard_timeout``, default
-    :data:`~repro.constants.DEFAULT_SHARD_TIMEOUT` via
-    :func:`resolve_shard_timeout`) — a wedged worker raises
-    :class:`~repro.exceptions.DiscoveryTimeoutError` instead of blocking
-    the parent forever — and a corrupted payload raises
-    :class:`~repro.exceptions.PDMSError` before rehydration.  For retry,
-    quarantine and graceful degradation, use the
-    :class:`~repro.reliability.ResilientDiscoveryExecutor` subclass.
-
-    Plans smaller than ``min_units`` (or a 1-worker pool) run inline: the
-    fork/pickle overhead would dwarf the work, and incremental-refresh delta
-    plans are routinely 1–2 units.
-    """
-
-    name = PROBE_EXECUTOR_PROCESS
-
-    #: Shards dealt per worker — small enough to keep shard payloads chunky,
-    #: large enough that an unlucky hub-heavy shard cannot serialize the run.
-    SHARDS_PER_WORKER = 4
-
-    def __init__(
-        self,
-        workers: Optional[int] = None,
-        min_units: int = 4,
-        shard_timeout: object = None,
-        fault_plan: object = None,
-    ) -> None:
-        self.workers = resolve_probe_workers(workers)
-        self.min_units = min_units
-        self.shard_timeout = resolve_shard_timeout(shard_timeout)
-        #: Optional :class:`~repro.reliability.FaultPlan` installed into the
-        #: workers — deterministic chaos for tests and drills.  The base
-        #: executor only *detects* the injected faults (crash propagates,
-        #: hang times out, corruption fails the checksum); recovery is the
-        #: resilient subclass's job.
-        self.fault_plan = fault_plan
-        self._serial = SerialDiscoveryExecutor()
-
-    def _shards(self, plan: ProbePlan) -> List[List[int]]:
-        groups: Dict[str, List[int]] = {}
-        for index, unit in enumerate(plan.work_units):
-            groups.setdefault(plan.origin_of(unit), []).append(index)
-        shard_count = min(len(groups), self.workers * self.SHARDS_PER_WORKER)
-        shards: List[List[int]] = [[] for _ in range(shard_count)]
-        for position, indices in enumerate(groups.values()):
-            shards[position % shard_count].extend(indices)
-        return shards
-
-    def run(self, plan: ProbePlan) -> ProbeRun:
-        if self.workers < 2 or len(plan.work_units) < self.min_units:
-            run = self._serial.run(plan)
-            return ProbeRun(
-                plan=plan, outcomes=run.outcomes, sharded=False, workers=1
-            )
-        shards = self._shards(plan)
-        outcomes: List[Optional[ProbeOutcome]] = [None] * len(plan.work_units)
-        with multiprocessing.get_context().Pool(
-            processes=min(self.workers, len(shards)),
-            initializer=_install_worker_plan,
-            initargs=(plan, self.fault_plan),
-        ) as pool:
-            pending: Dict[int, Tuple[object, float]] = {}
-            for shard, indices in enumerate(shards):
-                handle = pool.apply_async(
-                    _execute_shard_task, ((shard, 0, tuple(indices)),)
-                )
-                pending[shard] = (handle, time.monotonic() + self.shard_timeout)
-            while pending:
-                progressed = False
-                for shard in list(pending):
-                    handle, deadline = pending[shard]
-                    if handle.ready():  # type: ignore[attr-defined]
-                        del pending[shard]
-                        progressed = True
-                        # Re-raises the worker's exception (e.g. a crash).
-                        _, _, _, wired, checksum = handle.get()  # type: ignore[attr-defined]
-                        if payload_checksum(wired) != checksum:
-                            raise PDMSError(
-                                f"corrupted wire payload from probe shard "
-                                f"{shard}: checksum mismatch; the shard "
-                                f"result was discarded, not merged"
-                            )
-                        for wire in wired:
-                            outcome = _rehydrate_outcome(plan.snapshot, wire)
-                            outcomes[outcome.index] = outcome
-                    elif time.monotonic() > deadline:
-                        raise DiscoveryTimeoutError(
-                            f"probe shard {shard} "
-                            f"({len(shards[shard])} work units) exceeded its "
-                            f"{self.shard_timeout:.1f}s deadline; the worker "
-                            f"is presumed wedged (raise {SHARD_TIMEOUT_ENV} "
-                            f"for slow hosts, or use the "
-                            f"{PROBE_EXECUTOR_RESILIENT!r} probe executor "
-                            f"for retry + serial fallback)"
-                        )
-                if pending and not progressed:
-                    time.sleep(_POLL_INTERVAL_SECONDS)
-        missing = [i for i, outcome in enumerate(outcomes) if outcome is None]
-        if missing:  # pragma: no cover - defensive: a shard vanished
-            raise PDMSError(f"probe work units {missing!r} returned no outcome")
-        return ProbeRun(
-            plan=plan,
-            outcomes=tuple(outcomes),  # type: ignore[arg-type]
-            sharded=True,
-            workers=min(self.workers, len(shards)),
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"ProcessPoolDiscoveryExecutor(workers={self.workers})"
-
-
-def resolve_discovery_executor(
-    executor: object = None,
-    workers: Optional[int] = None,
-    *,
-    shard_timeout: object = None,
-    fault_plan: object = None,
-) -> DiscoveryExecutor:
-    """Resolve a ``probe_executor=`` specification to an executor object.
-
-    ``None`` selects the configured default
-    (:data:`repro.constants.DEFAULT_PROBE_EXECUTOR`, overridable through the
-    ``REPRO_PROBE_EXECUTOR`` environment variable, re-read here so the
-    error for a bad value names the variable); strings name the built-in
-    executors (``"serial"`` / ``"process"`` / ``"resilient"``); anything
-    with a ``run`` method passes through unchanged (``workers``,
-    ``shard_timeout`` and ``fault_plan`` are ignored for it).
-
-    ``fault_plan`` — a :class:`~repro.reliability.FaultPlan`, a spec string,
-    or ``None`` to consult ``REPRO_FAULT_PLAN`` — arms deterministic chaos.
-    A faulted *process* fan-out always resolves to the resilient executor:
-    injected faults must be recovered from, never allowed to abort a probe
-    or poison a merge.  ``"serial"`` ignores the fault plan (there is no
-    fan-out to inject into).
-    """
-    from_env = False
-    if executor is None:
-        executor = read_env(PROBE_EXECUTOR_ENV) or DEFAULT_PROBE_EXECUTOR
-        from_env = True
-    if isinstance(executor, str):
-        if executor in (PROBE_EXECUTOR_PROCESS, PROBE_EXECUTOR_RESILIENT):
-            from ..reliability import ResilientDiscoveryExecutor, fault_plan_or_env
-
-            fault_plan = fault_plan_or_env(fault_plan)
-            if executor == PROBE_EXECUTOR_RESILIENT or fault_plan is not None:
-                return ResilientDiscoveryExecutor(
-                    workers=workers,
-                    shard_timeout=shard_timeout,
-                    fault_plan=fault_plan,
-                )
-            return ProcessPoolDiscoveryExecutor(
-                workers=workers, shard_timeout=shard_timeout
-            )
-        if executor == PROBE_EXECUTOR_SERIAL:
-            return SerialDiscoveryExecutor()
-        hint = (
-            f" (from the {PROBE_EXECUTOR_ENV} environment variable)"
-            if from_env
-            else ""
-        )
-        raise ValueError(
-            f"unknown probe executor {executor!r}{hint}; expected "
-            f"{PROBE_EXECUTOR_SERIAL!r}, {PROBE_EXECUTOR_PROCESS!r}, "
-            f"{PROBE_EXECUTOR_RESILIENT!r} or an executor object"
-        )
-    if isinstance(executor, DiscoveryExecutor):
-        return executor
-    raise ValueError(
-        f"probe executor must be a name or expose run(plan), got {executor!r}"
+    Running the units in plan order makes even discovery *order* (not just
+    the canonical sets) match the historical recursive walkers."""
+    return ProbeRun(
+        plan=plan,
+        outcomes=tuple(execute_work_unit(plan, unit) for unit in plan.work_units),
     )
 
 
@@ -908,8 +421,8 @@ def replay_structure_log(
       stays valid iff all of its own mappings still exist);
     * ``MappingAdded`` grafts the structures *through* the new edge —
       enumerated by ``structures_through(entry_version, name)``, typically a
-      :func:`plan_mapping_delta` run through the consumer's discovery
-      executor — deduplicated against the survivors by canonical key.
+      :func:`plan_mapping_delta` run — deduplicated against the survivors by
+      canonical key.
       ``adapt_cycle`` / ``adapt_path`` localise each grafted structure to
       the consumer's view first (the per-origin cache rotates cycles to its
       origin and keeps only pairs departing from it); returning ``None``

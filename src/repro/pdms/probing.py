@@ -14,10 +14,10 @@ objects in traversal order, ready to be fed to the feedback analysis.
 This module holds only the *per-work-unit* walkers: each entry point
 enumerates one origin peer's view (or one mapping's delta).  Whole-network
 enumeration is a composition concern — :mod:`repro.pdms.discovery` builds
-frontiers of per-origin work units over these walkers and runs them through
-pluggable serial / process-pool executors; :func:`find_all_cycles` and
+frontiers of per-origin work units over these walkers and runs them with
+:func:`~repro.pdms.discovery.run_plan`; :func:`find_all_cycles` and
 :func:`find_all_parallel_paths` remain as thin conveniences delegating to a
-serial full-probe plan.
+full-probe plan.
 """
 
 from __future__ import annotations
@@ -345,14 +345,14 @@ def find_all_cycles(
 ) -> Tuple[MappingCycle, ...]:
     """All distinct mapping cycles in the network (deduplicated across peers).
 
-    Delegates to a serial full-probe plan of :mod:`repro.pdms.discovery`
+    Delegates to a full-probe plan of :mod:`repro.pdms.discovery`
     (imported lazily — discovery composes this module's walkers); the
     canonical merge reproduces the historical per-peer sweep exactly.
     """
-    from .discovery import SerialDiscoveryExecutor, plan_full_probe
+    from .discovery import plan_full_probe, run_plan
 
     plan = plan_full_probe(network, ttl=ttl, include_parallel_paths=False)
-    cycles, _ = SerialDiscoveryExecutor().run(plan).merged()
+    cycles, _ = run_plan(plan).merged()
     return cycles
 
 
@@ -364,8 +364,8 @@ def find_all_parallel_paths(
         PATHS_FROM,
         ProbePlan,
         ProbeWorkUnit,
-        SerialDiscoveryExecutor,
         TopologySnapshot,
+        run_plan,
     )
 
     validate_ttl(ttl)
@@ -378,5 +378,5 @@ def find_all_parallel_paths(
         ttl=ttl,
         include_parallel_paths=True,
     )
-    _, pairs = SerialDiscoveryExecutor().run(plan).merged()
+    _, pairs = run_plan(plan).merged()
     return pairs

@@ -1,6 +1,6 @@
 """Discovery-frontier contract tests for the core layer.
 
-Two guarantees land here, mirroring ``test_plan_ir.py`` one layer up:
+Three guarantees land here, mirroring ``test_plan_ir.py`` one layer up:
 
 1. The walker-ban layering invariant: the core must reach structure
    discovery through the probe-plan frontier of
@@ -8,37 +8,32 @@ Two guarantees land here, mirroring ``test_plan_ir.py`` one layer up:
    walkers (``find_cycles_through``, ``find_all_parallel_paths``, ...)
    from :mod:`repro.pdms.probing` directly.  Structure types
    (``MappingCycle``, ``ParallelPaths``) and ``validate_ttl`` remain fair
-   game; it is the *enumeration* that must flow through plans.  Since
-   PR 9 the ban is stated once in :mod:`repro.lintkit.contracts`
-   (``WALKER_NAMES``) and enforced by the ``layering-discovery-walkers``
-   rule; this test asserts ``repro-lint`` reports zero findings for it.
-2. The serial x origin-sharded parity matrix: both structure caches must
-   hand back canonically identical structure sets — and the assessor
-   identical posteriors — whether probes run on the serial executor or
-   origin-sharded over a process pool, for fresh probes and for
-   mutation-log incremental refreshes alike.
+   game; it is the *enumeration* that must flow through plans.  The ban is
+   stated once in :mod:`repro.lintkit.contracts` (``WALKER_NAMES``) and
+   enforced by the ``layering-discovery-walkers`` rule; this test asserts
+   ``repro-lint`` reports zero findings for it.
+2. The live x fresh parity matrix: both structure caches, kept live
+   through a mutation-log incremental refresh, must hand back canonically
+   identical structure sets to a cache probing the mutated network from
+   scratch.
+3. Incremental refresh is O(delta): one mapping removed and re-added at
+   1024 peers runs exactly one work unit per cache, never a full probe.
 """
 
 import pathlib
+from dataclasses import replace
 
 import pytest
 
 import repro
 from repro.core.analysis import NeighborhoodStructureCache, NetworkStructureCache
-from repro.core.quality import MappingQualityAssessor
+from repro.generators.scenarios import generate_scenario
 from repro.generators.topologies import scale_free_network
 from repro.lintkit import run_lint, rules_by_id
-from repro.pdms.discovery import ProcessPoolDiscoveryExecutor
 
 SEEDS = (1, 2, 3)
 
 PEERS = 10
-
-
-def _pooled():
-    # workers=2 / min_units=1 forces real sharding even on single-core CI
-    # runners, so the parity matrix always exercises the fan-out + merge.
-    return ProcessPoolDiscoveryExecutor(workers=2, min_units=1)
 
 
 def _canon(structures):
@@ -73,88 +68,84 @@ class TestCoreUsesTheDiscoveryFrontier:
 @pytest.mark.parametrize("ttl", [4, 6])
 @pytest.mark.parametrize("seed", SEEDS)
 class TestNetworkCacheParity:
-    def test_fresh_and_incremental_probes_match_serial(self, seed, ttl):
-        serial_net = scale_free_network(PEERS, seed=seed)
-        pooled_net = scale_free_network(PEERS, seed=seed)
-        serial = NetworkStructureCache(serial_net, ttl=ttl)
-        pooled = NetworkStructureCache(pooled_net, ttl=ttl, probe_executor=_pooled())
+    def test_live_cache_matches_fresh_probe(self, seed, ttl):
+        network = scale_free_network(PEERS, seed=seed)
+        live = NetworkStructureCache(network, ttl=ttl)
+        live.structures()
+        assert live.statistics.work_units == len(network.peer_names) * 2
 
-        s_cycles, s_paths = serial.structures()
-        p_cycles, p_paths = pooled.structures()
-        assert _canon(p_cycles) == _canon(s_cycles)
-        assert _canon(p_paths) == _canon(s_paths)
-        assert serial.statistics.sharded_probes == 0
-        assert pooled.statistics.sharded_probes >= 1
-        assert pooled.statistics.work_units == len(serial_net.peer_names) * 2
-        assert pooled.statistics.probe_seconds >= pooled.statistics.last_probe_seconds > 0
-
-        _churn(serial_net)
-        _churn(pooled_net)
-        s_cycles, s_paths = serial.structures()
-        p_cycles, p_paths = pooled.structures()
-        assert serial.statistics.partial_refreshes == 1
-        assert pooled.statistics.partial_refreshes == 1
-        assert _canon(p_cycles) == _canon(s_cycles)
-        assert _canon(p_paths) == _canon(s_paths)
-        # ... and both match a from-scratch probe of the mutated network.
-        fresh = NetworkStructureCache(scale_free_network(PEERS, seed=seed), ttl=ttl)
-        _churn(fresh.network)
+        _churn(network)
+        cycles, paths = live.structures()
+        assert live.statistics.partial_refreshes == 1
+        assert live.statistics.probes == 1
+        fresh = NetworkStructureCache(network, ttl=ttl)
         f_cycles, f_paths = fresh.structures()
-        assert _canon(s_cycles) == _canon(f_cycles)
-        assert _canon(s_paths) == _canon(f_paths)
+        assert _canon(cycles) == _canon(f_cycles)
+        assert _canon(paths) == _canon(f_paths)
 
 
 @pytest.mark.parametrize("ttl", [4, 6])
 @pytest.mark.parametrize("seed", SEEDS)
 class TestNeighborhoodCacheParity:
-    def test_fresh_and_incremental_probes_match_serial(self, seed, ttl):
-        serial_net = scale_free_network(PEERS, seed=seed)
-        pooled_net = scale_free_network(PEERS, seed=seed)
-        serial = NeighborhoodStructureCache(serial_net, ttl=ttl)
-        pooled = NeighborhoodStructureCache(
-            pooled_net, ttl=ttl, probe_executor=_pooled()
-        )
-        origins = list(serial_net.peer_names)[:4]
+    def test_live_cache_matches_fresh_probe(self, seed, ttl):
+        network = scale_free_network(PEERS, seed=seed)
+        live = NeighborhoodStructureCache(network, ttl=ttl)
+        lazy = NeighborhoodStructureCache(network, ttl=ttl)
+        origins = list(network.peer_names)[:4]
 
-        # warm() lowers all pending origins onto ONE sharded plan but must
-        # keep the per-origin accounting of individual structures_for calls.
-        pooled.warm(origins)
-        assert pooled.statistics.probes == len(origins)
-        assert pooled.statistics.sharded_probes >= 1
+        # warm() lowers all pending origins onto ONE plan but must keep the
+        # per-origin accounting of individual structures_for calls.
+        live.warm(origins)
+        assert live.statistics.probes == len(origins)
+        assert live.statistics.work_units == len(origins)
         for origin in origins:
-            s_cycles, s_paths = serial.structures_for(origin)
-            p_cycles, p_paths = pooled.structures_for(origin)
-            assert _canon(p_cycles) == _canon(s_cycles), origin
-            assert _canon(p_paths) == _canon(s_paths), origin
-        assert pooled.statistics.probes == len(origins)
-        assert serial.statistics.probes == len(origins)
-        assert serial.statistics.sharded_probes == 0
+            w_cycles, w_paths = live.structures_for(origin)
+            l_cycles, l_paths = lazy.structures_for(origin)
+            assert _canon(w_cycles) == _canon(l_cycles), origin
+            assert _canon(w_paths) == _canon(l_paths), origin
+        assert live.statistics.probes == len(origins)
+        assert lazy.statistics.probes == len(origins)
+        assert live.statistics.misses == lazy.statistics.misses
 
-        _churn(serial_net)
-        _churn(pooled_net)
+        _churn(network)
+        fresh = NeighborhoodStructureCache(network, ttl=ttl)
         for origin in origins:
-            s_cycles, s_paths = serial.structures_for(origin)
-            p_cycles, p_paths = pooled.structures_for(origin)
-            assert _canon(p_cycles) == _canon(s_cycles), origin
-            assert _canon(p_paths) == _canon(s_paths), origin
-        assert serial.statistics.partial_refreshes == len(origins)
-        assert pooled.statistics.partial_refreshes == len(origins)
+            cycles, paths = live.structures_for(origin)
+            f_cycles, f_paths = fresh.structures_for(origin)
+            assert _canon(cycles) == _canon(f_cycles), origin
+            assert _canon(paths) == _canon(f_paths), origin
+        assert live.statistics.partial_refreshes == len(origins)
+        assert live.statistics.probes == len(origins)
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-class TestAssessorParity:
-    def test_posteriors_identical_across_probe_executors(self, seed):
-        serial_net = scale_free_network(PEERS, seed=seed)
-        pooled_net = scale_free_network(PEERS, seed=seed)
-        serial = MappingQualityAssessor(serial_net, ttl=4)
-        pooled = MappingQualityAssessor(
-            pooled_net, ttl=4, probe_executor=_pooled()
+class TestIncrementalRefreshIsODelta:
+    def test_one_mapping_churn_at_1024_peers(self):
+        network = generate_scenario(
+            "scale-free", 1024, attribute_count=10, error_rate=0.15
+        ).network
+        peers = network.peer_names
+        global_cache = NetworkStructureCache(
+            network, ttl=3, include_parallel_paths=False
         )
-        serial_result = serial.assess_all_attributes()
-        pooled_result = pooled.assess_all_attributes()
-        assert serial_result.keys() == pooled_result.keys()
-        for attribute in serial_result:
-            assert (
-                pooled_result[attribute].posteriors
-                == serial_result[attribute].posteriors
-            ), attribute
+        local_cache = NeighborhoodStructureCache(
+            network, ttl=3, include_parallel_paths=False
+        )
+        global_cache.structures()
+        local_cache.warm(peers)
+        global_before = replace(global_cache.statistics)
+        local_before = replace(local_cache.statistics)
+
+        _churn(network)
+        cycles, _ = global_cache.structures()
+        local_cache.warm(peers)
+
+        g, l = global_cache.statistics, local_cache.statistics
+        assert g.work_units == global_before.work_units + 1
+        assert g.probes == global_before.probes
+        assert g.partial_refreshes == global_before.partial_refreshes + 1
+        fresh = NetworkStructureCache(network, ttl=3, include_parallel_paths=False)
+        assert _canon(cycles) == _canon(fresh.structures()[0])
+        # One delta plan, shared by every origin replaying the same entry.
+        assert l.work_units == local_before.work_units + 1
+        assert l.probes == local_before.probes
+        assert l.partial_refreshes == local_before.partial_refreshes + len(peers)

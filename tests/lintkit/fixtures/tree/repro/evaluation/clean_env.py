@@ -1,7 +1,7 @@
 """Clean fixture: knobs flow through the validated resolver."""
 
-from repro.constants import PROBE_EXECUTOR_ENV, read_env
+from repro.constants import read_env
 
 
-def executor_choice():
-    return read_env(PROBE_EXECUTOR_ENV)
+def example_choice():
+    return read_env("REPRO_EXAMPLE_KNOB")

@@ -3,5 +3,5 @@
 import os
 
 
-def executor_choice():
-    return os.environ.get("REPRO_PROBE_EXECUTOR", "")
+def example_choice():
+    return os.environ.get("REPRO_EXAMPLE_KNOB", "")

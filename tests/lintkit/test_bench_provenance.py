@@ -1,8 +1,8 @@
 """BENCH_*.json provenance: every record carries the lint verdict.
 
 The benchmark emitters stamp ``lint_clean`` / ``lintkit_version`` next to
-the probe-executor provenance, so a perf number can never silently come from a
-tree violating the architectural invariants.  ``lint_status`` is cached
+the git revision, so a perf number can never silently come from a tree
+violating the architectural invariants.  ``lint_status`` is cached
 per process — the emitters add one lint run to a whole benchmark session.
 """
 

@@ -2,32 +2,25 @@
 
 The :mod:`repro.pdms.discovery` frontier is the single enumeration engine
 behind both structure caches: these tests pin its contract — snapshots and
-plans pickle (the process executor ships them to workers), the serial
-executor is *order*-identical to the historical recursive walkers, the
-origin-sharded process pool merges to the same lists, and the executor /
-worker resolution helpers reject nonsense loudly.
+plans pickle, and :func:`~repro.pdms.discovery.run_plan` is
+*order*-identical to the historical recursive walkers.
 """
 
 import pickle
 
 import pytest
 
-from repro.exceptions import PDMSError, UnknownPeerError
+from repro.exceptions import UnknownPeerError
 from repro.generators.paper import intro_example_network
 from repro.generators.topologies import scale_free_network
 from repro.pdms.discovery import (
     CYCLES_THROUGH,
     PATHS_FROM,
-    ProbePlan,
-    ProbeWorkUnit,
-    ProcessPoolDiscoveryExecutor,
-    SerialDiscoveryExecutor,
     TopologySnapshot,
     plan_full_probe,
     plan_mapping_delta,
     plan_neighborhood_probe,
-    resolve_discovery_executor,
-    resolve_probe_workers,
+    run_plan,
 )
 from repro.pdms.probing import (
     find_cycles_through,
@@ -80,9 +73,9 @@ class TestTopologySnapshot:
         ]
         # The clone is a fully functional probe substrate.
         plan = plan_full_probe(clone, ttl=4)
-        cycles, paths = SerialDiscoveryExecutor().run(plan).merged()
+        cycles, paths = run_plan(plan).merged()
         reference = plan_full_probe(snapshot, ttl=4)
-        ref_cycles, ref_paths = SerialDiscoveryExecutor().run(reference).merged()
+        ref_cycles, ref_paths = run_plan(reference).merged()
         assert _names(cycles) == _names(ref_cycles)
         assert _names(paths) == _names(ref_paths)
 
@@ -101,47 +94,10 @@ class TestSerialExecutor:
     @pytest.mark.parametrize("ttl", [3, 4, 5])
     def test_order_identical_to_walkers(self, sparse_network, ttl):
         plan = plan_full_probe(sparse_network, ttl=ttl)
-        cycles, paths = SerialDiscoveryExecutor().run(plan).merged()
+        cycles, paths = run_plan(plan).merged()
         ref_cycles, ref_paths = _walker_reference(sparse_network, ttl)
         assert _names(cycles) == _names(ref_cycles)
         assert _names(paths) == _names(ref_paths)
-
-    def test_run_is_not_sharded(self, intro_network):
-        run = SerialDiscoveryExecutor().run(plan_full_probe(intro_network, ttl=4))
-        assert run.sharded is False
-        assert run.workers == 1
-
-
-class TestProcessPoolExecutor:
-    @pytest.mark.parametrize("ttl", [4, 5])
-    def test_sharded_merge_matches_serial(self, sparse_network, ttl):
-        plan = plan_full_probe(sparse_network, ttl=ttl)
-        serial = SerialDiscoveryExecutor().run(plan)
-        pooled = ProcessPoolDiscoveryExecutor(workers=2, min_units=1).run(plan)
-        assert pooled.sharded is True
-        assert pooled.workers == 2
-        assert _names(pooled.merged()[0]) == _names(serial.merged()[0])
-        assert _names(pooled.merged()[1]) == _names(serial.merged()[1])
-
-    def test_merged_structures_reference_parent_mappings(self, intro_network):
-        # Workers ship structures back as mapping-name tuples; the parent
-        # rehydrates against its own snapshot, so downstream evidence code
-        # sees the very same Mapping instances as a serial run would.
-        plan = plan_full_probe(intro_network, ttl=4)
-        cycles, _ = ProcessPoolDiscoveryExecutor(workers=2, min_units=1).run(
-            plan
-        ).merged()
-        by_name = {m.name: m for m in plan.snapshot.mappings}
-        for cycle in cycles:
-            for mapping in cycle.mappings:
-                assert mapping is by_name[mapping.name]
-
-    def test_small_frontier_falls_back_inline(self, intro_network):
-        plan = plan_neighborhood_probe(intro_network, ("p1",), ttl=4)
-        run = ProcessPoolDiscoveryExecutor(workers=2, min_units=4).run(plan)
-        assert run.sharded is False
-        serial = SerialDiscoveryExecutor().run(plan)
-        assert _names(run.merged()[0]) == _names(serial.merged()[0])
 
 
 class TestPlans:
@@ -154,7 +110,7 @@ class TestPlans:
     def test_paths_can_be_excluded(self, intro_network):
         plan = plan_full_probe(intro_network, ttl=4, include_parallel_paths=False)
         assert all(unit.kind == CYCLES_THROUGH for unit in plan.work_units)
-        _, paths = SerialDiscoveryExecutor().run(plan).merged()
+        _, paths = run_plan(plan).merged()
         assert paths == ()
 
     def test_neighborhood_probe_rejects_unknown_peer(self, intro_network):
@@ -165,7 +121,7 @@ class TestPlans:
         # The delta plan for one added mapping only yields structures that
         # actually traverse it.
         plan = plan_mapping_delta(intro_network, "p1->p2", ttl=4)
-        cycles, paths = SerialDiscoveryExecutor().run(plan).merged()
+        cycles, paths = run_plan(plan).merged()
         assert cycles
         for cycle in cycles:
             assert "p1->p2" in cycle.mapping_names
@@ -177,33 +133,3 @@ class TestPlans:
     def test_non_positive_ttl_rejected(self, intro_network):
         with pytest.raises(ValueError, match="positive hop count"):
             plan_full_probe(intro_network, ttl=0)
-
-
-class TestResolution:
-    def test_default_is_serial(self):
-        assert isinstance(resolve_discovery_executor(None), SerialDiscoveryExecutor)
-
-    def test_strings_resolve(self):
-        assert isinstance(
-            resolve_discovery_executor("serial"), SerialDiscoveryExecutor
-        )
-        pooled = resolve_discovery_executor("process", workers=3)
-        assert isinstance(pooled, ProcessPoolDiscoveryExecutor)
-
-    def test_executor_objects_pass_through(self):
-        executor = ProcessPoolDiscoveryExecutor(workers=2)
-        assert resolve_discovery_executor(executor) is executor
-
-    def test_unknown_string_rejected(self):
-        with pytest.raises(ValueError, match="unknown probe executor"):
-            resolve_discovery_executor("quantum")
-
-    def test_non_executor_object_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_discovery_executor(object())
-
-    def test_worker_resolution(self):
-        assert resolve_probe_workers(3) == 3
-        assert resolve_probe_workers(None) >= 1
-        with pytest.raises(ValueError, match=">= 1"):
-            resolve_probe_workers(0)
