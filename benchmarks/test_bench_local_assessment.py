@@ -26,8 +26,14 @@ SIZES = (16, 32)
 
 #: Acceptance floor for the batched all-origins pass over engine-per-origin
 #: at 32 peers (measured ~3.7x lossless / ~4.2x lossy; the floor leaves
-#: noise headroom).
+#: noise headroom).  Asserted against the median of ``PAIRS`` alternating
+#: sequential/batched pairs, not a single best-of ratio: single ratios
+#: dipped below the floor in about one run in three on a 2-core host
+#: whose median sat near 3.6x.
 MIN_SPEEDUP_AT_32_PEERS = 3.0
+
+#: Alternating sequential/batched timing pairs behind the lossless ratio.
+PAIRS = 7
 
 #: Both paths seed one transport per origin identically and consume the rng
 #: in the same transmission order, so local views may only differ by
@@ -69,7 +75,7 @@ def test_bench_local_assessment(benchmark, report, report_json, peer_count):
     benchmark(assessor.assess_local_all, attribute)
 
     lossless = run_local_assessment(
-        peer_counts=(peer_count,), repeats=3
+        peer_counts=(peer_count,), repeats=PAIRS
     ).point_for(peer_count)
     lossy = run_local_assessment(
         peer_counts=(peer_count,),
@@ -97,6 +103,11 @@ def test_bench_local_assessment(benchmark, report, report_json, peer_count):
             f"engine-per-origin on the {peer_count}-peer scale-free network"
         ),
     )
+    pairs = " ".join(f"{ratio:.2f}x" for ratio in lossless.pair_speedups)
+    lines += (
+        f"\nlossless speedup = median of {len(lossless.pair_speedups)} "
+        f"alternating pairs: {pairs}"
+    )
     report(f"EX_local_assessment_{peer_count}_peers", lines)
     report_json(
         f"local_assessment_{peer_count}_peers",
@@ -109,6 +120,7 @@ def test_bench_local_assessment(benchmark, report, report_json, peer_count):
             "sequential_seconds": lossless.sequential_seconds,
             "batched_seconds": lossless.batched_seconds,
             "speedup": lossless.speedup,
+            "pair_speedups": list(lossless.pair_speedups),
             "batched_origins_per_second": lossless.batched_origins_per_second,
             "lossy_speedup": lossy.speedup,
             "max_posterior_difference": lossless.max_posterior_difference,
@@ -130,8 +142,8 @@ def test_bench_local_assessment(benchmark, report, report_json, peer_count):
     if peer_count >= 32:
         assert lossless.speedup >= MIN_SPEEDUP_AT_32_PEERS, (
             f"batched all-origins pass is only {lossless.speedup:.1f}x faster "
-            f"than engine-per-origin at {peer_count} peers "
-            f"(floor {MIN_SPEEDUP_AT_32_PEERS}x)"
+            f"than engine-per-origin at {peer_count} peers in the median of "
+            f"{pairs} (floor {MIN_SPEEDUP_AT_32_PEERS}x)"
         )
 
 

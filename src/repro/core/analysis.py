@@ -25,9 +25,12 @@ incrementally when only mappings changed.
 Neither cache walks the network itself: both lower their full probes and
 their incremental-refresh deltas onto
 :class:`~repro.pdms.discovery.ProbePlan` frontiers of per-origin work units
-and run them with :func:`~repro.pdms.discovery.run_plan`, result-identical
-to the historical recursive sweeps.  :class:`StructureCacheStatistics`
-accounts for lookups, refreshes and the work units executed.
+over the network's shared per-version snapshot and run them with
+:func:`~repro.pdms.discovery.run_plan`, result-identical to the historical
+per-peer sweeps.  The snapshot walks each origin's cycles once, so the
+global probe, the per-origin probes and the mapping deltas of one topology
+version share those walks.  :class:`StructureCacheStatistics` accounts for
+lookups, refreshes and the work units executed.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ from ..exceptions import FeedbackError
 from ..mapping.mapping import Mapping
 from ..pdms.network import PDMSNetwork
 from ..pdms.discovery import (
-    TopologySnapshot,
     plan_full_probe,
     plan_mapping_delta,
     plan_neighborhood_probe,
@@ -203,10 +205,11 @@ class StructureCacheStatistics:
 class _ProbeDriver:
     """Shared probe-execution plumbing of both structure caches.
 
-    Owns a per-topology-version memo of the network snapshot plans are
-    built on, and the probe-work accounting: every plan — full probe,
-    neighbourhood batch or incremental delta — runs through :meth:`run`,
-    which counts its work units in the cache's
+    Builds every plan on the network's shared per-version snapshot, so the
+    global and the per-origin cache walk each origin once per topology
+    version between them, and owns the probe-work accounting: every plan —
+    full probe, neighbourhood batch or incremental delta — runs through
+    :meth:`run`, which counts its work units (not walks) in the cache's
     :class:`StructureCacheStatistics`.
     """
 
@@ -219,14 +222,6 @@ class _ProbeDriver:
         self.network = network
         self.ttl = ttl
         self.statistics = statistics
-        self._snapshot: Optional[Tuple[int, TopologySnapshot]] = None
-
-    def snapshot(self) -> TopologySnapshot:
-        """The network's current topology snapshot, rebuilt only on mutation."""
-        version = self.network.version
-        if self._snapshot is None or self._snapshot[0] != version:
-            self._snapshot = (version, TopologySnapshot.of(self.network))
-        return self._snapshot[1]
 
     def run(self, plan):
         self.statistics.work_units += len(plan.work_units)
@@ -237,7 +232,9 @@ class _ProbeDriver:
     ) -> Tuple[Tuple[MappingCycle, ...], Tuple[ParallelPaths, ...]]:
         """The whole network's structures via one full-probe frontier."""
         plan = plan_full_probe(
-            self.snapshot(), ttl=self.ttl, include_parallel_paths=include_parallel_paths
+            self.network.snapshot(),
+            ttl=self.ttl,
+            include_parallel_paths=include_parallel_paths,
         )
         return self.run(plan).merged()
 
@@ -247,7 +244,7 @@ class _ProbeDriver:
         """Each origin's local structures, batched into one neighbourhood
         plan."""
         plan = plan_neighborhood_probe(
-            self.snapshot(),
+            self.network.snapshot(),
             origins,
             ttl=self.ttl,
             include_parallel_paths=include_parallel_paths,
@@ -264,7 +261,7 @@ class _ProbeDriver:
         """The structures through a freshly added mapping (the graft set of
         an incremental refresh), via a mapping-delta plan."""
         plan = plan_mapping_delta(
-            self.snapshot(),
+            self.network.snapshot(),
             mapping_name,
             ttl=self.ttl,
             include_parallel_paths=include_parallel_paths,
@@ -278,9 +275,9 @@ class NetworkStructureCache:
     The cache is keyed on ``(network version, ttl, include_parallel_paths)``:
     a topology mutation (added/removed peer or mapping) bumps
     :attr:`~repro.pdms.network.PDMSNetwork.version` and transparently forces
-    a refresh, and :meth:`invalidate` drops the cached structures
-    explicitly for mutations the version counter cannot see (e.g. direct
-    fiddling with network internals in tests).
+    a refresh, and :meth:`invalidate` drops the cached structures and the
+    network's shared snapshot explicitly for mutations the version counter
+    cannot see (e.g. direct fiddling with network internals in tests).
 
     Incremental maintenance
     -----------------------
@@ -430,7 +427,9 @@ class NetworkStructureCache:
         )
 
     def invalidate(self) -> None:
-        """Drop the cached structures; the next lookup re-probes."""
+        """Drop the cached structures and the network's shared snapshot
+        with its walks; the next lookup re-probes the current topology."""
+        self.network.invalidate_snapshot()
         self._key = None
         self._cycles = ()
         self._parallel_paths = ()
@@ -661,7 +660,10 @@ class NeighborhoodStructureCache:
         )
 
     def invalidate(self) -> None:
-        """Drop every origin's cached view; the next lookups re-probe."""
+        """Drop every origin's cached view and the network's shared
+        snapshot with its walks; the next lookups re-probe the current
+        topology."""
+        self.network.invalidate_snapshot()
         self._entries.clear()
         self._delta_memo.clear()
         self._unmappable_memo.clear()

@@ -432,9 +432,14 @@ class MappingQualityAssessor:
 
         One compiled per-origin plan, one stacked engine run — the traffic
         model of a live PDMS, where *all* peers assess their mappings, not
-        just an experimenter's global index.
+        just an experimenter's global index.  The views are also kept for
+        :meth:`local_probability`, so a :meth:`local_router` over the same
+        attribute, topology version and priors runs no second sweep; the
+        returned dicts are the caller's own copies.
         """
-        return self.assess_locals(self.network.peer_names, attribute)
+        views = self.assess_locals(self.network.peer_names, attribute)
+        self._local_views[attribute] = (self.neighborhood_cache.current_key(), views)
+        return {origin: dict(view) for origin, view in views.items()}
 
     def assess_mapping(self, mapping_name: str, attributes: Optional[Iterable[str]] = None) -> float:
         """Coarse-granularity quality of a whole mapping (§4.1).
@@ -554,8 +559,9 @@ class MappingQualityAssessor:
         assessments still reflect the old evidence until re-assessed — and
         out-of-band surgery on network internals is invisible to the version
         counter entirely.  This clears the structure caches (global and
-        per-origin), the compiled assessment plans (global and local), the
-        assessment cache and the cached local views.
+        per-origin) and the network's shared snapshot with its walks, the
+        compiled assessment plans (global and local), the assessment cache
+        and the cached local views.
         """
         self.structure_cache.invalidate()
         self.neighborhood_cache.invalidate()
@@ -632,25 +638,22 @@ class MappingQualityAssessor:
         """P(attribute preserved) as judged by the mapping's *own* peer.
 
         The decentralised counterpart of :meth:`probability`: the answer
-        comes from the source peer's local view (§4.5) — the batched
-        :meth:`assess_local_all` run for the attribute, computed lazily once
-        per attribute and topology version (a version bump refreshes the
-        cached views automatically; :meth:`invalidate` drops them for
-        out-of-band mutations) — not from the global evidence index.  The
-        resolution order is shared with the local views: ⊥ rule, local
+        comes from the source peer's local view (§4.5) — the views of the
+        latest :meth:`assess_local_all` run for the attribute, made lazily
+        when none exists for the current topology version (a version bump
+        refreshes the views automatically; :meth:`update_priors` and
+        :meth:`invalidate` drop them) — not from the global evidence index.
+        The resolution order is shared with the local views: ⊥ rule, local
         posterior, prior.
         """
         mapping_obj = (
             self.network.mapping(mapping) if isinstance(mapping, str) else mapping
         )
-        key = self.neighborhood_cache.current_key()
         cached = self._local_views.get(attribute)
-        if cached is None or cached[0] != key:
-            views = self.assess_local_all(attribute)
-            self._local_views[attribute] = (key, views)
-        else:
-            views = cached[1]
-        view = views.get(mapping_obj.source, {})
+        if cached is None or cached[0] != self.neighborhood_cache.current_key():
+            self.assess_local_all(attribute)
+            cached = self._local_views[attribute]
+        view = cached[1].get(mapping_obj.source, {})
         if mapping_obj.name in view:
             return view[mapping_obj.name]
         if not mapping_obj.maps_attribute(attribute):

@@ -38,7 +38,7 @@ from ..generators.paper import (
     single_cycle_feedback,
 )
 from ..alignment.eon import EONScenario, build_eon_network
-from ..pdms.discovery import plan_full_probe, run_plan
+from ..pdms.discovery import TopologySnapshot, plan_full_probe, run_plan
 from ..pdms.events import MappingAdded, PeerAdded
 from ..pdms.gossip import GossipHarness, SeededTransport
 from ..pdms.network import PDMSNetwork
@@ -1400,6 +1400,12 @@ class LocalAssessmentPoint:
     so the comparison isolates what the batching targets: per-origin engine
     construction plus the message-passing rounds.  The local views of the
     two paths must agree to floating-point accuracy under identical seeds.
+
+    The two paths are timed in alternating pairs; ``sequential_seconds``
+    and ``batched_seconds`` are the medians over the pairs and
+    :attr:`speedup` is the median of the per-pair ratios
+    (:attr:`pair_speedups`), so one slow interval on a shared host moves
+    one pair, not the verdict.
     """
 
     peer_count: int
@@ -1412,12 +1418,11 @@ class LocalAssessmentPoint:
     plan_compiles: int
     probes: int
     max_posterior_difference: float
+    pair_speedups: Tuple[float, ...]
 
     @property
     def speedup(self) -> float:
-        if self.batched_seconds <= 0.0:
-            return float("inf")
-        return self.sequential_seconds / self.batched_seconds
+        return float(np.median(self.pair_speedups))
 
     @property
     def sequential_origins_per_second(self) -> float:
@@ -1460,12 +1465,14 @@ def run_local_assessment(
     """Measure ``assess_local_all`` against the per-call reference.
 
     For each peer count a scale-free PDMS is generated and the full
-    all-origins decentralised decision for one attribute is timed (best of
-    ``repeats``, fresh assessor per repetition, per-origin neighbourhood
-    cache warmed outside the timed region) once as one block-diagonal
-    per-origin-lane :class:`~repro.core.batched.BlockedEmbeddedMessagePassing`
-    run and once as one per-call ``assess_local`` (a sequential
-    ``EmbeddedMessagePassing``) per origin.
+    all-origins decentralised decision for one attribute is timed as one
+    block-diagonal per-origin-lane
+    :class:`~repro.core.batched.BlockedEmbeddedMessagePassing` run and as
+    one per-call ``assess_local`` (a sequential ``EmbeddedMessagePassing``)
+    per origin.  The two are timed in ``repeats`` alternating pairs — the
+    first path of each pair flips every pair, every run gets a fresh
+    assessor, and the per-origin neighbourhood cache is warmed outside the
+    timed region.
     ``send_probability < 1`` exercises the lossy path: both sides seed one
     transport per origin identically, so the local views must still agree.
     """
@@ -1482,33 +1489,41 @@ def run_local_assessment(
         attribute = network.attribute_universe()[0]
 
         def time_local_sweep(use_batched: bool):
-            best = float("inf")
-            assessor = None
-            views = None
-            for _ in range(max(1, repeats)):
-                assessor = MappingQualityAssessor(
-                    network,
-                    delta=None,
-                    ttl=ttl,
-                    include_parallel_paths=False,
-                    seed=seed,
-                    send_probability=send_probability,
-                )
-                for origin in network.peer_names:
-                    assessor.neighborhood_cache.structures_for(origin)
-                start = time.perf_counter()
-                if use_batched:
-                    views = assessor.assess_local_all(attribute)
-                else:
-                    views = {
-                        origin: assessor.assess_local(origin, attribute)
-                        for origin in network.peer_names
-                    }
-                best = min(best, time.perf_counter() - start)
-            return assessor, views, best
+            assessor = MappingQualityAssessor(
+                network,
+                delta=None,
+                ttl=ttl,
+                include_parallel_paths=False,
+                seed=seed,
+                send_probability=send_probability,
+            )
+            for origin in network.peer_names:
+                assessor.neighborhood_cache.structures_for(origin)
+            start = time.perf_counter()
+            if use_batched:
+                views = assessor.assess_local_all(attribute)
+            else:
+                views = {
+                    origin: assessor.assess_local(origin, attribute)
+                    for origin in network.peer_names
+                }
+            return assessor, views, time.perf_counter() - start
 
-        batched, batched_views, batched_seconds = time_local_sweep(True)
-        _, sequential_views, sequential_seconds = time_local_sweep(False)
+        seconds: Dict[bool, List[float]] = {True: [], False: []}
+        pair_speedups: List[float] = []
+        for pair in range(max(1, repeats)):
+            for use_batched in (pair % 2 == 1, pair % 2 == 0):
+                assessor, views, elapsed = time_local_sweep(use_batched)
+                seconds[use_batched].append(elapsed)
+                if use_batched:
+                    batched, batched_views = assessor, views
+                else:
+                    sequential_views = views
+            pair_speedups.append(
+                seconds[False][-1] / seconds[True][-1]
+                if seconds[True][-1] > 0.0
+                else float("inf")
+            )
 
         worst = 0.0
         for origin, sequential_view in sequential_views.items():
@@ -1535,11 +1550,12 @@ def run_local_assessment(
                 attribute=attribute,
                 structure_count=structure_count,
                 mapping_count=len(network.mapping_names),
-                sequential_seconds=sequential_seconds,
-                batched_seconds=batched_seconds,
+                sequential_seconds=float(np.median(seconds[False])),
+                batched_seconds=float(np.median(seconds[True])),
                 plan_compiles=batched.local_plan_compile_count,
                 probes=batched.neighborhood_cache.statistics.probes,
                 max_posterior_difference=worst,
+                pair_speedups=tuple(pair_speedups),
             )
         )
     return LocalAssessmentResult(
@@ -1868,14 +1884,18 @@ def run_probe_throughput(
     For each peer count a scale-free PDMS is generated (mappings in both
     directions, the probe-heavy regime) and one full-probe plan — every
     peer's cycles-through and paths-from units at ``ttl`` — is run by
-    :func:`~repro.pdms.discovery.run_plan` (best of ``repeats``).
+    :func:`~repro.pdms.discovery.run_plan` (best of ``repeats``).  Each
+    repeat plans on a fresh private snapshot: a snapshot remembers its
+    walks, so a second run of the same plan would time lookups, not walks.
     """
     points: List[ProbeThroughputPoint] = []
     for peer_count in peer_counts:
         network = scale_free_network(peer_count, seed=peer_count)
-        plan = plan_full_probe(network, ttl=ttl, include_parallel_paths=True)
         best_seconds = float("inf")
         for _ in range(max(1, repeats)):
+            plan = plan_full_probe(
+                TopologySnapshot.of(network), ttl=ttl, include_parallel_paths=True
+            )
             start = time.perf_counter()
             run = run_plan(plan)
             best_seconds = min(best_seconds, time.perf_counter() - start)

@@ -1,7 +1,7 @@
 """``repro.lintkit`` — AST-based architectural analyzer for this repo.
 
 Every guarantee the reproduction makes — bit-identical posteriors across
-the sweep engines, discovery order-identical to the recursive walkers —
+the sweep engines, discovery order-identical to per-peer walker sweeps —
 rests on conventions that used to live in docstrings and two ad-hoc test
 sweeps.  This subsystem states each invariant once, as data
 (:mod:`repro.lintkit.contracts`), and enforces it mechanically over the

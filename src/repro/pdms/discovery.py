@@ -1,9 +1,9 @@
 """The discovery core: probe plans run in-process.
 
 Cycle / parallel-path discovery is the probe phase of §3.2.1 — peers flood
-their neighbourhood with TTL-bounded probe messages.  The recursive walkers
-living in :mod:`repro.pdms.probing` enumerate one origin's view at a time;
-this module is the layer above them, mirroring what
+their neighbourhood with TTL-bounded probe messages.  The walkers living in
+:mod:`repro.pdms.probing` enumerate one origin's view at a time; this
+module is the layer above them, mirroring what
 :mod:`repro.factorgraph.plan` does for the sweep engines one level down.
 
 A :class:`ProbePlan` states *what* to discover: an immutable, picklable
@@ -15,12 +15,19 @@ stated once for the whole plan.  Both structure caches of
 incremental refreshes onto this frontier (:func:`replay_structure_log` is
 the shared replay).
 
+A snapshot lowers itself once to integer adjacency, which the cycles
+walker runs on, and walks each origin's cycles at most once per ttl: the
+structures a peer's probe finds do not depend on the attribute or on which
+plan asked.  A network hands every consumer the same snapshot per topology
+version (:meth:`~repro.pdms.network.PDMSNetwork.snapshot`), so the global
+and the per-origin caches share those walks.
+
 :func:`run_plan` runs a plan's units in plan order on the calling thread,
 one :class:`ProbeOutcome` per unit, and :meth:`ProbeRun.merged` deduplicates
 them canonically (:func:`merge_structures`): cycles by their
 rotation-invariant key, parallel paths by their branch-order-invariant key,
 keeping the first discovery's orientation.  The merged lists are therefore
-order-identical to the historical recursive sweeps.
+order-identical to the historical per-peer sweeps.
 """
 
 from __future__ import annotations
@@ -87,14 +94,19 @@ class _SnapshotPeer:
 class TopologySnapshot:
     """Immutable, picklable topology view a probe plan is executed against.
 
-    Captures exactly what the recursive walkers of
-    :mod:`repro.pdms.probing` consult — the peer names and the mapping
-    edges, in network insertion order — and exposes the same duck-typed
-    surface (:meth:`peer`, :meth:`mapping`, :attr:`mappings`,
-    :meth:`has_peer`), so every walker runs unchanged against a live
-    :class:`~repro.pdms.network.PDMSNetwork` or a snapshot of it.  The
-    derived adjacency indexes are rebuilt lazily after unpickling instead of
-    being pickled.
+    Captures exactly what the walkers of :mod:`repro.pdms.probing` consult
+    — the peer names and the mapping edges, in network insertion order —
+    and exposes the same duck-typed surface (:meth:`peer`, :meth:`mapping`,
+    :attr:`mappings`, :meth:`has_peer`) as a live
+    :class:`~repro.pdms.network.PDMSNetwork`.
+
+    The first lookup lowers the snapshot, in one pass, to integer
+    adjacency (:meth:`adjacency`: peer ids plus per-peer out-edge rows in
+    insertion order), which the cycles walker runs on.  A snapshot also
+    remembers each origin's cycles (:meth:`cycles_through`), so every plan
+    run against it walks an origin at a given ttl once.  Neither the
+    lowering nor the walks are pickled; both are rebuilt lazily after
+    unpickling.
     """
 
     __slots__ = (
@@ -105,6 +117,9 @@ class TopologySnapshot:
         "mappings",
         "_peers",
         "_by_name",
+        "_ids",
+        "_rows",
+        "_walks",
     )
 
     def __init__(
@@ -121,13 +136,24 @@ class TopologySnapshot:
         self.directed = directed
         self.peer_names = tuple(peer_names)
         self.mappings = tuple(mappings)
+        self._reset()
+
+    def _reset(self) -> None:
         self._peers: Optional[Dict[str, _SnapshotPeer]] = None
         self._by_name: Optional[Dict[str, Mapping]] = None
+        self._ids: Optional[Dict[str, int]] = None
+        self._rows: Optional[List[List[Tuple[int, Mapping]]]] = None
+        self._walks: Dict[Tuple[str, int], Tuple[MappingCycle, ...]] = {}
 
     @classmethod
     def of(cls, source) -> "TopologySnapshot":
-        """Snapshot a :class:`~repro.pdms.network.PDMSNetwork` (idempotent on
-        snapshots: an existing snapshot is returned as-is)."""
+        """A new, private snapshot of a
+        :class:`~repro.pdms.network.PDMSNetwork` (idempotent on snapshots:
+        an existing snapshot is returned as-is).
+
+        :meth:`PDMSNetwork.snapshot() <repro.pdms.network.PDMSNetwork.snapshot>`
+        is the shared one, whose walks every consumer of the same topology
+        version reuses; this builds a cold one."""
         if isinstance(source, cls):
             return source
         return cls(
@@ -138,31 +164,55 @@ class TopologySnapshot:
             directed=source.directed,
         )
 
-    # -- pickling: core fields only, adjacency rebuilt lazily ----------------
+    # -- pickling: core fields only, adjacency and walks rebuilt lazily -------
 
     def __getstate__(self):
         return (self.name, self.version, self.directed, self.peer_names, self.mappings)
 
     def __setstate__(self, state) -> None:
         self.name, self.version, self.directed, self.peer_names, self.mappings = state
-        self._peers = None
-        self._by_name = None
+        self._reset()
 
     # -- probe surface (mirrors PDMSNetwork) ---------------------------------
 
     def _index(self) -> Dict[str, _SnapshotPeer]:
+        """Lower the snapshot once: peer ids, integer out-edge rows, the
+        per-peer views and the mapping index, all in one pass."""
         if self._peers is None:
-            outgoing: Dict[str, List[Mapping]] = {name: [] for name in self.peer_names}
+            ids = {name: index for index, name in enumerate(self.peer_names)}
+            rows: List[List[Tuple[int, Mapping]]] = [[] for _ in self.peer_names]
+            outgoing: List[List[Mapping]] = [[] for _ in self.peer_names]
             by_name: Dict[str, Mapping] = {}
             for mapping in self.mappings:
                 by_name[mapping.name] = mapping
-                outgoing[mapping.source].append(mapping)
+                source = ids[mapping.source]
+                rows[source].append((ids[mapping.target], mapping))
+                outgoing[source].append(mapping)
+            self._ids = ids
+            self._rows = rows
             self._peers = {
                 name: _SnapshotPeer(name, tuple(edges))
-                for name, edges in outgoing.items()
+                for name, edges in zip(self.peer_names, outgoing)
             }
             self._by_name = by_name
         return self._peers
+
+    def adjacency(self) -> Tuple[Dict[str, int], List[List[Tuple[int, Mapping]]]]:
+        """The integer lowering: ``(ids, rows)``, where ``ids`` maps each
+        peer name to its position in :attr:`peer_names` and ``rows[i]``
+        lists peer ``i``'s out-edges as ``(target id, mapping)`` pairs in
+        mapping insertion order."""
+        self._index()
+        return self._ids, self._rows
+
+    def cycles_through(self, origin: str, ttl: int) -> Tuple[MappingCycle, ...]:
+        """:func:`~repro.pdms.probing.find_cycles_through` on this snapshot,
+        walked once per ``(origin, ttl)``."""
+        key = (origin, ttl)
+        cycles = self._walks.get(key)
+        if cycles is None:
+            cycles = self._walks[key] = find_cycles_through(self, origin, ttl)
+        return cycles
 
     def peer(self, name: str) -> _SnapshotPeer:
         try:
@@ -306,13 +356,18 @@ def plan_mapping_delta(
 
 
 def execute_work_unit(plan: ProbePlan, unit: ProbeWorkUnit) -> ProbeOutcome:
-    """Run one unit of a plan with the recursive walkers of
-    :mod:`repro.pdms.probing` against the plan's snapshot."""
+    """Run one unit of a plan against the plan's snapshot with the walkers
+    of :mod:`repro.pdms.probing`.
+
+    Cycle walks go through the snapshot's memo
+    (:meth:`TopologySnapshot.cycles_through`), so the cycles-through,
+    neighbourhood and ``via``-filtered delta units of any plan on the same
+    snapshot share one walk per origin and ttl."""
     snapshot, ttl = plan.snapshot, plan.ttl
     cycles: Tuple[MappingCycle, ...] = ()
     parallel_paths: Tuple[ParallelPaths, ...] = ()
     if unit.kind == CYCLES_THROUGH:
-        cycles = find_cycles_through(snapshot, unit.subject, ttl=ttl)
+        cycles = snapshot.cycles_through(unit.subject, ttl)
     elif unit.kind == PATHS_FROM:
         if plan.include_parallel_paths:
             parallel_paths = find_parallel_paths_from(snapshot, unit.subject, ttl=ttl)
@@ -322,7 +377,7 @@ def execute_work_unit(plan: ProbePlan, unit: ProbeWorkUnit) -> ProbeOutcome:
                 snapshot, unit.subject, ttl=ttl
             )
     elif unit.kind == NEIGHBORHOOD:
-        cycles = find_cycles_through(snapshot, unit.subject, ttl=ttl)
+        cycles = snapshot.cycles_through(unit.subject, ttl)
         if plan.include_parallel_paths:
             parallel_paths = find_parallel_paths_from(snapshot, unit.subject, ttl=ttl)
     else:
@@ -385,7 +440,7 @@ def run_plan(plan: ProbePlan) -> ProbeRun:
     """Run every unit of ``plan`` in plan order on the calling thread.
 
     Running the units in plan order makes even discovery *order* (not just
-    the canonical sets) match the historical recursive walkers."""
+    the canonical sets) match the historical per-peer sweeps."""
     return ProbeRun(
         plan=plan,
         outcomes=tuple(execute_work_unit(plan, unit) for unit in plan.work_units),

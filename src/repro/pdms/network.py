@@ -63,6 +63,7 @@ class PDMSNetwork:
             maxlen=self.MUTATION_LOG_LIMIT
         )
         self._mutation_floor = 0
+        self._snapshot = None
 
     @property
     def version(self) -> int:
@@ -274,15 +275,30 @@ class PDMSNetwork:
     # -- topology ------------------------------------------------------------------------
 
     def snapshot(self):
-        """An immutable, picklable :class:`~repro.pdms.discovery.TopologySnapshot`
-        of the current peers and mappings (insertion order preserved), the
-        topology view probe plans are built on and shipped to worker
-        processes.  Tagged with :attr:`version` so cached snapshots can be
-        invalidated on mutation.
+        """The immutable, picklable
+        :class:`~repro.pdms.discovery.TopologySnapshot` of the current peers
+        and mappings (insertion order preserved) that probe plans are built
+        on.
+
+        Shared per topology version: every call returns the same snapshot
+        until :attr:`version` changes, so its integer lowering and the
+        per-origin walks it remembers serve every consumer of this version
+        — both structure caches of every assessor on this network.  Call
+        :meth:`invalidate_snapshot` after out-of-band surgery the version
+        counter cannot see.  ``TopologySnapshot.of(network)`` builds a
+        private, cold snapshot instead.
         """
         from .discovery import TopologySnapshot
 
-        return TopologySnapshot.of(self)
+        if self._snapshot is None or self._snapshot.version != self._version:
+            self._snapshot = TopologySnapshot.of(self)
+        return self._snapshot
+
+    def invalidate_snapshot(self) -> None:
+        """Drop the shared snapshot and its walks; the next :meth:`snapshot`
+        lowers the network afresh.  The structure caches'
+        ``invalidate()`` calls this."""
+        self._snapshot = None
 
     def to_networkx(self) -> nx.MultiDiGraph:
         """Export the mapping graph; edge key is the mapping name."""

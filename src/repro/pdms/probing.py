@@ -12,12 +12,16 @@ The returned structures are lists of :class:`~repro.mapping.mapping.Mapping`
 objects in traversal order, ready to be fed to the feedback analysis.
 
 This module holds only the *per-work-unit* walkers: each entry point
-enumerates one origin peer's view (or one mapping's delta).  Whole-network
-enumeration is a composition concern — :mod:`repro.pdms.discovery` builds
-frontiers of per-origin work units over these walkers and runs them with
-:func:`~repro.pdms.discovery.run_plan`; :func:`find_all_cycles` and
-:func:`find_all_parallel_paths` remain as thin conveniences delegating to a
-full-probe plan.
+enumerates one origin peer's view (or one mapping's delta).  The cycles
+walker runs on the integer adjacency a
+:class:`~repro.pdms.discovery.TopologySnapshot` lowers to (int peer ids, a
+visited bytearray, a ttl-bounded path stack); the parallel-path walkers
+still walk the peers' mapping objects.  Whole-network enumeration is a
+composition concern — :mod:`repro.pdms.discovery` builds frontiers of
+per-origin work units over these walkers, walks each origin once per
+snapshot, and runs them with :func:`~repro.pdms.discovery.run_plan`;
+:func:`find_all_cycles` and :func:`find_all_parallel_paths` remain as thin
+conveniences delegating to a full-probe plan.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..constants import DEFAULT_TTL
-from ..exceptions import PDMSError
+from ..exceptions import PDMSError, UnknownPeerError
 from ..mapping.mapping import Mapping
 from .network import PDMSNetwork
 
@@ -162,37 +166,55 @@ def find_cycles_through(
     """Simple directed mapping cycles through ``origin`` of length ≤ ``ttl``.
 
     A cycle is reported once, oriented to start at ``origin`` with one of
-    the peer's outgoing mappings.  Raises :class:`ValueError` for a
-    non-positive ``ttl`` (``ttl == 1`` is valid but can discover no cycle).
+    the peer's outgoing mappings, in depth-first order over the network's
+    mapping insertion order.  Raises :class:`ValueError` for a non-positive
+    ``ttl`` (``ttl == 1`` is valid but can discover no cycle, even from an
+    unknown origin) and :class:`~repro.exceptions.UnknownPeerError` for an
+    unknown origin.
+
+    The walk runs on the integer adjacency of a
+    :class:`~repro.pdms.discovery.TopologySnapshot` (a live network is
+    lowered first): integer peer ids, one visited bytearray and one path
+    stack no deeper than ``ttl``.  A :class:`MappingCycle` is built only
+    when a cycle closes.  A depth-first search over simple paths from one
+    origin never reaches the same mapping sequence twice, so no dedupe set
+    is needed.
     """
     if validate_ttl(ttl) < 2:
         return ()
+    from .discovery import TopologySnapshot
+
+    ids, rows = TopologySnapshot.of(network).adjacency()
+    if origin not in ids:
+        raise UnknownPeerError(f"unknown peer {origin!r}")
+    start = ids[origin]
+    deepest = ttl - 1
     cycles: List[MappingCycle] = []
-    seen: set[Tuple[str, ...]] = set()
+    path: List[Mapping] = []
+    visited = bytearray(len(rows))
+    visited[start] = 1
 
-    def walk(path: Tuple[Mapping, ...], visited: Tuple[str, ...]) -> None:
-        current = path[-1].target
-        if len(path) >= 2:
-            # Close the cycle if an outgoing mapping returns to the origin.
-            pass
-        for mapping in network.peer(current).outgoing_mappings:
-            if mapping.target == origin and len(path) + 1 >= 2:
-                cycle = MappingCycle(origin=origin, mappings=path + (mapping,))
-                key = cycle.canonical_key()
-                if key not in seen:
-                    seen.add(key)
-                    cycles.append(cycle)
-                continue
-            if mapping.target in visited:
-                continue
-            if len(path) + 1 >= ttl:
-                continue
-            walk(path + (mapping,), visited + (mapping.target,))
+    def walk(current: int, depth: int) -> None:
+        for target, mapping in rows[current]:
+            if target == start:
+                path.append(mapping)
+                cycles.append(MappingCycle(origin, tuple(path)))
+                path.pop()
+            elif depth < deepest and not visited[target]:
+                visited[target] = 1
+                path.append(mapping)
+                walk(target, depth + 1)
+                path.pop()
+                visited[target] = 0
 
-    for first in network.peer(origin).outgoing_mappings:
-        if first.target == origin:
+    for target, first in rows[start]:
+        if target == start:  # a self-loop is no cycle
             continue
-        walk((first,), (origin, first.target))
+        visited[target] = 1
+        path.append(first)
+        walk(target, 1)
+        path.pop()
+        visited[target] = 0
     return tuple(cycles)
 
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.analysis import (
+    NeighborhoodStructureCache,
     NetworkStructureCache,
     analyze_neighborhood,
     analyze_network,
@@ -11,11 +12,19 @@ from repro.core.feedback import FeedbackKind
 from repro.generators.paper import intro_example_network
 from repro.generators.topologies import chain_network, cycle_network
 from repro.mapping.corruption import drop_correspondences
+from repro.pdms.discovery import TopologySnapshot, plan_full_probe, run_plan
 
 
 @pytest.fixture(scope="module")
 def intro_network():
     return intro_example_network(with_records=False)
+
+
+def _cut_out_of_band(network, name):
+    """Delete a mapping behind the network's back: the version counter and
+    the event log never see it, which is what ``invalidate()`` is for."""
+    mapping = network._mappings.pop(name)
+    del network.peer(mapping.source)._outgoing[name]
 
 
 class TestAnalyzeNetwork:
@@ -268,6 +277,31 @@ class TestNetworkStructureCache:
         cache.invalidate()
         cache.evidence_for("Creator")
         assert cache.statistics.probes == 2
+
+    def test_invalidate_after_surgery_sees_the_current_topology(self):
+        """Regression: invalidate() used to re-probe the snapshot of the
+        unchanged version, so out-of-band surgery stayed invisible."""
+        network = self._fresh_network()
+        cache = NetworkStructureCache(network, ttl=4)
+        local = NeighborhoodStructureCache(network, ttl=4)
+        cycles, _ = cache.structures()
+        assert sum("p1->p2" in c.mapping_names for c in cycles) == 3
+        assert any("p1->p2" in c.mapping_names for c in local.structures_for("p1")[0])
+
+        _cut_out_of_band(network, "p1->p2")
+        cache.invalidate()
+        local.invalidate()
+        cycles, paths = cache.structures()
+        assert not any("p1->p2" in s.mapping_names for s in cycles + paths)
+        expected, _ = run_plan(
+            plan_full_probe(TopologySnapshot.of(network), ttl=4)
+        ).merged()
+        assert [c.mapping_names for c in cycles] == [
+            c.mapping_names for c in expected
+        ]
+        for origin in network.peer_names:
+            l_cycles, l_paths = local.structures_for(origin)
+            assert not any("p1->p2" in s.mapping_names for s in l_cycles + l_paths)
 
     def test_network_version_counter(self):
         from repro.pdms.peer import Peer

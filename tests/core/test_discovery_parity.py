@@ -1,6 +1,6 @@
 """Discovery-frontier contract tests for the core layer.
 
-Three guarantees land here, mirroring ``test_plan_ir.py`` one layer up:
+Four guarantees land here, mirroring ``test_plan_ir.py`` one layer up:
 
 1. The walker-ban layering invariant: the core must reach structure
    discovery through the probe-plan frontier of
@@ -15,9 +15,13 @@ Three guarantees land here, mirroring ``test_plan_ir.py`` one layer up:
 2. The live x fresh parity matrix: both structure caches, kept live
    through a mutation-log incremental refresh, must hand back canonically
    identical structure sets to a cache probing the mutated network from
-   scratch.
+   scratch.  A network shares one snapshot and its walks per version, so
+   the fresh side probes a replay of the network's event log (or, where
+   the log is truncated, a private snapshot) — never the live side's
+   snapshot.
 3. Incremental refresh is O(delta): one mapping removed and re-added at
    1024 peers runs exactly one work unit per cache, never a full probe.
+4. One walk per origin per topology version and ttl, across both caches.
 """
 
 import pathlib
@@ -30,6 +34,11 @@ from repro.core.analysis import NeighborhoodStructureCache, NetworkStructureCach
 from repro.generators.scenarios import generate_scenario
 from repro.generators.topologies import scale_free_network
 from repro.lintkit import run_lint, rules_by_id
+from repro.pdms import discovery
+from repro.pdms.discovery import TopologySnapshot, plan_full_probe, run_plan
+from repro.pdms.network import PDMSNetwork
+from repro.pdms.peer import Peer
+from repro.pdms.probing import find_cycles_through
 
 SEEDS = (1, 2, 3)
 
@@ -47,6 +56,40 @@ def _churn(network):
     mapping = network.mapping(name)
     network.remove_mapping(name)
     network.add_mapping(mapping, bidirectional=False)
+
+
+def _replayed(network):
+    """A from-scratch twin of ``network``: its complete event log replayed
+    into a new network, which lowers its own snapshot."""
+    assert not network.log_truncated
+    return PDMSNetwork.from_events(
+        network.event_log(), name=network.name, directed=network.directed
+    )
+
+
+class TestFreshSideReplay:
+    def test_replay_reproduces_a_churned_network(self):
+        network = scale_free_network(16, seed=4)
+        _churn(network)
+        peer = network.peers[3]
+        incident = [
+            m for m in network.mappings if peer.name in (m.source, m.target)
+        ]
+        network.remove_peer(peer.name)
+        network.add_peer(Peer(peer.name, peer.schema))
+        for mapping in incident:
+            network.add_mapping(mapping, bidirectional=False)
+        _churn(network)
+
+        replayed = _replayed(network)
+        assert replayed.peer_names == network.peer_names
+        assert replayed.mapping_names == network.mapping_names
+        assert replayed.version == network.version
+        for name in network.peer_names:
+            assert [m.name for m in replayed.peer(name).outgoing_mappings] == [
+                m.name for m in network.peer(name).outgoing_mappings
+            ]
+        assert replayed.snapshot() is not network.snapshot()
 
 
 class TestCoreUsesTheDiscoveryFrontier:
@@ -78,7 +121,7 @@ class TestNetworkCacheParity:
         cycles, paths = live.structures()
         assert live.statistics.partial_refreshes == 1
         assert live.statistics.probes == 1
-        fresh = NetworkStructureCache(network, ttl=ttl)
+        fresh = NetworkStructureCache(_replayed(network), ttl=ttl)
         f_cycles, f_paths = fresh.structures()
         assert _canon(cycles) == _canon(f_cycles)
         assert _canon(paths) == _canon(f_paths)
@@ -108,7 +151,7 @@ class TestNeighborhoodCacheParity:
         assert live.statistics.misses == lazy.statistics.misses
 
         _churn(network)
-        fresh = NeighborhoodStructureCache(network, ttl=ttl)
+        fresh = NeighborhoodStructureCache(_replayed(network), ttl=ttl)
         for origin in origins:
             cycles, paths = live.structures_for(origin)
             f_cycles, f_paths = fresh.structures_for(origin)
@@ -143,9 +186,47 @@ class TestIncrementalRefreshIsODelta:
         assert g.work_units == global_before.work_units + 1
         assert g.probes == global_before.probes
         assert g.partial_refreshes == global_before.partial_refreshes + 1
-        fresh = NetworkStructureCache(network, ttl=3, include_parallel_paths=False)
-        assert _canon(cycles) == _canon(fresh.structures()[0])
+        # The 1024-peer log is truncated, so the fresh side is a private
+        # snapshot's full probe rather than a replay.
+        fresh, _ = run_plan(
+            plan_full_probe(
+                TopologySnapshot.of(network), ttl=3, include_parallel_paths=False
+            )
+        ).merged()
+        assert _canon(cycles) == _canon(fresh)
         # One delta plan, shared by every origin replaying the same entry.
         assert l.work_units == local_before.work_units + 1
         assert l.probes == local_before.probes
         assert l.partial_refreshes == local_before.partial_refreshes + len(peers)
+
+
+class TestOneWalkPerOriginPerVersion:
+    def test_both_caches_share_each_origins_walk(self, monkeypatch):
+        walks = []
+
+        def spy(snapshot, origin, ttl):
+            walks.append((snapshot.version, origin, ttl))
+            return find_cycles_through(snapshot, origin, ttl)
+
+        monkeypatch.setattr(discovery, "find_cycles_through", spy)
+        network = scale_free_network(64, seed=5)
+        global_cache = NetworkStructureCache(
+            network, ttl=3, include_parallel_paths=False
+        )
+        local_cache = NeighborhoodStructureCache(
+            network, ttl=3, include_parallel_paths=False
+        )
+        global_cache.structures()
+        local_cache.warm(network.peer_names)
+        assert sorted(origin for _, origin, _ in walks) == sorted(network.peer_names)
+        # Work units still count plan work, not walks.
+        assert global_cache.statistics.work_units == 64
+        assert local_cache.statistics.work_units == 64
+
+        walks.clear()
+        _churn(network)
+        global_cache.structures()
+        local_cache.warm(network.peer_names)
+        assert len(walks) == 1
+        assert global_cache.statistics.work_units == 65
+        assert local_cache.statistics.work_units == 65

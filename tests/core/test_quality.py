@@ -139,6 +139,28 @@ class TestStructureCacheWiring:
         assert second is not first
         assert assessor.structure_cache.statistics.probes == 2
 
+    def test_invalidate_after_surgery_sees_the_current_topology(self):
+        """Regression: invalidate() used to re-probe the snapshot of the
+        unchanged version, so a mapping deleted behind the network's back
+        kept feeding evidence."""
+        network = intro_example_network(with_records=False)
+        assessor = MappingQualityAssessor(network, delta=0.1, ttl=4)
+        before = assessor.assess_attribute("Creator").evidence.cycles
+        assert sum("p1->p2" in c.mapping_names for c in before) == 3
+        assessor.assess_local_all("Creator")
+
+        mapping = network._mappings.pop("p1->p2")
+        del network.peer(mapping.source)._outgoing["p1->p2"]
+        assessor.invalidate()
+        evidence = assessor.assess_attribute("Creator").evidence
+        assert not any(
+            "p1->p2" in s.mapping_names
+            for s in evidence.cycles + evidence.parallel_paths
+        )
+        for origin in network.peer_names:
+            cycles, paths = assessor.neighborhood_cache.structures_for(origin)
+            assert not any("p1->p2" in s.mapping_names for s in cycles + paths)
+
 
 class TestDeterministicSeeding:
     def test_lossy_assessment_is_deterministic_by_default(self):

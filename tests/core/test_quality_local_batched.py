@@ -617,3 +617,36 @@ class TestEvolutionAndRoutingWiring:
         assessor.invalidate()
         assessor.local_probability("p2->p4", "Creator")
         assert assessor.neighborhood_cache.statistics.probes == 2 * probes
+
+    def test_local_router_reuses_assess_local_all(self, monkeypatch):
+        """After ``assess_local_all(a)`` a local router over ``a`` runs no
+        second sweep and answers exactly the views that sweep returned;
+        ``update_priors`` drops them."""
+        from repro.pdms.query import Query
+
+        network = intro_example_network(with_records=True)
+        assessor = MappingQualityAssessor(network, delta=0.1, ttl=4, seed=0)
+        views = assessor.assess_local_all("Creator")
+        sweeps = []
+        sweep = assessor.assess_locals
+
+        def counting_sweep(origins, attribute):
+            sweeps.append(attribute)
+            return sweep(origins, attribute)
+
+        monkeypatch.setattr(assessor, "assess_locals", counting_sweep)
+        router = assessor.local_router(policy=RoutingPolicy(default_threshold=0.5))
+        assert router.route(Query.select_project("p2", project=["Creator"])).hops
+        for view in views.values():
+            for name, value in view.items():
+                assert assessor.local_probability(name, "Creator") == value
+        assert sweeps == []
+
+        # The caller's dicts are copies of the stored views.
+        views["p2"]["p2->p4"] = 1.0
+        assert assessor.local_probability("p2->p4", "Creator") < 0.5
+        assert sweeps == []
+
+        assessor.update_priors(["Creator"])
+        assessor.local_probability("p2->p4", "Creator")
+        assert sweeps == ["Creator"]

@@ -2,17 +2,23 @@
 
 The :mod:`repro.pdms.discovery` frontier is the single enumeration engine
 behind both structure caches: these tests pin its contract — snapshots and
-plans pickle, and :func:`~repro.pdms.discovery.run_plan` is
-*order*-identical to the historical recursive walkers.
+plans pickle (without their integer lowering or remembered walks), the
+cycles walker on a snapshot's integer adjacency is *order*-identical to
+the recursive object-graph walker kept in ``walker_reference.py``, and
+:func:`~repro.pdms.discovery.run_plan` is order-identical to per-peer
+sweeps of that reference.
 """
 
 import pickle
+from dataclasses import dataclass
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import UnknownPeerError
 from repro.generators.paper import intro_example_network
 from repro.generators.topologies import scale_free_network
+from repro.mapping.mapping import Mapping
 from repro.pdms.discovery import (
     CYCLES_THROUGH,
     PATHS_FROM,
@@ -22,11 +28,15 @@ from repro.pdms.discovery import (
     plan_neighborhood_probe,
     run_plan,
 )
+from repro.pdms.network import PDMSNetwork
+from repro.pdms.peer import Peer
 from repro.pdms.probing import (
     find_cycles_through,
     find_parallel_paths_from,
     find_parallel_paths_through,
 )
+from repro.schema.schema import Schema
+from walker_reference import reference_cycles_through
 
 
 @pytest.fixture(scope="module")
@@ -44,12 +54,13 @@ def _names(structures):
 
 
 def _walker_reference(network, ttl):
-    """The pre-frontier sequential enumeration: per-peer walkers, deduped
-    by canonical key in peer order."""
+    """The pre-frontier sequential enumeration: per-peer walkers (the
+    recursive reference for cycles), deduped by canonical key in peer
+    order."""
     cycles, paths = [], []
     seen_cycles, seen_paths = set(), set()
     for name in network.peer_names:
-        for cycle in find_cycles_through(network, name, ttl=ttl):
+        for cycle in reference_cycles_through(network, name, ttl):
             key = cycle.canonical_key()
             if key not in seen_cycles:
                 seen_cycles.add(key)
@@ -88,6 +99,96 @@ class TestTopologySnapshot:
         clone = pickle.loads(pickle.dumps(plan))
         assert clone.work_units == plan.work_units
         assert clone.ttl == plan.ttl
+
+
+@dataclass(frozen=True)
+class _SelfLoop:
+    """A mapping-shaped self-loop.  ``Mapping`` rejects equal endpoints, but
+    a snapshot takes any mapping-shaped edge, and a walker must skip it."""
+
+    name: str
+    source: str
+    target: str
+
+
+@st.composite
+def _topologies(draw):
+    """A directed or undirected network of at most 40 peers with parallel
+    mappings, as a live network plus a snapshot of it with self-loops
+    spliced into the mapping order."""
+    peer_count = draw(st.integers(min_value=1, max_value=40))
+    directed = draw(st.booleans())
+    network = PDMSNetwork(directed=directed)
+    for index in range(peer_count):
+        network.add_peer(Peer(f"p{index}", Schema.from_names(f"p{index}", ["A"])))
+    peer = st.integers(min_value=0, max_value=peer_count - 1)
+    labels = st.sampled_from(["", "b"])
+    edges = draw(st.lists(st.tuples(peer, peer, labels), max_size=2 * peer_count))
+    for source, target, label in edges:
+        if source == target:
+            continue
+        mapping = Mapping.from_pairs(
+            f"p{source}", f"p{target}", {"A": "A"}, label=label
+        )
+        if not network.has_mapping(mapping.name):
+            network.add_mapping(mapping)
+    mappings = list(network.mappings)
+    loops = draw(st.lists(st.tuples(peer, st.integers(min_value=0)), max_size=5))
+    for number, (index, position) in enumerate(loops):
+        loop = _SelfLoop(f"p{index}-loop{number}", f"p{index}", f"p{index}")
+        mappings.insert(position % (len(mappings) + 1), loop)
+    snapshot = TopologySnapshot(network.peer_names, mappings, directed=directed)
+    return network, snapshot
+
+
+def _walked(cycles):
+    return [(cycle.origin, cycle.mapping_names) for cycle in cycles]
+
+
+class TestCyclesWalker:
+    @given(topology=_topologies(), ttl=st.integers(min_value=1, max_value=6))
+    @settings(max_examples=100, deadline=None)
+    def test_order_identical_to_reference(self, topology, ttl):
+        network, snapshot = topology
+        for source in (network, snapshot):
+            for origin in source.peer_names:
+                assert _walked(find_cycles_through(source, origin, ttl)) == _walked(
+                    reference_cycles_through(source, origin, ttl)
+                ), (origin, ttl)
+
+    def test_errors(self, intro_network):
+        with pytest.raises(ValueError, match="positive hop count"):
+            find_cycles_through(intro_network, "p1", ttl=0)
+        assert find_cycles_through(intro_network, "zz", ttl=1) == ()
+        with pytest.raises(UnknownPeerError):
+            find_cycles_through(intro_network, "zz", ttl=2)
+        with pytest.raises(UnknownPeerError):
+            find_cycles_through(intro_network.snapshot(), "zz", ttl=4)
+
+    def test_snapshot_walks_each_origin_once(self, intro_network):
+        snapshot = TopologySnapshot.of(intro_network)
+        first = snapshot.cycles_through("p2", 4)
+        assert snapshot.cycles_through("p2", 4) is first
+        assert _walked(first) == _walked(find_cycles_through(intro_network, "p2", 4))
+        # The lowering and the walks never travel: a walked snapshot
+        # pickles exactly like a cold one.
+        cold = TopologySnapshot.of(intro_network)
+        assert pickle.dumps(snapshot) == pickle.dumps(cold)
+
+
+class TestSharedSnapshot:
+    def test_one_snapshot_per_version(self):
+        network = intro_example_network(with_records=False)
+        snapshot = network.snapshot()
+        assert network.snapshot() is snapshot
+        assert TopologySnapshot.of(network) is not snapshot
+        mapping = network.remove_mapping("p2->p4")
+        assert network.snapshot() is not snapshot
+        assert network.snapshot().version == network.version
+        network.add_mapping(mapping)
+        current = network.snapshot()
+        network.invalidate_snapshot()
+        assert network.snapshot() is not current
 
 
 class TestSerialExecutor:
