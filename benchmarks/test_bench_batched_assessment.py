@@ -1,16 +1,15 @@
-"""Extra ablation — batched all-attribute assessment vs engine-per-attribute.
+"""Extra ablation — all attributes as lanes of one run vs one-lane runs.
 
-PR 2 left the per-attribute embedded engine *construction* as the top
-remaining perf lever: ``assess_all_attributes`` rebuilt factor tables, index
-plans and einsum operands for every attribute even though the cached
-cycle/parallel-path structures are shared.  This benchmark times the full
-multi-attribute sweep on a 32-peer scale-free network with the sequential
-engine-per-attribute path and with the batched
-:class:`~repro.core.batched.BatchedEmbeddedMessagePassing` over one compiled
-:class:`~repro.factorgraph.plan.SweepPlan`, lossless and lossy, and doubles
-as a regression tripwire: the batched sweep must stay ≥3x ahead of the
-sequential one at 32 peers while reproducing its posteriors to ``1e-9`` and
-compiling the plan exactly once.
+The cycle / parallel-path structures are shared by every attribute, so
+``assess_all_attributes`` runs every attribute as a lane (one slice each)
+of one :class:`~repro.core.batched.BatchedEmbeddedMessagePassing` over one
+compiled :class:`~repro.factorgraph.plan.SweepPlan`.  This benchmark times
+the full multi-attribute sweep on a 32-peer scale-free network against one
+one-lane ``assess_attribute`` run per attribute on the same cached plan,
+lossless and lossy, and doubles as a regression tripwire: the stacked
+lanes must stay ≥1.5x ahead at 32 peers in the median of ``PAIRS``
+alternating pairs while reproducing the one-lane posteriors to ``1e-9``
+and compiling the plan exactly once.
 """
 
 import pytest
@@ -22,11 +21,20 @@ from repro.generators.scenarios import generate_scenario
 
 SIZES = (16, 32)
 
-#: Acceptance floor for the batched sweep over per-attribute construction
-#: at 32 peers (measured ~4x; the floor leaves noise headroom).
-MIN_SPEEDUP_AT_32_PEERS = 3.0
+#: Acceptance floor for stacked attribute lanes over one-lane runs on the
+#: same cached plan at 32 peers.  Both sides run the same engine, so the
+#: floor measures what stacking buys: one construction and one set of numpy
+#: calls per round instead of one per attribute.  A 2-core host read a
+#: median of 2.0x over 9 alternating pairs (IQR 2.01–2.07x, slowest pair
+#: 1.49x).  Asserted against the median of ``PAIRS`` alternating pairs, not
+#: a single best-of ratio: single best-of-3 ratios against the old 3.0x
+#: floor failed 3 runs in 8.
+MIN_SPEEDUP_AT_32_PEERS = 1.5
 
-#: Both engines seed one transport per attribute identically and consume the
+#: Alternating one-lane/stacked timing pairs behind the lossless ratio.
+PAIRS = 7
+
+#: Both sides seed one transport per attribute identically and consume the
 #: rng in the same transmission order, so posteriors may only differ by
 #: accumulated floating-point noise (in practice they match bit for bit).
 MAX_POSTERIOR_DIVERGENCE = 1e-9
@@ -63,7 +71,7 @@ def test_bench_batched_assessment(benchmark, report, report_json, peer_count):
     benchmark(assessor.assess_all_attributes)
 
     lossless = run_batched_assessment(
-        peer_counts=(peer_count,), repeats=3
+        peer_counts=(peer_count,), repeats=PAIRS
     ).point_for(peer_count)
     lossy = run_batched_assessment(
         peer_counts=(peer_count,),
@@ -77,8 +85,8 @@ def test_bench_batched_assessment(benchmark, report, report_json, peer_count):
             "transport",
             "attributes",
             "structures",
-            "sequential ms",
-            "batched ms",
+            "one-lane runs ms",
+            "stacked lanes ms",
             "speedup",
             "max |Δposterior|",
         ),
@@ -87,9 +95,14 @@ def test_bench_batched_assessment(benchmark, report, report_json, peer_count):
             _row(lossy, f"P(send)={LOSSY_SEND_PROBABILITY}"),
         ],
         title=(
-            f"Batched assessment — one stacked engine vs engine-per-attribute "
-            f"on the {peer_count}-peer scale-free network"
+            f"Batched assessment — attribute lanes in one run vs one-lane runs "
+            f"per attribute on the {peer_count}-peer scale-free network"
         ),
+    )
+    pairs = " ".join(f"{ratio:.2f}x" for ratio in lossless.pair_speedups)
+    lines += (
+        f"\nlossless speedup = median of {len(lossless.pair_speedups)} "
+        f"alternating pairs: {pairs}"
     )
     report(f"EX_batched_assessment_{peer_count}_peers", lines)
     report_json(
@@ -102,6 +115,7 @@ def test_bench_batched_assessment(benchmark, report, report_json, peer_count):
             "sequential_seconds": lossless.sequential_seconds,
             "batched_seconds": lossless.batched_seconds,
             "speedup": lossless.speedup,
+            "pair_speedups": list(lossless.pair_speedups),
             "batched_attributes_per_second": lossless.batched_attributes_per_second,
             "lossy_speedup": lossy.speedup,
             "max_posterior_difference": lossless.max_posterior_difference,
@@ -109,16 +123,17 @@ def test_bench_batched_assessment(benchmark, report, report_json, peer_count):
         },
     )
 
-    # The sequential engines must see the exact same inference problem.
+    # Both paths must see the exact same inference problems.
     assert lossless.attribute_count >= 5
     assert lossless.plan_compiles == 1
     assert lossy.plan_compiles == 1
     assert lossless.max_posterior_difference <= MAX_POSTERIOR_DIVERGENCE
     assert lossy.max_posterior_difference <= MAX_POSTERIOR_DIVERGENCE
     if peer_count >= 32:
+        assert len(lossless.pair_speedups) >= PAIRS
         assert lossless.speedup >= MIN_SPEEDUP_AT_32_PEERS, (
-            f"batched sweep is only {lossless.speedup:.1f}x faster than the "
-            f"engine-per-attribute path at {peer_count} peers "
+            f"stacked lanes are only {lossless.speedup:.1f}x faster than "
+            f"one-lane runs at {peer_count} peers in the median of {pairs} "
             f"(floor {MIN_SPEEDUP_AT_32_PEERS}x)"
         )
 

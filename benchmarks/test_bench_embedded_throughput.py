@@ -1,16 +1,14 @@
-"""Extra ablation — round throughput of the embedded state backends.
+"""Extra ablation — round throughput of the embedded lane engine.
 
-The ROADMAP's remaining embedded perf levers were the variable→factor phase
-and the transport exchange, both dict-based after PR 1.  This benchmark
-times full decentralised rounds on growing scale-free cycle evidence with
-the historical per-message dict state (``backend="dicts"``) and the stacked
-array state (``backend="arrays"``), lossless and lossy, and doubles as a
-regression tripwire: the array state must stay well ahead of the dicts
-(≥5x per round at 64 peers) while reproducing the dict posteriors to
-``1e-12`` under shared transport seeds.  A second test pins the probe-once
-structure cache of :class:`~repro.core.quality.MappingQualityAssessor`:
-assessing every attribute of a 32-peer network must enumerate the cycle
-structures exactly once.
+Times full decentralised rounds of one-lane
+:class:`~repro.core.embedded.EmbeddedMessagePassing` runs on growing
+scale-free cycle evidence, lossless and lossy, and doubles as a regression
+tripwire: the median of ``RUNS`` timed runs must stay at or above
+``MIN_ROUNDS_PER_SECOND`` rounds per second at every size.  A second test
+pins the probe-once structure cache of
+:class:`~repro.core.quality.MappingQualityAssessor`: assessing every
+attribute of a 32-peer network must enumerate the cycle structures exactly
+once.
 """
 
 import pytest
@@ -25,12 +23,13 @@ from repro.evaluation.reporting import format_table
 
 SIZES = (16, 32, 64)
 
-#: Acceptance floor for the array state on the 64-peer evidence.
-MIN_SPEEDUP_AT_64_PEERS = 5.0
+#: Absolute floor on the median rounds per second, lossless and lossy.  A
+#: 2-core host ran 64 peers at a median of about 3k rounds/s lossless and
+#: 2.4k lossy (the per-message dict loop this engine replaced ran about 100).
+MIN_ROUNDS_PER_SECOND = 500.0
 
-#: Both backends replay the same message schedule under a shared seed, so
-#: their posteriors may only differ by accumulated floating-point noise.
-MAX_POSTERIOR_DIVERGENCE = 1e-12
+#: Timed runs behind each median.
+RUNS = 5
 
 LOSSY_SEND_PROBABILITY = 0.7
 
@@ -41,10 +40,9 @@ def _row(point, label):
         label,
         point.feedback_count,
         point.remote_messages_per_round,
-        f"{point.dict_rounds_per_second:,.0f}",
-        f"{point.array_rounds_per_second:,.0f}",
-        f"{point.speedup:.1f}x",
-        f"{point.max_posterior_difference:.1e}",
+        f"{point.rounds_per_second:,.0f}",
+        f"{point.messages_per_second:,.0f}",
+        f"{min(point.rounds / s for s in point.run_seconds):,.0f}",
     )
 
 
@@ -60,12 +58,12 @@ def test_bench_embedded_round_throughput(benchmark, report, report_json, peer_co
     benchmark(engine.run_round)
 
     lossless = run_embedded_throughput(
-        peer_counts=(peer_count,), rounds=25, repeats=2
+        peer_counts=(peer_count,), rounds=25, repeats=RUNS
     ).point_for(peer_count)
     lossy = run_embedded_throughput(
         peer_counts=(peer_count,),
         rounds=25,
-        repeats=1,
+        repeats=RUNS,
         send_probability=LOSSY_SEND_PROBABILITY,
     ).point_for(peer_count)
 
@@ -75,18 +73,17 @@ def test_bench_embedded_round_throughput(benchmark, report, report_json, peer_co
             "transport",
             "feedbacks",
             "remote msgs/round",
-            "dict rounds/s",
-            "array rounds/s",
-            "speedup",
-            "max |Δposterior|",
+            "rounds/s (median)",
+            "messages/s (median)",
+            "rounds/s (slowest run)",
         ),
         [
             _row(lossless, "lossless"),
             _row(lossy, f"P(send)={LOSSY_SEND_PROBABILITY}"),
         ],
         title=(
-            f"Embedded throughput — dict vs array state on the "
-            f"{peer_count}-peer scale-free cycle evidence"
+            f"Embedded throughput — one-lane rounds, median of {RUNS} runs, "
+            f"on the {peer_count}-peer scale-free cycle evidence"
         ),
     )
     report(f"EX_embedded_throughput_{peer_count}_peers", lines)
@@ -96,27 +93,20 @@ def test_bench_embedded_round_throughput(benchmark, report, report_json, peer_co
             "peer_count": peer_count,
             "feedback_count": lossless.feedback_count,
             "remote_messages_per_round": lossless.remote_messages_per_round,
-            "dict_rounds_per_second": lossless.dict_rounds_per_second,
-            "array_rounds_per_second": lossless.array_rounds_per_second,
-            "array_messages_per_second": (
-                lossless.array_rounds_per_second
-                * lossless.remote_messages_per_round
-            ),
-            "speedup": lossless.speedup,
-            "lossy_speedup": lossy.speedup,
-            "max_posterior_difference": lossless.max_posterior_difference,
+            "rounds_per_second": lossless.rounds_per_second,
+            "messages_per_second": lossless.messages_per_second,
+            "run_seconds": list(lossless.run_seconds),
+            "lossy_rounds_per_second": lossy.rounds_per_second,
+            "lossy_run_seconds": list(lossy.run_seconds),
         },
     )
 
-    assert lossless.max_posterior_difference <= MAX_POSTERIOR_DIVERGENCE
-    assert lossy.max_posterior_difference <= MAX_POSTERIOR_DIVERGENCE
-    if peer_count >= 64:
-        for point in (lossless, lossy):
-            assert point.speedup >= MIN_SPEEDUP_AT_64_PEERS, (
-                f"array state is only {point.speedup:.1f}x faster than the "
-                f"dict state at {peer_count} peers "
-                f"(floor {MIN_SPEEDUP_AT_64_PEERS}x)"
-            )
+    for point in (lossless, lossy):
+        assert len(point.run_seconds) >= RUNS
+        assert point.rounds_per_second >= MIN_ROUNDS_PER_SECOND, (
+            f"the lane engine runs {point.rounds_per_second:,.0f} rounds/s at "
+            f"{peer_count} peers (floor {MIN_ROUNDS_PER_SECOND:,.0f})"
+        )
 
 
 def test_bench_assessor_amortization(report, report_json):

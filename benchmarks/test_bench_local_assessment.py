@@ -1,18 +1,17 @@
-"""Extra ablation — batched all-origins decentralised assessment vs
-engine-per-origin.
+"""Extra ablation — all-origins decentralised assessment in one run vs
+one-lane runs per origin.
 
-PR 3 batched the global multi-attribute sweep; the per-peer decentralised
-view of §4.5 — *every* peer judging its own outgoing mappings from its own
-probe evidence, the traffic model of a live PDMS — still probed and ran one
-sequential engine per origin.  This benchmark times the full all-origins
-``assess_local_all`` pass on a 32-peer scale-free network with the
-per-origin sequential path and with the block-diagonal
-:class:`~repro.core.batched.BlockedEmbeddedMessagePassing` over one compiled
-per-origin :class:`~repro.factorgraph.plan.SweepPlan`, lossless and lossy,
-and doubles as a regression tripwire: the batched pass must stay ≥3x ahead
-of the sequential one at 32 peers while reproducing its local views to
-``1e-9``, compiling the local plan exactly once, and probing each origin's
-neighbourhood exactly once per network version.
+The per-peer decentralised view of §4.5 — *every* peer judging its own
+outgoing mappings from its own probe evidence, the traffic model of a live
+PDMS — runs every origin as a disjoint lane of one shared slice of the lane
+engine (:class:`~repro.core.batched.BatchedEmbeddedMessagePassing`) over
+one compiled per-origin :class:`~repro.factorgraph.plan.SweepPlan`.  This
+benchmark times the full all-origins ``assess_local_all`` pass on a 32-peer
+scale-free network against one one-lane ``assess_locals([origin])`` run
+per origin, lossless and lossy, and doubles as a regression tripwire: the
+shared run must stay ≥2x ahead at 32 peers while reproducing the one-lane
+views to ``1e-9``, compiling the local plan exactly once, and probing each
+origin's neighbourhood exactly once per network version.
 """
 
 import pytest
@@ -24,13 +23,14 @@ from repro.generators.scenarios import generate_scenario
 
 SIZES = (16, 32)
 
-#: Acceptance floor for the batched all-origins pass over engine-per-origin
-#: at 32 peers (measured ~3.7x lossless / ~4.2x lossy; the floor leaves
-#: noise headroom).  Asserted against the median of ``PAIRS`` alternating
-#: sequential/batched pairs, not a single best-of ratio: single ratios
-#: dipped below the floor in about one run in three on a 2-core host
-#: whose median sat near 3.6x.
-MIN_SPEEDUP_AT_32_PEERS = 3.0
+#: Acceptance floor for the all-origins run over one-lane runs per origin
+#: at 32 peers.  Both sides run the same engine, so the floor measures
+#: what sharing one slice buys (one plan, one construction, one set of
+#: numpy calls per round).  A 2-core host read a median of 3.8x over 9
+#: alternating pairs (IQR 3.73–3.94x, slowest pair 3.62x).  Asserted
+#: against the median of ``PAIRS`` alternating pairs, not a single best-of
+#: ratio.
+MIN_SPEEDUP_AT_32_PEERS = 2.0
 
 #: Alternating sequential/batched timing pairs behind the lossless ratio.
 PAIRS = 7
@@ -99,8 +99,8 @@ def test_bench_local_assessment(benchmark, report, report_json, peer_count):
             _row(lossy, f"P(send)={LOSSY_SEND_PROBABILITY}"),
         ],
         title=(
-            f"Local assessment — batched per-origin lanes vs "
-            f"engine-per-origin on the {peer_count}-peer scale-free network"
+            f"Local assessment — per-origin lanes in one run vs one-lane "
+            f"runs per origin on the {peer_count}-peer scale-free network"
         ),
     )
     pairs = " ".join(f"{ratio:.2f}x" for ratio in lossless.pair_speedups)
@@ -141,8 +141,8 @@ def test_bench_local_assessment(benchmark, report, report_json, peer_count):
     assert lossy.max_posterior_difference <= MAX_POSTERIOR_DIVERGENCE
     if peer_count >= 32:
         assert lossless.speedup >= MIN_SPEEDUP_AT_32_PEERS, (
-            f"batched all-origins pass is only {lossless.speedup:.1f}x faster "
-            f"than engine-per-origin at {peer_count} peers in the median of "
+            f"the all-origins run is only {lossless.speedup:.1f}x faster "
+            f"than one-lane runs per origin at {peer_count} peers in the median of "
             f"{pairs} (floor {MIN_SPEEDUP_AT_32_PEERS}x)"
         )
 

@@ -8,16 +8,17 @@ rejected compilation, and the sequential fallback could not even build its
 :class:`~repro.factorgraph.compiled.StackedCountFactorBatch`) evaluate the
 same sum–product sweep from the ``arity + 1`` count-value vector in
 O(arity²) time and O(arity) table memory per structure, so a network of
-30- and 40-mapping rings now compiles and runs on the vectorized, batched
-and blocked engines alike.
+30- and 40-mapping rings now compiles and runs on the vectorized engine
+and on the lane engine's attribute and per-origin lanes alike.
 
 Doubles as a regression tripwire: the vectorized count kernels must stay
 ≥5x ahead of the loop reference at cycle length 30 while matching its
-marginals — and the batched / blocked assessor paths — to ``1e-9``, with
-every long bucket on the count kernel (no dense table, no sequential
-fallback).  A second test pins the blocked engine's frozen-block
-compaction: per-round work must *decrease* as origins converge instead of
-every row riding the sweeps until the last origin finishes.
+marginals to ``1e-9``; the attribute lanes must match the same marginals,
+and every origin's local view the loops sum-product on that origin's own
+evidence, with every long bucket on the count kernel (no dense table).  A
+second test pins the per-origin compaction: per-round work must
+*decrease* as origins converge instead of every row riding the sweeps
+until the last origin finishes.
 """
 
 import pytest
@@ -68,7 +69,7 @@ def test_bench_long_cycle(benchmark, report, report_json, cycle_length):
             "speedup",
             "max |Δmarginal|",
             "max |Δbatched|",
-            "max |Δblocked|",
+            "max |Δlocal|",
         ),
         [
             (
@@ -80,7 +81,7 @@ def test_bench_long_cycle(benchmark, report, report_json, cycle_length):
                 f"{point.speedup:.1f}x",
                 f"{point.max_marginal_difference:.1e}",
                 f"{point.batched_max_difference:.1e}",
-                f"{point.blocked_max_difference:.1e}",
+                f"{point.local_max_difference:.1e}",
             )
         ],
         title=(
@@ -104,7 +105,7 @@ def test_bench_long_cycle(benchmark, report, report_json, cycle_length):
             "vectorized_messages_per_second": point.vectorized_messages_per_second,
             "max_marginal_difference": point.max_marginal_difference,
             "batched_max_difference": point.batched_max_difference,
-            "blocked_max_difference": point.blocked_max_difference,
+            "local_max_difference": point.local_max_difference,
             "count_kernel_buckets": point.count_kernel_buckets,
             "dense_kernel_buckets": point.dense_kernel_buckets,
             "compaction_edge_counts": list(point.compaction_edge_counts),
@@ -112,13 +113,13 @@ def test_bench_long_cycle(benchmark, report, report_json, cycle_length):
     )
 
     # Long buckets must run on the count kernels — no dense (2,)**arity
-    # table, no sequential fallback — and all engine families must agree.
+    # table — and every path must agree with the loops sum-product.
     assert point.structure_count == RINGS
     assert point.count_kernel_buckets >= 1
     assert point.dense_kernel_buckets == 0
     assert point.max_marginal_difference <= MAX_DIVERGENCE
     assert point.batched_max_difference <= MAX_DIVERGENCE
-    assert point.blocked_max_difference <= MAX_DIVERGENCE
+    assert point.local_max_difference <= MAX_DIVERGENCE
     if cycle_length == 30:
         assert point.speedup >= MIN_SPEEDUP_AT_30, (
             f"count kernels are only {point.speedup:.1f}x faster than the "
@@ -127,10 +128,10 @@ def test_bench_long_cycle(benchmark, report, report_json, cycle_length):
 
 
 def test_bench_long_cycle_compaction(report, report_json):
-    """Frozen-block compaction: per-round work decreases as origins freeze.
+    """Per-origin compaction: per-round work decreases as origins freeze.
 
     On a heterogeneous network origins converge at different rounds; the
-    blocked engine must shed each frozen origin's rows, so the per-round
+    shared slice must shed each frozen origin's rows, so the per-round
     edge-row trajectory is non-increasing and strictly smaller by the end.
     """
     scenario = generate_scenario(
@@ -156,7 +157,7 @@ def test_bench_long_cycle_compaction(report, report_json):
     )
     report(
         "EX_long_cycle_compaction",
-        "blocked-engine frozen-block compaction (32-peer scale-free, "
+        "per-origin lane compaction (32-peer scale-free, "
         f"{len(trajectory)} rounds)\n"
         f"edge rows per round: {list(trajectory)}\n"
         f"first {trajectory[0]} -> last {trajectory[-1]} rows "

@@ -101,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     throughput = subparsers.add_parser(
         "throughput",
         help="throughput of the inference engines (centralised sum-product "
-        "backends, embedded dict vs array state with --mode embedded, "
+        "backends, embedded rounds of the lane engine with --mode embedded, "
         "the batched per-origin decentralised view with --mode local, "
         "the count-space kernels on long mapping rings with "
         "--mode long-cycle, full-probe structure discovery with "
@@ -122,9 +122,10 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("sum-product", "embedded", "local", "long-cycle", "probe", "gossip"),
         default="sum-product",
         help="'sum-product' times the centralised loop vs vectorized "
-        "backends; 'embedded' times decentralised rounds on the dict vs "
-        "array state backends; 'local' times the all-origins §4.5 decision "
-        "batched (one block-diagonal stacked engine) vs engine-per-origin; "
+        "backends; 'embedded' times decentralised rounds of one-lane runs "
+        "(rounds/s and messages/s, median of the repeats); 'local' times the "
+        "all-origins §4.5 decision in one run (one shared slice of "
+        "per-origin lanes) vs one-lane runs per origin; "
         "'long-cycle' times the count-space kernels against the loop "
         "reference on rings far beyond the dense arity limit; 'probe' times "
         "full-probe structure discovery; 'gossip' runs N event-sourced peer "
@@ -354,27 +355,17 @@ def _render_embedded_throughput(args: argparse.Namespace) -> str:
             point.peer_count,
             point.feedback_count,
             point.remote_messages_per_round,
-            f"{point.dict_rounds_per_second:,.0f}",
-            f"{point.array_rounds_per_second:,.0f}",
-            f"{point.speedup:.1f}x",
-            f"{point.max_posterior_difference:.1e}",
+            f"{point.rounds_per_second:,.0f}",
+            f"{point.messages_per_second:,.0f}",
         )
         for point in result.points
     ]
     return format_table(
-        (
-            "peers",
-            "feedbacks",
-            "remote msgs/round",
-            "dict rounds/s",
-            "array rounds/s",
-            "speedup",
-            "max |Δposterior|",
-        ),
+        ("peers", "feedbacks", "remote msgs/round", "rounds/s", "messages/s"),
         rows,
         title=(
-            "Embedded throughput — dict vs array state backends "
-            f"(P(send)={send_probability})"
+            "Embedded throughput — one-lane rounds, median of "
+            f"{max(1, args.repeats)} runs (P(send)={send_probability})"
         ),
     )
 

@@ -4,8 +4,10 @@ The pipeline is: gather cycle / parallel-path feedback
 (:mod:`repro.core.analysis`), encode it as factors
 (:mod:`repro.core.feedback`), build global or per-peer factor graphs
 (:mod:`repro.core.pdms_factor_graph`, :mod:`repro.core.local_graph`), run the
-decentralised embedded message passing (:mod:`repro.core.embedded`) under a
-periodic or lazy schedule (:mod:`repro.core.schedules`), and expose the
+decentralised embedded message passing — every run a set of lanes of one
+engine (:mod:`repro.core.batched`), a single lane being
+:mod:`repro.core.embedded` — under a periodic or lazy schedule
+(:mod:`repro.core.schedules`), and expose the
 posteriors for routing and prior updates (:mod:`repro.core.quality`,
 :mod:`repro.core.beliefs`).
 """
@@ -40,7 +42,6 @@ from ..factorgraph.plan import SweepPlan
 from .batched import (
     AssessmentLane,
     BatchedEmbeddedMessagePassing,
-    BlockedEmbeddedMessagePassing,
     compile_assessment_plan,
 )
 from .embedded import (
@@ -81,7 +82,6 @@ __all__ = [
     "AssessmentLane",
     "SweepPlan",
     "BatchedEmbeddedMessagePassing",
-    "BlockedEmbeddedMessagePassing",
     "compile_assessment_plan",
     "EmbeddedMessagePassing",
     "EmbeddedOptions",

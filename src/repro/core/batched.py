@@ -1,107 +1,109 @@
-"""Batched multi-attribute embedded message passing.
+"""The lane engine: every embedded message-passing run of §4 and §4.5.
 
 The self-organizing assessment loop of the paper runs the decentralised
-message passing of §4 for *every* attribute of the schema network.  The
-cycle / parallel-path structures those runs are built from are
-attribute-independent (§3.2.1) — only the feedback *signs* (and therefore
-the factor tables) change per attribute — yet the per-attribute
-:class:`~repro.core.embedded.EmbeddedMessagePassing` engine re-derives the
-full topology machinery (edge layouts, segment index plans, factor-batch
-gather/scatter operands, factor tables) from scratch for each attribute.
+message passing of §4 once per attribute of the schema network, and the
+per-peer decision of §4.5 runs it once per origin.  Each such run is a
+*lane* — an ``(evidence subset, priors, Δ, rng stream)`` tuple
+(:class:`AssessmentLane`) bound to a subset of the structures of one
+compiled :class:`~repro.factorgraph.plan.SweepPlan` — and
+:class:`BatchedEmbeddedMessagePassing` runs any number of lanes at once.
+It is the only engine that runs embedded rounds: the one-lane
+:class:`~repro.core.embedded.EmbeddedMessagePassing` wraps it, and so do
+the assessor's global and local views (:mod:`repro.core.quality`).  The
+normative layering, determinism and process-safety contracts are stated in
+``ARCHITECTURE.md`` at the repository root and enforced by ``repro-lint``
+(:mod:`repro.lintkit`); the structure lists compiled here arrive from the
+discovery frontier of :mod:`repro.pdms.discovery`.
 
-This module splits that work along the topology/evidence boundary, as
-one of the plan lowerings :mod:`repro.core.embedded` documents (normative
-statement of the underlying layering/determinism/process-safety
-contracts: ``ARCHITECTURE.md`` at the repository root, enforced by
-``repro-lint`` / :mod:`repro.lintkit`; the structure lists compiled here
-arrive from the discovery frontier of :mod:`repro.pdms.discovery`):
+Lanes placed on slices
+----------------------
+The message state is ``(slices, rows, 2)``: a *slice* is one copy of the
+plan's row space (owner edges, received cells).  Lanes are placed in order
+— a lane joins the current slice when it shares no structure and no
+mapping with the lanes already there, otherwise it opens a new slice — so
+the layout follows from the lanes:
 
-* :func:`compile_assessment_plan` lowers the structures **once** into a
-  shared :class:`~repro.factorgraph.plan.SweepPlan` (built by
-  :func:`~repro.factorgraph.plan.compile_sweep_plan`) — everything in
-  ``EmbeddedMessagePassing.__init__`` / ``_init_array_state`` /
-  ``_compile_array_batches`` that depends only on which structures exist
-  and which peers own their mappings: edge row space, segment index plans,
-  transmission list, arity-bucketed kernel batches.  The kernel family per
-  bucket follows the crossover rule stated in :mod:`repro.core.embedded`
-  (dense einsum below :data:`repro.constants.COUNT_KERNEL_MIN_ARITY`,
-  count space at or beyond it — structures of *any* arity compile; the
-  historical arity-25 cliff is gone).
-* :class:`BatchedEmbeddedMessagePassing` binds one plan to per-**lane**
-  evidence and runs **all lanes simultaneously** on stacked
-  ``(lanes, edges, 2)`` message matrices, running each round through the
-  plan's phases: phase 1 is one zero-aware segment product over the
-  stacked factor→variable state, phase 2 one Bernoulli mask per lane over
-  the plan's transmission list (engine-side — the plan never touches the
-  rng), phase 3 one stacked kernel sweep per arity bucket
-  (:class:`~repro.factorgraph.plan.StackedFactorBatch` einsum or
-  count-space :class:`~repro.factorgraph.plan.StackedCountFactorBatch`).
-  Per-lane convergence masking freezes finished lanes so they stop
-  contributing work.
+* attribute lanes each bind the whole plan (the multi-attribute sweeps and
+  EM rounds of :func:`compile_assessment_plan`), so each gets its own slice
+  and the state is the stacked ``(attributes, edges, 2)`` layout;
+* per-origin lanes bind disjoint blocks of ``origin::mapping`` instances,
+  so they share one block-diagonal slice and a round costs one set of
+  numpy calls over the blocks' combined rows;
+* overlapping lanes, or lanes sharing a mapping, simply land on separate
+  slices.
 
-A lane is any ``(evidence subset, priors, Δ, rng stream)`` tuple
-(:class:`AssessmentLane`) bound to a subset of the plan's structures:
+Kind codes and Δ are ``(slices, structures)``, priors ``(slices, mappings,
+2)``, and every bucket's stacked kernel comes from
+:func:`~repro.factorgraph.plan.bucket_tables` /
+:func:`~repro.factorgraph.plan.bucket_kernel`, whatever the layout.  A
+round is the plan's own phases — phase 1 one zero-aware segment product
+over the stacked factor→variable state, phase 3 one stacked kernel sweep
+per arity bucket (:class:`~repro.factorgraph.plan.StackedFactorBatch`
+einsum or count-space
+:class:`~repro.factorgraph.plan.StackedCountFactorBatch`) — with the
+exchange of phase 2 between them on the engine: each live lane scatters
+its informative transmissions within its slice, drawing its Bernoulli
+keep/send mask from its own transport in plan order, and all lossless
+lanes go in one scatter.
 
-* the multi-attribute assessor makes one lane per *attribute*, each
-  covering the full structure list (the classic keyword constructor);
-* the decentralised per-peer view of §4.5 makes one lane per *origin* on a
-  plan concatenating every origin's local structure block over per-origin
-  mapping instances.  Such lanes are *disjoint*, so stacking them on a
-  dense lane axis would waste an L× factor of permanently-uniform rows;
-  :class:`BlockedEmbeddedMessagePassing` packs them block-diagonally into
-  one shared row space instead, keeping per-lane rng streams, convergence
-  counters and results while a round costs one set of numpy calls over the
-  blocks' combined rows.  (:meth:`BatchedEmbeddedMessagePassing.from_lanes`
-  remains the general engine for arbitrary — possibly overlapping — lane
-  subsets.)
+When lanes converge they freeze, and one compaction rule drops what no
+live lane uses any more: the slices no live lane occupies, plus the edge
+rows, received cells, transmissions and bucket entries of structures no
+live lane binds.  It runs after any round in which lanes froze (and at
+construction, for rows only lanes without informative evidence would have
+used), so per-round work shrinks as lanes finish; :attr:`round_edge_counts`
+records the edge rows swept each round.
 
-Equivalence with the sequential engine
---------------------------------------
-The stacked state covers *all* plan structures, not only the ones a lane
-binds informative evidence to.  Structures that are neutral for (or outside
-the evidence subset of) a lane carry an all-ones factor table, whose
-sum–product messages are exactly uniform; a uniform factor→variable row
-scales both belief components by the same power of two, so every shared
-message — and therefore every posterior — matches the sequential
-``backend="arrays"`` engine run on the lane's informative evidence alone, to
-floating-point accuracy (the parity tests pin the agreement well below
-``1e-9``, lossless and lossy).  Mappings not constrained by any informative
-structure of a lane are masked out of that lane's result, mirroring the
-sequential engine's restriction to informative feedback.
+Equivalence with a solo run
+---------------------------
+A lane's slice may carry structures the lane does not bind, or binds as
+neutral evidence.  They carry all-ones factor tables, whose sum–product
+messages are exactly uniform; a uniform factor→variable row scales both
+belief components by the same power of two, so every message the lane
+reads — and therefore every posterior — is the one the lane computes alone
+on its informative evidence, bit for bit.  Dropping such rows (compaction)
+leaves the lane's values untouched for the same reason, so a lane's
+:class:`EmbeddedResult` does not depend on the other lanes or on the slice
+it lands on.  Mappings not constrained by any informative structure of a
+lane are left out of its result.
 
 Reproducibility contract
 ------------------------
-The sequential assessor builds one freshly seeded
-:class:`~repro.core.embedded.MessageTransport` per call — per attribute for
-the global sweeps, per origin for ``assess_local``.  The batched engine
-keeps that contract: each lane draws its Bernoulli keep/send masks from its
-**own** ``random.Random`` stream (seeded identically to the sequential
-run), and only for the transmissions of its *informative* structures, in
-the same transmission order — each lane's structure indices are strictly
-increasing in plan order and each structure keeps the lane's own traversal
-orientation — so lossy batched runs replay the sequential drop decisions
-exactly, attempt counts included.
+Every lane draws from its **own** ``random.Random`` stream — a freshly
+seeded :class:`MessageTransport` per lane unless the lane brings one — and
+only for the transmissions of its *informative* structures, in the plan's
+transmission order (structure → sender mapping → recipient; each lane's
+structure indices are strictly increasing and each structure keeps the
+lane's own traversal orientation).  A lane therefore makes the same drop
+decisions, attempt counts included, as it makes alone under the same seed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict, List, Mapping as TMapping, Optional, Sequence, Tuple
+import random
+from dataclasses import dataclass, field, replace
+from itertools import compress
+from typing import Dict, Iterable, List, Mapping as TMapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..constants import DEFAULT_SEED, DEFAULT_SEND_PROBABILITY
+from ..constants import (
+    DEFAULT_MAX_ITERATIONS,
+    DEFAULT_SEED,
+    DEFAULT_SEND_PROBABILITY,
+    DEFAULT_TOLERANCE,
+)
 from ..exceptions import ConvergenceError, FeedbackError
 from ..factorgraph.plan import (
-    KIND_NEGATIVE as _KIND_NEGATIVE,
-    KIND_NEUTRAL as _KIND_NEUTRAL,
-    KIND_POSITIVE as _KIND_POSITIVE,
+    KIND_NEGATIVE,
+    KIND_NEUTRAL,
+    KIND_POSITIVE,
     BucketPlan,
     StackedCountFactorBatch,
     StackedFactorBatch,
     SweepPlan,
-    bucket_kernel as _bucket_kernel,
-    bucket_tables as _bucket_tables,
+    bucket_kernel,
+    bucket_tables,
     compile_sweep_plan,
     make_bucket,
     normalize_rows,
@@ -109,99 +111,191 @@ from ..factorgraph.plan import (
     segment_products,
 )
 from .beliefs import PriorBeliefStore
-from .embedded import (
-    EmbeddedMessagePassing,
-    EmbeddedOptions,
-    EmbeddedResult,
-    MessageTransport,
-    required_quiet_rounds,
-)
 from .feedback import Feedback, FeedbackKind
 from .local_graph import mapping_owner
 
 __all__ = [
     "AssessmentLane",
     "BatchedEmbeddedMessagePassing",
-    "BlockedEmbeddedMessagePassing",
+    "EmbeddedOptions",
+    "EmbeddedResult",
+    "MessageTransport",
+    "TransportStatistics",
     "compile_assessment_plan",
+    "required_quiet_rounds",
 ]
 
 _KIND_CODES = {
-    FeedbackKind.NEUTRAL: _KIND_NEUTRAL,
-    FeedbackKind.POSITIVE: _KIND_POSITIVE,
-    FeedbackKind.NEGATIVE: _KIND_NEGATIVE,
+    FeedbackKind.NEUTRAL: KIND_NEUTRAL,
+    FeedbackKind.POSITIVE: KIND_POSITIVE,
+    FeedbackKind.NEGATIVE: KIND_NEGATIVE,
 }
 
 
-def _validated_lane_codes(
-    plan: SweepPlan, lane: "AssessmentLane"
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Validate one lane's evidence against the plan.
+def required_quiet_rounds(send_probability: float) -> int:
+    """Consecutive sub-tolerance rounds needed to declare convergence.
 
-    Shared by both batched engines so they accept exactly the same lanes.
-    Returns ``(indices, codes)``: the lane's plan structure indices and a
-    full-width ``(structure_count,)`` kind-code vector, neutral outside the
-    lane's subset.
+    Under message loss a single quiet round may simply mean the informative
+    messages were dropped, so the count grows inversely with the transport's
+    send probability.  Shared by :meth:`BatchedEmbeddedMessagePassing.run`
+    and the schedules so every stopping rule stays in sync.
     """
-    feedback_list = tuple(lane.feedbacks)
-    if lane.structure_indices is None:
-        indices = np.arange(plan.structure_count, dtype=np.int64)
-    else:
-        indices = np.asarray(lane.structure_indices, dtype=np.int64)
-        if indices.size and (
-            indices[0] < 0
-            or indices[-1] >= plan.structure_count
-            or (np.diff(indices) <= 0).any()
-        ):
+    if send_probability >= 1.0:
+        return 1
+    return max(2, int(round(2.0 / send_probability)))
+
+
+@dataclass
+class TransportStatistics:
+    """Counts of remote messages attempted, delivered and dropped."""
+
+    attempted: int = 0
+    delivered: int = 0
+    dropped: int = 0
+
+    def record(self, delivered: bool) -> None:
+        self.attempted += 1
+        if delivered:
+            self.delivered += 1
+        else:
+            self.dropped += 1
+
+    def record_many(self, attempted: int, delivered: int) -> None:
+        """Record a whole batch of attempts at once.
+
+        ``attempted=0`` is a valid no-op (an idle round of a quiet lane);
+        negative counts or ``delivered > attempted`` would corrupt the
+        tallies (and could drive :attr:`delivery_rate` outside [0, 1] or
+        into a division by zero), so they are rejected.
+        """
+        if attempted < 0 or delivered < 0 or delivered > attempted:
             raise FeedbackError(
-                f"lane {lane.key!r} structure indices must be strictly "
-                f"increasing within the plan's {plan.structure_count} "
-                f"structures"
+                f"invalid transport batch: attempted={attempted}, "
+                f"delivered={delivered}"
             )
-    if len(feedback_list) != indices.size:
-        raise FeedbackError(
-            f"lane {lane.key!r} supplies {len(feedback_list)} feedbacks "
-            f"for {indices.size} plan structures"
+        if attempted == 0:
+            return
+        self.attempted += attempted
+        self.delivered += delivered
+        self.dropped += attempted - delivered
+
+    @property
+    def delivery_rate(self) -> float:
+        """Fraction of attempted messages delivered (1.0 before any attempt)."""
+        if self.attempted == 0:
+            return 1.0
+        return self.delivered / self.attempted
+
+
+class MessageTransport:
+    """Unreliable transport between peers.
+
+    Each remote message is delivered independently with probability
+    ``send_probability``; dropped messages simply leave the recipient's last
+    received value in place, which the algorithm tolerates by design
+    (§4.3.2, Figure 11).
+
+    ``seed`` defaults to :data:`repro.constants.DEFAULT_SEED` so lossy runs
+    are reproducible unless an explicit seed is supplied (matching the
+    centralised engine's fallback rng; pass a distinct seed per repetition
+    for independent runs).
+    """
+
+    def __init__(
+        self,
+        send_probability: float = DEFAULT_SEND_PROBABILITY,
+        seed: Optional[int] = DEFAULT_SEED,
+    ) -> None:
+        if not 0.0 < send_probability <= 1.0:
+            raise FeedbackError(
+                f"send_probability must be in (0, 1], got {send_probability}"
+            )
+        self.send_probability = send_probability
+        self._rng = random.Random(seed)
+        self.statistics = TransportStatistics()
+
+    def try_send(self) -> bool:
+        """Decide whether one message makes it through; update statistics."""
+        delivered = (
+            self.send_probability >= 1.0
+            or self._rng.random() < self.send_probability
         )
-    codes = np.zeros(plan.structure_count, dtype=np.int8)
-    for index, feedback in zip(indices, feedback_list):
-        if (
-            feedback.identifier != plan.identifiers[index]
-            or feedback.mapping_names != plan.structure_mappings[index]
-        ):
-            raise FeedbackError(
-                f"feedback {feedback.identifier!r} of lane {lane.key!r} "
-                f"does not match plan structure {plan.identifiers[index]!r}"
+        self.statistics.record(delivered)
+        return delivered
+
+    def send_mask(self, count: int) -> np.ndarray:
+        """Vectorized equivalent of ``count`` consecutive :meth:`try_send`.
+
+        The uniforms are drawn from the same ``random.Random`` stream in the
+        same order as the scalar calls (and, like them, a perfectly reliable
+        transport draws nothing), so a per-message loop and the lane engine
+        make identical drop decisions under a shared seed.
+        """
+        if count <= 0:
+            return np.zeros(0, dtype=bool)
+        if self.send_probability >= 1.0:
+            mask = np.ones(count, dtype=bool)
+        else:
+            uniforms = np.fromiter(
+                (self._rng.random() for _ in range(count)),
+                dtype=float,
+                count=count,
             )
-        codes[index] = _KIND_CODES[feedback.kind]
-    return indices, codes
+            mask = uniforms < self.send_probability
+        self.statistics.record_many(count, int(mask.sum()))
+        return mask
 
 
-def _lane_result(
-    plan: SweepPlan,
-    active_indices: np.ndarray,
-    final_values: np.ndarray,
-    snapshots: Sequence[np.ndarray],
-    statistics,
-    iterations: int,
-    converged: bool,
-    final_change: float,
-) -> EmbeddedResult:
-    """Assemble one lane's :class:`EmbeddedResult` (shared by both engines).
+@dataclass(frozen=True)
+class EmbeddedOptions:
+    """Tuning knobs of the embedded message-passing run.
 
-    ``final_values`` and each history ``snapshot`` are already sliced to
-    the lane's ``active_indices``.
+    The defaults are shared with the centralised engine's
+    :class:`~repro.factorgraph.sum_product.SumProductOptions` through
+    :mod:`repro.constants`, so both formulations stop under the same rule.
     """
-    names = [plan.mapping_names[i] for i in active_indices]
-    return EmbeddedResult(
-        posteriors=dict(zip(names, final_values.tolist())),
-        iterations=iterations,
-        converged=converged,
-        final_change=final_change,
-        history=[dict(zip(names, snapshot.tolist())) for snapshot in snapshots],
-        messages_attempted=statistics.attempted,
-        messages_delivered=statistics.delivered,
-    )
+
+    max_rounds: int = DEFAULT_MAX_ITERATIONS
+    tolerance: float = DEFAULT_TOLERANCE
+    record_history: bool = True
+    strict: bool = False
+
+    def __post_init__(self) -> None:
+        if self.max_rounds < 1:
+            raise FeedbackError("max_rounds must be >= 1")
+        if self.tolerance <= 0:
+            raise FeedbackError("tolerance must be positive")
+
+
+@dataclass
+class EmbeddedResult:
+    """Outcome of an embedded message-passing run."""
+
+    posteriors: Dict[str, float]
+    iterations: int
+    converged: bool
+    final_change: float
+    history: List[Dict[str, float]] = field(default_factory=list)
+    messages_attempted: int = 0
+    messages_delivered: int = 0
+
+    def _require_known(self, mapping_name: str) -> None:
+        if mapping_name not in self.posteriors:
+            known = ", ".join(sorted(self.posteriors)) or "<none>"
+            raise FeedbackError(
+                f"unknown mapping {mapping_name!r} in embedded result; "
+                f"known mappings: {known}"
+            )
+
+    def probability_correct(self, mapping_name: str) -> float:
+        """Posterior P(mapping correct) for the run's attribute."""
+        self._require_known(mapping_name)
+        return self.posteriors[mapping_name]
+
+    def history_of(self, mapping_name: str) -> List[float]:
+        """Per-round posterior trajectory of one mapping."""
+        self._require_known(mapping_name)
+        return [snapshot[mapping_name] for snapshot in self.history]
 
 
 def compile_assessment_plan(
@@ -226,12 +320,14 @@ def compile_assessment_plan(
 
 @dataclass(frozen=True)
 class AssessmentLane:
-    """One inference lane of the stacked engine.
+    """One inference lane of the engine.
 
     A lane binds an evidence subset to its priors, Δ and rng stream.  The
     multi-attribute assessor builds one lane per attribute over the full
     plan; the decentralised view builds one lane per origin over that
-    origin's block of plan structures.
+    origin's block of plan structures; the one-lane
+    :class:`~repro.core.embedded.EmbeddedMessagePassing` binds its whole
+    plan.
 
     Parameters
     ----------
@@ -245,20 +341,17 @@ class AssessmentLane:
     structure_indices:
         The plan structure indices ``feedbacks`` binds to, **strictly
         increasing** so the lane consumes its rng stream in the plan's
-        transmission order (the order the sequential engine walks).
-        ``None`` binds the full plan, index for index.
+        transmission order.  ``None`` binds the full plan, index for index.
     priors:
         ``None`` (0.5 everywhere), a single float, or a ``{mapping name:
-        prior}`` dict — whatever the sequential engine accepts.
+        prior}`` dict.
     delta:
         Error-compensation probability Δ of the lane's factor tables.
         ``None`` means unspecified, which is an error only if the lane
-        turns out to have informative evidence (mirroring the keyword
-        constructor, which never required a Δ for all-neutral attributes).
+        turns out to have informative evidence.
     transport:
         Optional explicit :class:`MessageTransport`; when ``None`` the
-        engine seeds a fresh one per lane (matching the sequential
-        assessor's per-call transports).
+        engine seeds a fresh one per lane.
     """
 
     key: str
@@ -269,34 +362,140 @@ class AssessmentLane:
     transport: Optional[MessageTransport] = None
 
 
-class BatchedEmbeddedMessagePassing:
-    """All-lane embedded message passing on one compiled plan.
+def _validate_prior(value, mapping_name: str) -> float:
+    if isinstance(value, bool):
+        raise FeedbackError(
+            f"prior for {mapping_name!r} must be a probability in [0, 1], "
+            f"got boolean {value!r}"
+        )
+    prior = float(value)
+    if not 0.0 <= prior <= 1.0:
+        raise FeedbackError(
+            f"prior for {mapping_name!r} must be a probability in [0, 1], "
+            f"got {value!r}"
+        )
+    return prior
 
-    The keyword constructor is the multi-attribute entry point (one lane per
-    attribute, full plan alignment); :meth:`from_lanes` is the general one
-    (any evidence subsets, e.g. one lane per origin for the decentralised
-    per-peer view).
+
+def _check_delta(value: Optional[float], key: str) -> float:
+    if value is None:
+        raise FeedbackError(f"no Δ supplied for lane {key!r}")
+    value = float(value)
+    if not 0.0 <= value <= 1.0:
+        raise FeedbackError(f"Δ must be in [0, 1], got {value}")
+    return value
+
+
+def _lane_codes(
+    plan: SweepPlan, lane: AssessmentLane
+) -> Tuple[np.ndarray, np.ndarray, bool]:
+    """Validate one lane's evidence against the plan.
+
+    Returns ``(indices, codes, informative)``: the lane's plan structure
+    indices, the kind code of each of them, and whether any is informative.
+    """
+    if lane.structure_indices is None:
+        indices = list(range(plan.structure_count))
+    else:
+        indices = [int(index) for index in lane.structure_indices]
+        if indices and (
+            indices[0] < 0
+            or indices[-1] >= plan.structure_count
+            or any(a >= b for a, b in zip(indices, indices[1:]))
+        ):
+            raise FeedbackError(
+                f"lane {lane.key!r} structure indices must be strictly "
+                f"increasing within the plan's {plan.structure_count} "
+                f"structures"
+            )
+    if len(lane.feedbacks) != len(indices):
+        raise FeedbackError(
+            f"lane {lane.key!r} supplies {len(lane.feedbacks)} feedbacks "
+            f"for {len(indices)} plan structures"
+        )
+    identifiers, structure_mappings = plan.identifiers, plan.structure_mappings
+    codes = []
+    for index, feedback in zip(indices, lane.feedbacks):
+        if (
+            feedback.identifier != identifiers[index]
+            or feedback.mapping_names != structure_mappings[index]
+        ):
+            raise FeedbackError(
+                f"feedback {feedback.identifier!r} of lane {lane.key!r} "
+                f"does not match plan structure {identifiers[index]!r}"
+            )
+        codes.append(_KIND_CODES[feedback.kind])
+    informative = any(code != KIND_NEUTRAL for code in codes)
+    return np.asarray(indices, dtype=np.int64), np.asarray(codes, dtype=np.int8), informative
+
+
+def _place(
+    plan: SweepPlan, lane_indices: Sequence[np.ndarray]
+) -> Tuple[List[int], List[Optional[Dict[str, None]]]]:
+    """The slice of every lane, in order, and the mapping names it binds
+    (``None`` for a lane binding the whole plan).
+
+    A lane joins the current slice when it shares no structure and no
+    mapping with the lanes already there; otherwise it opens a new slice.
+    A lane binding the whole plan shares everything with any other lane.
+    """
+    structure_mappings = plan.structure_mappings
+    slice_of: List[int] = []
+    bound: List[Optional[Dict[str, None]]] = []
+    taken_structures: set = set()
+    taken_names: set = set()
+    whole_slice = False
+    for indices in lane_indices:
+        whole = indices.size == plan.structure_count
+        names = None
+        if not whole:
+            structures = indices.tolist()
+            names = dict.fromkeys(
+                name for s in structures for name in structure_mappings[s]
+            )
+        if (
+            not slice_of
+            or whole
+            or whole_slice
+            or not taken_structures.isdisjoint(structures)
+            or not taken_names.isdisjoint(names)
+        ):
+            slice_of.append(slice_of[-1] + 1 if slice_of else 0)
+            taken_structures, taken_names = set(), set()
+            whole_slice = whole
+        else:
+            slice_of.append(slice_of[-1])
+        if not whole:
+            taken_structures.update(structures)
+            taken_names.update(names)
+        bound.append(names)
+    return slice_of, bound
+
+
+def _runs(sorted_ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Start offset and value of every run of a sorted id array."""
+    if not sorted_ids.size:
+        return sorted_ids, sorted_ids
+    starts = np.flatnonzero(
+        np.concatenate(([True], sorted_ids[1:] != sorted_ids[:-1]))
+    )
+    return starts, sorted_ids[starts]
+
+
+class BatchedEmbeddedMessagePassing:
+    """Embedded message passing for many lanes on one compiled plan.
 
     Parameters
     ----------
     plan:
-        The compiled topology (shared across attributes and EM rounds).
-    feedback_sets:
-        Per attribute, the evidence of **every** plan structure, aligned
-        index for index (neutral feedbacks included — they mask themselves
-        out via all-ones factor tables).  Attributes without a single
-        informative feedback yield ``None`` results, like the sequential
-        assessor.
-    priors:
-        ``None`` / a single float applied everywhere, or a mapping keyed by
-        *attribute* whose values are whatever the sequential engine accepts
-        (float, ``{mapping name: prior}`` dict, or ``None``).
-    deltas:
-        Error-compensation probability Δ, a float or per-attribute mapping.
-    send_probability / seed / transports:
-        One freshly seeded :class:`MessageTransport` is created per
-        attribute (matching the sequential assessor); pass ``transports`` to
-        supply them explicitly.
+        The compiled topology (shared across attributes, origins and EM
+        rounds).
+    lanes:
+        :class:`AssessmentLane` entries.  Lanes without a single
+        informative feedback are never placed; their results are ``None``.
+    send_probability / seed:
+        Configure the freshly seeded per-lane transports of lanes that do
+        not carry an explicit one.
     options:
         Iteration control, shared by all lanes.
     """
@@ -304,417 +503,6 @@ class BatchedEmbeddedMessagePassing:
     def __init__(
         self,
         plan: SweepPlan,
-        feedback_sets: TMapping[str, Sequence[Feedback]],
-        priors: object = None,
-        deltas: TMapping[str, float] | float = 0.1,
-        send_probability: float = DEFAULT_SEND_PROBABILITY,
-        seed: Optional[int] = DEFAULT_SEED,
-        transports: Optional[TMapping[str, MessageTransport]] = None,
-        options: Optional[EmbeddedOptions] = None,
-    ) -> None:
-        if isinstance(priors, PriorBeliefStore):
-            raise FeedbackError(
-                "pass per-attribute prior dicts, not a PriorBeliefStore"
-            )
-        if priors is not None and not isinstance(priors, (bool, int, float)):
-            # The sequential engine takes a flat {mapping: prior} dict; this
-            # engine needs one prior set *per attribute*.  Reading a flat
-            # dict as attribute-keyed would silently degrade every prior to
-            # the 0.5 default, so reject the shape explicitly.
-            misread = [key for key in priors if key in plan.mapping_index]
-            if misread:
-                raise FeedbackError(
-                    f"priors must be keyed by attribute, but "
-                    f"{misread[0]!r} is a mapping name; pass "
-                    f"{{attribute: {{mapping: prior}}}} instead"
-                )
-        lanes: List[AssessmentLane] = []
-        for attribute, feedbacks in feedback_sets.items():
-            per_attribute = priors
-            if priors is not None and not isinstance(priors, (int, float)):
-                per_attribute = priors.get(attribute)
-            lanes.append(
-                AssessmentLane(
-                    key=attribute,
-                    feedbacks=tuple(feedbacks),
-                    structure_indices=None,
-                    priors=per_attribute,
-                    delta=self._resolve_delta(deltas, attribute),
-                    transport=transports.get(attribute) if transports else None,
-                )
-            )
-        self._setup(plan, lanes, send_probability, seed, options)
-
-    @classmethod
-    def from_lanes(
-        cls,
-        plan: SweepPlan,
-        lanes: Sequence[AssessmentLane],
-        send_probability: float = DEFAULT_SEND_PROBABILITY,
-        seed: Optional[int] = DEFAULT_SEED,
-        options: Optional[EmbeddedOptions] = None,
-    ) -> "BatchedEmbeddedMessagePassing":
-        """Build an engine from explicit lanes (evidence subsets).
-
-        ``send_probability`` / ``seed`` configure the per-lane transports of
-        lanes that do not carry an explicit one — each lane gets its own
-        freshly seeded rng stream, exactly like the sequential assessor's
-        per-call transports.
-        """
-        engine = object.__new__(cls)
-        engine._setup(plan, list(lanes), send_probability, seed, options)
-        return engine
-
-    def _setup(
-        self,
-        plan: SweepPlan,
-        lanes: List[AssessmentLane],
-        send_probability: float,
-        seed: Optional[int],
-        options: Optional[EmbeddedOptions],
-    ) -> None:
-        self.plan = plan
-        self.options = options or EmbeddedOptions()
-        self.lane_keys: Tuple[str, ...] = tuple(lane.key for lane in lanes)
-        #: Historical alias of :attr:`lane_keys` (attribute names when built
-        #: through the keyword constructor).
-        self.attributes = self.lane_keys
-        if len(set(self.lane_keys)) != len(self.lane_keys):
-            raise FeedbackError(
-                f"duplicate lane keys: {sorted(self.lane_keys)}"
-            )
-
-        kinds: Dict[str, np.ndarray] = {}
-        for lane in lanes:
-            _, codes = _validated_lane_codes(plan, lane)
-            kinds[lane.key] = codes
-
-        # Live lanes: those with at least one informative structure.
-        live_lanes = [
-            lane for lane in lanes if (kinds[lane.key] != _KIND_NEUTRAL).any()
-        ]
-        self._lanes: Tuple[str, ...] = tuple(lane.key for lane in live_lanes)
-        lane_count = len(live_lanes)
-        self._kind_matrix = (
-            np.stack([kinds[lane.key] for lane in live_lanes])
-            if lane_count
-            else np.zeros((0, plan.structure_count), dtype=np.int8)
-        )
-
-        self._deltas = np.asarray(
-            [self._check_delta(lane.delta, lane.key) for lane in live_lanes],
-            dtype=float,
-        )
-        self._priors = self._stack_priors([lane.priors for lane in live_lanes])
-        self._transports = [
-            lane.transport or MessageTransport(send_probability, seed=seed)
-            for lane in live_lanes
-        ]
-        self._lossless = all(
-            transport.send_probability >= 1.0 for transport in self._transports
-        )
-
-        # Per-lane informative transmissions (positions into the plan's
-        # transmission list, in list order — the rng consumption order).
-        informative_tx = (
-            self._kind_matrix[:, plan.tx_feedback] != _KIND_NEUTRAL
-            if plan.tx_feedback.size
-            else np.zeros((lane_count, 0), dtype=bool)
-        )
-        self._lane_tx = [np.flatnonzero(row) for row in informative_tx]
-
-        # Per-lane active mappings: constrained by ≥1 informative structure.
-        self._active_indices: List[np.ndarray] = []
-        for lane in range(lane_count):
-            active = np.zeros(plan.mapping_count, dtype=bool)
-            for si in np.flatnonzero(self._kind_matrix[lane] != _KIND_NEUTRAL):
-                for name in plan.structure_mappings[si]:
-                    active[plan.mapping_index[name]] = True
-            self._active_indices.append(np.flatnonzero(active))
-
-        # Stacked per-attribute factor tables, one kernel per arity bucket
-        # (dense einsum below the count-kernel crossover, count space above).
-        self._kernels: List[StackedFactorBatch | StackedCountFactorBatch] = []
-        for batch in plan.batches:
-            kind_b = self._kind_matrix[:, batch.feedback_indices]
-            tables = _bucket_tables(kind_b, self._deltas[:, None], batch)
-            self._kernels.append(_bucket_kernel(tables, batch))
-
-        # Stacked message state, one lane per attribute.  The state arrays
-        # only ever hold the *live* (not yet converged) lanes: when a lane
-        # freezes it is compacted out (:meth:`_compact`), so finished
-        # attributes stop contributing work to every phase.  ``_live`` maps
-        # state rows back to lane indices.  The per-edge prior rows are
-        # gathered once — phase 1 reuses them every round.
-        self._live = np.arange(lane_count)
-        self._prior_edges = self._priors[:, plan.edge_mapping]
-        self._v2f = np.full((lane_count, plan.edge_count, 2), 0.5)
-        self._f2v = np.full((lane_count, plan.edge_count, 2), 0.5)
-        self._recv = np.full((lane_count, plan.recv_count, 2), 0.5)
-        self._post = normalize_rows(
-            self._priors * segment_products(self._f2v, plan.segment_starts)
-        )
-        self._final_post = self._post[:, :, 0].copy()
-
-    # -- construction helpers ----------------------------------------------------------
-
-    @staticmethod
-    def _resolve_delta(deltas, attribute: str) -> Optional[float]:
-        """The Δ spec of one attribute; ``None`` when the dict lacks it.
-
-        A missing Δ only becomes an error if the lane turns out to have
-        informative evidence (:meth:`_check_delta` in ``_setup``), matching
-        the historical behaviour of resolving Δ for live lanes only.
-        """
-        if isinstance(deltas, (int, float)) and not isinstance(deltas, bool):
-            return float(deltas)
-        try:
-            return float(deltas[attribute])
-        except (KeyError, TypeError):
-            return None
-
-    @staticmethod
-    def _check_delta(value: Optional[float], key: str) -> float:
-        if value is None:
-            raise FeedbackError(f"no Δ supplied for attribute {key!r}")
-        value = float(value)
-        if not 0.0 <= value <= 1.0:
-            raise FeedbackError(f"Δ must be in [0, 1], got {value}")
-        return value
-
-    def _stack_priors(self, prior_specs: Sequence[object]) -> np.ndarray:
-        """One clipped ``(lanes, mappings, 2)`` prior matrix from the live
-        lanes' prior specs (``None`` / float / ``{mapping: prior}``)."""
-        validate = EmbeddedMessagePassing._validate_prior
-        correct = np.empty((len(prior_specs), self.plan.mapping_count))
-        for lane, spec in enumerate(prior_specs):
-            if spec is None:
-                correct[lane] = 0.5
-            elif isinstance(spec, (bool, int, float)):
-                # bools are rejected by the shared validator, like the
-                # sequential engine does.
-                correct[lane] = validate(spec, "*")
-            elif isinstance(spec, PriorBeliefStore):
-                raise FeedbackError(
-                    "pass per-lane prior dicts, not a PriorBeliefStore"
-                )
-            else:
-                get = spec.get
-                correct[lane] = [
-                    validate(get(name, 0.5), name)
-                    for name in self.plan.mapping_names
-                ]
-        return np.clip(
-            np.stack((correct, 1.0 - correct), axis=-1), 1e-9, 1.0
-        )
-
-    # -- introspection ------------------------------------------------------------------
-
-    @property
-    def mapping_names(self) -> Tuple[str, ...]:
-        return self.plan.mapping_names
-
-    @property
-    def lane_attributes(self) -> Tuple[str, ...]:
-        """Attributes with informative evidence, in state-lane order."""
-        return self._lanes
-
-    def transport_for(self, attribute: str) -> MessageTransport:
-        """The per-attribute transport (for statistics inspection)."""
-        try:
-            lane = self._lanes.index(attribute)
-        except ValueError:
-            known = ", ".join(self._lanes) or "<none>"
-            raise FeedbackError(
-                f"no transport for attribute {attribute!r} (only attributes "
-                f"with informative evidence have one; known: {known})"
-            ) from None
-        return self._transports[lane]
-
-    # -- the three phases, stacked ------------------------------------------------------
-
-    def _run_round(self) -> None:
-        """One full round over every live lane (no per-lane indexing).
-
-        Phases 1 and 3 are the shared plan's; the transport exchange runs
-        between them and the posterior snapshot stays engine-side.
-        """
-        plan = self.plan
-        self._v2f = plan.variable_sweep(self._f2v, self._prior_edges)
-        self._exchange()
-        pool = plan.message_pool(self._v2f, self._recv)
-        plan.factor_sweep(self._kernels, pool, self._f2v)
-        # Posterior snapshot of the live lanes.
-        products = segment_products(self._f2v, plan.segment_starts)
-        self._post = normalize_rows(self._priors * products)
-
-    def _exchange(self) -> None:
-        plan = self.plan
-        if plan.tx_src.size == 0:
-            return
-        if self._lossless:
-            # Deliver everything in one stacked scatter; neutral cells are
-            # only ever read by neutral (all-ones) factor sweeps.
-            self._recv[:, plan.tx_dest] = self._v2f[:, plan.tx_src]
-            for row, lane in enumerate(self._live):
-                count = int(self._lane_tx[lane].size)
-                if count:
-                    self._transports[lane].statistics.record_many(count, count)
-            return
-        for row, lane in enumerate(self._live):
-            positions = self._lane_tx[lane]
-            if positions.size == 0:
-                continue
-            mask = self._transports[lane].send_mask(positions.size)
-            if mask.all():
-                delivered = positions
-            elif mask.any():
-                delivered = positions[mask]
-            else:
-                continue
-            self._recv[row, plan.tx_dest[delivered]] = self._v2f[
-                row, plan.tx_src[delivered]
-            ]
-
-    def _compact(self, keep: np.ndarray) -> None:
-        """Drop frozen lanes from the live state (boolean ``keep`` mask)."""
-        self._live = self._live[keep]
-        self._v2f = self._v2f[keep]
-        self._f2v = self._f2v[keep]
-        self._recv = self._recv[keep]
-        self._post = self._post[keep]
-        self._priors = self._priors[keep]
-        self._prior_edges = self._prior_edges[keep]
-        self._kernels = [
-            type(kernel)(kernel.tables[keep]) for kernel in self._kernels
-        ]
-
-    # -- public API ---------------------------------------------------------------------
-
-    def run(self) -> Dict[str, Optional[EmbeddedResult]]:
-        """Iterate all attributes to convergence; one result per attribute.
-
-        Attributes without informative evidence map to ``None``.  Every
-        other attribute receives an :class:`EmbeddedResult` equal (to
-        floating-point accuracy) to what a sequential
-        ``EmbeddedMessagePassing(...).run()`` over its informative feedback
-        would return — iteration counts, convergence flags, histories and
-        transport statistics included.
-        """
-        results: Dict[str, Optional[EmbeddedResult]] = {
-            attribute: None for attribute in self.attributes
-        }
-        lane_count = len(self._lanes)
-        if lane_count == 0:
-            return results
-        options = self.options
-        quiet_needed = np.asarray(
-            [
-                required_quiet_rounds(transport.send_probability)
-                for transport in self._transports
-            ],
-            dtype=np.int64,
-        )
-        converged = np.zeros(lane_count, dtype=bool)
-        quiet = np.zeros(lane_count, dtype=np.int64)
-        rounds = np.zeros(lane_count, dtype=np.int64)
-        final_change = np.zeros(lane_count, dtype=float)
-        histories: Optional[List[List[np.ndarray]]] = (
-            [[] for _ in range(lane_count)] if options.record_history else None
-        )
-        for round_number in range(1, options.max_rounds + 1):
-            live = self._live
-            if live.size == 0:
-                break
-            # _run_round rebinds (never mutates) the posterior matrix, so
-            # views of the previous round's beliefs stay valid snapshots.
-            before = self._post[:, :, 0]
-            self._run_round()
-            after = self._post[:, :, 0]
-            if after.shape[1]:
-                change = np.abs(after - before).max(axis=1)
-            else:
-                change = np.zeros(live.size)
-            rounds[live] = round_number
-            final_change[live] = change
-            if histories is not None:
-                for row, lane in enumerate(live):
-                    histories[lane].append(after[row])
-            quiet[live] = np.where(change < options.tolerance, quiet[live] + 1, 0)
-            done = quiet[live] >= quiet_needed[live]
-            if done.any():
-                finished = live[done]
-                converged[finished] = True
-                self._final_post[finished] = after[done]
-                self._compact(~done)
-        self._final_post[self._live] = self._post[:, :, 0]
-        if options.strict and not converged.all():
-            stuck = ", ".join(
-                self._lanes[lane] for lane in np.flatnonzero(~converged)
-            )
-            raise ConvergenceError(
-                f"batched embedded message passing did not converge within "
-                f"{options.max_rounds} rounds for: {stuck}"
-            )
-        for lane, attribute in enumerate(self._lanes):
-            indices = self._active_indices[lane]
-            results[attribute] = _lane_result(
-                self.plan,
-                indices,
-                self._final_post[lane, indices],
-                [snapshot[indices] for snapshot in histories[lane]]
-                if histories is not None
-                else (),
-                self._transports[lane].statistics,
-                int(rounds[lane]),
-                bool(converged[lane]),
-                float(final_change[lane]),
-            )
-        return results
-
-
-class BlockedEmbeddedMessagePassing:
-    """Disjoint-lane embedded message passing packed into one shared state.
-
-    :class:`BatchedEmbeddedMessagePassing` stacks L lanes on ``(L, edges,
-    2)`` state, every lane spanning every plan structure — the right layout
-    when lanes share structures (multi-attribute sweeps over one topology).
-    The per-origin decentralised view of §4.5 is the opposite regime: each
-    lane binds a *disjoint* block of structures over its own per-origin
-    mapping instances, so stacked lanes would carry an L× dead weight of
-    permanently-uniform rows.  This engine packs such disjoint lanes
-    block-diagonally into one shared row space: per-round work covers the
-    *sum* of the blocks — the per-origin sequential engines' combined
-    problem size — in one fixed set of numpy calls, while each lane keeps
-    its own rng stream, convergence counter, history and transport
-    statistics, so every lane's result equals its sequential run bit for
-    bit.  When a lane converges its result is snapshotted and its block —
-    edge rows, received cells, transmissions and factor structures — is
-    *compacted out* of the live state (:meth:`_compact_frozen`), so
-    per-round work shrinks monotonically as origins freeze instead of every
-    row riding the phase-1/3 sweeps until the last origin finishes.
-    Because the blocks are disjoint, dropping a frozen block leaves the
-    remaining lanes' sweeps bit-identical; :attr:`round_edge_counts`
-    records the per-round row counts for inspection.
-
-    Parameters
-    ----------
-    plan:
-        A **block-diagonal** compiled plan: every mapping must appear only
-        in the structures of a single lane's block (callers rename mapping
-        instances per lane — e.g. ``"origin::mapping"`` — and pass explicit
-        owners to :func:`compile_assessment_plan`).
-    lanes:
-        :class:`AssessmentLane` entries whose ``structure_indices`` are
-        strictly increasing and pairwise disjoint across lanes.  Lane priors
-        are read per mapping instance of the lane's block.
-    send_probability / seed / options:
-        As in :meth:`BatchedEmbeddedMessagePassing.from_lanes`.
-    """
-
-    def __init__(
-        self,
-        plan: SweepPlan,
         lanes: Sequence[AssessmentLane],
         send_probability: float = DEFAULT_SEND_PROBABILITY,
         seed: Optional[int] = DEFAULT_SEED,
@@ -722,171 +510,129 @@ class BlockedEmbeddedMessagePassing:
     ) -> None:
         self.plan = plan
         self.options = options or EmbeddedOptions()
-        lanes = list(lanes)
         self.lane_keys: Tuple[str, ...] = tuple(lane.key for lane in lanes)
         if len(set(self.lane_keys)) != len(self.lane_keys):
             raise FeedbackError(f"duplicate lane keys: {sorted(self.lane_keys)}")
-        lane_count = len(lanes)
-        structure_count = plan.structure_count
+        #: Edge rows swept in each round — the per-round work trajectory
+        #: the compaction shrinks.
+        self.round_edge_counts: List[int] = []
 
-        # Kind codes and the structure → lane assignment (disjoint blocks).
-        structure_lane = np.full(structure_count, -1, dtype=np.int64)
-        kind_codes = np.zeros(structure_count, dtype=np.int8)
-        lane_indices: List[np.ndarray] = []
-        for lane_id, lane in enumerate(lanes):
-            indices, codes = _validated_lane_codes(plan, lane)
-            if indices.size and (structure_lane[indices] != -1).any():
-                raise FeedbackError(
-                    f"lane {lane.key!r} overlaps another lane's structures; "
-                    "the blocked engine needs disjoint blocks (use "
-                    "BatchedEmbeddedMessagePassing.from_lanes for "
-                    "overlapping lanes)"
-                )
-            structure_lane[indices] = lane_id
-            kind_codes[indices] = codes[indices]
-            lane_indices.append(indices)
+        # Placed lanes: those with at least one informative structure.
+        placed: List[Tuple[AssessmentLane, np.ndarray, np.ndarray]] = []
+        for lane in lanes:
+            indices, codes, informative = _lane_codes(plan, lane)
+            if informative:
+                placed.append((lane, indices, codes))
+        self._keys: Tuple[str, ...] = tuple(lane.key for lane, _, _ in placed)
+        lane_deltas = [_check_delta(lane.delta, lane.key) for lane, _, _ in placed]
+        self._transports = [
+            lane.transport or MessageTransport(send_probability, seed=seed)
+            for lane, _, _ in placed
+        ]
+        self._lossless = np.asarray(
+            [t.send_probability >= 1.0 for t in self._transports], dtype=bool
+        )
+        self._live_plan = plan
+        self._live = np.zeros(0, dtype=np.int64)
+        if not placed:
+            return
 
-        # Block-diagonality: no mapping instance may span two lanes (its
-        # segment products would couple the blocks).
-        mapping_lane = np.full(plan.mapping_count, -1, dtype=np.int64)
-        for structure_index, names in enumerate(plan.structure_mappings):
-            lane_id = structure_lane[structure_index]
-            for name in names:
-                mapping_id = plan.mapping_index[name]
-                if mapping_lane[mapping_id] == -1:
-                    mapping_lane[mapping_id] = lane_id
-                elif mapping_lane[mapping_id] != lane_id:
-                    raise FeedbackError(
-                        f"mapping {name!r} appears in structures of two "
-                        "lanes; the blocked engine needs a block-diagonal "
-                        "plan (rename per-lane mapping instances)"
-                    )
-        self._mapping_lane = mapping_lane
-        self._kind_codes = kind_codes
+        lane_count = len(placed)
+        slice_of, bound = _place(plan, [indices for _, indices, _ in placed])
+        lane_slice = np.asarray(slice_of, dtype=np.int64)
+        slice_count = slice_of[-1] + 1
+        structure_count, mapping_count = plan.structure_count, plan.mapping_count
+        kinds = np.zeros((slice_count, structure_count), dtype=np.int8)
+        deltas = np.zeros((slice_count, structure_count))
+        owner = np.full((slice_count, structure_count), -1, dtype=np.int64)
+        for lane_id, (_, indices, codes) in enumerate(placed):
+            k = lane_slice[lane_id]
+            kinds[k, indices] = codes
+            deltas[k, indices] = lane_deltas[lane_id]
+            owner[k, indices] = lane_id
+        self._lane_slice = lane_slice
+        self._owner = owner
 
-        # Live lanes (≥1 informative structure) — needed before Δ
-        # resolution, which is only required for them.
-        informative = kind_codes != _KIND_NEUTRAL
-        self._lane_informative = np.asarray(
-            [bool(informative[indices].any()) for indices in lane_indices],
-            dtype=bool,
+        # The mappings an informative structure constrains — each lane's
+        # result and convergence rows — in plan order.
+        index = plan.mapping_index
+        active_ids = [
+            sorted(
+                {
+                    index[name]
+                    for s, code in zip(indices.tolist(), codes.tolist())
+                    if code != KIND_NEUTRAL
+                    for name in plan.structure_mappings[s]
+                }
+            )
+            for _, indices, codes in placed
+        ]
+        names = plan.mapping_names
+        #: Names of each lane's active mappings, in plan order.
+        self._active_names = [[names[i] for i in ids] for ids in active_ids]
+        counts = [len(ids) for ids in active_ids]
+        self._act_lane = np.repeat(np.arange(lane_count), counts)
+        self._act_mapping = np.fromiter(
+            (i for ids in active_ids for i in ids), dtype=np.int64, count=sum(counts)
         )
 
-        # Per-structure Δ (the owning lane's), per-mapping priors.
-        lane_deltas = np.asarray(
-            [
-                BatchedEmbeddedMessagePassing._check_delta(lane.delta, lane.key)
-                if self._lane_informative[lane_id]
-                else 0.0
-                for lane_id, lane in enumerate(lanes)
-            ],
-            dtype=float,
-        )
-        structure_delta = np.where(
-            structure_lane >= 0, lane_deltas[structure_lane], 0.0
-        ) if structure_count else np.zeros(0)
-        validate = EmbeddedMessagePassing._validate_prior
-        correct = np.full(plan.mapping_count, 0.5)
-        for mapping_id, name in enumerate(plan.mapping_names):
-            lane_id = mapping_lane[mapping_id]
-            if lane_id < 0:
-                continue
-            spec = lanes[lane_id].priors
+        # Priors, read for the mappings each lane binds.
+        correct = np.full((slice_count, mapping_count), 0.5)
+        for lane_id, (lane, _, _) in enumerate(placed):
+            spec = lane.priors
             if spec is None:
                 continue
             if isinstance(spec, PriorBeliefStore):
                 raise FeedbackError(
                     "pass per-lane prior dicts, not a PriorBeliefStore"
                 )
+            names = bound[lane_id] or plan.mapping_names
+            ids = [index[name] for name in names] if bound[lane_id] else slice(None)
             if isinstance(spec, (bool, int, float)):
-                correct[mapping_id] = validate(spec, name)
+                correct[slice_of[lane_id], ids] = _validate_prior(spec, lane.key)
             else:
-                correct[mapping_id] = validate(spec.get(name, 0.5), name)
+                get = spec.get
+                correct[slice_of[lane_id], ids] = [
+                    _validate_prior(get(name, 0.5), name) for name in names
+                ]
         self._priors = np.clip(
             np.stack((correct, 1.0 - correct), axis=-1), 1e-9, 1.0
         )
 
-        self._transports = [
-            lane.transport or MessageTransport(send_probability, seed=seed)
-            for lane in lanes
-        ]
+        # Informative transmissions per lane, in plan (= rng) order.
+        slice_ids, positions = np.nonzero(
+            (kinds != KIND_NEUTRAL)[:, plan.tx_feedback]
+        )
+        tx_lane = owner[slice_ids, plan.tx_feedback[positions]]
+        order = np.argsort(tx_lane, kind="stable")
+        self._tx_lane, self._tx_pos = tx_lane[order], positions[order]
+        #: Informative transmissions of each lane — a round's attempts.
+        self._tx_counts = np.bincount(tx_lane, minlength=lane_count).tolist()
 
-        # Per-lane informative transmissions, in plan (= rng) order.
-        if plan.tx_feedback.size:
-            tx_lane = structure_lane[plan.tx_feedback]
-            tx_informative = informative[plan.tx_feedback]
-        else:
-            tx_lane = np.zeros(0, dtype=np.int64)
-            tx_informative = np.zeros(0, dtype=bool)
-        self._lane_tx = [
-            np.flatnonzero((tx_lane == lane_id) & tx_informative)
-            for lane_id in range(lane_count)
-        ]
-
-        # Per-lane active mappings: constrained by ≥1 informative structure.
-        self._active_indices: List[np.ndarray] = []
-        for lane_id in range(lane_count):
-            active = np.zeros(plan.mapping_count, dtype=bool)
-            for structure_index in lane_indices[lane_id][
-                informative[lane_indices[lane_id]]
-            ]:
-                for name in plan.structure_mappings[structure_index]:
-                    active[plan.mapping_index[name]] = True
-            self._active_indices.append(np.flatnonzero(active))
-
-        # Per-structure factor tables, stacked with a unit lane axis so the
-        # shared stacked kernels (dense einsum or count space) apply
-        # unchanged.  Kernels and the per-bucket structure → lane ownership
-        # ride beside the live plan; compaction rebuilds all three.
-        self._kernels: List[StackedFactorBatch | StackedCountFactorBatch] = []
-        self._bucket_lanes: List[np.ndarray] = []
-        for batch in plan.batches:
-            kind_b = kind_codes[batch.feedback_indices]
-            tables = _bucket_tables(
-                kind_b, structure_delta[batch.feedback_indices], batch
+        self._kernels: List[StackedFactorBatch | StackedCountFactorBatch] = [
+            bucket_kernel(
+                bucket_tables(
+                    kinds[:, bucket.feedback_indices],
+                    deltas[:, bucket.feedback_indices],
+                    bucket,
+                ),
+                bucket,
             )
-            self._kernels.append(_bucket_kernel(tables[None], batch))
-            self._bucket_lanes.append(structure_lane[batch.feedback_indices])
-
-        # Shared block-diagonal state (unit lane axis).  ``_plan_live`` is
-        # the *live* view of the compiled plan: initially the plan itself,
-        # and _compact_frozen rebinds it (``dataclasses.replace``, never
-        # mutation) to the still-running blocks as lanes converge.  Per-row
-        # lane ownership (edges via their mapping, received cells via the
-        # structure of the transmissions writing them, transmissions via
-        # their structure) is what compaction keys on.
-        self._plan_live: SweepPlan = plan
-        self._edge_lane = (
-            mapping_lane[plan.edge_mapping]
-            if plan.edge_count
-            else np.zeros(0, dtype=np.int64)
-        )
-        recv_lane = np.full(plan.recv_count, -1, dtype=np.int64)
-        if plan.tx_feedback.size:
-            recv_lane[plan.tx_dest] = structure_lane[plan.tx_feedback]
-        self._recv_lane = recv_lane
-        self._tx_lane = tx_lane
-        self._tx_informative = tx_informative
-        # The mapping id behind each posterior row (the live plan's segment
-        # owners) and their prior rows.
-        self._post_priors = self._priors[plan.segment_mapping]
-        #: Current posterior row of each lane's active mappings (equal to
-        #: ``_active_indices`` until a compaction renumbers the rows).
-        self._active_rows: List[np.ndarray] = list(self._active_indices)
-        #: Lanes whose blocks have been compacted out of the live view.
-        self._lane_compacted = np.zeros(lane_count, dtype=bool)
-        #: Edge rows swept in each round — the per-round work trajectory the
-        #: compaction exists to shrink (strictly decreasing whenever an
-        #: origin froze in the previous round).
-        self.round_edge_counts: List[int] = []
-
-        self._prior_edges = self._priors[plan.edge_mapping][None]
-        self._v2f = np.full((1, plan.edge_count, 2), 0.5)
-        self._f2v = np.full((1, plan.edge_count, 2), 0.5)
-        self._recv = np.full((1, plan.recv_count, 2), 0.5)
-        self._post = normalize_rows(
-            self._priors[None] * segment_products(self._f2v, plan.segment_starts)
-        )
+            for bucket in plan.batches
+        ]
+        self._recv_structure = np.empty(plan.recv_count, dtype=np.int64)
+        self._recv_structure[plan.tx_dest] = plan.tx_feedback
+        self._running = np.ones(lane_count, dtype=bool)
+        self._prior_edges = self._priors[:, plan.edge_mapping]
+        self._post_priors = self._priors[:, plan.segment_mapping]
+        self._v2f = np.full((slice_count, plan.edge_count, 2), 0.5)
+        self._f2v = np.full((slice_count, plan.edge_count, 2), 0.5)
+        self._recv = np.full((slice_count, plan.recv_count, 2), 0.5)
+        if (owner < 0).all(axis=0).any():
+            # Structures only lanes without informative evidence bind.
+            self._compact()
+        else:
+            self._bind()
 
     # -- introspection ------------------------------------------------------------------
 
@@ -894,89 +640,189 @@ class BlockedEmbeddedMessagePassing:
     def mapping_names(self) -> Tuple[str, ...]:
         return self.plan.mapping_names
 
-    def transport_for(self, key: str) -> MessageTransport:
-        """The per-lane transport (for statistics inspection)."""
-        try:
-            lane_id = self.lane_keys.index(key)
-        except ValueError:
-            known = ", ".join(self.lane_keys) or "<none>"
-            raise FeedbackError(
-                f"no transport for lane {key!r} (known: {known})"
-            ) from None
-        return self._transports[lane_id]
+    @property
+    def live_keys(self) -> Tuple[str, ...]:
+        """Keys of the lanes a round runs, in the order of
+        :meth:`run_round`'s changes."""
+        return tuple(self._keys[lane] for lane in self._live.tolist())
 
-    # -- the three phases over the shared state -----------------------------------------
+    def posteriors(self) -> Dict[str, Dict[str, float]]:
+        """Current posterior P(correct) of every live lane's mappings."""
+        return {
+            self._keys[lane]: dict(zip(self._active_names[lane], values.tolist()))
+            for lane, values in zip(self._live.tolist(), self._lane_values())
+        }
 
-    def _run_round(self, sending: Sequence[int]) -> None:
-        """One full round over the live view; ``sending`` lists the lane ids
-        still exchanging."""
-        plan = self._plan_live
+    # -- the round ----------------------------------------------------------------------
+
+    def run_round(self, mapping_names: Optional[Iterable[str]] = None) -> np.ndarray:
+        """Run one round; return each live lane's largest posterior change.
+
+        ``mapping_names`` restricts phases 1–2 to the named mappings — the
+        lazy schedule's partial round (§4.3.2).  The changes are aligned
+        with :attr:`live_keys`.
+        """
+        if not self._live.size:
+            return np.zeros(0)
+        plan = self._live_plan
         self.round_edge_counts.append(int(plan.edge_count))
-        self._v2f = plan.variable_sweep(self._f2v, self._prior_edges)
-        self._exchange(sending)
-        pool = plan.message_pool(self._v2f, self._recv)
-        plan.factor_sweep(self._kernels, pool, self._f2v)
-        self._post = normalize_rows(
-            self._post_priors[None]
-            * segment_products(self._f2v, plan.segment_starts)
+        fresh = plan.variable_sweep(self._f2v, self._prior_edges)
+        sent: Optional[np.ndarray] = None
+        if mapping_names is None:
+            self._v2f = fresh
+        else:
+            selected = np.zeros(self.plan.mapping_count, dtype=bool)
+            index = self.plan.mapping_index
+            selected[[index[n] for n in mapping_names if n in index]] = True
+            self._v2f = np.where(
+                selected[plan.edge_mapping][:, None], fresh, self._v2f
+            )
+            sent = selected[plan.tx_mapping]
+        self._exchange(sent)
+        plan.factor_sweep(
+            self._kernels, plan.message_pool(self._v2f, self._recv), self._f2v
         )
+        before = self._values
+        self._snapshot()
+        return np.maximum.reduceat(np.abs(self._values - before), self._row_starts)
 
-    def _exchange(self, sending: Sequence[int]) -> None:
-        tx_src = self._plan_live.tx_src
-        tx_dest = self._plan_live.tx_dest
-        for lane_id in sending:
-            positions = self._lane_tx[lane_id]
-            if positions.size == 0:
+    def _exchange(self, sent: Optional[np.ndarray]) -> None:
+        """Phase 2: every live lane's informative transmissions (restricted
+        to the ``sent`` mask over the live transmission list, if given)."""
+        plan = self._live_plan
+        lanes, positions, slices, sources, destinations = self._flood
+        counts = self._flood_counts
+        if sent is not None:
+            keep = sent[positions]
+            slices, sources, destinations = slices[keep], sources[keep], destinations[keep]
+            counts = self._lane_counts(lanes[keep])
+        if destinations.size:
+            self._recv[slices, destinations] = self._v2f[slices, sources]
+        for statistics, count in counts:
+            statistics.record_many(count, count)
+        for lane, k, positions in self._lossy:
+            if sent is not None:
+                positions = positions[sent[positions]]
+            mask = self._transports[lane].send_mask(positions.size)
+            if not mask.any():
                 continue
-            transport = self._transports[lane_id]
-            if transport.send_probability >= 1.0:
-                self._recv[0, tx_dest[positions]] = self._v2f[
-                    0, tx_src[positions]
-                ]
-                transport.statistics.record_many(
-                    int(positions.size), int(positions.size)
-                )
-                continue
-            mask = transport.send_mask(positions.size)
-            if mask.all():
-                delivered = positions
-            elif mask.any():
-                delivered = positions[mask]
-            else:
-                continue
-            self._recv[0, tx_dest[delivered]] = self._v2f[
-                0, tx_src[delivered]
+            if not mask.all():
+                positions = positions[mask]
+            self._recv[k, plan.tx_dest[positions]] = self._v2f[
+                k, plan.tx_src[positions]
             ]
 
-    def _compact_frozen(self, frozen: Sequence[int]) -> None:
-        """Drop the rows and structures of ``frozen`` lanes from the live view.
+    # -- live-state bookkeeping ---------------------------------------------------------
 
-        The blocks are disjoint, so removing a frozen lane's edge rows,
-        received cells, transmissions and factor structures leaves every
-        remaining lane's segment products and kernel sweeps operating on
-        exactly the same values as before — results are bit-identical —
-        while per-round work shrinks to the surviving blocks.  Only the live
-        view is rebound; the compiled plan is shared and never touched.
+    def _snapshot(self) -> None:
+        """Posteriors of the live state, and of each live lane's rows."""
+        posteriors = normalize_rows(
+            self._post_priors
+            * segment_products(self._f2v, self._live_plan.segment_starts)
+        )
+        self._values = posteriors.ravel()[self._rows]
+
+    def _lane_counts(self, lanes: np.ndarray) -> List[Tuple[TransportStatistics, int]]:
+        """``(statistics, transmissions)`` of every lane in ``lanes``."""
+        counts = np.bincount(lanes, minlength=len(self._transports)).tolist()
+        return [
+            (self._transports[lane].statistics, counts[lane])
+            for lane in np.flatnonzero(counts).tolist()
+        ]
+
+    def _bind(self) -> None:
+        """Derive the per-round index arrays of the live lanes."""
+        plan = self._live_plan
+        segment_count = plan.segment_mapping.size
+        mapping_row = np.empty(self.plan.mapping_count, dtype=np.int64)
+        mapping_row[plan.segment_mapping] = np.arange(segment_count)
+        # Flat index of P(correct) of each live lane's active mappings.
+        self._rows = 2 * (
+            self._lane_slice[self._act_lane] * segment_count
+            + mapping_row[self._act_mapping]
+        )
+        self._row_starts, self._live = _runs(self._act_lane)
+
+        # Lossless lanes: one scatter over (slice, row) index pairs.
+        flood_lanes, positions = self._tx_lane, self._tx_pos
+        self._lossy = []
+        lossless = self._lossless[flood_lanes]
+        if not lossless.all():
+            lossy_lanes, lossy_positions = flood_lanes[~lossless], positions[~lossless]
+            flood_lanes, positions = flood_lanes[lossless], positions[lossless]
+            starts, ids = _runs(lossy_lanes)
+            bounds = starts.tolist() + [lossy_lanes.size]
+            self._lossy = [
+                (lane, int(self._lane_slice[lane]), lossy_positions[start:end])
+                for lane, start, end in zip(ids.tolist(), bounds, bounds[1:])
+            ]
+        self._flood = (
+            flood_lanes,
+            positions,
+            self._lane_slice[flood_lanes],
+            plan.tx_src[positions],
+            plan.tx_dest[positions],
+        )
+        self._flood_counts = [
+            (self._transports[lane].statistics, self._tx_counts[lane])
+            for lane in self._live.tolist()
+            if self._lossless[lane] and self._tx_counts[lane]
+        ]
+        self._snapshot()
+
+    def _lane_values(self) -> List[np.ndarray]:
+        """Current posteriors of each live lane's active mappings."""
+        if self._row_starts.size == 1:
+            return [self._values]
+        return np.split(self._values, self._row_starts[1:])
+
+    def _compact(self) -> None:
+        """Drop what no live lane uses, then rebind the live lanes.
+
+        Removes the slices no live lane occupies, plus the edge rows,
+        received cells, transmissions and bucket entries of structures no
+        live lane binds.  Only the live view is rebound; the compiled plan
+        is shared and never touched.
         """
-        lane_count = len(self.lane_keys)
-        dead = np.zeros(lane_count, dtype=bool)
-        dead[np.asarray(list(frozen), dtype=np.int64)] = True
-        self._lane_compacted |= dead
+        keep = self._running[self._act_lane]
+        self._act_lane, self._act_mapping = self._act_lane[keep], self._act_mapping[keep]
+        keep = self._running[self._tx_lane]
+        self._tx_lane, self._tx_pos = self._tx_lane[keep], self._tx_pos[keep]
 
-        def keep_rows(lane_of: np.ndarray) -> np.ndarray:
-            # Rows outside every lane (lane id -1, possible when the lanes
-            # cover only part of the plan) belong to no block and are kept.
-            keep = np.ones(lane_of.size, dtype=bool)
-            in_lane = lane_of >= 0
-            keep[in_lane] = ~dead[lane_of[in_lane]]
-            return keep
+        owner = self._owner
+        owned = owner >= 0
+        live_owner = np.zeros(owner.shape, dtype=bool)
+        live_owner[owned] = self._running[owner[owned]]
+        keep_slices = live_owner.any(axis=1)
+        keep_structures = live_owner.any(axis=0)
 
-        old = self._plan_live
-        old_edge_count = old.edge_count
-        keep_edges = keep_rows(self._edge_lane)
-        keep_recv = keep_rows(self._recv_lane)
+        if not keep_slices.all():
+            self._owner = owner[keep_slices]
+            self._lane_slice = (np.cumsum(keep_slices) - 1)[self._lane_slice]
+            for name in ("_v2f", "_f2v", "_recv", "_priors", "_prior_edges", "_post_priors"):
+                setattr(self, name, getattr(self, name)[keep_slices])
+            self._kernels = [
+                type(kernel)(kernel.tables[keep_slices]) for kernel in self._kernels
+            ]
+
+        old = self._live_plan
+        keep_edges = keep_structures[old.edge_structure]
+        if not keep_edges.all():
+            self._drop_rows(old, keep_structures, keep_edges)
+        self._bind()
+
+    def _drop_rows(
+        self,
+        old: SweepPlan,
+        keep_structures: np.ndarray,
+        keep_edges: np.ndarray,
+    ) -> None:
+        """Rebind the live plan without the rows of dropped structures."""
+        keep_recv = keep_structures[self._recv_structure]
+        keep_tx = keep_structures[old.tx_feedback]
         edge_renumber = np.cumsum(keep_edges) - 1
         recv_renumber = np.cumsum(keep_recv) - 1
+        old_edge_count = old.edge_count
         new_edge_count = int(keep_edges.sum())
 
         def remap_pool(ids: np.ndarray) -> np.ndarray:
@@ -990,18 +836,12 @@ class BlockedEmbeddedMessagePassing:
 
         batches: List[BucketPlan] = []
         kernels: List[StackedFactorBatch | StackedCountFactorBatch] = []
-        bucket_lanes: List[np.ndarray] = []
-        for bucket, kernel, lanes in zip(
-            old.batches, self._kernels, self._bucket_lanes
-        ):
-            keep = keep_rows(lanes)
+        for bucket, kernel in zip(old.batches, self._kernels):
+            keep = keep_structures[bucket.feedback_indices]
             if not keep.any():
                 continue
             gather = [
-                [
-                    None if ids is None else remap_pool(ids[keep])
-                    for ids in per_target
-                ]
+                [None if ids is None else remap_pool(ids[keep]) for ids in per_target]
                 for per_target in bucket.gather
             ]
             scatter = [edge_renumber[rows[keep]] for rows in bucket.scatter]
@@ -1016,33 +856,29 @@ class BlockedEmbeddedMessagePassing:
                 )
             )
             kernels.append(type(kernel)(kernel.tables[:, keep]))
-            bucket_lanes.append(lanes[keep])
         self._kernels = kernels
-        self._bucket_lanes = bucket_lanes
 
-        self._v2f = self._v2f[:, keep_edges]
-        self._f2v = self._f2v[:, keep_edges]
-        self._recv = self._recv[:, keep_recv]
-        self._prior_edges = self._prior_edges[:, keep_edges]
-        self._edge_lane = self._edge_lane[keep_edges]
-        self._recv_lane = self._recv_lane[keep_recv]
+        # Indexing the row axis leaves a strided copy; keep the state
+        # C-contiguous for the sweeps.
+        self._v2f = np.ascontiguousarray(self._v2f[:, keep_edges])
+        self._f2v = np.ascontiguousarray(self._f2v[:, keep_edges])
+        self._recv = np.ascontiguousarray(self._recv[:, keep_recv])
+        self._prior_edges = np.ascontiguousarray(self._prior_edges[:, keep_edges])
+        self._recv_structure = self._recv_structure[keep_recv]
         edge_mapping = old.edge_mapping[keep_edges]
-        starts, seg_of_edge, seg_ids = segment_plan(edge_mapping)
-        self._post_priors = self._priors[seg_ids]
-
-        keep_tx = keep_rows(self._tx_lane)
-        self._plan_live = replace(
+        starts, segment_of_edge, segment_mapping = segment_plan(edge_mapping)
+        self._post_priors = self._priors[:, segment_mapping]
+        self._tx_pos = (np.cumsum(keep_tx) - 1)[self._tx_pos]
+        self._live_plan = replace(
             old,
             edge_mapping=edge_mapping,
             edge_structure=old.edge_structure[keep_edges],
             segment_starts=starts,
-            segment_of_edge=seg_of_edge,
-            segment_mapping=seg_ids,
+            segment_of_edge=segment_of_edge,
+            segment_mapping=segment_mapping,
             edge_count=new_edge_count,
             recv_count=int(keep_recv.sum()),
-            recv_cells=tuple(
-                cell for cell, kept in zip(old.recv_cells, keep_recv) if kept
-            ),
+            recv_cells=tuple(compress(old.recv_cells, keep_recv)),
             tx_src=edge_renumber[old.tx_src[keep_tx]],
             tx_dest=recv_renumber[old.tx_dest[keep_tx]],
             tx_feedback=old.tx_feedback[keep_tx],
@@ -1050,134 +886,93 @@ class BlockedEmbeddedMessagePassing:
             batches=tuple(batches),
         )
 
-        mapping_row = np.full(self.plan.mapping_count, -1, dtype=np.int64)
-        mapping_row[seg_ids] = np.arange(seg_ids.size)
-        self._active_rows = [
-            np.empty(0, dtype=np.int64)
-            if self._lane_compacted[lane_id] or not self._lane_informative[lane_id]
-            else mapping_row[self._active_indices[lane_id]]
-            for lane_id in range(lane_count)
-        ]
-
-        self._tx_lane = self._tx_lane[keep_tx]
-        self._tx_informative = self._tx_informative[keep_tx]
-        self._lane_tx = [
-            np.flatnonzero((self._tx_lane == lane_id) & self._tx_informative)
-            for lane_id in range(lane_count)
-        ]
-
-        # Re-derive the posterior snapshot over the compacted segments; the
-        # surviving rows carry exactly the values they had before.
-        self._post = normalize_rows(
-            self._post_priors[None]
-            * segment_products(self._f2v, starts)
-        )
-
-    # -- public API ---------------------------------------------------------------------
+    # -- the run ------------------------------------------------------------------------
 
     def run(self) -> Dict[str, Optional[EmbeddedResult]]:
-        """Iterate all lanes to their own convergence; one result per lane.
+        """Iterate every lane to its own convergence; one result per lane.
 
         Lanes without informative evidence map to ``None``.  Every other
-        lane receives an :class:`EmbeddedResult` equal to what a sequential
-        ``EmbeddedMessagePassing(...).run()`` over its informative feedback
-        would return — iteration counts, convergence flags, histories and
-        transport statistics included.  Because the blocks are disjoint, a
-        frozen lane's block simply stops exchanging messages; its result is
-        the snapshot taken the round it converged.
+        lane receives the :class:`EmbeddedResult` it computes alone —
+        iteration count, convergence flag, history and transport statistics
+        included.  A lane stops once its posterior change stays below
+        tolerance for :func:`required_quiet_rounds` consecutive rounds; its
+        result is the snapshot of that round, and its rows leave the
+        state if other lanes keep running, so a run freezes them for good.
         """
         results: Dict[str, Optional[EmbeddedResult]] = {
             key: None for key in self.lane_keys
         }
-        lane_count = len(self.lane_keys)
-        live = [
-            lane_id
-            for lane_id in range(lane_count)
-            if self._lane_informative[lane_id]
-        ]
-        if not live:
+        lane_count = len(self._keys)
+        if not self._live.size:
             return results
-        # Lanes without informative evidence never run a round; their rows
-        # are dead weight from the start, so compact them out immediately.
-        idle = [
-            lane_id
-            for lane_id in range(lane_count)
-            if not self._lane_informative[lane_id]
-        ]
-        if idle:
-            self._compact_frozen(idle)
+        if self._live.size < lane_count:
+            raise FeedbackError(
+                "lanes of this engine froze in an earlier run; build a new engine"
+            )
         options = self.options
-        quiet_needed = np.asarray(
-            [
-                required_quiet_rounds(transport.send_probability)
-                for transport in self._transports
-            ],
+        needed = np.asarray(
+            [required_quiet_rounds(t.send_probability) for t in self._transports],
             dtype=np.int64,
-        )
+        )[self._live]
         converged = np.zeros(lane_count, dtype=bool)
-        quiet = np.zeros(lane_count, dtype=np.int64)
         rounds = np.zeros(lane_count, dtype=np.int64)
-        final_change = np.zeros(lane_count, dtype=float)
+        final_change = np.zeros(lane_count)
         histories: Optional[List[List[np.ndarray]]] = (
             [[] for _ in range(lane_count)] if options.record_history else None
         )
-        final_post = self._priors[:, 0].copy()
+        final: List[Optional[np.ndarray]] = [None] * lane_count
+        quiet = np.zeros(self._live.size, dtype=np.int64)
         for round_number in range(1, options.max_rounds + 1):
-            if not live:
-                break
-            before = self._post[0, :, 0]
-            self._run_round(live)
-            after = self._post[0, :, 0]
-            still_live: List[int] = []
-            frozen_now: List[int] = []
-            for lane_id in live:
-                rows = self._active_rows[lane_id]
-                change = (
-                    float(np.abs(after[rows] - before[rows]).max())
-                    if rows.size
-                    else 0.0
-                )
-                rounds[lane_id] = round_number
-                final_change[lane_id] = change
+            live = self._live
+            change = self.run_round()
+            quiet = np.where(change < options.tolerance, quiet + 1, 0)
+            done = quiet >= needed
+            any_done = done.any()
+            if histories is not None or any_done:
+                values = self._lane_values()
                 if histories is not None:
-                    histories[lane_id].append(after[rows])
-                quiet[lane_id] = quiet[lane_id] + 1 if change < options.tolerance else 0
-                if quiet[lane_id] >= quiet_needed[lane_id]:
-                    converged[lane_id] = True
-                    final_post[self._active_indices[lane_id]] = after[rows]
-                    frozen_now.append(lane_id)
-                else:
-                    still_live.append(lane_id)
-            live = still_live
-            if frozen_now and live:
-                self._compact_frozen(frozen_now)
-        for lane_id in live:
-            final_post[self._active_indices[lane_id]] = self._post[
-                0, self._active_rows[lane_id], 0
-            ]
-        if options.strict and not converged[self._lane_informative].all():
+                    for lane, snapshot in zip(live.tolist(), values):
+                        histories[lane].append(snapshot)
+            if not any_done:
+                continue
+            finished = live[done]
+            converged[finished] = True
+            rounds[finished] = round_number
+            final_change[finished] = change[done]
+            for position in np.flatnonzero(done).tolist():
+                final[live[position]] = values[position]
+            if done.all():
+                break
+            self._running[finished] = False
+            self._compact()
+            quiet, needed, change = quiet[~done], needed[~done], change[~done]
+        else:
+            # The round cap stopped the lanes still running.
+            rounds[self._live] = options.max_rounds
+            final_change[self._live] = change
+            for lane, values in zip(self._live.tolist(), self._lane_values()):
+                final[lane] = values
+        if options.strict and not converged.all():
             stuck = ", ".join(
-                self.lane_keys[lane_id]
-                for lane_id in np.flatnonzero(
-                    self._lane_informative & ~converged
-                )
+                self._keys[lane] for lane in np.flatnonzero(~converged).tolist()
             )
             raise ConvergenceError(
-                f"blocked embedded message passing did not converge within "
+                f"embedded message passing did not converge within "
                 f"{options.max_rounds} rounds for: {stuck}"
             )
-        for lane_id, key in enumerate(self.lane_keys):
-            if not self._lane_informative[lane_id]:
-                continue
-            indices = self._active_indices[lane_id]
-            results[key] = _lane_result(
-                self.plan,
-                indices,
-                final_post[indices],
-                histories[lane_id] if histories is not None else (),
-                self._transports[lane_id].statistics,
-                int(rounds[lane_id]),
-                bool(converged[lane_id]),
-                float(final_change[lane_id]),
+        for lane, key in enumerate(self._keys):
+            lane_names = self._active_names[lane]
+            statistics = self._transports[lane].statistics
+            results[key] = EmbeddedResult(
+                posteriors=dict(zip(lane_names, final[lane].tolist())),
+                iterations=int(rounds[lane]),
+                converged=bool(converged[lane]),
+                final_change=float(final_change[lane]),
+                history=[
+                    dict(zip(lane_names, snapshot.tolist()))
+                    for snapshot in (histories[lane] if histories is not None else ())
+                ],
+                messages_attempted=statistics.attempted,
+                messages_delivered=statistics.delivered,
             )
         return results

@@ -8,11 +8,9 @@ core contribution.  Given a PDMS network it
    exponential structure enumeration runs once per topology version instead
    of once per attribute and per EM round,
 2. runs the decentralised embedded message passing — all attributes at once
-   on one compiled :class:`~repro.factorgraph.plan.SweepPlan` and stacked
-   :class:`~repro.core.batched.BatchedEmbeddedMessagePassing` engine for
-   multi-attribute sweeps, or per attribute through
-   :mod:`repro.core.embedded` (the per-call reference path), both lowering
-   to the shared :mod:`repro.factorgraph.plan` IR,
+   as lanes of one :class:`~repro.core.batched.BatchedEmbeddedMessagePassing`
+   over one compiled :class:`~repro.factorgraph.plan.SweepPlan` per network
+   version,
 3. exposes the posterior correctness probabilities, both programmatically
    and as a quality oracle pluggable into the
    :class:`~repro.pdms.routing.QueryRouter`, and
@@ -32,10 +30,10 @@ origin's own outgoing mappings from the evidence its own probes can see,
 and :meth:`assess_locals` / :meth:`assess_local_all` run that decision for
 many origins at once — one neighbourhood probe per (origin, network
 version) through a :class:`~repro.core.analysis.NeighborhoodStructureCache`
-and one block-diagonal
-:class:`~repro.core.batched.BlockedEmbeddedMessagePassing` run with one
-disjoint lane per origin.  Both views share the same resolution order
-(⊥ rule → posterior → prior).
+and one lane-engine run with one disjoint lane per origin.  Both views
+share the same resolution order (⊥ rule → posterior → prior), and the
+per-call views (:meth:`assess_attribute`, :meth:`assess_local`) are
+one-lane calls of the stacked ones.
 """
 
 from __future__ import annotations
@@ -58,11 +56,11 @@ from .analysis import (
 from .batched import (
     AssessmentLane,
     BatchedEmbeddedMessagePassing,
-    BlockedEmbeddedMessagePassing,
+    EmbeddedOptions,
+    EmbeddedResult,
     compile_assessment_plan,
 )
 from .beliefs import PriorBeliefStore
-from .embedded import EmbeddedMessagePassing, EmbeddedOptions, EmbeddedResult, MessageTransport
 from .feedback import compensation_probability
 from .local_graph import mapping_owner
 
@@ -91,18 +89,14 @@ class AttributeAssessment:
 class MappingQualityAssessor:
     """Derives P(mapping correct) per attribute and answers θ decisions.
 
-    Multi-attribute sweeps (:meth:`assess_attributes`,
+    Every sweep is one :class:`~repro.core.batched.BatchedEmbeddedMessagePassing`
+    run: multi-attribute sweeps (:meth:`assess_attributes`,
     :meth:`assess_all_attributes`, the EM loop of :meth:`update_priors`)
-    always run every attribute on one stacked
-    :class:`~repro.core.batched.BatchedEmbeddedMessagePassing` over a plan
-    compiled once per network version, and the decentralised views
-    (:meth:`assess_locals`, :meth:`assess_local_all`) one block-diagonal
-    :class:`~repro.core.batched.BlockedEmbeddedMessagePassing` run.
-    :meth:`assess_attribute` and :meth:`assess_local` are the *per-call
-    reference paths*: one sequential
-    :class:`~repro.core.embedded.EmbeddedMessagePassing` per attribute or
-    origin, which the stacked paths match to floating-point accuracy
-    (lossless and lossy, under the same seed).
+    make one lane per attribute over a plan compiled once per network
+    version, and the decentralised views (:meth:`assess_locals`,
+    :meth:`assess_local_all`) one disjoint lane per origin over a
+    per-origin plan.  :meth:`assess_attribute` and :meth:`assess_local` are
+    one-lane calls of those two.
 
     Parameters
     ----------
@@ -176,9 +170,9 @@ class MappingQualityAssessor:
         #: attributes and EM rounds are assessed locally.
         self.local_plan_compile_count = 0
         #: Per-round edge-row counts of the most recent
-        #: :meth:`assess_locals` run — the blocked engine's frozen-block
-        #: compaction trajectory (shrinks as origins converge); empty until
-        #: a local sweep has run.
+        #: :meth:`assess_locals` run — the lane engine's compaction
+        #: trajectory (shrinks as origins converge); empty until a local
+        #: sweep has run.
         self.last_local_round_edge_counts: Tuple[int, ...] = ()
         # Cached per-attribute local views backing the local routing oracle,
         # keyed on the neighbourhood cache key so topology mutations refresh
@@ -200,39 +194,10 @@ class MappingQualityAssessor:
 
     def assess_attribute(self, attribute: str) -> AttributeAssessment:
         """Run the full pipeline (probe → factor graph → embedded BP) for one
-        attribute and cache the outcome.
-
-        The per-call reference path: one sequential engine for this
-        attribute, which :meth:`assess_attributes` matches lane for lane.
-        The probe step is served by the assessor's structure cache: the
-        cycles and parallel paths are enumerated once per topology version
-        and only re-*evaluated* for each attribute.
+        attribute and cache the outcome: a one-lane
+        :meth:`assess_attributes` call.
         """
-        evidence = self.structure_cache.evidence_for(attribute)
-        informative = evidence.informative_feedbacks
-        posteriors: Dict[str, float] = {}
-        result: Optional[EmbeddedResult] = None
-        if informative:
-            mapping_names = {m for f in informative for m in f.mapping_names}
-            prior_map = {m: self.priors.prior(m, attribute) for m in mapping_names}
-            engine = EmbeddedMessagePassing(
-                informative,
-                priors=prior_map,
-                delta=self._delta_for(attribute),
-                transport=MessageTransport(self.send_probability, seed=self.seed),
-                options=self.options,
-            )
-            result = engine.run()
-            posteriors = dict(result.posteriors)
-        assessment = AttributeAssessment(
-            attribute=attribute,
-            evidence=evidence,
-            result=result,
-            posteriors=posteriors,
-            unmappable=evidence.unmappable,
-        )
-        self._assessments[attribute] = assessment
-        return assessment
+        return self.assess_attributes([attribute])[attribute]
 
     def _resolve_local_view(
         self,
@@ -274,38 +239,21 @@ class MappingQualityAssessor:
 
         The returned dict follows the module's resolution order for every
         own mapping in scope: 0.0 under the ⊥ rule, the posterior where the
-        local run produced one, the prior belief otherwise.  The probe is
-        served by the per-origin neighbourhood cache (at most one
-        enumeration per origin and topology version).  This is the per-call
-        reference path of the decentralised view; batch over origins with
+        local run produced one, the prior belief otherwise.  A one-lane
+        :meth:`assess_locals` call; batch over origins with
         :meth:`assess_locals` / :meth:`assess_local_all`.
         """
-        evidence = self.neighborhood_cache.evidence_for(origin, attribute)
-        informative = evidence.informative_feedbacks
-        posteriors: Dict[str, float] = {}
-        if informative:
-            mapping_names = {m for f in informative for m in f.mapping_names}
-            prior_map = {m: self.priors.prior(m, attribute) for m in mapping_names}
-            engine = EmbeddedMessagePassing(
-                informative,
-                priors=prior_map,
-                delta=self._delta_for(attribute),
-                transport=MessageTransport(self.send_probability, seed=self.seed),
-                options=self.options,
-            )
-            posteriors = engine.run().posteriors
-        return self._resolve_local_view(
-            origin, attribute, evidence.unmappable, posteriors
-        )
+        return self.assess_locals([origin], attribute)[origin]
 
     @staticmethod
     def _instance_name(origin: str, mapping_name: str) -> str:
         """Per-origin mapping instance name of the block-diagonal local plan.
 
         Instances are only ever mapped back by stripping the known origin
-        prefix (never by parsing); pathological peer names that make two
-        distinct (origin, mapping) pairs collide surface as the blocked
-        engine's block-diagonality error rather than silent misbinding.
+        prefix (never by parsing).  Pathological peer names that make two
+        distinct (origin, mapping) pairs collide make two lanes share a
+        mapping; the lane engine then places them on separate slices, so
+        each still runs on its own evidence.
         """
         return f"{origin}::{mapping_name}"
 
@@ -318,14 +266,12 @@ class MappingQualityAssessor:
         Mapping names are replaced by per-origin *instances*
         (``origin::mapping``) so the blocks are disjoint — each origin's
         local inference is an independent subproblem, exactly as in the
-        per-call sequential engines — and the
-        :class:`~repro.core.batched.BlockedEmbeddedMessagePassing` engine
-        can pack them block-diagonally.  Compiled at most once per
+        per-call runs — and the lane engine packs them block-diagonally on
+        one slice.  Compiled at most once per
         ``(network version, ttl, parallel-path flag, origins)`` and reused
         across attributes and EM rounds.  Each origin's block keeps its own
         probe enumeration order and cycle orientation, so per-origin lanes
-        consume their rng streams exactly like the sequential per-call
-        engines.
+        consume their rng streams exactly like one-lane runs.
         """
         origins = tuple(origins)
         key = self.neighborhood_cache.current_key() + (origins,)
@@ -358,15 +304,13 @@ class MappingQualityAssessor:
     ) -> Dict[str, Dict[str, float]]:
         """The §4.5 decision of several origins in one stacked run.
 
-        Semantically identical to ``{o: assess_local(o, attribute) for o in
-        origins}`` — every peer judges only its own outgoing mappings from
-        the structures its own probes discover — but all origins run
-        simultaneously as disjoint lanes of one block-diagonal
-        :class:`~repro.core.batched.BlockedEmbeddedMessagePassing` over one
-        compiled per-origin plan, each lane drawing from its own rng stream
-        seeded like the sequential per-call transports (so lossy runs replay
-        bit for bit).  Probing is amortised to one neighbourhood enumeration
-        per (origin, network version).
+        Every peer judges only its own outgoing mappings from the structures
+        its own probes discover; all origins run simultaneously as disjoint
+        lanes of one :class:`~repro.core.batched.BatchedEmbeddedMessagePassing`
+        over one compiled per-origin plan, each lane drawing from its own
+        freshly seeded rng stream, so each origin's view equals its
+        one-lane run bit for bit.  Probing is amortised to one
+        neighbourhood enumeration per (origin, network version).
         """
         origin_list = list(dict.fromkeys(origins))
         # Batch the pending neighbourhood probes into one plan instead of
@@ -402,12 +346,15 @@ class MappingQualityAssessor:
                     structure_indices=blocks[origin],
                     priors=lane_priors,
                     delta=delta,
-                    transport=MessageTransport(
-                        self.send_probability, seed=self.seed
-                    ),
                 )
             )
-        engine = BlockedEmbeddedMessagePassing(plan, lanes, options=self.options)
+        engine = BatchedEmbeddedMessagePassing(
+            plan,
+            lanes,
+            send_probability=self.send_probability,
+            seed=self.seed,
+            options=self.options,
+        )
         results = engine.run()
         self.last_local_round_edge_counts = tuple(engine.round_edge_counts)
         views: Dict[str, Dict[str, float]] = {}
@@ -499,9 +446,9 @@ class MappingQualityAssessor:
     def assess_attributes(self, attributes: Iterable[str]) -> Dict[str, AttributeAssessment]:
         """Assess several attributes (fine granularity).
 
-        Every attribute runs simultaneously on one stacked engine over the
-        shared compiled plan, matching :meth:`assess_attribute` per
-        attribute to floating-point accuracy.
+        Every attribute runs simultaneously as one lane of the engine over
+        the shared compiled plan, each lane with its own freshly seeded
+        transport.
         """
         attribute_list = list(attributes)
         plan = self.assessment_plan()
@@ -509,14 +456,18 @@ class MappingQualityAssessor:
             attribute: self.structure_cache.evidence_for(attribute)
             for attribute in attribute_list
         }
+        lanes = [
+            AssessmentLane(
+                key=a,
+                feedbacks=tuple(evidence.feedbacks),
+                priors={m: self.priors.prior(m, a) for m in plan.mapping_names},
+                delta=self._delta_for(a),
+            )
+            for a, evidence in evidences.items()
+        ]
         engine = BatchedEmbeddedMessagePassing(
             plan,
-            {a: evidence.feedbacks for a, evidence in evidences.items()},
-            priors={
-                a: {m: self.priors.prior(m, a) for m in plan.mapping_names}
-                for a in evidences
-            },
-            deltas={a: self._delta_for(a) for a in evidences},
+            lanes,
             send_probability=self.send_probability,
             seed=self.seed,
             options=self.options,

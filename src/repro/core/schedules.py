@@ -1,6 +1,7 @@
 """Message-passing schedules: periodic and lazy (§4.3.1 / §4.3.2).
 
-The embedded engine (:class:`~repro.core.embedded.EmbeddedMessagePassing`)
+The embedded engine (:class:`~repro.core.embedded.EmbeddedMessagePassing`,
+one lane of :class:`~repro.core.batched.BatchedEmbeddedMessagePassing`)
 performs one *round* of decentralised sum–product per call; the schedules in
 this module decide *when* rounds happen:
 
@@ -66,20 +67,13 @@ class PeriodicSchedule:
 
         The paper gives ``Σ_ci (l_ci − 1)`` where ``ci`` ranges over the
         cycles (and parallel-path structures) through the peer and ``l_ci``
-        is their length.
+        is their length: the plan transmissions sent by the peer's mappings.
         """
-        fragment = self.engine.local_graphs.get(peer_name)
-        if fragment is None:
-            return 0
-        total = 0
-        for feedback in fragment.feedbacks:
-            owned_in_feedback = sum(
-                1
-                for mapping_name in feedback.mapping_names
-                if self.engine.owner_of(mapping_name) == peer_name
-            )
-            total += owned_in_feedback * (feedback.size - owned_in_feedback)
-        return total
+        plan = self.engine.plan
+        names, owners = plan.mapping_names, plan.owners
+        return sum(
+            1 for sender in plan.tx_mapping.tolist() if owners[names[sender]] == peer_name
+        )
 
     def run(
         self,
@@ -176,12 +170,20 @@ class LazySchedule:
         Only traces that actually exchanged inference messages count as
         rounds and advance the convergence check; a workload that skirts the
         feedback graph (its queries traverse none of the modelled mappings)
-        therefore never yields a false convergence claim.
+        therefore never yields a false convergence claim.  Convergence uses
+        the same quiet-rounds rule as :meth:`EmbeddedMessagePassing.run`:
+        :func:`~repro.core.batched.required_quiet_rounds` consecutive quiet
+        rounds (idle traces neither count nor reset the tally), and never
+        the first round.
         """
         tolerance = tolerance if tolerance is not None else self.engine.options.tolerance
         history: List[Dict[str, float]] = []
         start_attempted = self.engine.transport.statistics.attempted
         start_delivered = self.engine.transport.statistics.delivered
+        quiet_rounds_needed = required_quiet_rounds(
+            self.engine.transport.send_probability
+        )
+        quiet_rounds = 0
         converged = False
         change = float("inf")
         rounds = 0
@@ -192,7 +194,8 @@ class LazySchedule:
             change = trace_change
             rounds += 1
             history.append(self.engine.posteriors())
-            if change < tolerance and rounds > 1:
+            quiet_rounds = quiet_rounds + 1 if change < tolerance else 0
+            if quiet_rounds >= quiet_rounds_needed and rounds > 1:
                 converged = True
                 break
         stats = self.engine.transport.statistics

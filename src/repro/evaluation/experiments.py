@@ -970,19 +970,18 @@ def run_engine_throughput(
 
 
 # ---------------------------------------------------------------------------
-# EX — embedded throughput: dict-state vs array-state decentralised rounds
+# EX — embedded throughput: decentralised rounds per second
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class EmbeddedThroughputPoint:
-    """Timing of both embedded state backends on one generated PDMS.
+    """Round throughput of one-lane embedded runs on one generated PDMS.
 
-    The two engines run the same fixed number of full decentralised rounds
-    over the same feedback evidence with identically seeded transports, so
-    they exchange the same remote messages (and, under loss, drop the same
-    ones) — the posteriors must agree to floating-point accuracy, which
-    ``max_posterior_difference`` records as an online equivalence check.
+    Every timed run is a fresh engine over the same feedback evidence with
+    an identically seeded transport, replaying the same message schedule;
+    ``run_seconds`` holds the wall time of each run's ``rounds`` rounds and
+    the rates are their median.
     """
 
     peer_count: int
@@ -990,36 +989,26 @@ class EmbeddedThroughputPoint:
     feedback_count: int
     remote_messages_per_round: int
     rounds: int
-    dict_seconds: float
-    array_seconds: float
-    max_posterior_difference: float
+    run_seconds: Tuple[float, ...]
 
-    @staticmethod
-    def _rate(rounds: int, seconds: float) -> float:
-        if seconds <= 0.0:
+    @property
+    def seconds(self) -> float:
+        return float(np.median(self.run_seconds))
+
+    @property
+    def rounds_per_second(self) -> float:
+        if self.seconds <= 0.0:
             return float("inf")
-        return rounds / seconds
+        return self.rounds / self.seconds
 
     @property
-    def dict_rounds_per_second(self) -> float:
-        return self._rate(self.rounds, self.dict_seconds)
-
-    @property
-    def array_rounds_per_second(self) -> float:
-        return self._rate(self.rounds, self.array_seconds)
-
-    @property
-    def speedup(self) -> float:
-        if self.array_seconds <= 0.0:
-            return float("inf")
-        if self.dict_seconds <= 0.0:
-            return 0.0
-        return self.dict_seconds / self.array_seconds
+    def messages_per_second(self) -> float:
+        return self.rounds_per_second * self.remote_messages_per_round
 
 
 @dataclass(frozen=True)
 class EmbeddedThroughputResult:
-    """Embedded round throughput of the two state backends across sizes."""
+    """Embedded round throughput across sizes."""
 
     points: Tuple[EmbeddedThroughputPoint, ...]
     send_probability: float = 1.0
@@ -1031,81 +1020,46 @@ class EmbeddedThroughputResult:
         raise KeyError(f"no embedded throughput point for {peer_count} peers")
 
 
-def _time_embedded_rounds(
-    feedbacks,
-    backend: str,
-    rounds: int,
-    repeats: int,
-    send_probability: float,
-    seed: int,
-):
-    """Best-of-``repeats`` wall time of ``rounds`` embedded rounds.
-
-    A fresh engine (and freshly seeded transport) is built per repetition so
-    every timed run replays the same message schedule; construction is kept
-    outside the timed section — the round loop is what the backends differ
-    in.
-    """
-    best = float("inf")
-    engine = None
-    for _ in range(max(1, repeats)):
-        engine = EmbeddedMessagePassing(
-            feedbacks,
-            priors=0.5,
-            delta=0.1,
-            transport=MessageTransport(send_probability, seed=seed),
-            options=EmbeddedOptions(record_history=False),
-            backend=backend,
-        )
-        start = time.perf_counter()
-        for _ in range(rounds):
-            engine.run_round()
-        best = min(best, time.perf_counter() - start)
-    return engine, best
-
-
 def run_embedded_throughput(
     peer_counts: Sequence[int] = (8, 16, 32, 64),
     ttl: int = 3,
     rounds: int = 25,
-    repeats: int = 3,
+    repeats: int = 5,
     send_probability: float = 1.0,
     seed: int = 0,
 ) -> EmbeddedThroughputResult:
-    """Measure embedded rounds per second of the dict vs array state backends.
+    """Measure embedded rounds per second of the lane engine, one lane.
 
     For each peer count the cycle feedback of a scale-free PDMS is gathered
-    once, then the same fixed-round run is timed on ``backend="dicts"`` (the
-    PR 1 per-message dict state) and ``backend="arrays"`` (the stacked
-    matrices).  ``send_probability < 1`` exercises the lossy path: both
-    transports are seeded identically, so the drop pattern — and therefore
-    the posteriors — must still agree.
+    once, then ``repeats`` runs of ``rounds`` rounds are timed, each on a
+    fresh :class:`EmbeddedMessagePassing` (construction outside the timed
+    section).  ``send_probability < 1`` exercises the lossy exchange.
     """
     points: List[EmbeddedThroughputPoint] = []
     for peer_count in peer_counts:
         feedbacks = throughput_feedbacks(peer_count, ttl=ttl)
-        dict_engine, dict_seconds = _time_embedded_rounds(
-            feedbacks, "dicts", rounds, repeats, send_probability, seed
-        )
-        array_engine, array_seconds = _time_embedded_rounds(
-            feedbacks, "arrays", rounds, repeats, send_probability, seed
-        )
-        dict_posteriors = dict_engine.posteriors()
-        array_posteriors = array_engine.posteriors()
-        worst = max(
-            abs(dict_posteriors[name] - array_posteriors[name])
-            for name in dict_posteriors
-        )
+        run_seconds: List[float] = []
+        engine = None
+        for _ in range(max(1, repeats)):
+            engine = EmbeddedMessagePassing(
+                feedbacks,
+                priors=0.5,
+                delta=0.1,
+                transport=MessageTransport(send_probability, seed=seed),
+                options=EmbeddedOptions(record_history=False),
+            )
+            start = time.perf_counter()
+            for _ in range(rounds):
+                engine.run_round()
+            run_seconds.append(time.perf_counter() - start)
         points.append(
             EmbeddedThroughputPoint(
                 peer_count=peer_count,
-                mapping_count=len(array_engine.mapping_names),
+                mapping_count=len(engine.mapping_names),
                 feedback_count=len(feedbacks),
-                remote_messages_per_round=array_engine.remote_message_count,
+                remote_messages_per_round=engine.remote_message_count,
                 rounds=rounds,
-                dict_seconds=dict_seconds,
-                array_seconds=array_seconds,
-                max_posterior_difference=worst,
+                run_seconds=tuple(run_seconds),
             )
         )
     return EmbeddedThroughputResult(
@@ -1124,9 +1078,8 @@ class AssessorAmortizationResult:
 
     The structure cache collapses the per-attribute cycle/parallel-path
     enumerations into a single probe (``cached_probe_count`` must be 1); the
-    batched engine further collapses the per-attribute engine constructions
-    into one compiled plan (``batched_plan_compiles`` must be 1) and runs
-    every attribute on one stacked engine.  All three timings are full
+    batched pass further compiles one plan (``batched_plan_compiles`` must
+    be 1) and runs every attribute as a lane of one engine.  All three timings are full
     passes including the probe, so the numbers compose: ``speedup`` is what
     the cache buys over probe-per-attribute, ``batched_speedup`` what the
     stacked engine buys on top of the cache.
@@ -1159,7 +1112,7 @@ class AssessorAmortizationResult:
 
     @property
     def batched_speedup(self) -> float:
-        """Batched stacked engine vs sequential engines on the warm cache."""
+        """All attributes as lanes of one run vs one-lane runs, warm cache."""
         if self.batched_seconds <= 0.0:
             return float("inf")
         return self.cached_seconds / self.batched_seconds
@@ -1176,12 +1129,12 @@ def run_assessor_amortization(
 
     Assesses every attribute of the same generated scale-free PDMS three
     ways — one fresh assessor per attribute (probe per attribute: nothing
-    is shared across attributes), one assessor running the per-call
+    is shared across attributes), one assessor running the one-lane
     :meth:`~repro.core.quality.MappingQualityAssessor.assess_attribute`
-    for each attribute (one cached probe, sequential engines), and one
-    ``assess_all_attributes`` pass (the cache plus the batched
-    all-attribute engine) — and compares probe counts, plan compiles, wall
-    time and posteriors.
+    for each attribute (one cached probe, one run per attribute), and one
+    ``assess_all_attributes`` pass (the cache plus every attribute a lane
+    of one run) — and compares probe counts, plan compiles, wall time and
+    posteriors.
     """
     scenario = generate_scenario(
         topology="scale-free",
@@ -1246,13 +1199,19 @@ def run_assessor_amortization(
 
 @dataclass(frozen=True)
 class BatchedAssessmentPoint:
-    """Timing of a multi-attribute sweep on both assessment engines.
+    """Timing of a multi-attribute sweep: stacked lanes vs one-lane runs.
 
     Both assessors share a warm structure cache (the probe is excluded from
-    the timed region — it is identical on both sides), so the comparison
-    isolates what this optimisation targets: per-attribute engine
-    construction plus the message-passing rounds.  The posteriors of the two
-    paths must agree to floating-point accuracy under identical seeds.
+    the timed region — it is identical on both sides) and run the same
+    cached plan, so the comparison isolates what stacking the attribute
+    lanes buys: one engine construction and one set of numpy calls per
+    round instead of one per attribute.  The posteriors of the two paths
+    must agree to floating-point accuracy under identical seeds.
+
+    The two paths are timed in alternating pairs; ``sequential_seconds``
+    and ``batched_seconds`` are the medians over the pairs and
+    :attr:`speedup` is the median of the per-pair ratios
+    (:attr:`pair_speedups`).
     """
 
     peer_count: int
@@ -1263,12 +1222,11 @@ class BatchedAssessmentPoint:
     batched_seconds: float
     plan_compiles: int
     max_posterior_difference: float
+    pair_speedups: Tuple[float, ...]
 
     @property
     def speedup(self) -> float:
-        if self.batched_seconds <= 0.0:
-            return float("inf")
-        return self.sequential_seconds / self.batched_seconds
+        return float(np.median(self.pair_speedups))
 
     @property
     def sequential_attributes_per_second(self) -> float:
@@ -1285,7 +1243,7 @@ class BatchedAssessmentPoint:
 
 @dataclass(frozen=True)
 class BatchedAssessmentResult:
-    """Sweep timings of both engines across network sizes."""
+    """Sweep timings of both paths across network sizes."""
 
     points: Tuple[BatchedAssessmentPoint, ...]
     send_probability: float = 1.0
@@ -1301,19 +1259,20 @@ def run_batched_assessment(
     peer_counts: Sequence[int] = (16, 32),
     attribute_count: int = 10,
     ttl: int = 3,
-    repeats: int = 3,
+    repeats: int = 7,
     send_probability: float = 1.0,
     error_rate: float = 0.15,
     seed: Optional[int] = 0,
 ) -> BatchedAssessmentResult:
-    """Measure ``assess_all_attributes`` against the per-call reference.
+    """Measure ``assess_all_attributes`` against one-lane runs per attribute.
 
     For each peer count a scale-free PDMS is generated and the full
-    multi-attribute sweep is timed (best of ``repeats``, fresh assessor per
-    repetition, structure cache warmed outside the timed region) once with
-    one ``BatchedEmbeddedMessagePassing`` over the shared compiled plan and
-    once as one per-call ``assess_attribute`` (a sequential
-    ``EmbeddedMessagePassing``) per attribute.
+    multi-attribute sweep is timed as one run with every attribute a lane
+    (``assess_all_attributes``) and as one one-lane ``assess_attribute``
+    run per attribute, both on the assessor's cached plan.  The two are
+    timed in ``repeats`` alternating pairs — the first path of each pair
+    flips every pair, every run gets a fresh assessor, and the structure
+    cache is warmed outside the timed region.
     ``send_probability < 1`` exercises the lossy path: both sides seed one
     transport per attribute identically, so the posteriors must still agree.
     """
@@ -1330,31 +1289,38 @@ def run_batched_assessment(
         attributes = network.attribute_universe()
 
         def time_sweep(use_batched: bool):
-            best = float("inf")
-            assessor = None
-            assessments = None
-            for _ in range(max(1, repeats)):
-                assessor = MappingQualityAssessor(
-                    network,
-                    delta=None,
-                    ttl=ttl,
-                    include_parallel_paths=False,
-                    seed=seed,
-                    send_probability=send_probability,
-                )
-                assessor.structure_cache.structures()
-                start = time.perf_counter()
-                if use_batched:
-                    assessments = assessor.assess_all_attributes()
-                else:
-                    assessments = {
-                        a: assessor.assess_attribute(a) for a in attributes
-                    }
-                best = min(best, time.perf_counter() - start)
-            return assessor, assessments, best
+            assessor = MappingQualityAssessor(
+                network,
+                delta=None,
+                ttl=ttl,
+                include_parallel_paths=False,
+                seed=seed,
+                send_probability=send_probability,
+            )
+            assessor.structure_cache.structures()
+            assessor.assessment_plan()
+            start = time.perf_counter()
+            if use_batched:
+                assessments = assessor.assess_all_attributes()
+            else:
+                assessments = {a: assessor.assess_attribute(a) for a in attributes}
+            return assessor, assessments, time.perf_counter() - start
 
-        batched, batched_assessments, batched_seconds = time_sweep(True)
-        _, sequential_assessments, sequential_seconds = time_sweep(False)
+        seconds: Dict[bool, List[float]] = {True: [], False: []}
+        pair_speedups: List[float] = []
+        for pair in range(max(1, repeats)):
+            for use_batched in (pair % 2 == 1, pair % 2 == 0):
+                assessor, assessments, elapsed = time_sweep(use_batched)
+                seconds[use_batched].append(elapsed)
+                if use_batched:
+                    batched, batched_assessments = assessor, assessments
+                else:
+                    sequential_assessments = assessments
+            pair_speedups.append(
+                seconds[False][-1] / seconds[True][-1]
+                if seconds[True][-1] > 0.0
+                else float("inf")
+            )
 
         worst = 0.0
         for attribute in attributes:
@@ -1375,10 +1341,11 @@ def run_batched_assessment(
                 attribute_count=len(attributes),
                 structure_count=len(cycles) + len(parallel_paths),
                 mapping_count=len(mapping_names),
-                sequential_seconds=sequential_seconds,
-                batched_seconds=batched_seconds,
+                sequential_seconds=float(np.median(seconds[False])),
+                batched_seconds=float(np.median(seconds[True])),
                 plan_compiles=batched.plan_compile_count,
                 max_posterior_difference=worst,
+                pair_speedups=tuple(pair_speedups),
             )
         )
     return BatchedAssessmentResult(
@@ -1393,13 +1360,14 @@ def run_batched_assessment(
 
 @dataclass(frozen=True)
 class LocalAssessmentPoint:
-    """Timing of the all-origins §4.5 decision on both assessment engines.
+    """Timing of the all-origins §4.5 decision: one run vs one-lane runs.
 
     Both assessors share a warm per-origin neighbourhood cache (the probes
     are excluded from the timed region — they are identical on both sides),
-    so the comparison isolates what the batching targets: per-origin engine
-    construction plus the message-passing rounds.  The local views of the
-    two paths must agree to floating-point accuracy under identical seeds.
+    so the comparison isolates what the shared slice buys: one plan and
+    engine for all origins instead of one per origin, plus the rounds.  The
+    local views of the two paths must agree to floating-point accuracy under
+    identical seeds.
 
     The two paths are timed in alternating pairs; ``sequential_seconds``
     and ``batched_seconds`` are the medians over the pairs and
@@ -1466,10 +1434,9 @@ def run_local_assessment(
 
     For each peer count a scale-free PDMS is generated and the full
     all-origins decentralised decision for one attribute is timed as one
-    block-diagonal per-origin-lane
-    :class:`~repro.core.batched.BlockedEmbeddedMessagePassing` run and as
-    one per-call ``assess_local`` (a sequential ``EmbeddedMessagePassing``)
-    per origin.  The two are timed in ``repeats`` alternating pairs — the
+    run with every origin a lane of one shared slice (``assess_local_all``)
+    and as one one-lane ``assess_local`` (``assess_locals([origin])``) per
+    origin.  The two are timed in ``repeats`` alternating pairs — the
     first path of each pair flips every pair, every run gets a fresh
     assessor, and the per-origin neighbourhood cache is warmed outside the
     timed region.
@@ -1583,7 +1550,7 @@ def long_cycle_network(
     (each correspondence retargeted), so half the rings produce negative
     cycle feedback and half positive: both CPT signs ride the long-arity
     buckets, and origins converge at different rounds (which is what makes
-    the blocked engine's frozen-block compaction observable).
+    the per-origin lanes' compaction observable).
     """
     from ..generators.schemas import generate_schema_family
     from ..generators.topologies import identity_mapping
@@ -1642,7 +1609,7 @@ class LongCycleThroughputPoint:
     vectorized_seconds: float
     max_marginal_difference: float
     batched_max_difference: float
-    blocked_max_difference: float
+    local_max_difference: float
     count_kernel_buckets: int
     dense_kernel_buckets: int
     compaction_edge_counts: Tuple[int, ...]
@@ -1703,10 +1670,10 @@ def run_long_cycle_throughput(
       compiled :class:`~repro.factorgraph.plan.SweepPlan` — asserting the
       long buckets landed on the count kernels — and its posteriors are
       compared against the loop backend;
-    * the blocked per-origin engine runs ``assess_local_all``, its local
-      views are compared against the per-call ``assess_local`` reference,
-      and its frozen-block compaction trajectory (per-round edge rows) is
-      recorded.
+    * the per-origin lanes run ``assess_local_all``; each origin's local
+      view is compared against the ``"loops"`` sum-product on that origin's
+      own informative evidence, and the compaction trajectory (per-round
+      edge rows) is recorded.
 
     Structures above :data:`repro.constants.MAX_COMPILED_ARITY` made all of
     this impossible before the count-space kernels: the dense path refused
@@ -1793,20 +1760,28 @@ def run_long_cycle_throughput(
             for name, posterior in assessment.posteriors.items()
         )
 
-        # Blocked per-origin views vs the per-call per-origin reference.
+        # Per-origin views vs the loops sum-product on each origin's own
+        # informative evidence.
         views = assessor.assess_local_all(attribute)
         compaction = assessor.last_local_round_edge_counts
-        blocked_worst = 0.0
+        local_worst = 0.0
         for origin in network.peer_names:
-            reference = assessor.assess_local(origin, attribute)
-            view = views[origin]
-            if set(view) != set(reference):
-                raise EvaluationError(
-                    f"local views of origin {origin!r} disagree on the "
-                    "judged mapping set"
-                )
-            for name, value in reference.items():
-                blocked_worst = max(blocked_worst, abs(value - view[name]))
+            local = assessor.neighborhood_cache.evidence_for(
+                origin, attribute
+            ).informative_feedbacks
+            if not local:
+                continue
+            local_loops = run_sum_product(
+                build_factor_graph(local, priors=0.5, attribute=attribute).graph,
+                backend="loops",
+            )
+            for name, value in views[origin].items():
+                variable = variable_name_for(name, attribute)
+                if variable in local_loops.marginals:
+                    local_worst = max(
+                        local_worst,
+                        abs(value - local_loops.probability_correct(variable)),
+                    )
 
         points.append(
             LongCycleThroughputPoint(
@@ -1819,7 +1794,7 @@ def run_long_cycle_throughput(
                 vectorized_seconds=vector_seconds,
                 max_marginal_difference=worst,
                 batched_max_difference=batched_worst,
-                blocked_max_difference=blocked_worst,
+                local_max_difference=local_worst,
                 count_kernel_buckets=count_buckets,
                 dense_kernel_buckets=dense_buckets,
                 compaction_edge_counts=tuple(compaction),
@@ -2051,7 +2026,7 @@ def run_gossip_convergence(
     and then the ``MappingAdded`` events of its outgoing mappings (phase
     two) — all through a seeded transport configured to drop, duplicate
     and reorder.  After convergence every node's ``assess_local`` view of
-    ``attribute`` (one blocked-embedded lane over its event-sourced
+    ``attribute`` (one per-origin lane over its event-sourced
     replica) is compared against the single-process oracle built from the
     same canonical event log; any inequality — exact, not approximate —
     raises :class:`~repro.exceptions.EvaluationError`.

@@ -286,8 +286,8 @@ class StackedFactorBatch:
         subset of stack elements (an index array; the incoming matrices must
         then carry ``len(stack)`` leading rows) — a convenience for callers
         that keep one full-size kernel while evaluating changing subsets.
-        (The batched embedded engine instead compacts converged lanes out of
-        its kernels entirely; see
+        (The embedded lane engine instead compacts converged lanes' slices
+        and rows out of its kernels entirely; see
         ``repro.core.batched.BatchedEmbeddedMessagePassing._compact``.)
         Returns the unnormalised ``(stack, size, cardinality_of_target)``
         message array.
@@ -503,8 +503,8 @@ class StackedCountFactorBatch:
     kernel evaluates a ``(stack, factors, *(2,)*arity)`` dense table array,
     this one evaluates ``(stack, factors, arity + 1)`` count-value vectors —
     one per factor per stack element — with the same ``messages_toward``
-    contract.  It is what lets the batched multi-attribute and blocked
-    per-origin engines (:mod:`repro.core.batched`) run arity buckets beyond
+    contract.  It is what lets the embedded lane engine
+    (:mod:`repro.core.batched`) run arity buckets beyond
     the dense crossover without ever materialising a ``(2,)**arity`` CPT.
     """
 

@@ -1,24 +1,23 @@
 """The shared sweep-plan IR of every sweep engine.
 
-Four engines run the paper's sum–product sweep: the centralised
-:class:`~repro.factorgraph.compiled.CompiledFactorGraph`, the sequential
-embedded engine's arrays backend (:mod:`repro.core.embedded`), and the two
-stacked engines of :mod:`repro.core.batched` (multi-attribute and blocked
-per-origin).  Historically each of them re-derived the same compilation
-artefacts — edge layout, segment index plans, transmission lists, arity
-buckets with gather/scatter operands, and the dense-vs-count kernel choice —
-and re-implemented the same three-phase round on top.  This module hoists
-all of that into one IR:
+Two engines run the paper's sum–product sweep: the centralised
+:class:`~repro.factorgraph.compiled.CompiledFactorGraph` and the embedded
+lane engine of :mod:`repro.core.batched`, which runs every decentralised
+run (one lane, one lane per attribute, one lane per origin).  Both lower
+to the same compilation artefacts — edge layout, segment index plans,
+transmission lists, arity buckets with gather/scatter operands, and the
+dense-vs-count kernel choice — and run the same three-phase round on top.
+This module is that one IR:
 
 * :class:`SweepPlan` — the topology-only compilation: a stacked edge row
   space (owner edges first, received cells after), per-mapping segment
   plans for the exclusive/inclusive products, the phase-2 transmission
-  list in sequential rng order, and per-arity :class:`BucketPlan` buckets
+  list in rng consumption order, and per-arity :class:`BucketPlan` buckets
   whose kernel family is decided **once**, here: dense einsum below the
   :data:`repro.constants.COUNT_KERNEL_MIN_ARITY` crossover, count-space
   from it on (no dense table, no arity limit).
 * :func:`compile_sweep_plan` — lowering from ``(identifier, mapping
-  names)`` structure lists (the embedded/batched engines).
+  names)`` structure lists (the embedded lane engine).
 * :func:`lower_factor_graph` — lowering from a
   :class:`~repro.factorgraph.graph.FactorGraph` (the centralised engine),
   which additionally records the variable-grouping permutation
@@ -189,7 +188,7 @@ class SweepPlan:
     Holds everything the engines derive from the structure list (or factor
     graph) alone — the directed owner-edge layout grouped by mapping, the
     segment index plans behind the exclusive/inclusive products, the
-    received-cell layout, the phase-2 transmission list in sequential rng
+    received-cell layout, the phase-2 transmission list in rng consumption
     order, and the arity-bucketed gather/scatter operands — so it is
     compiled exactly once per topology and shared across attributes, EM
     rounds and engines.
@@ -202,8 +201,7 @@ class SweepPlan:
     the stable permutation that groups the factor-major rows.
     ``segment_mapping[k]`` is the mapping id owning segment ``k`` (the row
     behind each posterior snapshot).  ``tx_mapping`` carries the sender
-    mapping id of each transmission (the sequential engine's round-
-    restriction filter).
+    mapping id of each transmission (the partial round's filter).
     """
 
     identifiers: Tuple[str, ...]
@@ -238,8 +236,8 @@ class SweepPlan:
     #
     # A round is ``variable_sweep`` → (the engine's exchange, if any) →
     # ``factor_sweep`` over ``message_pool``.  The phases accept any leading
-    # lane axes (``(..., rows, 2)``), so the sequential, stacked and blocked
-    # engines and the centralised compiled graph all run the same code.
+    # slice axes (``(..., rows, 2)``), so the lane engine and the
+    # centralised compiled graph run the same code.
 
     def variable_sweep(
         self, f2v: np.ndarray, prior_edges: Optional[np.ndarray] = None
@@ -351,7 +349,7 @@ def make_bucket(
 
 
 # ---------------------------------------------------------------------------
-# Lowering: structure lists (embedded / batched / blocked engines)
+# Lowering: structure lists (the embedded lane engine)
 # ---------------------------------------------------------------------------
 
 
@@ -370,8 +368,9 @@ def compile_sweep_plan(
 
     ``min_mappings`` is the smallest legal structure size: the assessment
     engines keep the historical two-mapping floor (a cycle or parallel
-    path over a single mapping is a caller bug), the sequential embedded
-    engine accepts singleton structures.  ``default_owner`` maps a mapping
+    path over a single mapping is a caller bug), the one-lane
+    :class:`~repro.core.embedded.EmbeddedMessagePassing` accepts singleton
+    structures.  ``default_owner`` maps a mapping
     name to its owning peer when ``owners`` does not list it; without one,
     every name must be covered by ``owners``.
     """
@@ -433,9 +432,9 @@ def compile_sweep_plan(
                         (peer, structure_index, name), len(recv_rows)
                     )
 
-    # Transmission list in the exact order the sequential engine walks it
-    # (structure → sender mapping → recipient mapping), so per-attribute rng
-    # streams are consumed identically.
+    # Transmission list in the order a per-message loop walks it
+    # (structure → sender mapping → recipient mapping), the order every
+    # lane consumes its rng stream in.
     tx_src: List[int] = []
     tx_dest: List[int] = []
     tx_feedback: List[int] = []

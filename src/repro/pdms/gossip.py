@@ -7,8 +7,8 @@ epidemically.  This module is that model in one process: every
 (causal delivery over dynamic vector clocks), an event-sourced replica of
 the network rebuilt with ``PDMSNetwork.from_events``, and a
 :class:`~repro.core.quality.MappingQualityAssessor` whose
-blocked-embedded engine computes the peer's §4.5 ``assess_local`` view
-over that replica.  Journal entries travel through a
+lane engine computes the peer's §4.5 ``assess_local`` view over that
+replica.  Journal entries travel through a
 :class:`SeededTransport` that deterministically reorders, duplicates and
 drops messages.
 
@@ -107,7 +107,7 @@ class PeerNode:
     def assess_local(self, attribute: str) -> Dict[str, float]:
         """This peer's §4.5 decision over its own outgoing mappings.
 
-        One blocked-embedded lane for this origin
+        One per-origin lane for this origin
         (:meth:`~repro.core.quality.MappingQualityAssessor.assess_locals`)
         over the event-sourced replica — the decentralised view the
         convergence guarantee is stated on.
@@ -378,7 +378,7 @@ class GossipHarness:
     def oracle_views(self, attribute: str) -> Dict[str, Dict[str, float]]:
         """The same per-origin decisions on the single-process oracle.
 
-        One assessor over the oracle network, one blocked lane per
+        One assessor over the oracle network, one per-origin lane per
         origin — exactly the computation each node runs on its replica,
         so after convergence ``oracle_views(a) == local_views(a)``
         (exact float equality, not approximate).

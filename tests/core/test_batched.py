@@ -1,12 +1,12 @@
-"""Unit tests for the batched multi-attribute assessment engine."""
+"""Unit tests for the lane engine on multi-attribute assessment."""
 
 import numpy as np
 import pytest
+from embedded_reference import assert_matches_reference, reference_assessment
 
 from repro.core.batched import (
     AssessmentLane,
     BatchedEmbeddedMessagePassing,
-    BlockedEmbeddedMessagePassing,
     compile_assessment_plan,
 )
 from repro.constants import COUNT_KERNEL_MIN_ARITY, MAX_COMPILED_ARITY
@@ -18,28 +18,21 @@ from repro.generators.paper import intro_example_network
 from repro.generators.scenarios import generate_scenario
 
 
-def _assessor_pair(network, **kwargs):
-    """Two identically configured assessors: one for the stacked path, one
-    for the per-call reference path (:func:`_per_call`)."""
-    return (
-        MappingQualityAssessor(network, **kwargs),
-        MappingQualityAssessor(network, **kwargs),
-    )
+def _references(assessor, attributes):
+    """The loop reference of every attribute, configured like the
+    assessor's lanes (``None`` where the evidence is all neutral)."""
+    return {attribute: reference_assessment(assessor, attribute) for attribute in attributes}
 
 
-def _per_call(assessor, attributes):
-    """The per-call reference: one sequential engine per attribute."""
-    return {attribute: assessor.assess_attribute(attribute) for attribute in attributes}
-
-
-def _worst_difference(batched_assessments, sequential_assessments):
-    worst = 0.0
-    for attribute, sequential in sequential_assessments.items():
-        batched = batched_assessments[attribute]
-        assert set(batched.posteriors) == set(sequential.posteriors)
-        for name, value in sequential.posteriors.items():
-            worst = max(worst, abs(batched.posteriors[name] - value))
-    return worst
+def _assert_match(assessments, references):
+    for attribute, reference in references.items():
+        assessment = assessments[attribute]
+        if reference is None:
+            assert assessment.result is None
+            assert assessment.posteriors == {}
+        else:
+            assert_matches_reference(assessment.result, reference)
+            assert assessment.posteriors == assessment.result.posteriors
 
 
 class TestPlanCompilation:
@@ -108,40 +101,30 @@ class TestPlanCompilation:
 
 
 class TestBatchedSequentialParity:
-    """The batched engine must replay the sequential per-attribute runs."""
+    """Attribute lanes must replay the per-message loop reference."""
 
     def test_lossless_parity_on_intro_network(self):
         network = intro_example_network(with_records=False)
         attributes = network.attribute_universe()
-        batched, sequential = _assessor_pair(network, delta=0.1, ttl=4, seed=0)
-        b = batched.assess_attributes(attributes)
-        s = _per_call(sequential, attributes)
-        assert _worst_difference(b, s) <= 1e-9
+        assessor = MappingQualityAssessor(network, delta=0.1, ttl=4, seed=0)
+        b = assessor.assess_attributes(attributes)
+        _assert_match(b, _references(assessor, attributes))
         for attribute in attributes:
-            assert b[attribute].converged == s[attribute].converged
-            assert b[attribute].iterations == s[attribute].iterations
-            assert b[attribute].unmappable == s[attribute].unmappable
+            evidence = assessor.structure_cache.evidence_for(attribute)
+            assert b[attribute].unmappable == evidence.unmappable
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_lossy_parity_across_seeds(self, seed):
-        """Satellite: batched-vs-sequential parity under lossy transport."""
+        """Lossy transport: identical per-lane rng streams, so the same
+        attempts, drops and iterations as the reference."""
         network = intro_example_network(with_records=False)
         attributes = network.attribute_universe()
-        batched, sequential = _assessor_pair(
+        assessor = MappingQualityAssessor(
             network, delta=0.1, ttl=4, seed=seed, send_probability=0.6
         )
-        b = batched.assess_attributes(attributes)
-        s = _per_call(sequential, attributes)
-        assert _worst_difference(b, s) <= 1e-9
-        for attribute in attributes:
-            rb, rs = b[attribute].result, s[attribute].result
-            assert (rb is None) == (rs is None)
-            if rb is None:
-                continue
-            # Identical per-attribute rng streams: same attempts, same drops.
-            assert rb.messages_attempted == rs.messages_attempted
-            assert rb.messages_delivered == rs.messages_delivered
-            assert rb.iterations == rs.iterations
+        _assert_match(
+            assessor.assess_attributes(attributes), _references(assessor, attributes)
+        )
 
     def test_lossy_parity_on_generated_scenario(self):
         scenario = generate_scenario(
@@ -153,7 +136,7 @@ class TestBatchedSequentialParity:
         )
         network = scenario.network
         attributes = network.attribute_universe()
-        batched, sequential = _assessor_pair(
+        assessor = MappingQualityAssessor(
             network,
             delta=None,
             ttl=3,
@@ -161,33 +144,31 @@ class TestBatchedSequentialParity:
             seed=5,
             send_probability=0.7,
         )
-        b = batched.assess_attributes(attributes)
-        s = _per_call(sequential, attributes)
-        assert _worst_difference(b, s) <= 1e-9
+        _assert_match(
+            assessor.assess_attributes(attributes), _references(assessor, attributes)
+        )
 
     def test_history_parity(self):
         network = intro_example_network(with_records=False)
-        batched, sequential = _assessor_pair(network, delta=0.1, ttl=4, seed=0)
-        b = batched.assess_attributes(["Creator"])["Creator"]
-        s = sequential.assess_attribute("Creator")
-        assert b.result is not None and s.result is not None
-        assert len(b.result.history) == len(s.result.history)
-        for batched_round, sequential_round in zip(
-            b.result.history, s.result.history
-        ):
-            assert batched_round.keys() == sequential_round.keys()
-            for name, value in sequential_round.items():
+        assessor = MappingQualityAssessor(network, delta=0.1, ttl=4, seed=0)
+        b = assessor.assess_attributes(["Creator"])["Creator"]
+        reference = reference_assessment(assessor, "Creator")
+        assert b.result is not None and reference is not None
+        assert len(b.result.history) == len(reference.history)
+        for batched_round, reference_round in zip(b.result.history, reference.history):
+            assert batched_round.keys() == reference_round.keys()
+            for name, value in reference_round.items():
                 assert batched_round[name] == pytest.approx(value, abs=1e-9)
 
     def test_attribute_without_informative_feedback_gets_none_result(self):
         network = intro_example_network(with_records=False)
-        # CreatedOn exists only at p4 — no cycle pushes it all the way
-        # around, so every structure is neutral for it.
-        batched, sequential = _assessor_pair(network, delta=0.1, ttl=4)
-        b = batched.assess_attributes(["CreatedOn"])["CreatedOn"]
-        s = sequential.assess_attribute("CreatedOn")
-        assert (b.result is None) == (s.result is None)
-        assert b.posteriors == s.posteriors
+        # "Unmapped" exists in no schema, so every structure is neutral for
+        # it: no lane is placed and the result is None, like the reference.
+        assessor = MappingQualityAssessor(network, delta=0.1, ttl=4)
+        assert reference_assessment(assessor, "Unmapped") is None
+        b = assessor.assess_attributes(["Unmapped"])["Unmapped"]
+        assert b.result is None
+        assert b.posteriors == {}
 
 
 class TestPlanReuse:
@@ -213,13 +194,10 @@ class TestPlanReuse:
         assert assessor.plan_compile_count == 2
         # The removed mapping disappears from the inference problem…
         assert "p2->p4" not in after["Creator"].posteriors
-        # …and the batched posteriors still match a sequential assessor
-        # built fresh on the mutated network.
-        fresh = _per_call(
-            MappingQualityAssessor(network, delta=0.1, ttl=4, seed=0),
-            network.attribute_universe(),
-        )
-        assert _worst_difference(after, fresh) <= 1e-9
+        # …and the batched posteriors still match the reference run on the
+        # evidence of an assessor built fresh on the mutated network.
+        fresh = MappingQualityAssessor(network, delta=0.1, ttl=4, seed=0)
+        _assert_match(after, _references(fresh, network.attribute_universe()))
 
     def test_invalidate_clears_plan(self):
         network = intro_example_network(with_records=False)
@@ -238,39 +216,41 @@ class TestEngineValidation:
         evidence = assessor.structure_cache.evidence_for("Creator")
         return plan, evidence
 
+    @staticmethod
+    def _lane(feedbacks, **kwargs):
+        return AssessmentLane(key="Creator", feedbacks=tuple(feedbacks), **kwargs)
+
     def test_misaligned_feedback_set_rejected(self):
         plan, evidence = self._plan_and_evidence()
         with pytest.raises(FeedbackError):
             BatchedEmbeddedMessagePassing(
-                plan, {"Creator": evidence.feedbacks[:-1]}
+                plan, [self._lane(evidence.feedbacks[:-1])]
             )
 
     def test_invalid_delta_rejected(self):
         plan, evidence = self._plan_and_evidence()
         with pytest.raises(FeedbackError):
             BatchedEmbeddedMessagePassing(
-                plan, {"Creator": evidence.feedbacks}, deltas=1.5
+                plan, [self._lane(evidence.feedbacks, delta=1.5)]
             )
 
     def test_missing_delta_for_neutral_attribute_tolerated(self):
-        """A deltas dict only needs entries for attributes with informative
-        evidence; all-neutral lanes construct fine and yield None results."""
+        """Only lanes with informative evidence need a Δ; all-neutral lanes
+        construct fine and yield None results."""
         network = intro_example_network(with_records=False)
         assessor = MappingQualityAssessor(network, delta=0.1, ttl=4)
         plan = assessor.assessment_plan()
         neutral = assessor.structure_cache.evidence_for("Unmapped").feedbacks
         assert all(not feedback.is_informative for feedback in neutral)
+        creator = assessor.structure_cache.evidence_for("Creator").feedbacks
         engine = BatchedEmbeddedMessagePassing(
             plan,
-            {
-                "Creator": assessor.structure_cache.evidence_for(
-                    "Creator"
-                ).feedbacks,
+            [
+                AssessmentLane(key="Creator", feedbacks=tuple(creator), delta=0.1),
                 # "Unmapped" exists in no schema: neutral everywhere, and
                 # no Δ supplied for it.
-                "Unmapped": neutral,
-            },
-            deltas={"Creator": 0.1},
+                AssessmentLane(key="Unmapped", feedbacks=tuple(neutral), delta=None),
+            ],
         )
         results = engine.run()
         assert results["Unmapped"] is None
@@ -278,38 +258,21 @@ class TestEngineValidation:
         with pytest.raises(FeedbackError, match="no Δ supplied"):
             BatchedEmbeddedMessagePassing(
                 plan,
-                {
-                    "Creator": assessor.structure_cache.evidence_for(
-                        "Creator"
-                    ).feedbacks
-                },
-                deltas={},
+                [AssessmentLane(key="Creator", feedbacks=tuple(creator), delta=None)],
             )
 
     def test_invalid_prior_rejected(self):
         plan, evidence = self._plan_and_evidence()
         with pytest.raises(FeedbackError):
             BatchedEmbeddedMessagePassing(
-                plan,
-                {"Creator": evidence.feedbacks},
-                priors={"Creator": {"p2->p4": 2.0}},
-            )
-
-    def test_flat_mapping_keyed_priors_rejected(self):
-        """The sequential engine's flat {mapping: prior} shape must not be
-        silently misread as attribute-keyed (degrading every prior to 0.5)."""
-        plan, evidence = self._plan_and_evidence()
-        with pytest.raises(FeedbackError, match="keyed by attribute"):
-            BatchedEmbeddedMessagePassing(
-                plan, {"Creator": evidence.feedbacks}, priors={"p2->p4": 0.9}
+                plan, [self._lane(evidence.feedbacks, priors={"p2->p4": 2.0})]
             )
 
     def test_strict_mode_raises_on_non_convergence(self):
         plan, evidence = self._plan_and_evidence()
         engine = BatchedEmbeddedMessagePassing(
             plan,
-            {"Creator": evidence.feedbacks},
-            priors=0.5,
+            [self._lane(evidence.feedbacks, priors=0.5)],
             options=EmbeddedOptions(max_rounds=1, tolerance=1e-12, strict=True),
         )
         with pytest.raises(ConvergenceError, match="Creator"):
@@ -318,7 +281,7 @@ class TestEngineValidation:
     def test_scalar_prior_and_delta_broadcast(self):
         plan, evidence = self._plan_and_evidence()
         engine = BatchedEmbeddedMessagePassing(
-            plan, {"Creator": evidence.feedbacks}, priors=0.5, deltas=0.1
+            plan, [self._lane(evidence.feedbacks, priors=0.5, delta=0.1)]
         )
         results = engine.run()
         assert results["Creator"] is not None
@@ -337,7 +300,7 @@ class TestAssessorQueries:
 
 
 class TestFrozenBlockCompaction:
-    """Converged origins' rows leave the blocked engine's sweeps."""
+    """Converged origins' rows leave the per-origin slice's sweeps."""
 
     def test_per_round_work_shrinks_as_origins_converge(self):
         network = intro_example_network(with_records=False)
@@ -350,8 +313,8 @@ class TestFrozenBlockCompaction:
 
     def test_compaction_preserves_sequential_results_exactly(self):
         # Origins on the intro network converge at different rounds, so the
-        # blocked state is compacted mid-run; every local view must still
-        # equal its per-origin sequential engine (same seed) bit for bit.
+        # shared slice is compacted mid-run; every local view must still
+        # equal its one-lane run (same seed) bit for bit.
         network = intro_example_network(with_records=False)
         batched = MappingQualityAssessor(
             network, delta=0.1, ttl=4, seed=0, send_probability=0.8
@@ -408,7 +371,7 @@ class TestFrozenBlockCompaction:
             structure_indices=(1,),
             delta=0.1,
         )
-        engine = BlockedEmbeddedMessagePassing(plan, [live_lane, idle_lane])
+        engine = BatchedEmbeddedMessagePassing(plan, [live_lane, idle_lane])
         results = engine.run()
         assert results["idle"] is None
         assert results["live"] is not None

@@ -14,12 +14,18 @@ production path is compared against its two oracles:
    ``assess_local_all`` must equal a from-scratch assessor's.  The
    from-scratch side runs on a replayed twin of the network, so it lowers
    and walks its own snapshot instead of sharing the live one.
-3. **Lossy rng streams.**  Under message loss the stacked engines must
-   replay the per-call reference paths (``assess_attribute`` /
-   ``assess_local``) lane for lane.
+3. **Lossy rng streams.**  Under message loss every attribute lane and
+   every per-origin lane must replay the per-message loop reference
+   (``embedded_reference.py``) on the same evidence and seed: posteriors,
+   iterations, attempts and deliveries.
 """
 
 import pytest
+from embedded_reference import (
+    assert_matches_reference,
+    reference_assessment,
+    reference_local_view,
+)
 from hypothesis import given, settings, strategies as st
 
 from repro.core.embedded import EmbeddedOptions
@@ -56,8 +62,8 @@ CONVERGED = EmbeddedOptions(
 #: benchmark's live-vs-fresh gate uses the same bound.
 REFRESH_TOLERANCE = 1e-9
 
-#: The stacked engines replay the per-call rng streams exactly, so only
-#: stacking-order rounding separates them (the existing parity pin).
+#: The lanes replay the reference's rng streams exactly, so only the
+#: kernels' product order separates them.
 LOSSY_TOLERANCE = 1e-9
 
 
@@ -188,18 +194,19 @@ def test_production_path_matches_its_oracles(
             )
             assert posterior == pytest.approx(expected, abs=FIXED_POINT_TOLERANCE)
 
-    # 3. Lossy stacked runs replay the per-call reference paths.
+    # 3. Lossy lanes replay the per-message loop reference.
     stacked = _assessor(network, send_probability=0.7, seed=loss_seed)
-    reference = _assessor(network, send_probability=0.7, seed=loss_seed)
     lossy = stacked.assess_attributes(attributes)
     for attribute in attributes:
-        per_call = reference.assess_attribute(attribute)
-        assert _worst(lossy[attribute].posteriors, per_call.posteriors) <= (
-            LOSSY_TOLERANCE
-        )
-        assert lossy[attribute].iterations == per_call.iterations
+        reference = reference_assessment(stacked, attribute)
+        if reference is None:
+            assert lossy[attribute].result is None
+        else:
+            assert_matches_reference(
+                lossy[attribute].result, reference, LOSSY_TOLERANCE
+            )
         views = stacked.assess_local_all(attribute)
         for origin in network.peer_names:
             assert _worst(
-                views[origin], reference.assess_local(origin, attribute)
+                views[origin], reference_local_view(stacked, origin, attribute)
             ) <= LOSSY_TOLERANCE

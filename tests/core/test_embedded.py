@@ -1,6 +1,8 @@
 """Unit tests for the embedded decentralised message passing."""
 
+import numpy as np
 import pytest
+from embedded_reference import ReferenceEmbedded
 
 from repro.core.embedded import (
     EmbeddedMessagePassing,
@@ -60,8 +62,10 @@ class TestConstruction:
         engine = EmbeddedMessagePassing.from_prior_store(
             intro_example_feedbacks(), store
         )
-        assert engine._prior_vectors["p2->p4"][0] == pytest.approx(0.2)
-        assert engine._prior_vectors["p2->p3"][0] == pytest.approx(0.5)
+        # Before the first round every factor message is uniform, so the
+        # posteriors are the priors.
+        assert engine.posteriors()["p2->p4"] == pytest.approx(0.2)
+        assert engine.posteriors()["p2->p3"] == pytest.approx(0.5)
 
 
 class TestSection45:
@@ -169,67 +173,54 @@ class TestMessageLoss:
 class TestCompiledKernels:
     def test_batches_cover_every_feedback_replica(self):
         engine = EmbeddedMessagePassing(intro_example_feedbacks(), priors=0.5)
-        batched = sum(batch.size for batch, _, _ in engine._batches)
-        assert batched == len(engine._feedbacks)
+        batched = sum(batch.size for batch in engine.plan.batches)
+        assert batched == len(intro_example_feedbacks())
 
     def test_factor_sweep_matches_scalar_reference(self):
-        """The batched einsum sweep must reproduce the scalar
-        Factor.message_to computation it replaced, message for message."""
-        import numpy as np
-
-        from repro.factorgraph.messages import normalize
-
-        engine = EmbeddedMessagePassing(intro_example_feedbacks(), priors=0.5, delta=0.1)
-        engine.run_round()  # make the state non-trivial
-        engine._compute_variable_messages()
-        engine._exchange_messages()
-
-        # Scalar reference, computed before the batched sweep mutates _f2v.
-        expected = {}
-        for mapping_name, per_feedback in engine._f2v.items():
-            owner = engine._owners[mapping_name]
-            for feedback_id in per_feedback:
-                factor = engine._factors[feedback_id]
-                feedback = engine._feedback_by_id[feedback_id]
-                incoming = {}
-                for other_mapping in feedback.mapping_names:
-                    if other_mapping == mapping_name:
-                        continue
-                    other_variable = variable_name_for(other_mapping, engine.attribute)
-                    if engine._owners[other_mapping] == owner:
-                        incoming[other_variable] = engine._v2f[other_mapping][feedback_id]
-                    else:
-                        incoming[other_variable] = engine._received[owner][
-                            (feedback_id, other_mapping)
-                        ]
-                target = variable_name_for(mapping_name, engine.attribute)
-                expected[(mapping_name, feedback_id)] = normalize(
-                    factor.message_to(target, incoming)
-                )
-
-        engine._compute_factor_messages()
-        for (mapping_name, feedback_id), reference in expected.items():
-            actual = engine._f2v[mapping_name][feedback_id]
-            assert np.abs(actual - reference).max() < 1e-12
+        """The stacked kernel sweeps must reproduce the scalar
+        Factor.message_to computation of the loop reference, message for
+        message, including after lossy exchanges."""
+        transport_seed = 5
+        engine = EmbeddedMessagePassing(
+            intro_example_feedbacks(),
+            priors=0.5,
+            delta=0.1,
+            transport=MessageTransport(0.6, seed=transport_seed),
+        )
+        reference = ReferenceEmbedded(
+            intro_example_feedbacks(),
+            priors=0.5,
+            delta=0.1,
+            transport=MessageTransport(0.6, seed=transport_seed),
+        )
+        for _ in range(3):
+            engine.run_round()
+            reference.run_round()
+        plan = engine.plan
+        f2v = engine._engine._f2v[0]
+        for row in range(plan.edge_count):
+            mapping_name = plan.mapping_names[plan.edge_mapping[row]]
+            feedback_id = plan.identifiers[plan.edge_structure[row]]
+            expected = reference.f2v[mapping_name][feedback_id]
+            assert np.abs(f2v[row] - expected).max() < 1e-12
 
 
 class TestArrayDictParity:
-    """The array state must replay the dict state's runs exactly."""
+    """The lane engine must replay the per-message dict reference's runs."""
 
     @pytest.mark.parametrize("send_probability", [1.0, 0.7, 0.3])
     def test_fixed_round_posterior_parity(self, send_probability):
         engines = {}
-        for backend in ("dicts", "arrays"):
-            engine = EmbeddedMessagePassing(
+        for label, cls in (("dicts", ReferenceEmbedded), ("arrays", EmbeddedMessagePassing)):
+            engine = cls(
                 figure4_feedbacks(),
                 priors=0.7,
                 delta=0.1,
                 transport=MessageTransport(send_probability, seed=17),
-                backend=backend,
             )
             for _ in range(40):
                 engine.run_round()
-            engines[backend] = engine
+            engines[label] = engine
         dict_posteriors = engines["dicts"].posteriors()
         array_posteriors = engines["arrays"].posteriors()
         assert dict_posteriors.keys() == array_posteriors.keys()
@@ -241,33 +232,31 @@ class TestArrayDictParity:
         """Identical seeds must consume the rng identically: same attempted,
         same delivered, i.e. the same drop decisions in the same order."""
         stats = {}
-        for backend in ("dicts", "arrays"):
-            engine = EmbeddedMessagePassing(
+        for label, cls in (("dicts", ReferenceEmbedded), ("arrays", EmbeddedMessagePassing)):
+            engine = cls(
                 figure4_feedbacks(),
                 priors=0.7,
                 delta=0.1,
                 transport=MessageTransport(send_probability, seed=23),
-                backend=backend,
             )
             for _ in range(10):
                 engine.run_round()
-            stats[backend] = engine.transport.statistics
+            stats[label] = engine.transport.statistics
         assert stats["dicts"].attempted == stats["arrays"].attempted
         assert stats["dicts"].delivered == stats["arrays"].delivered
         assert stats["dicts"].dropped == stats["arrays"].dropped
 
     def test_run_parity(self):
         results = {}
-        for backend in ("dicts", "arrays"):
-            engine = EmbeddedMessagePassing(
+        for label, cls in (("dicts", ReferenceEmbedded), ("arrays", EmbeddedMessagePassing)):
+            engine = cls(
                 intro_example_feedbacks(),
                 priors=0.5,
                 delta=0.1,
                 transport=MessageTransport(0.8, seed=3),
                 options=EmbeddedOptions(max_rounds=200, tolerance=1e-8),
-                backend=backend,
             )
-            results[backend] = engine.run()
+            results[label] = engine.run()
         assert results["dicts"].iterations == results["arrays"].iterations
         assert results["dicts"].converged == results["arrays"].converged
         for name, value in results["dicts"].posteriors.items():
@@ -278,40 +267,22 @@ class TestArrayDictParity:
         including which transmissions consume the transport rng."""
         selections = [["p2->p3", "p2->p4"], ["p1->p2"], None, ["p3->p4"]]
         posteriors = {}
-        for backend in ("dicts", "arrays"):
-            engine = EmbeddedMessagePassing(
+        for label, cls in (("dicts", ReferenceEmbedded), ("arrays", EmbeddedMessagePassing)):
+            engine = cls(
                 intro_example_feedbacks(),
                 priors=0.5,
                 delta=0.1,
                 transport=MessageTransport(0.6, seed=9),
-                backend=backend,
             )
             for selection in selections:
                 engine.run_round(mapping_names=selection)
-            posteriors[backend] = engine.posteriors()
+            posteriors[label] = engine.posteriors()
         for name, value in posteriors["dicts"].items():
             assert abs(posteriors["arrays"][name] - value) <= 1e-12
 
-    def test_dict_views_expose_message_state(self):
-        """The array backend keeps `_f2v` / `_v2f` / `_received` readable as
-        the nested dicts they used to be."""
-        import numpy as np
-
-        engine = EmbeddedMessagePassing(intro_example_feedbacks(), priors=0.5)
-        engine.run_round()
-        assert set(engine._f2v) == set(engine.mapping_names)
-        for mapping_name, per_feedback in engine._f2v.items():
-            assert len(per_feedback) > 0
-            for feedback_id, message in per_feedback.items():
-                assert message.shape == (2,)
-                assert np.isclose(message.sum(), 1.0)
-        for peer, incoming in engine._received.items():
-            for (feedback_id, mapping_name), message in incoming.items():
-                assert engine.owner_of(mapping_name) != peer
-                assert message.shape == (2,)
-
     def test_unknown_backend_rejected(self):
-        with pytest.raises(FeedbackError):
+        """The state-backend option is gone: one engine runs every round."""
+        with pytest.raises(TypeError):
             EmbeddedMessagePassing(
                 intro_example_feedbacks(), priors=0.5, backend="sparse"
             )
@@ -344,8 +315,10 @@ class TestPriorValidation:
         engine = EmbeddedMessagePassing(
             intro_example_feedbacks(), priors={"p2->p4": 0.0, "p2->p3": 1.0}
         )
-        assert engine._prior_vectors["p2->p4"][0] == pytest.approx(1e-9)
-        assert engine._prior_vectors["p2->p3"][0] == pytest.approx(1.0)
+        # Priors are clipped into [1e-9, 1]; before the first round the
+        # posteriors are the (normalised) clipped priors.
+        assert engine.posteriors()["p2->p4"] == pytest.approx(1e-9)
+        assert engine.posteriors()["p2->p3"] == pytest.approx(1.0)
 
 
 class TestTransportStatistics:

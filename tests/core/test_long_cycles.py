@@ -1,15 +1,21 @@
 """Long-cycle networks end to end: the arity-25 cliff is gone.
 
 A network whose feedback structures span 40–64 mappings must compile and
-run on every engine family — centralised vectorized, sequential embedded,
-batched multi-attribute and blocked per-origin — with no sequential
-fallback and no ``(2,)**arity`` table anywhere, matching the loop reference
-to ``1e-9`` (lossless) and replaying the sequential rng streams bit for bit
-(lossy).
+run on both engine families — centralised vectorized and the lane engine
+(one lane, attribute lanes, per-origin lanes) — with no ``(2,)**arity``
+table anywhere, matching the loop references to ``1e-9``: the loops
+sum-product (lossless) and the per-message embedded reference (lossy, same
+rng streams).
 """
 
 import numpy as np
 import pytest
+from embedded_reference import (
+    ReferenceEmbedded,
+    assert_matches_reference,
+    reference_assessment,
+    reference_local_view,
+)
 
 from repro.constants import COUNT_KERNEL_MIN_ARITY
 from repro.core.analysis import analyze_network
@@ -106,30 +112,23 @@ class TestLongRingVsLoops:
             reference = loops.probability_correct(f"m[{name}]@{attribute}")
             assert posterior == pytest.approx(reference, abs=1e-9)
 
-        # Sequential embedded engine (the fallback path) runs too — on the
-        # count kernels, never materialising a dense table.
+        # A one-lane run agrees too — on the count kernels, never
+        # materialising a dense table.
         engine = EmbeddedMessagePassing(informative, priors=0.5, delta=0.1)
         result = engine.run()
         for name, posterior in result.posteriors.items():
             reference = loops.probability_correct(f"m[{name}]@{attribute}")
             assert posterior == pytest.approx(reference, abs=1e-9)
-        for factor in engine._factors.values():
-            assert isinstance(factor, CountFactor)
-            assert factor._dense_table is None
+        assert all(batch.use_count_kernel for batch in engine.plan.batches)
 
-        # Blocked per-origin view vs the per-origin sequential reference.
+        # Per-origin lanes: the ring is one factor, so each origin's view is
+        # the loops fixed point of the same ring.
         views = assessor.assess_local_all(attribute)
-        sequential = MappingQualityAssessor(
-            network,
-            delta=0.1,
-            ttl=length,
-            include_parallel_paths=False,
-        )
         origin = network.peer_names[0]
-        reference_view = sequential.assess_local(origin, attribute)
-        assert set(views[origin]) == set(reference_view)
-        for name, value in reference_view.items():
-            assert views[origin][name] == pytest.approx(value, abs=1e-9)
+        assert views[origin]
+        for name, value in views[origin].items():
+            reference = loops.probability_correct(f"m[{name}]@{attribute}")
+            assert value == pytest.approx(reference, abs=1e-9)
 
     def test_lossy_replays_the_sequential_rng_streams(self, length):
         network = self._network(length)
@@ -142,27 +141,15 @@ class TestLongRingVsLoops:
             send_probability=0.7,
             seed=11,
         )
-        sequential = MappingQualityAssessor(
-            network,
-            delta=0.1,
-            ttl=length,
-            include_parallel_paths=False,
-            send_probability=0.7,
-            seed=11,
-        )
         b = batched.assess_attributes([attribute])[attribute]
-        s = sequential.assess_attribute(attribute)
-        assert set(b.posteriors) == set(s.posteriors)
-        for name, value in s.posteriors.items():
-            assert b.posteriors[name] == pytest.approx(value, abs=1e-12)
-        assert b.iterations == s.iterations
+        assert_matches_reference(b.result, reference_assessment(batched, attribute))
 
         b_views = batched.assess_local_all(attribute)
         for origin in network.peer_names[:3]:
-            s_view = sequential.assess_local(origin, attribute)
+            s_view = reference_local_view(batched, origin, attribute)
             assert set(b_views[origin]) == set(s_view)
             for name, value in s_view.items():
-                assert b_views[origin][name] == pytest.approx(value, abs=1e-12)
+                assert b_views[origin][name] == pytest.approx(value, abs=1e-9)
 
 
 class TestMixedRingNetwork:
@@ -188,8 +175,8 @@ class TestMixedRingNetwork:
             assert posterior == pytest.approx(reference, abs=1e-9)
 
     def test_dicts_backend_parity_at_long_arity(self):
-        # The historical dict-state loop reference of the embedded engine
-        # also routes long replicas through the count kernels.
+        # The per-message dict-state reference (scalar CountFactor messages)
+        # agrees with the lane engine's count kernels at long arity.
         network = cycle_network(40, attribute_count=4, seed=1)
         attribute = network.attribute_universe()[0]
         informative = _ring_evidence(
@@ -200,15 +187,11 @@ class TestMixedRingNetwork:
             priors=0.5,
             delta=0.1,
             transport=MessageTransport(0.8, seed=5),
-            backend="arrays",
         ).run()
-        dicts = EmbeddedMessagePassing(
+        dicts = ReferenceEmbedded(
             informative,
             priors=0.5,
             delta=0.1,
             transport=MessageTransport(0.8, seed=5),
-            backend="dicts",
         ).run()
-        assert arrays.iterations == dicts.iterations
-        for name, value in dicts.posteriors.items():
-            assert arrays.posteriors[name] == pytest.approx(value, abs=1e-12)
+        assert_matches_reference(arrays, dicts, tolerance=1e-12)

@@ -11,10 +11,11 @@ Two guarantees land here:
    ``layering-plan-kernels`` rule; this test asserts ``repro-lint``
    reports zero findings for it (the hand-rolled AST walk it replaces
    lives on as the rule implementation).
-2. Long-structure parity: the loop reference (dict-state backend), the
-   array backend and the stacked engines must agree on posteriors,
-   iteration counts and rng-stream replay at dense (3, 8) and count-space
-   (25, 40) arities, lossless and lossy.  Random small topologies are
+2. Long-structure parity: the per-message loop reference
+   (``embedded_reference.py``) and the lane engine — one lane, attribute
+   lanes and per-origin lanes — must agree on posteriors, iteration counts
+   and rng-stream replay at dense (3, 8) and count-space (25, 40) arities,
+   lossless and lossy.  Random small topologies are
    covered by the differential guard in ``tests/core/test_differential.py``;
    this matrix pins the arities its TTL cannot reach.
 """
@@ -22,6 +23,12 @@ Two guarantees land here:
 import pathlib
 
 import pytest
+from embedded_reference import (
+    ReferenceEmbedded,
+    assert_matches_reference,
+    reference_assessment,
+    reference_local_view,
+)
 
 import repro
 from repro.core.analysis import analyze_network
@@ -64,12 +71,8 @@ class TestLongStructureParity:
 
     def test_lossless_arrays_match_loop_reference(self, arity):
         _, _, informative = self._informative(arity)
-        dicts = EmbeddedMessagePassing(
-            informative, priors=0.5, delta=0.1, backend="dicts"
-        ).run()
-        arrays = EmbeddedMessagePassing(
-            informative, priors=0.5, delta=0.1, backend="arrays"
-        ).run()
+        dicts = ReferenceEmbedded(informative, priors=0.5, delta=0.1).run()
+        arrays = EmbeddedMessagePassing(informative, priors=0.5, delta=0.1).run()
         assert arrays.iterations == dicts.iterations
         for name, value in dicts.posteriors.items():
             assert arrays.posteriors[name] == pytest.approx(value, abs=1e-9)
@@ -77,22 +80,24 @@ class TestLongStructureParity:
     def test_lossy_arrays_replay_the_same_rng_streams(self, arity):
         _, _, informative = self._informative(arity)
 
-        def run(backend):
-            return EmbeddedMessagePassing(
+        def run(engine):
+            return engine(
                 informative,
                 priors=0.5,
                 delta=0.1,
                 transport=MessageTransport(0.8, seed=arity),
-                backend=backend,
             ).run()
 
-        dicts = run("dicts")
-        arrays = run("arrays")
+        dicts = run(ReferenceEmbedded)
+        arrays = run(EmbeddedMessagePassing)
         assert arrays.iterations == dicts.iterations
+        assert arrays.messages_attempted == dicts.messages_attempted
+        assert arrays.messages_delivered == dicts.messages_delivered
         for name, value in dicts.posteriors.items():
             assert arrays.posteriors[name] == pytest.approx(value, abs=1e-12)
 
     def test_batched_and_blocked_engines_match_per_call(self, arity):
+        """Attribute lanes and per-origin lanes replay the loop reference."""
         network, attribute, _ = self._informative(arity)
         assessor = MappingQualityAssessor(
             network,
@@ -102,15 +107,12 @@ class TestLongStructureParity:
             send_probability=0.7,
             seed=3,
         )
-        reference = assessor.assess_attribute(attribute)
         outcome = assessor.assess_attributes([attribute])[attribute]
-        assert outcome.iterations == reference.iterations
-        for name, value in reference.posteriors.items():
-            assert outcome.posteriors[name] == pytest.approx(value, abs=1e-12)
+        assert_matches_reference(outcome.result, reference_assessment(assessor, attribute))
 
         views = assessor.assess_local_all(attribute)
-        origin = network.peer_names[0]
-        reference_view = assessor.assess_local(origin, attribute)
-        assert set(views[origin]) == set(reference_view)
-        for name, value in reference_view.items():
-            assert views[origin][name] == pytest.approx(value, abs=1e-12)
+        for origin in network.peer_names:
+            reference_view = reference_local_view(assessor, origin, attribute)
+            assert set(views[origin]) == set(reference_view)
+            for name, value in reference_view.items():
+                assert views[origin][name] == pytest.approx(value, abs=1e-9)

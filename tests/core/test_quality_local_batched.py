@@ -1,20 +1,19 @@
 """Tests for the batched per-origin decentralised assessment (§4.5).
 
-Covers the batched-vs-sequential local parity across seeds (lossless and
-lossy), the per-origin neighbourhood cache (probe once per origin and
-network version, incremental refreshes), the blocked engine's validation,
-and the local-view correctness fixes (⊥ rule, prior fallback, θ-flagging,
-empty-attributes coarse assessment).
+Covers the per-origin lanes against the per-message loop reference across
+seeds (lossless and lossy), the per-origin neighbourhood cache (probe once
+per origin and network version, incremental refreshes), overlapping and
+non-block-diagonal lanes, and the local-view correctness fixes (⊥ rule,
+prior fallback, θ-flagging, empty-attributes coarse assessment).
 """
 
+from dataclasses import replace
+
 import pytest
+from embedded_reference import reference_local_view
 
 from repro.core.analysis import NeighborhoodStructureCache, analyze_neighborhood
-from repro.core.batched import (
-    AssessmentLane,
-    BatchedEmbeddedMessagePassing,
-    BlockedEmbeddedMessagePassing,
-)
+from repro.core.batched import AssessmentLane, BatchedEmbeddedMessagePassing
 from repro.core.beliefs import PriorBeliefStore
 from repro.core.evolution import CorrespondenceChanged, EvolvingPDMS
 from repro.core.quality import MappingQualityAssessor
@@ -28,26 +27,52 @@ from repro.pdms.routing import RoutingPolicy
 from repro.schema.schema import Schema
 
 
-def _assessor_pair(network, **kwargs):
-    """Two identically configured assessors: one for the stacked path, one
-    for the per-call reference path (:func:`_per_call_views`)."""
-    return (
-        MappingQualityAssessor(network, **kwargs),
-        MappingQualityAssessor(network, **kwargs),
-    )
-
-
-def _per_call_views(assessor, origins, attribute):
-    """The per-call reference: one sequential engine per origin."""
-    return {origin: assessor.assess_local(origin, attribute) for origin in origins}
+def _reference_views(assessor, origins, attribute):
+    """The loop reference's view of every origin, configured like the
+    assessor's lanes."""
+    return {
+        origin: reference_local_view(assessor, origin, attribute) for origin in origins
+    }
 
 
 def _both_views(assessor, origin, attribute):
-    """``origin``'s view from the stacked path and from the per-call path."""
+    """``origin``'s view from the lane engine and from the loop reference."""
     return (
         assessor.assess_locals([origin], attribute)[origin],
-        assessor.assess_local(origin, attribute),
+        reference_local_view(assessor, origin, attribute),
     )
+
+
+def _origin_lanes(assessor, plan, blocks, origins, attribute, **kwargs):
+    """Per-origin lanes over ``plan``'s blocks, as ``assess_locals`` builds
+    them (priors left at 0.5)."""
+    lanes = []
+    for origin in origins:
+        evidence = assessor.neighborhood_cache.evidence_for(origin, attribute)
+        feedbacks = tuple(
+            replace(
+                feedback,
+                mapping_names=tuple(
+                    f"{origin}::{name}" for name in feedback.mapping_names
+                ),
+            )
+            for feedback in evidence.feedbacks
+        )
+        lanes.append(
+            AssessmentLane(
+                key=origin,
+                feedbacks=feedbacks,
+                structure_indices=blocks[origin],
+                **kwargs,
+            )
+        )
+    return lanes
+
+
+def _assert_same_results(together, alone):
+    assert set(together) == set(alone)
+    for key, result in alone.items():
+        assert together[key] == result, key
 
 
 def _worst_view_difference(batched_views, sequential_views):
@@ -74,25 +99,25 @@ def _dangling_network(default_prior=0.8):
 
 
 class TestBatchedLocalParity:
-    """assess_locals must replay the (fixed) sequential per-origin runs."""
+    """Per-origin lanes must replay the loop reference's per-origin runs."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_lossless_parity_on_intro_network(self, seed):
         network = intro_example_network(with_records=False)
-        batched, sequential = _assessor_pair(network, delta=0.1, ttl=4, seed=seed)
-        b = batched.assess_local_all("Creator")
-        s = _per_call_views(sequential, network.peer_names, "Creator")
+        assessor = MappingQualityAssessor(network, delta=0.1, ttl=4, seed=seed)
+        b = assessor.assess_local_all("Creator")
+        s = _reference_views(assessor, network.peer_names, "Creator")
         assert set(b) == set(network.peer_names)
         assert _worst_view_difference(b, s) <= 1e-9
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_lossy_parity_across_seeds(self, seed):
         network = intro_example_network(with_records=False)
-        batched, sequential = _assessor_pair(
+        assessor = MappingQualityAssessor(
             network, delta=0.1, ttl=4, seed=seed, send_probability=0.6
         )
-        b = batched.assess_local_all("Creator")
-        s = _per_call_views(sequential, network.peer_names, "Creator")
+        b = assessor.assess_local_all("Creator")
+        s = _reference_views(assessor, network.peer_names, "Creator")
         assert _worst_view_difference(b, s) <= 1e-9
 
     @pytest.mark.parametrize("seed", [3, 5, 9])
@@ -106,7 +131,7 @@ class TestBatchedLocalParity:
         )
         network = scenario.network
         attribute = network.attribute_universe()[0]
-        batched, sequential = _assessor_pair(
+        assessor = MappingQualityAssessor(
             network,
             delta=None,
             ttl=3,
@@ -114,89 +139,55 @@ class TestBatchedLocalParity:
             seed=seed,
             send_probability=0.7,
         )
-        b = batched.assess_locals(network.peer_names, attribute)
-        s = _per_call_views(sequential, network.peer_names, attribute)
+        b = assessor.assess_locals(network.peer_names, attribute)
+        s = _reference_views(assessor, network.peer_names, attribute)
         assert _worst_view_difference(b, s) <= 1e-9
 
     def test_subset_of_origins(self):
         network = intro_example_network(with_records=False)
-        batched, sequential = _assessor_pair(network, delta=0.1, ttl=4, seed=0)
+        assessor = MappingQualityAssessor(network, delta=0.1, ttl=4, seed=0)
         origins = ("p2", "p4")
-        b = batched.assess_locals(origins, "Creator")
-        s = _per_call_views(sequential, origins, "Creator")
+        b = assessor.assess_locals(origins, "Creator")
+        s = _reference_views(assessor, origins, "Creator")
         assert _worst_view_difference(b, s) <= 1e-9
 
     def test_matches_single_assess_local(self):
-        """The batched view of one origin equals its assess_local call."""
+        """An origin's view from the all-origins run equals its one-lane
+        assess_local call bit for bit."""
         network = intro_example_network(with_records=False)
-        batched, sequential = _assessor_pair(
+        batched = MappingQualityAssessor(
             network, delta=0.1, ttl=4, seed=2, send_probability=0.8
         )
-        b = batched.assess_local_all("Creator")["p2"]
-        s = sequential.assess_local("p2", "Creator")
-        assert set(b) == set(s)
-        for name, value in s.items():
-            assert b[name] == pytest.approx(value, abs=1e-9)
+        single = MappingQualityAssessor(
+            network, delta=0.1, ttl=4, seed=2, send_probability=0.8
+        )
+        assert batched.assess_local_all("Creator")["p2"] == single.assess_local(
+            "p2", "Creator"
+        )
 
     def test_blocked_engine_matches_general_lane_engine(self):
-        """The block-diagonal packing is an execution detail: the general
-        stacked lane engine produces the same results on the same lanes."""
+        """The block-diagonal packing is an execution detail: disjoint
+        per-origin lanes sharing one slice give each lane's solo result."""
         network = intro_example_network(with_records=False)
         assessor = MappingQualityAssessor(
             network, delta=0.1, ttl=4, seed=1, send_probability=0.7
         )
         plan, blocks = assessor._local_assessment_plan(network.peer_names)
-        from dataclasses import replace
 
-        from repro.core.embedded import MessageTransport
-
-        def lanes():
-            built = []
-            for origin in network.peer_names:
-                evidence = assessor.neighborhood_cache.evidence_for(
-                    origin, "Creator"
-                )
-                feedbacks = tuple(
-                    replace(
-                        feedback,
-                        mapping_names=tuple(
-                            f"{origin}::{name}"
-                            for name in feedback.mapping_names
-                        ),
-                    )
-                    for feedback in evidence.feedbacks
-                )
-                built.append(
-                    AssessmentLane(
-                        key=origin,
-                        feedbacks=feedbacks,
-                        structure_indices=blocks[origin],
-                        priors=None,
-                        delta=0.1,
-                        transport=MessageTransport(0.7, seed=1),
-                    )
-                )
-            return built
-
-        blocked = BlockedEmbeddedMessagePassing(plan, lanes()).run()
-        general = BatchedEmbeddedMessagePassing.from_lanes(plan, lanes()).run()
-        assert set(blocked) == set(general)
-        for key, general_result in general.items():
-            blocked_result = blocked[key]
-            assert (blocked_result is None) == (general_result is None)
-            if general_result is None:
-                continue
-            assert blocked_result.iterations == general_result.iterations
-            assert blocked_result.converged == general_result.converged
-            assert (
-                blocked_result.messages_attempted
-                == general_result.messages_attempted
+        def run(origins):
+            # Every lane gets its own transport, freshly seeded.
+            lanes = _origin_lanes(assessor, plan, blocks, origins, "Creator", delta=0.1)
+            engine = BatchedEmbeddedMessagePassing(
+                plan, lanes, send_probability=0.7, seed=1
             )
-            assert set(blocked_result.posteriors) == set(general_result.posteriors)
-            for name, value in general_result.posteriors.items():
-                assert blocked_result.posteriors[name] == pytest.approx(
-                    value, abs=1e-9
-                )
+            return engine, engine.run()
+
+        engine, together = run(network.peer_names)
+        assert len(engine.round_edge_counts) > 1
+        alone = {}
+        for origin in network.peer_names:
+            alone.update(run([origin])[1])
+        _assert_same_results(together, alone)
 
 
 class TestProbeOnce:
@@ -233,8 +224,8 @@ class TestProbeOnce:
         assert statistics.probes == len(network.peer_names)
         assert statistics.partial_refreshes == len(network.peer_names)
         assert assessor.local_plan_compile_count == 2
-        # The refreshed views match a fresh sequential assessor.
-        fresh = _per_call_views(
+        # The refreshed views match the reference on a fresh assessor.
+        fresh = _reference_views(
             MappingQualityAssessor(network, delta=0.1, ttl=4, seed=0),
             network.peer_names,
             "Creator",
@@ -480,39 +471,28 @@ class TestAssessMappingEmptyAttributes:
         assert assessor.assess_mapping("p3->p1") == 0.0
 
 
-class TestBlockedEngineValidation:
-    def _plan_and_lane(self):
+class TestOverlappingLanes:
+    """Lanes that share structures or mappings land on separate slices."""
+
+    def test_overlapping_lanes_run_solo(self):
         network = intro_example_network(with_records=False)
         assessor = MappingQualityAssessor(network, delta=0.1, ttl=4)
         plan, blocks = assessor._local_assessment_plan(network.peer_names)
-        return network, assessor, plan, blocks
-
-    def test_overlapping_lanes_rejected(self):
-        from dataclasses import replace
-
-        network, assessor, plan, blocks = self._plan_and_lane()
         origin = network.peer_names[0]
-        evidence = assessor.neighborhood_cache.evidence_for(origin, "Creator")
-        feedbacks = tuple(
-            replace(
-                feedback,
-                mapping_names=tuple(
-                    f"{origin}::{name}" for name in feedback.mapping_names
-                ),
-            )
-            for feedback in evidence.feedbacks
+        (lane,) = _origin_lanes(
+            assessor, plan, blocks, [origin], "Creator", delta=0.1
         )
-        lane = AssessmentLane(
-            key=origin, feedbacks=feedbacks, structure_indices=blocks[origin]
-        )
-        clone = AssessmentLane(
-            key="clone", feedbacks=feedbacks, structure_indices=blocks[origin]
-        )
-        with pytest.raises(FeedbackError, match="overlaps"):
-            BlockedEmbeddedMessagePassing(plan, [lane, clone])
+        clone = replace(lane, key="clone", delta=0.3)
+        together = BatchedEmbeddedMessagePassing(plan, [lane, clone]).run()
+        alone = {
+            **BatchedEmbeddedMessagePassing(plan, [lane]).run(),
+            **BatchedEmbeddedMessagePassing(plan, [clone]).run(),
+        }
+        assert together["clone"] is not None
+        _assert_same_results(together, alone)
 
-    def test_non_block_diagonal_plan_rejected(self):
-        """A plan whose mappings span two lanes' structures is refused."""
+    def test_non_block_diagonal_lanes_run_solo(self):
+        """Two lanes whose structures share mappings run independently."""
         network = intro_example_network(with_records=False)
         assessor = MappingQualityAssessor(network, delta=0.1, ttl=4)
         shared_plan = assessor.assessment_plan()
@@ -528,8 +508,13 @@ class TestBlockedEngineValidation:
             feedbacks=tuple(evidence.feedbacks[half:]),
             structure_indices=tuple(range(half, shared_plan.structure_count)),
         )
-        with pytest.raises(FeedbackError, match="block-diagonal"):
-            BlockedEmbeddedMessagePassing(shared_plan, [first, second])
+        together = BatchedEmbeddedMessagePassing(shared_plan, [first, second]).run()
+        alone = {
+            **BatchedEmbeddedMessagePassing(shared_plan, [first]).run(),
+            **BatchedEmbeddedMessagePassing(shared_plan, [second]).run(),
+        }
+        assert together["first"] is not None and together["second"] is not None
+        _assert_same_results(together, alone)
 
 
 class TestEvolutionAndRoutingWiring:
