@@ -1,24 +1,27 @@
-"""Extra ablation — count-space kernels on long cycles vs the loop reference.
+"""Extra ablation — the lane engine's count-space kernels on long cycles
+vs the centralised loops oracle.
 
-Before this benchmark existed the workload it times was impossible: every
-structure above the dense einsum limit (``MAX_COMPILED_ARITY`` = 25 slots)
-rejected compilation, and the sequential fallback could not even build its
-``(2,)**arity`` CPTs.  The count-space kernels
-(:class:`~repro.factorgraph.compiled.CountFactorBatch` /
-:class:`~repro.factorgraph.compiled.StackedCountFactorBatch`) evaluate the
-same sum–product sweep from the ``arity + 1`` count-value vector in
+Structures above the dense einsum limit (``MAX_COMPILED_ARITY`` = 25
+slots) cannot be represented as ``(2,)**arity`` tables at all.  The
+count-space kernel
+(:class:`~repro.factorgraph.compiled.StackedCountFactorBatch`) evaluates
+the same sum–product sweep from the ``arity + 1`` count-value vector in
 O(arity²) time and O(arity) table memory per structure, so a network of
-30- and 40-mapping rings now compiles and runs on the vectorized engine
-and on the lane engine's attribute and per-origin lanes alike.
+30- and 40-mapping rings runs on the lane engine's one-lane, attribute
+and per-origin lanes alike.
 
-Doubles as a regression tripwire: the vectorized count kernels must stay
-≥5x ahead of the loop reference at cycle length 30 while matching its
-marginals to ``1e-9``; the attribute lanes must match the same marginals,
-and every origin's local view the loops sum-product on that origin's own
-evidence, with every long bucket on the count kernel (no dense table).  A
-second test pins the per-origin compaction: per-round work must
-*decrease* as origins converge instead of every row riding the sweeps
-until the last origin finishes.
+Each pair times exactly ``ITERATIONS`` one-lane embedded rounds against
+exactly ``ITERATIONS`` iterations of the centralised loops sum-product on
+the same evidence, with both engines built outside the timed region and
+the side that runs first flipped every pair; the speedup is the median
+of the per-pair ratios.  It doubles as a regression tripwire: the lane
+rounds must stay ≥5x ahead of the loops at cycle length 30, the attribute
+lanes must match a converged loops run to ``1e-9``, and every origin's
+local view the loops sum-product on that origin's own evidence, with
+every long bucket on the count kernel (no dense table).  A second test
+pins the per-origin compaction: per-round work must *decrease* as origins
+converge instead of every row riding the sweeps until the last origin
+finishes.
 """
 
 import pytest
@@ -30,44 +33,49 @@ from repro.generators.scenarios import generate_scenario
 
 CYCLE_LENGTHS = (30, 40)
 RINGS = 10
+ITERATIONS = 25
 
-#: Acceptance floor for the vectorized count kernels over the loop
-#: reference at cycle length 30 (measured ~8x with 10 rings; the floor
-#: leaves noise headroom).
+#: Alternating loops/lane timing pairs behind the speedup.
+PAIRS = 7
+
+#: Acceptance floor for one-lane count-kernel rounds over loops iterations
+#: at cycle length 30, asserted on the median of ``PAIRS`` pairs.  A 2-core
+#: host read a median of 34.9x (slowest pair 30.9x) with 10 rings and 25
+#: rounds, and 27.9x (slowest 26.0x) at length 40; the floor leaves noise
+#: headroom.
 MIN_SPEEDUP_AT_30 = 5.0
 
-#: All engine families evaluate the same count-space expression, so
-#: marginals may only differ by accumulated floating-point noise (in
-#: practice they match bit for bit).
+#: The lane engine evaluates the same count-space expression as the
+#: loops' scalar ``CountFactor.message_to``, so posteriors may only differ
+#: by accumulated floating-point noise (in practice they match bit for
+#: bit).
 MAX_DIVERGENCE = 1e-9
 
 
 @pytest.mark.parametrize("cycle_length", CYCLE_LENGTHS)
 def test_bench_long_cycle(benchmark, report, report_json, cycle_length):
-    result = run_long_cycle_throughput(
-        cycle_lengths=(cycle_length,), rings=RINGS, repeats=3
-    )
-    point = result.point_for(cycle_length)
-
-    # Time the vectorized path once more under pytest-benchmark for the
-    # harness' own statistics (the speedup assertion uses the best-of-N
-    # timings inside the runner, which include the loop reference).
-    benchmark(
+    point = benchmark.pedantic(
         run_long_cycle_throughput,
-        cycle_lengths=(cycle_length,),
-        rings=RINGS,
-        repeats=1,
-    )
+        kwargs=dict(
+            cycle_lengths=(cycle_length,),
+            rings=RINGS,
+            iterations=ITERATIONS,
+            repeats=PAIRS,
+        ),
+        rounds=1,
+        iterations=1,
+    ).point_for(cycle_length)
 
     lines = format_table(
         (
             "cycle length",
             "rings",
             "edges",
-            "loop msg/s",
-            "count-kernel msg/s",
-            "speedup",
-            "max |Δmarginal|",
+            "rounds loops/lane",
+            "loops ms/round",
+            "lane ms/round",
+            "median speedup",
+            "min speedup",
             "max |Δbatched|",
             "max |Δlocal|",
         ),
@@ -76,17 +84,19 @@ def test_bench_long_cycle(benchmark, report, report_json, cycle_length):
                 point.cycle_length,
                 point.ring_count,
                 point.edge_count,
-                f"{point.loop_messages_per_second:,.0f}",
-                f"{point.vectorized_messages_per_second:,.0f}",
+                f"{point.loop_rounds}/{point.lane_rounds}",
+                f"{point.loop_seconds_per_round * 1e3:.2f}",
+                f"{point.lane_seconds_per_round * 1e3:.3f}",
                 f"{point.speedup:.1f}x",
-                f"{point.max_marginal_difference:.1e}",
+                f"{min(point.ratios):.1f}x",
                 f"{point.batched_max_difference:.1e}",
                 f"{point.local_max_difference:.1e}",
             )
         ],
         title=(
-            f"Long cycles — count-space kernels vs loop reference, "
-            f"{point.ring_count} rings of {point.cycle_length} mappings"
+            f"Long cycles — one-lane count-kernel rounds vs loops oracle "
+            f"iterations, {point.ring_count} rings of {point.cycle_length} "
+            f"mappings, median of {len(point.ratios)} alternating pairs"
         ),
     )
     report(f"EX_long_cycle_{cycle_length}", lines)
@@ -97,13 +107,14 @@ def test_bench_long_cycle(benchmark, report, report_json, cycle_length):
             "ring_count": point.ring_count,
             "structure_count": point.structure_count,
             "edge_count": point.edge_count,
-            "iterations": point.iterations,
-            "loop_seconds": point.loop_seconds,
-            "vectorized_seconds": point.vectorized_seconds,
+            "loop_rounds": point.loop_rounds,
+            "lane_rounds": point.lane_rounds,
+            "loop_seconds": list(point.loop_seconds),
+            "lane_seconds": list(point.lane_seconds),
+            "pair_speedups": list(point.ratios),
             "speedup": point.speedup,
             "loop_messages_per_second": point.loop_messages_per_second,
-            "vectorized_messages_per_second": point.vectorized_messages_per_second,
-            "max_marginal_difference": point.max_marginal_difference,
+            "lane_messages_per_second": point.lane_messages_per_second,
             "batched_max_difference": point.batched_max_difference,
             "local_max_difference": point.local_max_difference,
             "count_kernel_buckets": point.count_kernel_buckets,
@@ -112,18 +123,21 @@ def test_bench_long_cycle(benchmark, report, report_json, cycle_length):
         },
     )
 
+    # Every timed run ran exactly the rounds its rate is computed from.
+    assert point.loop_rounds == point.lane_rounds == ITERATIONS
+    assert len(point.ratios) == PAIRS
     # Long buckets must run on the count kernels — no dense (2,)**arity
-    # table — and every path must agree with the loops sum-product.
+    # table — and every lane must agree with the loops sum-product.
     assert point.structure_count == RINGS
     assert point.count_kernel_buckets >= 1
     assert point.dense_kernel_buckets == 0
-    assert point.max_marginal_difference <= MAX_DIVERGENCE
     assert point.batched_max_difference <= MAX_DIVERGENCE
     assert point.local_max_difference <= MAX_DIVERGENCE
     if cycle_length == 30:
         assert point.speedup >= MIN_SPEEDUP_AT_30, (
-            f"count kernels are only {point.speedup:.1f}x faster than the "
-            f"loop reference at cycle length 30 (floor {MIN_SPEEDUP_AT_30}x)"
+            f"one-lane count-kernel rounds are only {point.speedup:.1f}x "
+            f"faster than loops iterations at cycle length 30 (median of "
+            f"{PAIRS} pairs {point.ratios}; floor {MIN_SPEEDUP_AT_30}x)"
         )
 
 

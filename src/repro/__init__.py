@@ -17,17 +17,14 @@ Typical usage::
     router = assessor.router()            # θ-aware query routing
 """
 
-from .constants import BACKEND_LOOPS, BACKEND_VECTORIZED, DEFAULT_BACKEND
 from .exceptions import ReproError
 from .factorgraph import (
     BinaryVariable,
-    CompiledFactorGraph,
     Factor,
     FactorGraph,
     SumProduct,
     SumProductOptions,
     SumProductResult,
-    compile_factor_graph,
     exact_marginals,
     prior_factor,
     run_sum_product,
@@ -82,12 +79,7 @@ __version__ = "1.0.0"
 
 __all__ = [
     "ReproError",
-    "BACKEND_LOOPS",
-    "BACKEND_VECTORIZED",
-    "DEFAULT_BACKEND",
     "BinaryVariable",
-    "CompiledFactorGraph",
-    "compile_factor_graph",
     "Factor",
     "FactorGraph",
     "SumProduct",

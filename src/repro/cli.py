@@ -35,7 +35,6 @@ from .evaluation.experiments import (
     run_convergence,
     run_cycle_length,
     run_embedded_throughput,
-    run_engine_throughput,
     run_fault_tolerance,
     run_gossip_convergence,
     run_intro_example,
@@ -100,18 +99,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     throughput = subparsers.add_parser(
         "throughput",
-        help="throughput of the inference engines (centralised sum-product "
-        "backends, embedded rounds of the lane engine with --mode embedded, "
-        "the batched per-origin decentralised view with --mode local, "
-        "the count-space kernels on long mapping rings with "
-        "--mode long-cycle, full-probe structure discovery with "
+        help="throughput of the inference engines (embedded rounds of the "
+        "lane engine by default, the batched per-origin decentralised view "
+        "with --mode local, the count-space kernels on long mapping rings "
+        "with --mode long-cycle, full-probe structure discovery with "
         "--mode probe, or the event-sourced multi-node gossip harness "
         "with --mode gossip)",
     )
     throughput.add_argument(
         "--sizes", type=int, nargs="+", default=None,
         help="peer counts of the generated scale-free networks "
-        "(default 8 16 32 64 128; 8 16 32 64 in embedded mode; "
+        "(default 8 16 32 64 in embedded mode; "
         "8 16 32 in local mode; 64 128 256 in probe mode; 16 32 in "
         "gossip mode); in long-cycle "
         "mode the *cycle lengths* of the generated mapping rings "
@@ -119,19 +117,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     throughput.add_argument(
         "--mode",
-        choices=("sum-product", "embedded", "local", "long-cycle", "probe", "gossip"),
-        default="sum-product",
-        help="'sum-product' times the centralised loop vs vectorized "
-        "backends; 'embedded' times decentralised rounds of one-lane runs "
-        "(rounds/s and messages/s, median of the repeats); 'local' times the "
-        "all-origins §4.5 decision in one run (one shared slice of "
-        "per-origin lanes) vs one-lane runs per origin; "
-        "'long-cycle' times the count-space kernels against the loop "
-        "reference on rings far beyond the dense arity limit; 'probe' times "
-        "full-probe structure discovery; 'gossip' runs N event-sourced peer "
-        "replicas to convergence through a dropping/duplicating/reordering "
-        "transport and verifies every local view equals the single-process "
-        "oracle",
+        choices=("embedded", "local", "long-cycle", "probe", "gossip"),
+        default="embedded",
+        help="'embedded' (default) times decentralised rounds of one-lane "
+        "runs (rounds/s and messages/s, median of the repeats); 'local' "
+        "times the all-origins §4.5 decision in one run (one shared slice "
+        "of per-origin lanes) vs one-lane runs per origin; "
+        "'long-cycle' times one-lane rounds on the count-space kernels "
+        "against iterations of the centralised loops oracle on rings far "
+        "beyond the dense arity limit (median of alternating pairs); "
+        "'probe' times full-probe structure discovery; 'gossip' runs N "
+        "event-sourced peer replicas to convergence through a "
+        "dropping/duplicating/reordering transport and verifies every local "
+        "view equals the single-process oracle",
     )
     throughput.add_argument(
         "--ttl", type=int, default=None,
@@ -139,10 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
         "applicable in long-cycle mode, which always probes the full ring)",
     )
     throughput.add_argument("--repeats", type=int, default=3)
-    throughput.add_argument(
-        "--max-iterations", type=int, default=None,
-        help="sum-product mode only: iteration cap per timed run (default 50)",
-    )
     throughput.add_argument(
         "--rounds", type=int, default=None,
         help="embedded mode only: decentralised rounds per timed run "
@@ -303,8 +297,6 @@ def _render_schedules() -> str:
 
 
 def _render_throughput(args: argparse.Namespace) -> str:
-    if args.mode == "embedded":
-        return _render_embedded_throughput(args)
     if args.mode == "local":
         return _render_local_throughput(args)
     if args.mode == "long-cycle":
@@ -313,29 +305,7 @@ def _render_throughput(args: argparse.Namespace) -> str:
         return _render_probe_throughput(args)
     if args.mode == "gossip":
         return _render_gossip_convergence(args)
-    sizes = tuple(args.sizes) if args.sizes else (8, 16, 32, 64, 128)
-    result = run_engine_throughput(
-        peer_counts=sizes,
-        ttl=args.ttl if args.ttl is not None else THROUGHPUT_DEFAULT_TTL,
-        max_iterations=args.max_iterations if args.max_iterations is not None else 50,
-        repeats=args.repeats,
-    )
-    rows = [
-        (
-            point.peer_count,
-            point.edge_count,
-            f"{point.loop_edges_per_second:,.0f}",
-            f"{point.vectorized_edges_per_second:,.0f}",
-            f"{point.speedup:.1f}x",
-            f"{point.max_marginal_difference:.1e}",
-        )
-        for point in result.points
-    ]
-    return format_table(
-        ("peers", "edges", "loop msg/s", "vectorized msg/s", "speedup", "max |Δmarginal|"),
-        rows,
-        title="Engine throughput — loop vs vectorized sum-product backends",
-    )
+    return _render_embedded_throughput(args)
 
 
 def _render_embedded_throughput(args: argparse.Namespace) -> str:
@@ -498,10 +468,13 @@ def _render_long_cycle_throughput(args: argparse.Namespace) -> str:
             point.cycle_length,
             point.ring_count,
             point.edge_count,
+            f"{point.loop_rounds}/{point.lane_rounds}",
             f"{point.loop_messages_per_second:,.0f}",
-            f"{point.vectorized_messages_per_second:,.0f}",
+            f"{point.lane_messages_per_second:,.0f}",
             f"{point.speedup:.1f}x",
-            f"{point.max_marginal_difference:.1e}",
+            f"{min(point.ratios):.1f}x",
+            f"{point.batched_max_difference:.1e}",
+            f"{point.local_max_difference:.1e}",
             point.count_kernel_buckets,
         )
         for point in result.points
@@ -511,15 +484,19 @@ def _render_long_cycle_throughput(args: argparse.Namespace) -> str:
             "cycle length",
             "rings",
             "edges",
-            "loop msg/s",
-            "count-kernel msg/s",
-            "speedup",
-            "max |Δmarginal|",
+            "rounds loops/lane",
+            "loops msg/s",
+            "lane msg/s",
+            "median speedup",
+            "min speedup",
+            "max |Δbatched|",
+            "max |Δlocal|",
             "count buckets",
         ),
         rows,
         title=(
-            "Long-cycle throughput — count-space kernels vs loop reference "
+            "Long-cycle throughput — one-lane count-kernel rounds vs loops "
+            f"oracle iterations, {max(1, args.repeats)} alternating pairs "
             "(structures far beyond the dense arity limit)"
         ),
     )
@@ -622,11 +599,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "throughput":
         # Reject flags that belong to another mode instead of silently
         # ignoring them.
-        if args.mode != "sum-product" and args.max_iterations is not None:
-            parser.error("--max-iterations only applies to --mode sum-product")
         if args.mode != "embedded" and args.rounds is not None:
             parser.error("--rounds only applies to --mode embedded")
-        if args.mode in ("sum-product", "long-cycle", "probe", "gossip") and args.send_probability is not None:
+        if args.mode in ("long-cycle", "probe", "gossip") and args.send_probability is not None:
             parser.error(
                 "--send-probability only applies to --mode embedded or local"
             )

@@ -29,9 +29,6 @@ __all__ = [
     "DEFAULT_SEND_PROBABILITY",
     "DEFAULT_SEED",
     "DEFAULT_TTL",
-    "DEFAULT_BACKEND",
-    "BACKEND_LOOPS",
-    "BACKEND_VECTORIZED",
     "MAX_COMPILED_ARITY",
     "COUNT_KERNEL_MIN_ARITY",
     "KNOWN_ENV_KNOBS",
@@ -60,14 +57,13 @@ DEFAULT_SEED: int = 0
 #: bounds the exponential enumeration identically unless told otherwise.
 DEFAULT_TTL: int = 6
 
-#: Largest factor arity the *dense* einsum kernels compile — one lowercase
-#: subscript letter per slot (``a``–``y``; ``z`` and ``A`` are reserved for
-#: the batch/stack axes), so exactly 25.  Historically the docstrings said
-#: "26 letters" while the checks said "arity > 25"; this constant is now the
-#: single source of truth (``repro.factorgraph.compiled`` asserts its
-#: alphabet matches).  Count-symmetric factors (the paper's feedback CPTs)
-#: are not bound by it: they compile through the count-space kernels at any
-#: arity.
+#: Largest factor arity the *dense* stacked einsum kernel compiles — one
+#: lowercase subscript letter per slot (``a``–``y``; ``z`` and ``A`` are
+#: reserved for the batch/stack axes), so exactly 25
+#: (``repro.factorgraph.compiled`` asserts its alphabet matches).  It also
+#: caps the dense view of a :class:`~repro.factorgraph.factors.CountFactor`.
+#: Sweep plans never reach it: from :data:`COUNT_KERNEL_MIN_ARITY` on they
+#: run the count-space kernels, which have no arity limit.
 MAX_COMPILED_ARITY: int = 25
 
 #: Crossover arity between the dense einsum kernels and the count-space
@@ -77,18 +73,6 @@ MAX_COMPILED_ARITY: int = 25
 #: time and O(arity) table memory per structure, removing the exponential
 #: cliff for long cycles and parallel paths.
 COUNT_KERNEL_MIN_ARITY: int = 10
-
-#: Reference edge-by-edge Python implementation.
-BACKEND_LOOPS: str = "loops"
-
-#: Compiled, batched numpy implementation (see repro.factorgraph.compiled).
-BACKEND_VECTORIZED: str = "vectorized"
-
-#: Backend used by :class:`~repro.factorgraph.sum_product.SumProduct` when
-#: none is requested.  The vectorized backend matches the loop reference to
-#: floating-point accuracy and falls back to the loops automatically on
-#: graphs it cannot compile (mixed variable cardinalities).
-DEFAULT_BACKEND: str = BACKEND_VECTORIZED
 
 #: Every environment knob the package reads; empty, because it reads none.
 #: :func:`read_env` — the one sanctioned gate to ``os.environ`` outside this

@@ -110,6 +110,7 @@ from ..factorgraph.plan import (
     segment_plan,
     segment_products,
 )
+from ..factorgraph.sum_product import required_quiet_rounds
 from .beliefs import PriorBeliefStore
 from .feedback import Feedback, FeedbackKind
 from .local_graph import mapping_owner
@@ -122,7 +123,6 @@ __all__ = [
     "MessageTransport",
     "TransportStatistics",
     "compile_assessment_plan",
-    "required_quiet_rounds",
 ]
 
 _KIND_CODES = {
@@ -130,19 +130,6 @@ _KIND_CODES = {
     FeedbackKind.POSITIVE: KIND_POSITIVE,
     FeedbackKind.NEGATIVE: KIND_NEGATIVE,
 }
-
-
-def required_quiet_rounds(send_probability: float) -> int:
-    """Consecutive sub-tolerance rounds needed to declare convergence.
-
-    Under message loss a single quiet round may simply mean the informative
-    messages were dropped, so the count grows inversely with the transport's
-    send probability.  Shared by :meth:`BatchedEmbeddedMessagePassing.run`
-    and the schedules so every stopping rule stays in sync.
-    """
-    if send_probability >= 1.0:
-        return 1
-    return max(2, int(round(2.0 / send_probability)))
 
 
 @dataclass

@@ -33,28 +33,17 @@ reports are read off the plan's owners and transmission list.  The
 transport, options and result types are the lane engine's, re-exported
 here.
 
-Two lowerings feed the shared plan IR:
+One lowering feeds the plan IR: structure lists, compiled by
+:func:`~repro.factorgraph.plan.compile_sweep_plan`, with lanes placed on
+slices of the plan's row space by
+:class:`~repro.core.batched.BatchedEmbeddedMessagePassing` — one slice per
+attribute, or one shared block-diagonal slice of per-origin lanes.  It
+serves every embedded run: this class, the assessor's global and local
+views, the EM rounds.
 
-=============================  ========================================
-lowering                       plan shape / selected when
-=============================  ========================================
-``BatchedEmbeddedMessage-      Structure lists (:func:`~repro.factorgraph.
-Passing``                      plan.compile_sweep_plan`); lanes placed on
-(:mod:`repro.core.batched`)    slices of the plan's row space — one slice
-                               per attribute, or one shared block-diagonal
-                               slice of per-origin lanes.  Every embedded
-                               run: this class, the assessor's global and
-                               local views, the EM rounds.
-``CompiledFactorGraph``        Lowers a centralised
-(:mod:`repro.factorgraph`)     :class:`~repro.factorgraph.graph.FactorGraph`
-                               (``lower_factor_graph``) for the
-                               vectorized sum-product backend — same IR,
-                               factor-major edge rows.
-=============================  ========================================
-
-The layering, determinism and process-safety invariants these lowerings
-rest on — engines import kernels from the plan surface only, discovery flows
-through probe plans, rng streams are explicitly seeded, wire payloads are
+The layering, determinism and process-safety invariants this lowering
+rests on — engines import kernels from the plan surface only, discovery
+flows through probe plans, rng streams are explicitly seeded, wire payloads are
 registered picklable types — are stated normatively in ``ARCHITECTURE.md``
 at the repository root and enforced mechanically by ``repro-lint``
 (:mod:`repro.lintkit`).  One layer *up*, the structures every lowering
@@ -79,14 +68,14 @@ reproducible and makes the same drop decisions as a per-message loop over
 Plan-IR equivalence contract
 ----------------------------
 The factor→variable sweep of every round runs the kernels re-exported by
-:mod:`repro.factorgraph.plan` — the batched einsum / count-space kernels
-that also power the vectorized
-:class:`~repro.factorgraph.sum_product.SumProduct` backend.  They evaluate
-exactly the sum–product expression the scalar
+:mod:`repro.factorgraph.plan` — the batched einsum / count-space kernels.
+They evaluate exactly the sum–product expression the scalar
 :meth:`repro.factorgraph.factors.Factor.message_to` evaluates, so
-posteriors agree with the loop formulation to floating-point accuracy.
-Convergence defaults (tolerance, round cap, seeding) are shared with the
-centralised engine through :mod:`repro.constants`.
+posteriors agree with the centralised loops oracle
+(:class:`~repro.factorgraph.sum_product.SumProduct`) to floating-point
+accuracy.  Convergence defaults (tolerance, round cap, seeding) are shared
+with it through :mod:`repro.constants`, and both stop after
+:func:`required_quiet_rounds` consecutive quiet rounds.
 """
 
 from __future__ import annotations
@@ -95,6 +84,7 @@ from typing import Dict, Iterable, Mapping as TMapping, Optional, Tuple
 
 from ..exceptions import FeedbackError
 from ..factorgraph.plan import SweepPlan, compile_sweep_plan
+from ..factorgraph.sum_product import required_quiet_rounds
 from .batched import (
     AssessmentLane,
     BatchedEmbeddedMessagePassing,
@@ -102,7 +92,6 @@ from .batched import (
     EmbeddedResult,
     MessageTransport,
     TransportStatistics,
-    required_quiet_rounds,
 )
 from .beliefs import PriorBeliefStore
 from .feedback import Feedback

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping as TMapping, Optional, Sequence, Tuple
 
 from ..exceptions import FactorGraphError, FeedbackError
-from ..factorgraph.compiled import CompiledFactorGraph
 from ..factorgraph.factors import prior_factor
 from ..factorgraph.graph import FactorGraph
 from ..factorgraph.variables import BinaryVariable
@@ -68,16 +67,6 @@ class PDMSFactorGraph:
 
     def has_mapping(self, mapping_name: str) -> bool:
         return self.graph.has_variable(variable_name_for(mapping_name, self.attribute))
-
-    def compiled(self) -> CompiledFactorGraph:
-        """Compile the graph into the vectorized message-passing form.
-
-        PDMS factor graphs are always compilable (all variables are binary
-        correctness variables), so unlike
-        :func:`~repro.factorgraph.compiled.compile_factor_graph` this raises
-        instead of returning ``None`` on failure.
-        """
-        return CompiledFactorGraph(self.graph)
 
 
 def build_factor_graph(

@@ -172,9 +172,9 @@ class LazySchedule:
         feedback graph (its queries traverse none of the modelled mappings)
         therefore never yields a false convergence claim.  Convergence uses
         the same quiet-rounds rule as :meth:`EmbeddedMessagePassing.run`:
-        :func:`~repro.core.batched.required_quiet_rounds` consecutive quiet
-        rounds (idle traces neither count nor reset the tally), and never
-        the first round.
+        :func:`~repro.factorgraph.sum_product.required_quiet_rounds`
+        consecutive quiet rounds (idle traces neither count nor reset the
+        tally), and never the first round.
         """
         tolerance = tolerance if tolerance is not None else self.engine.options.tolerance
         history: List[Dict[str, float]] = []

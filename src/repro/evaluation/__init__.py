@@ -9,8 +9,6 @@ from .experiments import (
     BaselineComparisonResult,
     ConvergenceResult,
     CycleLengthResult,
-    EngineThroughputPoint,
-    EngineThroughputResult,
     FaultToleranceResult,
     IntroExampleResult,
     RealWorldResult,
@@ -22,10 +20,8 @@ from .experiments import (
     run_fault_tolerance,
     run_intro_example,
     run_real_world,
-    run_engine_throughput,
     run_relative_error,
     run_schedule_comparison,
-    throughput_graph,
 )
 
 __all__ = [
@@ -57,8 +53,4 @@ __all__ = [
     "run_real_world",
     "run_relative_error",
     "run_schedule_comparison",
-    "EngineThroughputPoint",
-    "EngineThroughputResult",
-    "run_engine_throughput",
-    "throughput_graph",
 ]

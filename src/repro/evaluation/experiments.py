@@ -26,7 +26,7 @@ from ..core.quality import MappingQualityAssessor
 from ..core.schedules import LazySchedule, PeriodicSchedule
 from ..exceptions import EvaluationError
 from ..factorgraph.exact import exact_marginals
-from ..factorgraph.sum_product import run_sum_product
+from ..factorgraph.sum_product import SumProduct, run_sum_product
 from ..generators.scenarios import generate_scenario, inject_errors
 from ..generators.topologies import cycle_network, identity_mapping, scale_free_network
 from ..generators.paper import (
@@ -66,10 +66,6 @@ __all__ = [
     "run_baseline_comparison",
     "ScheduleComparisonResult",
     "run_schedule_comparison",
-    "EngineThroughputPoint",
-    "EngineThroughputResult",
-    "run_engine_throughput",
-    "throughput_graph",
     "throughput_feedbacks",
     "EmbeddedThroughputPoint",
     "EmbeddedThroughputResult",
@@ -809,76 +805,16 @@ def run_schedule_comparison(
 
 
 # ---------------------------------------------------------------------------
-# EX — engine throughput: loop vs vectorized sum–product backends
+# EX — embedded throughput: decentralised rounds per second
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EngineThroughputPoint:
-    """Timing of both backends on one generated PDMS factor graph.
-
-    ``edges_per_second`` counts *directed* messages: every variable–factor
-    edge carries two messages per synchronous iteration.
-    """
-
-    peer_count: int
-    variable_count: int
-    factor_count: int
-    edge_count: int
-    loop_iterations: int
-    vectorized_iterations: int
-    loop_seconds: float
-    vectorized_seconds: float
-    max_marginal_difference: float
-
-    @staticmethod
-    def _rate(edge_count: int, iterations: int, seconds: float) -> float:
-        if seconds <= 0.0:
-            return float("inf")
-        return 2.0 * edge_count * iterations / seconds
-
-    @property
-    def loop_edges_per_second(self) -> float:
-        return self._rate(self.edge_count, self.loop_iterations, self.loop_seconds)
-
-    @property
-    def vectorized_edges_per_second(self) -> float:
-        return self._rate(
-            self.edge_count, self.vectorized_iterations, self.vectorized_seconds
-        )
-
-    @property
-    def speedup(self) -> float:
-        loop_rate = self.loop_edges_per_second
-        vectorized_rate = self.vectorized_edges_per_second
-        if loop_rate == float("inf") and vectorized_rate == float("inf"):
-            return 1.0
-        if vectorized_rate == float("inf"):
-            return float("inf")
-        if loop_rate == float("inf"):
-            return 0.0
-        return vectorized_rate / loop_rate
-
-
-@dataclass(frozen=True)
-class EngineThroughputResult:
-    """Throughput of the two backends across network sizes."""
-
-    points: Tuple[EngineThroughputPoint, ...]
-
-    def point_for(self, peer_count: int) -> EngineThroughputPoint:
-        for point in self.points:
-            if point.peer_count == peer_count:
-                return point
-        raise KeyError(f"no throughput point for {peer_count} peers")
 
 
 def throughput_feedbacks(peer_count: int, ttl: int = 3, attribute_count: int = 10):
     """Informative cycle feedback of the benchmark scale-free PDMS.
 
-    Generates the same scenario as :func:`throughput_graph` and returns the
-    informative feedbacks of the first attribute that has any, so both the
-    centralised and the embedded throughput runs measure the same evidence.
+    Generates a scale-free scenario of ``peer_count`` peers (seeded with the
+    peer count) and returns the informative feedbacks of the first
+    attribute that has any, so the evidence is never empty.
     """
     scenario = generate_scenario(
         topology="scale-free",
@@ -897,81 +833,6 @@ def throughput_feedbacks(peer_count: int, ttl: int = 3, attribute_count: int = 1
         f"no attribute of the {peer_count}-peer scenario produced informative "
         "feedback; increase ttl or the error rate"
     )
-
-
-def throughput_graph(peer_count: int, ttl: int = 3, attribute_count: int = 10):
-    """Build the benchmark factor graph for a scale-free PDMS of ``peer_count``.
-
-    Picks the first attribute that yields informative cycle feedback, so the
-    returned graph is never empty.  Returns the
-    :class:`~repro.core.pdms_factor_graph.PDMSFactorGraph`.
-    """
-    feedbacks = throughput_feedbacks(
-        peer_count, ttl=ttl, attribute_count=attribute_count
-    )
-    return build_factor_graph(feedbacks, priors=0.5, attribute=feedbacks[0].attribute)
-
-
-def _time_backend(graph, backend: str, max_iterations: int, repeats: int):
-    best = float("inf")
-    result = None
-    for _ in range(max(1, repeats)):
-        start = time.perf_counter()
-        result = run_sum_product(
-            graph, max_iterations=max_iterations, backend=backend
-        )
-        best = min(best, time.perf_counter() - start)
-    return result, best
-
-
-def run_engine_throughput(
-    peer_counts: Sequence[int] = (8, 16, 32, 64, 128),
-    ttl: int = 3,
-    max_iterations: int = 50,
-    repeats: int = 3,
-) -> EngineThroughputResult:
-    """Measure directed messages per second of both sum–product backends.
-
-    For each peer count a scale-free PDMS is generated, its cycle feedback
-    is gathered and encoded as a factor graph, and the same run (identical
-    options, reliable transport) is timed on the ``"loops"`` and
-    ``"vectorized"`` backends.  Each timing keeps the best of ``repeats``
-    runs to damp scheduler noise, and the worst marginal disagreement is
-    recorded as an online equivalence check.
-    """
-    points: List[EngineThroughputPoint] = []
-    for peer_count in peer_counts:
-        pdms_graph = throughput_graph(peer_count, ttl=ttl)
-        graph = pdms_graph.graph
-        loop_result, loop_seconds = _time_backend(
-            graph, "loops", max_iterations, repeats
-        )
-        vector_result, vector_seconds = _time_backend(
-            graph, "vectorized", max_iterations, repeats
-        )
-        worst = max(
-            float(np.abs(loop_result.marginals[name] - vector_result.marginals[name]).max())
-            for name in loop_result.marginals
-        )
-        points.append(
-            EngineThroughputPoint(
-                peer_count=peer_count,
-                variable_count=len(graph.variables),
-                factor_count=len(graph.factors),
-                edge_count=graph.edge_count(),
-                loop_iterations=loop_result.iterations,
-                vectorized_iterations=vector_result.iterations,
-                loop_seconds=loop_seconds,
-                vectorized_seconds=vector_seconds,
-                max_marginal_difference=worst,
-            )
-        )
-    return EngineThroughputResult(points=tuple(points))
-
-
-# ---------------------------------------------------------------------------
-# EX — embedded throughput: decentralised rounds per second
-# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -1531,7 +1392,7 @@ def run_local_assessment(
 
 
 # ---------------------------------------------------------------------------
-# EX — long-cycle throughput: count-space kernels vs the loop reference
+# EX — long-cycle throughput: lane-engine count kernels vs the loops oracle
 # ---------------------------------------------------------------------------
 
 
@@ -1592,22 +1453,26 @@ def long_cycle_network(
 
 @dataclass(frozen=True)
 class LongCycleThroughputPoint:
-    """Timing and parity of one long-cycle workload on every engine family.
+    """Timing and parity of one long-cycle workload: lane engine vs loops.
 
-    The centralised loop reference executes the same count-space message
-    expression scalar by scalar (``CountFactor.message_to``), so it runs at
-    any arity too — what it lacks is the batching.  ``messages per second``
-    counts directed factor-graph messages like the engine-throughput bench.
+    Every pair times ``loop_rounds`` synchronous iterations of the
+    centralised loops oracle and ``lane_rounds`` rounds of a one-lane
+    embedded run on the same informative evidence, one fresh engine each;
+    ``loop_seconds`` / ``lane_seconds`` hold each pair's wall times.  The
+    loops execute the same count-space message expression scalar by scalar
+    (``CountFactor.message_to``), so they run at any arity too — what they
+    lack is the batching.  ``messages per second`` counts the directed
+    messages of the centralised factor graph, two per edge per round.
     """
 
     cycle_length: int
     ring_count: int
     structure_count: int
     edge_count: int
-    iterations: int
-    loop_seconds: float
-    vectorized_seconds: float
-    max_marginal_difference: float
+    loop_rounds: int
+    lane_rounds: int
+    loop_seconds: Tuple[float, ...]
+    lane_seconds: Tuple[float, ...]
     batched_max_difference: float
     local_max_difference: float
     count_kernel_buckets: int
@@ -1615,22 +1480,34 @@ class LongCycleThroughputPoint:
     compaction_edge_counts: Tuple[int, ...]
 
     @property
-    def loop_messages_per_second(self) -> float:
-        if self.loop_seconds <= 0.0:
-            return float("inf")
-        return 2.0 * self.edge_count * self.iterations / self.loop_seconds
-
-    @property
-    def vectorized_messages_per_second(self) -> float:
-        if self.vectorized_seconds <= 0.0:
-            return float("inf")
-        return 2.0 * self.edge_count * self.iterations / self.vectorized_seconds
+    def ratios(self) -> Tuple[float, ...]:
+        """Per-pair speedups: loops seconds per round over lane seconds per
+        round."""
+        return tuple(
+            (loop / self.loop_rounds) / (lane / self.lane_rounds)
+            for loop, lane in zip(self.loop_seconds, self.lane_seconds)
+        )
 
     @property
     def speedup(self) -> float:
-        if self.vectorized_seconds <= 0.0:
-            return float("inf")
-        return self.loop_seconds / self.vectorized_seconds
+        """Median of the per-pair speedups."""
+        return float(np.median(self.ratios))
+
+    @property
+    def loop_seconds_per_round(self) -> float:
+        return float(np.median(self.loop_seconds)) / self.loop_rounds
+
+    @property
+    def lane_seconds_per_round(self) -> float:
+        return float(np.median(self.lane_seconds)) / self.lane_rounds
+
+    @property
+    def loop_messages_per_second(self) -> float:
+        return 2.0 * self.edge_count / self.loop_seconds_per_round
+
+    @property
+    def lane_messages_per_second(self) -> float:
+        return 2.0 * self.edge_count / self.lane_seconds_per_round
 
 
 @dataclass(frozen=True)
@@ -1648,6 +1525,14 @@ class LongCycleThroughputResult:
         )
 
 
+def _timed_rounds(step, rounds: int) -> float:
+    """Wall time of exactly ``rounds`` calls of ``step``."""
+    start = time.perf_counter()
+    for _ in range(rounds):
+        step()
+    return time.perf_counter() - start
+
+
 def run_long_cycle_throughput(
     cycle_lengths: Sequence[int] = (20, 30, 40),
     rings: int = 6,
@@ -1656,30 +1541,30 @@ def run_long_cycle_throughput(
     repeats: int = 3,
     seed: int = 0,
 ) -> LongCycleThroughputResult:
-    """Measure the count-space kernels against the loop reference on long
-    cycles, and verify every engine family agrees on them.
+    """Measure the lane engine's count-space kernels against the loops
+    oracle on long cycles, and verify the lane engine agrees with it.
 
     For each cycle length a :func:`long_cycle_network` is built (half the
     rings positive, half negative) and
 
-    * the centralised sum–product run over its factor graph is timed on the
-      ``"loops"`` and ``"vectorized"`` backends for exactly ``iterations``
-      synchronous rounds (tolerance pinned below any representable change,
-      best of ``repeats``), recording the worst marginal disagreement;
+    * ``repeats`` alternating pairs time exactly ``iterations``
+      :meth:`~repro.factorgraph.sum_product.SumProduct.iterate_once` calls
+      of the loops against exactly ``iterations``
+      :meth:`~repro.core.embedded.EmbeddedMessagePassing.run_round` calls
+      of a one-lane run on the same informative evidence (both engines
+      built outside the timed region, the side that runs first flipped
+      every pair);
     * the batched multi-attribute assessor runs the same evidence on one
       compiled :class:`~repro.factorgraph.plan.SweepPlan` — asserting the
       long buckets landed on the count kernels — and its posteriors are
-      compared against the loop backend;
+      compared against a converged loops run;
     * the per-origin lanes run ``assess_local_all``; each origin's local
-      view is compared against the ``"loops"`` sum-product on that origin's
-      own informative evidence, and the compaction trajectory (per-round
-      edge rows) is recorded.
-
-    Structures above :data:`repro.constants.MAX_COMPILED_ARITY` made all of
-    this impossible before the count-space kernels: the dense path refused
-    to compile and the sequential fallback could not even build its
-    ``(2,)**arity`` factor tables.
+      view is compared against the loops sum-product on that origin's own
+      informative evidence, and the compaction trajectory (per-round edge
+      rows) is recorded.
     """
+    if iterations < 1:
+        raise EvaluationError(f"need at least one timed round, got {iterations}")
     points: List[LongCycleThroughputPoint] = []
     for cycle_length in cycle_lengths:
         network = long_cycle_network(
@@ -1702,30 +1587,28 @@ def run_long_cycle_throughput(
             informative, priors=0.5, attribute=attribute
         ).graph
 
-        def time_backend(backend: str):
-            best = float("inf")
-            result = None
-            for _ in range(max(1, repeats)):
-                start = time.perf_counter()
-                result = run_sum_product(
-                    graph,
-                    max_iterations=iterations,
-                    tolerance=1e-300,
-                    backend=backend,
-                )
-                best = min(best, time.perf_counter() - start)
-            return result, best
-
-        loop_result, loop_seconds = time_backend("loops")
-        vector_result, vector_seconds = time_backend("vectorized")
-        worst = max(
-            float(
-                np.abs(
-                    loop_result.marginals[name] - vector_result.marginals[name]
-                ).max()
+        loop_seconds: List[float] = []
+        lane_seconds: List[float] = []
+        for pair in range(max(1, repeats)):
+            loops = SumProduct(graph)
+            lane = EmbeddedMessagePassing(
+                informative,
+                priors=0.5,
+                delta=0.1,
+                options=EmbeddedOptions(record_history=False),
             )
-            for name in loop_result.marginals
-        )
+            if pair % 2 == 0:
+                loop_seconds.append(_timed_rounds(loops.iterate_once, iterations))
+                lane_seconds.append(_timed_rounds(lane.run_round, iterations))
+            else:
+                lane_seconds.append(_timed_rounds(lane.run_round, iterations))
+                loop_seconds.append(_timed_rounds(loops.iterate_once, iterations))
+        reference = run_sum_product(graph)
+        if not reference.converged:
+            raise EvaluationError(
+                f"the loops oracle did not converge on the {cycle_length}-ring "
+                "network"
+            )
 
         # Batched multi-attribute assessment on one compiled plan.
         assessor = MappingQualityAssessor(
@@ -1753,7 +1636,7 @@ def run_long_cycle_throughput(
         batched_worst = max(
             abs(
                 posterior
-                - loop_result.probability_correct(
+                - reference.probability_correct(
                     variable_name_for(name, attribute)
                 )
             )
@@ -1772,8 +1655,7 @@ def run_long_cycle_throughput(
             if not local:
                 continue
             local_loops = run_sum_product(
-                build_factor_graph(local, priors=0.5, attribute=attribute).graph,
-                backend="loops",
+                build_factor_graph(local, priors=0.5, attribute=attribute).graph
             )
             for name, value in views[origin].items():
                 variable = variable_name_for(name, attribute)
@@ -1789,10 +1671,10 @@ def run_long_cycle_throughput(
                 ring_count=rings,
                 structure_count=len(informative),
                 edge_count=graph.edge_count(),
-                iterations=iterations,
-                loop_seconds=loop_seconds,
-                vectorized_seconds=vector_seconds,
-                max_marginal_difference=worst,
+                loop_rounds=iterations,
+                lane_rounds=iterations,
+                loop_seconds=tuple(loop_seconds),
+                lane_seconds=tuple(lane_seconds),
                 batched_max_difference=batched_worst,
                 local_max_difference=local_worst,
                 count_kernel_buckets=count_buckets,

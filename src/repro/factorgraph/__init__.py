@@ -3,9 +3,10 @@
 This subpackage is the probabilistic substrate of the reproduction: binary
 mapping-correctness variables, dense table factors, a bipartite factor-graph
 container, a loopy sum–product engine (with damping and message-loss
-injection) and an exact-inference reference used to quantify the loopy
-approximation error.  The :mod:`~repro.factorgraph.plan` module is the
-shared plan IR: every sweep engine lowers to one
+injection) that the compiled engine is checked against, and an
+exact-inference reference used to quantify the loopy approximation error.
+The :mod:`~repro.factorgraph.plan` module is the plan IR of the compiled
+lane engine: it lowers structure lists to one
 :class:`~repro.factorgraph.plan.SweepPlan` and runs its round phases.
 """
 
@@ -17,15 +18,8 @@ from .variables import (
     DiscreteVariable,
     mapping_variable_name,
 )
-from .compiled import (
-    CompiledFactorGraph,
-    CountFactorBatch,
-    FactorBatch,
-    StackedCountFactorBatch,
-    compile_factor_graph,
-    normalize_rows,
-)
-from .plan import BucketPlan, SweepPlan, compile_sweep_plan, lower_factor_graph
+from .compiled import StackedCountFactorBatch, normalize_rows
+from .plan import BucketPlan, SweepPlan, compile_sweep_plan
 from .factors import (
     CountFactor,
     Factor,
@@ -45,16 +39,11 @@ __all__ = [
     "BinaryVariable",
     "DiscreteVariable",
     "mapping_variable_name",
-    "CompiledFactorGraph",
-    "CountFactorBatch",
-    "FactorBatch",
     "StackedCountFactorBatch",
-    "compile_factor_graph",
     "normalize_rows",
     "BucketPlan",
     "SweepPlan",
     "compile_sweep_plan",
-    "lower_factor_graph",
     "CountFactor",
     "Factor",
     "observation_factor",

@@ -1,13 +1,14 @@
-"""The shared sweep-plan IR of every sweep engine.
+"""The sweep-plan IR of the embedded lane engine.
 
-Two engines run the paper's sum–product sweep: the centralised
-:class:`~repro.factorgraph.compiled.CompiledFactorGraph` and the embedded
-lane engine of :mod:`repro.core.batched`, which runs every decentralised
-run (one lane, one lane per attribute, one lane per origin).  Both lower
-to the same compilation artefacts — edge layout, segment index plans,
+One engine runs the paper's compiled sum–product sweep: the lane engine of
+:mod:`repro.core.batched`, which runs every decentralised run (one lane,
+one lane per attribute, one lane per origin).  It lowers structure lists
+to one set of compilation artefacts — edge layout, segment index plans,
 transmission lists, arity buckets with gather/scatter operands, and the
-dense-vs-count kernel choice — and run the same three-phase round on top.
-This module is that one IR:
+dense-vs-count kernel choice — and runs a three-phase round on top.  The
+centralised :class:`~repro.factorgraph.sum_product.SumProduct` loops are
+the oracle it is checked against, not a second lowering.  This module is
+that one IR:
 
 * :class:`SweepPlan` — the topology-only compilation: a stacked edge row
   space (owner edges first, received cells after), per-mapping segment
@@ -16,29 +17,25 @@ This module is that one IR:
   whose kernel family is decided **once**, here: dense einsum below the
   :data:`repro.constants.COUNT_KERNEL_MIN_ARITY` crossover, count-space
   from it on (no dense table, no arity limit).
-* :func:`compile_sweep_plan` — lowering from ``(identifier, mapping
-  names)`` structure lists (the embedded lane engine).
-* :func:`lower_factor_graph` — lowering from a
-  :class:`~repro.factorgraph.graph.FactorGraph` (the centralised engine),
-  which additionally records the variable-grouping permutation
-  (:attr:`SweepPlan.edge_order`) because graph edges arrive factor-major.
+* :func:`compile_sweep_plan` — the one lowering, from ``(identifier,
+  mapping names)`` structure lists, with edge rows built grouped by
+  mapping.
 * The round phases themselves — :meth:`SweepPlan.variable_sweep`,
   :meth:`SweepPlan.message_pool` and :meth:`SweepPlan.factor_sweep` — which
-  every engine calls directly, interleaving its own bookkeeping (selection
-  masks, transport exchanges, posterior snapshots) between them.  They
-  reproduce the historical engine loops bit for bit.
+  the engine calls directly, interleaving its own bookkeeping (selection
+  masks, transport exchanges, posterior snapshots) between them.
 
 The count-space buckets also carry a combined all-targets gather plan
 (:attr:`BucketPlan.gather_all`): one fused gather + count-space evaluation
-(:meth:`~repro.factorgraph.compiled.CountFactorBatch.messages_all`) replaces
-the historical per-target operand re-stacking, cutting the O(arity²)
-constant of long-cycle sweeps while keeping every float operation — and
-therefore every bit of the result — identical.
+(:meth:`~repro.factorgraph.compiled.StackedCountFactorBatch.messages_all`)
+replaces per-target operand re-stacking, cutting the O(arity²) constant
+of long-cycle sweeps while keeping every float operation — and therefore
+every bit of the result — identical.
 
-Engines import kernels (``segment_products``, ``FactorBatch``, …) from
-*this* module rather than :mod:`repro.factorgraph.compiled`; a lint test
-(``tests/core/test_plan_ir.py``) enforces it so the collapse stays
-collapsed.
+Engines import kernels (``segment_products``, ``StackedFactorBatch``, …)
+from *this* module rather than :mod:`repro.factorgraph.compiled`; the
+``layering-plan-kernels`` lint rule (checked by
+``tests/core/test_plan_ir.py``) enforces it.
 """
 
 from __future__ import annotations
@@ -57,18 +54,14 @@ from typing import (
 import numpy as np
 
 from ..constants import COUNT_KERNEL_MIN_ARITY, MAX_COMPILED_ARITY
-from ..exceptions import FactorGraphError, FeedbackError, VariableDomainError
+from ..exceptions import FeedbackError
 from .compiled import (
-    CountFactorBatch,
-    FactorBatch,
     StackedCountFactorBatch,
     StackedFactorBatch,
     normalize_rows,
     segment_exclusive_products,
     segment_products,
 )
-from .factors import CountFactor
-from .graph import FactorGraph
 
 __all__ = [
     "MAX_COMPILED_ARITY",
@@ -79,16 +72,13 @@ __all__ = [
     "normalize_rows",
     "segment_products",
     "segment_exclusive_products",
-    "FactorBatch",
     "StackedFactorBatch",
-    "CountFactorBatch",
     "StackedCountFactorBatch",
     "BucketPlan",
     "SweepPlan",
     "bucket_tables",
     "bucket_kernel",
     "compile_sweep_plan",
-    "lower_factor_graph",
     "make_bucket",
     "segment_plan",
 ]
@@ -117,35 +107,27 @@ class BucketPlan:
 
     Derived combined plans (built by :func:`make_bucket`):
 
-    * ``scatter_all`` — ``(arity, size)`` stack of the scatter rows, also
-      the historical ``(size, arity)`` edge-id table transposed.
+    * ``scatter_all`` — ``(arity, size)`` stack of the scatter rows.
     * ``gather_all`` — for count-space buckets, the ``(arity, arity - 1,
       size)`` all-targets gather plan feeding the fused ``messages_all``
       kernels: row ``t`` lists the non-target source rows of target ``t``
       in ascending slot order, exactly the operand order of the per-target
       ``messages_toward`` loop.
-    * ``shared_gather`` — for buckets whose operand rows are
-      target-independent (graph lowering: every slot's message row feeds
-      every other target), the per-slot pool ids gathered once per bucket
-      instead of once per target.
 
     ``incorrect_counts`` feeds the evidence-time CPT builder
     (:func:`bucket_tables`): the ``arange(arity + 1)`` count axis for
     count-space buckets, the dense ``(2,)*arity`` count tensor for short
-    dense buckets.  Graph lowerings leave it ``None`` — their kernels are
-    built from factor objects, and materialising ``(2,)**arity`` indices
-    for a long count bucket would defeat the count-space representation.
+    dense buckets.
     """
 
     arity: int
     feedback_indices: np.ndarray
     gather: Tuple[Tuple[Optional[np.ndarray], ...], ...]
     scatter: Tuple[np.ndarray, ...]
-    incorrect_counts: Optional[np.ndarray]
+    incorrect_counts: np.ndarray
     use_count_kernel: bool = False
     scatter_all: Optional[np.ndarray] = None
     gather_all: Optional[np.ndarray] = None
-    shared_gather: Optional[Tuple[np.ndarray, ...]] = None
 
     @property
     def size(self) -> int:
@@ -164,13 +146,6 @@ class BucketPlan:
             )
             out[..., self.scatter_all, :] = fresh
             return
-        if self.shared_gather is not None:
-            incoming = [pool[..., ids, :] for ids in self.shared_gather]
-            for target in range(self.arity):
-                out[..., self.scatter[target], :] = normalize_rows(
-                    kernel.messages_toward(target, incoming)
-                )
-            return
         for target in range(self.arity):
             incoming = [
                 None if ids is None else pool[..., ids, :]
@@ -183,22 +158,19 @@ class BucketPlan:
 
 @dataclass(frozen=True)
 class SweepPlan:
-    """Topology-only compilation shared by every sweep engine.
+    """Topology-only compilation of the lane engine's sweeps.
 
-    Holds everything the engines derive from the structure list (or factor
-    graph) alone — the directed owner-edge layout grouped by mapping, the
-    segment index plans behind the exclusive/inclusive products, the
-    received-cell layout, the phase-2 transmission list in rng consumption
-    order, and the arity-bucketed gather/scatter operands — so it is
-    compiled exactly once per topology and shared across attributes, EM
-    rounds and engines.
+    Holds everything the engine derives from the structure list alone —
+    the directed owner-edge layout grouped by mapping, the segment index
+    plans behind the exclusive/inclusive products, the received-cell
+    layout, the phase-2 transmission list in rng consumption order, and
+    the arity-bucketed gather/scatter operands — so it is compiled exactly
+    once per topology and shared across attributes, origins and EM rounds.
 
     ``edge_mapping[row]`` is the mapping (variable) id of each edge row and
-    ``edge_structure[row]`` its structure (factor) id.  ``segment_starts``
-    / ``segment_of_edge`` describe the per-mapping segments **in grouped
-    row order**; for structure-list lowerings the rows are built grouped
-    (``edge_order is None``), for factor-graph lowerings ``edge_order`` is
-    the stable permutation that groups the factor-major rows.
+    ``edge_structure[row]`` its structure (factor) id.  Edge rows are
+    built grouped by mapping, so ``segment_starts`` / ``segment_of_edge``
+    describe the per-mapping segments directly in row order.
     ``segment_mapping[k]`` is the mapping id owning segment ``k`` (the row
     behind each posterior snapshot).  ``tx_mapping`` carries the sender
     mapping id of each transmission (the partial round's filter).
@@ -222,7 +194,6 @@ class SweepPlan:
     tx_feedback: np.ndarray
     tx_mapping: np.ndarray
     batches: Tuple[BucketPlan, ...]
-    edge_order: Optional[np.ndarray] = None
 
     @property
     def structure_count(self) -> int:
@@ -236,27 +207,19 @@ class SweepPlan:
     #
     # A round is ``variable_sweep`` → (the engine's exchange, if any) →
     # ``factor_sweep`` over ``message_pool``.  The phases accept any leading
-    # slice axes (``(..., rows, 2)``), so the lane engine and the
-    # centralised compiled graph run the same code.
+    # slice axes (``(..., rows, 2)``): the lane engine's slices.
 
     def variable_sweep(
         self, f2v: np.ndarray, prior_edges: Optional[np.ndarray] = None
     ) -> np.ndarray:
         """Fresh µ_{v→F} rows: normalised exclusive segment products,
         optionally scaled by per-edge prior rows."""
-        order = self.edge_order
         if self.edge_count == 0:
             exclusive = f2v.copy()
-        elif order is None:
+        else:
             exclusive = segment_exclusive_products(
                 f2v, self.segment_starts, self.segment_of_edge
             )
-        else:
-            grouped = segment_exclusive_products(
-                f2v[..., order, :], self.segment_starts, self.segment_of_edge
-            )
-            exclusive = np.empty_like(grouped)
-            exclusive[..., order, :] = grouped
         if prior_edges is None:
             return normalize_rows(exclusive)
         return normalize_rows(prior_edges * exclusive)
@@ -304,12 +267,11 @@ def make_bucket(
     gather: Sequence[Sequence[Optional[np.ndarray]]],
     scatter: Sequence[np.ndarray],
     use_count_kernel: bool,
-    incorrect_counts: Optional[np.ndarray] = None,
-    shared_gather: Optional[Sequence[np.ndarray]] = None,
+    incorrect_counts: np.ndarray,
 ) -> BucketPlan:
     """Assemble a :class:`BucketPlan`, deriving the combined plans.
 
-    Compaction and both lowerings funnel through this so the
+    The lowering and compaction funnel through this so the
     ``gather_all``/``scatter_all`` derivation exists exactly once.
     """
     gather = tuple(
@@ -340,11 +302,6 @@ def make_bucket(
         use_count_kernel=use_count_kernel,
         scatter_all=np.stack(scatter, axis=0) if scatter else None,
         gather_all=gather_all,
-        shared_gather=(
-            None
-            if shared_gather is None
-            else tuple(np.asarray(ids, dtype=np.int64) for ids in shared_gather)
-        ),
     )
 
 
@@ -533,138 +490,7 @@ def compile_sweep_plan(
 
 
 # ---------------------------------------------------------------------------
-# Lowering: factor graphs (centralised engine)
-# ---------------------------------------------------------------------------
-
-
-def lower_factor_graph(
-    graph: FactorGraph,
-) -> Tuple[SweepPlan, List[FactorBatch | CountFactorBatch]]:
-    """Lower a validated :class:`FactorGraph` to a plan plus kernels.
-
-    Edges are laid out factor-major (matching the loop engine's order);
-    the returned plan records the stable variable-grouping permutation in
-    :attr:`SweepPlan.edge_order` so the segment products can run in
-    grouped space.  Kernels are built directly from the factor objects —
-    :class:`~repro.factorgraph.compiled.CountFactorBatch` for
-    count-symmetric factors (any arity), dense
-    :class:`~repro.factorgraph.compiled.FactorBatch` otherwise (capped at
-    :data:`repro.constants.MAX_COMPILED_ARITY`).
-    """
-    variables = graph.variables
-    factors = graph.factors
-    variable_names = tuple(v.name for v in variables)
-    variable_index = {name: i for i, name in enumerate(variable_names)}
-
-    edge_mapping_list: List[int] = []
-    edge_structure_list: List[int] = []
-    edge_ids: Dict[Tuple[int, int], int] = {}
-    for factor_index, factor in enumerate(factors):
-        for slot, variable in enumerate(factor.variables):
-            if variable.name not in variable_index:
-                raise VariableDomainError(
-                    f"factor {factor.name!r} references unknown variable "
-                    f"{variable.name!r}"
-                )
-            edge_ids[(factor_index, slot)] = len(edge_mapping_list)
-            edge_mapping_list.append(variable_index[variable.name])
-            edge_structure_list.append(factor_index)
-    edge_mapping = np.asarray(edge_mapping_list, dtype=np.int64)
-    edge_count = len(edge_mapping)
-
-    # Count-symmetric factors are bucketed by arity and evaluated in count
-    # space (no dense table, no arity limit); everything else is bucketed
-    # by dense table shape for the einsum kernels, which cap at
-    # MAX_COMPILED_ARITY subscript letters.  Which representation a
-    # feedback factor uses is decided at construction time
-    # (repro.core.feedback.feedback_factor switches to CountFactor at the
-    # COUNT_KERNEL_MIN_ARITY crossover).
-    by_shape: Dict[Tuple, List[int]] = {}
-    for factor_index, factor in enumerate(factors):
-        if isinstance(factor, CountFactor):
-            key: Tuple = ("count", factor.arity)
-        else:
-            if factor.arity > MAX_COMPILED_ARITY:
-                raise FactorGraphError(
-                    f"cannot compile graph {graph.name!r}: dense factor "
-                    f"{factor.name!r} has arity {factor.arity} > "
-                    f"{MAX_COMPILED_ARITY} (use the loops backend, or a "
-                    f"count-symmetric CountFactor)"
-                )
-            key = factor.table.shape
-        by_shape.setdefault(key, []).append(factor_index)
-
-    batches: List[BucketPlan] = []
-    kernels: List[FactorBatch | CountFactorBatch] = []
-    for key, factor_indices in by_shape.items():
-        bucket_factors = [factors[i] for i in factor_indices]
-        use_count_kernel = bool(key) and key[0] == "count"
-        kernel: FactorBatch | CountFactorBatch = (
-            CountFactorBatch(bucket_factors)
-            if use_count_kernel
-            else FactorBatch(bucket_factors)
-        )
-        arity = kernel.arity
-        ids = np.asarray(
-            [
-                [edge_ids[(factor_index, slot)] for slot in range(arity)]
-                for factor_index in factor_indices
-            ],
-            dtype=np.int64,
-        )
-        shared = tuple(ids[:, slot] for slot in range(arity))
-        batches.append(
-            make_bucket(
-                arity=arity,
-                feedback_indices=np.asarray(factor_indices, dtype=np.int64),
-                gather=[
-                    [
-                        None if source == target else shared[source]
-                        for source in range(arity)
-                    ]
-                    for target in range(arity)
-                ],
-                scatter=shared,
-                use_count_kernel=use_count_kernel,
-                incorrect_counts=None,
-                shared_gather=shared,
-            )
-        )
-        kernels.append(kernel)
-
-    edge_order = np.argsort(edge_mapping, kind="stable")
-    segment_starts, segment_of_edge, segment_mapping = segment_plan(
-        edge_mapping[edge_order]
-    )
-    empty = np.empty(0, dtype=np.int64)
-    plan = SweepPlan(
-        identifiers=tuple(factor.name for factor in factors),
-        structure_mappings=tuple(
-            tuple(v.name for v in factor.variables) for factor in factors
-        ),
-        owners={},
-        mapping_names=variable_names,
-        mapping_index=variable_index,
-        edge_mapping=edge_mapping,
-        edge_structure=np.asarray(edge_structure_list, dtype=np.int64),
-        segment_starts=segment_starts,
-        segment_of_edge=segment_of_edge,
-        segment_mapping=segment_mapping,
-        edge_count=edge_count,
-        recv_count=0,
-        recv_cells=(),
-        tx_src=empty,
-        tx_dest=empty.copy(),
-        tx_feedback=empty.copy(),
-        tx_mapping=empty.copy(),
-        batches=tuple(batches),
-        edge_order=edge_order,
-    )
-    return plan, kernels
-
-
-# ---------------------------------------------------------------------------
-# Evidence-time CPT builders (shared by the stacked engines)
+# Evidence-time CPT builders
 # ---------------------------------------------------------------------------
 
 
@@ -675,8 +501,7 @@ def bucket_tables(
 
     ``kinds`` holds the ``(..., size)`` kind codes of the bucket's
     structures and ``deltas`` the matching Δ values (broadcastable against
-    ``kinds`` — per lane for the stacked engine, per structure for the
-    blocked one).  Dense buckets yield ``(..., size, *(2,)*arity)`` tables
+    ``kinds``).  Dense buckets yield ``(..., size, *(2,)*arity)`` tables
     for the einsum kernels; count-space buckets yield
     ``(..., size, arity + 1)`` count-value vectors — ``P(f± | k incorrect)``
     — for the :class:`~repro.factorgraph.compiled.StackedCountFactorBatch`
@@ -684,11 +509,6 @@ def bucket_tables(
     all-ones either way, which is what masks them out of the sum–product.
     """
     counts = bucket.incorrect_counts
-    if counts is None:
-        raise FactorGraphError(
-            "bucket carries no incorrect-count axis (graph lowerings build "
-            "kernels from factor objects, not kind codes)"
-        )
     extra = (1,) * counts.ndim
     delta_full = np.broadcast_to(np.asarray(deltas, dtype=float), kinds.shape)
     delta_shaped = delta_full.reshape(delta_full.shape + extra)

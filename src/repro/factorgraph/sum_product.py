@@ -12,38 +12,29 @@ embeds into the PDMS (§3.1, §4.3).  It supports:
   lost packets;
 * per-iteration marginal history, used to plot convergence (Figure 7).
 
-Two interchangeable backends execute the rounds:
-
-* ``"loops"`` — the edge-by-edge Python reference below, and
-* ``"vectorized"`` (the default) — the compiled batched kernels of
-  :mod:`repro.factorgraph.compiled`, which run each sweep as a handful of
-  stacked ``einsum`` / segment-product operations.
-
-**Equivalence contract:** both backends apply the same Jacobi update
-schedule, consume the same random stream for message loss, and therefore
-produce the same marginals and iteration counts up to floating-point
-rounding; the parity tests pin the agreement to below ``1e-9``.  Graphs the
-compiler rejects (mixed variable cardinalities, extreme factor arities) fall
-back to the loop reference transparently.
+One engine executes the rounds: the edge-by-edge Python loops below, which
+evaluate every message with the scalar
+:meth:`~repro.factorgraph.factors.Factor.message_to`.  It is the oracle,
+not a production path: the paper's §4 equivalence is stated against
+centralised loopy BP, and the tests check the compiled lane engine of
+:mod:`repro.core.batched` against these loops.
 
 The decentralised, per-peer variant lives in :mod:`repro.core.embedded`; it
 produces the same fixed points because it exchanges exactly the same
-messages — and routes them through the same compiled kernels — only with a
-different ownership of the state.
+messages, only with a different ownership of the state.  Both stop under
+the same rule: :func:`required_quiet_rounds` consecutive rounds below
+tolerance.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..constants import (
-    BACKEND_LOOPS,
-    BACKEND_VECTORIZED,
-    DEFAULT_BACKEND,
     DEFAULT_DAMPING,
     DEFAULT_MAX_ITERATIONS,
     DEFAULT_SEED,
@@ -51,7 +42,6 @@ from ..constants import (
     DEFAULT_TOLERANCE,
 )
 from ..exceptions import ConvergenceError, FactorGraphError
-from .compiled import CompiledFactorGraph, compile_factor_graph
 from .factors import Factor
 from .graph import FactorGraph
 from .messages import MessageStore, normalize, unit_message
@@ -62,7 +52,22 @@ __all__ = [
     "SumProductResult",
     "SumProduct",
     "run_sum_product",
+    "required_quiet_rounds",
 ]
+
+
+def required_quiet_rounds(send_probability: float) -> int:
+    """Consecutive sub-tolerance rounds needed to declare convergence.
+
+    Under message loss a single quiet round may simply mean the informative
+    messages were dropped, so the count grows inversely with the transport's
+    send probability.  Shared by :meth:`SumProduct.run`, the lane engine of
+    :mod:`repro.core.batched` and the schedules so every stopping rule
+    stays in sync.
+    """
+    if send_probability >= 1.0:
+        return 1
+    return max(2, int(round(2.0 / send_probability)))
 
 
 @dataclass(frozen=True)
@@ -92,11 +97,6 @@ class SumProductOptions:
     strict:
         When true, a :class:`ConvergenceError` is raised if the run does not
         converge within ``max_iterations``.
-    backend:
-        ``"vectorized"`` (default) runs the compiled batched kernels of
-        :mod:`repro.factorgraph.compiled`; ``"loops"`` forces the
-        edge-by-edge Python reference.  Both produce identical results (see
-        the module docstring for the equivalence contract).
     """
 
     max_iterations: int = DEFAULT_MAX_ITERATIONS
@@ -106,7 +106,6 @@ class SumProductOptions:
     rng: Optional[random.Random] = None
     record_history: bool = False
     strict: bool = False
-    backend: str = DEFAULT_BACKEND
 
     def __post_init__(self) -> None:
         if self.max_iterations < 1:
@@ -117,11 +116,6 @@ class SumProductOptions:
             raise FactorGraphError("send_probability must be in (0, 1]")
         if self.tolerance <= 0:
             raise FactorGraphError("tolerance must be positive")
-        if self.backend not in (BACKEND_LOOPS, BACKEND_VECTORIZED):
-            raise FactorGraphError(
-                f"backend must be {BACKEND_LOOPS!r} or {BACKEND_VECTORIZED!r}, "
-                f"got {self.backend!r}"
-            )
 
 
 @dataclass
@@ -181,10 +175,9 @@ class SumProductResult:
 class SumProduct:
     """Runs loopy belief propagation over a :class:`FactorGraph`.
 
-    :meth:`run` dispatches to the backend selected in the options; the
-    edge-by-edge state below (:attr:`messages`, :meth:`iterate_once`,
-    :meth:`marginals`) always belongs to the loop reference and is kept for
-    introspection and as the fallback implementation.
+    The edge-by-edge state (:attr:`messages`) is advanced one synchronous
+    round at a time by :meth:`iterate_once`; :meth:`run` iterates it to
+    convergence from unit messages.
     """
 
     def __init__(self, graph: FactorGraph, options: Optional[SumProductOptions] = None) -> None:
@@ -198,11 +191,6 @@ class SumProduct:
             for variable in factor.variables
         ]
         self.messages = self._initial_messages()
-        self.compiled: Optional[CompiledFactorGraph] = None
-        if self.options.backend == BACKEND_VECTORIZED:
-            # ``None`` means the graph is not compilable (mixed cardinalities
-            # or extreme arities); run() then falls back to the loops.
-            self.compiled = compile_factor_graph(graph)
 
     def _initial_messages(self) -> MessageStore:
         return MessageStore.initialized(
@@ -294,45 +282,26 @@ class SumProduct:
 
         Under message loss a single quiet round is not proof of convergence
         (it may simply mean the informative messages were dropped), so the
-        change must stay below tolerance for a number of consecutive rounds
-        inversely proportional to the send probability.
+        change must stay below tolerance for :func:`required_quiet_rounds`
+        consecutive rounds.
 
-        Every call starts from fresh unit messages on both backends (the rng
-        stream, by contrast, is shared across calls), so repeated runs of one
-        engine behave identically regardless of the backend.
+        Every call starts from fresh unit messages (the rng stream, by
+        contrast, is shared across calls), so repeated reliable runs of one
+        engine behave identically.
         """
-        if self.compiled is not None:
-            self.compiled.reset()
-            options = self.options
-
-            def step() -> float:
-                return self.compiled.iterate_once(
-                    rng=self._rng,
-                    send_probability=options.send_probability,
-                    damping=options.damping,
-                )
-
-            snapshot = self.compiled.marginals
-        else:
-            self.messages = self._initial_messages()
-            step = self.iterate_once
-            snapshot = self.marginals
-
+        self.messages = self._initial_messages()
         history: List[Dict[str, np.ndarray]] = []
         converged = False
         change = float("inf")
         iterations = 0
-        if self.options.send_probability >= 1.0:
-            required_quiet_rounds = 1
-        else:
-            required_quiet_rounds = max(2, int(np.ceil(2.0 / self.options.send_probability)))
+        quiet_needed = required_quiet_rounds(self.options.send_probability)
         quiet_rounds = 0
         for iterations in range(1, self.options.max_iterations + 1):
-            change = step()
+            change = self.iterate_once()
             if self.options.record_history:
-                history.append(snapshot())
+                history.append(self.marginals())
             quiet_rounds = quiet_rounds + 1 if change < self.options.tolerance else 0
-            if quiet_rounds >= required_quiet_rounds:
+            if quiet_rounds >= quiet_needed:
                 converged = True
                 break
         if not converged and self.options.strict:
@@ -341,7 +310,7 @@ class SumProduct:
                 f"{self.options.max_iterations} iterations (last change {change:.3g})"
             )
         return SumProductResult(
-            marginals=snapshot(),
+            marginals=self.marginals(),
             iterations=iterations,
             converged=converged,
             final_change=change,
@@ -359,7 +328,6 @@ def run_sum_product(
     seed: Optional[int] = None,
     record_history: bool = False,
     strict: bool = False,
-    backend: str = DEFAULT_BACKEND,
 ) -> SumProductResult:
     """Convenience wrapper: build a :class:`SumProduct` engine and run it."""
     options = SumProductOptions(
@@ -370,6 +338,5 @@ def run_sum_product(
         rng=random.Random(seed) if seed is not None else None,
         record_history=record_history,
         strict=strict,
-        backend=backend,
     )
     return SumProduct(graph, options).run()

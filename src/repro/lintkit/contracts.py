@@ -54,7 +54,7 @@ __all__ = [
 #: Version of the rule set, stamped into every ``--json`` report and into
 #: the ``lintkit_version`` field of the ``BENCH_*.json`` provenance records.
 #: Bump it whenever a contract table or a rule's semantics change.
-RULESET_VERSION = "1.3.0"
+RULESET_VERSION = "1.4.0"
 
 
 # ---------------------------------------------------------------------------
@@ -211,9 +211,7 @@ KERNEL_NAMES: FrozenSet[str] = frozenset(
         "segment_products",
         "segment_exclusive_products",
         "normalize_rows",
-        "FactorBatch",
         "StackedFactorBatch",
-        "CountFactorBatch",
         "StackedCountFactorBatch",
         "MAX_COMPILED_ARITY",
     }

@@ -185,7 +185,6 @@ def test_production_path_matches_its_oracles(
             graph.graph,
             max_iterations=2000,
             tolerance=STOP_TOLERANCE,
-            backend="loops",
         )
         assert reference.converged
         for name, posterior in assessment.posteriors.items():

@@ -8,6 +8,7 @@ from repro.core.embedded import (
     EmbeddedMessagePassing,
     EmbeddedOptions,
     MessageTransport,
+    required_quiet_rounds,
 )
 from repro.core.beliefs import PriorBeliefStore
 from repro.core.pdms_factor_graph import build_factor_graph, variable_name_for
@@ -107,6 +108,30 @@ class TestEquivalenceWithCentralisedBP:
                 variable_name_for(mapping_name, "Creator")
             )
             assert posterior == pytest.approx(reference, abs=1e-3)
+
+    @pytest.mark.parametrize("send_probability", [1.0, 0.9, 0.8, 0.6, 0.5, 0.3])
+    def test_both_engines_stop_under_the_same_quiet_round_rule(
+        self, send_probability
+    ):
+        """Regression: the loops used ``ceil(2/p)`` quiet rounds while the
+        lane engine used ``round(2/p)``, so at P(send) 0.9, 0.8 and 0.6 the
+        loops ran one round longer.  At tolerance 1.0 every round is quiet,
+        so each engine stops after exactly the shared rule's count."""
+        feedbacks = intro_example_feedbacks()
+        needed = required_quiet_rounds(send_probability)
+        embedded = EmbeddedMessagePassing(
+            feedbacks,
+            priors=0.5,
+            transport=MessageTransport(send_probability, seed=0),
+            options=EmbeddedOptions(tolerance=1.0),
+        ).run()
+        graph = build_factor_graph(feedbacks, priors=0.5).graph
+        centralised = run_sum_product(
+            graph, tolerance=1.0, send_probability=send_probability, seed=0
+        )
+        assert embedded.converged and centralised.converged
+        assert embedded.iterations == needed
+        assert centralised.iterations == needed
 
     def test_tree_case_is_exact_after_two_rounds(self):
         """Single-cycle factor graphs are trees: two rounds give the exact

@@ -3,10 +3,10 @@
 Two guarantees land here:
 
 1. The kernel-surface layering invariant: engines must reach the compiled
-   kernels (``segment_products``, ``FactorBatch``, ``CountFactorBatch``,
-   ...) through :mod:`repro.factorgraph.plan` — the sanctioned re-export
-   surface of the plan IR — never directly from
-   :mod:`repro.factorgraph.compiled`.  Since PR 9 the invariant is stated
+   kernels (``segment_products``, ``StackedFactorBatch``,
+   ``StackedCountFactorBatch``, ...) through
+   :mod:`repro.factorgraph.plan` — the sanctioned re-export surface of the
+   plan IR — never directly from :mod:`repro.factorgraph.compiled`.  Since PR 9 the invariant is stated
    once in :mod:`repro.lintkit.contracts` and enforced by the
    ``layering-plan-kernels`` rule; this test asserts ``repro-lint``
    reports zero findings for it (the hand-rolled AST walk it replaces

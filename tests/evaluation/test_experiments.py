@@ -6,6 +6,7 @@ compared to the benchmark harness but check the same qualitative claims.
 
 import pytest
 
+from repro.core.embedded import EmbeddedMessagePassing
 from repro.evaluation.experiments import (
     run_assessor_amortization,
     run_baseline_comparison,
@@ -14,10 +15,12 @@ from repro.evaluation.experiments import (
     run_embedded_throughput,
     run_fault_tolerance,
     run_intro_example,
+    run_long_cycle_throughput,
     run_real_world,
     run_relative_error,
     run_schedule_comparison,
 )
+from repro.factorgraph.sum_product import SumProduct
 
 
 class TestIntroExample:
@@ -189,3 +192,73 @@ class TestAssessorAmortization:
         assert result.uncached_probe_count == result.attribute_count
         assert result.probe_amortization == result.attribute_count
         assert result.max_posterior_difference == 0.0
+
+
+class TestLongCycleThroughput:
+    def test_reports_the_rounds_each_side_ran(self, monkeypatch):
+        """Regression: the runner reported ``iterations`` rounds while both
+        timed runs stopped after 3 (a ring is a tree, so the change hits
+        exactly zero), inflating every rate by ``iterations / 3``.  Spies
+        count the rounds every timed engine actually ran."""
+        rounds_run = {}
+        converged_runs = set()
+        iterate_once = SumProduct.iterate_once
+        run = SumProduct.run
+        run_round = EmbeddedMessagePassing.run_round
+
+        def count(engine):
+            # Keyed by the engine itself, so ids are never reused.
+            rounds_run[engine] = rounds_run.get(engine, 0) + 1
+
+        def spy_iterate_once(self):
+            count(self)
+            return iterate_once(self)
+
+        def spy_run(self):
+            converged_runs.add(self)
+            return run(self)
+
+        def spy_run_round(self, mapping_names=None):
+            count(self)
+            return run_round(self, mapping_names)
+
+        monkeypatch.setattr(SumProduct, "iterate_once", spy_iterate_once)
+        monkeypatch.setattr(SumProduct, "run", spy_run)
+        monkeypatch.setattr(EmbeddedMessagePassing, "run_round", spy_run_round)
+
+        iterations, pairs = 12, 3
+        point = run_long_cycle_throughput(
+            cycle_lengths=(12,), rings=1, iterations=iterations, repeats=pairs
+        ).point_for(12)
+
+        timed_loops = [
+            calls
+            for engine, calls in rounds_run.items()
+            if isinstance(engine, SumProduct) and engine not in converged_runs
+        ]
+        timed_lanes = [
+            calls
+            for engine, calls in rounds_run.items()
+            if isinstance(engine, EmbeddedMessagePassing)
+        ]
+        assert timed_loops == [point.loop_rounds] * pairs
+        assert timed_lanes == [point.lane_rounds] * pairs
+        assert point.loop_rounds == point.lane_rounds == iterations
+        # A converged run of the same ring stops long before that, which is
+        # what the old report hid.
+        assert all(
+            rounds_run[engine] < iterations for engine in converged_runs
+        )
+        assert len(point.ratios) == pairs
+        assert point.speedup == pytest.approx(sorted(point.ratios)[1])
+        assert point.loop_messages_per_second == pytest.approx(
+            2.0 * point.edge_count * iterations / sorted(point.loop_seconds)[1]
+        )
+        assert point.lane_messages_per_second == pytest.approx(
+            2.0 * point.edge_count * iterations / sorted(point.lane_seconds)[1]
+        )
+        assert point.structure_count == 1
+        assert point.count_kernel_buckets == 1
+        assert point.dense_kernel_buckets == 0
+        assert point.batched_max_difference <= 1e-9
+        assert point.local_max_difference <= 1e-9

@@ -1,226 +1,24 @@
-"""Parity and unit tests for the compiled vectorized sum–product backend.
+"""Unit tests for the compiled kernels of the lane engine.
 
-The equivalence contract (see ``repro/factorgraph/compiled.py``) promises
-that the vectorized backend reproduces the loop reference's marginals and
-iteration counts on every compilable graph, including damped and lossy runs
-sharing a seed.  These tests pin that contract on the paper's structures and
-on randomly generated scale-free feedback graphs.
+The stacked kernels (see ``repro/factorgraph/compiled.py``) must evaluate,
+per stack element and factor, exactly the sum–product expression the
+scalar :meth:`Factor.message_to` oracle evaluates; the segment and
+normalisation kernels must treat every slice of a batched stack
+independently.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.pdms_factor_graph import build_factor_graph
-from repro.evaluation.experiments import throughput_graph
-from repro.exceptions import FactorGraphError, FactorShapeError, VariableDomainError
+from repro.exceptions import FactorGraphError, FactorShapeError
 from repro.factorgraph.compiled import (
-    CompiledFactorGraph,
-    FactorBatch,
     StackedFactorBatch,
-    compile_factor_graph,
     normalize_rows,
     segment_exclusive_products,
     segment_products,
 )
-from repro.factorgraph.factors import Factor, observation_factor, prior_factor
-from repro.factorgraph.graph import FactorGraph
-from repro.factorgraph.sum_product import SumProduct, SumProductOptions, run_sum_product
-from repro.factorgraph.variables import BinaryVariable, DiscreteVariable
-from repro.generators.paper import (
-    figure4_feedbacks,
-    intro_example_feedbacks,
-    single_cycle_feedback,
-)
-
-PARITY_TOLERANCE = 1e-9
-
-
-def assert_backends_agree(graph, **kwargs):
-    loops = run_sum_product(graph, backend="loops", **kwargs)
-    vectorized = run_sum_product(graph, backend="vectorized", **kwargs)
-    assert vectorized.iterations == loops.iterations
-    assert vectorized.converged == loops.converged
-    for name, marginal in loops.marginals.items():
-        assert np.abs(vectorized.marginals[name] - marginal).max() < PARITY_TOLERANCE
-    return loops, vectorized
-
-
-class TestBackendParity:
-    @pytest.mark.parametrize("length", [3, 4, 6, 8])
-    def test_paper_cycles(self, length):
-        graph = build_factor_graph(
-            [single_cycle_feedback(length)], priors=0.6, delta=0.1
-        ).graph
-        assert_backends_agree(graph, max_iterations=100, tolerance=1e-10)
-
-    def test_parallel_paths_and_cycles(self):
-        graph = build_factor_graph(figure4_feedbacks(), priors=0.7, delta=0.1).graph
-        assert_backends_agree(graph, max_iterations=200, tolerance=1e-10)
-
-    def test_intro_example(self):
-        graph = build_factor_graph(
-            intro_example_feedbacks(), priors=0.5, delta=0.1
-        ).graph
-        assert_backends_agree(graph)
-
-    @pytest.mark.parametrize("peer_count", [8, 16])
-    def test_random_scale_free_graphs(self, peer_count):
-        graph = throughput_graph(peer_count, ttl=3).graph
-        assert_backends_agree(graph, max_iterations=100)
-
-    def test_damping(self):
-        graph = build_factor_graph(figure4_feedbacks(), priors=0.7, delta=0.1).graph
-        assert_backends_agree(graph, max_iterations=300, damping=0.5)
-
-    @pytest.mark.parametrize("send_probability,seed", [(0.7, 3), (0.4, 11)])
-    def test_message_loss_with_shared_seed(self, send_probability, seed):
-        """With a shared seed both backends draw identical Bernoulli masks,
-        so even lossy trajectories must coincide round for round."""
-        graph = build_factor_graph(figure4_feedbacks(), priors=0.7, delta=0.1).graph
-        assert_backends_agree(
-            graph,
-            max_iterations=2000,
-            tolerance=1e-8,
-            send_probability=send_probability,
-            seed=seed,
-        )
-
-    def test_history_snapshots_match(self):
-        graph = build_factor_graph(
-            intro_example_feedbacks(), priors=0.5, delta=0.1
-        ).graph
-        loops, vectorized = assert_backends_agree(
-            graph, max_iterations=20, record_history=True
-        )
-        assert len(vectorized.history) == len(loops.history)
-        for loop_snapshot, vector_snapshot in zip(loops.history, vectorized.history):
-            for name, marginal in loop_snapshot.items():
-                assert np.abs(vector_snapshot[name] - marginal).max() < PARITY_TOLERANCE
-
-    def test_zero_messages_are_handled(self):
-        """Hard observations drive messages to (numerically) zero entries;
-        the zero-aware segment product must not divide by zero."""
-        graph = FactorGraph("zeros")
-        a = graph.add_variable(BinaryVariable("a"))
-        b = graph.add_variable(BinaryVariable("b"))
-        graph.add_factor(observation_factor(a, "correct", strength=1.0))
-        graph.add_factor(Factor("ab", (a, b), np.array([[1.0, 0.0], [0.0, 1.0]])))
-        graph.add_factor(prior_factor(b, 0.5))
-        loops, vectorized = assert_backends_agree(graph, max_iterations=50)
-        assert np.all(np.isfinite(list(vectorized.marginals.values())))
-
-    @pytest.mark.parametrize("backend", ["loops", "vectorized"])
-    def test_repeated_runs_restart_from_unit_messages(self, backend):
-        """Regression: a second run() used to resume from converged loop
-        state while the vectorized backend restarted, breaking parity."""
-        graph = build_factor_graph(
-            intro_example_feedbacks(), priors=0.5, delta=0.1
-        ).graph
-        engine = SumProduct(graph, SumProductOptions(backend=backend))
-        first = engine.run()
-        second = engine.run()
-        assert second.iterations == first.iterations
-        for name, marginal in first.marginals.items():
-            assert np.abs(second.marginals[name] - marginal).max() < PARITY_TOLERANCE
-
-    def test_isolated_variable_stays_uniform(self):
-        graph = build_factor_graph(
-            intro_example_feedbacks(), priors=0.5, delta=0.1
-        ).graph
-        graph.add_variable(BinaryVariable("isolated"))
-        _, vectorized = assert_backends_agree(graph)
-        assert vectorized.marginals["isolated"] == pytest.approx([0.5, 0.5])
-
-
-class TestFactorBatch:
-    def test_matches_scalar_message_to(self):
-        x = BinaryVariable("x")
-        y = BinaryVariable("y")
-        z = BinaryVariable("z")
-        rng = np.random.default_rng(0)
-        factors = [
-            Factor(f"f{i}", (x, y, z), rng.uniform(0.1, 1.0, size=(2, 2, 2)))
-            for i in range(4)
-        ]
-        batch = FactorBatch(factors)
-        incoming = [rng.uniform(0.1, 1.0, size=(4, 2)) for _ in range(3)]
-        for target, name in enumerate(("x", "y", "z")):
-            out = batch.messages_toward(target, incoming)
-            for row, factor in enumerate(factors):
-                scalar = factor.message_to(
-                    name,
-                    {
-                        other: incoming[slot][row]
-                        for slot, other in enumerate(("x", "y", "z"))
-                        if slot != target
-                    },
-                )
-                assert out[row] == pytest.approx(scalar, abs=1e-12)
-
-    def test_rejects_mixed_shapes(self):
-        x = BinaryVariable("x")
-        y = BinaryVariable("y")
-        unary = Factor("u", (x,), np.array([0.5, 0.5]))
-        binary = Factor("b", (x, y), np.full((2, 2), 0.25))
-        with pytest.raises(FactorGraphError):
-            FactorBatch([unary, binary])
-
-    def test_rejects_bad_incoming_shape(self):
-        x = BinaryVariable("x")
-        y = BinaryVariable("y")
-        batch = FactorBatch([Factor("b", (x, y), np.full((2, 2), 0.25))])
-        with pytest.raises(FactorShapeError):
-            batch.messages_toward(0, [None, np.ones((2, 2))])
-
-
-class TestCompilation:
-    def test_mixed_cardinalities_are_not_compilable(self):
-        graph = FactorGraph("mixed")
-        graph.add_variable(BinaryVariable("b"))
-        ternary = graph.add_variable(
-            DiscreteVariable("t", domain=("red", "green", "blue"))
-        )
-        graph.add_factor(Factor("tf", (ternary,), np.array([0.2, 0.3, 0.5])))
-        assert compile_factor_graph(graph) is None
-        with pytest.raises(FactorGraphError):
-            CompiledFactorGraph(graph)
-
-    def test_vectorized_backend_falls_back_to_loops(self):
-        graph = FactorGraph("mixed")
-        graph.add_variable(BinaryVariable("b"))
-        ternary = graph.add_variable(
-            DiscreteVariable("t", domain=("red", "green", "blue"))
-        )
-        graph.add_factor(prior_factor(graph.variable("b"), 0.8))
-        graph.add_factor(Factor("tf", (ternary,), np.array([0.2, 0.3, 0.5])))
-        engine = SumProduct(graph, SumProductOptions(backend="vectorized"))
-        assert engine.compiled is None
-        result = engine.run()
-        assert result.marginals["b"][0] == pytest.approx(0.8, abs=1e-6)
-        assert result.marginals["t"] == pytest.approx([0.2, 0.3, 0.5], abs=1e-6)
-
-    def test_unknown_variable_raises(self):
-        graph = build_factor_graph(
-            intro_example_feedbacks(), priors=0.5, delta=0.1
-        ).graph
-        compiled = CompiledFactorGraph(graph)
-        with pytest.raises(VariableDomainError):
-            compiled.marginal("no-such-variable")
-
-    def test_edge_layout_matches_loop_engine(self):
-        graph = build_factor_graph(
-            intro_example_feedbacks(), priors=0.5, delta=0.1
-        ).graph
-        compiled = CompiledFactorGraph(graph)
-        engine = SumProduct(graph, SumProductOptions(backend="loops"))
-        assert compiled.edge_count == len(engine._edges)
-        assert compiled.edge_count == graph.edge_count()
-
-    def test_pdms_factor_graph_compiled_helper(self):
-        pdms_graph = build_factor_graph(intro_example_feedbacks(), priors=0.5)
-        compiled = pdms_graph.compiled()
-        assert isinstance(compiled, CompiledFactorGraph)
-        assert compiled.cardinality == 2
+from repro.factorgraph.factors import Factor
+from repro.factorgraph.variables import BinaryVariable
 
 
 class TestNormalizeRows:
@@ -282,37 +80,30 @@ class TestBatchedSegmentKernels:
 
 
 class TestStackedFactorBatch:
-    def test_matches_factor_batch_per_slice(self):
-        """Each stack element must reproduce the single-attribute kernel."""
-        x, y, z = (BinaryVariable(n) for n in "xyz")
+    def test_matches_scalar_message_to(self):
+        """Every (stack element, factor) reproduces the scalar oracle."""
+        variables = [BinaryVariable(n) for n in "xyz"]
+        names = [variable.name for variable in variables]
         rng = np.random.default_rng(0)
         tables = rng.uniform(0.1, 1.0, size=(3, 4, 2, 2, 2))
         stacked = StackedFactorBatch(tables)
         incoming = [rng.uniform(0.1, 1.0, size=(3, 4, 2)) for _ in range(3)]
-        for target in range(3):
+        for target, name in enumerate(names):
             out = stacked.messages_toward(target, incoming)
             assert out.shape == (3, 4, 2)
             for index in range(3):
-                factors = [
-                    Factor(f"f{i}", (x, y, z), tables[index, i]) for i in range(4)
-                ]
-                reference = FactorBatch(factors).messages_toward(
-                    target, [matrix[index] for matrix in incoming]
-                )
-                assert out[index] == pytest.approx(reference, abs=1e-12)
-
-    def test_stack_selection(self):
-        """``stack=`` restricts the evaluation to a subset of stack rows."""
-        rng = np.random.default_rng(1)
-        tables = rng.uniform(0.1, 1.0, size=(4, 2, 2, 2))
-        stacked = StackedFactorBatch(tables)
-        selection = np.array([1, 3])
-        incoming = [rng.uniform(0.1, 1.0, size=(2, 2, 2)) for _ in range(2)]
-        out = stacked.messages_toward(0, incoming, stack=selection)
-        reference = StackedFactorBatch(tables[selection]).messages_toward(
-            0, incoming
-        )
-        assert out == pytest.approx(reference, abs=1e-15)
+                for row in range(4):
+                    scalar = Factor(
+                        "f", variables, tables[index, row]
+                    ).message_to(
+                        name,
+                        {
+                            other: incoming[slot][index, row]
+                            for slot, other in enumerate(names)
+                            if slot != target
+                        },
+                    )
+                    assert out[index, row] == pytest.approx(scalar, abs=1e-12)
 
     def test_rejects_flat_tables_and_bad_shapes(self):
         with pytest.raises(FactorGraphError):

@@ -1,13 +1,13 @@
-"""Count-space kernels: parity with the dense einsum and loop references.
+"""Count-space kernels: parity with the dense einsum and scalar oracles.
 
 The count-space representation (:class:`CountFactor`,
-:class:`CountFactorBatch`, :class:`StackedCountFactorBatch`) must evaluate
-exactly the sum–product expression the dense ``(2,)**arity`` table encodes —
-at every arity the dense path can still reach, the three implementations
-(count kernel, dense einsum batch, dense scalar ``Factor.message_to`` loop)
-have to agree to ``1e-12`` — while compiling structures the dense path
-cannot represent at all (arity 40+, where ``2**arity`` memory is
-impossible).
+:class:`StackedCountFactorBatch`) must evaluate exactly the sum–product
+expression the dense ``(2,)**arity`` table encodes — at every arity the
+dense path can still reach, the three implementations (stacked count
+kernel, stacked dense einsum on the dense view, scalar
+``Factor.message_to`` / ``CountFactor.message_to``) have to agree to
+``1e-12`` — while running structures the dense path cannot represent at
+all (arity 40+, where ``2**arity`` memory is impossible).
 """
 
 import numpy as np
@@ -17,15 +17,10 @@ from repro.constants import COUNT_KERNEL_MIN_ARITY, MAX_COMPILED_ARITY
 from repro.core.feedback import FeedbackKind, feedback_count_values
 from repro.exceptions import FactorGraphError, FactorShapeError
 from repro.factorgraph.compiled import (
-    CompiledFactorGraph,
-    CountFactorBatch,
-    FactorBatch,
     StackedCountFactorBatch,
-    compile_factor_graph,
+    StackedFactorBatch,
 )
-from repro.factorgraph.factors import CountFactor, Factor, prior_factor
-from repro.factorgraph.graph import FactorGraph
-from repro.factorgraph.sum_product import run_sum_product
+from repro.factorgraph.factors import CountFactor, Factor
 from repro.factorgraph.variables import BinaryVariable
 
 PARITY = 1e-12
@@ -49,8 +44,14 @@ def _messages(arity, seed=0, zero_slot=None):
     return messages / messages.sum(axis=1, keepdims=True)
 
 
+def _one_slice(rows):
+    """A ``(1, size, ...)`` one-slice stack of per-factor rows."""
+    return np.stack(rows)[None]
+
+
 class TestThreeWayParity:
-    """count kernel vs dense einsum vs dense scalar loop, ≤ 1e-12."""
+    """stacked count kernel vs stacked dense einsum vs scalar oracle,
+    ≤ 1e-12."""
 
     @pytest.mark.parametrize("arity", [3, 8])
     @pytest.mark.parametrize(
@@ -59,18 +60,20 @@ class TestThreeWayParity:
     def test_small_arities_all_targets(self, arity, kind):
         count_factor = _count_factor(arity, kind)
         dense_factor = Factor("f", count_factor.variables, count_factor.table)
-        count_batch = CountFactorBatch([count_factor, count_factor])
-        dense_batch = FactorBatch([dense_factor, dense_factor])
+        count_batch = StackedCountFactorBatch(
+            _one_slice([count_factor.count_values] * 2)
+        )
+        dense_batch = StackedFactorBatch(_one_slice([dense_factor.table] * 2))
         messages = _messages(arity, seed=arity, zero_slot=0)
         incoming = [
-            np.stack([messages[s], messages[(s + 1) % arity]])
+            _one_slice([messages[s], messages[(s + 1) % arity]])
             for s in range(arity)
         ]
         for target in range(arity):
-            from_count = count_batch.messages_toward(target, incoming)
-            from_dense = dense_batch.messages_toward(target, incoming)
+            from_count = count_batch.messages_toward(target, incoming)[0]
+            from_dense = dense_batch.messages_toward(target, incoming)[0]
             assert np.abs(from_count - from_dense).max() <= PARITY
-            # the scalar loop reference, row 0 of the batch
+            # the scalar oracle, row 0 of the batch
             scalar = dense_factor.message_to(
                 f"x{target}",
                 {
@@ -80,7 +83,7 @@ class TestThreeWayParity:
                 },
             )
             assert np.abs(from_count[0] - scalar).max() <= PARITY
-            # CountFactor.message_to is the loops-backend path for long
+            # CountFactor.message_to is the loops oracle's path for long
             # structures; it must agree with its own dense view too.
             from_count_scalar = count_factor.message_to(
                 f"x{target}",
@@ -104,10 +107,12 @@ class TestThreeWayParity:
         dense_factor = Factor("f", count_factor.variables, count_factor.table)
         from_dense_scalar = dense_factor.message_to("x0", incoming_map)
         assert np.abs(from_count - from_dense_scalar).max() <= PARITY
-        from_batch = CountFactorBatch([count_factor]).messages_toward(
-            0, [None] + [messages[s][None] for s in range(1, arity)]
+        from_batch = StackedCountFactorBatch(
+            _one_slice([count_factor.count_values])
+        ).messages_toward(
+            0, [None] + [messages[s][None, None] for s in range(1, arity)]
         )
-        assert np.abs(from_batch[0] - from_dense_scalar).max() <= PARITY
+        assert np.abs(from_batch[0, 0] - from_dense_scalar).max() <= PARITY
 
     def test_stacked_kernel_matches_per_stack_evaluation(self):
         arity = 8
@@ -134,15 +139,20 @@ class TestThreeWayParity:
         for target in range(arity):
             result = stacked.messages_toward(target, incoming)
             for element in range(2):
-                per_stack = CountFactorBatch(
-                    [
-                        CountFactor("f", _variables(arity), row)
-                        for row in tables[element]
-                    ]
-                ).messages_toward(
-                    target, [matrix[element] for matrix in incoming]
-                )
-                assert np.abs(result[element] - per_stack).max() <= PARITY
+                for row in range(2):
+                    scalar = CountFactor(
+                        "f", _variables(arity), tables[element, row]
+                    ).message_to(
+                        f"x{target}",
+                        {
+                            f"x{s}": incoming[s][element, row]
+                            for s in range(arity)
+                            if s != target
+                        },
+                    )
+                    assert (
+                        np.abs(result[element, row] - scalar).max() <= PARITY
+                    )
 
     def test_exact_zero_messages_are_safe(self):
         # The feedback CPTs contain exact zeros and so can the messages;
@@ -208,9 +218,14 @@ class TestCountFactor:
 
 class TestKernelValidation:
     def test_count_batch_requires_count_factors(self):
-        dense = prior_factor(BinaryVariable("x"), 0.5)
-        with pytest.raises(FactorGraphError, match="CountFactor"):
-            CountFactorBatch([dense])
+        # Dense (2,)*arity tables are not count-value vectors: the count
+        # kernel takes (stack, factors, arity + 1) arrays only.
+        with pytest.raises(FactorGraphError, match="count-table"):
+            StackedCountFactorBatch(np.full((1, 1, 2, 2), 0.25))
+        with pytest.raises(FactorGraphError, match="two count values"):
+            StackedCountFactorBatch(np.ones((1, 1, 1)))
+        with pytest.raises(FactorGraphError, match="non-negative"):
+            StackedCountFactorBatch(np.array([[[1.0, -0.5]]]))
 
     def test_stacked_batch_rejects_non_constant_tail(self):
         tables = np.array([[[1.0, 0.0, 0.1, 0.2, 0.1]]])
@@ -218,14 +233,14 @@ class TestKernelValidation:
             StackedCountFactorBatch(tables)
 
     def test_dense_batch_still_capped_at_the_unified_limit(self):
-        # A virtual zero-stride table fakes an arity-26 dense factor
-        # without allocating 2**26 floats; the dense kernels must reject it
+        # A virtual zero-stride table stack fakes one arity-26 dense factor
+        # without allocating 2**26 floats; the dense kernel must reject it
         # with the constant from repro.constants.
-        class _Fake:
-            table = np.broadcast_to(np.ones(1), (2,) * (MAX_COMPILED_ARITY + 1))
-
+        tables = np.broadcast_to(
+            np.ones(1), (1, 1) + (2,) * (MAX_COMPILED_ARITY + 1)
+        )
         with pytest.raises(FactorGraphError, match=str(MAX_COMPILED_ARITY)):
-            FactorBatch([_Fake()])
+            StackedFactorBatch(tables)
 
     def test_arity_limit_is_unified(self):
         import repro.constants as constants
@@ -235,55 +250,3 @@ class TestKernelValidation:
         assert compiled._EINSUM_LETTERS == "abcdefghijklmnopqrstuvwxy"
         assert len(compiled._EINSUM_LETTERS) == constants.MAX_COMPILED_ARITY
         assert 2 <= constants.COUNT_KERNEL_MIN_ARITY <= constants.MAX_COMPILED_ARITY
-
-
-class TestCompiledGraphRouting:
-    def _long_cycle_graph(self, arity, kind=FeedbackKind.NEGATIVE):
-        graph = FactorGraph(name=f"long-{arity}")
-        variables = _variables(arity)
-        for variable in variables:
-            graph.add_variable(variable)
-            graph.add_factor(prior_factor(variable, 0.6))
-        graph.add_factor(
-            CountFactor(
-                "cycle", variables, feedback_count_values(kind, 0.1, arity)
-            )
-        )
-        return graph
-
-    def test_arity_40_graph_compiles_onto_the_count_kernel(self):
-        graph = self._long_cycle_graph(40)
-        compiled_graph = compile_factor_graph(graph)
-        assert compiled_graph is not None
-        kinds = {
-            type(batch).__name__ for batch, _ in compiled_graph.batches
-        }
-        assert "CountFactorBatch" in kinds
-
-    def test_vectorized_matches_loops_at_arity_40(self):
-        graph = self._long_cycle_graph(40)
-        loops = run_sum_product(graph, backend="loops", record_history=True)
-        vectorized = run_sum_product(
-            graph, backend="vectorized", record_history=True
-        )
-        assert loops.iterations == vectorized.iterations
-        worst = max(
-            float(np.abs(loops.marginals[n] - vectorized.marginals[n]).max())
-            for n in loops.marginals
-        )
-        assert worst <= 1e-9
-
-    def test_small_count_factors_also_route_through_count_buckets(self):
-        # Representation decides the kernel: a hand-built small CountFactor
-        # uses the count bucket even below the feedback-factory crossover.
-        graph = self._long_cycle_graph(4)
-        compiled_graph = CompiledFactorGraph(graph)
-        kinds = {type(batch).__name__ for batch, _ in compiled_graph.batches}
-        assert "CountFactorBatch" in kinds
-        loops = run_sum_product(graph, backend="loops")
-        vectorized = run_sum_product(graph, backend="vectorized")
-        worst = max(
-            float(np.abs(loops.marginals[n] - vectorized.marginals[n]).max())
-            for n in loops.marginals
-        )
-        assert worst <= 1e-9

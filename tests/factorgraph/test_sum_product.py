@@ -6,7 +6,7 @@ import pytest
 from repro import constants
 from repro.exceptions import ConvergenceError, FactorGraphError
 from repro.factorgraph.exact import exact_marginals
-from repro.factorgraph.factors import Factor, prior_factor
+from repro.factorgraph.factors import Factor, observation_factor, prior_factor
 from repro.factorgraph.graph import FactorGraph
 from repro.factorgraph.sum_product import (
     SumProduct,
@@ -109,7 +109,60 @@ class TestLoopyBehaviour:
             run_sum_product(loopy_graph(), max_iterations=1, strict=True)
 
 
+class TestRunContract:
+    def test_repeated_runs_restart_from_unit_messages(self):
+        """Regression: a second run() used to resume from the converged
+        message state of the first."""
+        engine = SumProduct(loopy_graph(), SumProductOptions(max_iterations=200))
+        first = engine.run()
+        second = engine.run()
+        assert second.iterations == first.iterations
+        assert second.final_change == first.final_change
+        for name, marginal in first.marginals.items():
+            assert np.array_equal(second.marginals[name], marginal)
+
+    def test_factor_tables_with_exact_zeros(self):
+        """Hard zeros in a factor table drive messages to exact zero
+        entries; every belief must stay finite and match exact inference."""
+        graph = FactorGraph("zeros")
+        a = graph.add_variable(BinaryVariable("a"))
+        b = graph.add_variable(BinaryVariable("b"))
+        graph.add_factor(observation_factor(a, CORRECT, strength=1.0))
+        graph.add_factor(Factor("ab", (a, b), np.array([[1.0, 0.0], [0.0, 1.0]])))
+        graph.add_factor(prior_factor(b, 0.5))
+        result = run_sum_product(graph, max_iterations=50)
+        assert result.converged
+        assert np.all(np.isfinite(list(result.marginals.values())))
+        exact = exact_marginals(graph)
+        for name, marginal in exact.items():
+            assert result.marginals[name] == pytest.approx(marginal, abs=1e-9)
+        assert result.probability_correct("b") == pytest.approx(1.0, abs=1e-6)
+
+
 class TestMessageLoss:
+    @pytest.mark.parametrize("send_probability,seed", [(0.7, 3), (0.4, 11)])
+    def test_shared_seed_replays_lossy_runs(self, send_probability, seed):
+        """A shared seed replays the same Bernoulli keep/send decisions, so
+        lossy trajectories coincide round for round."""
+        options = dict(
+            max_iterations=2000,
+            tolerance=1e-8,
+            send_probability=send_probability,
+            record_history=True,
+        )
+        first = run_sum_product(loopy_graph(), seed=seed, **options)
+        second = run_sum_product(loopy_graph(), seed=seed, **options)
+        other = run_sum_product(loopy_graph(), seed=seed + 1, **options)
+        assert first.converged
+        assert second.iterations == first.iterations
+        assert second.final_change == first.final_change
+        for snapshot, replayed in zip(first.history, second.history):
+            for name, marginal in snapshot.items():
+                assert np.array_equal(replayed[name], marginal)
+        assert [h["a"][0] for h in other.history] != [
+            h["a"][0] for h in first.history
+        ]
+
     def test_lossy_run_still_converges_to_same_beliefs(self):
         graph = loopy_graph()
         reliable = run_sum_product(graph, max_iterations=300)
@@ -197,7 +250,6 @@ class TestSharedDefaults:
         assert options.tolerance == constants.DEFAULT_TOLERANCE
         assert options.damping == constants.DEFAULT_DAMPING
         assert options.send_probability == constants.DEFAULT_SEND_PROBABILITY
-        assert options.backend == constants.DEFAULT_BACKEND
 
     def test_embedded_defaults_match_sum_product_defaults(self):
         """Regression: the two engines used to disagree (1e-6 vs 1e-4)."""
@@ -231,5 +283,9 @@ class TestSharedDefaults:
         assert draws == redraws
 
     def test_invalid_backend_rejected(self):
-        with pytest.raises(FactorGraphError):
-            SumProductOptions(backend="gpu")
+        """The loops are the only engine: there is no backend knob left."""
+        with pytest.raises(TypeError):
+            SumProductOptions(backend="loops")
+        with pytest.raises(TypeError):
+            run_sum_product(single_variable_graph(), backend="loops")
+        assert not hasattr(constants, "DEFAULT_BACKEND")

@@ -58,10 +58,23 @@ class TestCommands:
         assert "chatty-web" in output
 
     def test_throughput_command(self, capsys):
+        # Without --mode the throughput command times the lane engine.
         assert main(["throughput", "--sizes", "8", "--repeats", "1"]) == 0
         output = capsys.readouterr().out
-        assert "vectorized msg/s" in output
-        assert "speedup" in output
+        assert "Embedded throughput" in output
+        assert "rounds/s" in output
+        assert "messages/s" in output
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["throughput", "--mode", "sum-product"],
+            ["throughput", "--max-iterations", "5"],
+        ],
+    )
+    def test_removed_throughput_options_rejected(self, argv):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
 
     def test_embedded_throughput_command(self, capsys):
         assert main(
