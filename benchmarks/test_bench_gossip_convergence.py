@@ -1,12 +1,15 @@
 """Gossip convergence — the event-sourced multi-node harness vs its oracle.
 
-PR 10 put every consumer of topology state behind one typed event log and
-added the causally-delivered gossip harness on top.  This benchmark runs
-the 32-peer corrupted chord-ring workload — every peer originates its own
-``PeerAdded`` and its outgoing ``MappingAdded`` events, a quarter of the
-correspondences scripted-corrupted — through a seeded transport that
-drops, duplicates and reorders, and measures the replication cost:
-rounds to convergence and deliveries applied per second across all 32
+Every consumer of topology state reads one typed event log, and the
+causally-delivered gossip harness replicates that log between peers by
+push-pull anti-entropy: each round a node exchanges vector-clock digests
+with its partners and ships only the journal delta a partner misses.
+This benchmark runs the 32-peer corrupted chord-ring workload — every
+peer originates its own ``PeerAdded`` and its outgoing ``MappingAdded``
+events, a quarter of the correspondences scripted-corrupted — through a
+seeded transport that drops, duplicates and reorders every leg, digests
+included, and measures the replication cost: rounds to convergence,
+messages sent and deliveries applied per second across all 32
 event-sourced replicas.  It doubles as a regression tripwire:
 
 * every node's decentralised ``assess_local`` view must equal the
@@ -15,7 +18,9 @@ event-sourced replicas.  It doubles as a regression tripwire:
 * convergence must land within a fixed round budget despite 5% loss and
   5% duplication (catches anti-entropy regressions);
 * the replicas must sustain a minimum delivery rate (catches accidental
-  quadratic cost in the journal's causal-delivery path).
+  quadratic cost in the journal's causal-delivery path);
+* at least a floor share of the messages sent must turn into deliveries
+  (catches a return to shipping whole logs).
 """
 
 import os
@@ -32,16 +37,22 @@ FANOUT = 3
 DROP_PROBABILITY = 0.05
 DUPLICATE_PROBABILITY = 0.05
 
-#: A fanout-3 push over 32 peers spreads an entry in O(log n) rounds;
-#: with 5% loss the anti-entropy re-push closes the gap within a few
-#: more.  Measured 5+6 rounds on the baseline machine; the ceiling
-#: leaves room for unlucky seeds without hiding real regressions.
+#: A fanout-3 push-pull over 32 peers spreads an entry in O(log n)
+#: rounds; a leg lost to the 5% loss is retried by the next round's
+#: fresh partners, which exchange digests again.  Measured 4+3 rounds;
+#: the ceiling leaves room for unlucky seeds without hiding real
+#: regressions.
 MAX_TOTAL_ROUNDS = 40
 
 #: Deliveries applied across all replicas per gossip second (measured
-#: ~24k/s on the baseline machine; an order of magnitude of headroom for
-#: slow CI runners).
+#: ~78k/s with push-pull on a 2-core host; an order of magnitude of
+#: headroom for slow CI runners).
 MIN_DELIVERIES_PER_SECOND = 2_000
+
+#: Deliveries applied per message sent, digests included.  Push-pull
+#: measured 0.32 at 32 peers; re-pushing every node's whole log each
+#: round read 0.060 (38,064 messages for 2,272 deliveries).
+MIN_USEFUL_RATIO = 0.2
 
 
 def test_bench_gossip_convergence(benchmark, report, report_json):
@@ -72,7 +83,10 @@ def test_bench_gossip_convergence(benchmark, report, report_json):
             "rounds",
             "buffered",
             "dups dropped",
+            "msgs sent",
             "msgs lost",
+            "msgs/event",
+            "useful",
             "deliveries/s",
             "oracle parity",
         ),
@@ -84,7 +98,10 @@ def test_bench_gossip_convergence(benchmark, report, report_json):
                 f"{point.peer_rounds}+{point.mapping_rounds}",
                 point.deliveries_buffered,
                 point.duplicates_dropped,
+                point.messages_sent,
                 point.messages_dropped,
+                f"{point.messages_per_event:.1f}",
+                f"{point.useful_ratio:.3f}",
                 f"{point.events_per_second:,.0f}",
                 "exact" if point.views_identical else "DIVERGED",
             )
@@ -115,6 +132,8 @@ def test_bench_gossip_convergence(benchmark, report, report_json):
             "messages_sent": point.messages_sent,
             "messages_dropped": point.messages_dropped,
             "messages_duplicated": point.messages_duplicated,
+            "messages_per_event": point.messages_per_event,
+            "useful_ratio": point.useful_ratio,
             "fanout": point.fanout,
             "drop_probability": point.drop_probability,
             "duplicate_probability": point.duplicate_probability,
@@ -134,7 +153,7 @@ def test_bench_gossip_convergence(benchmark, report, report_json):
     assert point.corrupted_correspondences > 0
     assert point.messages_dropped > 0, (
         "the transport dropped nothing — the loss schedule is not "
-        "exercising the anti-entropy re-push"
+        "exercising the anti-entropy retry"
     )
     assert point.duplicates_dropped > 0
     assert point.total_rounds <= MAX_TOTAL_ROUNDS, (
@@ -144,4 +163,9 @@ def test_bench_gossip_convergence(benchmark, report, report_json):
     assert point.events_per_second >= MIN_DELIVERIES_PER_SECOND, (
         f"replicas applied only {point.events_per_second:,.0f} "
         f"deliveries/s (floor {MIN_DELIVERIES_PER_SECOND:,})"
+    )
+    assert point.useful_ratio >= MIN_USEFUL_RATIO, (
+        f"only {point.useful_ratio:.3f} deliveries per message sent "
+        f"({point.deliveries_applied:,} for {point.messages_sent:,}; "
+        f"floor {MIN_USEFUL_RATIO})"
     )

@@ -32,6 +32,7 @@ from .factorgraph import (
 from .schema import Attribute, AttributeType, DataModel, InstanceStore, Record, Schema, SchemaRegistry
 from .mapping import Correspondence, Mapping, compose, round_trip_outcome
 from .pdms import (
+    ClockDigest,
     GossipJournal,
     JournalEntry,
     MappingAdded,
@@ -114,6 +115,7 @@ __all__ = [
     "MappingAdded",
     "MappingRemoved",
     "JournalEntry",
+    "ClockDigest",
     "GossipJournal",
     "GossipHarness",
     "PeerNode",

@@ -149,8 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     throughput.add_argument(
         "--fanout", type=int, default=None,
-        help="gossip mode only: partners each node pushes its journal to "
-        "per round (default 3)",
+        help="gossip mode only: partners each node exchanges clock "
+        "digests and journal deltas with per round (default 3)",
     )
     throughput.add_argument(
         "--drop-probability", type=float, default=None,
@@ -432,7 +432,9 @@ def _render_gossip_convergence(args: argparse.Namespace) -> str:
             f"{point.peer_rounds}+{point.mapping_rounds}",
             point.deliveries_buffered,
             point.duplicates_dropped,
+            point.messages_sent,
             point.messages_dropped,
+            f"{point.useful_ratio:.3f}",
             f"{point.events_per_second:,.0f}",
             "exact" if point.views_identical else "DIVERGED",
         )
@@ -446,7 +448,9 @@ def _render_gossip_convergence(args: argparse.Namespace) -> str:
             "rounds",
             "buffered",
             "dups dropped",
+            "msgs sent",
             "msgs lost",
+            "useful",
             "deliveries/s",
             "oracle parity",
         ),

@@ -1804,7 +1804,8 @@ class GossipConvergencePoint:
     #: total deliveries applied across all replicas in that time.
     gossip_seconds: float
     deliveries_applied: int
-    #: Journal accounting summed over all nodes, and transport accounting.
+    #: Journal accounting summed over all nodes, and transport accounting
+    #: (every push-pull leg counts: digests as well as journal entries).
     duplicates_dropped: int
     deliveries_buffered: int
     messages_sent: int
@@ -1830,6 +1831,16 @@ class GossipConvergencePoint:
         if self.gossip_seconds <= 0.0:
             return float("inf")
         return self.deliveries_applied / self.gossip_seconds
+
+    @property
+    def useful_ratio(self) -> float:
+        """Deliveries applied per message sent (digests and entries)."""
+        return self.deliveries_applied / self.messages_sent
+
+    @property
+    def messages_per_event(self) -> float:
+        """Messages sent per distinct event replicated to every node."""
+        return self.messages_sent / self.event_count
 
 
 @dataclass(frozen=True)

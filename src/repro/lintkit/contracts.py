@@ -54,7 +54,7 @@ __all__ = [
 #: Version of the rule set, stamped into every ``--json`` report and into
 #: the ``lintkit_version`` field of the ``BENCH_*.json`` provenance records.
 #: Bump it whenever a contract table or a rule's semantics change.
-RULESET_VERSION = "1.4.0"
+RULESET_VERSION = "1.5.0"
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +350,8 @@ PROCESS_CONSTRUCTORS: FrozenSet[str] = frozenset(
 #: immutable and explicitly picklable, like ``TopologySnapshot``.  A repo
 #: class constructed inline at a process submission site must be
 #: registered here.  The topology
-#: event records, the vector clock and the journal entry are the wire
-#: vocabulary of the gossip substrate (:mod:`repro.pdms.events` /
+#: event records, the vector clock, the journal entry and the clock digest
+#: are the wire vocabulary of the gossip substrate (:mod:`repro.pdms.events` /
 #: :mod:`repro.pdms.clock`): frozen dataclasses a future socket runtime
 #: ships between peer processes.
 PICKLABLE_BOUNDARY: FrozenSet[str] = frozenset(
@@ -366,6 +366,7 @@ PICKLABLE_BOUNDARY: FrozenSet[str] = frozenset(
         "MappingRemoved",
         "VectorClock",
         "JournalEntry",
+        "ClockDigest",
     }
 )
 

@@ -12,6 +12,7 @@ from .peer import Peer
 from .network import PDMSNetwork
 from .clock import VectorClock
 from .events import (
+    ClockDigest,
     GossipJournal,
     JournalEntry,
     MappingAdded,
@@ -58,6 +59,7 @@ __all__ = [
     "MappingAdded",
     "MappingRemoved",
     "JournalEntry",
+    "ClockDigest",
     "GossipJournal",
     "Operation",
     "OperationKind",

@@ -11,7 +11,10 @@ clock has never seen simply counts as zero.
 :class:`VectorClock` is immutable (every operation returns a new clock),
 picklable, and canonical: entries are stored sorted by peer name with
 zero counters elided, so equal clocks compare and hash equal regardless
-of construction order.  :meth:`VectorClock.total` is the Lamport-style
+of construction order.  Reads are O(1): each clock keeps a lookup dict
+and its total beside the canonical entries, derived once at
+construction and rebuilt (never shipped) on unpickling.
+:meth:`VectorClock.total` is the Lamport-style
 linearisation both the gossip journal and the multi-node harness use to
 impose one deterministic total order on causally-concurrent events
 (``a`` causally precedes ``b`` implies ``a.total() < b.total()``).
@@ -19,7 +22,7 @@ impose one deterministic total order on causally-concurrent events
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, Mapping, Tuple, Union
 
 from ..exceptions import PDMSError
@@ -41,6 +44,8 @@ class VectorClock:
     """
 
     entries: Tuple[Tuple[str, int], ...] = ()
+    _counts: Dict[str, int] = field(init=False, repr=False, compare=False)
+    _total: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         names = [name for name, _ in self.entries]
@@ -56,6 +61,14 @@ class VectorClock:
                     f"vector clock counters must be positive, got "
                     f"{counter} for {name!r}"
                 )
+        counts = dict(self.entries)
+        object.__setattr__(self, "_counts", counts)
+        object.__setattr__(self, "_total", sum(counts.values()))
+
+    def __reduce__(self):
+        # Ship the canonical entries only; the receiver re-validates them
+        # and rebuilds the lookup dict and total.
+        return (VectorClock, (self.entries,))
 
     @classmethod
     def of(
@@ -74,14 +87,11 @@ class VectorClock:
 
     def counter(self, peer: str) -> int:
         """The counter for ``peer`` (0 when the clock has never seen it)."""
-        for name, counter in self.entries:
-            if name == peer:
-                return counter
-        return 0
+        return self._counts.get(peer, 0)
 
     def as_dict(self) -> Dict[str, int]:
         """The clock as a plain ``{peer: counter}`` dict."""
-        return dict(self.entries)
+        return dict(self._counts)
 
     @property
     def peer_names(self) -> Tuple[str, ...]:
@@ -92,7 +102,7 @@ class VectorClock:
         """Sum of all counters — a strictly monotone linear extension of
         the causal (dominance) order, used to break ties deterministically
         when concurrent events must be sequenced."""
-        return sum(counter for _, counter in self.entries)
+        return self._total
 
     # -- algebra -------------------------------------------------------------------
 
@@ -100,13 +110,13 @@ class VectorClock:
         """A new clock with ``peer``'s counter bumped by one."""
         if not peer:
             raise PDMSError("cannot increment a vector clock for peer ''")
-        counts = dict(self.entries)
+        counts = dict(self._counts)
         counts[peer] = counts.get(peer, 0) + 1
         return VectorClock.of(counts)
 
     def merge(self, other: "VectorClock") -> "VectorClock":
         """The component-wise maximum of the two clocks."""
-        counts = dict(self.entries)
+        counts = dict(self._counts)
         for name, counter in other.entries:
             if counter > counts.get(name, 0):
                 counts[name] = counter
@@ -118,9 +128,9 @@ class VectorClock:
         Reflexive: a clock dominates itself.  ``a.dominates(b)`` and
         ``a != b`` is the strict "``b`` happened before ``a``" relation.
         """
-        counts = dict(self.entries)
         return all(
-            counter <= counts.get(name, 0) for name, counter in other.entries
+            counter <= self._counts.get(name, 0)
+            for name, counter in other.entries
         )
 
     def concurrent_with(self, other: "VectorClock") -> bool:

@@ -24,12 +24,16 @@ until their causal predecessors arrive, drops duplicates, and exposes a
 canonical total order (:meth:`GossipJournal.canonical_entries`) every
 replica agrees on — the property the multi-node harness in
 :mod:`repro.pdms.gossip` relies on for bit-identical convergence.
+Replicas reconcile by push-pull anti-entropy: a :class:`ClockDigest`
+carries a journal's delivered clock, and
+:meth:`GossipJournal.delta_for` answers it with exactly the entries the
+digest's sender still misses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, ClassVar, Dict, List, Tuple
+from typing import TYPE_CHECKING, ClassVar, Dict, List, Optional, Tuple
 
 from ..exceptions import PDMSError
 from ..mapping.mapping import Mapping
@@ -48,6 +52,7 @@ __all__ = [
     "MappingRemoved",
     "apply",
     "JournalEntry",
+    "ClockDigest",
     "GossipJournal",
 ]
 
@@ -203,6 +208,22 @@ class JournalEntry:
         return (self.clock.total(), self.origin, self.seq)
 
 
+@dataclass(frozen=True)
+class ClockDigest:
+    """A replica's delivered clock as it crosses the gossip wire.
+
+    ``sender`` names the replica and ``clock`` is its journal's merged
+    clock.  Causal delivery makes a journal's delivered set exactly the
+    per-origin prefixes the clock counts, so the digest summarises the
+    whole set in O(origins): the receiver answers it with
+    :meth:`GossipJournal.delta_for` — the entries the sender still
+    misses — instead of its full log.
+    """
+
+    sender: str
+    clock: VectorClock
+
+
 class GossipJournal:
     """Per-peer causal log of topology events.
 
@@ -219,7 +240,9 @@ class GossipJournal:
     An entry ``e`` from origin ``o`` is deliverable when ``e.seq`` is the
     next sequence number expected from ``o`` **and** every other
     component of ``e.clock`` is already covered by the delivered clock —
-    the standard vector-clock causal-delivery predicate.
+    the standard vector-clock causal-delivery predicate.  The delivered
+    set is therefore a seq-ordered prefix per origin, which the journal
+    indexes so :meth:`delta_for` costs O(origins + |delta|).
 
     :meth:`canonical_entries` returns the delivered entries in the
     deterministic total order of :meth:`JournalEntry.sort_key`; two
@@ -232,9 +255,13 @@ class GossipJournal:
         if not owner:
             raise PDMSError("journal owner must be a non-empty peer name")
         self.owner = owner
-        self._clock = VectorClock()
-        self._delivered: Dict[Tuple[str, int], JournalEntry] = {}
+        #: The merged clock of everything delivered, as ``{origin: seq}``;
+        #: ``_clock`` is its immutable view, rebuilt lazily after growth.
+        self._counts: Dict[str, int] = {}
+        self._clock: Optional[VectorClock] = VectorClock()
         self._order: List[JournalEntry] = []
+        #: Delivered entries per origin; index ``i`` holds seq ``i + 1``.
+        self._by_origin: Dict[str, List[JournalEntry]] = {}
         self._buffer: Dict[Tuple[str, int], JournalEntry] = {}
         #: Wire accounting: duplicates dropped and deliveries that had to
         #: wait in the out-of-order buffer before their turn came.
@@ -246,11 +273,18 @@ class GossipJournal:
     @property
     def clock(self) -> VectorClock:
         """The merged clock of everything delivered so far."""
+        if self._clock is None:
+            self._clock = VectorClock.of(self._counts)
         return self._clock
 
     def entries(self) -> Tuple[JournalEntry, ...]:
         """Delivered entries in local delivery order."""
         return tuple(self._order)
+
+    def entries_since(self, count: int) -> Tuple[JournalEntry, ...]:
+        """The entries delivered after the first ``count``, in delivery
+        order — what a consumer that has seen ``count`` entries lacks."""
+        return tuple(self._order[count:])
 
     def canonical_entries(self) -> Tuple[JournalEntry, ...]:
         """Delivered entries in the replica-independent total order."""
@@ -261,32 +295,40 @@ class GossipJournal:
         ``PDMSNetwork.from_events`` should replay."""
         return tuple(entry.event for entry in self.canonical_entries())
 
-    def delivered_keys(self) -> frozenset:
-        """The ``(origin, seq)`` identities delivered so far."""
-        return frozenset(self._delivered)
-
     @property
     def pending_count(self) -> int:
         """Entries buffered awaiting causal predecessors."""
         return len(self._buffer)
 
     def knows(self, entry: JournalEntry) -> bool:
-        return entry.key in self._delivered
+        return entry.seq <= self._counts.get(entry.origin, 0)
 
     def delta_for(self, known: VectorClock) -> Tuple[JournalEntry, ...]:
-        """Delivered entries a replica at clock ``known`` still misses,
-        in local delivery order (a causally-safe transmission order)."""
-        return tuple(
-            entry
-            for entry in self._order
-            if entry.seq > known.counter(entry.origin)
-        )
+        """Delivered entries a replica at clock ``known`` still misses.
+
+        The answer to a :class:`ClockDigest`: per origin, the suffix of
+        the seq-ordered index past ``known``'s counter, so the cost is
+        O(origins + |delta|) (plus sorting the delta) and the
+        steady-state answer, when ``known`` covers this journal's clock,
+        is ``()``.  Entries come in canonical :meth:`JournalEntry.sort_key`
+        order, which extends causality and so is a causally-safe
+        transmission order.
+        """
+        if known == self.clock:
+            return ()
+        delta: List[JournalEntry] = []
+        for origin, seq in self._counts.items():
+            have = known.counter(origin)
+            if have < seq:
+                delta.extend(self._by_origin[origin][have:])
+        delta.sort(key=JournalEntry.sort_key)
+        return tuple(delta)
 
     # -- writes --------------------------------------------------------------------
 
     def append(self, event: TopologyEvent) -> JournalEntry:
         """Stamp and deliver a locally-originated event."""
-        clock = self._clock.increment(self.owner)
+        clock = self.clock.increment(self.owner)
         entry = JournalEntry(
             origin=self.owner,
             seq=clock.counter(self.owner),
@@ -303,7 +345,7 @@ class GossipJournal:
         arrival unlocked, in delivery order: empty for duplicates and for
         entries parked in the out-of-order buffer.
         """
-        if entry.key in self._delivered or entry.key in self._buffer:
+        if self.knows(entry) or entry.key in self._buffer:
             self.duplicates_dropped += 1
             return ()
         if not self._deliverable(entry):
@@ -328,15 +370,19 @@ class GossipJournal:
     # -- internals -----------------------------------------------------------------
 
     def _deliverable(self, entry: JournalEntry) -> bool:
-        if entry.seq != self._clock.counter(entry.origin) + 1:
+        counts = self._counts
+        if entry.seq != counts.get(entry.origin, 0) + 1:
             return False
         return all(
-            counter <= self._clock.counter(name)
+            counter <= counts.get(name, 0)
             for name, counter in entry.clock.entries
             if name != entry.origin
         )
 
     def _deliver(self, entry: JournalEntry) -> None:
-        self._delivered[entry.key] = entry
         self._order.append(entry)
-        self._clock = self._clock.merge(entry.clock)
+        self._by_origin.setdefault(entry.origin, []).append(entry)
+        # Deliverable means every other component of the entry's clock is
+        # already covered, so merging it only advances its origin.
+        self._counts[entry.origin] = entry.seq
+        self._clock = None

@@ -5,18 +5,20 @@ quality from *its own* local view while topology knowledge spreads
 epidemically.  This module is that model in one process: every
 :class:`PeerNode` owns a :class:`~repro.pdms.events.GossipJournal`
 (causal delivery over dynamic vector clocks), an event-sourced replica of
-the network rebuilt with ``PDMSNetwork.from_events``, and a
+the network grown in the journal's canonical order, and a
 :class:`~repro.core.quality.MappingQualityAssessor` whose
 lane engine computes the peer's §4.5 ``assess_local`` view over that
-replica.  Journal entries travel through a
-:class:`SeededTransport` that deterministically reorders, duplicates and
-drops messages.
+replica.  Nodes reconcile by push-pull anti-entropy on
+:class:`~repro.pdms.events.ClockDigest` digests, and every digest and
+journal entry travels through a :class:`SeededTransport` that
+deterministically reorders, duplicates and drops messages.
 
 Convergence is *bit-identical* by construction: the journal delivers
 causally and exposes one canonical total order every replica agrees on
 (Lamport sum, then origin, then sequence), so once all nodes hold the
-same entry set, each rebuilds the exact same network — same peer and
-mapping insertion order, same version — and the deterministic assessor
+same entry set, each holds the exact same network — same peer and
+mapping insertion order, same version — as
+``PDMSNetwork.from_events`` of that order, and the deterministic assessor
 produces the exact same floats as the single-process oracle built from
 the same events (:meth:`GossipHarness.oracle_network`).
 
@@ -27,12 +29,18 @@ substrate the ROADMAP's "peers as processes" socket runtime plugs into.
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..constants import DEFAULT_SEED
 from ..core.quality import MappingQualityAssessor
 from ..exceptions import PDMSError, UnknownPeerError
-from .events import GossipJournal, JournalEntry, TopologyEvent
+from .events import (
+    ClockDigest,
+    GossipJournal,
+    JournalEntry,
+    TopologyEvent,
+    apply,
+)
 from .network import PDMSNetwork
 
 __all__ = ["PeerNode", "SeededTransport", "GossipHarness"]
@@ -61,8 +69,12 @@ class PeerNode:
         self.name = name
         self.journal = GossipJournal(name)
         self._assessor_kwargs = dict(assessor_kwargs)
-        self._replica: Optional[PDMSNetwork] = None
-        self._replica_entry_count = -1
+        self._replica = PDMSNetwork(name=f"{name}-view")
+        #: Journal entries (a delivery-order prefix) the replica holds, and
+        #: the largest sort key among them.  ``(0, "", 0)`` sorts below
+        #: every stamped entry: a stamp's clock total is at least 1.
+        self._applied = 0
+        self._tip: Tuple[int, str, int] = (0, "", 0)
         self._assessor: Optional[MappingQualityAssessor] = None
 
     # -- replication ---------------------------------------------------------------
@@ -75,24 +87,43 @@ class PeerNode:
         """Accept one wire entry; return the deliveries it unlocked."""
         return self.journal.receive(entry)
 
+    def digest(self) -> ClockDigest:
+        """This node's delivered clock, to ship as a push-pull digest."""
+        return ClockDigest(sender=self.name, clock=self.journal.clock)
+
     # -- the local view ------------------------------------------------------------
 
     def local_network(self) -> PDMSNetwork:
-        """This node's replica, rebuilt from the canonical event order.
+        """This node's replica: the journal's canonical event order, applied.
 
-        Replicas are *event-sourced*: whenever the delivered set grew,
-        the network is re-derived from scratch in the journal's canonical
-        total order — so two nodes holding the same entries hold
-        byte-for-byte interchangeable networks no matter how differently
-        the transport interleaved their deliveries.
+        Replicas are *event-sourced* and always equal
+        ``PDMSNetwork.from_events(journal.canonical_events())`` — peers,
+        mapping order, per-peer outgoing order and ``version`` — so two
+        nodes holding the same entries hold interchangeable networks no
+        matter how differently the transport interleaved their
+        deliveries.  Entries delivered since the last call are sorted
+        canonically; when they all sort after the last applied one they
+        extend the canonical order and are applied to the replica in
+        place through :func:`~repro.pdms.events.apply`.  A concurrent
+        entry that sorts before an applied one changes the order below
+        the tip, and the replica is replayed from the whole journal.
+        Either way the assessor is dropped, so its caches start cold.
         """
-        delivered = len(self.journal.entries())
-        if self._replica is None or self._replica_entry_count != delivered:
+        fresh = sorted(
+            self.journal.entries_since(self._applied), key=JournalEntry.sort_key
+        )
+        if not fresh:
+            return self._replica
+        if fresh[0].sort_key() < self._tip:
             self._replica = PDMSNetwork.from_events(
-                self.journal.canonical_events(), name=f"{self.name}-view"
+                self.journal.canonical_events(), name=self._replica.name
             )
-            self._replica_entry_count = delivered
-            self._assessor = None
+        else:
+            for entry in fresh:
+                apply(self._replica, entry.event)
+        self._applied += len(fresh)
+        self._tip = max(self._tip, fresh[-1].sort_key())
+        self._assessor = None
         return self._replica
 
     def assessor(self) -> MappingQualityAssessor:
@@ -127,10 +158,16 @@ class PeerNode:
         )
 
 
+#: What crosses the gossip wire: a push-pull digest or a journal entry.
+GossipMessage = Union[ClockDigest, JournalEntry]
+
+
 class SeededTransport:
     """A deliberately unreliable in-memory message channel.
 
-    Messages are ``(destination, JournalEntry)`` pairs.  Each
+    Messages are ``(destination, message)`` pairs, the message a
+    :class:`~repro.pdms.events.ClockDigest` or a
+    :class:`~repro.pdms.events.JournalEntry`.  Each
     :meth:`send` may drop the message (``drop_probability``) or enqueue
     it twice (``duplicate_probability``); each :meth:`deliver` flushes
     the in-flight queue in a seeded shuffle (``reorder=True``), so
@@ -160,13 +197,13 @@ class SeededTransport:
         self.duplicate_probability = duplicate_probability
         self.reorder = reorder
         self._rng = random.Random(seed)
-        self._in_flight: List[Tuple[str, JournalEntry]] = []
+        self._in_flight: List[Tuple[str, GossipMessage]] = []
         self.sent = 0
         self.dropped = 0
         self.duplicated = 0
         self.delivered = 0
 
-    def send(self, destination: str, entry: JournalEntry) -> None:
+    def send(self, destination: str, message: GossipMessage) -> None:
         self.sent += 1
         if (
             self.drop_probability > 0.0
@@ -174,15 +211,15 @@ class SeededTransport:
         ):
             self.dropped += 1
             return
-        self._in_flight.append((destination, entry))
+        self._in_flight.append((destination, message))
         if (
             self.duplicate_probability > 0.0
             and self._rng.random() < self.duplicate_probability
         ):
-            self._in_flight.append((destination, entry))
+            self._in_flight.append((destination, message))
             self.duplicated += 1
 
-    def deliver(self) -> Tuple[Tuple[str, JournalEntry], ...]:
+    def deliver(self) -> Tuple[Tuple[str, GossipMessage], ...]:
         """Flush the in-flight queue (seeded-shuffled when reordering)."""
         if self.reorder:
             self._rng.shuffle(self._in_flight)
@@ -193,17 +230,26 @@ class SeededTransport:
 
 
 class GossipHarness:
-    """N peer nodes exchanging journal entries through a seeded transport.
+    """N peer nodes reconciling journals through a seeded transport.
 
-    Each :meth:`run_round`, every node pushes its delivered log to
-    ``fanout`` seeded-random partners and the transport's surviving
-    messages are handed to their destinations.  The push is the full
-    delivered log — an idempotent anti-entropy: entries lost to the
-    transport are simply re-pushed next round and duplicates are dropped
-    by the receiving journal, so convergence needs no acknowledgements.
-    :meth:`run_until_converged` loops rounds until every node has
-    delivered the union of all originated entries (with nothing left
-    buffered).
+    Each :meth:`run_round` is one push-pull anti-entropy exchange on
+    vector-clock digests, in three legs, each one transport flush:
+
+    1. every node sends its :class:`~repro.pdms.events.ClockDigest` to
+       ``fanout`` seeded-random partners;
+    2. a node receiving a digest replies with
+       :meth:`~repro.pdms.events.GossipJournal.delta_for` of the digest's
+       clock (the entries the sender misses) and its own digest;
+    3. the first node answers that reply digest with its own delta.
+
+    Only what a partner misses crosses the wire, so a round's traffic
+    scales with what changed, not with the history length.  Every leg,
+    digests included, goes through the lossy transport; a lost leg needs
+    no acknowledgement or retry timer, because the next round's fresh
+    partners exchange digests again, and duplicates are dropped by the
+    receiving journal.  :meth:`run_until_converged` loops rounds until
+    every node has delivered the union of all originated entries (with
+    nothing left buffered).
 
     The parity surface: :meth:`local_views` collects every node's
     decentralised ``assess_local`` decision, :meth:`oracle_views`
@@ -273,35 +319,44 @@ class GossipHarness:
         return self.node(name).originate(event)
 
     def run_round(self) -> int:
-        """One gossip round; returns the number of new deliveries."""
+        """One push-pull round; returns the number of new deliveries."""
         for node in self._nodes.values():
-            entries = node.journal.entries()
-            if not entries:
-                continue
             others = [name for name in self._nodes if name != node.name]
             if not others:
                 continue
-            partners = self._rng.sample(
+            digest = node.digest()
+            for partner in self._rng.sample(
                 others, min(self.fanout, len(others))
-            )
-            for partner in partners:
-                for entry in entries:
-                    self.transport.send(partner, entry)
+            ):
+                self.transport.send(partner, digest)
         delivered = 0
-        for destination, entry in self.transport.deliver():
-            delivered += len(self._nodes[destination].receive(entry))
+        # Leg 1 flushes the opening digests, leg 2 the deltas and reply
+        # digests, leg 3 the deltas that answer the reply digests.
+        for leg in (1, 2, 3):
+            for destination, message in self.transport.deliver():
+                node = self._nodes[destination]
+                if isinstance(message, JournalEntry):
+                    delivered += len(node.receive(message))
+                    continue
+                for entry in node.journal.delta_for(message.clock):
+                    self.transport.send(message.sender, entry)
+                if leg == 1:
+                    self.transport.send(message.sender, node.digest())
         self.rounds += 1
         return delivered
 
     def converged(self) -> bool:
-        """Every node delivered the union of all originated entries."""
-        union: set = set()
-        for node in self._nodes.values():
-            union |= node.journal.delivered_keys()
+        """Every node delivered the union of all originated entries.
+
+        Causal delivery makes each delivered set the per-origin seq
+        prefixes its journal clock counts, so the sets are all equal (and
+        hence equal to their union) exactly when the clocks are.
+        """
+        journals = [node.journal for node in self._nodes.values()]
+        clock = journals[0].clock
         return all(
-            node.journal.delivered_keys() == union
-            and node.journal.pending_count == 0
-            for node in self._nodes.values()
+            journal.clock == clock and journal.pending_count == 0
+            for journal in journals
         )
 
     def run_until_converged(self, max_rounds: int = 64) -> int:

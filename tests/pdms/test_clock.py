@@ -91,5 +91,14 @@ class TestWire:
         clock = VectorClock.of({"a": 3, "b": 1})
         assert pickle.loads(pickle.dumps(clock)) == clock
 
+    def test_unpickled_clock_answers_reads_identically(self):
+        clock = VectorClock.of({"a": 3, "b": 1, "c": 7})
+        clone = pickle.loads(pickle.dumps(clock))
+        for peer in ("a", "b", "c", "unknown"):
+            assert clone.counter(peer) == clock.counter(peer)
+        assert clone.total() == clock.total() == 11
+        assert clone.as_dict() == clock.as_dict()
+        assert hash(clone) == hash(clock)
+
     def test_hashable(self):
         assert len({VectorClock.of({"a": 1}), VectorClock.of({"a": 1})}) == 1

@@ -10,6 +10,7 @@ from repro.exceptions import PDMSError
 from repro.mapping.mapping import Mapping
 from repro.pdms.clock import VectorClock
 from repro.pdms.events import (
+    ClockDigest,
     GossipJournal,
     JournalEntry,
     MappingAdded,
@@ -131,6 +132,14 @@ class TestWireTypes:
         assert isinstance(clone, JournalEntry)
         assert clone.key == entry.key
         assert clone.clock == entry.clock
+
+    def test_clock_digest_pickle_round_trip(self):
+        journal = GossipJournal("a")
+        journal.append(PeerRemoved(name="p9"))
+        digest = ClockDigest(sender="a", clock=journal.clock)
+        clone = pickle.loads(pickle.dumps(digest))
+        assert clone == digest
+        assert journal.delta_for(clone.clock) == ()
 
     def test_journal_entry_validates_seq_against_clock(self):
         with pytest.raises(PDMSError):

@@ -1,11 +1,22 @@
 """Tests for the gossip journal's causal delivery and the multi-node harness."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import PDMSError, UnknownPeerError
 from repro.generators.paper import intro_example_network
-from repro.pdms.events import GossipJournal, MappingAdded, PeerAdded, PeerRemoved
+from repro.mapping.mapping import Mapping
+from repro.pdms.clock import VectorClock
+from repro.pdms.events import (
+    GossipJournal,
+    MappingAdded,
+    MappingRemoved,
+    PeerAdded,
+    PeerRemoved,
+)
 from repro.pdms.gossip import GossipHarness, PeerNode, SeededTransport
+from repro.pdms.network import PDMSNetwork
+from repro.schema.schema import Schema
 
 
 def intro_events():
@@ -21,6 +32,24 @@ def intro_events():
             MappingAdded(mapping=mapping)
         )
     return network, peer_events, mapping_events
+
+
+def shape(network):
+    """Everything replay must reproduce: peer order, mapping order, each
+    peer's outgoing order, and the version."""
+    return (
+        network.peer_names,
+        network.mapping_names,
+        tuple(
+            (peer.name, tuple(m.name for m in peer.outgoing_mappings))
+            for peer in network.peers
+        ),
+        network.version,
+    )
+
+
+def replayed_shape(node):
+    return shape(PDMSNetwork.from_events(node.journal.canonical_events()))
 
 
 class TestJournalCausalDelivery:
@@ -95,6 +124,18 @@ class TestJournalCausalDelivery:
         assert source.delta_for(sink.clock) == (second,)
         assert source.delta_for(source.clock) == ()
 
+    def test_delta_for_ships_per_origin_suffixes_in_canonical_order(self):
+        a, b, hub = GossipJournal("a"), GossipJournal("b"), GossipJournal("hub")
+        a_entries = [a.append(PeerRemoved(name=f"a{i}")) for i in range(3)]
+        b_entries = [b.append(PeerRemoved(name=f"b{i}")) for i in range(2)]
+        for entry in b_entries + a_entries:
+            hub.receive(entry)
+        known = VectorClock.of({"a": 1, "b": 1})
+        assert hub.delta_for(known) == (a_entries[1], b_entries[1], a_entries[2])
+        assert hub.delta_for(hub.clock.merge(known)) == ()
+        # A clock ahead of the journal on some origins misses nothing.
+        assert hub.delta_for(VectorClock.of({"a": 9, "b": 9, "c": 4})) == ()
+
     def test_owner_must_be_non_empty(self):
         with pytest.raises(PDMSError):
             GossipJournal("")
@@ -129,14 +170,34 @@ class TestPeerNode:
         with pytest.raises(UnknownPeerError):
             node.assess_local("Creator")
 
-    def test_replica_is_rebuilt_only_on_growth(self):
-        network, peer_events, _ = intro_events()
+    def test_in_order_growth_extends_the_replica_in_place(self):
+        network, peer_events, mapping_events = intro_events()
         node = PeerNode("p1")
         node.originate(peer_events["p1"])
         replica = node.local_network()
         assert node.local_network() is replica
         node.originate(peer_events["p2"])
-        assert node.local_network() is not replica
+        for event in mapping_events["p1"]:
+            if event.mapping.target == "p2":
+                node.originate(event)
+        assert node.local_network() is replica
+        assert shape(replica) == replayed_shape(node)
+
+    def test_out_of_order_concurrent_delivery_rebuilds(self):
+        _, peer_events, _ = intro_events()
+        early, late = GossipJournal("a"), GossipJournal("b")
+        # Concurrent stamps with equal clock totals: origin "a" sorts first.
+        first = early.append(peer_events["p1"])
+        second = late.append(peer_events["p2"])
+        assert first.sort_key() < second.sort_key()
+        node = PeerNode("c")
+        node.receive(second)
+        replica = node.local_network()
+        node.receive(first)
+        rebuilt = node.local_network()
+        assert rebuilt is not replica
+        assert rebuilt.peer_names == ("p1", "p2")
+        assert shape(rebuilt) == replayed_shape(node)
 
 
 class TestGossipHarness:
@@ -239,3 +300,118 @@ class TestGossipHarness:
         harness.broadcast("p1", peer_events.values())
         for node in harness.nodes:
             assert node.local_network().peer_names == network.peer_names
+
+    def test_every_leg_crosses_the_transport(self):
+        network, peer_events, _ = intro_events()
+        transport = SeededTransport(seed=4)
+        harness = GossipHarness.of_names(
+            network.peer_names, transport=transport, fanout=2, seed=4
+        )
+        harness.originate("p1", peer_events["p1"])
+        assert harness.run_round() > 0
+        # Two digests per partnership (opening and reply) plus one
+        # message per entry shipped; nothing is read out of band.
+        partnerships = len(harness.nodes) * 2
+        assert transport.sent == transport.delivered
+        assert transport.sent > 2 * partnerships
+        harness.run_until_converged()
+        sent = transport.sent
+        assert harness.run_round() == 0
+        # A converged round exchanges digests only: the deltas are empty.
+        assert transport.sent - sent == 2 * partnerships
+
+
+# ---------------------------------------------------------------------------
+# property: replicas grown between rounds always equal a full replay
+# ---------------------------------------------------------------------------
+
+NODE_NAMES = ("n0", "n1", "n2", "n3")
+
+#: (op, node, i, j) tuples interpreted against the acting node's own
+#: replica.  Node ``X`` only adds and removes its own peers ``X.k`` and
+#: mappings whose source it owns; mapping targets are its own peers or
+#: the permanent node peers.  Concurrent events therefore touch disjoint
+#: topology, so every causal interleaving of them is applicable.
+steps = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["add_peer", "remove_peer", "add_mapping", "remove_mapping", "round"]
+        ),
+        st.integers(min_value=0, max_value=len(NODE_NAMES) - 1),
+        st.integers(min_value=0, max_value=7),
+        st.integers(min_value=0, max_value=7),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+def _schema(name):
+    return Schema(name, ["Creator", "Title"])
+
+
+def _originate(harness, node, op, i, j, fresh):
+    view = node.local_network()
+    own = [name for name in view.peer_names if name.startswith(f"{node.name}.")]
+    if op == "add_peer":
+        name = f"{node.name}.{next(fresh)}"
+        harness.originate(node.name, PeerAdded(name=name, schema=_schema(name)))
+    elif op == "remove_peer" and own:
+        harness.originate(node.name, PeerRemoved(name=own[i % len(own)]))
+    elif op == "add_mapping":
+        sources = [node.name] + own
+        targets = [name for name in view.peer_names if name in NODE_NAMES] + own
+        source, target = sources[i % len(sources)], targets[j % len(targets)]
+        if source != target and not view.mappings_between(source, target):
+            corrupt = (i + j) % 3 == 0
+            pairs = (
+                {"Creator": "Title", "Title": "Creator"}
+                if corrupt
+                else {"Creator": "Creator", "Title": "Title"}
+            )
+            mapping = Mapping.from_pairs(
+                source, target, pairs, is_correct=not corrupt
+            )
+            harness.originate(node.name, MappingAdded(mapping=mapping))
+    elif op == "remove_mapping":
+        owned = [
+            m.name
+            for m in view.mappings
+            if m.source == node.name or m.source in own
+        ]
+        if owned:
+            removed = MappingRemoved(name=owned[i % len(owned)])
+            harness.originate(node.name, removed)
+
+
+@given(
+    script=steps,
+    seed=st.integers(min_value=0, max_value=10_000),
+    drop=st.sampled_from([0.0, 0.2]),
+    duplicate=st.sampled_from([0.0, 0.3]),
+)
+@settings(max_examples=100, deadline=None)
+def test_replicas_grown_between_rounds_equal_a_full_replay(
+    script, seed, drop, duplicate
+):
+    transport = SeededTransport(
+        seed=seed, drop_probability=drop, duplicate_probability=duplicate
+    )
+    harness = GossipHarness.of_names(
+        NODE_NAMES, transport=transport, fanout=1, seed=seed, ttl=4
+    )
+    for name in NODE_NAMES:
+        harness.originate(name, PeerAdded(name=name, schema=_schema(name)))
+    fresh = iter(range(1, 1_000))
+    for op, index, i, j in script:
+        if op == "round":
+            harness.run_round()
+            for node in harness.nodes:
+                assert shape(node.local_network()) == replayed_shape(node)
+        else:
+            _originate(harness, harness.nodes[index], op, i, j, fresh)
+    harness.run_until_converged(max_rounds=256)
+    for node in harness.nodes:
+        assert shape(node.local_network()) == replayed_shape(node)
+        assert shape(node.local_network()) == shape(harness.oracle_network())
+    assert harness.local_views("Creator") == harness.oracle_views("Creator")

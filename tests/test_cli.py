@@ -87,6 +87,14 @@ class TestCommands:
         assert "rounds/s" in output
         assert "messages/s" in output
 
+    def test_gossip_throughput_command(self, capsys):
+        assert main(["throughput", "--mode", "gossip", "--sizes", "8"]) == 0
+        output = capsys.readouterr().out
+        assert "Gossip convergence" in output
+        assert "msgs sent" in output
+        assert "useful" in output
+        assert "exact" in output
+
     def test_amortization_command(self, capsys):
         assert main(["amortization", "--peers", "8", "--attributes", "6"]) == 0
         output = capsys.readouterr().out
