@@ -1,24 +1,40 @@
-"""Plan IR — the fused count kernel the lane engine runs.
+"""Plan IR — the fused bucket sweeps the lane engine runs.
 
 The :mod:`repro.factorgraph.plan` IR gives the lane engine its lowered
 sweep: edge row space, segment plans, transmission list and
 arity-bucketed kernel batches, run through the plan's own round phases.
-This benchmark pins the performance lever of its count-space buckets: the
-*fused all-targets kernel*
-(:meth:`~repro.factorgraph.compiled.StackedCountFactorBatch.messages_all`),
-evaluating a count bucket's messages toward every target slot from one
-pre-gathered operand array, instead of re-stacking ``arity - 1`` operand
-matrices per target — the O(arity²) constant of a per-target sweep loop.
-It runs on a one-slice stack, the layout of a one-lane embedded run, and
-must stay ≥3x ahead of the per-target loop at small bucket sizes while
-matching it bit for bit.
+Every bucket sweeps in one path: one gather through its ``gather_all``
+plan, one ``messages_all`` kernel call, one normalisation and one
+scatter.  This benchmark pins that path against the per-target loop it
+replaced, at two points, both on a one-slice stack (the layout of a
+one-lane embedded run) and both bit for bit identical to the loop:
+
+* the *fused count kernel*
+  (:meth:`~repro.factorgraph.compiled.StackedCountFactorBatch.messages_all`)
+  on one long count bucket, instead of re-stacking ``arity - 1`` operand
+  matrices per target — the O(arity²) constant of a per-target loop;
+  it must stay ≥3x ahead at small bucket sizes;
+* the *dense bucket sweep* (:meth:`~repro.factorgraph.plan.BucketPlan.sweep`
+  over a :class:`~repro.factorgraph.compiled.StackedFactorBatch`) on one
+  arity-3 bucket of 20 structures — the shape of an EON one-origin local
+  plan, where numpy call overhead, not arithmetic, sets the cost.
 """
 
 import time
 
 import numpy as np
 
-from repro.factorgraph.plan import StackedCountFactorBatch
+from repro.core.local_graph import mapping_owner
+from repro.factorgraph.plan import (
+    KIND_NEGATIVE,
+    KIND_POSITIVE,
+    StackedCountFactorBatch,
+    bucket_kernel,
+    bucket_tables,
+    compile_sweep_plan,
+    cpt_levels,
+    normalize_rows,
+)
 
 #: The fused-kernel measurement point: one count bucket far past the
 #: crossover with few structures — where the per-target Python loop's
@@ -29,17 +45,41 @@ KERNEL_ARITY = 40
 KERNEL_BUCKET_SIZE = 16
 MIN_KERNEL_SPEEDUP = 3.0
 
-#: Alternating per-target/fused timing pairs behind the speedup, and the
-#: kernel calls timed per side of each pair.
+#: The dense sweep point: one slice, one arity-3 bucket of 20 structures,
+#: the EON one-origin local shape.  A 2-core host read a median of 1.63x
+#: over 9 alternating pairs (IQR 1.60–1.65x; per-target loop 105 µs,
+#: fused sweep 64 µs; three runs read medians of 1.61–1.69x); the floor
+#: leaves noise headroom.
+DENSE_ARITY = 3
+DENSE_BUCKET_SIZE = 20
+MIN_DENSE_SWEEP_SPEEDUP = 1.3
+
+#: Alternating per-target/fused timing pairs behind each speedup, and the
+#: calls timed per side of each pair (a dense sweep takes tens of µs, so
+#: its samples run more calls).
 PAIRS = 9
 CALLS_PER_SAMPLE = 10
+DENSE_CALLS_PER_SAMPLE = 200
 
 
-def _timed(fn):
+def _timed(fn, calls=CALLS_PER_SAMPLE):
     start = time.perf_counter()
-    for _ in range(CALLS_PER_SAMPLE):
+    for _ in range(calls):
         fn()
-    return (time.perf_counter() - start) / CALLS_PER_SAMPLE
+    return (time.perf_counter() - start) / calls
+
+
+def _alternating_pairs(baseline, candidate, calls=CALLS_PER_SAMPLE):
+    """Per-pair seconds of both sides, alternating which side runs first."""
+    baseline_seconds, candidate_seconds = [], []
+    for pair in range(PAIRS):
+        if pair % 2 == 0:
+            baseline_seconds.append(_timed(baseline, calls))
+            candidate_seconds.append(_timed(candidate, calls))
+        else:
+            candidate_seconds.append(_timed(candidate, calls))
+            baseline_seconds.append(_timed(baseline, calls))
+    return baseline_seconds, candidate_seconds
 
 
 def test_bench_plan_ir_fused_kernel(benchmark, report, report_json):
@@ -73,15 +113,7 @@ def test_bench_plan_ir_fused_kernel(benchmark, report, report_json):
     # identity, not approximation, for every target slot.
     assert np.array_equal(per_target(), fused())
 
-    per_target_seconds = []
-    fused_seconds = []
-    for pair in range(PAIRS):
-        if pair % 2 == 0:
-            per_target_seconds.append(_timed(per_target))
-            fused_seconds.append(_timed(fused))
-        else:
-            fused_seconds.append(_timed(fused))
-            per_target_seconds.append(_timed(per_target))
+    per_target_seconds, fused_seconds = _alternating_pairs(per_target, fused)
     ratios = [a / b for a, b in zip(per_target_seconds, fused_seconds)]
     speedup = float(np.median(ratios))
     q1, q3 = np.percentile(ratios, [25, 75])
@@ -115,4 +147,81 @@ def test_bench_plan_ir_fused_kernel(benchmark, report, report_json):
         f"fused messages_all is only {speedup:.1f}x faster than the "
         f"per-target sweep loop (median of {PAIRS} pairs {ratios}; floor "
         f"{MIN_KERNEL_SPEEDUP}x)"
+    )
+
+
+def test_bench_plan_ir_dense_sweep(benchmark, report, report_json):
+    arity, size = DENSE_ARITY, DENSE_BUCKET_SIZE
+    # Three-peer cycles, one mapping per peer: every operand of a sweep is
+    # a received remote copy, as in the decentralised runs.
+    plan = compile_sweep_plan(
+        [
+            (f"s{i}", tuple(f"q{i}_{k}->q{i}_{(k + 1) % arity}" for k in range(arity)))
+            for i in range(size)
+        ],
+        default_owner=mapping_owner,
+    )
+    (bucket,) = plan.batches
+    assert not bucket.use_count_kernel
+    rng = np.random.default_rng(0)
+    kinds = rng.choice([KIND_POSITIVE, KIND_NEGATIVE], size=(1, size))
+    kernel = bucket_kernel(bucket_tables(cpt_levels(kinds, 0.1), bucket), bucket)
+    pool = rng.uniform(0.1, 1.0, size=(1, plan.edge_count + plan.recv_count, 2))
+    fused_out = np.full((1, plan.edge_count, 2), 0.5)
+    loop_out = fused_out.copy()
+
+    def per_target():
+        for target in range(arity):
+            sources = [slot for slot in range(arity) if slot != target]
+            incoming = [None] * arity
+            for slot, ids in zip(sources, bucket.gather_all[target]):
+                incoming[slot] = pool[..., ids, :]
+            loop_out[..., bucket.scatter_all[target], :] = normalize_rows(
+                kernel.messages_toward(target, incoming)
+            )
+
+    def fused():
+        bucket.sweep(kernel, pool, fused_out)
+
+    # Same float operations in both: bitwise identity for every edge row.
+    per_target()
+    fused()
+    assert np.array_equal(loop_out, fused_out)
+
+    per_target_seconds, fused_seconds = _alternating_pairs(
+        per_target, fused, DENSE_CALLS_PER_SAMPLE
+    )
+    ratios = [a / b for a, b in zip(per_target_seconds, fused_seconds)]
+    speedup = float(np.median(ratios))
+    q1, q3 = np.percentile(ratios, [25, 75])
+    benchmark(fused)
+
+    lines = (
+        f"dense bucket: arity {arity}, {size} structures, one slice\n"
+        f"per-target sweep loop: {np.median(per_target_seconds) * 1e6:.1f} µs "
+        f"(median of {PAIRS})\n"
+        f"fused bucket sweep:    {np.median(fused_seconds) * 1e6:.1f} µs "
+        f"(median of {PAIRS})\n"
+        f"speedup: {speedup:.2f}x median of {PAIRS} alternating pairs "
+        f"(IQR {q1:.2f}–{q3:.2f}x, min {min(ratios):.2f}x; floor "
+        f"{MIN_DENSE_SWEEP_SPEEDUP}x), bitwise identical"
+    )
+    report("EX_plan_ir_dense_sweep", lines)
+    report_json(
+        "plan_ir_dense_sweep",
+        {
+            "arity": arity,
+            "bucket_size": size,
+            "stack": 1,
+            "pairs": PAIRS,
+            "per_target_seconds": per_target_seconds,
+            "fused_seconds": fused_seconds,
+            "pair_speedups": ratios,
+            "speedup": speedup,
+        },
+    )
+    assert speedup >= MIN_DENSE_SWEEP_SPEEDUP, (
+        f"the fused dense bucket sweep is only {speedup:.2f}x faster than the "
+        f"per-target sweep loop (median of {PAIRS} pairs {ratios}; floor "
+        f"{MIN_DENSE_SWEEP_SPEEDUP}x)"
     )

@@ -34,25 +34,28 @@ the layout follows from the lanes:
 
 Kind codes and Δ are ``(slices, structures)``, priors ``(slices, mappings,
 2)``, and every bucket's stacked kernel comes from
+:func:`~repro.factorgraph.plan.cpt_levels` /
 :func:`~repro.factorgraph.plan.bucket_tables` /
 :func:`~repro.factorgraph.plan.bucket_kernel`, whatever the layout.  A
 round is the plan's own phases — phase 1 one zero-aware segment product
-over the stacked factor→variable state, phase 3 one stacked kernel sweep
-per arity bucket (:class:`~repro.factorgraph.plan.StackedFactorBatch`
-einsum or count-space
-:class:`~repro.factorgraph.plan.StackedCountFactorBatch`) — with the
-exchange of phase 2 between them on the engine: each live lane scatters
-its informative transmissions within its slice, drawing its Bernoulli
-keep/send mask from its own transport in plan order, and all lossless
-lanes go in one scatter.
+over the stacked factor→variable state, phase 3 one fused sweep per arity
+bucket (one gather through the bucket's ``gather_all`` plan, one
+``messages_all`` call of its
+:class:`~repro.factorgraph.plan.StackedFactorBatch` einsum or count-space
+:class:`~repro.factorgraph.plan.StackedCountFactorBatch` kernel, one
+normalisation and one scatter) — with the exchange of phase 2 between
+them on the engine: each live lane scatters its informative transmissions
+within its slice, drawing its Bernoulli keep/send mask from its own
+transport in plan order, and all lossless lanes go in one scatter.
 
 When lanes converge they freeze, and one compaction rule drops what no
 live lane uses any more: the slices no live lane occupies, plus the edge
 rows, received cells, transmissions and bucket entries of structures no
-live lane binds.  It runs after any round in which lanes froze (and at
-construction, for rows only lanes without informative evidence would have
-used), so per-round work shrinks as lanes finish; :attr:`round_edge_counts`
-records the edge rows swept each round.
+live lane binds (a bucket's ``gather_all`` and ``scatter_all`` plans are
+renumbered with one index remap each).  It runs after any round in which
+lanes froze (and at construction, for rows only lanes without informative
+evidence would have used), so per-round work shrinks as lanes finish;
+:attr:`round_edge_counts` records the edge rows swept each round.
 
 Equivalence with a solo run
 ---------------------------
@@ -105,6 +108,7 @@ from ..factorgraph.plan import (
     bucket_kernel,
     bucket_tables,
     compile_sweep_plan,
+    cpt_levels,
     make_bucket,
     normalize_rows,
     segment_plan,
@@ -185,7 +189,9 @@ class MessageTransport:
     ``seed`` defaults to :data:`repro.constants.DEFAULT_SEED` so lossy runs
     are reproducible unless an explicit seed is supplied (matching the
     centralised engine's fallback rng; pass a distinct seed per repetition
-    for independent runs).
+    for independent runs).  The ``random.Random`` stream is seeded on the
+    first draw, so a perfectly reliable transport, which never draws, never
+    seeds one.
     """
 
     def __init__(
@@ -198,14 +204,20 @@ class MessageTransport:
                 f"send_probability must be in (0, 1], got {send_probability}"
             )
         self.send_probability = send_probability
-        self._rng = random.Random(seed)
+        self._seed = seed
+        self._rng: Optional[random.Random] = None
         self.statistics = TransportStatistics()
+
+    def _stream(self) -> random.Random:
+        if self._rng is None:
+            self._rng = random.Random(self._seed)
+        return self._rng
 
     def try_send(self) -> bool:
         """Decide whether one message makes it through; update statistics."""
         delivered = (
             self.send_probability >= 1.0
-            or self._rng.random() < self.send_probability
+            or self._stream().random() < self.send_probability
         )
         self.statistics.record(delivered)
         return delivered
@@ -223,8 +235,9 @@ class MessageTransport:
         if self.send_probability >= 1.0:
             mask = np.ones(count, dtype=bool)
         else:
+            draw = self._stream().random
             uniforms = np.fromiter(
-                (self._rng.random() for _ in range(count)),
+                (draw() for _ in range(count)),
                 dtype=float,
                 count=count,
             )
@@ -596,19 +609,11 @@ class BatchedEmbeddedMessagePassing:
         #: Informative transmissions of each lane — a round's attempts.
         self._tx_counts = np.bincount(tx_lane, minlength=lane_count).tolist()
 
+        levels = cpt_levels(kinds, deltas)
         self._kernels: List[StackedFactorBatch | StackedCountFactorBatch] = [
-            bucket_kernel(
-                bucket_tables(
-                    kinds[:, bucket.feedback_indices],
-                    deltas[:, bucket.feedback_indices],
-                    bucket,
-                ),
-                bucket,
-            )
+            bucket_kernel(bucket_tables(levels, bucket), bucket)
             for bucket in plan.batches
         ]
-        self._recv_structure = np.empty(plan.recv_count, dtype=np.int64)
-        self._recv_structure[plan.tx_dest] = plan.tx_feedback
         self._running = np.ones(lane_count, dtype=bool)
         self._prior_edges = self._priors[:, plan.edge_mapping]
         self._post_priors = self._priors[:, plan.segment_mapping]
@@ -805,7 +810,7 @@ class BatchedEmbeddedMessagePassing:
         keep_edges: np.ndarray,
     ) -> None:
         """Rebind the live plan without the rows of dropped structures."""
-        keep_recv = keep_structures[self._recv_structure]
+        keep_recv = keep_structures[old.recv_structure]
         keep_tx = keep_structures[old.tx_feedback]
         edge_renumber = np.cumsum(keep_edges) - 1
         recv_renumber = np.cumsum(keep_recv) - 1
@@ -827,17 +832,12 @@ class BatchedEmbeddedMessagePassing:
             keep = keep_structures[bucket.feedback_indices]
             if not keep.any():
                 continue
-            gather = [
-                [None if ids is None else remap_pool(ids[keep]) for ids in per_target]
-                for per_target in bucket.gather
-            ]
-            scatter = [edge_renumber[rows[keep]] for rows in bucket.scatter]
             batches.append(
                 make_bucket(
                     bucket.arity,
                     bucket.feedback_indices[keep],
-                    gather,
-                    scatter,
+                    remap_pool(bucket.gather_all[..., keep]),
+                    edge_renumber[bucket.scatter_all[:, keep]],
                     bucket.use_count_kernel,
                     incorrect_counts=bucket.incorrect_counts,
                 )
@@ -851,7 +851,6 @@ class BatchedEmbeddedMessagePassing:
         self._f2v = np.ascontiguousarray(self._f2v[:, keep_edges])
         self._recv = np.ascontiguousarray(self._recv[:, keep_recv])
         self._prior_edges = np.ascontiguousarray(self._prior_edges[:, keep_edges])
-        self._recv_structure = self._recv_structure[keep_recv]
         edge_mapping = old.edge_mapping[keep_edges]
         starts, segment_of_edge, segment_mapping = segment_plan(edge_mapping)
         self._post_priors = self._priors[:, segment_mapping]
@@ -866,6 +865,7 @@ class BatchedEmbeddedMessagePassing:
             edge_count=new_edge_count,
             recv_count=int(keep_recv.sum()),
             recv_cells=tuple(compress(old.recv_cells, keep_recv)),
+            recv_structure=old.recv_structure[keep_recv],
             tx_src=edge_renumber[old.tx_src[keep_tx]],
             tx_dest=recv_renumber[old.tx_dest[keep_tx]],
             tx_feedback=old.tx_feedback[keep_tx],

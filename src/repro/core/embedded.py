@@ -58,17 +58,22 @@ mappings is evaluated in count space (``StackedCountFactorBatch``) from the
 run handle structures far beyond the dense limit of
 :data:`repro.constants.MAX_COMPILED_ARITY` slots; below the crossover the
 dense ``StackedFactorBatch`` einsum over ``(2,)**arity`` tables wins.
+Either way a bucket sweeps in one path: one gather, one ``messages_all``
+kernel call, one normalisation and one scatter.
 
 Rng-stream reproducibility contract: the transport's ``random.Random``
 uniforms are consumed in transmission order (structure → sender mapping →
 recipient), only for informative transmissions, so a seeded run is
 reproducible and makes the same drop decisions as a per-message loop over
-:meth:`MessageTransport.try_send` in that order.
+:meth:`MessageTransport.try_send` in that order.  A perfectly reliable
+transport draws nothing and seeds no stream.
 
 Plan-IR equivalence contract
 ----------------------------
 The factor→variable sweep of every round runs the kernels re-exported by
-:mod:`repro.factorgraph.plan` — the batched einsum / count-space kernels.
+:mod:`repro.factorgraph.plan` — the batched einsum / count-space kernels,
+whose all-targets ``messages_all`` equals their per-target
+``messages_toward`` bit for bit.
 They evaluate exactly the sum–product expression the scalar
 :meth:`repro.factorgraph.factors.Factor.message_to` evaluates, so
 posteriors agree with the centralised loops oracle

@@ -61,7 +61,7 @@ from .batched import (
     compile_assessment_plan,
 )
 from .beliefs import PriorBeliefStore
-from .feedback import compensation_probability
+from .feedback import Feedback, compensation_probability
 from .local_graph import mapping_owner
 
 __all__ = ["AttributeAssessment", "MappingQualityAssessor"]
@@ -338,7 +338,16 @@ class MappingQualityAssessor:
                         lane_priors[instance] = self.priors.prior(
                             name, attribute
                         )
-                feedbacks.append(replace(feedback, mapping_names=instances))
+                feedbacks.append(
+                    Feedback(
+                        identifier=feedback.identifier,
+                        kind=feedback.kind,
+                        structure=feedback.structure,
+                        mapping_names=instances,
+                        attribute=feedback.attribute,
+                        origin=feedback.origin,
+                    )
+                )
             lanes.append(
                 AssessmentLane(
                     key=origin,
@@ -348,12 +357,13 @@ class MappingQualityAssessor:
                     delta=delta,
                 )
             )
+        # The views read only the final posteriors: no per-round history.
         engine = BatchedEmbeddedMessagePassing(
             plan,
             lanes,
             send_probability=self.send_probability,
             seed=self.seed,
-            options=self.options,
+            options=replace(self.options, record_history=False),
         )
         results = engine.run()
         self.last_local_round_edge_counts = tuple(engine.round_edge_counts)

@@ -6,7 +6,12 @@ batched array operations over stacked ``(slices, rows, 2)`` message state.
 This module holds the kernels those sweeps are made of; engines reach them
 through the plan IR (:mod:`repro.factorgraph.plan`), never directly.
 
-* **Stacked factor kernels** — one per arity bucket.
+* **Stacked factor kernels** — one per arity bucket, both with the same
+  two entry points: ``messages_all`` evaluates every target slot of a
+  bucket from one pre-gathered ``(stack, arity, arity - 1, size, 2)``
+  operand array (the sweep's one call per bucket), ``messages_toward``
+  one target from per-slot operand matrices (the per-target reference the
+  kernel tests compare ``messages_all`` against).
   :class:`StackedFactorBatch` evaluates a ``(stack, factors, *(2,)*arity)``
   array of dense tables with one ``einsum`` per target slot.
   :class:`StackedCountFactorBatch` evaluates count-symmetric factors (the
@@ -22,18 +27,24 @@ through the plan IR (:mod:`repro.factorgraph.plan`), never directly.
 * **Row normalisation** — :func:`normalize_rows` normalises every message
   vector of a batched stack at once.
 
+The segment and normalisation kernels first test whether their input
+needs the guarded formula at all (an exact zero in a segment, a zero or
+non-finite row total); when it does not, they run the operations that
+formula reduces to on such input, so both paths return the same floats.
+
 Equivalence contract
 --------------------
 Every kernel evaluates exactly the sum–product expression the scalar
 :meth:`repro.factorgraph.factors.Factor.message_to` (and
 :meth:`repro.factorgraph.factors.CountFactor.message_to`) evaluates, per
 stack element and factor; the kernel tests pin the agreement with those
-scalar oracles to ``1e-12``.
+scalar oracles to ``1e-12``, and ``messages_all`` to ``messages_toward``
+bit for bit.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -64,6 +75,26 @@ if MAX_COMPILED_ARITY != len(_EINSUM_LETTERS):  # pragma: no cover - config guar
     )
 
 
+def _einsum_specs(arity: int) -> Tuple[str, ...]:
+    """Per-target einsum subscripts of a stacked dense bucket: the table,
+    then the non-target slots in ascending order, toward the target."""
+    letters = _EINSUM_LETTERS[:arity]
+    prefix = _STACK_LETTER + "z"
+    specs = []
+    for target in range(arity):
+        operands = "".join(
+            "," + prefix + letters[slot] for slot in range(arity) if slot != target
+        )
+        specs.append(prefix + letters + operands + "->" + prefix + letters[target])
+    return tuple(specs)
+
+
+#: :func:`_einsum_specs` of every compilable arity, built once.
+_SPECS_BY_ARITY = tuple(
+    _einsum_specs(arity) for arity in range(MAX_COMPILED_ARITY + 1)
+)
+
+
 def normalize_rows(matrix: np.ndarray) -> np.ndarray:
     """Normalise the last axis of a non-negative array to sum to one.
 
@@ -77,6 +108,10 @@ def normalize_rows(matrix: np.ndarray) -> np.ndarray:
     """
     matrix = np.asarray(matrix, dtype=float)
     totals = matrix.sum(axis=-1, keepdims=True)
+    # Every total positive and finite (NaN fails both comparisons): the
+    # guarded division below would divide by these very totals.
+    if totals.size and 0.0 < totals.min() and totals.max() < np.inf:
+        return matrix / totals
     bad = (totals <= 0.0) | ~np.isfinite(totals)
     safe_totals = np.where(bad, 1.0, totals)
     normalized = matrix / safe_totals
@@ -116,6 +151,11 @@ def segment_exclusive_products(
     to its segment index.
     """
     grouped = np.asarray(grouped, dtype=float)
+    if grouped.all():
+        # No exact zero anywhere: the zero-aware formula below reduces to
+        # these very operations (nothing masked, nothing forced to zero).
+        product = np.multiply.reduceat(grouped, segment_starts, axis=-2)
+        return np.take(product, segment_of_row, axis=-2) / grouped
     # Exact-zero detection is the point of the zero-aware kernels:
     # only true zeros are masked out of the product.
     zeros = grouped == 0.0  # lint: disable=numeric-float-equality
@@ -134,12 +174,14 @@ class StackedFactorBatch:
     """Same-shape factor tables stacked along a leading batch axis.
 
     This kernel evaluates a ``(stack, factors, *shape)`` array — one table
-    *per factor per stack element* — with a single ``einsum`` per target
-    slot.  It is the dense compiled core of the embedded lane engine
-    (:mod:`repro.core.batched`): the stack axis carries the engine's
-    slices, whose factor tables share a topology (which factors exist,
-    which variables they span) but differ in content (feedback sign and Δ
-    vary per lane).
+    *per factor per stack element* — with one ``einsum`` per target slot
+    (the subscripts are built once per arity).  It is the dense compiled
+    core of the embedded lane engine (:mod:`repro.core.batched`): the stack
+    axis carries the engine's slices, whose factor tables share a topology
+    (which factors exist, which variables they span) but differ in content
+    (feedback sign and Δ vary per lane).  A sweep calls
+    :meth:`messages_all` once per bucket; :meth:`messages_toward` is the
+    per-target form it is checked against.
 
     For every stack element and factor the computation is exactly the
     sum–product expression :meth:`~repro.factorgraph.factors.Factor.message_to`
@@ -163,17 +205,7 @@ class StackedFactorBatch:
                 f"factor arity {self.arity} exceeds the compiled limit "
                 f"{MAX_COMPILED_ARITY}"
             )
-        letters = _EINSUM_LETTERS[: self.arity]
-        prefix = _STACK_LETTER + "z"
-        self._specs: List[str] = []
-        for target in range(self.arity):
-            operands = ",".join(
-                prefix + letters[slot] for slot in range(self.arity) if slot != target
-            )
-            spec = prefix + letters
-            if operands:
-                spec += "," + operands
-            self._specs.append(spec + "->" + prefix + letters[target])
+        self._specs = _SPECS_BY_ARITY[self.arity]
 
     def messages_toward(
         self, target_slot: int, incoming: Sequence[Optional[np.ndarray]]
@@ -206,6 +238,41 @@ class StackedFactorBatch:
                 )
             operands.append(matrix)
         return np.einsum(self._specs[target_slot], self.tables, *operands)
+
+    def messages_all(self, gathered: np.ndarray) -> np.ndarray:
+        """Messages toward every slot of every stack element.
+
+        ``gathered`` is the ``(stack, arity, arity - 1, size, 2)`` operand
+        array of binary factors (per target slot, the non-target operands
+        in ascending slot order); the result is the unnormalised ``(stack,
+        arity, size, 2)`` message array.  Each target runs its
+        :meth:`messages_toward` einsum on the slices of ``gathered``, so
+        ``[:, target]`` is bitwise ``messages_toward(target, ...)`` without
+        the per-target operand gathers.
+        """
+        gathered = np.asarray(gathered, dtype=float)
+        if self.shape != (2,) * self.arity:
+            raise FactorShapeError(
+                f"messages_all needs binary factors, got table shape {self.shape}"
+            )
+        expected = (self.stack, self.arity, self.arity - 1, self.size, 2)
+        if gathered.shape != expected:
+            raise FactorShapeError(
+                f"gathered operand array has shape {gathered.shape}, "
+                f"expected {expected}"
+            )
+        messages = np.empty((self.stack, self.arity, self.size, 2))
+        sources = range(self.arity - 1)
+        for target, spec in enumerate(self._specs):
+            operands = gathered[:, target]
+            # A one-slice view is already contiguous; across several slices
+            # a contiguous operand lets einsum take its contiguous loops.
+            messages[:, target] = np.einsum(
+                spec,
+                self.tables,
+                *[np.ascontiguousarray(operands[:, slot]) for slot in sources],
+            )
+        return messages
 
 
 def _count_space_messages(

@@ -25,12 +25,14 @@ that one IR:
   the engine calls directly, interleaving its own bookkeeping (selection
   masks, transport exchanges, posterior snapshots) between them.
 
-The count-space buckets also carry a combined all-targets gather plan
-(:attr:`BucketPlan.gather_all`): one fused gather + count-space evaluation
-(:meth:`~repro.factorgraph.compiled.StackedCountFactorBatch.messages_all`)
-replaces per-target operand re-stacking, cutting the O(arity²) constant
-of long-cycle sweeps while keeping every float operation — and therefore
-every bit of the result — identical.
+Every bucket carries an all-targets gather plan
+(:attr:`BucketPlan.gather_all`) and sweeps in one path, whatever its
+kernel family: one gather, one ``messages_all`` call of its stacked kernel
+(one einsum per target over the gathered operands for dense buckets,
+one fused count-space evaluation for count buckets), one normalisation and
+one scatter.  The tests check it against a per-target ``messages_toward``
+loop: every float operation, and therefore every bit of the result, is
+the same.
 
 Engines import kernels (``segment_products``, ``StackedFactorBatch``, …)
 from *this* module rather than :mod:`repro.factorgraph.compiled`; the
@@ -78,15 +80,20 @@ __all__ = [
     "SweepPlan",
     "bucket_tables",
     "bucket_kernel",
+    "cpt_levels",
     "compile_sweep_plan",
     "make_bucket",
     "segment_plan",
 ]
 
 #: Integer codes of the per-(lane, structure) feedback kinds, shared by the
-#: CPT builder (:func:`bucket_tables`) and its callers in
+#: CPT builder (:func:`cpt_levels`) and its callers in
 #: :mod:`repro.core.batched`.
 KIND_NEUTRAL, KIND_POSITIVE, KIND_NEGATIVE = 0, 1, 2
+
+#: Rows by kind code: the no-incorrect and one-incorrect CPT levels of
+#: :func:`cpt_levels` (the Δ level is filled in per structure).
+_LEVEL_VALUES = np.array([[1.0, 1.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -98,21 +105,14 @@ KIND_NEUTRAL, KIND_POSITIVE, KIND_NEGATIVE = 0, 1, 2
 class BucketPlan:
     """One arity bucket of a compiled sweep plan.
 
-    ``gather[target][source]`` holds, per structure of the bucket, the pool
-    id of the message feeding slot ``source`` of the sweep toward slot
-    ``target`` — ids below the plan's edge count select the owner's own
-    fresh µ_{v→F} row, ids above it the last received remote copy (``None``
-    at ``source == target``).  ``scatter[target]`` holds the µ_{F→v} edge
-    rows the fresh messages are written back to.
-
-    Derived combined plans (built by :func:`make_bucket`):
-
-    * ``scatter_all`` — ``(arity, size)`` stack of the scatter rows.
-    * ``gather_all`` — for count-space buckets, the ``(arity, arity - 1,
-      size)`` all-targets gather plan feeding the fused ``messages_all``
-      kernels: row ``t`` lists the non-target source rows of target ``t``
-      in ascending slot order, exactly the operand order of the per-target
-      ``messages_toward`` loop.
+    ``gather_all[target, k]`` holds, per structure of the bucket, the pool
+    id of the message feeding the ``k``-th non-target slot (in ascending
+    slot order) of the sweep toward slot ``target`` — ids below the plan's
+    edge count select the owner's own fresh µ_{v→F} row, ids above it the
+    last received remote copy.  Shape ``(arity, arity - 1, size)``; the
+    operand order is exactly that of a per-target ``messages_toward`` loop.
+    ``scatter_all[target]`` holds the µ_{F→v} edge rows the fresh messages
+    toward ``target`` are written back to, shape ``(arity, size)``.
 
     ``incorrect_counts`` feeds the evidence-time CPT builder
     (:func:`bucket_tables`): the ``arange(arity + 1)`` count axis for
@@ -122,12 +122,10 @@ class BucketPlan:
 
     arity: int
     feedback_indices: np.ndarray
-    gather: Tuple[Tuple[Optional[np.ndarray], ...], ...]
-    scatter: Tuple[np.ndarray, ...]
+    gather_all: np.ndarray
+    scatter_all: np.ndarray
     incorrect_counts: np.ndarray
     use_count_kernel: bool = False
-    scatter_all: Optional[np.ndarray] = None
-    gather_all: Optional[np.ndarray] = None
 
     @property
     def size(self) -> int:
@@ -137,23 +135,13 @@ class BucketPlan:
         """This bucket's factor→variable messages, scattered into ``out``.
 
         Scatter rows are disjoint across buckets and targets (every edge
-        belongs to exactly one (factor, slot)), so per-target normalisation
-        equals the historical whole-matrix normalisation bit for bit.
+        belongs to exactly one (factor, slot)), and normalisation is per
+        row, so normalising the whole bucket at once equals per-target
+        normalisation bit for bit.
         """
-        if self.gather_all is not None:
-            fresh = normalize_rows(
-                kernel.messages_all(pool[..., self.gather_all, :])
-            )
-            out[..., self.scatter_all, :] = fresh
-            return
-        for target in range(self.arity):
-            incoming = [
-                None if ids is None else pool[..., ids, :]
-                for ids in self.gather[target]
-            ]
-            out[..., self.scatter[target], :] = normalize_rows(
-                kernel.messages_toward(target, incoming)
-            )
+        out[..., self.scatter_all, :] = normalize_rows(
+            kernel.messages_all(pool[..., self.gather_all, :])
+        )
 
 
 @dataclass(frozen=True)
@@ -172,8 +160,10 @@ class SweepPlan:
     built grouped by mapping, so ``segment_starts`` / ``segment_of_edge``
     describe the per-mapping segments directly in row order.
     ``segment_mapping[k]`` is the mapping id owning segment ``k`` (the row
-    behind each posterior snapshot).  ``tx_mapping`` carries the sender
-    mapping id of each transmission (the partial round's filter).
+    behind each posterior snapshot).  ``recv_structure[cell]`` is the
+    structure id of each received cell (the compaction's filter).
+    ``tx_mapping`` carries the sender mapping id of each transmission (the
+    partial round's filter).
     """
 
     identifiers: Tuple[str, ...]
@@ -189,6 +179,7 @@ class SweepPlan:
     edge_count: int
     recv_count: int
     recv_cells: Tuple[Tuple[str, int, str], ...]
+    recv_structure: np.ndarray
     tx_src: np.ndarray
     tx_dest: np.ndarray
     tx_feedback: np.ndarray
@@ -264,44 +255,30 @@ def segment_plan(
 def make_bucket(
     arity: int,
     feedback_indices: np.ndarray,
-    gather: Sequence[Sequence[Optional[np.ndarray]]],
-    scatter: Sequence[np.ndarray],
+    gather_all,
+    scatter_all,
     use_count_kernel: bool,
     incorrect_counts: np.ndarray,
 ) -> BucketPlan:
-    """Assemble a :class:`BucketPlan`, deriving the combined plans.
+    """Assemble a :class:`BucketPlan` from its gather and scatter plans.
 
-    The lowering and compaction funnel through this so the
-    ``gather_all``/``scatter_all`` derivation exists exactly once.
+    ``gather_all`` and ``scatter_all`` are any int array-likes of the
+    :class:`BucketPlan` layouts; the lowering and compaction funnel through
+    this so the two plans are always int64 arrays of exactly the
+    ``(arity, arity - 1, size)`` and ``(arity, size)`` shapes — including
+    arity-1 buckets, whose gather plan holds no source at all.
     """
-    gather = tuple(
-        tuple(
-            None if ids is None else np.asarray(ids, dtype=np.int64)
-            for ids in per_target
-        )
-        for per_target in gather
-    )
-    scatter = tuple(np.asarray(rows, dtype=np.int64) for rows in scatter)
-    gather_all = None
-    if use_count_kernel and arity > 1:
-        gather_all = np.stack(
-            [
-                np.stack(
-                    [ids for ids in per_target if ids is not None], axis=0
-                )
-                for per_target in gather
-            ],
-            axis=0,
-        )
+    feedback_indices = np.asarray(feedback_indices, dtype=np.int64)
+    size = feedback_indices.size
     return BucketPlan(
         arity=arity,
-        feedback_indices=np.asarray(feedback_indices, dtype=np.int64),
-        gather=gather,
-        scatter=scatter,
+        feedback_indices=feedback_indices,
+        gather_all=np.asarray(gather_all, dtype=np.int64).reshape(
+            arity, arity - 1, size
+        ),
+        scatter_all=np.asarray(scatter_all, dtype=np.int64).reshape(arity, size),
         incorrect_counts=incorrect_counts,
         use_count_kernel=use_count_kernel,
-        scatter_all=np.stack(scatter, axis=0) if scatter else None,
-        gather_all=gather_all,
     )
 
 
@@ -419,20 +396,12 @@ def compile_sweep_plan(
     batches: List[BucketPlan] = []
     for arity, structure_indices in by_arity.items():
         use_count_kernel = arity >= COUNT_KERNEL_MIN_ARITY
-        gather: List[List[Optional[np.ndarray]]] = []
-        scatter: List[np.ndarray] = []
+        gather_all: List[List[List[int]]] = []
+        scatter_all: List[List[int]] = []
         for target in range(arity):
-            target_rows = np.asarray(
-                [
-                    edge_rows[(normalized[si][1][target], si)]
-                    for si in structure_indices
-                ],
-                dtype=np.int64,
-            )
-            per_source: List[Optional[np.ndarray]] = []
+            per_source: List[List[int]] = []
             for source in range(arity):
                 if source == target:
-                    per_source.append(None)
                     continue
                 pool_ids: List[int] = []
                 for si in structure_indices:
@@ -445,15 +414,17 @@ def compile_sweep_plan(
                         pool_ids.append(
                             edge_count + recv_rows[(owner, si, source_name)]
                         )
-                per_source.append(np.asarray(pool_ids, dtype=np.int64))
-            gather.append(per_source)
-            scatter.append(target_rows)
+                per_source.append(pool_ids)
+            gather_all.append(per_source)
+            scatter_all.append(
+                [edge_rows[(normalized[si][1][target], si)] for si in structure_indices]
+            )
         batches.append(
             make_bucket(
                 arity=arity,
                 feedback_indices=np.asarray(structure_indices, dtype=np.int64),
-                gather=gather,
-                scatter=scatter,
+                gather_all=gather_all,
+                scatter_all=scatter_all,
                 use_count_kernel=use_count_kernel,
                 incorrect_counts=(
                     np.arange(arity + 1, dtype=np.int64)
@@ -481,6 +452,9 @@ def compile_sweep_plan(
         edge_count=edge_count,
         recv_count=len(recv_rows),
         recv_cells=tuple(recv_cells),
+        recv_structure=np.asarray(
+            [structure for _, structure, _ in recv_cells], dtype=np.int64
+        ),
         tx_src=np.asarray(tx_src, dtype=np.int64),
         tx_dest=np.asarray(tx_dest, dtype=np.int64),
         tx_feedback=np.asarray(tx_feedback, dtype=np.int64),
@@ -494,32 +468,38 @@ def compile_sweep_plan(
 # ---------------------------------------------------------------------------
 
 
-def bucket_tables(
-    kinds: np.ndarray, deltas: np.ndarray, bucket: BucketPlan
-) -> np.ndarray:
+def cpt_levels(kinds: np.ndarray, deltas) -> np.ndarray:
+    """``P(f | kind)`` of every structure at its three incorrect-count levels.
+
+    ``kinds`` holds kind codes and ``deltas`` the matching Δ values
+    (broadcastable against ``kinds``); the result has shape ``kinds.shape
+    + (3,)``: with no, exactly one, and two or more incorrect mappings —
+    positive 1 / 0 / Δ, negative 0 / 1 / 1 − Δ, neutral all ones.  A
+    structure's CPT depends on its incorrect count only through these
+    levels; :func:`bucket_tables` expands them per bucket.
+    """
+    deltas = np.asarray(deltas, dtype=float)
+    levels = _LEVEL_VALUES[kinds]
+    levels[..., 2] = np.choose(kinds, (1.0, deltas, 1.0 - deltas))
+    return levels
+
+
+def bucket_tables(levels: np.ndarray, bucket: BucketPlan) -> np.ndarray:
     """Per-(row, structure) CPT tables of one plan bucket.
 
-    ``kinds`` holds the ``(..., size)`` kind codes of the bucket's
-    structures and ``deltas`` the matching Δ values (broadcastable against
-    ``kinds``).  Dense buckets yield ``(..., size, *(2,)*arity)`` tables
-    for the einsum kernels; count-space buckets yield
+    ``levels`` holds the ``(..., structures, 3)`` :func:`cpt_levels` of
+    every plan structure.  Dense buckets yield ``(..., size, *(2,)*arity)``
+    tables for the einsum kernels; count-space buckets yield
     ``(..., size, arity + 1)`` count-value vectors — ``P(f± | k incorrect)``
     — for the :class:`~repro.factorgraph.compiled.StackedCountFactorBatch`
     kernel, never touching ``2**arity`` memory.  Neutral structures are
     all-ones either way, which is what masks them out of the sum–product.
+    The tables come out C-contiguous, the layout the kernels sum over.
     """
-    counts = bucket.incorrect_counts
-    extra = (1,) * counts.ndim
-    delta_full = np.broadcast_to(np.asarray(deltas, dtype=float), kinds.shape)
-    delta_shaped = delta_full.reshape(delta_full.shape + extra)
-    positive = np.where(
-        counts == 0, 1.0, np.where(counts == 1, 0.0, delta_shaped)
-    )
-    kind_shaped = kinds.reshape(kinds.shape + extra)
-    return np.where(
-        kind_shaped == KIND_POSITIVE,
-        positive,
-        np.where(kind_shaped == KIND_NEGATIVE, 1.0 - positive, 1.0),
+    return np.take(
+        levels[..., bucket.feedback_indices, :],
+        np.minimum(bucket.incorrect_counts, 2),
+        axis=-1,
     )
 
 

@@ -60,6 +60,11 @@ def apply_chain(mappings: Sequence[Mapping], attribute: str) -> Optional[str]:
     correspondence for the current attribute (the ⊥ case).
     """
     validate_chain(mappings)
+    return _push(mappings, attribute)
+
+
+def _push(mappings: Sequence[Mapping], attribute: str) -> Optional[str]:
+    """:func:`apply_chain` on a chain the caller has already validated."""
     current: Optional[str] = attribute
     for mapping in mappings:
         if current is None:
@@ -119,7 +124,7 @@ def round_trip_outcome(cycle: Sequence[Mapping], attribute: str) -> RoundTripOut
             f"not a cycle: starts at {cycle[0].source!r}, "
             f"ends at {cycle[-1].target!r}"
         )
-    image = apply_chain(cycle, attribute)
+    image = _push(cycle, attribute)
     if image is None:
         return NEUTRAL
     if image == attribute:
@@ -150,8 +155,8 @@ def parallel_paths_outcome(
             "parallel paths must share their destination peer, got "
             f"{first_path[-1].target!r} and {second_path[-1].target!r}"
         )
-    first_image = apply_chain(first_path, attribute)
-    second_image = apply_chain(second_path, attribute)
+    first_image = _push(first_path, attribute)
+    second_image = _push(second_path, attribute)
     if first_image is None or second_image is None:
         return NEUTRAL
     if first_image == second_image:

@@ -2,9 +2,11 @@
 
 The stacked kernels (see ``repro/factorgraph/compiled.py``) must evaluate,
 per stack element and factor, exactly the sum–product expression the
-scalar :meth:`Factor.message_to` oracle evaluates; the segment and
-normalisation kernels must treat every slice of a batched stack
-independently.
+scalar :meth:`Factor.message_to` oracle evaluates, and ``messages_all``
+exactly what ``messages_toward`` evaluates target by target; the segment
+and normalisation kernels must treat every slice of a batched stack
+independently, and return on either side of their shortcuts exactly what
+their guarded formulas (kept below as references) return.
 """
 
 import numpy as np
@@ -19,6 +21,81 @@ from repro.factorgraph.compiled import (
 )
 from repro.factorgraph.factors import Factor
 from repro.factorgraph.variables import BinaryVariable
+
+
+def _normalize_rows_guarded(matrix):
+    """``normalize_rows`` as it read before its positive-totals shortcut."""
+    matrix = np.asarray(matrix, dtype=float)
+    totals = matrix.sum(axis=-1, keepdims=True)
+    bad = (totals <= 0.0) | ~np.isfinite(totals)
+    safe_totals = np.where(bad, 1.0, totals)
+    normalized = matrix / safe_totals
+    if np.any(bad):
+        normalized = np.where(bad, 1.0 / matrix.shape[-1], normalized)
+    return normalized
+
+
+def _segment_exclusive_zero_aware(grouped, segment_starts, segment_of_row):
+    """``segment_exclusive_products`` as it read before its zero-free
+    shortcut."""
+    grouped = np.asarray(grouped, dtype=float)
+    zeros = grouped == 0.0
+    safe = np.where(zeros, 1.0, grouped)
+    segment_product = np.multiply.reduceat(safe, segment_starts, axis=-2)
+    segment_zeros = np.add.reduceat(
+        zeros.astype(np.int64), segment_starts, axis=-2
+    )
+    product_here = np.take(segment_product, segment_of_row, axis=-2)
+    zeros_here = np.take(segment_zeros, segment_of_row, axis=-2)
+    exclusive = np.where(zeros, product_here, product_here / safe)
+    return np.where((zeros_here - zeros) > 0, 0.0, exclusive)
+
+
+class TestKernelShortcuts:
+    """Both sides of each shortcut return the guarded formula's floats."""
+
+    @pytest.mark.parametrize(
+        "total", ["positive", 0.0, np.inf, np.nan], ids=str
+    )
+    def test_normalize_rows(self, total):
+        rng = np.random.default_rng(5)
+        stacked = rng.uniform(0.0, 3.0, size=(3, 7, 2))
+        if total != "positive":
+            stacked[1, 4] = [total, 0.0]
+            stacked[2, 0] = [0.0, total]
+        with np.errstate(invalid="ignore"):
+            expected = _normalize_rows_guarded(stacked)
+            got = normalize_rows(stacked)
+        assert got.shape == expected.shape
+        np.testing.assert_array_equal(got, expected)
+
+    def test_normalize_rows_empty(self):
+        empty = np.empty((2, 0, 2))
+        np.testing.assert_array_equal(
+            normalize_rows(empty), _normalize_rows_guarded(empty)
+        )
+
+    @pytest.mark.parametrize(
+        "zeros", [(), ((0, 1, 0),), ((1, 3, 1), (1, 4, 1)), ((2, 5, 0),)]
+    )
+    @pytest.mark.parametrize("special", [None, np.inf, np.nan], ids=str)
+    def test_segment_exclusive_products(self, zeros, special):
+        segment_of_row = np.array([0, 0, 0, 1, 1, 2], dtype=np.int64)
+        segment_starts = np.array([0, 3, 5], dtype=np.int64)
+        rng = np.random.default_rng(13)
+        stacked = rng.uniform(0.1, 1.0, size=(3, 6, 2))
+        for index in zeros:
+            stacked[index] = 0.0
+        if special is not None:
+            stacked[0, 3, 1] = special
+        with np.errstate(invalid="ignore"):
+            expected = _segment_exclusive_zero_aware(
+                stacked, segment_starts, segment_of_row
+            )
+            got = segment_exclusive_products(
+                stacked, segment_starts, segment_of_row
+            )
+        np.testing.assert_array_equal(got, expected)
 
 
 class TestNormalizeRows:
@@ -104,6 +181,57 @@ class TestStackedFactorBatch:
                         },
                     )
                     assert out[index, row] == pytest.approx(scalar, abs=1e-12)
+
+    @pytest.mark.parametrize("arity", range(1, 10))
+    @pytest.mark.parametrize("stack", [1, 3])
+    @pytest.mark.parametrize("size", [1, 5])
+    def test_messages_all_matches_messages_toward(self, arity, stack, size):
+        """Every target of the all-targets kernel is bitwise the per-target
+        kernel, and within 1e-12 of the scalar oracle — exact zeros in the
+        tables included."""
+        rng = np.random.default_rng(arity * 100 + stack * 10 + size)
+        tables = rng.uniform(0.1, 1.0, size=(stack, size) + (2,) * arity)
+        # The feedback CPTs' exact zeros: P(f+ | exactly one slot incorrect).
+        one_incorrect = np.indices((2,) * arity).sum(axis=0) == 1
+        tables[0, :, one_incorrect] = 0.0
+        stacked = StackedFactorBatch(tables)
+        incoming = [rng.uniform(0.1, 1.0, size=(stack, size, 2)) for _ in range(arity)]
+        # Per target, the non-target operands in ascending slot order.
+        gathered = np.empty((stack, arity, arity - 1, size, 2))
+        for target in range(arity):
+            sources = [slot for slot in range(arity) if slot != target]
+            for position, slot in enumerate(sources):
+                gathered[:, target, position] = incoming[slot]
+        fused = stacked.messages_all(gathered)
+        assert fused.shape == (stack, arity, size, 2)
+        variables = [BinaryVariable(f"x{slot}") for slot in range(arity)]
+        for target in range(arity):
+            per_target = stacked.messages_toward(target, incoming)
+            assert np.array_equal(fused[:, target], per_target)
+            for index in range(stack):
+                for row in range(size):
+                    scalar = Factor(
+                        "f", variables, tables[index, row]
+                    ).message_to(
+                        f"x{target}",
+                        {
+                            f"x{slot}": incoming[slot][index, row]
+                            for slot in range(arity)
+                            if slot != target
+                        },
+                    )
+                    assert fused[index, target, row] == pytest.approx(
+                        scalar, abs=1e-12
+                    )
+
+    def test_messages_all_rejects_bad_shapes(self):
+        stacked = StackedFactorBatch(np.ones((2, 3, 2, 2)))
+        with pytest.raises(FactorShapeError):
+            stacked.messages_all(np.ones((2, 2, 1, 4, 2)))
+        with pytest.raises(FactorShapeError):
+            StackedFactorBatch(np.ones((2, 3, 3, 2))).messages_all(
+                np.ones((2, 2, 1, 3, 2))
+            )
 
     def test_rejects_flat_tables_and_bad_shapes(self):
         with pytest.raises(FactorGraphError):

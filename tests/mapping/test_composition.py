@@ -81,6 +81,15 @@ class TestRoundTripOutcome:
         with pytest.raises(MappingCompositionError):
             round_trip_outcome([identity("p1", "p2"), identity("p2", "p3")], "Creator")
 
+    def test_broken_chain_rejected(self):
+        chain = [identity("p1", "p2"), identity("p3", "p1")]
+        with pytest.raises(MappingCompositionError, match="chain is broken"):
+            round_trip_outcome(chain, "Creator")
+
+    def test_empty_chain_rejected(self):
+        with pytest.raises(MappingCompositionError, match="empty chain"):
+            round_trip_outcome([], "Creator")
+
 
 class TestParallelPathsOutcome:
     def test_positive_when_images_agree(self):
@@ -105,6 +114,14 @@ class TestParallelPathsOutcome:
     def test_mismatched_destinations_rejected(self):
         with pytest.raises(MappingCompositionError):
             parallel_paths_outcome([identity("p1", "p4")], [identity("p1", "p3")], "Creator")
+
+    @pytest.mark.parametrize("broken_first", [True, False])
+    def test_broken_path_rejected(self, broken_first):
+        broken = [identity("p1", "p2"), identity("p3", "p4")]
+        intact = [identity("p1", "p4")]
+        paths = (broken, intact) if broken_first else (intact, broken)
+        with pytest.raises(MappingCompositionError, match="chain is broken"):
+            parallel_paths_outcome(*paths, "Creator")
 
 
 class TestCompose:
