@@ -15,9 +15,7 @@ and compiling the plan exactly once.
 import pytest
 
 from repro.core.quality import MappingQualityAssessor
-from repro.evaluation.experiments import run_batched_assessment
-from repro.evaluation.reporting import format_table
-from repro.generators.scenarios import generate_scenario
+from repro.evaluation.experiments import run_batched_assessment, throughput_network
 
 SIZES = (16, 32)
 
@@ -42,85 +40,31 @@ MAX_POSTERIOR_DIVERGENCE = 1e-9
 LOSSY_SEND_PROBABILITY = 0.7
 
 
-def _row(point, label):
-    return (
-        point.peer_count,
-        label,
-        point.attribute_count,
-        point.structure_count,
-        f"{point.sequential_seconds * 1e3:.1f}",
-        f"{point.batched_seconds * 1e3:.1f}",
-        f"{point.speedup:.1f}x",
-        f"{point.max_posterior_difference:.1e}",
-    )
-
-
 @pytest.mark.parametrize("peer_count", SIZES)
-def test_bench_batched_assessment(benchmark, report, report_json, peer_count):
-    scenario = generate_scenario(
-        topology="scale-free",
-        peer_count=peer_count,
-        attribute_count=10,
-        error_rate=0.15,
-        seed=peer_count,
-    )
+def test_bench_batched_assessment(benchmark, report_points, peer_count):
     assessor = MappingQualityAssessor(
-        scenario.network, delta=None, ttl=3, include_parallel_paths=False, seed=0
+        throughput_network(peer_count),
+        delta=None,
+        ttl=3,
+        include_parallel_paths=False,
+        seed=0,
     )
     assessor.structure_cache.structures()
     benchmark(assessor.assess_all_attributes)
 
-    lossless = run_batched_assessment(
+    lossless, lossy = run_batched_assessment(
         peer_counts=(peer_count,), repeats=PAIRS
-    ).point_for(peer_count)
-    lossy = run_batched_assessment(
+    ) + run_batched_assessment(
         peer_counts=(peer_count,),
         repeats=1,
         send_probability=LOSSY_SEND_PROBABILITY,
-    ).point_for(peer_count)
-
-    lines = format_table(
-        (
-            "peers",
-            "transport",
-            "attributes",
-            "structures",
-            "one-lane runs ms",
-            "stacked lanes ms",
-            "speedup",
-            "max |Δposterior|",
-        ),
-        [
-            _row(lossless, "lossless"),
-            _row(lossy, f"P(send)={LOSSY_SEND_PROBABILITY}"),
-        ],
-        title=(
-            f"Batched assessment — attribute lanes in one run vs one-lane runs "
-            f"per attribute on the {peer_count}-peer scale-free network"
-        ),
     )
-    pairs = " ".join(f"{ratio:.2f}x" for ratio in lossless.pair_speedups)
-    lines += (
-        f"\nlossless speedup = median of {len(lossless.pair_speedups)} "
-        f"alternating pairs: {pairs}"
-    )
-    report(f"EX_batched_assessment_{peer_count}_peers", lines)
-    report_json(
+    report_points(
         f"batched_assessment_{peer_count}_peers",
-        {
-            "peer_count": peer_count,
-            "attribute_count": lossless.attribute_count,
-            "structure_count": lossless.structure_count,
-            "mapping_count": lossless.mapping_count,
-            "sequential_seconds": lossless.sequential_seconds,
-            "batched_seconds": lossless.batched_seconds,
-            "speedup": lossless.speedup,
-            "pair_speedups": list(lossless.pair_speedups),
-            "batched_attributes_per_second": lossless.batched_attributes_per_second,
-            "lossy_speedup": lossy.speedup,
-            "max_posterior_difference": lossless.max_posterior_difference,
-            "lossy_max_posterior_difference": lossy.max_posterior_difference,
-        },
+        (lossless, lossy),
+        f"Batched assessment — attribute lanes in one run vs one-lane runs "
+        f"per attribute on the {peer_count}-peer scale-free network (speedup: "
+        f"median of {PAIRS} alternating pairs lossless, one pair lossy)",
     )
 
     # Both paths must see the exact same inference problems.
@@ -130,24 +74,17 @@ def test_bench_batched_assessment(benchmark, report, report_json, peer_count):
     assert lossless.max_posterior_difference <= MAX_POSTERIOR_DIVERGENCE
     assert lossy.max_posterior_difference <= MAX_POSTERIOR_DIVERGENCE
     if peer_count >= 32:
-        assert len(lossless.pair_speedups) >= PAIRS
+        assert lossless.timing.pairs >= PAIRS
         assert lossless.speedup >= MIN_SPEEDUP_AT_32_PEERS, (
             f"stacked lanes are only {lossless.speedup:.1f}x faster than "
-            f"one-lane runs at {peer_count} peers in the median of {pairs} "
-            f"(floor {MIN_SPEEDUP_AT_32_PEERS}x)"
+            f"one-lane runs at {peer_count} peers in the median of pairs "
+            f"{lossless.timing.ratios(0, 1)} (floor {MIN_SPEEDUP_AT_32_PEERS}x)"
         )
 
 
 def test_bench_plan_compiled_once_per_version(report):
     """``assess_all_attributes`` builds plans/tables once per network version."""
-    scenario = generate_scenario(
-        topology="scale-free",
-        peer_count=32,
-        attribute_count=10,
-        error_rate=0.15,
-        seed=32,
-    )
-    network = scenario.network
+    network = throughput_network(32)
     assessor = MappingQualityAssessor(
         network, delta=None, ttl=3, include_parallel_paths=False, seed=0
     )

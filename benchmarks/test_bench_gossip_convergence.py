@@ -23,12 +23,7 @@ event-sourced replicas.  It doubles as a regression tripwire:
   (catches a return to shipping whole logs).
 """
 
-import os
-
-import pytest
-
 from repro.evaluation.experiments import run_gossip_convergence
-from repro.evaluation.reporting import format_table
 
 PEER_COUNT = 32
 
@@ -55,14 +50,13 @@ MIN_DELIVERIES_PER_SECOND = 2_000
 MIN_USEFUL_RATIO = 0.2
 
 
-def test_bench_gossip_convergence(benchmark, report, report_json):
-    result = run_gossip_convergence(
+def test_bench_gossip_convergence(benchmark, report_points):
+    (point,) = run_gossip_convergence(
         peer_counts=(PEER_COUNT,),
         fanout=FANOUT,
         drop_probability=DROP_PROBABILITY,
         duplicate_probability=DUPLICATE_PROBABILITY,
     )
-    point = result.point_for(PEER_COUNT)
 
     # Time the full gossip-to-convergence cycle (workload build, two
     # causally-ordered origination phases, parity check) under
@@ -75,73 +69,12 @@ def test_bench_gossip_convergence(benchmark, report, report_json):
         duplicate_probability=DUPLICATE_PROBABILITY,
     )
 
-    lines = format_table(
-        (
-            "peers",
-            "mappings",
-            "events",
-            "rounds",
-            "buffered",
-            "dups dropped",
-            "msgs sent",
-            "msgs lost",
-            "msgs/event",
-            "useful",
-            "deliveries/s",
-            "oracle parity",
-        ),
-        [
-            (
-                point.peer_count,
-                point.mapping_count,
-                point.event_count,
-                f"{point.peer_rounds}+{point.mapping_rounds}",
-                point.deliveries_buffered,
-                point.duplicates_dropped,
-                point.messages_sent,
-                point.messages_dropped,
-                f"{point.messages_per_event:.1f}",
-                f"{point.useful_ratio:.3f}",
-                f"{point.events_per_second:,.0f}",
-                "exact" if point.views_identical else "DIVERGED",
-            )
-        ],
-        title=(
-            f"Gossip convergence — {PEER_COUNT} event-sourced replicas vs "
-            f"the single-process oracle (fanout={FANOUT}, "
-            f"P(drop)=P(dup)={DROP_PROBABILITY}, "
-            f"attribute={result.attribute!r})"
-        ),
-    )
-    report(f"EX_gossip_convergence_{PEER_COUNT}_peers", lines)
-    report_json(
+    report_points(
         f"gossip_convergence_{PEER_COUNT}_peers",
-        {
-            "peer_count": point.peer_count,
-            "mapping_count": point.mapping_count,
-            "event_count": point.event_count,
-            "corrupted_correspondences": point.corrupted_correspondences,
-            "peer_rounds": point.peer_rounds,
-            "mapping_rounds": point.mapping_rounds,
-            "total_rounds": point.total_rounds,
-            "gossip_seconds": point.gossip_seconds,
-            "deliveries_applied": point.deliveries_applied,
-            "events_per_second": point.events_per_second,
-            "duplicates_dropped": point.duplicates_dropped,
-            "deliveries_buffered": point.deliveries_buffered,
-            "messages_sent": point.messages_sent,
-            "messages_dropped": point.messages_dropped,
-            "messages_duplicated": point.messages_duplicated,
-            "messages_per_event": point.messages_per_event,
-            "useful_ratio": point.useful_ratio,
-            "fanout": point.fanout,
-            "drop_probability": point.drop_probability,
-            "duplicate_probability": point.duplicate_probability,
-            "seed": point.seed,
-            "origins_compared": point.origins_compared,
-            "views_identical": point.views_identical,
-            "cpu_count": os.cpu_count(),
-        },
+        (point,),
+        f"Gossip convergence — {PEER_COUNT} event-sourced replicas vs "
+        f"the single-process oracle (fanout={FANOUT}, "
+        f"P(drop)=P(dup)={DROP_PROBABILITY}, attribute={point.attribute!r})",
     )
 
     # run_gossip_convergence has already compared every node's local view

@@ -17,9 +17,7 @@ origin's neighbourhood exactly once per network version.
 import pytest
 
 from repro.core.quality import MappingQualityAssessor
-from repro.evaluation.experiments import run_local_assessment
-from repro.evaluation.reporting import format_table
-from repro.generators.scenarios import generate_scenario
+from repro.evaluation.experiments import run_local_assessment, throughput_network
 
 SIZES = (16, 32)
 
@@ -43,29 +41,9 @@ MAX_POSTERIOR_DIVERGENCE = 1e-9
 LOSSY_SEND_PROBABILITY = 0.7
 
 
-def _row(point, label):
-    return (
-        point.peer_count,
-        label,
-        point.origin_count,
-        point.structure_count,
-        f"{point.sequential_seconds * 1e3:.1f}",
-        f"{point.batched_seconds * 1e3:.1f}",
-        f"{point.speedup:.1f}x",
-        f"{point.max_posterior_difference:.1e}",
-    )
-
-
 @pytest.mark.parametrize("peer_count", SIZES)
-def test_bench_local_assessment(benchmark, report, report_json, peer_count):
-    scenario = generate_scenario(
-        topology="scale-free",
-        peer_count=peer_count,
-        attribute_count=10,
-        error_rate=0.15,
-        seed=peer_count,
-    )
-    network = scenario.network
+def test_bench_local_assessment(benchmark, report_points, peer_count):
+    network = throughput_network(peer_count)
     attribute = network.attribute_universe()[0]
     assessor = MappingQualityAssessor(
         network, delta=None, ttl=3, include_parallel_paths=False, seed=0
@@ -74,60 +52,19 @@ def test_bench_local_assessment(benchmark, report, report_json, peer_count):
         assessor.neighborhood_cache.structures_for(origin)
     benchmark(assessor.assess_local_all, attribute)
 
-    lossless = run_local_assessment(
+    lossless, lossy = run_local_assessment(
         peer_counts=(peer_count,), repeats=PAIRS
-    ).point_for(peer_count)
-    lossy = run_local_assessment(
+    ) + run_local_assessment(
         peer_counts=(peer_count,),
         repeats=1,
         send_probability=LOSSY_SEND_PROBABILITY,
-    ).point_for(peer_count)
-
-    lines = format_table(
-        (
-            "peers",
-            "transport",
-            "origins",
-            "structures",
-            "sequential ms",
-            "batched ms",
-            "speedup",
-            "max |Δposterior|",
-        ),
-        [
-            _row(lossless, "lossless"),
-            _row(lossy, f"P(send)={LOSSY_SEND_PROBABILITY}"),
-        ],
-        title=(
-            f"Local assessment — per-origin lanes in one run vs one-lane "
-            f"runs per origin on the {peer_count}-peer scale-free network"
-        ),
     )
-    pairs = " ".join(f"{ratio:.2f}x" for ratio in lossless.pair_speedups)
-    lines += (
-        f"\nlossless speedup = median of {len(lossless.pair_speedups)} "
-        f"alternating pairs: {pairs}"
-    )
-    report(f"EX_local_assessment_{peer_count}_peers", lines)
-    report_json(
+    report_points(
         f"local_assessment_{peer_count}_peers",
-        {
-            "peer_count": peer_count,
-            "origin_count": lossless.origin_count,
-            "attribute": lossless.attribute,
-            "structure_count": lossless.structure_count,
-            "mapping_count": lossless.mapping_count,
-            "sequential_seconds": lossless.sequential_seconds,
-            "batched_seconds": lossless.batched_seconds,
-            "speedup": lossless.speedup,
-            "pair_speedups": list(lossless.pair_speedups),
-            "batched_origins_per_second": lossless.batched_origins_per_second,
-            "lossy_speedup": lossy.speedup,
-            "max_posterior_difference": lossless.max_posterior_difference,
-            "lossy_max_posterior_difference": lossy.max_posterior_difference,
-            "probes": lossless.probes,
-            "plan_compiles": lossless.plan_compiles,
-        },
+        (lossless, lossy),
+        f"Local assessment — per-origin lanes in one run vs one-lane runs "
+        f"per origin on the {peer_count}-peer scale-free network (speedup: "
+        f"median of {PAIRS} alternating pairs lossless, one pair lossy)",
     )
 
     # Both paths must see the exact same per-origin inference problems, and
@@ -142,22 +79,16 @@ def test_bench_local_assessment(benchmark, report, report_json, peer_count):
     if peer_count >= 32:
         assert lossless.speedup >= MIN_SPEEDUP_AT_32_PEERS, (
             f"the all-origins run is only {lossless.speedup:.1f}x faster "
-            f"than one-lane runs per origin at {peer_count} peers in the median of "
-            f"{pairs} (floor {MIN_SPEEDUP_AT_32_PEERS}x)"
+            f"than one-lane runs per origin at {peer_count} peers in the "
+            f"median of pairs {lossless.timing.ratios(0, 1)} (floor "
+            f"{MIN_SPEEDUP_AT_32_PEERS}x)"
         )
 
 
 def test_bench_local_probe_once_per_version(report):
     """``assess_local_all`` probes each origin and compiles the local plan
     exactly once per network version, across attributes and EM rounds."""
-    scenario = generate_scenario(
-        topology="scale-free",
-        peer_count=32,
-        attribute_count=10,
-        error_rate=0.15,
-        seed=32,
-    )
-    network = scenario.network
+    network = throughput_network(32)
     assessor = MappingQualityAssessor(
         network, delta=None, ttl=3, include_parallel_paths=False, seed=0
     )

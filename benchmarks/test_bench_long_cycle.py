@@ -27,9 +27,7 @@ finishes.
 import pytest
 
 from repro.core.quality import MappingQualityAssessor
-from repro.evaluation.experiments import run_long_cycle_throughput
-from repro.evaluation.reporting import format_table
-from repro.generators.scenarios import generate_scenario
+from repro.evaluation.experiments import run_long_cycle_throughput, throughput_network
 
 CYCLE_LENGTHS = (30, 40)
 RINGS = 10
@@ -53,8 +51,8 @@ MAX_DIVERGENCE = 1e-9
 
 
 @pytest.mark.parametrize("cycle_length", CYCLE_LENGTHS)
-def test_bench_long_cycle(benchmark, report, report_json, cycle_length):
-    point = benchmark.pedantic(
+def test_bench_long_cycle(benchmark, report_points, cycle_length):
+    (point,) = benchmark.pedantic(
         run_long_cycle_throughput,
         kwargs=dict(
             cycle_lengths=(cycle_length,),
@@ -64,67 +62,17 @@ def test_bench_long_cycle(benchmark, report, report_json, cycle_length):
         ),
         rounds=1,
         iterations=1,
-    ).point_for(cycle_length)
-
-    lines = format_table(
-        (
-            "cycle length",
-            "rings",
-            "edges",
-            "rounds loops/lane",
-            "loops ms/round",
-            "lane ms/round",
-            "median speedup",
-            "min speedup",
-            "max |Δbatched|",
-            "max |Δlocal|",
-        ),
-        [
-            (
-                point.cycle_length,
-                point.ring_count,
-                point.edge_count,
-                f"{point.loop_rounds}/{point.lane_rounds}",
-                f"{point.loop_seconds_per_round * 1e3:.2f}",
-                f"{point.lane_seconds_per_round * 1e3:.3f}",
-                f"{point.speedup:.1f}x",
-                f"{min(point.ratios):.1f}x",
-                f"{point.batched_max_difference:.1e}",
-                f"{point.local_max_difference:.1e}",
-            )
-        ],
-        title=(
-            f"Long cycles — one-lane count-kernel rounds vs loops oracle "
-            f"iterations, {point.ring_count} rings of {point.cycle_length} "
-            f"mappings, median of {len(point.ratios)} alternating pairs"
-        ),
     )
-    report(f"EX_long_cycle_{cycle_length}", lines)
-    report_json(
+    report_points(
         f"long_cycle_{cycle_length}",
-        {
-            "cycle_length": point.cycle_length,
-            "ring_count": point.ring_count,
-            "structure_count": point.structure_count,
-            "edge_count": point.edge_count,
-            "loop_rounds": point.loop_rounds,
-            "lane_rounds": point.lane_rounds,
-            "loop_seconds": list(point.loop_seconds),
-            "lane_seconds": list(point.lane_seconds),
-            "pair_speedups": list(point.ratios),
-            "speedup": point.speedup,
-            "loop_messages_per_second": point.loop_messages_per_second,
-            "lane_messages_per_second": point.lane_messages_per_second,
-            "batched_max_difference": point.batched_max_difference,
-            "local_max_difference": point.local_max_difference,
-            "count_kernel_buckets": point.count_kernel_buckets,
-            "dense_kernel_buckets": point.dense_kernel_buckets,
-            "compaction_edge_counts": list(point.compaction_edge_counts),
-        },
+        (point,),
+        f"Long cycles — one-lane count-kernel rounds vs loops oracle "
+        f"iterations, {RINGS} rings of {cycle_length} mappings, median of "
+        f"{PAIRS} alternating pairs",
     )
 
     # Every timed run ran exactly the rounds its rate is computed from.
-    assert point.loop_rounds == point.lane_rounds == ITERATIONS
+    assert point.rounds == ITERATIONS
     assert len(point.ratios) == PAIRS
     # Long buckets must run on the count kernels — no dense (2,)**arity
     # table — and every lane must agree with the loops sum-product.
@@ -141,21 +89,14 @@ def test_bench_long_cycle(benchmark, report, report_json, cycle_length):
         )
 
 
-def test_bench_long_cycle_compaction(report, report_json):
+def test_bench_long_cycle_compaction(report):
     """Per-origin compaction: per-round work decreases as origins freeze.
 
     On a heterogeneous network origins converge at different rounds; the
     shared slice must shed each frozen origin's rows, so the per-round
     edge-row trajectory is non-increasing and strictly smaller by the end.
     """
-    scenario = generate_scenario(
-        topology="scale-free",
-        peer_count=32,
-        attribute_count=10,
-        error_rate=0.15,
-        seed=32,
-    )
-    network = scenario.network
+    network = throughput_network(32)
     attribute = network.attribute_universe()[0]
     assessor = MappingQualityAssessor(
         network, delta=None, ttl=3, include_parallel_paths=False, seed=0
@@ -176,14 +117,4 @@ def test_bench_long_cycle_compaction(report, report_json):
         f"edge rows per round: {list(trajectory)}\n"
         f"first {trajectory[0]} -> last {trajectory[-1]} rows "
         f"({1.0 - trajectory[-1] / trajectory[0]:.0%} shed)",
-    )
-    report_json(
-        "long_cycle_compaction",
-        {
-            "peer_count": 32,
-            "rounds": len(trajectory),
-            "round_edge_counts": list(trajectory),
-            "first_round_rows": trajectory[0],
-            "last_round_rows": trajectory[-1],
-        },
     )

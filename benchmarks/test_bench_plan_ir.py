@@ -20,11 +20,14 @@ one-lane embedded run) and both bit for bit identical to the loop:
   plan, where numpy call overhead, not arithmetic, sets the cost.
 """
 
-import time
+from dataclasses import dataclass
+from typing import ClassVar, Tuple
 
 import numpy as np
 
 from repro.core.local_graph import mapping_owner
+from repro.evaluation.reporting import Column
+from repro.evaluation.timing import Measurement, measure
 from repro.factorgraph.plan import (
     KIND_NEGATIVE,
     KIND_POSITIVE,
@@ -62,27 +65,60 @@ CALLS_PER_SAMPLE = 10
 DENSE_CALLS_PER_SAMPLE = 200
 
 
-def _timed(fn, calls=CALLS_PER_SAMPLE):
-    start = time.perf_counter()
-    for _ in range(calls):
-        fn()
-    return (time.perf_counter() - start) / calls
+@dataclass(frozen=True)
+class SweepPoint:
+    """The per-target loop (``timing`` side 0) against the fused path
+    (side 1) on one bucket, each sample ``calls`` back-to-back calls."""
+
+    bucket: str
+    arity: int
+    bucket_size: int
+    calls: int
+    timing: Measurement
+
+    COLUMNS: ClassVar[Tuple[Column, ...]] = (
+        Column("bucket", "bucket"),
+        Column("arity", "arity"),
+        Column("structures", "bucket_size"),
+        Column("per-target µs", "per_target_seconds", "{:.1f}", 1e6),
+        Column("fused µs", "fused_seconds", "{:.1f}", 1e6),
+        Column("median speedup", "speedup", "{:.2f}x"),
+        Column("min speedup", "min_speedup", "{:.2f}x"),
+    )
+
+    @property
+    def per_target_seconds(self) -> float:
+        return self.timing.median(0) / self.calls
+
+    @property
+    def fused_seconds(self) -> float:
+        return self.timing.median(1) / self.calls
+
+    @property
+    def speedup(self) -> float:
+        return self.timing.speedup(0, 1)
+
+    @property
+    def min_speedup(self) -> float:
+        return min(self.timing.ratios(0, 1))
 
 
-def _alternating_pairs(baseline, candidate, calls=CALLS_PER_SAMPLE):
-    """Per-pair seconds of both sides, alternating which side runs first."""
-    baseline_seconds, candidate_seconds = [], []
-    for pair in range(PAIRS):
-        if pair % 2 == 0:
-            baseline_seconds.append(_timed(baseline, calls))
-            candidate_seconds.append(_timed(candidate, calls))
-        else:
-            candidate_seconds.append(_timed(candidate, calls))
-            baseline_seconds.append(_timed(baseline, calls))
-    return baseline_seconds, candidate_seconds
+def _compare(per_target, fused, calls):
+    """Time ``calls`` calls of each side in alternating pairs; the timed
+    calls return their last output."""
+
+    def samples(fn):
+        def run():
+            for _ in range(calls):
+                out = fn()
+            return out
+
+        return lambda: run
+
+    return measure([samples(per_target), samples(fused)], PAIRS)
 
 
-def test_bench_plan_ir_fused_kernel(benchmark, report, report_json):
+def test_bench_plan_ir_fused_kernel(benchmark, report_points):
     arity, size = KERNEL_ARITY, KERNEL_BUCKET_SIZE
     values = np.array([1.0, 0.0] + [0.1] * (arity - 1))
     kernel = StackedCountFactorBatch(np.tile(values, (1, size, 1)))
@@ -109,48 +145,27 @@ def test_bench_plan_ir_fused_kernel(benchmark, report, report_json):
     def fused():
         return kernel.messages_all(gathered)
 
+    timing = _compare(per_target, fused, CALLS_PER_SAMPLE)
+    benchmark(fused)
+    point = SweepPoint("count", arity, size, CALLS_PER_SAMPLE, timing)
+    report_points(
+        "plan_ir_fused_kernel",
+        (point,),
+        f"Fused count kernel vs the per-target sweep loop, one slice, median "
+        f"of {PAIRS} alternating pairs (floor {MIN_KERNEL_SPEEDUP}x)",
+    )
+
     # The fused path is a reshuffle of the same float operations: bitwise
     # identity, not approximation, for every target slot.
-    assert np.array_equal(per_target(), fused())
-
-    per_target_seconds, fused_seconds = _alternating_pairs(per_target, fused)
-    ratios = [a / b for a, b in zip(per_target_seconds, fused_seconds)]
-    speedup = float(np.median(ratios))
-    q1, q3 = np.percentile(ratios, [25, 75])
-    benchmark(fused)
-
-    lines = (
-        f"count bucket: arity {arity}, {size} structures, one slice\n"
-        f"per-target sweep loop: {np.median(per_target_seconds) * 1e3:.3f} ms "
-        f"(median of {PAIRS})\n"
-        f"fused messages_all:    {np.median(fused_seconds) * 1e3:.3f} ms "
-        f"(median of {PAIRS})\n"
-        f"speedup: {speedup:.1f}x median of {PAIRS} alternating pairs "
-        f"(IQR {q1:.1f}–{q3:.1f}x, min {min(ratios):.1f}x; floor "
-        f"{MIN_KERNEL_SPEEDUP}x), bitwise identical"
-    )
-    report("EX_plan_ir_fused_kernel", lines)
-    report_json(
-        "plan_ir_fused_kernel",
-        {
-            "arity": arity,
-            "bucket_size": size,
-            "stack": 1,
-            "pairs": PAIRS,
-            "per_target_seconds": per_target_seconds,
-            "fused_seconds": fused_seconds,
-            "pair_speedups": ratios,
-            "speedup": speedup,
-        },
-    )
-    assert speedup >= MIN_KERNEL_SPEEDUP, (
-        f"fused messages_all is only {speedup:.1f}x faster than the "
-        f"per-target sweep loop (median of {PAIRS} pairs {ratios}; floor "
-        f"{MIN_KERNEL_SPEEDUP}x)"
+    assert np.array_equal(*timing.values)
+    assert point.speedup >= MIN_KERNEL_SPEEDUP, (
+        f"fused messages_all is only {point.speedup:.1f}x faster than the "
+        f"per-target sweep loop (median of {PAIRS} pairs "
+        f"{timing.ratios(0, 1)}; floor {MIN_KERNEL_SPEEDUP}x)"
     )
 
 
-def test_bench_plan_ir_dense_sweep(benchmark, report, report_json):
+def test_bench_plan_ir_dense_sweep(benchmark, report_points):
     arity, size = DENSE_ARITY, DENSE_BUCKET_SIZE
     # Three-peer cycles, one mapping per peer: every operand of a sweep is
     # a received remote copy, as in the decentralised runs.
@@ -179,49 +194,27 @@ def test_bench_plan_ir_dense_sweep(benchmark, report, report_json):
             loop_out[..., bucket.scatter_all[target], :] = normalize_rows(
                 kernel.messages_toward(target, incoming)
             )
+        return loop_out
 
     def fused():
         bucket.sweep(kernel, pool, fused_out)
+        return fused_out
+
+    timing = _compare(per_target, fused, DENSE_CALLS_PER_SAMPLE)
+    benchmark(fused)
+    point = SweepPoint("dense", arity, size, DENSE_CALLS_PER_SAMPLE, timing)
+    report_points(
+        "plan_ir_dense_sweep",
+        (point,),
+        f"Fused dense bucket sweep vs the per-target sweep loop, one slice, "
+        f"median of {PAIRS} alternating pairs (floor "
+        f"{MIN_DENSE_SWEEP_SPEEDUP}x)",
+    )
 
     # Same float operations in both: bitwise identity for every edge row.
-    per_target()
-    fused()
-    assert np.array_equal(loop_out, fused_out)
-
-    per_target_seconds, fused_seconds = _alternating_pairs(
-        per_target, fused, DENSE_CALLS_PER_SAMPLE
-    )
-    ratios = [a / b for a, b in zip(per_target_seconds, fused_seconds)]
-    speedup = float(np.median(ratios))
-    q1, q3 = np.percentile(ratios, [25, 75])
-    benchmark(fused)
-
-    lines = (
-        f"dense bucket: arity {arity}, {size} structures, one slice\n"
-        f"per-target sweep loop: {np.median(per_target_seconds) * 1e6:.1f} µs "
-        f"(median of {PAIRS})\n"
-        f"fused bucket sweep:    {np.median(fused_seconds) * 1e6:.1f} µs "
-        f"(median of {PAIRS})\n"
-        f"speedup: {speedup:.2f}x median of {PAIRS} alternating pairs "
-        f"(IQR {q1:.2f}–{q3:.2f}x, min {min(ratios):.2f}x; floor "
-        f"{MIN_DENSE_SWEEP_SPEEDUP}x), bitwise identical"
-    )
-    report("EX_plan_ir_dense_sweep", lines)
-    report_json(
-        "plan_ir_dense_sweep",
-        {
-            "arity": arity,
-            "bucket_size": size,
-            "stack": 1,
-            "pairs": PAIRS,
-            "per_target_seconds": per_target_seconds,
-            "fused_seconds": fused_seconds,
-            "pair_speedups": ratios,
-            "speedup": speedup,
-        },
-    )
-    assert speedup >= MIN_DENSE_SWEEP_SPEEDUP, (
-        f"the fused dense bucket sweep is only {speedup:.2f}x faster than the "
-        f"per-target sweep loop (median of {PAIRS} pairs {ratios}; floor "
-        f"{MIN_DENSE_SWEEP_SPEEDUP}x)"
+    assert np.array_equal(*timing.values)
+    assert point.speedup >= MIN_DENSE_SWEEP_SPEEDUP, (
+        f"the fused dense bucket sweep is only {point.speedup:.2f}x faster "
+        f"than the per-target sweep loop (median of {PAIRS} pairs "
+        f"{timing.ratios(0, 1)}; floor {MIN_DENSE_SWEEP_SPEEDUP}x)"
     )

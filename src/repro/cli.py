@@ -25,10 +25,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .constants import DEFAULT_TTL
 from .core.quality import MappingQualityAssessor
+from .exceptions import ReproError
 from .evaluation.experiments import (
     run_assessor_amortization,
     run_baseline_comparison,
@@ -46,16 +48,79 @@ from .evaluation.experiments import (
     run_schedule_comparison,
 )
 from .evaluation.metrics import score_detection
-from .evaluation.reporting import format_comparison, format_table
+from .evaluation.reporting import format_comparison, format_points, format_table
 from .generators.scenarios import generate_scenario
 
 __all__ = ["build_parser", "main"]
 
-#: Probe TTL of the generated throughput networks.  Deliberately shallower
-#: than the assessor's :data:`~repro.constants.DEFAULT_TTL`: the timed
-#: workloads only need enough structures to saturate the engines, not the
-#: full exponential enumeration.
-THROUGHPUT_DEFAULT_TTL = 3
+
+@dataclass(frozen=True)
+class _PointTable:
+    """A command that prints a runner's points: the runner, its default
+    sizes (its first argument; ``None`` when it takes none), the flags it
+    accepts — passed on by name when given, the runner's own defaults apply
+    otherwise — and the title, formatted with the last point."""
+
+    runner: Callable[..., Sequence[object]]
+    sizes: Optional[Tuple[int, ...]]
+    flags: Tuple[str, ...]
+    title: str
+
+
+def _run_gossip(peer_counts: Sequence[int], **options) -> Sequence[object]:
+    """``--drop-probability`` sets the duplicate probability too."""
+    if "drop_probability" in options:
+        options["duplicate_probability"] = options["drop_probability"]
+    return run_gossip_convergence(peer_counts, **options)
+
+
+#: ``throughput --mode <name>``.
+_THROUGHPUT_MODES = {
+    "embedded": _PointTable(
+        run_embedded_throughput,
+        (8, 16, 32, 64),
+        ("ttl", "repeats", "rounds", "send_probability"),
+        "Embedded throughput — one-lane rounds, median of {point.timing.pairs} "
+        "runs (P(send)={point.send_probability})",
+    ),
+    "local": _PointTable(
+        run_local_assessment,
+        (8, 16, 32),
+        ("ttl", "repeats", "send_probability"),
+        "Local assessment throughput — batched per-origin lanes vs "
+        "engine-per-origin (P(send)={point.send_probability})",
+    ),
+    "long-cycle": _PointTable(
+        run_long_cycle_throughput,
+        (20, 30, 40),
+        ("repeats",),
+        "Long-cycle throughput — one-lane count-kernel rounds vs loops oracle "
+        "iterations, {point.timing.pairs} alternating pairs (structures far "
+        "beyond the dense arity limit)",
+    ),
+    "probe": _PointTable(
+        run_probe_throughput,
+        (64, 128, 256),
+        ("ttl", "repeats"),
+        "Probe throughput — full-probe structure discovery (ttl={point.ttl})",
+    ),
+    "gossip": _PointTable(
+        _run_gossip,
+        (16, 32),
+        ("fanout", "drop_probability"),
+        "Gossip convergence — event-sourced replicas vs the single-process "
+        "oracle (fanout={point.fanout}, P(drop)=P(dup)={point.drop_probability}"
+        ", attribute={point.attribute!r})",
+    ),
+}
+
+_AMORTIZATION = _PointTable(
+    run_assessor_amortization,
+    None,
+    ("peer_count", "attribute_count", "ttl"),
+    "Assessor amortization — probe-once structure cache + batched "
+    "all-attribute engine (speedup vs probe-per-attribute)",
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -108,16 +173,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     throughput.add_argument(
         "--sizes", type=int, nargs="+", default=None,
-        help="peer counts of the generated scale-free networks "
-        "(default 8 16 32 64 in embedded mode; "
-        "8 16 32 in local mode; 64 128 256 in probe mode; 16 32 in "
-        "gossip mode); in long-cycle "
-        "mode the *cycle lengths* of the generated mapping rings "
-        "(default 20 30 40)",
+        help="peer counts of the generated networks; in long-cycle mode the "
+        "*cycle lengths* of the generated mapping rings (default "
+        + "; ".join(
+            f"{' '.join(map(str, table.sizes))} in {name} mode"
+            for name, table in _THROUGHPUT_MODES.items()
+        )
+        + ")",
     )
     throughput.add_argument(
         "--mode",
-        choices=("embedded", "local", "long-cycle", "probe", "gossip"),
+        choices=tuple(_THROUGHPUT_MODES),
         default="embedded",
         help="'embedded' (default) times decentralised rounds of one-lane "
         "runs (rounds/s and messages/s, median of the repeats); 'local' "
@@ -136,7 +202,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="probe TTL of the generated networks (default 3; not "
         "applicable in long-cycle mode, which always probes the full ring)",
     )
-    throughput.add_argument("--repeats", type=int, default=3)
+    throughput.add_argument(
+        "--repeats", type=int, default=None,
+        help="timed runs, or alternating pairs, per size (default 3; not "
+        "applicable in gossip mode, which times one run to convergence)",
+    )
     throughput.add_argument(
         "--rounds", type=int, default=None,
         help="embedded mode only: decentralised rounds per timed run "
@@ -164,9 +234,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="probe-once structure cache vs per-attribute probing on a "
         "full assess_all_attributes pass",
     )
-    amortization.add_argument("--peers", type=int, default=32)
-    amortization.add_argument("--attributes", type=int, default=10)
-    amortization.add_argument("--ttl", type=int, default=3)
+    amortization.add_argument(
+        "--peers", dest="peer_count", type=int, default=None, help="(default 32)"
+    )
+    amortization.add_argument(
+        "--attributes", dest="attribute_count", type=int, default=None,
+        help="(default 10)",
+    )
+    amortization.add_argument("--ttl", type=int, default=None, help="(default 3)")
 
     scenario = subparsers.add_parser(
         "scenario", help="assess a generated synthetic PDMS scenario"
@@ -296,272 +371,6 @@ def _render_schedules() -> str:
     )
 
 
-def _render_throughput(args: argparse.Namespace) -> str:
-    if args.mode == "local":
-        return _render_local_throughput(args)
-    if args.mode == "long-cycle":
-        return _render_long_cycle_throughput(args)
-    if args.mode == "probe":
-        return _render_probe_throughput(args)
-    if args.mode == "gossip":
-        return _render_gossip_convergence(args)
-    return _render_embedded_throughput(args)
-
-
-def _render_embedded_throughput(args: argparse.Namespace) -> str:
-    sizes = tuple(args.sizes) if args.sizes else (8, 16, 32, 64)
-    send_probability = (
-        args.send_probability if args.send_probability is not None else 1.0
-    )
-    result = run_embedded_throughput(
-        peer_counts=sizes,
-        ttl=args.ttl if args.ttl is not None else THROUGHPUT_DEFAULT_TTL,
-        rounds=args.rounds if args.rounds is not None else 25,
-        repeats=args.repeats,
-        send_probability=send_probability,
-    )
-    rows = [
-        (
-            point.peer_count,
-            point.feedback_count,
-            point.remote_messages_per_round,
-            f"{point.rounds_per_second:,.0f}",
-            f"{point.messages_per_second:,.0f}",
-        )
-        for point in result.points
-    ]
-    return format_table(
-        ("peers", "feedbacks", "remote msgs/round", "rounds/s", "messages/s"),
-        rows,
-        title=(
-            "Embedded throughput — one-lane rounds, median of "
-            f"{max(1, args.repeats)} runs (P(send)={send_probability})"
-        ),
-    )
-
-
-def _render_local_throughput(args: argparse.Namespace) -> str:
-    sizes = tuple(args.sizes) if args.sizes else (8, 16, 32)
-    send_probability = (
-        args.send_probability if args.send_probability is not None else 1.0
-    )
-    result = run_local_assessment(
-        peer_counts=sizes,
-        ttl=args.ttl if args.ttl is not None else THROUGHPUT_DEFAULT_TTL,
-        repeats=args.repeats,
-        send_probability=send_probability,
-    )
-    rows = [
-        (
-            point.peer_count,
-            point.origin_count,
-            point.structure_count,
-            f"{point.sequential_seconds * 1e3:.1f}",
-            f"{point.batched_seconds * 1e3:.1f}",
-            f"{point.speedup:.1f}x",
-            f"{point.max_posterior_difference:.1e}",
-        )
-        for point in result.points
-    ]
-    return format_table(
-        (
-            "peers",
-            "origins",
-            "structures",
-            "sequential ms",
-            "batched ms",
-            "speedup",
-            "max |Δposterior|",
-        ),
-        rows,
-        title=(
-            "Local assessment throughput — batched per-origin lanes vs "
-            f"engine-per-origin (P(send)={send_probability})"
-        ),
-    )
-
-
-def _render_probe_throughput(args: argparse.Namespace) -> str:
-    sizes = tuple(args.sizes) if args.sizes else (64, 128, 256)
-    ttl = args.ttl if args.ttl is not None else THROUGHPUT_DEFAULT_TTL
-    result = run_probe_throughput(
-        peer_counts=sizes, ttl=ttl, repeats=args.repeats
-    )
-    rows = [
-        (
-            point.peer_count,
-            point.mapping_count,
-            point.work_units,
-            point.structure_count,
-            f"{point.serial_seconds * 1e3:.1f}",
-            f"{point.serial_structures_per_second:,.0f}",
-        )
-        for point in result.points
-    ]
-    return format_table(
-        (
-            "peers",
-            "mappings",
-            "work units",
-            "structures",
-            "serial ms",
-            "structures/s",
-        ),
-        rows,
-        title=f"Probe throughput — full-probe structure discovery (ttl={ttl})",
-    )
-
-
-def _render_gossip_convergence(args: argparse.Namespace) -> str:
-    sizes = tuple(args.sizes) if args.sizes else (16, 32)
-    fanout = args.fanout if args.fanout is not None else 3
-    drop_probability = (
-        args.drop_probability if args.drop_probability is not None else 0.05
-    )
-    result = run_gossip_convergence(
-        peer_counts=sizes,
-        fanout=fanout,
-        drop_probability=drop_probability,
-        duplicate_probability=drop_probability,
-    )
-    rows = [
-        (
-            point.peer_count,
-            point.mapping_count,
-            point.event_count,
-            f"{point.peer_rounds}+{point.mapping_rounds}",
-            point.deliveries_buffered,
-            point.duplicates_dropped,
-            point.messages_sent,
-            point.messages_dropped,
-            f"{point.useful_ratio:.3f}",
-            f"{point.events_per_second:,.0f}",
-            "exact" if point.views_identical else "DIVERGED",
-        )
-        for point in result.points
-    ]
-    return format_table(
-        (
-            "peers",
-            "mappings",
-            "events",
-            "rounds",
-            "buffered",
-            "dups dropped",
-            "msgs sent",
-            "msgs lost",
-            "useful",
-            "deliveries/s",
-            "oracle parity",
-        ),
-        rows,
-        title=(
-            "Gossip convergence — event-sourced replicas vs the "
-            f"single-process oracle (fanout={fanout}, "
-            f"P(drop)=P(dup)={drop_probability}, "
-            f"attribute={result.attribute!r})"
-        ),
-    )
-
-
-def _render_long_cycle_throughput(args: argparse.Namespace) -> str:
-    lengths = tuple(args.sizes) if args.sizes else (20, 30, 40)
-    result = run_long_cycle_throughput(cycle_lengths=lengths, repeats=args.repeats)
-    rows = [
-        (
-            point.cycle_length,
-            point.ring_count,
-            point.edge_count,
-            f"{point.loop_rounds}/{point.lane_rounds}",
-            f"{point.loop_messages_per_second:,.0f}",
-            f"{point.lane_messages_per_second:,.0f}",
-            f"{point.speedup:.1f}x",
-            f"{min(point.ratios):.1f}x",
-            f"{point.batched_max_difference:.1e}",
-            f"{point.local_max_difference:.1e}",
-            point.count_kernel_buckets,
-        )
-        for point in result.points
-    ]
-    return format_table(
-        (
-            "cycle length",
-            "rings",
-            "edges",
-            "rounds loops/lane",
-            "loops msg/s",
-            "lane msg/s",
-            "median speedup",
-            "min speedup",
-            "max |Δbatched|",
-            "max |Δlocal|",
-            "count buckets",
-        ),
-        rows,
-        title=(
-            "Long-cycle throughput — one-lane count-kernel rounds vs loops "
-            f"oracle iterations, {max(1, args.repeats)} alternating pairs "
-            "(structures far beyond the dense arity limit)"
-        ),
-    )
-
-
-def _render_amortization(args: argparse.Namespace) -> str:
-    result = run_assessor_amortization(
-        peer_count=args.peers,
-        attribute_count=args.attributes,
-        ttl=args.ttl,
-    )
-    return format_table(
-        (
-            "mode",
-            "peers",
-            "attributes",
-            "probes",
-            "plan compiles",
-            "seconds",
-            "speedup",
-            "max |Δposterior|",
-        ),
-        [
-            (
-                "probe per attribute",
-                result.peer_count,
-                result.attribute_count,
-                result.uncached_probe_count,
-                "-",
-                f"{result.uncached_seconds:.3f}",
-                "1.0x",
-                "-",
-            ),
-            (
-                "cached + sequential",
-                result.peer_count,
-                result.attribute_count,
-                result.cached_probe_count,
-                "-",
-                f"{result.cached_seconds:.3f}",
-                f"{result.speedup:.1f}x",
-                f"{result.max_posterior_difference:.1e}",
-            ),
-            (
-                "cached + batched",
-                result.peer_count,
-                result.attribute_count,
-                result.batched_probe_count,
-                result.batched_plan_compiles,
-                f"{result.batched_seconds:.3f}",
-                f"{result.speedup * result.batched_speedup:.1f}x",
-                f"{result.batched_max_posterior_difference:.1e}",
-            ),
-        ],
-        title=(
-            "Assessor amortization — probe-once structure cache + batched "
-            "all-attribute engine (speedup vs probe-per-attribute)"
-        ),
-    )
-
-
 def _render_scenario(args: argparse.Namespace) -> str:
     scenario = generate_scenario(
         topology=args.topology,
@@ -596,58 +405,52 @@ def _render_scenario(args: argparse.Namespace) -> str:
     )
 
 
+_RENDERERS = {
+    "intro": lambda args: _render_intro(),
+    "convergence": lambda args: _render_convergence(args.priors, args.delta),
+    "relative-error": lambda args: _render_relative_error(args.max_extra_peers),
+    "cycle-length": lambda args: _render_cycle_length(args.max_length, args.deltas),
+    "fault-tolerance": lambda args: _render_fault_tolerance(
+        args.repetitions, args.send_probabilities
+    ),
+    "real-world": lambda args: _render_real_world(args.thetas, args.ttl),
+    "baseline": lambda args: _render_baseline(),
+    "schedules": lambda args: _render_schedules(),
+    "scenario": _render_scenario,
+}
+
+
+def _render_points(parser: argparse.ArgumentParser, args: argparse.Namespace) -> str:
+    name = args.mode if args.command == "throughput" else args.command
+    table = _THROUGHPUT_MODES[name] if args.command == "throughput" else _AMORTIZATION
+    options = {}
+    for flag, value in vars(args).items():
+        if flag in ("command", "mode", "sizes") or value is None:
+            continue
+        if flag not in table.flags:
+            parser.error(f"--{flag.replace('_', '-')} does not apply to --mode {name}")
+        options[flag] = value
+    sizes = () if table.sizes is None else (tuple(args.sizes or table.sizes),)
+    points = table.runner(*sizes, **options)
+    return format_points(points, table.title.format(point=points[-1]))
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    """Entry point; returns a process exit code."""
+    """Entry point; returns a process exit code.
+
+    A flag the chosen mode does not take, or a library error such as a
+    network too small for its workload, exits with status 2 and one usage
+    line instead of a traceback.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "throughput":
-        # Reject flags that belong to another mode instead of silently
-        # ignoring them.
-        if args.mode != "embedded" and args.rounds is not None:
-            parser.error("--rounds only applies to --mode embedded")
-        if args.mode in ("long-cycle", "probe", "gossip") and args.send_probability is not None:
-            parser.error(
-                "--send-probability only applies to --mode embedded or local"
-            )
-        if args.mode == "long-cycle" and args.ttl is not None:
-            parser.error(
-                "--ttl does not apply to --mode long-cycle (each ring is "
-                "probed with its full cycle length)"
-            )
-        if args.mode == "gossip" and args.ttl is not None:
-            parser.error(
-                "--ttl does not apply to --mode gossip (the assessor TTL "
-                "follows the workload's chord length)"
-            )
-        if args.mode != "gossip" and args.fanout is not None:
-            parser.error("--fanout only applies to --mode gossip")
-        if args.mode != "gossip" and args.drop_probability is not None:
-            parser.error("--drop-probability only applies to --mode gossip")
-    if args.command == "intro":
-        output = _render_intro()
-    elif args.command == "convergence":
-        output = _render_convergence(args.priors, args.delta)
-    elif args.command == "relative-error":
-        output = _render_relative_error(args.max_extra_peers)
-    elif args.command == "cycle-length":
-        output = _render_cycle_length(args.max_length, args.deltas)
-    elif args.command == "fault-tolerance":
-        output = _render_fault_tolerance(args.repetitions, args.send_probabilities)
-    elif args.command == "real-world":
-        output = _render_real_world(args.thetas, args.ttl)
-    elif args.command == "baseline":
-        output = _render_baseline()
-    elif args.command == "schedules":
-        output = _render_schedules()
-    elif args.command == "throughput":
-        output = _render_throughput(args)
-    elif args.command == "amortization":
-        output = _render_amortization(args)
-    elif args.command == "scenario":
-        output = _render_scenario(args)
-    else:  # pragma: no cover - argparse enforces the choices
-        parser.error(f"unknown command {args.command!r}")
-        return 2
+    try:
+        if args.command in ("throughput", "amortization"):
+            output = _render_points(parser, args)
+        else:
+            output = _RENDERERS[args.command](args)
+    except ReproError as error:
+        parser.error(str(error))
     print(output)
     return 0
 

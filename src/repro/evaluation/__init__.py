@@ -1,9 +1,8 @@
 """Evaluation harness: metrics, baselines, per-figure experiment runners,
-convergence diagnostics and plain-text reporting."""
+the throughput timing primitive and plain-text reporting."""
 
 from .metrics import ConfusionCounts, DetectionMetrics, precision_curve, score_detection
 from .baselines import chatty_web_baseline, random_guess_baseline
-from .convergence import ConvergenceStats, iterations_to_converge, trajectory_stats
 from .reporting import format_comparison, format_series, format_table
 from .experiments import (
     BaselineComparisonResult,
@@ -31,9 +30,6 @@ __all__ = [
     "score_detection",
     "chatty_web_baseline",
     "random_guess_baseline",
-    "ConvergenceStats",
-    "iterations_to_converge",
-    "trajectory_stats",
     "format_comparison",
     "format_series",
     "format_table",

@@ -2,19 +2,17 @@
 
 Each ``run_*`` function reproduces one experiment of §5 (or one of the
 ablations DESIGN.md adds) and returns a small result dataclass holding the
-series the paper plots.  The benchmark harness under ``benchmarks/`` calls
-these runners and prints paper-vs-measured tables; EXPERIMENTS.md records
-the comparison.
+series the paper plots; the throughput runners return tuples of points
+timed by :func:`~repro.evaluation.timing.measure`.  The benchmark harness
+under ``benchmarks/`` calls these runners and prints paper-vs-measured
+tables; EXPERIMENTS.md records the comparison.
 """
 
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Mapping as TMapping, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Callable, ClassVar, Dict, List, Optional, Sequence, Tuple
 
 from ..constants import COUNT_KERNEL_MIN_ARITY, DEFAULT_SEED
 from ..core.analysis import analyze_network
@@ -46,6 +44,8 @@ from ..pdms.query import Query, substring_predicate
 from ..pdms.routing import QueryRouter, RoutingPolicy
 from .baselines import chatty_web_baseline
 from .metrics import DetectionMetrics, precision_curve, score_detection
+from .reporting import Column
+from .timing import Measurement, measure
 
 __all__ = [
     "IntroExampleResult",
@@ -66,27 +66,23 @@ __all__ = [
     "run_baseline_comparison",
     "ScheduleComparisonResult",
     "run_schedule_comparison",
+    "throughput_network",
     "throughput_feedbacks",
     "EmbeddedThroughputPoint",
-    "EmbeddedThroughputResult",
     "run_embedded_throughput",
-    "AssessorAmortizationResult",
+    "AMORTIZATION_MODES",
+    "AssessorAmortizationPoint",
     "run_assessor_amortization",
     "BatchedAssessmentPoint",
-    "BatchedAssessmentResult",
     "run_batched_assessment",
     "LocalAssessmentPoint",
-    "LocalAssessmentResult",
     "run_local_assessment",
     "LongCycleThroughputPoint",
-    "LongCycleThroughputResult",
     "long_cycle_network",
     "run_long_cycle_throughput",
     "ProbeThroughputPoint",
-    "ProbeThroughputResult",
     "run_probe_throughput",
     "GossipConvergencePoint",
-    "GossipConvergenceResult",
     "gossip_workload_network",
     "run_gossip_convergence",
 ]
@@ -805,27 +801,38 @@ def run_schedule_comparison(
 
 
 # ---------------------------------------------------------------------------
-# EX — embedded throughput: decentralised rounds per second
+# EX — throughput: per-layer runners, each a tuple of points timed by measure
 # ---------------------------------------------------------------------------
+#
+# A point keeps its ``Measurement``, so its rates and speedups derive from
+# the timed samples, and declares its table once (``COLUMNS``).
+
+
+def throughput_network(
+    peer_count: int, attribute_count: int = 10, error_rate: float = 0.15
+) -> PDMSNetwork:
+    """The scale-free benchmark PDMS of ``peer_count`` peers (seeded with
+    the peer count) that the embedded, amortization, batched and local
+    throughput runs share."""
+    return generate_scenario(
+        topology="scale-free",
+        peer_count=peer_count,
+        attribute_count=attribute_count,
+        error_rate=error_rate,
+        seed=peer_count,
+    ).network
 
 
 def throughput_feedbacks(peer_count: int, ttl: int = 3, attribute_count: int = 10):
     """Informative cycle feedback of the benchmark scale-free PDMS.
 
-    Generates a scale-free scenario of ``peer_count`` peers (seeded with the
-    peer count) and returns the informative feedbacks of the first
-    attribute that has any, so the evidence is never empty.
+    Returns the informative feedbacks of the first attribute of the
+    :func:`throughput_network` that has any, so the evidence is never empty.
     """
-    scenario = generate_scenario(
-        topology="scale-free",
-        peer_count=peer_count,
-        attribute_count=attribute_count,
-        error_rate=0.15,
-        seed=peer_count,
-    )
-    for attribute in scenario.network.attribute_universe():
+    network = throughput_network(peer_count, attribute_count)
+    for attribute in network.attribute_universe():
         evidence = analyze_network(
-            scenario.network, attribute, ttl=ttl, include_parallel_paths=False
+            network, attribute, ttl=ttl, include_parallel_paths=False
         )
         if evidence.informative_feedbacks:
             return evidence.informative_feedbacks
@@ -835,14 +842,33 @@ def throughput_feedbacks(peer_count: int, ttl: int = 3, attribute_count: int = 1
     )
 
 
+def _rounds_of(build: Callable[[], object], step: str, rounds: int):
+    """A :func:`measure` setup: build an engine untimed, then time exactly
+    ``rounds`` calls of its ``step`` method; the timed call returns the
+    engine."""
+
+    def setup():
+        engine = build()
+        advance = getattr(engine, step)
+
+        def run():
+            for _ in range(rounds):
+                advance()
+            return engine
+
+        return run
+
+    return setup
+
+
 @dataclass(frozen=True)
 class EmbeddedThroughputPoint:
     """Round throughput of one-lane embedded runs on one generated PDMS.
 
     Every timed run is a fresh engine over the same feedback evidence with
     an identically seeded transport, replaying the same message schedule;
-    ``run_seconds`` holds the wall time of each run's ``rounds`` rounds and
-    the rates are their median.
+    ``timing`` holds each run's wall time for ``rounds`` rounds and the
+    rates are their median.
     """
 
     peer_count: int
@@ -850,45 +876,41 @@ class EmbeddedThroughputPoint:
     feedback_count: int
     remote_messages_per_round: int
     rounds: int
-    run_seconds: Tuple[float, ...]
+    send_probability: float
+    timing: Measurement
 
-    @property
-    def seconds(self) -> float:
-        return float(np.median(self.run_seconds))
+    COLUMNS: ClassVar[Tuple[Column, ...]] = (
+        Column("peers", "peer_count"),
+        Column("P(send)", "send_probability"),
+        Column("feedbacks", "feedback_count"),
+        Column("remote msgs/round", "remote_messages_per_round"),
+        Column("rounds/s", "rounds_per_second", "{:,.0f}"),
+        Column("rounds/s IQR", "rounds_per_second_iqr", "{0[0]:,.0f}–{0[1]:,.0f}"),
+        Column("messages/s", "messages_per_second", "{:,.0f}"),
+    )
 
     @property
     def rounds_per_second(self) -> float:
-        if self.seconds <= 0.0:
-            return float("inf")
-        return self.rounds / self.seconds
+        return self.rounds / self.timing.median()
+
+    @property
+    def rounds_per_second_iqr(self) -> Tuple[float, float]:
+        first, third = self.timing.quartiles()
+        return self.rounds / third, self.rounds / first
 
     @property
     def messages_per_second(self) -> float:
         return self.rounds_per_second * self.remote_messages_per_round
 
 
-@dataclass(frozen=True)
-class EmbeddedThroughputResult:
-    """Embedded round throughput across sizes."""
-
-    points: Tuple[EmbeddedThroughputPoint, ...]
-    send_probability: float = 1.0
-
-    def point_for(self, peer_count: int) -> EmbeddedThroughputPoint:
-        for point in self.points:
-            if point.peer_count == peer_count:
-                return point
-        raise KeyError(f"no embedded throughput point for {peer_count} peers")
-
-
 def run_embedded_throughput(
     peer_counts: Sequence[int] = (8, 16, 32, 64),
     ttl: int = 3,
     rounds: int = 25,
-    repeats: int = 5,
+    repeats: int = 3,
     send_probability: float = 1.0,
     seed: int = 0,
-) -> EmbeddedThroughputResult:
+) -> Tuple[EmbeddedThroughputPoint, ...]:
     """Measure embedded rounds per second of the lane engine, one lane.
 
     For each peer count the cycle feedback of a scale-free PDMS is gathered
@@ -899,20 +921,23 @@ def run_embedded_throughput(
     points: List[EmbeddedThroughputPoint] = []
     for peer_count in peer_counts:
         feedbacks = throughput_feedbacks(peer_count, ttl=ttl)
-        run_seconds: List[float] = []
-        engine = None
-        for _ in range(max(1, repeats)):
-            engine = EmbeddedMessagePassing(
-                feedbacks,
-                priors=0.5,
-                delta=0.1,
-                transport=MessageTransport(send_probability, seed=seed),
-                options=EmbeddedOptions(record_history=False),
-            )
-            start = time.perf_counter()
-            for _ in range(rounds):
-                engine.run_round()
-            run_seconds.append(time.perf_counter() - start)
+        timing = measure(
+            [
+                _rounds_of(
+                    lambda: EmbeddedMessagePassing(
+                        feedbacks,
+                        priors=0.5,
+                        delta=0.1,
+                        transport=MessageTransport(send_probability, seed=seed),
+                        options=EmbeddedOptions(record_history=False),
+                    ),
+                    "run_round",
+                    rounds,
+                )
+            ],
+            repeats,
+        )
+        (engine,) = timing.values
         points.append(
             EmbeddedThroughputPoint(
                 peer_count=peer_count,
@@ -920,12 +945,11 @@ def run_embedded_throughput(
                 feedback_count=len(feedbacks),
                 remote_messages_per_round=engine.remote_message_count,
                 rounds=rounds,
-                run_seconds=tuple(run_seconds),
+                send_probability=send_probability,
+                timing=timing,
             )
         )
-    return EmbeddedThroughputResult(
-        points=tuple(points), send_probability=send_probability
-    )
+    return tuple(points)
 
 
 # ---------------------------------------------------------------------------
@@ -933,50 +957,61 @@ def run_embedded_throughput(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AssessorAmortizationResult:
-    """Cost of assessing every attribute in three ways.
+AMORTIZATION_MODES = ("probe per attribute", "cached + sequential", "cached + batched")
 
-    The structure cache collapses the per-attribute cycle/parallel-path
-    enumerations into a single probe (``cached_probe_count`` must be 1); the
-    batched pass further compiles one plan (``batched_plan_compiles`` must
-    be 1) and runs every attribute as a lane of one engine.  All three timings are full
-    passes including the probe, so the numbers compose: ``speedup`` is what
-    the cache buys over probe-per-attribute, ``batched_speedup`` what the
-    stacked engine buys on top of the cache.
+
+@dataclass(frozen=True)
+class AssessorAmortizationPoint:
+    """One of the :data:`AMORTIZATION_MODES` of assessing every attribute
+    of one PDMS: a fresh assessor per attribute (the baseline), one
+    assessor running one one-lane ``assess_attribute`` per attribute (one
+    probe), or one ``assess_all_attributes`` pass (one probe, one plan,
+    every attribute a lane of one run).  The three share one
+    :func:`measure` run, this mode being side ``side``; every timed pass
+    pays its own cold probe, so ``speedup`` (the median per-pair ratio of
+    the baseline's time to this mode's) composes.
+    ``max_posterior_difference`` is taken against the baseline.
     """
 
+    mode: str
     peer_count: int
     attribute_count: int
-    ttl: int
-    cached_probe_count: int
-    uncached_probe_count: int
-    cached_seconds: float
-    uncached_seconds: float
+    probes: int
+    plan_compiles: int
     max_posterior_difference: float
-    batched_seconds: float = 0.0
-    batched_probe_count: int = 0
-    batched_plan_compiles: int = 0
-    batched_max_posterior_difference: float = 0.0
+    side: int
+    timing: Measurement
+
+    COLUMNS: ClassVar[Tuple[Column, ...]] = (
+        Column("mode", "mode"),
+        Column("peers", "peer_count"),
+        Column("attributes", "attribute_count"),
+        Column("probes", "probes"),
+        Column("plan compiles", "plan_compiles"),
+        Column("seconds", "seconds", "{:.3f}"),
+        Column("speedup", "speedup", "{:.1f}x"),
+        Column("max |Δposterior|", "max_posterior_difference", "{:.1e}"),
+    )
 
     @property
-    def probe_amortization(self) -> float:
-        if self.cached_probe_count == 0:
-            return float("inf")
-        return self.uncached_probe_count / self.cached_probe_count
+    def seconds(self) -> float:
+        return self.timing.median(self.side)
 
     @property
     def speedup(self) -> float:
-        if self.cached_seconds <= 0.0:
-            return float("inf")
-        return self.uncached_seconds / self.cached_seconds
+        return self.timing.speedup(0, self.side)
 
-    @property
-    def batched_speedup(self) -> float:
-        """All attributes as lanes of one run vs one-lane runs, warm cache."""
-        if self.batched_seconds <= 0.0:
-            return float("inf")
-        return self.cached_seconds / self.batched_seconds
+
+def _max_posterior_difference(assessments, reference) -> float:
+    """Largest |Δposterior| between two ``{attribute: assessment}`` passes."""
+    return max(
+        (
+            abs(value - reference[attribute].posteriors[name])
+            for attribute, assessment in assessments.items()
+            for name, value in assessment.posteriors.items()
+        ),
+        default=0.0,
+    )
 
 
 def run_assessor_amortization(
@@ -985,71 +1020,61 @@ def run_assessor_amortization(
     ttl: int = 3,
     error_rate: float = 0.15,
     seed: Optional[int] = 0,
-) -> AssessorAmortizationResult:
-    """Measure the probe-once cache and the batched engine on a full pass.
+) -> Tuple[AssessorAmortizationPoint, ...]:
+    """Measure the probe-once cache and the batched engine on a full pass:
+    every attribute of one generated scale-free PDMS assessed in the three
+    :data:`AMORTIZATION_MODES`, in three pairs (each mode runs first once).
 
-    Assesses every attribute of the same generated scale-free PDMS three
-    ways — one fresh assessor per attribute (probe per attribute: nothing
-    is shared across attributes), one assessor running the one-lane
-    :meth:`~repro.core.quality.MappingQualityAssessor.assess_attribute`
-    for each attribute (one cached probe, one run per attribute), and one
-    ``assess_all_attributes`` pass (the cache plus every attribute a lane
-    of one run) — and compares probe counts, plan compiles, wall time and
-    posteriors.
+    Every assessor of a network reads the network's shared per-version
+    snapshot, whose remembered walks would let the first probe serve the
+    later ones; the snapshot is dropped before every fresh assessor, so
+    each probe walks cold.
     """
-    scenario = generate_scenario(
-        topology="scale-free",
-        peer_count=peer_count,
-        attribute_count=attribute_count,
-        error_rate=error_rate,
-        seed=peer_count,
-    )
-    network = scenario.network
+    network = throughput_network(peer_count, attribute_count, error_rate)
     attributes = network.attribute_universe()
 
     def assessor() -> MappingQualityAssessor:
+        network.invalidate_snapshot()
         return MappingQualityAssessor(
             network, delta=None, ttl=ttl, include_parallel_paths=False, seed=seed
         )
 
-    cached = assessor()
-    start = time.perf_counter()
-    cached_assessments = {a: cached.assess_attribute(a) for a in attributes}
-    cached_seconds = time.perf_counter() - start
+    def per_attribute():
+        fresh: List[MappingQualityAssessor] = []
 
-    start = time.perf_counter()
-    uncached_assessments = {a: assessor().assess_attribute(a) for a in attributes}
-    uncached_seconds = time.perf_counter() - start
+        def run():
+            assessments = {}
+            for attribute in attributes:
+                fresh.append(assessor())
+                assessments[attribute] = fresh[-1].assess_attribute(attribute)
+            return fresh, assessments
 
-    batched = assessor()
-    start = time.perf_counter()
-    batched_assessments = batched.assess_all_attributes()
-    batched_seconds = time.perf_counter() - start
+        return run
 
-    worst = 0.0
-    batched_worst = 0.0
-    for attribute in attributes:
-        cached_posteriors = cached_assessments[attribute].posteriors
-        uncached_posteriors = uncached_assessments[attribute].posteriors
-        batched_posteriors = batched_assessments[attribute].posteriors
-        for name, value in cached_posteriors.items():
-            worst = max(worst, abs(value - uncached_posteriors[name]))
-            batched_worst = max(batched_worst, abs(value - batched_posteriors[name]))
+    def cached():
+        shared = assessor()
+        return lambda: ([shared], {a: shared.assess_attribute(a) for a in attributes})
 
-    return AssessorAmortizationResult(
-        peer_count=peer_count,
-        attribute_count=len(attributes),
-        ttl=ttl,
-        cached_probe_count=cached.structure_cache.statistics.probes,
-        # Without the cache every assessed attribute probes from scratch.
-        uncached_probe_count=len(attributes),
-        cached_seconds=cached_seconds,
-        uncached_seconds=uncached_seconds,
-        max_posterior_difference=worst,
-        batched_seconds=batched_seconds,
-        batched_probe_count=batched.structure_cache.statistics.probes,
-        batched_plan_compiles=batched.plan_compile_count,
-        batched_max_posterior_difference=batched_worst,
+    def batched():
+        shared = assessor()
+        return lambda: ([shared], shared.assess_all_attributes())
+
+    timing = measure([per_attribute, cached, batched], 3)
+    reference = timing.values[0][1]
+    return tuple(
+        AssessorAmortizationPoint(
+            mode=mode,
+            peer_count=peer_count,
+            attribute_count=len(attributes),
+            probes=sum(a.structure_cache.statistics.probes for a in assessors),
+            plan_compiles=sum(a.plan_compile_count for a in assessors),
+            max_posterior_difference=_max_posterior_difference(assessments, reference),
+            side=side,
+            timing=timing,
+        )
+        for side, (mode, (assessors, assessments)) in enumerate(
+            zip(AMORTIZATION_MODES, timing.values)
+        )
     )
 
 
@@ -1058,8 +1083,47 @@ def run_assessor_amortization(
 # ---------------------------------------------------------------------------
 
 
+class _OneLaneVsLanes:
+    """Times and speedup of a point timed by :func:`_one_lane_vs_lanes`."""
+
+    timing: Measurement
+
+    @property
+    def sequential_seconds(self) -> float:
+        return self.timing.median(0)
+
+    @property
+    def batched_seconds(self) -> float:
+        return self.timing.median(1)
+
+    @property
+    def speedup(self) -> float:
+        return self.timing.speedup(0, 1)
+
+
+def _one_lane_vs_lanes(
+    network: PDMSNetwork, warm, one_lane, lanes, repeats: int, **options
+) -> Measurement:
+    """Time one-lane runs (side 0) against one run of every lane (side 1)
+    in ``repeats`` alternating pairs, each run on a fresh assessor of
+    ``network`` (built with ``options``) that ``warm`` prepares outside the
+    timed region; each side's call returns ``(assessor, result)``."""
+
+    def side(run):
+        def setup():
+            assessor = MappingQualityAssessor(
+                network, delta=None, include_parallel_paths=False, **options
+            )
+            warm(assessor)
+            return lambda: (assessor, run(assessor))
+
+        return setup
+
+    return measure([side(one_lane), side(lanes)], repeats)
+
+
 @dataclass(frozen=True)
-class BatchedAssessmentPoint:
+class BatchedAssessmentPoint(_OneLaneVsLanes):
     """Timing of a multi-attribute sweep: stacked lanes vs one-lane runs.
 
     Both assessors share a warm structure cache (the probe is excluded from
@@ -1069,51 +1133,30 @@ class BatchedAssessmentPoint:
     round instead of one per attribute.  The posteriors of the two paths
     must agree to floating-point accuracy under identical seeds.
 
-    The two paths are timed in alternating pairs; ``sequential_seconds``
-    and ``batched_seconds`` are the medians over the pairs and
-    :attr:`speedup` is the median of the per-pair ratios
-    (:attr:`pair_speedups`).
+    ``timing`` side 0 is the one-lane runs, side 1 the stacked lanes,
+    timed in alternating pairs; :attr:`speedup` is the median of the
+    per-pair ratios.
     """
 
     peer_count: int
     attribute_count: int
     structure_count: int
     mapping_count: int
-    sequential_seconds: float
-    batched_seconds: float
     plan_compiles: int
     max_posterior_difference: float
-    pair_speedups: Tuple[float, ...]
+    send_probability: float
+    timing: Measurement
 
-    @property
-    def speedup(self) -> float:
-        return float(np.median(self.pair_speedups))
-
-    @property
-    def sequential_attributes_per_second(self) -> float:
-        if self.sequential_seconds <= 0.0:
-            return float("inf")
-        return self.attribute_count / self.sequential_seconds
-
-    @property
-    def batched_attributes_per_second(self) -> float:
-        if self.batched_seconds <= 0.0:
-            return float("inf")
-        return self.attribute_count / self.batched_seconds
-
-
-@dataclass(frozen=True)
-class BatchedAssessmentResult:
-    """Sweep timings of both paths across network sizes."""
-
-    points: Tuple[BatchedAssessmentPoint, ...]
-    send_probability: float = 1.0
-
-    def point_for(self, peer_count: int) -> BatchedAssessmentPoint:
-        for point in self.points:
-            if point.peer_count == peer_count:
-                return point
-        raise KeyError(f"no batched assessment point for {peer_count} peers")
+    COLUMNS: ClassVar[Tuple[Column, ...]] = (
+        Column("peers", "peer_count"),
+        Column("P(send)", "send_probability"),
+        Column("attributes", "attribute_count"),
+        Column("structures", "structure_count"),
+        Column("one-lane runs ms", "sequential_seconds", "{:.1f}", 1e3),
+        Column("stacked lanes ms", "batched_seconds", "{:.1f}", 1e3),
+        Column("speedup", "speedup", "{:.1f}x"),
+        Column("max |Δposterior|", "max_posterior_difference", "{:.1e}"),
+    )
 
 
 def run_batched_assessment(
@@ -1124,72 +1167,34 @@ def run_batched_assessment(
     send_probability: float = 1.0,
     error_rate: float = 0.15,
     seed: Optional[int] = 0,
-) -> BatchedAssessmentResult:
+) -> Tuple[BatchedAssessmentPoint, ...]:
     """Measure ``assess_all_attributes`` against one-lane runs per attribute.
 
     For each peer count a scale-free PDMS is generated and the full
     multi-attribute sweep is timed as one run with every attribute a lane
     (``assess_all_attributes``) and as one one-lane ``assess_attribute``
     run per attribute, both on the assessor's cached plan.  The two are
-    timed in ``repeats`` alternating pairs — the first path of each pair
-    flips every pair, every run gets a fresh assessor, and the structure
-    cache is warmed outside the timed region.
+    timed in ``repeats`` alternating pairs — every run gets a fresh
+    assessor, and the structure cache is warmed outside the timed region.
     ``send_probability < 1`` exercises the lossy path: both sides seed one
     transport per attribute identically, so the posteriors must still agree.
     """
     points: List[BatchedAssessmentPoint] = []
     for peer_count in peer_counts:
-        scenario = generate_scenario(
-            topology="scale-free",
-            peer_count=peer_count,
-            attribute_count=attribute_count,
-            error_rate=error_rate,
-            seed=peer_count,
-        )
-        network = scenario.network
+        network = throughput_network(peer_count, attribute_count, error_rate)
         attributes = network.attribute_universe()
 
-        def time_sweep(use_batched: bool):
-            assessor = MappingQualityAssessor(
-                network,
-                delta=None,
-                ttl=ttl,
-                include_parallel_paths=False,
-                seed=seed,
-                send_probability=send_probability,
-            )
-            assessor.structure_cache.structures()
-            assessor.assessment_plan()
-            start = time.perf_counter()
-            if use_batched:
-                assessments = assessor.assess_all_attributes()
-            else:
-                assessments = {a: assessor.assess_attribute(a) for a in attributes}
-            return assessor, assessments, time.perf_counter() - start
-
-        seconds: Dict[bool, List[float]] = {True: [], False: []}
-        pair_speedups: List[float] = []
-        for pair in range(max(1, repeats)):
-            for use_batched in (pair % 2 == 1, pair % 2 == 0):
-                assessor, assessments, elapsed = time_sweep(use_batched)
-                seconds[use_batched].append(elapsed)
-                if use_batched:
-                    batched, batched_assessments = assessor, assessments
-                else:
-                    sequential_assessments = assessments
-            pair_speedups.append(
-                seconds[False][-1] / seconds[True][-1]
-                if seconds[True][-1] > 0.0
-                else float("inf")
-            )
-
-        worst = 0.0
-        for attribute in attributes:
-            sequential_posteriors = sequential_assessments[attribute].posteriors
-            batched_posteriors = batched_assessments[attribute].posteriors
-            for name, value in sequential_posteriors.items():
-                worst = max(worst, abs(value - batched_posteriors[name]))
-
+        timing = _one_lane_vs_lanes(
+            network,
+            MappingQualityAssessor.assessment_plan,
+            lambda a: {attribute: a.assess_attribute(attribute) for attribute in attributes},
+            MappingQualityAssessor.assess_all_attributes,
+            repeats,
+            ttl=ttl,
+            seed=seed,
+            send_probability=send_probability,
+        )
+        (_, sequential), (batched, batched_assessments) = timing.values
         cycles, parallel_paths = batched.structure_cache.structures()
         mapping_names = {
             name
@@ -1202,16 +1207,15 @@ def run_batched_assessment(
                 attribute_count=len(attributes),
                 structure_count=len(cycles) + len(parallel_paths),
                 mapping_count=len(mapping_names),
-                sequential_seconds=float(np.median(seconds[False])),
-                batched_seconds=float(np.median(seconds[True])),
                 plan_compiles=batched.plan_compile_count,
-                max_posterior_difference=worst,
-                pair_speedups=tuple(pair_speedups),
+                max_posterior_difference=_max_posterior_difference(
+                    sequential, batched_assessments
+                ),
+                send_probability=send_probability,
+                timing=timing,
             )
         )
-    return BatchedAssessmentResult(
-        points=tuple(points), send_probability=send_probability
-    )
+    return tuple(points)
 
 
 # ---------------------------------------------------------------------------
@@ -1220,7 +1224,7 @@ def run_batched_assessment(
 
 
 @dataclass(frozen=True)
-class LocalAssessmentPoint:
+class LocalAssessmentPoint(_OneLaneVsLanes):
     """Timing of the all-origins §4.5 decision: one run vs one-lane runs.
 
     Both assessors share a warm per-origin neighbourhood cache (the probes
@@ -1230,11 +1234,10 @@ class LocalAssessmentPoint:
     local views of the two paths must agree to floating-point accuracy under
     identical seeds.
 
-    The two paths are timed in alternating pairs; ``sequential_seconds``
-    and ``batched_seconds`` are the medians over the pairs and
-    :attr:`speedup` is the median of the per-pair ratios
-    (:attr:`pair_speedups`), so one slow interval on a shared host moves
-    one pair, not the verdict.
+    ``timing`` side 0 is the one-lane runs per origin, side 1 the shared
+    run, timed in alternating pairs; :attr:`speedup` is the median of the
+    per-pair ratios, so one slow interval on a shared host moves one pair,
+    not the verdict.
     """
 
     peer_count: int
@@ -1242,44 +1245,22 @@ class LocalAssessmentPoint:
     attribute: str
     structure_count: int
     mapping_count: int
-    sequential_seconds: float
-    batched_seconds: float
     plan_compiles: int
     probes: int
     max_posterior_difference: float
-    pair_speedups: Tuple[float, ...]
+    send_probability: float
+    timing: Measurement
 
-    @property
-    def speedup(self) -> float:
-        return float(np.median(self.pair_speedups))
-
-    @property
-    def sequential_origins_per_second(self) -> float:
-        if self.sequential_seconds <= 0.0:
-            return float("inf")
-        return self.origin_count / self.sequential_seconds
-
-    @property
-    def batched_origins_per_second(self) -> float:
-        if self.batched_seconds <= 0.0:
-            return float("inf")
-        return self.origin_count / self.batched_seconds
-
-
-@dataclass(frozen=True)
-class LocalAssessmentResult:
-    """All-origins local-assessment timings across network sizes."""
-
-    points: Tuple[LocalAssessmentPoint, ...]
-    send_probability: float = 1.0
-
-    def point_for(self, peer_count: int) -> LocalAssessmentPoint:
-        for point in self.points:
-            if point.peer_count == peer_count:
-                return point
-        raise EvaluationError(
-            f"no local assessment point for {peer_count} peers"
-        )
+    COLUMNS: ClassVar[Tuple[Column, ...]] = (
+        Column("peers", "peer_count"),
+        Column("P(send)", "send_probability"),
+        Column("origins", "origin_count"),
+        Column("structures", "structure_count"),
+        Column("sequential ms", "sequential_seconds", "{:.1f}", 1e3),
+        Column("batched ms", "batched_seconds", "{:.1f}", 1e3),
+        Column("speedup", "speedup", "{:.1f}x"),
+        Column("max |Δposterior|", "max_posterior_difference", "{:.1e}"),
+    )
 
 
 def run_local_assessment(
@@ -1290,69 +1271,35 @@ def run_local_assessment(
     send_probability: float = 1.0,
     error_rate: float = 0.15,
     seed: Optional[int] = 0,
-) -> LocalAssessmentResult:
+) -> Tuple[LocalAssessmentPoint, ...]:
     """Measure ``assess_local_all`` against the per-call reference.
 
     For each peer count a scale-free PDMS is generated and the full
     all-origins decentralised decision for one attribute is timed as one
     run with every origin a lane of one shared slice (``assess_local_all``)
     and as one one-lane ``assess_local`` (``assess_locals([origin])``) per
-    origin.  The two are timed in ``repeats`` alternating pairs — the
-    first path of each pair flips every pair, every run gets a fresh
-    assessor, and the per-origin neighbourhood cache is warmed outside the
-    timed region.
+    origin.  The two are timed in ``repeats`` alternating pairs — every
+    run gets a fresh assessor, and the per-origin neighbourhood cache is
+    warmed outside the timed region.
     ``send_probability < 1`` exercises the lossy path: both sides seed one
     transport per origin identically, so the local views must still agree.
     """
     points: List[LocalAssessmentPoint] = []
     for peer_count in peer_counts:
-        scenario = generate_scenario(
-            topology="scale-free",
-            peer_count=peer_count,
-            attribute_count=attribute_count,
-            error_rate=error_rate,
-            seed=peer_count,
-        )
-        network = scenario.network
+        network = throughput_network(peer_count, attribute_count, error_rate)
         attribute = network.attribute_universe()[0]
 
-        def time_local_sweep(use_batched: bool):
-            assessor = MappingQualityAssessor(
-                network,
-                delta=None,
-                ttl=ttl,
-                include_parallel_paths=False,
-                seed=seed,
-                send_probability=send_probability,
-            )
-            for origin in network.peer_names:
-                assessor.neighborhood_cache.structures_for(origin)
-            start = time.perf_counter()
-            if use_batched:
-                views = assessor.assess_local_all(attribute)
-            else:
-                views = {
-                    origin: assessor.assess_local(origin, attribute)
-                    for origin in network.peer_names
-                }
-            return assessor, views, time.perf_counter() - start
-
-        seconds: Dict[bool, List[float]] = {True: [], False: []}
-        pair_speedups: List[float] = []
-        for pair in range(max(1, repeats)):
-            for use_batched in (pair % 2 == 1, pair % 2 == 0):
-                assessor, views, elapsed = time_local_sweep(use_batched)
-                seconds[use_batched].append(elapsed)
-                if use_batched:
-                    batched, batched_views = assessor, views
-                else:
-                    sequential_views = views
-            pair_speedups.append(
-                seconds[False][-1] / seconds[True][-1]
-                if seconds[True][-1] > 0.0
-                else float("inf")
-            )
-
+        timing = _one_lane_vs_lanes(
+            network,
+            lambda a: a.neighborhood_cache.warm(network.peer_names),
+            lambda a: {o: a.assess_local(o, attribute) for o in network.peer_names},
+            lambda a: a.assess_local_all(attribute),
+            repeats,
+            ttl=ttl,
+            seed=seed,
+            send_probability=send_probability,
+        )
+        (_, sequential_views), (batched, batched_views) = timing.values
         worst = 0.0
         for origin, sequential_view in sequential_views.items():
             batched_view = batched_views[origin]
@@ -1378,17 +1325,14 @@ def run_local_assessment(
                 attribute=attribute,
                 structure_count=structure_count,
                 mapping_count=len(network.mapping_names),
-                sequential_seconds=float(np.median(seconds[False])),
-                batched_seconds=float(np.median(seconds[True])),
                 plan_compiles=batched.local_plan_compile_count,
                 probes=batched.neighborhood_cache.statistics.probes,
                 max_posterior_difference=worst,
-                pair_speedups=tuple(pair_speedups),
+                send_probability=send_probability,
+                timing=timing,
             )
         )
-    return LocalAssessmentResult(
-        points=tuple(points), send_probability=send_probability
-    )
+    return tuple(points)
 
 
 # ---------------------------------------------------------------------------
@@ -1414,9 +1358,7 @@ def long_cycle_network(
     the per-origin lanes' compaction observable).
     """
     from ..generators.schemas import generate_schema_family
-    from ..generators.topologies import identity_mapping
     from ..mapping.corruption import corrupt_mapping_in_place
-    from ..pdms.network import PDMSNetwork
     from ..pdms.peer import Peer
 
     if cycle_length < 2:
@@ -1455,82 +1397,63 @@ def long_cycle_network(
 class LongCycleThroughputPoint:
     """Timing and parity of one long-cycle workload: lane engine vs loops.
 
-    Every pair times ``loop_rounds`` synchronous iterations of the
-    centralised loops oracle and ``lane_rounds`` rounds of a one-lane
-    embedded run on the same informative evidence, one fresh engine each;
-    ``loop_seconds`` / ``lane_seconds`` hold each pair's wall times.  The
-    loops execute the same count-space message expression scalar by scalar
-    (``CountFactor.message_to``), so they run at any arity too — what they
-    lack is the batching.  ``messages per second`` counts the directed
-    messages of the centralised factor graph, two per edge per round.
+    Every pair times ``rounds`` synchronous iterations of the centralised
+    loops oracle (``timing`` side 0) and ``rounds`` rounds of a one-lane
+    embedded run (side 1) on the same informative evidence, one fresh
+    engine each.  The loops execute the same count-space message
+    expression scalar by scalar (``CountFactor.message_to``), so they run
+    at any arity too — what they lack is the batching.  ``messages per
+    second`` counts the directed messages of the centralised factor graph,
+    two per edge per round.
     """
 
     cycle_length: int
     ring_count: int
     structure_count: int
     edge_count: int
-    loop_rounds: int
-    lane_rounds: int
-    loop_seconds: Tuple[float, ...]
-    lane_seconds: Tuple[float, ...]
+    rounds: int
     batched_max_difference: float
     local_max_difference: float
     count_kernel_buckets: int
     dense_kernel_buckets: int
     compaction_edge_counts: Tuple[int, ...]
+    timing: Measurement
+
+    COLUMNS: ClassVar[Tuple[Column, ...]] = (
+        Column("cycle length", "cycle_length"),
+        Column("rings", "ring_count"),
+        Column("edges", "edge_count"),
+        Column("rounds", "rounds"),
+        Column("loops msg/s", "loop_messages_per_second", "{:,.0f}"),
+        Column("lane msg/s", "lane_messages_per_second", "{:,.0f}"),
+        Column("median speedup", "speedup", "{:.1f}x"),
+        Column("min speedup", "min_speedup", "{:.1f}x"),
+        Column("max |Δbatched|", "batched_max_difference", "{:.1e}"),
+        Column("max |Δlocal|", "local_max_difference", "{:.1e}"),
+        Column("count buckets", "count_kernel_buckets"),
+    )
 
     @property
     def ratios(self) -> Tuple[float, ...]:
-        """Per-pair speedups: loops seconds per round over lane seconds per
-        round."""
-        return tuple(
-            (loop / self.loop_rounds) / (lane / self.lane_rounds)
-            for loop, lane in zip(self.loop_seconds, self.lane_seconds)
-        )
+        """Per-pair speedups: loops seconds over lane seconds, both sides
+        having run the same ``rounds``."""
+        return self.timing.ratios(0, 1)
 
     @property
     def speedup(self) -> float:
-        """Median of the per-pair speedups."""
-        return float(np.median(self.ratios))
+        return self.timing.speedup(0, 1)
 
     @property
-    def loop_seconds_per_round(self) -> float:
-        return float(np.median(self.loop_seconds)) / self.loop_rounds
-
-    @property
-    def lane_seconds_per_round(self) -> float:
-        return float(np.median(self.lane_seconds)) / self.lane_rounds
+    def min_speedup(self) -> float:
+        return min(self.ratios)
 
     @property
     def loop_messages_per_second(self) -> float:
-        return 2.0 * self.edge_count / self.loop_seconds_per_round
+        return 2.0 * self.edge_count * self.rounds / self.timing.median(0)
 
     @property
     def lane_messages_per_second(self) -> float:
-        return 2.0 * self.edge_count / self.lane_seconds_per_round
-
-
-@dataclass(frozen=True)
-class LongCycleThroughputResult:
-    """Long-cycle engine comparison across cycle lengths."""
-
-    points: Tuple[LongCycleThroughputPoint, ...]
-
-    def point_for(self, cycle_length: int) -> LongCycleThroughputPoint:
-        for point in self.points:
-            if point.cycle_length == cycle_length:
-                return point
-        raise EvaluationError(
-            f"no long-cycle point for cycle length {cycle_length}"
-        )
-
-
-def _timed_rounds(step, rounds: int) -> float:
-    """Wall time of exactly ``rounds`` calls of ``step``."""
-    start = time.perf_counter()
-    for _ in range(rounds):
-        step()
-    return time.perf_counter() - start
+        return 2.0 * self.edge_count * self.rounds / self.timing.median(1)
 
 
 def run_long_cycle_throughput(
@@ -1540,7 +1463,7 @@ def run_long_cycle_throughput(
     iterations: int = 25,
     repeats: int = 3,
     seed: int = 0,
-) -> LongCycleThroughputResult:
+) -> Tuple[LongCycleThroughputPoint, ...]:
     """Measure the lane engine's count-space kernels against the loops
     oracle on long cycles, and verify the lane engine agrees with it.
 
@@ -1552,8 +1475,7 @@ def run_long_cycle_throughput(
       of the loops against exactly ``iterations``
       :meth:`~repro.core.embedded.EmbeddedMessagePassing.run_round` calls
       of a one-lane run on the same informative evidence (both engines
-      built outside the timed region, the side that runs first flipped
-      every pair);
+      built outside the timed region);
     * the batched multi-attribute assessor runs the same evidence on one
       compiled :class:`~repro.factorgraph.plan.SweepPlan` — asserting the
       long buckets landed on the count kernels — and its posteriors are
@@ -1587,22 +1509,22 @@ def run_long_cycle_throughput(
             informative, priors=0.5, attribute=attribute
         ).graph
 
-        loop_seconds: List[float] = []
-        lane_seconds: List[float] = []
-        for pair in range(max(1, repeats)):
-            loops = SumProduct(graph)
-            lane = EmbeddedMessagePassing(
-                informative,
-                priors=0.5,
-                delta=0.1,
-                options=EmbeddedOptions(record_history=False),
-            )
-            if pair % 2 == 0:
-                loop_seconds.append(_timed_rounds(loops.iterate_once, iterations))
-                lane_seconds.append(_timed_rounds(lane.run_round, iterations))
-            else:
-                lane_seconds.append(_timed_rounds(lane.run_round, iterations))
-                loop_seconds.append(_timed_rounds(loops.iterate_once, iterations))
+        timing = measure(
+            [
+                _rounds_of(lambda: SumProduct(graph), "iterate_once", iterations),
+                _rounds_of(
+                    lambda: EmbeddedMessagePassing(
+                        informative,
+                        priors=0.5,
+                        delta=0.1,
+                        options=EmbeddedOptions(record_history=False),
+                    ),
+                    "run_round",
+                    iterations,
+                ),
+            ],
+            repeats,
+        )
         reference = run_sum_product(graph)
         if not reference.converged:
             raise EvaluationError(
@@ -1671,18 +1593,16 @@ def run_long_cycle_throughput(
                 ring_count=rings,
                 structure_count=len(informative),
                 edge_count=graph.edge_count(),
-                loop_rounds=iterations,
-                lane_rounds=iterations,
-                loop_seconds=tuple(loop_seconds),
-                lane_seconds=tuple(lane_seconds),
+                rounds=iterations,
                 batched_max_difference=batched_worst,
                 local_max_difference=local_worst,
                 count_kernel_buckets=count_buckets,
                 dense_kernel_buckets=dense_buckets,
                 compaction_edge_counts=tuple(compaction),
+                timing=timing,
             )
         )
-    return LongCycleThroughputResult(points=tuple(points))
+    return tuple(points)
 
 
 # ---------------------------------------------------------------------------
@@ -1694,7 +1614,7 @@ def run_long_cycle_throughput(
 class ProbeThroughputPoint:
     """Timing of one full-probe frontier run by
     :func:`~repro.pdms.discovery.run_plan` (one snapshot, one frontier of
-    cycles-through / paths-from work units)."""
+    cycles-through / paths-from work units); the rate is the median run's."""
 
     peer_count: int
     ttl: int
@@ -1702,73 +1622,70 @@ class ProbeThroughputPoint:
     work_units: int
     cycle_count: int
     parallel_path_count: int
-    serial_seconds: float
+    timing: Measurement
+
+    COLUMNS: ClassVar[Tuple[Column, ...]] = (
+        Column("peers", "peer_count"),
+        Column("mappings", "mapping_count"),
+        Column("work units", "work_units"),
+        Column("structures", "structure_count"),
+        Column("median ms", "seconds", "{:.1f}", 1e3),
+        Column("structures/s", "structures_per_second", "{:,.0f}"),
+    )
 
     @property
     def structure_count(self) -> int:
         return self.cycle_count + self.parallel_path_count
 
     @property
-    def serial_structures_per_second(self) -> float:
-        if self.serial_seconds <= 0.0:
-            return float("inf")
-        return self.structure_count / self.serial_seconds
+    def seconds(self) -> float:
+        return self.timing.median()
 
-
-@dataclass(frozen=True)
-class ProbeThroughputResult:
-    """Full-probe discovery timings across network sizes."""
-
-    points: Tuple[ProbeThroughputPoint, ...]
-    ttl: int = 3
-
-    def point_for(self, peer_count: int) -> ProbeThroughputPoint:
-        for point in self.points:
-            if point.peer_count == peer_count:
-                return point
-        raise EvaluationError(
-            f"no probe throughput point for {peer_count} peers"
-        )
+    @property
+    def structures_per_second(self) -> float:
+        return self.structure_count / self.seconds
 
 
 def run_probe_throughput(
     peer_counts: Sequence[int] = (256,),
     ttl: int = 3,
-    repeats: int = 2,
-) -> ProbeThroughputResult:
+    repeats: int = 3,
+) -> Tuple[ProbeThroughputPoint, ...]:
     """Measure full-probe structure discovery.
 
     For each peer count a scale-free PDMS is generated (mappings in both
-    directions, the probe-heavy regime) and one full-probe plan — every
-    peer's cycles-through and paths-from units at ``ttl`` — is run by
-    :func:`~repro.pdms.discovery.run_plan` (best of ``repeats``).  Each
-    repeat plans on a fresh private snapshot: a snapshot remembers its
-    walks, so a second run of the same plan would time lookups, not walks.
+    directions, the probe-heavy regime) and ``repeats`` runs of one
+    full-probe plan — every peer's cycles-through and paths-from units at
+    ``ttl`` — by :func:`~repro.pdms.discovery.run_plan` are timed.  Each
+    run plans on a fresh private snapshot outside the timed region: a
+    snapshot remembers its walks, so a second run of the same plan would
+    time lookups, not walks.
     """
     points: List[ProbeThroughputPoint] = []
     for peer_count in peer_counts:
         network = scale_free_network(peer_count, seed=peer_count)
-        best_seconds = float("inf")
-        for _ in range(max(1, repeats)):
+
+        def fresh_plan():
             plan = plan_full_probe(
                 TopologySnapshot.of(network), ttl=ttl, include_parallel_paths=True
             )
-            start = time.perf_counter()
-            run = run_plan(plan)
-            best_seconds = min(best_seconds, time.perf_counter() - start)
+            return lambda: run_plan(plan)
+
+        timing = measure([fresh_plan], repeats)
+        (run,) = timing.values
         cycles, paths = run.merged()
         points.append(
             ProbeThroughputPoint(
                 peer_count=peer_count,
                 ttl=ttl,
                 mapping_count=len(network.mapping_names),
-                work_units=len(plan.work_units),
+                work_units=len(run.plan.work_units),
                 cycle_count=len(cycles),
                 parallel_path_count=len(paths),
-                serial_seconds=best_seconds,
+                timing=timing,
             )
         )
-    return ProbeThroughputResult(points=tuple(points), ttl=ttl)
+    return tuple(points)
 
 
 # ---------------------------------------------------------------------------
@@ -1785,10 +1702,11 @@ class GossipConvergencePoint:
     outgoing mappings; entries spread through a
     :class:`~repro.pdms.gossip.SeededTransport` that drops, duplicates
     and reorders.  ``views_identical`` records that after convergence
-    every node's decentralised ``assess_local`` decision equalled the
-    single-process oracle's — exact float equality, enforced by the
-    runner (it raises :class:`~repro.exceptions.EvaluationError` on any
-    divergence, so a reported rate is always a rate on verified output).
+    every node's decentralised ``assess_local`` decision of ``attribute``
+    equalled the single-process oracle's — exact float equality, enforced
+    by the runner (it raises :class:`~repro.exceptions.EvaluationError` on
+    any divergence, so a reported rate is always a rate on verified
+    output).
     """
 
     peer_count: int
@@ -1800,9 +1718,8 @@ class GossipConvergencePoint:
     #: so mapping events never reference peers a replica hasn't seen).
     peer_rounds: int
     mapping_rounds: int
-    #: Wall-clock of the gossip phases (origination + rounds), and the
-    #: total deliveries applied across all replicas in that time.
-    gossip_seconds: float
+    #: Total deliveries applied across all replicas in the timed phases
+    #: (origination + rounds).
     deliveries_applied: int
     #: Journal accounting summed over all nodes, and transport accounting
     #: (every push-pull leg counts: digests as well as journal entries).
@@ -1816,21 +1733,41 @@ class GossipConvergencePoint:
     drop_probability: float
     duplicate_probability: float
     seed: int
-    #: Corrupted correspondences in the workload, and the parity verdict.
+    #: Corrupted correspondences in the workload, the attribute assessed,
+    #: and the parity verdict.
     corrupted_correspondences: int
+    attribute: str
     origins_compared: int
     views_identical: bool
+    timing: Measurement
+
+    COLUMNS: ClassVar[Tuple[Column, ...]] = (
+        Column("peers", "peer_count"),
+        Column("mappings", "mapping_count"),
+        Column("events", "event_count"),
+        Column("rounds", "phase_rounds"),
+        Column("buffered", "deliveries_buffered"),
+        Column("dups dropped", "duplicates_dropped"),
+        Column("msgs sent", "messages_sent"),
+        Column("msgs lost", "messages_dropped"),
+        Column("msgs/event", "messages_per_event", "{:.1f}"),
+        Column("useful", "useful_ratio", "{:.3f}"),
+        Column("deliveries/s", "events_per_second", "{:,.0f}"),
+        Column("oracle parity", "oracle_parity"),
+    )
 
     @property
     def total_rounds(self) -> int:
         return self.peer_rounds + self.mapping_rounds
 
     @property
+    def phase_rounds(self) -> str:
+        return f"{self.peer_rounds}+{self.mapping_rounds}"
+
+    @property
     def events_per_second(self) -> float:
         """Deliveries applied across all replicas per gossip second."""
-        if self.gossip_seconds <= 0.0:
-            return float("inf")
-        return self.deliveries_applied / self.gossip_seconds
+        return self.deliveries_applied / self.timing.median()
 
     @property
     def useful_ratio(self) -> float:
@@ -1842,21 +1779,9 @@ class GossipConvergencePoint:
         """Messages sent per distinct event replicated to every node."""
         return self.messages_sent / self.event_count
 
-
-@dataclass(frozen=True)
-class GossipConvergenceResult:
-    """Gossip-to-convergence runs across harness sizes."""
-
-    points: Tuple[GossipConvergencePoint, ...]
-    attribute: str
-
-    def point_for(self, peer_count: int) -> GossipConvergencePoint:
-        for point in self.points:
-            if point.peer_count == peer_count:
-                return point
-        raise EvaluationError(
-            f"no gossip convergence point for {peer_count} peers"
-        )
+    @property
+    def oracle_parity(self) -> str:
+        return "exact" if self.views_identical else "DIVERGED"
 
 
 def gossip_workload_network(
@@ -1908,7 +1833,7 @@ def run_gossip_convergence(
     attribute_count: int = 4,
     seed: int = DEFAULT_SEED,
     max_rounds: int = 128,
-) -> GossipConvergenceResult:
+) -> Tuple[GossipConvergencePoint, ...]:
     """Gossip a corrupted chord-ring topology to convergence; verify parity.
 
     For each peer count the :func:`gossip_workload_network` template is
@@ -1918,17 +1843,17 @@ def run_gossip_convergence(
     originates its own ``PeerAdded`` (phase one, gossiped to convergence)
     and then the ``MappingAdded`` events of its outgoing mappings (phase
     two) — all through a seeded transport configured to drop, duplicate
-    and reorder.  After convergence every node's ``assess_local`` view of
-    ``attribute`` (one per-origin lane over its event-sourced
-    replica) is compared against the single-process oracle built from the
-    same canonical event log; any inequality — exact, not approximate —
-    raises :class:`~repro.exceptions.EvaluationError`.
+    and reorder.  The two phases are timed once (replication changes the
+    harness, so it cannot rerun).  After convergence every node's
+    ``assess_local`` view of ``attribute`` (one per-origin lane over its
+    event-sourced replica) is compared against the single-process oracle
+    built from the same canonical event log; any inequality — exact, not
+    approximate — raises :class:`~repro.exceptions.EvaluationError`.
 
     The assessor runs with ``ttl = chord_step + 1`` so the chord cycles
     (and not the full ring) carry the feedback.
     """
     points: List[GossipConvergencePoint] = []
-    attribute = ""
     for peer_count in peer_counts:
         template = gossip_workload_network(
             peer_count,
@@ -1958,16 +1883,18 @@ def run_gossip_convergence(
             ttl=chord_step + 1,
         )
 
-        start = time.perf_counter()
-        for peer in template.peers:
-            harness.originate(
-                peer.name, PeerAdded(name=peer.name, schema=peer.schema)
-            )
-        peer_rounds = harness.run_until_converged(max_rounds=max_rounds)
-        for mapping in template.mappings:
-            harness.originate(mapping.source, MappingAdded(mapping=mapping))
-        mapping_rounds = harness.run_until_converged(max_rounds=max_rounds)
-        gossip_seconds = time.perf_counter() - start
+        def replicate():
+            for peer in template.peers:
+                harness.originate(
+                    peer.name, PeerAdded(name=peer.name, schema=peer.schema)
+                )
+            peer_rounds = harness.run_until_converged(max_rounds=max_rounds)
+            for mapping in template.mappings:
+                harness.originate(mapping.source, MappingAdded(mapping=mapping))
+            return peer_rounds, harness.run_until_converged(max_rounds=max_rounds)
+
+        timing = measure([lambda: replicate], 1)
+        ((peer_rounds, mapping_rounds),) = timing.values
 
         local = harness.local_views(attribute)
         oracle = harness.oracle_views(attribute)
@@ -1987,7 +1914,6 @@ def run_gossip_convergence(
                 event_count=len(harness.all_entries()),
                 peer_rounds=peer_rounds,
                 mapping_rounds=mapping_rounds,
-                gossip_seconds=gossip_seconds,
                 deliveries_applied=harness.delivered_event_count,
                 duplicates_dropped=harness.duplicates_dropped,
                 deliveries_buffered=harness.deliveries_buffered,
@@ -1999,8 +1925,10 @@ def run_gossip_convergence(
                 duplicate_probability=duplicate_probability,
                 seed=seed,
                 corrupted_correspondences=corrupted,
+                attribute=attribute,
                 origins_compared=len(local),
                 views_identical=True,
+                timing=timing,
             )
         )
-    return GossipConvergenceResult(points=tuple(points), attribute=attribute)
+    return tuple(points)

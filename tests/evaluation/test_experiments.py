@@ -7,7 +7,9 @@ compared to the benchmark harness but check the same qualitative claims.
 import pytest
 
 from repro.core.embedded import EmbeddedMessagePassing
+from repro.evaluation import experiments
 from repro.evaluation.experiments import (
+    AMORTIZATION_MODES,
     run_assessor_amortization,
     run_baseline_comparison,
     run_convergence,
@@ -20,7 +22,9 @@ from repro.evaluation.experiments import (
     run_relative_error,
     run_schedule_comparison,
 )
+from repro.evaluation.timing import measure
 from repro.factorgraph.sum_product import SumProduct
+from repro.pdms import discovery
 
 
 class TestIntroExample:
@@ -162,36 +166,78 @@ class TestAblations:
 class TestEmbeddedThroughput:
     @pytest.mark.parametrize("send_probability", [1.0, 0.7])
     def test_reports_round_rates(self, send_probability):
-        result = run_embedded_throughput(
+        (point,) = run_embedded_throughput(
             peer_counts=(8,),
             rounds=10,
             repeats=3,
             send_probability=send_probability,
         )
-        point = result.point_for(8)
         assert point.rounds == 10
-        assert len(point.run_seconds) == 3
+        assert point.send_probability == send_probability
+        assert point.timing.pairs == 3
         assert point.feedback_count > 0
         assert point.remote_messages_per_round > 0
-        assert point.rounds_per_second > 0
+        assert point.rounds_per_second == pytest.approx(10 / point.timing.median())
         assert point.messages_per_second == pytest.approx(
             point.rounds_per_second * point.remote_messages_per_round
         )
 
-    def test_unknown_peer_count_raises(self):
-        result = run_embedded_throughput(peer_counts=(8,), rounds=2, repeats=1)
-        with pytest.raises(KeyError):
-            result.point_for(999)
-
 
 class TestAssessorAmortization:
     def test_probe_once_and_identical_posteriors(self):
-        result = run_assessor_amortization(peer_count=16, attribute_count=6, ttl=3)
-        assert result.attribute_count >= 5
-        assert result.cached_probe_count == 1
-        assert result.uncached_probe_count == result.attribute_count
-        assert result.probe_amortization == result.attribute_count
-        assert result.max_posterior_difference == 0.0
+        points = run_assessor_amortization(peer_count=16, attribute_count=6, ttl=3)
+        assert [point.mode for point in points] == list(AMORTIZATION_MODES)
+        uncached, cached, batched = points
+        assert uncached.attribute_count >= 5
+        assert cached.probes == batched.probes == 1
+        assert uncached.probes == uncached.attribute_count
+        assert cached.plan_compiles == batched.plan_compiles == 1
+        assert cached.max_posterior_difference == 0.0
+        assert batched.max_posterior_difference <= 1e-9
+        assert uncached.speedup == 1.0
+
+    def test_every_side_walks_a_cold_snapshot(self, monkeypatch):
+        """Regression: every assessor of a network reads its shared
+        snapshot, so the first side's walks served the two after it.  Each
+        timed call must walk every peer once per probe it runs."""
+        walks = [0]
+        find_cycles_through = discovery.find_cycles_through
+
+        def spy(*args, **kwargs):
+            walks[0] += 1
+            return find_cycles_through(*args, **kwargs)
+
+        per_side = {}
+
+        def counting_measure(setups, pairs):
+            def counted(side, setup):
+                def counted_setup():
+                    call = setup()
+
+                    def counted_call():
+                        before = walks[0]
+                        value = call()
+                        per_side.setdefault(side, []).append(walks[0] - before)
+                        return value
+
+                    return counted_call
+
+                return counted_setup
+
+            return measure(
+                [counted(side, setup) for side, setup in enumerate(setups)], pairs
+            )
+
+        monkeypatch.setattr(discovery, "find_cycles_through", spy)
+        monkeypatch.setattr(experiments, "measure", counting_measure)
+        points = run_assessor_amortization(peer_count=16, attribute_count=6, ttl=3)
+        peers, attributes = 16, points[0].attribute_count
+        pairs = points[0].timing.pairs
+        assert per_side == {
+            0: [peers * attributes] * pairs,
+            1: [peers] * pairs,
+            2: [peers] * pairs,
+        }
 
 
 class TestLongCycleThroughput:
@@ -227,9 +273,9 @@ class TestLongCycleThroughput:
         monkeypatch.setattr(EmbeddedMessagePassing, "run_round", spy_run_round)
 
         iterations, pairs = 12, 3
-        point = run_long_cycle_throughput(
+        (point,) = run_long_cycle_throughput(
             cycle_lengths=(12,), rings=1, iterations=iterations, repeats=pairs
-        ).point_for(12)
+        )
 
         timed_loops = [
             calls
@@ -241,21 +287,22 @@ class TestLongCycleThroughput:
             for engine, calls in rounds_run.items()
             if isinstance(engine, EmbeddedMessagePassing)
         ]
-        assert timed_loops == [point.loop_rounds] * pairs
-        assert timed_lanes == [point.lane_rounds] * pairs
-        assert point.loop_rounds == point.lane_rounds == iterations
+        assert timed_loops == [point.rounds] * pairs
+        assert timed_lanes == [point.rounds] * pairs
+        assert point.rounds == iterations
         # A converged run of the same ring stops long before that, which is
         # what the old report hid.
         assert all(
             rounds_run[engine] < iterations for engine in converged_runs
         )
+        loop_seconds, lane_seconds = point.timing.seconds
         assert len(point.ratios) == pairs
         assert point.speedup == pytest.approx(sorted(point.ratios)[1])
         assert point.loop_messages_per_second == pytest.approx(
-            2.0 * point.edge_count * iterations / sorted(point.loop_seconds)[1]
+            2.0 * point.edge_count * iterations / sorted(loop_seconds)[1]
         )
         assert point.lane_messages_per_second == pytest.approx(
-            2.0 * point.edge_count * iterations / sorted(point.lane_seconds)[1]
+            2.0 * point.edge_count * iterations / sorted(lane_seconds)[1]
         )
         assert point.structure_count == 1
         assert point.count_kernel_buckets == 1

@@ -1,5 +1,8 @@
 """Unit tests for detection metrics, baselines and reporting helpers."""
 
+from dataclasses import dataclass
+from typing import ClassVar
+
 import pytest
 
 from repro.evaluation.baselines import chatty_web_baseline, random_guess_baseline
@@ -9,8 +12,15 @@ from repro.evaluation.metrics import (
     precision_curve,
     score_detection,
 )
-from repro.evaluation.reporting import format_comparison, format_series, format_table
-from repro.evaluation.convergence import iterations_to_converge, trajectory_stats
+from repro.evaluation.reporting import (
+    Column,
+    format_comparison,
+    format_points,
+    format_series,
+    format_table,
+    point_record,
+)
+from repro.evaluation.timing import Measurement
 from repro.exceptions import EvaluationError
 from repro.generators.paper import intro_example_feedbacks
 
@@ -102,26 +112,6 @@ class TestBaselines:
         assert set(random_guess_baseline(keys, flag_probability=0.0).values()) == {1.0}
 
 
-class TestConvergenceHelpers:
-    def test_iterations_to_converge(self):
-        assert iterations_to_converge([0.5, 0.7, 0.8, 0.8001, 0.8001], tolerance=1e-2) == 3
-        assert iterations_to_converge([0.5], tolerance=1e-3) == 1
-
-    def test_never_settling_trajectory(self):
-        assert iterations_to_converge([0.1, 0.9, 0.1, 0.9], tolerance=1e-3) == 4
-
-    def test_empty_trajectory_rejected(self):
-        with pytest.raises(EvaluationError):
-            iterations_to_converge([])
-
-    def test_trajectory_stats(self):
-        stats = trajectory_stats([0.5, 0.6, 0.65, 0.66])
-        assert stats.iterations == 4
-        assert stats.final_value == pytest.approx(0.66)
-        assert stats.largest_step == pytest.approx(0.1)
-        assert stats.monotonic
-
-
 class TestReporting:
     def test_format_table_alignment(self):
         table = format_table(("theta", "precision"), [(0.1, 1.0), (0.5, 0.9)], title="Fig 12")
@@ -140,3 +130,41 @@ class TestReporting:
         assert "paper=0.590" in line
         assert "measured=0.560" in line
         assert "loopy estimate" in line
+
+
+@dataclass(frozen=True)
+class _Point:
+    peers: int
+    timing: Measurement
+
+    COLUMNS: ClassVar = (
+        Column("peers", "peers"),
+        Column("ms", "seconds", "{:.1f}", 1e3),
+        Column("speedup", "speedup", "{:.1f}x"),
+    )
+
+    @property
+    def seconds(self):
+        return self.timing.median(1)
+
+    @property
+    def speedup(self):
+        return self.timing.speedup(0, 1)
+
+
+class TestPointTables:
+    point = _Point(8, Measurement(((0.4, 0.6), (0.1, 0.2)), values=(None, None)))
+
+    def test_columns_render_the_declared_cells(self):
+        title, header, _, row = format_points([self.point], "points").splitlines()
+        assert title == "points"
+        assert [cell.strip() for cell in header.split("|")] == ["peers", "ms", "speedup"]
+        assert [cell.strip() for cell in row.split("|")] == ["8", "150.0", "3.5x"]
+
+    def test_record_holds_fields_seconds_and_derived_columns(self):
+        assert point_record(self.point) == {
+            "peers": 8,
+            "timing": ((0.4, 0.6), (0.1, 0.2)),
+            "seconds": pytest.approx(0.15),
+            "speedup": pytest.approx(3.5),
+        }

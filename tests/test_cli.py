@@ -102,6 +102,43 @@ class TestCommands:
         assert "cached + batched" in output
         assert "plan compiles" in output
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["throughput", "--mode", "long-cycle", "--sizes", "1"], "ring needs at least 2"),
+            (["throughput", "--mode", "gossip", "--sizes", "4"], "gossip workload needs"),
+            (["scenario", "--peers", "0"], "need at least 3 peers"),
+            (["throughput", "--sizes", "8", "--repeats", "0"], "at least one timed pair"),
+            (["amortization", "--peers", "2"], "need at least 3 peers"),
+        ],
+    )
+    def test_domain_errors_exit_with_one_usage_line(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        error = capsys.readouterr().err
+        assert "Traceback" not in error
+        assert error.splitlines()[-1].startswith("repro-experiments: error: ")
+        assert message in error
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["throughput", "--mode", "local", "--rounds", "5"], "--rounds"),
+            (["throughput", "--mode", "probe", "--send-probability", "0.5"], "--send-probability"),
+            (["throughput", "--mode", "long-cycle", "--ttl", "3"], "--ttl"),
+            (["throughput", "--mode", "gossip", "--ttl", "3"], "--ttl"),
+            (["throughput", "--mode", "gossip", "--repeats", "2"], "--repeats"),
+            (["throughput", "--mode", "embedded", "--fanout", "2"], "--fanout"),
+            (["throughput", "--mode", "local", "--drop-probability", "0.1"], "--drop-probability"),
+        ],
+    )
+    def test_flags_of_another_mode_rejected(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert f"{flag} does not apply to --mode {argv[2]}" in capsys.readouterr().err
+
     def test_scenario_command(self, capsys):
         assert main(["scenario", "--peers", "6", "--attributes", "6", "--seed", "3"]) == 0
         output = capsys.readouterr().out
