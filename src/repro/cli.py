@@ -24,6 +24,7 @@ Examples
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -440,7 +441,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     A flag the chosen mode does not take, or a library error such as a
     network too small for its workload, exits with status 2 and one usage
-    line instead of a traceback.
+    line instead of a traceback.  A reader that closes the pipe early
+    (``repro-experiments intro | head -1``) ends the run with status 0.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -451,7 +453,14 @@ def main(argv: Optional[List[str]] = None) -> int:
             output = _RENDERERS[args.command](args)
     except ReproError as error:
         parser.error(str(error))
-    print(output)
+    try:
+        print(output)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe (``... | head -1``): stop quietly, and
+        # point stdout at devnull so the interpreter's exit flush stays
+        # quiet too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 
 

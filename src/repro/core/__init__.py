@@ -23,11 +23,9 @@ from .feedback import (
     positive_feedback_probability,
 )
 from .analysis import (
-    NeighborhoodStructureCache,
     NetworkEvidence,
-    NetworkStructureCache,
+    StructureCache,
     StructureCacheStatistics,
-    analyze_neighborhood,
     analyze_network,
 )
 from .beliefs import MAXIMUM_ENTROPY_PRIOR, PriorBeliefStore
@@ -53,7 +51,6 @@ from .embedded import (
 )
 from .schedules import LazySchedule, PeriodicSchedule, ScheduleReport
 from .quality import AttributeAssessment, MappingQualityAssessor
-from .evolution import AssessmentRound, CorrespondenceChanged, EvolvingPDMS
 
 __all__ = [
     "Feedback",
@@ -64,11 +61,9 @@ __all__ = [
     "feedback_from_cycle",
     "feedback_from_parallel_paths",
     "positive_feedback_probability",
-    "NeighborhoodStructureCache",
     "NetworkEvidence",
-    "NetworkStructureCache",
+    "StructureCache",
     "StructureCacheStatistics",
-    "analyze_neighborhood",
     "analyze_network",
     "MAXIMUM_ENTROPY_PRIOR",
     "PriorBeliefStore",
@@ -93,7 +88,4 @@ __all__ = [
     "ScheduleReport",
     "AttributeAssessment",
     "MappingQualityAssessor",
-    "AssessmentRound",
-    "CorrespondenceChanged",
-    "EvolvingPDMS",
 ]

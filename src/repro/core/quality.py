@@ -4,9 +4,10 @@ The :class:`MappingQualityAssessor` is the user-facing entry point of the
 core contribution.  Given a PDMS network it
 
 1. gathers cycle / parallel-path evidence for the attributes of interest
-   through a :class:`~repro.core.analysis.NetworkStructureCache`, so the
-   exponential structure enumeration runs once per topology version instead
-   of once per attribute and per EM round,
+   through a :class:`~repro.core.analysis.StructureCache`, so the
+   exponential structure enumeration runs at most once per topology version
+   (and after a change only for the origins it touched) instead of once per
+   attribute and per EM round,
 2. runs the decentralised embedded message passing — all attributes at once
    as lanes of one :class:`~repro.core.batched.BatchedEmbeddedMessagePassing`
    over one compiled :class:`~repro.factorgraph.plan.SweepPlan` per network
@@ -21,15 +22,16 @@ Mappings whose source schema declares an attribute but that provide no
 correspondence for it get probability zero for that attribute (the ⊥ rule
 of §3.2.1); mappings with no evidence at all fall back to their prior.
 Topology mutations bump :attr:`~repro.pdms.network.PDMSNetwork.version` and
-re-probe automatically; call :meth:`MappingQualityAssessor.invalidate` after
-out-of-band network surgery.
+refresh the structures automatically, re-walking only the origins a change
+touches; call :meth:`MappingQualityAssessor.invalidate` after out-of-band
+network surgery.
 
 Besides the global (experimenter's) view, the assessor exposes the fully
 decentralised per-peer decision of §4.5: :meth:`assess_local` judges one
 origin's own outgoing mappings from the evidence its own probes can see,
 and :meth:`assess_locals` / :meth:`assess_local_all` run that decision for
-many origins at once — one neighbourhood probe per (origin, network
-version) through a :class:`~repro.core.analysis.NeighborhoodStructureCache`
+many origins at once — one neighbourhood read per (origin, network
+version) through a second :class:`~repro.core.analysis.StructureCache`
 and one lane-engine run with one disjoint lane per origin.  Both views
 share the same resolution order (⊥ rule → posterior → prior), and the
 per-call views (:meth:`assess_attribute`, :meth:`assess_local`) are
@@ -47,12 +49,7 @@ from ..factorgraph.plan import SweepPlan
 from ..mapping.mapping import Mapping
 from ..pdms.network import PDMSNetwork
 from ..pdms.routing import QueryRouter, RoutingPolicy
-from .analysis import (
-    NeighborhoodStructureCache,
-    NetworkEvidence,
-    NetworkStructureCache,
-    structure_signatures,
-)
+from .analysis import NetworkEvidence, StructureCache, structure_signatures
 from .batched import (
     AssessmentLane,
     BatchedEmbeddedMessagePassing,
@@ -147,10 +144,12 @@ class MappingQualityAssessor:
         # to bound the evidence considered; passing ``False`` here keeps the
         # cycle evidence only.
         self.include_parallel_paths = include_parallel_paths
-        self.structure_cache = NetworkStructureCache(
+        # One cache per view, so each view keeps its own statistics; both
+        # read the walks of the network's shared snapshot.
+        self.structure_cache = StructureCache(
             network, ttl=ttl, include_parallel_paths=include_parallel_paths
         )
-        self.neighborhood_cache = NeighborhoodStructureCache(
+        self.neighborhood_cache = StructureCache(
             network, ttl=ttl, include_parallel_paths=include_parallel_paths
         )
         self._assessments: Dict[str, AttributeAssessment] = {}
@@ -309,8 +308,9 @@ class MappingQualityAssessor:
         lanes of one :class:`~repro.core.batched.BatchedEmbeddedMessagePassing`
         over one compiled per-origin plan, each lane drawing from its own
         freshly seeded rng stream, so each origin's view equals its
-        one-lane run bit for bit.  Probing is amortised to one
-        neighbourhood enumeration per (origin, network version).
+        one-lane run bit for bit.  Probing is amortised to at most one
+        neighbourhood walk per (origin, network version), and none for an
+        origin whose walks the network's snapshot carried over.
         """
         origin_list = list(dict.fromkeys(origins))
         # Batch the pending neighbourhood probes into one plan instead of

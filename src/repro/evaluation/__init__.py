@@ -2,8 +2,8 @@
 the throughput timing primitive and plain-text reporting."""
 
 from .metrics import ConfusionCounts, DetectionMetrics, precision_curve, score_detection
-from .baselines import chatty_web_baseline, random_guess_baseline
-from .reporting import format_comparison, format_series, format_table
+from .baselines import chatty_web_baseline
+from .reporting import format_comparison, format_table
 from .experiments import (
     BaselineComparisonResult,
     ConvergenceResult,
@@ -29,9 +29,7 @@ __all__ = [
     "precision_curve",
     "score_detection",
     "chatty_web_baseline",
-    "random_guess_baseline",
     "format_comparison",
-    "format_series",
     "format_table",
     "BaselineComparisonResult",
     "ConvergenceResult",

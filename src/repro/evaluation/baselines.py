@@ -1,27 +1,21 @@
-"""Baseline detectors the probabilistic scheme is compared against.
+"""The baseline detector the probabilistic scheme is compared against.
 
-Two baselines frame the contribution:
-
-* :func:`chatty_web_baseline` — the authors' earlier, purely deductive
-  heuristic (the "Chatty Web" approach, discussed in §6): any mapping that
-  participates in at least one inconsistent (negative) cycle or parallel
-  path is disqualified outright.  On the introductory example this flags
-  three mappings although only one is faulty; the probabilistic scheme gets
-  all five right, which is exactly the comparison our ablation benchmark
-  reproduces.
-* :func:`random_guess_baseline` — flag each mapping independently with a
-  fixed probability; Figure 12 notes that even at high θ the scheme remains
-  "significantly better than random guesses".
+:func:`chatty_web_baseline` is the authors' earlier, purely deductive
+heuristic (the "Chatty Web" approach, discussed in §6): any mapping that
+participates in at least one inconsistent (negative) cycle or parallel path
+is disqualified outright.  On the introductory example this flags three
+mappings although only one is faulty; the probabilistic scheme gets all
+five right, which is exactly the comparison our ablation benchmark
+reproduces.
 """
 
 from __future__ import annotations
 
-import random
-from typing import Dict, Iterable, Mapping as TMapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Tuple
 
 from ..core.feedback import Feedback, FeedbackKind
 
-__all__ = ["chatty_web_baseline", "random_guess_baseline"]
+__all__ = ["chatty_web_baseline"]
 
 
 def chatty_web_baseline(
@@ -44,19 +38,3 @@ def chatty_web_baseline(
             else:
                 verdicts.setdefault(key, 1.0)
     return verdicts
-
-
-def random_guess_baseline(
-    keys: Iterable[Tuple[str, str]],
-    flag_probability: float = 0.5,
-    seed: int = 0,
-) -> Dict[Tuple[str, str], float]:
-    """Random baseline: flag each pair with probability ``flag_probability``.
-
-    Returns pseudo-posteriors (0.0 for flagged pairs, 1.0 otherwise) so that
-    it can be scored with the same metrics as the real detector.
-    """
-    rng = random.Random(seed)
-    return {
-        key: 0.0 if rng.random() < flag_probability else 1.0 for key in keys
-    }

@@ -471,12 +471,6 @@ class AdversarialFeedbackResult:
             f"no adversarial feedback point for liar fraction {liar_fraction}"
         )
 
-    def rounds_at(self, liar_fraction: float) -> float:
-        return self.point_at(liar_fraction)[1]
-
-    def quarantined_at(self, liar_fraction: float) -> float:
-        return self.point_at(liar_fraction)[2]
-
 
 def _flip_feedback(feedback: Feedback) -> Feedback:
     """A liar's report: positive evidence claimed negative and vice versa."""

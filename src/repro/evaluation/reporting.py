@@ -13,7 +13,7 @@ and the benchmarks' JSON records come from :func:`point_record`.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from .timing import Measurement
 
@@ -22,7 +22,6 @@ __all__ = [
     "format_table",
     "format_points",
     "point_record",
-    "format_series",
     "format_comparison",
 ]
 
@@ -89,20 +88,6 @@ def point_record(point: object) -> Dict[str, object]:
     for column in type(point).COLUMNS:
         record.setdefault(column.name, getattr(point, column.name))
     return record
-
-
-def format_series(
-    name: str,
-    points: Sequence[Tuple[object, object]],
-    x_label: str = "x",
-    y_label: str = "y",
-) -> str:
-    """Render one (x, y) series as a two-column table."""
-    return format_table(
-        (x_label, y_label),
-        [(x, y) for x, y in points],
-        title=name,
-    )
 
 
 def format_comparison(

@@ -228,7 +228,6 @@ WALKER_NAMES: FrozenSet[str] = frozenset(
     {
         "find_cycles_through",
         "find_parallel_paths_from",
-        "find_parallel_paths_through",
         "find_all_cycles",
         "find_all_parallel_paths",
         "probe_neighborhood",

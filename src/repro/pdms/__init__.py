@@ -43,9 +43,7 @@ from .discovery import (
     ProbeWorkUnit,
     TopologySnapshot,
     plan_full_probe,
-    plan_mapping_delta,
     plan_neighborhood_probe,
-    replay_structure_log,
     run_plan,
 )
 
@@ -89,8 +87,6 @@ __all__ = [
     "ProbeWorkUnit",
     "TopologySnapshot",
     "plan_full_probe",
-    "plan_mapping_delta",
     "plan_neighborhood_probe",
-    "replay_structure_log",
     "run_plan",
 ]

@@ -1,4 +1,5 @@
-"""The discovery core: probe plans run in-process.
+"""The discovery core: probe plans run in-process, walks carried across
+topology versions.
 
 Cycle / parallel-path discovery is the probe phase of §3.2.1 — peers flood
 their neighbourhood with TTL-bounded probe messages.  The walkers living in
@@ -8,19 +9,21 @@ module is the layer above them, mirroring what
 
 A :class:`ProbePlan` states *what* to discover: an immutable, picklable
 :class:`TopologySnapshot` of the network plus a *frontier* of per-origin
-:class:`ProbeWorkUnit`\\ s (cycles-through, parallel-paths-from/-through
-and full-neighbourhood probes), with the TTL and the parallel-path flag
-stated once for the whole plan.  Both structure caches of
-:mod:`repro.core.analysis` lower their full probes *and* their mutation-log
-incremental refreshes onto this frontier (:func:`replay_structure_log` is
-the shared replay).
+:class:`ProbeWorkUnit`\\ s (cycles-through, parallel-paths-from and
+full-neighbourhood probes), with the TTL and the parallel-path flag stated
+once for the whole plan.  The structure cache of :mod:`repro.core.analysis`
+reads every structure through such plans.
 
 A snapshot lowers itself once to integer adjacency, which the cycles
-walker runs on, and walks each origin's cycles at most once per ttl: the
-structures a peer's probe finds do not depend on the attribute or on which
-plan asked.  A network hands every consumer the same snapshot per topology
-version (:meth:`~repro.pdms.network.PDMSNetwork.snapshot`), so the global
-and the per-origin caches share those walks.
+walker runs on, and walks each origin's cycles and parallel paths at most
+once per ttl: the structures a peer's probe finds do not depend on the
+attribute or on which plan asked.  A network hands every consumer the same
+snapshot per topology version
+(:meth:`~repro.pdms.network.PDMSNetwork.snapshot`), and builds each new
+version's snapshot from the previous one plus the events in between
+(:meth:`TopologySnapshot.successor`): every walk those events leave
+unchanged is carried over, so a change re-walks only the origins it
+touches.
 
 :func:`run_plan` runs a plan's units in plan order on the calling thread,
 one :class:`ProbeOutcome` per unit, and :meth:`ProbeRun.merged` deduplicates
@@ -33,26 +36,17 @@ order-identical to the historical per-peer sweeps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..constants import DEFAULT_TTL
 from ..exceptions import PDMSError, UnknownPeerError
 from ..mapping.mapping import Mapping
-from .events import MappingAdded, MappingRemoved, TopologyEvent
+from .events import MappingAdded, MappingRemoved, PeerRemoved, TopologyEvent
 from .probing import (
     MappingCycle,
     ParallelPaths,
     find_cycles_through,
     find_parallel_paths_from,
-    find_parallel_paths_through,
     validate_ttl,
 )
 
@@ -64,15 +58,12 @@ __all__ = [
     "ProbeRun",
     "CYCLES_THROUGH",
     "PATHS_FROM",
-    "PATHS_THROUGH",
     "NEIGHBORHOOD",
     "plan_full_probe",
     "plan_neighborhood_probe",
-    "plan_mapping_delta",
     "execute_work_unit",
     "merge_structures",
     "run_plan",
-    "replay_structure_log",
 ]
 
 
@@ -103,10 +94,14 @@ class TopologySnapshot:
     The first lookup lowers the snapshot, in one pass, to integer
     adjacency (:meth:`adjacency`: peer ids plus per-peer out-edge rows in
     insertion order), which the cycles walker runs on.  A snapshot also
-    remembers each origin's cycles (:meth:`cycles_through`), so every plan
-    run against it walks an origin at a given ttl once.  Neither the
-    lowering nor the walks are pickled; both are rebuilt lazily after
-    unpickling.
+    remembers each origin's walks (:meth:`cycles_through`,
+    :meth:`parallel_paths_from`), so every plan run against it walks an
+    origin at a given ttl once; :attr:`walks` counts the walks it ran.
+    A snapshot built by :meth:`successor` starts out holding the walks of
+    its predecessor that the events in between leave unchanged, and
+    :attr:`inherited` names the origins whose walks it could inherit.
+    Neither the lowering nor the walks are pickled; both are rebuilt
+    lazily after unpickling.
     """
 
     __slots__ = (
@@ -115,11 +110,15 @@ class TopologySnapshot:
         "directed",
         "peer_names",
         "mappings",
+        "inherited",
+        "walks",
         "_peers",
         "_by_name",
         "_ids",
         "_rows",
-        "_walks",
+        "_cycles",
+        "_paths",
+        "_unsettled",
     )
 
     def __init__(
@@ -143,17 +142,29 @@ class TopologySnapshot:
         self._by_name: Optional[Dict[str, Mapping]] = None
         self._ids: Optional[Dict[str, int]] = None
         self._rows: Optional[List[List[Tuple[int, Mapping]]]] = None
-        self._walks: Dict[Tuple[str, int], Tuple[MappingCycle, ...]] = {}
+        self._cycles: Dict[Tuple[str, int], Tuple[MappingCycle, ...]] = {}
+        self._paths: Dict[Tuple[str, int], Tuple[ParallelPaths, ...]] = {}
+        # Per ttl: inherited cycle walks not yet checked against the cycles
+        # through added mappings, and the names of those mappings.
+        self._unsettled: Dict[
+            int, Tuple[Dict[str, Tuple[MappingCycle, ...]], Tuple[str, ...]]
+        ] = {}
+        #: Origins whose walks this snapshot inherited from its predecessor
+        #: (empty on a cold snapshot).
+        self.inherited: FrozenSet[str] = frozenset()
+        #: Walks (cycles or parallel paths of one origin) this snapshot ran.
+        self.walks = 0
 
     @classmethod
     def of(cls, source) -> "TopologySnapshot":
-        """A new, private snapshot of a
+        """A new, private, cold snapshot of a
         :class:`~repro.pdms.network.PDMSNetwork` (idempotent on snapshots:
         an existing snapshot is returned as-is).
 
         :meth:`PDMSNetwork.snapshot() <repro.pdms.network.PDMSNetwork.snapshot>`
         is the shared one, whose walks every consumer of the same topology
-        version reuses; this builds a cold one."""
+        version reuses and the next version inherits; this builds one that
+        walks every origin afresh."""
         if isinstance(source, cls):
             return source
         return cls(
@@ -163,6 +174,112 @@ class TopologySnapshot:
             version=source.version,
             directed=source.directed,
         )
+
+    def successor(
+        self, network, events: Sequence[Tuple[int, TopologyEvent]]
+    ) -> "TopologySnapshot":
+        """A snapshot of ``network``'s current topology that inherits every
+        walk of this snapshot which ``events`` — the typed entries of
+        :meth:`~repro.pdms.network.PDMSNetwork.events_since` this
+        snapshot's version — leave unchanged.
+
+        * Removed peers drop their walks; (re)joined peers walk cold.
+        * An origin's cycles are carried unless (a) one of its old cycles
+          holds a removed mapping, or (b) it lies on a new cycle through an
+          added mapping.  Rule (b) is settled at the first cycle lookup of
+          each ttl, by walking each added mapping's source on the new
+          snapshot (that walk stays in the memo).  Any other cycle uses
+          only mappings present, in the same relative order, in both
+          topologies, so the depth-first walk meets the same cycles in the
+          same order.
+        * An origin's parallel paths are carried unless it lies within
+          ``ttl - 1`` reverse hops, in the new topology, of the source of
+          an added or removed mapping: an origin none of whose simple paths
+          of at most ``ttl`` hops crosses a changed mapping enumerates the
+          same paths in the same order.
+        """
+        removed: Set[str] = set()
+        added: Dict[str, None] = {}
+        changed: Set[str] = set()  # sources of added or removed mappings
+        left: Set[str] = set()
+        for _, event in events:
+            if isinstance(event, MappingAdded):
+                added[event.mapping.name] = None
+                changed.add(event.mapping.source)
+            elif isinstance(event, MappingRemoved):
+                removed.add(event.name)
+            elif isinstance(event, PeerRemoved):
+                left.add(event.name)
+        # A removed mapping added after this snapshot has its source in
+        # ``changed`` already.
+        changed.update(
+            self.mapping(name).source for name in removed if self.has_mapping(name)
+        )
+
+        successor = TopologySnapshot.of(network)
+        walked: Set[str] = {origin for origin, _ in self._cycles}
+        walked.update(origin for origin, _ in self._paths)
+        cycles_by_ttl: Dict[int, Dict[str, Tuple[MappingCycle, ...]]] = {}
+        for ttl, (cycles, _) in self._unsettled.items():
+            cycles_by_ttl[ttl] = dict(cycles)
+            walked.update(cycles)
+        for (origin, ttl), cycles in self._cycles.items():
+            cycles_by_ttl.setdefault(ttl, {})[origin] = cycles
+        successor.inherited = frozenset(walked - left)
+
+        for ttl, cycles_of in cycles_by_ttl.items():
+            kept = {
+                origin: cycles
+                for origin, cycles in cycles_of.items()
+                if origin not in left
+                and all(removed.isdisjoint(c.mapping_names) for c in cycles)
+            }
+            earlier = self._unsettled.get(ttl, ({}, ()))[1]
+            successor._unsettled[ttl] = (
+                kept,
+                tuple(dict.fromkeys(earlier + tuple(added))),
+            )
+
+        for ttl in {ttl for _, ttl in self._paths}:
+            near = successor._upstream(changed, ttl - 1)
+            for (origin, walked_ttl), paths in self._paths.items():
+                if walked_ttl == ttl and origin not in near and origin not in left:
+                    successor._paths[(origin, ttl)] = paths
+        return successor
+
+    def _upstream(self, sources: Iterable[str], hops: int) -> Set[str]:
+        """``sources`` and every peer within ``hops`` reverse hops of one."""
+        ids, rows = self.adjacency()
+        incoming: List[List[int]] = [[] for _ in rows]
+        for source, row in enumerate(rows):
+            for target, _ in row:
+                incoming[target].append(source)
+        near = {ids[name] for name in sources if name in ids}
+        frontier = near
+        for _ in range(hops):
+            frontier = {
+                peer
+                for target in frontier
+                for peer in incoming[target]
+                if peer not in near
+            }
+            near |= frontier
+        return {self.peer_names[index] for index in near}
+
+    def _settle(self, ttl: int) -> None:
+        """Rule (b) of :meth:`successor` for ``ttl``: keep the inherited
+        cycle walks except those of origins on a cycle through a mapping
+        added since they were walked."""
+        inherited, added = self._unsettled.pop(ttl)
+        touched: Set[str] = set()
+        for name in added if inherited else ():
+            if self.has_mapping(name):
+                for cycle in self.cycles_through(self.mapping(name).source, ttl):
+                    if name in cycle.mapping_names:
+                        touched.update(mapping.source for mapping in cycle.mappings)
+        for origin, cycles in inherited.items():
+            if origin not in touched:
+                self._cycles.setdefault((origin, ttl), cycles)
 
     # -- pickling: core fields only, adjacency and walks rebuilt lazily -------
 
@@ -207,12 +324,26 @@ class TopologySnapshot:
 
     def cycles_through(self, origin: str, ttl: int) -> Tuple[MappingCycle, ...]:
         """:func:`~repro.pdms.probing.find_cycles_through` on this snapshot,
-        walked once per ``(origin, ttl)``."""
+        walked at most once per ``(origin, ttl)`` (or inherited)."""
+        if ttl in self._unsettled:
+            self._settle(ttl)
         key = (origin, ttl)
-        cycles = self._walks.get(key)
+        cycles = self._cycles.get(key)
         if cycles is None:
-            cycles = self._walks[key] = find_cycles_through(self, origin, ttl)
+            cycles = self._cycles[key] = find_cycles_through(self, origin, ttl)
+            self.walks += 1
         return cycles
+
+    def parallel_paths_from(self, origin: str, ttl: int) -> Tuple[ParallelPaths, ...]:
+        """:func:`~repro.pdms.probing.find_parallel_paths_from` on this
+        snapshot, walked at most once per ``(origin, ttl)`` (or
+        inherited)."""
+        key = (origin, ttl)
+        paths = self._paths.get(key)
+        if paths is None:
+            paths = self._paths[key] = find_parallel_paths_from(self, origin, ttl=ttl)
+            self.walks += 1
+        return paths
 
     def peer(self, name: str) -> _SnapshotPeer:
         try:
@@ -254,10 +385,6 @@ CYCLES_THROUGH = "cycles-through"
 #: Edge-disjoint parallel-path pairs departing from an origin peer.
 PATHS_FROM = "paths-from"
 
-#: Parallel-path pairs routing one branch through a mapping (``subject`` =
-#: mapping name) — the incremental complement used after ``add_mapping``.
-PATHS_THROUGH = "paths-through"
-
 #: Full neighbourhood probe of one origin: its cycles and (when the plan
 #: includes them) its departing parallel paths, in one unit.
 NEIGHBORHOOD = "neighborhood"
@@ -265,17 +392,11 @@ NEIGHBORHOOD = "neighborhood"
 
 @dataclass(frozen=True)
 class ProbeWorkUnit:
-    """One origin-addressable piece of probe work.
-
-    ``subject`` names the origin peer (or, for :data:`PATHS_THROUGH`, the
-    mapping whose source peer anchors the unit).  ``via`` optionally
-    restricts the unit's results to structures traversing that mapping —
-    the added-edge filter of incremental refreshes.
-    """
+    """One origin-addressable piece of probe work: ``subject`` names the
+    origin peer."""
 
     kind: str
     subject: str
-    via: str = ""
 
 
 @dataclass(frozen=True)
@@ -336,57 +457,23 @@ def plan_neighborhood_probe(
     return ProbePlan(snapshot, units, ttl, include_parallel_paths)
 
 
-def plan_mapping_delta(
-    snapshot,
-    mapping_name: str,
-    ttl: int = DEFAULT_TTL,
-    include_parallel_paths: bool = True,
-) -> ProbePlan:
-    """The structures *through* a freshly added mapping — everything an
-    incremental refresh must graft: the cycles containing it (enumerated
-    from its source peer, ``via``-filtered) and, when parallel
-    paths are enabled, the pairs routing a branch through it."""
-    snapshot = TopologySnapshot.of(snapshot)
-    validate_ttl(ttl)
-    source = snapshot.mapping(mapping_name).source
-    units = [ProbeWorkUnit(CYCLES_THROUGH, source, via=mapping_name)]
-    if include_parallel_paths:
-        units.append(ProbeWorkUnit(PATHS_THROUGH, mapping_name))
-    return ProbePlan(snapshot, tuple(units), ttl, include_parallel_paths)
-
-
 def execute_work_unit(plan: ProbePlan, unit: ProbeWorkUnit) -> ProbeOutcome:
     """Run one unit of a plan against the plan's snapshot with the walkers
     of :mod:`repro.pdms.probing`.
 
-    Cycle walks go through the snapshot's memo
-    (:meth:`TopologySnapshot.cycles_through`), so the cycles-through,
-    neighbourhood and ``via``-filtered delta units of any plan on the same
-    snapshot share one walk per origin and ttl."""
+    Walks go through the snapshot's memo
+    (:meth:`TopologySnapshot.cycles_through`,
+    :meth:`TopologySnapshot.parallel_paths_from`), so the units of every
+    plan on the same snapshot share one walk per origin and ttl."""
     snapshot, ttl = plan.snapshot, plan.ttl
     cycles: Tuple[MappingCycle, ...] = ()
     parallel_paths: Tuple[ParallelPaths, ...] = ()
-    if unit.kind == CYCLES_THROUGH:
-        cycles = snapshot.cycles_through(unit.subject, ttl)
-    elif unit.kind == PATHS_FROM:
-        if plan.include_parallel_paths:
-            parallel_paths = find_parallel_paths_from(snapshot, unit.subject, ttl=ttl)
-    elif unit.kind == PATHS_THROUGH:
-        if plan.include_parallel_paths:
-            parallel_paths = find_parallel_paths_through(
-                snapshot, unit.subject, ttl=ttl
-            )
-    elif unit.kind == NEIGHBORHOOD:
-        cycles = snapshot.cycles_through(unit.subject, ttl)
-        if plan.include_parallel_paths:
-            parallel_paths = find_parallel_paths_from(snapshot, unit.subject, ttl=ttl)
-    else:
+    if unit.kind not in (CYCLES_THROUGH, PATHS_FROM, NEIGHBORHOOD):
         raise PDMSError(f"unknown probe work unit kind {unit.kind!r}")
-    if unit.via:
-        cycles = tuple(c for c in cycles if unit.via in c.mapping_names)
-        parallel_paths = tuple(
-            p for p in parallel_paths if unit.via in p.mapping_names
-        )
+    if unit.kind != PATHS_FROM:
+        cycles = snapshot.cycles_through(unit.subject, ttl)
+    if unit.kind != CYCLES_THROUGH and plan.include_parallel_paths:
+        parallel_paths = snapshot.parallel_paths_from(unit.subject, ttl)
     return ProbeOutcome(cycles=cycles, parallel_paths=parallel_paths)
 
 
@@ -445,98 +532,3 @@ def run_plan(plan: ProbePlan) -> ProbeRun:
         plan=plan,
         outcomes=tuple(execute_work_unit(plan, unit) for unit in plan.work_units),
     )
-
-
-# ---------------------------------------------------------------------------
-# shared incremental replay
-# ---------------------------------------------------------------------------
-
-
-def replay_structure_log(
-    mutations: Sequence[Tuple[int, TopologyEvent]],
-    cycles: Sequence[MappingCycle],
-    parallel_paths: Sequence[ParallelPaths],
-    *,
-    include_parallel_paths: bool,
-    has_mapping: Callable[[str], bool],
-    structures_through: Callable[
-        [int, str], Tuple[Sequence[MappingCycle], Sequence[ParallelPaths]]
-    ],
-    adapt_cycle: Optional[Callable[[MappingCycle], Optional[MappingCycle]]] = None,
-    adapt_path: Optional[Callable[[ParallelPaths], Optional[ParallelPaths]]] = None,
-) -> Optional[Tuple[Tuple[MappingCycle, ...], Tuple[ParallelPaths, ...]]]:
-    """Replay a network event log onto a cached structure set.
-
-    This is the one incremental-refresh algorithm both structure caches
-    lower to (they used to duplicate it).  ``mutations`` holds the typed
-    entries of :meth:`~repro.pdms.network.PDMSNetwork.events_since` —
-    ``(version, TopologyEvent)`` pairs:
-
-    * ``MappingRemoved`` filters the cached structures (exact: a structure
-      stays valid iff all of its own mappings still exist);
-    * ``MappingAdded`` grafts the structures *through* the new edge —
-      enumerated by ``structures_through(entry_version, name)``, typically a
-      :func:`plan_mapping_delta` run — deduplicated against the survivors by
-      canonical key.
-      ``adapt_cycle`` / ``adapt_path`` localise each grafted structure to
-      the consumer's view first (the per-origin cache rotates cycles to its
-      origin and keeps only pairs departing from it); returning ``None``
-      drops the structure;
-    * ``PeerAdded`` / ``PeerRemoved`` (or any other event) abort: the
-      caller must fall back to a full re-probe — peer churn changes the
-      reachable neighbourhood itself, not just one edge.
-
-    Returns the refreshed ``(cycles, parallel_paths)`` or ``None`` when the
-    log cannot be replayed.  Mappings added and removed again later in the
-    log are skipped (the later removal entry keeps the set consistent).
-    """
-    if not all(
-        isinstance(event, (MappingAdded, MappingRemoved))
-        for _, event in mutations
-    ):
-        return None
-    live_cycles = list(cycles)
-    live_paths = list(parallel_paths)
-    # Canonical keys are only needed to dedupe grafts; remove-only logs (the
-    # common case) never pay for the sets.
-    seen: Optional[set] = None
-    seen_paths: Optional[set] = None
-    for version, event in mutations:
-        name = event.subject
-        if isinstance(event, MappingRemoved):
-            live_cycles = [c for c in live_cycles if name not in c.mapping_names]
-            live_paths = [p for p in live_paths if name not in p.mapping_names]
-            seen = None
-            seen_paths = None
-        else:  # add_mapping
-            if not has_mapping(name):
-                continue
-            new_cycles, new_paths = structures_through(version, name)
-            if seen is None:
-                seen = {cycle.canonical_key() for cycle in live_cycles}
-            for cycle in new_cycles:
-                if adapt_cycle is not None:
-                    adapted = adapt_cycle(cycle)
-                    if adapted is None:
-                        continue
-                    cycle = adapted
-                key = cycle.canonical_key()
-                if key in seen:
-                    continue
-                seen.add(key)
-                live_cycles.append(cycle)
-            if include_parallel_paths:
-                if seen_paths is None:
-                    seen_paths = {pair.canonical_key() for pair in live_paths}
-                for pair in new_paths:
-                    if adapt_path is not None:
-                        adapted_pair = adapt_path(pair)
-                        if adapted_pair is None:
-                            continue
-                        pair = adapted_pair
-                    key = pair.canonical_key()
-                    if key in seen_paths:
-                        continue
-                    seen_paths.add(key)
-                    live_paths.append(pair)
-    return tuple(live_cycles), tuple(live_paths)

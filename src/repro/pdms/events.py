@@ -148,8 +148,8 @@ class MappingRemoved(TopologyEvent):
 def apply(network: "PDMSNetwork", event: TopologyEvent) -> object:
     """Apply one event to ``network``; return the affected peer / mapping.
 
-    This is the single transition function replay, evolution and the
-    gossip replicas all lower to: each event maps to exactly one public
+    This is the single transition function replay and the gossip
+    replicas lower to: each event maps to exactly one public
     mutator call (mapping additions always apply *directionally* —
     undirected networks record the reverse direction as its own event),
     so replaying a recorded log bumps ``version`` exactly as the original

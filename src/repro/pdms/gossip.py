@@ -107,7 +107,9 @@ class PeerNode:
         place through :func:`~repro.pdms.events.apply`.  A concurrent
         entry that sorts before an applied one changes the order below
         the tip, and the replica is replayed from the whole journal.
-        Either way the assessor is dropped, so its caches start cold.
+        Either way the assessor is dropped.  A replica grown in place keeps
+        its snapshot, so the next assessor reads the walks the new entries
+        leave unchanged; a replayed replica walks cold.
         """
         fresh = sorted(
             self.journal.entries_since(self._applied), key=JournalEntry.sort_key

@@ -70,8 +70,8 @@ class PDMSNetwork:
         """Monotonic topology version, bumped on every peer/mapping mutation.
 
         Consumers that derive expensive structures from the topology (e.g.
-        :class:`repro.core.analysis.NetworkStructureCache`) key their caches
-        on this counter so a mutated network is re-probed automatically.
+        :class:`repro.core.analysis.StructureCache`) key their caches on
+        this counter so a mutated network is re-probed automatically.
         """
         return self._version
 
@@ -95,16 +95,18 @@ class PDMSNetwork:
         Each entry is ``(version_after_mutation, event)``.  Returns
         ``None`` when the bounded log no longer reaches back to
         ``version`` — callers must then fall back to a full
-        re-derivation.  Both structure caches in
-        :mod:`repro.core.analysis` feed these entries to
-        :func:`repro.pdms.discovery.replay_structure_log` to refresh only
-        the structures touching mutated mappings.
+        re-derivation.  :meth:`snapshot` feeds these entries to
+        :meth:`~repro.pdms.discovery.TopologySnapshot.successor` to carry
+        every walk they leave unchanged into the next version.
         """
         if version < self._mutation_floor:
             return None
-        return tuple(
-            entry for entry in self._event_log if entry[0] > version
-        )
+        newer = []
+        for entry in reversed(self._event_log):
+            if entry[0] <= version:
+                break
+            newer.append(entry)
+        return tuple(reversed(newer))
 
     def event_log(self) -> Tuple[TopologyEvent, ...]:
         """The retained typed events, oldest first.
@@ -165,9 +167,9 @@ class PDMSNetwork:
         :class:`~repro.pdms.events.MappingRemoved` event — and the peer's
         departure is then recorded as a typed
         :class:`~repro.pdms.events.PeerRemoved` event, so the log stays
-        replayable without hidden cascades.  Structure caches fall back
-        to a full re-probe on peer removal (the incremental replay only
-        handles mapping-level churn).
+        replayable without hidden cascades.  The next :meth:`snapshot`
+        drops the peer's walks (a rejoining peer walks cold) and re-walks
+        exactly the other origins its mapping removals touch.
         """
         peer = self.peer(name)
         incident = [
@@ -282,22 +284,33 @@ class PDMSNetwork:
 
         Shared per topology version: every call returns the same snapshot
         until :attr:`version` changes, so its integer lowering and the
-        per-origin walks it remembers serve every consumer of this version
-        — both structure caches of every assessor on this network.  Call
-        :meth:`invalidate_snapshot` after out-of-band surgery the version
-        counter cannot see.  ``TopologySnapshot.of(network)`` builds a
-        private, cold snapshot instead.
+        per-origin walks it remembers serve every consumer of this version.
+        A new version's snapshot is built from the previous one plus
+        :meth:`events_since` its version
+        (:meth:`~repro.pdms.discovery.TopologySnapshot.successor`) and
+        inherits every walk those events leave unchanged.  It starts cold
+        when there is no previous snapshot, after
+        :meth:`invalidate_snapshot`, or when the bounded log no longer
+        reaches back to the previous version.  ``TopologySnapshot.of(network)``
+        builds a private, cold snapshot instead.
         """
         from .discovery import TopologySnapshot
 
-        if self._snapshot is None or self._snapshot.version != self._version:
-            self._snapshot = TopologySnapshot.of(self)
+        previous = self._snapshot
+        if previous is None or previous.version != self._version:
+            events = None if previous is None else self.events_since(previous.version)
+            self._snapshot = (
+                TopologySnapshot.of(self)
+                if events is None
+                else previous.successor(self, events)
+            )
         return self._snapshot
 
     def invalidate_snapshot(self) -> None:
         """Drop the shared snapshot and its walks; the next :meth:`snapshot`
-        lowers the network afresh.  The structure caches'
-        ``invalidate()`` calls this."""
+        lowers the network afresh and walks cold.  Call it after
+        out-of-band surgery the version counter cannot see; the structure
+        caches' ``invalidate()`` calls this."""
         self._snapshot = None
 
     def to_networkx(self) -> nx.MultiDiGraph:

@@ -12,12 +12,11 @@ The returned structures are lists of :class:`~repro.mapping.mapping.Mapping`
 objects in traversal order, ready to be fed to the feedback analysis.
 
 This module holds only the *per-work-unit* walkers: each entry point
-enumerates one origin peer's view (or one mapping's delta).  The cycles
-walker runs on the integer adjacency a
-:class:`~repro.pdms.discovery.TopologySnapshot` lowers to (int peer ids, a
-visited bytearray, a ttl-bounded path stack); the parallel-path walkers
-still walk the peers' mapping objects.  Whole-network enumeration is a
-composition concern — :mod:`repro.pdms.discovery` builds frontiers of
+enumerates one origin peer's view.  The cycles walker runs on the integer
+adjacency a :class:`~repro.pdms.discovery.TopologySnapshot` lowers to (int
+peer ids, a visited bytearray, a ttl-bounded path stack); the parallel-path
+walker still walks the peers' mapping objects.  Whole-network enumeration
+is a composition concern — :mod:`repro.pdms.discovery` builds frontiers of
 per-origin work units over these walkers, walks each origin once per
 snapshot, and runs them with :func:`~repro.pdms.discovery.run_plan`;
 :func:`find_all_cycles` and :func:`find_all_parallel_paths` remain as thin
@@ -40,7 +39,6 @@ __all__ = [
     "ParallelPaths",
     "find_cycles_through",
     "find_parallel_paths_from",
-    "find_parallel_paths_through",
     "find_all_cycles",
     "find_all_parallel_paths",
     "probe_neighborhood",
@@ -255,95 +253,6 @@ def find_parallel_paths_from(
                     continue
                 seen.add(key)
                 results.append(pair)
-    return tuple(results)
-
-
-def find_parallel_paths_through(
-    network: PDMSNetwork, mapping_name: str, ttl: int = DEFAULT_TTL
-) -> Tuple[ParallelPaths, ...]:
-    """All parallel-path pairs one of whose branches traverses ``mapping_name``.
-
-    The incremental complement of :func:`find_all_parallel_paths`: after a
-    mapping is added, every genuinely new pair must route one branch through
-    the new edge, so enumerating the branches through it — backward simple
-    prefixes into its source peer × forward simple suffixes out of its
-    target peer, within the TTL — and the edge-disjoint partner paths of
-    each branch yields exactly the pairs a full re-probe would add.  Each
-    pair is reported from the shared start peer of its two branches, i.e.
-    the origin whose own probe (:func:`find_parallel_paths_from`) would
-    discover it.
-    """
-    validate_ttl(ttl)
-    mapping = network.mapping(mapping_name)
-    if mapping.source == mapping.target:
-        # A self-loop never appears in a simple path, so no pair contains it.
-        return ()
-    incoming: Dict[str, List[Mapping]] = {}
-    for candidate in network.mappings:
-        incoming.setdefault(candidate.target, []).append(candidate)
-
-    results: List[ParallelPaths] = []
-    seen: set[Tuple[Tuple[str, ...], Tuple[str, ...]]] = set()
-    # Partner paths are enumerated once per distinct branch origin (the
-    # peers within TTL upstream of the new edge), not once per branch.
-    partner_memo: Dict[str, Dict[str, List[Tuple[Mapping, ...]]]] = {}
-
-    def partner_paths(origin: str) -> Dict[str, List[Tuple[Mapping, ...]]]:
-        by_destination = partner_memo.get(origin)
-        if by_destination is None:
-            by_destination = {}
-            for path in _paths_from(network, origin, max_hops=ttl):
-                destination = path[-1].target
-                if destination == origin:
-                    continue
-                by_destination.setdefault(destination, []).append(path)
-            partner_memo[origin] = by_destination
-        return by_destination
-
-    def emit(branch: Tuple[Mapping, ...]) -> None:
-        origin, destination = branch[0].source, branch[-1].target
-        branch_names = {m.name for m in branch}
-        for partner in partner_paths(origin).get(destination, []):
-            if branch_names & {m.name for m in partner}:
-                continue
-            pair = ParallelPaths(
-                source=origin, target=destination, first=branch, second=partner
-            )
-            key = pair.canonical_key()
-            if key in seen:
-                continue
-            seen.add(key)
-            results.append(pair)
-
-    def extend_backward(
-        prefix: Tuple[Mapping, ...],
-        suffix: Tuple[Mapping, ...],
-        visited: frozenset,
-    ) -> None:
-        emit(prefix + (mapping,) + suffix)
-        if len(prefix) + 1 + len(suffix) >= ttl:
-            return
-        head = prefix[0].source if prefix else mapping.source
-        for previous in incoming.get(head, []):
-            if previous.source in visited:
-                continue
-            extend_backward(
-                (previous,) + prefix, suffix, visited | {previous.source}
-            )
-
-    def extend_forward(
-        suffix: Tuple[Mapping, ...], visited: frozenset
-    ) -> None:
-        extend_backward((), suffix, visited)
-        if len(suffix) + 1 >= ttl:
-            return
-        current = suffix[-1].target if suffix else mapping.target
-        for nxt in network.peer(current).outgoing_mappings:
-            if nxt.target in visited:
-                continue
-            extend_forward(suffix + (nxt,), visited | {nxt.target})
-
-    extend_forward((), frozenset((mapping.source, mapping.target)))
     return tuple(results)
 
 

@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.core.analysis import (
-    NeighborhoodStructureCache,
-    NetworkStructureCache,
-    analyze_neighborhood,
-    analyze_network,
-)
+from repro.core.analysis import StructureCache, analyze_network
 from repro.core.feedback import FeedbackKind
 from repro.generators.paper import intro_example_network
 from repro.generators.topologies import chain_network, cycle_network
@@ -80,13 +75,13 @@ class TestAnalyzeNetwork:
         assert len(with_parallel.feedbacks) > len(without_parallel.feedbacks)
 
 
-class TestNetworkStructureCache:
+class TestStructureCache:
     def _fresh_network(self):
         return intro_example_network(with_records=False)
 
     def test_evidence_matches_analyze_network(self):
         network = self._fresh_network()
-        cache = NetworkStructureCache(network, ttl=4)
+        cache = StructureCache(network, ttl=4)
         for attribute in ("Creator", "Title"):
             cached = cache.evidence_for(attribute)
             direct = analyze_network(network, attribute, ttl=4)
@@ -100,21 +95,21 @@ class TestNetworkStructureCache:
 
     def test_probes_once_across_attributes(self):
         network = self._fresh_network()
-        cache = NetworkStructureCache(network, ttl=4)
+        cache = StructureCache(network, ttl=4)
         for attribute in ("Creator", "Title", "Subject", "Creator"):
             cache.evidence_for(attribute)
         assert cache.statistics.probes == 1
         assert cache.statistics.misses == 1
         assert cache.statistics.hits == 3
 
-    def test_topology_mutation_triggers_reprobe(self):
+    def test_topology_mutation_triggers_refresh(self):
         from repro.mapping.correspondence import Correspondence
         from repro.mapping.mapping import Mapping
         from repro.pdms.peer import Peer
         from repro.schema.schema import Schema
 
         network = self._fresh_network()
-        cache = NetworkStructureCache(network, ttl=4)
+        cache = StructureCache(network, ttl=4)
         before = cache.evidence_for("Creator")
         network.add_peer(Peer("p9", Schema.from_names("p9", ["Creator"])))
         network.add_mapping(
@@ -126,16 +121,24 @@ class TestNetworkStructureCache:
             bidirectional=False,
         )
         after = cache.evidence_for("Creator")
-        assert cache.statistics.probes == 2
+        # The new version is looked up again, from walks carried over from
+        # the previous snapshot: no second cold probe.
+        assert cache.statistics.misses == 2
+        assert cache.statistics.probes == 1
+        assert cache.statistics.partial_refreshes == 1
         # The new dangling mapping creates no cycle, so the evidence set is
-        # structurally unchanged — but it was re-derived from a fresh probe.
+        # structurally unchanged.
         assert len(after.feedbacks) == len(before.feedbacks)
+        fresh = analyze_network(network, "Creator", ttl=4)
+        assert [f.mapping_names for f in after.feedbacks] == [
+            f.mapping_names for f in fresh.feedbacks
+        ]
 
     def test_removed_mapping_refreshes_incrementally(self):
         """A removal is served by filtering the cached structures — no full
         re-enumeration — and still yields the exact fresh-probe set."""
         network = self._fresh_network()
-        cache = NetworkStructureCache(network, ttl=4)
+        cache = StructureCache(network, ttl=4)
         before = cache.evidence_for("Creator")
         assert before.feedbacks
         network.remove_mapping("p2->p4")
@@ -152,7 +155,7 @@ class TestNetworkStructureCache:
         from repro.mapping.mapping import Mapping
 
         network = self._fresh_network()
-        cache = NetworkStructureCache(network, ttl=4, include_parallel_paths=False)
+        cache = StructureCache(network, ttl=4, include_parallel_paths=False)
         cache.evidence_for("Creator")
         # A reverse mapping p4->p2 closes new cycles through the new edge.
         network.add_mapping(
@@ -176,7 +179,7 @@ class TestNetworkStructureCache:
         from repro.mapping.mapping import Mapping
 
         network = self._fresh_network()
-        cache = NetworkStructureCache(network, ttl=4, include_parallel_paths=True)
+        cache = StructureCache(network, ttl=4, include_parallel_paths=True)
         cache.evidence_for("Creator")
         network.add_mapping(
             Mapping.from_pairs("p4", "p2", {"Creator": "Creator"}),
@@ -202,7 +205,7 @@ class TestNetworkStructureCache:
         from repro.mapping.mapping import Mapping
 
         network = self._fresh_network()
-        cache = NetworkStructureCache(network, ttl=4, include_parallel_paths=True)
+        cache = StructureCache(network, ttl=4, include_parallel_paths=True)
         cache.evidence_for("Creator")
 
         def check():
@@ -237,24 +240,28 @@ class TestNetworkStructureCache:
             cache.statistics.partial_refreshes > cache.statistics.full_refreshes
         )
 
-    def test_added_peer_falls_back_to_full_probe(self):
+    def test_added_peer_walks_cold_and_carries_the_rest(self):
         from repro.pdms.peer import Peer
         from repro.schema.schema import Schema
 
         network = self._fresh_network()
-        cache = NetworkStructureCache(network, ttl=4)
+        cache = StructureCache(network, ttl=4)
         cache.evidence_for("Creator")
+        # Cycles and parallel paths of every peer: two walks each.
+        assert cache.statistics.work_units == 2 * len(network.peer_names)
         network.add_peer(Peer("p9", Schema.from_names("p9", ["Creator"])))
         cache.evidence_for("Creator")
-        assert cache.statistics.probes == 2
-        assert cache.statistics.partial_refreshes == 0
-        assert cache.statistics.full_refreshes == 2
+        assert cache.statistics.probes == 1
+        assert cache.statistics.partial_refreshes == 1
+        assert cache.statistics.full_refreshes == 1
+        # Only the new peer is walked: every other origin's walks carry.
+        assert cache.statistics.work_units == 2 * len(network.peer_names)
 
     def test_interleaved_mutations_replay_in_order(self):
         from repro.mapping.mapping import Mapping
 
         network = self._fresh_network()
-        cache = NetworkStructureCache(network, ttl=4, include_parallel_paths=False)
+        cache = StructureCache(network, ttl=4, include_parallel_paths=False)
         cache.evidence_for("Creator")
         network.remove_mapping("p2->p4")
         network.add_mapping(
@@ -272,7 +279,7 @@ class TestNetworkStructureCache:
 
     def test_invalidate_forces_reprobe(self):
         network = self._fresh_network()
-        cache = NetworkStructureCache(network, ttl=4)
+        cache = StructureCache(network, ttl=4)
         cache.evidence_for("Creator")
         cache.invalidate()
         cache.evidence_for("Creator")
@@ -282,8 +289,8 @@ class TestNetworkStructureCache:
         """Regression: invalidate() used to re-probe the snapshot of the
         unchanged version, so out-of-band surgery stayed invisible."""
         network = self._fresh_network()
-        cache = NetworkStructureCache(network, ttl=4)
-        local = NeighborhoodStructureCache(network, ttl=4)
+        cache = StructureCache(network, ttl=4)
+        local = StructureCache(network, ttl=4)
         cycles, _ = cache.structures()
         assert sum("p1->p2" in c.mapping_names for c in cycles) == 3
         assert any("p1->p2" in c.mapping_names for c in local.structures_for("p1")[0])
@@ -315,14 +322,14 @@ class TestNetworkStructureCache:
         assert network.version == version + 2
 
 
-class TestAnalyzeNeighborhood:
+class TestLocalEvidence:
     def test_neighborhood_view_is_subset_of_global_view(self, intro_network):
-        local = analyze_neighborhood(intro_network, "p2", "Title", ttl=4)
+        local = StructureCache(intro_network, ttl=4).evidence_for("p2", "Title")
         global_view = analyze_network(intro_network, "Title", ttl=4)
         assert len(local.feedbacks) <= len(global_view.feedbacks)
         for cycle in local.cycles:
             assert cycle.origin == "p2"
 
     def test_neighborhood_detects_the_fault_from_p2(self, intro_network):
-        local = analyze_neighborhood(intro_network, "p2", "Creator", ttl=4)
+        local = StructureCache(intro_network, ttl=4).evidence_for("p2", "Creator")
         assert local.negative_count > 0

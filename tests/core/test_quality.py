@@ -112,7 +112,7 @@ class TestStructureCacheWiring:
             assert a.posteriors == expected
             assert a.unmappable == evidence.unmappable
 
-    def test_topology_mutation_reprobes_automatically(self):
+    def test_topology_mutation_refreshes_automatically(self):
         from repro.mapping.correspondence import Correspondence
         from repro.mapping.mapping import Mapping
         from repro.pdms.peer import Peer
@@ -126,8 +126,15 @@ class TestStructureCacheWiring:
             Mapping("p4", "p9", [Correspondence("Creator", "Creator")]),
             bidirectional=False,
         )
-        assessor.assess_attribute("Creator")
-        assert assessor.structure_cache.statistics.probes == 2
+        after = assessor.assess_attribute("Creator")
+        # A new version is looked up again, from walks the network's next
+        # snapshot carried over: no second cold probe.
+        assert assessor.structure_cache.statistics.misses == 2
+        assert assessor.structure_cache.statistics.probes == 1
+        assert assessor.structure_cache.statistics.partial_refreshes == 1
+        assert after.posteriors == MappingQualityAssessor(
+            network, delta=0.1, ttl=4
+        ).assess_attribute("Creator").posteriors
 
     def test_invalidate_clears_assessments_and_cache(self):
         network = intro_example_network(with_records=False)
@@ -212,6 +219,39 @@ class TestRoutingIntegration:
         oracle = assessor.as_oracle()
         mapping = assessor.network.mapping("p2->p3")
         assert 0.0 <= oracle(mapping, "Creator") <= 1.0
+
+
+def _retarget(network, mapping_name, attribute, target, is_correct):
+    """Point one correspondence elsewhere (test-only surgery, like the
+    ⊥-rule test's): every structure stays, only its evidence changes."""
+    mapping = network.mapping(mapping_name)
+    mapping._by_source[attribute] = mapping.correspondence_for(
+        attribute
+    ).with_target(target, is_correct=is_correct)
+
+
+class TestCorrespondenceChurn:
+    """§4.4: a PDMS keeps evolving, and re-assessment follows the evidence."""
+
+    def test_corrupting_a_correspondence_lowers_its_posterior(self):
+        network = intro_example_network(with_records=False)
+        assessor = MappingQualityAssessor(
+            network, delta=0.1, ttl=4, include_parallel_paths=False
+        )
+        assert assessor.assess_attribute("Creator").posteriors["p3->p4"] > 0.5
+        _retarget(network, "p3->p4", "Creator", "Title", is_correct=False)
+        assert network.mapping("p3->p4").apply("Creator") == "Title"
+        assert assessor.assess_attribute("Creator").posteriors["p3->p4"] < 0.5
+
+    def test_repairing_the_faulty_mapping_restores_its_posterior(self):
+        network = intro_example_network(with_records=False)
+        assessor = MappingQualityAssessor(
+            network, delta=0.1, ttl=4, include_parallel_paths=False
+        )
+        assert assessor.assess_attribute("Creator").posteriors["p2->p4"] < 0.5
+        _retarget(network, "p2->p4", "Creator", "Creator", is_correct=True)
+        assert network.mapping("p2->p4").apply("Creator") == "Creator"
+        assert assessor.assess_attribute("Creator").posteriors["p2->p4"] > 0.5
 
 
 class TestPriorUpdates:

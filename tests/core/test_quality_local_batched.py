@@ -2,7 +2,7 @@
 
 Covers the per-origin lanes against the per-message loop reference across
 seeds (lossless and lossy), the per-origin neighbourhood cache (probe once
-per origin and network version, incremental refreshes), overlapping and
+per origin and network version, carried refreshes), overlapping and
 non-block-diagonal lanes, and the local-view correctness fixes (⊥ rule,
 prior fallback, θ-flagging, empty-attributes coarse assessment).
 """
@@ -13,17 +13,16 @@ from unittest import mock
 import pytest
 from embedded_reference import reference_local_view
 
-from repro.core.analysis import NeighborhoodStructureCache, analyze_neighborhood
+from repro.core.analysis import StructureCache
 from repro.core.batched import AssessmentLane, BatchedEmbeddedMessagePassing
 from repro.core import quality
 from repro.core.beliefs import PriorBeliefStore
-from repro.core.evolution import CorrespondenceChanged, EvolvingPDMS
 from repro.core.quality import MappingQualityAssessor
 from repro.exceptions import FeedbackError
 from repro.generators.paper import INTRO_SCHEMA_CONCEPTS, intro_example_network
 from repro.generators.scenarios import generate_scenario
 from repro.mapping.mapping import Mapping
-from repro.pdms.events import MappingRemoved
+from repro.pdms.network import PDMSNetwork
 from repro.pdms.peer import Peer
 from repro.pdms.routing import RoutingPolicy
 from repro.schema.schema import Schema
@@ -282,12 +281,15 @@ class TestNeighborhoodCache:
     def _canonical(self, cycles):
         return {cycle.canonical_key() for cycle in cycles}
 
-    def test_matches_analyze_neighborhood(self):
+    def test_matches_a_cold_cache_on_a_replayed_network(self):
         network = intro_example_network(with_records=False)
-        cache = NeighborhoodStructureCache(network, ttl=4)
+        cache = StructureCache(network, ttl=4)
+        cache.warm(network.peer_names)
+        network.remove_mapping("p2->p4")
+        replayed = PDMSNetwork.from_events(network.event_log())
         for origin in network.peer_names:
             cached = cache.evidence_for(origin, "Creator")
-            fresh = analyze_neighborhood(network, origin, "Creator", ttl=4)
+            fresh = StructureCache(replayed, ttl=4).evidence_for(origin, "Creator")
             assert [f.identifier for f in cached.feedbacks] == [
                 f.identifier for f in fresh.feedbacks
             ]
@@ -298,14 +300,14 @@ class TestNeighborhoodCache:
 
     def test_remove_mapping_refreshes_incrementally(self):
         network = intro_example_network(with_records=False)
-        cache = NeighborhoodStructureCache(network, ttl=4)
+        cache = StructureCache(network, ttl=4)
         for origin in network.peer_names:
             cache.structures_for(origin)
         network.remove_mapping("p2->p4")
         for origin in network.peer_names:
             cycles, _ = cache.structures_for(origin)
             expected, _ = (
-                NeighborhoodStructureCache(network, ttl=4).structures_for(origin)
+                StructureCache(network, ttl=4).structures_for(origin)
             )
             assert self._canonical(cycles) == self._canonical(expected)
         assert cache.statistics.partial_refreshes == len(network.peer_names)
@@ -313,7 +315,7 @@ class TestNeighborhoodCache:
 
     def test_add_mapping_enumerates_only_new_cycles(self):
         network = intro_example_network(with_records=False)
-        cache = NeighborhoodStructureCache(
+        cache = StructureCache(
             network, ttl=4, include_parallel_paths=False
         )
         for origin in network.peer_names:
@@ -328,7 +330,7 @@ class TestNeighborhoodCache:
         )
         for origin in network.peer_names:
             cycles, _ = cache.structures_for(origin)
-            expected, _ = NeighborhoodStructureCache(
+            expected, _ = StructureCache(
                 network, ttl=4, include_parallel_paths=False
             ).structures_for(origin)
             assert self._canonical(cycles) == self._canonical(expected)
@@ -344,14 +346,14 @@ class TestNeighborhoodCache:
         grafting/filtering per origin — partial refreshes dominate — and
         every origin's view still matches a fresh probe."""
         network = intro_example_network(with_records=False)
-        cache = NeighborhoodStructureCache(
+        cache = StructureCache(
             network, ttl=4, include_parallel_paths=True
         )
         for origin in network.peer_names:
             cache.structures_for(origin)
 
         def check():
-            fresh_cache = NeighborhoodStructureCache(
+            fresh_cache = StructureCache(
                 network, ttl=4, include_parallel_paths=True
             )
             for origin in network.peer_names:
@@ -381,14 +383,17 @@ class TestNeighborhoodCache:
             cache.statistics.partial_refreshes > cache.statistics.full_refreshes
         )
 
-    def test_add_peer_falls_back_to_full_probe(self):
+    def test_add_peer_carries_existing_origins(self):
         network = intro_example_network(with_records=False)
-        cache = NeighborhoodStructureCache(network, ttl=4)
+        cache = StructureCache(network, ttl=4)
         cache.structures_for("p2")
         network.add_peer(Peer("p9", Schema.from_names("p9", ["Creator"])))
         cache.structures_for("p2")
+        cache.structures_for("p9")
+        # p2's walks are inherited; only the new peer walks cold.
         assert cache.statistics.probes == 2
-        assert cache.statistics.partial_refreshes == 0
+        assert cache.statistics.partial_refreshes == 1
+        assert cache.statistics.work_units == 4
 
 
 class TestLocalViewResolutionOrder:
@@ -562,34 +567,7 @@ class TestOverlappingLanes:
         _assert_same_results(together, alone)
 
 
-class TestEvolutionAndRoutingWiring:
-    def test_evolving_pdms_tracks_local_views(self):
-        network = intro_example_network(with_records=False)
-        pdms = EvolvingPDMS(
-            network, track_local_views=True, delta=0.1, ttl=4, seed=0
-        )
-        round_record = pdms.apply_event(
-            CorrespondenceChanged(
-                mapping_name="p2->p3",
-                attribute="Title",
-                new_target="Medium",
-                is_correct=False,
-            )
-        )
-        assert "Title" in round_record.local_posteriors
-        views = round_record.local_posteriors["Title"]
-        assert set(views) == set(network.peer_names)
-        # p2's own view notices its freshly corrupted mapping.
-        assert views["p2"]["p2->p3"] < 0.5
-
-    def test_evolving_pdms_default_skips_local_views(self):
-        network = intro_example_network(with_records=False)
-        pdms = EvolvingPDMS(network, delta=0.1, ttl=4, seed=0)
-        round_record = pdms.apply_event(
-            MappingRemoved(name="p2->p4")
-        )
-        assert round_record.local_posteriors == {}
-
+class TestLocalRoutingWiring:
     def test_local_oracle_blocks_faulty_mapping(self):
         network = intro_example_network(with_records=True)
         assessor = MappingQualityAssessor(network, delta=0.1, ttl=4, seed=0)

@@ -5,7 +5,7 @@ from typing import ClassVar
 
 import pytest
 
-from repro.evaluation.baselines import chatty_web_baseline, random_guess_baseline
+from repro.evaluation.baselines import chatty_web_baseline
 from repro.evaluation.metrics import (
     ConfusionCounts,
     DetectionMetrics,
@@ -16,7 +16,6 @@ from repro.evaluation.reporting import (
     Column,
     format_comparison,
     format_points,
-    format_series,
     format_table,
     point_record,
 )
@@ -102,15 +101,6 @@ class TestBaselines:
         assert verdicts[("p1->p2", "Creator")] == 0.0
         assert verdicts[("p2->p3", "Creator")] == 0.0
 
-    def test_random_guess_baseline_is_deterministic_per_seed(self):
-        keys = [("a->b", "X"), ("b->c", "X"), ("c->d", "X")]
-        assert random_guess_baseline(keys, seed=1) == random_guess_baseline(keys, seed=1)
-
-    def test_random_guess_flag_probability_extremes(self):
-        keys = [("a->b", "X"), ("b->c", "X")]
-        assert set(random_guess_baseline(keys, flag_probability=1.0).values()) == {0.0}
-        assert set(random_guess_baseline(keys, flag_probability=0.0).values()) == {1.0}
-
 
 class TestReporting:
     def test_format_table_alignment(self):
@@ -119,11 +109,6 @@ class TestReporting:
         assert lines[0] == "Fig 12"
         assert "theta" in lines[1]
         assert "0.900" in table
-
-    def test_format_series(self):
-        series = format_series("convergence", [(1, 0.5)], x_label="iter", y_label="P")
-        assert "iter" in series
-        assert "0.500" in series
 
     def test_format_comparison(self):
         line = format_comparison("posterior", 0.59, 0.56, note="loopy estimate")

@@ -1,12 +1,13 @@
 """Unit tests for the shared probe-plan discovery core.
 
 The :mod:`repro.pdms.discovery` frontier is the single enumeration engine
-behind both structure caches: these tests pin its contract — snapshots and
+behind the structure cache: these tests pin its contract — snapshots and
 plans pickle (without their integer lowering or remembered walks), the
 cycles walker on a snapshot's integer adjacency is *order*-identical to
-the recursive object-graph walker kept in ``walker_reference.py``, and
-:func:`~repro.pdms.discovery.run_plan` is order-identical to per-peer
-sweeps of that reference.
+the recursive object-graph walker kept in ``walker_reference.py``, a
+network's next snapshot carries exactly the walks its events leave
+unchanged, and :func:`~repro.pdms.discovery.run_plan` is order-identical
+to per-peer sweeps of that reference.
 """
 
 import pickle
@@ -24,17 +25,12 @@ from repro.pdms.discovery import (
     PATHS_FROM,
     TopologySnapshot,
     plan_full_probe,
-    plan_mapping_delta,
     plan_neighborhood_probe,
     run_plan,
 )
 from repro.pdms.network import PDMSNetwork
 from repro.pdms.peer import Peer
-from repro.pdms.probing import (
-    find_cycles_through,
-    find_parallel_paths_from,
-    find_parallel_paths_through,
-)
+from repro.pdms.probing import find_cycles_through, find_parallel_paths_from
 from repro.schema.schema import Schema
 from walker_reference import reference_cycles_through
 
@@ -191,6 +187,128 @@ class TestSharedSnapshot:
         assert network.snapshot() is not current
 
 
+def _network(peers, edges):
+    """A directed network of ``peers`` with one mapping per ``(source,
+    target)`` pair in ``edges``, named ``"source->target"``."""
+    network = PDMSNetwork(directed=True)
+    for name in peers:
+        network.add_peer(Peer(name, Schema.from_names(name, ["A"])))
+    for source, target in edges:
+        network.add_mapping(Mapping.from_pairs(source, target, {"A": "A"}))
+    return network
+
+
+def _read_all(snapshot, ttl, walk=TopologySnapshot.cycles_through):
+    return {origin: walk(snapshot, origin, ttl) for origin in snapshot.peer_names}
+
+
+class TestSuccessorRules:
+    """Which walks a network's next snapshot carries and which it re-runs.
+
+    Every test reads the successor's walks against a cold snapshot's; the
+    ``walks`` counts and ``is`` checks pin that the untouched origins'
+    walks were carried, not re-run."""
+
+    def test_walks_count_each_origin_once_per_ttl(self, intro_network):
+        snapshot = TopologySnapshot.of(intro_network)
+        assert (snapshot.walks, snapshot.inherited) == (0, frozenset())
+        cycles = snapshot.cycles_through("p2", 4)
+        assert snapshot.cycles_through("p2", 4) is cycles
+        paths = snapshot.parallel_paths_from("p2", 4)
+        assert snapshot.parallel_paths_from("p2", 4) is paths
+        assert snapshot.walks == 2
+        snapshot.cycles_through("p2", 3)
+        assert snapshot.walks == 3
+
+    def test_a_removed_mapping_rewalks_the_origins_whose_cycles_held_it(self):
+        network = _network("abcd", ["ab", "ba", "bc", "cd", "dc"])
+        before = _read_all(network.snapshot(), 3)
+        network.remove_mapping("a->b")
+        snapshot = network.snapshot()
+        assert snapshot.inherited == frozenset("abcd")
+        for origin in "cd":
+            assert snapshot.cycles_through(origin, 3) is before[origin]
+        assert snapshot.walks == 0
+        assert _read_all(snapshot, 3) == _read_all(TopologySnapshot.of(network), 3)
+        assert snapshot.walks == 2  # a and b
+
+    def test_an_added_mapping_rewalks_the_origins_on_its_new_cycles(self):
+        network = _network("abcde", ["ab", "bc", "de", "ed"])
+        before = _read_all(network.snapshot(), 3)
+        network.add_mapping(Mapping.from_pairs("c", "a", {"A": "A"}))
+        snapshot = network.snapshot()
+        for origin in "de":
+            assert snapshot.cycles_through(origin, 3) is before[origin]
+        # Settling the addition walked its source, c, once.
+        assert snapshot.walks == 1
+        assert _read_all(snapshot, 3) == _read_all(TopologySnapshot.of(network), 3)
+        assert snapshot.walks == 3  # c, then a and b
+        assert [c.mapping_names for c in snapshot.cycles_through("a", 3)] == [
+            ("a->b", "b->c", "c->a")
+        ]
+
+    def test_a_mapping_added_and_removed_again_carries_every_cycle(self):
+        network = _network("abc", ["ab", "ba", "bc"])
+        before = _read_all(network.snapshot(), 3)
+        network.remove_mapping(
+            network.add_mapping(Mapping.from_pairs("c", "a", {"A": "A"})).name
+        )
+        snapshot = network.snapshot()
+        assert _read_all(snapshot, 3) == before
+        assert all(snapshot.cycles_through(o, 3) is before[o] for o in "abc")
+        assert snapshot.walks == 0
+
+    def test_parallel_paths_carry_beyond_ttl_minus_one_reverse_hops(self):
+        walk = TopologySnapshot.parallel_paths_from
+        network = _network(["x", "y1", "y2", "z", "w"], [])
+        for source, target in [("x", "y1"), ("x", "y2"), ("y1", "z"), ("y2", "z")]:
+            network.add_mapping(Mapping.from_pairs(source, target, {"A": "A"}))
+        first = network.snapshot()
+        before = {ttl: _read_all(first, ttl, walk) for ttl in (2, 3)}
+        assert len(before[2]["x"]) == 1
+        network.add_mapping(Mapping.from_pairs("z", "w", {"A": "A"}))
+        snapshot = network.snapshot()
+        # x is two reverse hops from z, the changed source: beyond ttl - 1
+        # at ttl 2, within it at ttl 3.
+        assert snapshot.parallel_paths_from("x", 2) is before[2]["x"]
+        assert snapshot.walks == 0
+        snapshot.parallel_paths_from("x", 3)
+        assert snapshot.walks == 1
+        cold = TopologySnapshot.of(network)
+        for ttl in (2, 3):
+            assert _read_all(snapshot, ttl, walk) == _read_all(cold, ttl, walk)
+        # Re-walked at ttl 2: z, y1, y2; at ttl 3: x, z, y1, y2.
+        assert snapshot.walks == 7
+
+    def test_a_removed_peer_drops_its_walks_and_rejoins_cold(self):
+        network = _network("abc", ["ab", "ba", "bc", "cb"])
+        before = _read_all(network.snapshot(), 3)
+        network.add_peer(network.remove_peer("c"))
+        snapshot = network.snapshot()
+        assert snapshot.inherited == frozenset("ab")
+        assert snapshot.cycles_through("a", 3) is before["a"]
+        assert snapshot.walks == 0
+        assert _read_all(snapshot, 3) == _read_all(TopologySnapshot.of(network), 3)
+        assert snapshot.walks == 2  # b (its cycle held b->c), then c cold
+        assert snapshot.cycles_through("c", 3) == ()
+
+    def test_a_pickled_successor_arrives_cold(self):
+        network = _network("abc", ["ab", "ba", "bc"])
+        _read_all(network.snapshot(), 3)
+        network.add_mapping(Mapping.from_pairs("c", "a", {"A": "A"}))
+        snapshot = network.snapshot()
+        assert snapshot.inherited
+        cold = TopologySnapshot.of(network)
+        assert pickle.dumps(snapshot) == pickle.dumps(cold)
+        clone = pickle.loads(pickle.dumps(snapshot))
+        assert (clone.inherited, clone.walks) == (frozenset(), 0)
+        for origin in cold.peer_names:
+            assert _walked(clone.cycles_through(origin, 3)) == _walked(
+                cold.cycles_through(origin, 3)
+            )
+        assert clone.walks == 3
+
+
 class TestSerialExecutor:
     @pytest.mark.parametrize("ttl", [3, 4, 5])
     def test_order_identical_to_walkers(self, sparse_network, ttl):
@@ -217,19 +335,6 @@ class TestPlans:
     def test_neighborhood_probe_rejects_unknown_peer(self, intro_network):
         with pytest.raises(UnknownPeerError):
             plan_neighborhood_probe(intro_network, ("p1", "zz"), ttl=4)
-
-    def test_mapping_delta_via_filter(self, intro_network):
-        # The delta plan for one added mapping only yields structures that
-        # actually traverse it.
-        plan = plan_mapping_delta(intro_network, "p1->p2", ttl=4)
-        cycles, paths = run_plan(plan).merged()
-        assert cycles
-        for cycle in cycles:
-            assert "p1->p2" in cycle.mapping_names
-        reference = find_parallel_paths_through(intro_network, "p1->p2", ttl=4)
-        assert {p.canonical_key() for p in paths} == {
-            p.canonical_key() for p in reference
-        }
 
     def test_non_positive_ttl_rejected(self, intro_network):
         with pytest.raises(ValueError, match="positive hop count"):

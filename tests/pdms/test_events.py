@@ -5,7 +5,7 @@ import pickle
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.analysis import NetworkStructureCache
+from repro.core.analysis import StructureCache
 from repro.exceptions import PDMSError
 from repro.mapping.mapping import Mapping
 from repro.pdms.clock import VectorClock
@@ -218,10 +218,10 @@ def test_replayed_network_yields_identical_structure_cache(ops):
     network = PDMSNetwork("subject", directed=True)
     _run_operations(network, ops)
     replayed = PDMSNetwork.from_events(network.event_log(), name="subject")
-    original_cycles, original_paths = NetworkStructureCache(
+    original_cycles, original_paths = StructureCache(
         network, ttl=4
     ).structures()
-    replayed_cycles, replayed_paths = NetworkStructureCache(
+    replayed_cycles, replayed_paths = StructureCache(
         replayed, ttl=4
     ).structures()
     assert [c.canonical_key() for c in replayed_cycles] == [

@@ -262,10 +262,7 @@ class TestRemovePeer:
     def test_churned_structure_caches_match_a_fresh_network(self):
         """After churn, both structure caches serve exactly the structures
         a cache over a never-churned network serves."""
-        from repro.core.analysis import (
-            NetworkStructureCache,
-            NeighborhoodStructureCache,
-        )
+        from repro.core.analysis import StructureCache
 
         def ring(net):
             for source, target in (("p1", "p2"), ("p2", "p3"), ("p3", "p1")):
@@ -277,8 +274,8 @@ class TestRemovePeer:
         for name in ("p1", "p2", "p3"):
             churned.add_peer(Peer(name, schema(name)))
         ring(churned)
-        cache = NetworkStructureCache(churned, ttl=4)
-        neighborhood = NeighborhoodStructureCache(churned, ttl=4)
+        cache = StructureCache(churned, ttl=4)
+        neighborhood = StructureCache(churned, ttl=4)
         cache.structures()
         neighborhood.structures_for("p1")
         churned.add_peer(Peer("p4", schema("p4")))
@@ -292,7 +289,7 @@ class TestRemovePeer:
         ring(fresh)
 
         cycles, paths = cache.structures()
-        fresh_cycles, fresh_paths = NetworkStructureCache(fresh, ttl=4).structures()
+        fresh_cycles, fresh_paths = StructureCache(fresh, ttl=4).structures()
         assert [c.canonical_key() for c in cycles] == [
             c.canonical_key() for c in fresh_cycles
         ]
@@ -300,18 +297,16 @@ class TestRemovePeer:
             p.canonical_key() for p in fresh_paths
         ]
         local = neighborhood.structures_for("p1")
-        fresh_local = NeighborhoodStructureCache(fresh, ttl=4).structures_for("p1")
+        fresh_local = StructureCache(fresh, ttl=4).structures_for("p1")
         assert [c.canonical_key() for c in local[0]] == [
             c.canonical_key() for c in fresh_local[0]
         ]
 
-    def test_remove_peer_forces_full_reprobe_on_both_caches(self):
-        """PeerRemoved is not incrementally replayable: both caches must
-        abandon the mutation log and re-probe from scratch."""
-        from repro.core.analysis import (
-            NetworkStructureCache,
-            NeighborhoodStructureCache,
-        )
+    def test_remove_peer_drops_only_its_own_walks(self):
+        """The next snapshot drops the removed peer's walks and carries
+        every other origin's: both caches refresh without a cold probe
+        and without walking again."""
+        from repro.core.analysis import StructureCache
 
         net = PDMSNetwork("test", directed=True)
         for name in ("p1", "p2", "p3", "p4"):
@@ -320,14 +315,20 @@ class TestRemovePeer:
             net.add_mapping(
                 Mapping.from_pairs(source, target, {"Creator": "Creator"})
             )
-        cache = NetworkStructureCache(net, ttl=4)
-        neighborhood = NeighborhoodStructureCache(net, ttl=4)
+        cache = StructureCache(net, ttl=4)
+        neighborhood = StructureCache(net, ttl=4)
         cache.structures()
         neighborhood.structures_for("p1")
+        walks = cache.statistics.work_units
         net.remove_peer("p4")
-        cache.structures()
+        cycles, _ = cache.structures()
         neighborhood.structures_for("p1")
-        assert cache.statistics.probes == 2
-        assert cache.statistics.partial_refreshes == 0
-        assert neighborhood.statistics.probes == 2
-        assert neighborhood.statistics.partial_refreshes == 0
+        assert cache.statistics.probes == 1
+        assert cache.statistics.partial_refreshes == 1
+        assert neighborhood.statistics.probes == 1
+        assert neighborhood.statistics.partial_refreshes == 1
+        assert cache.statistics.work_units == walks
+        assert neighborhood.statistics.work_units == 0
+        assert [c.mapping_names for c in cycles] == [
+            ("p1->p2", "p2->p3", "p3->p1")
+        ]

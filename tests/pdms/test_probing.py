@@ -120,15 +120,12 @@ class TestTtlValidation:
         assert probe_neighborhood(intro_network, "p1", ttl=1).cycles == ()
 
     def test_structure_caches_reject_non_positive_ttl(self, intro_network):
-        from repro.core.analysis import (
-            NeighborhoodStructureCache,
-            NetworkStructureCache,
-        )
+        from repro.core.analysis import StructureCache
 
         with pytest.raises(ValueError, match="positive hop count"):
-            NetworkStructureCache(intro_network, ttl=0)
+            StructureCache(intro_network, ttl=0)
         with pytest.raises(ValueError, match="positive hop count"):
-            NeighborhoodStructureCache(intro_network, ttl=-2)
+            StructureCache(intro_network, ttl=-2)
         from repro.core.quality import MappingQualityAssessor
 
         with pytest.raises(ValueError, match="positive hop count"):
@@ -139,8 +136,7 @@ class TestTtlValidation:
 
         from repro.constants import DEFAULT_TTL
         from repro.core.analysis import (
-            NeighborhoodStructureCache,
-            NetworkStructureCache,
+            StructureCache,
             analyze_network,
         )
         from repro.core.quality import MappingQualityAssessor
@@ -154,8 +150,7 @@ class TestTtlValidation:
             find_all_parallel_paths,
             analyze_network,
             MappingQualityAssessor,
-            NetworkStructureCache,
-            NeighborhoodStructureCache,
+            StructureCache,
         ):
             signature = inspect.signature(callable_)
             assert signature.parameters["ttl"].default == DEFAULT_TTL, callable_

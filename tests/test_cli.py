@@ -1,5 +1,10 @@
 """Tests for the repro-experiments command-line interface."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -147,3 +152,35 @@ class TestCommands:
     def test_convergence_command(self, capsys):
         assert main(["convergence"]) == 0
         assert "Figure 7" in capsys.readouterr().out
+
+
+class TestClosedPipe:
+    """``repro-experiments intro | head -1``: the reader closes the pipe
+    after one line, and the CLI still exits 0 without a traceback."""
+
+    @pytest.mark.parametrize("lines_read", [0, 1])
+    def test_closed_stdout_pipe_exits_quietly(self, lines_read):
+        src = pathlib.Path(__file__).parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        command = [sys.executable, "-m", "repro.cli", "intro"]
+        if lines_read:
+            process = subprocess.Popen(
+                command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+            )
+            assert process.stdout.readline()
+            process.stdout.close()
+            stderr = process.stderr.read()
+            process.stderr.close()
+        else:
+            # A reader gone before the first line makes every write fail,
+            # so the broken pipe is certain rather than a race.
+            reader, writer = os.pipe()
+            os.close(reader)
+            with open(writer, "wb") as stdout:
+                process = subprocess.Popen(
+                    command, stdout=stdout, stderr=subprocess.PIPE, env=env
+                )
+            stderr = process.stderr.read()
+            process.stderr.close()
+        assert process.wait() == 0, stderr.decode()
+        assert b"Traceback" not in stderr
