@@ -5,13 +5,14 @@ The per-peer decentralised view of §4.5 — *every* peer judging its own
 outgoing mappings from its own probe evidence, the traffic model of a live
 PDMS — runs every origin as a disjoint lane of one shared slice of the lane
 engine (:class:`~repro.core.batched.BatchedEmbeddedMessagePassing`) over
-one compiled per-origin :class:`~repro.factorgraph.plan.SweepPlan`.  This
-benchmark times the full all-origins ``assess_local_all`` pass on a 32-peer
+one :class:`~repro.factorgraph.plan.SweepPlan` assembled from per-origin
+blocks, each block compiled once per walk of its origin.  This benchmark
+times the full all-origins ``assess_local_all`` pass on a 32-peer
 scale-free network against one one-lane ``assess_locals([origin])`` run
 per origin, lossless and lossy, and doubles as a regression tripwire: the
 shared run must stay ≥2x ahead at 32 peers while reproducing the one-lane
-views to ``1e-9``, compiling the local plan exactly once, and probing each
-origin's neighbourhood exactly once per network version.
+views to ``1e-9``, compiling exactly one block per origin, and probing
+each origin's neighbourhood exactly once per network version.
 """
 
 import pytest
@@ -68,12 +69,12 @@ def test_bench_local_assessment(benchmark, report_points, peer_count):
     )
 
     # Both paths must see the exact same per-origin inference problems, and
-    # the cache must probe each origin exactly once.
+    # the cache must probe each origin, and compile its block, exactly once.
     assert lossless.origin_count == peer_count
     assert lossless.probes == peer_count
     assert lossy.probes == peer_count
-    assert lossless.plan_compiles == 1
-    assert lossy.plan_compiles == 1
+    assert lossless.plan_compiles == peer_count
+    assert lossy.plan_compiles == peer_count
     assert lossless.max_posterior_difference <= MAX_POSTERIOR_DIVERGENCE
     assert lossy.max_posterior_difference <= MAX_POSTERIOR_DIVERGENCE
     if peer_count >= 32:
@@ -86,8 +87,9 @@ def test_bench_local_assessment(benchmark, report_points, peer_count):
 
 
 def test_bench_local_probe_once_per_version(report):
-    """``assess_local_all`` probes each origin and compiles the local plan
-    exactly once per network version, across attributes and EM rounds."""
+    """``assess_local_all`` probes each origin exactly once per network
+    version and compiles its block once per walk, across attributes and EM
+    rounds."""
     network = throughput_network(32)
     assessor = MappingQualityAssessor(
         network, delta=None, ttl=3, include_parallel_paths=False, seed=0
@@ -98,20 +100,22 @@ def test_bench_local_probe_once_per_version(report):
             assessor.assess_local_all(attribute)
     statistics = assessor.neighborhood_cache.statistics
     assert statistics.probes == len(network.peer_names)
-    assert assessor.local_plan_compile_count == 1
+    assert assessor.local_plan_compile_count == 32
 
     # A topology mutation refreshes incrementally (no new full probes) and
-    # recompiles the plan exactly once more.
+    # recompiles the blocks of the origins it re-walked: the five whose
+    # cycles held p0->p1 (p0, p1, p3, p16 and p19).
     removed = network.mapping_names[0]
+    assert removed == "p0->p1"
     network.remove_mapping(removed)
     assessor.assess_local_all(attributes[0])
     assert statistics.probes == len(network.peer_names)
     assert statistics.partial_refreshes == len(network.peer_names)
-    assert assessor.local_plan_compile_count == 2
+    assert assessor.local_plan_compile_count == 32 + 5
     report(
         "EX_local_plan_reuse",
-        "local plan compiles: 1 across 2 EM passes x 3 attributes, "
-        "2 after remove_mapping\n"
+        "local block compiles: 32 across 2 EM passes x 3 attributes, "
+        "37 after remove_mapping\n"
         f"probes: {statistics.probes} full, "
         f"{statistics.partial_refreshes} partial",
     )

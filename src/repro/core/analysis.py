@@ -55,6 +55,7 @@ __all__ = [
     "StructureCacheStatistics",
     "StructureCache",
     "analyze_network",
+    "structure_feedbacks",
     "structure_signatures",
 ]
 
@@ -132,23 +133,32 @@ def structure_signatures(
     return signatures
 
 
-def _evidence_from_structures(
+def structure_feedbacks(
     cycles: Sequence[MappingCycle],
     parallel_paths: Sequence[ParallelPaths],
     attribute: str,
+    signatures: Optional[Sequence[Tuple[str, Tuple[str, ...]]]] = None,
 ) -> List[Feedback]:
-    signatures = structure_signatures(cycles, parallel_paths)
-    feedbacks: List[Feedback] = []
-    for (identifier, _), cycle in zip(signatures, cycles):
-        feedbacks.append(
-            feedback_from_cycle(cycle, attribute, identifier=identifier)
+    """Each structure evaluated for ``attribute``, in evidence order.
+
+    Every feedback carries the identifier and mapping names of its
+    :func:`structure_signatures` entry; a caller that compiled its plan
+    from relabelled signatures (the per-origin instances of the local
+    view) passes them as ``signatures`` and gets feedbacks labelled to
+    match, one per structure.
+    """
+    if signatures is None:
+        signatures = structure_signatures(cycles, parallel_paths)
+    feedbacks: List[Feedback] = [
+        feedback_from_cycle(cycle, attribute, identifier, names)
+        for (identifier, names), cycle in zip(signatures, cycles)
+    ]
+    feedbacks.extend(
+        feedback_from_parallel_paths(paths, attribute, identifier, names)
+        for (identifier, names), paths in zip(
+            signatures[len(cycles):], parallel_paths
         )
-    for (identifier, _), paths in zip(
-        signatures[len(cycles):], parallel_paths
-    ):
-        feedbacks.append(
-            feedback_from_parallel_paths(paths, attribute, identifier=identifier)
-        )
+    )
     return feedbacks
 
 
@@ -336,19 +346,26 @@ class StructureCache:
         cycles, parallel_paths = (
             self.structures_for(*origin) if origin else self.structures()
         )
+        return NetworkEvidence(
+            attribute=attribute,
+            feedbacks=tuple(
+                structure_feedbacks(cycles, parallel_paths, attribute)
+            ),
+            unmappable=self.unmappable(attribute),
+            cycles=cycles,
+            parallel_paths=parallel_paths,
+        )
+
+    def unmappable(self, attribute: str) -> Tuple[str, ...]:
+        """The ⊥ scan of :meth:`evidence_for`: mappings whose source schema
+        declares ``attribute`` but that provide no correspondence for it,
+        memoised per attribute and key."""
+        self._sync()
         unmappable = self._unmappable.get(attribute)
         if unmappable is None:
             unmappable = _unmappable_mappings(self.network, attribute)
             self._unmappable[attribute] = unmappable
-        return NetworkEvidence(
-            attribute=attribute,
-            feedbacks=tuple(
-                _evidence_from_structures(cycles, parallel_paths, attribute)
-            ),
-            unmappable=unmappable,
-            cycles=cycles,
-            parallel_paths=parallel_paths,
-        )
+        return unmappable
 
     def invalidate(self) -> None:
         """Drop the cached structures and the network's shared snapshot
@@ -383,7 +400,7 @@ def analyze_network(
         network, ttl=ttl, include_parallel_paths=include_parallel_paths
     )
     cycles, parallel_paths = run_plan(plan).merged()
-    feedbacks = _evidence_from_structures(cycles, parallel_paths, attribute)
+    feedbacks = structure_feedbacks(cycles, parallel_paths, attribute)
     return NetworkEvidence(
         attribute=attribute,
         feedbacks=tuple(feedbacks),

@@ -247,11 +247,14 @@ def feedback_from_cycle(
     cycle: MappingCycle,
     attribute: str,
     identifier: Optional[str] = None,
+    mapping_names: Optional[Tuple[str, ...]] = None,
 ) -> Feedback:
     """Evaluate a mapping cycle for ``attribute`` and wrap the outcome.
 
     The outcome is computed by pushing the attribute around the cycle's
-    transitive closure (§3.2.1).
+    transitive closure (§3.2.1).  ``mapping_names`` labels the constrained
+    mappings (the cycle's own names by default), one label per mapping in
+    traversal order — e.g. the per-origin instances of the local view.
     """
     outcome = composition.round_trip_outcome(list(cycle.mappings), attribute)
     kind = FeedbackKind(outcome)
@@ -259,7 +262,7 @@ def feedback_from_cycle(
         identifier=identifier or f"cycle[{'|'.join(cycle.mapping_names)}]",
         kind=kind,
         structure=StructureKind.CYCLE,
-        mapping_names=cycle.mapping_names,
+        mapping_names=mapping_names or cycle.mapping_names,
         attribute=attribute,
         origin=cycle.origin,
     )
@@ -269,8 +272,11 @@ def feedback_from_parallel_paths(
     paths: ParallelPaths,
     attribute: str,
     identifier: Optional[str] = None,
+    mapping_names: Optional[Tuple[str, ...]] = None,
 ) -> Feedback:
-    """Evaluate a pair of parallel paths for ``attribute`` and wrap the outcome."""
+    """Evaluate a pair of parallel paths for ``attribute`` and wrap the
+    outcome; ``mapping_names`` labels the mappings as in
+    :func:`feedback_from_cycle`."""
     outcome = composition.parallel_paths_outcome(
         list(paths.first), list(paths.second), attribute
     )
@@ -279,7 +285,7 @@ def feedback_from_parallel_paths(
         identifier=identifier or f"parallel[{'|'.join(paths.mapping_names)}]",
         kind=kind,
         structure=StructureKind.PARALLEL_PATHS,
-        mapping_names=paths.mapping_names,
+        mapping_names=mapping_names or paths.mapping_names,
         attribute=attribute,
         origin=paths.source,
     )

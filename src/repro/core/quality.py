@@ -32,24 +32,41 @@ origin's own outgoing mappings from the evidence its own probes can see,
 and :meth:`assess_locals` / :meth:`assess_local_all` run that decision for
 many origins at once — one neighbourhood read per (origin, network
 version) through a second :class:`~repro.core.analysis.StructureCache`
-and one lane-engine run with one disjoint lane per origin.  Both views
-share the same resolution order (⊥ rule → posterior → prior), and the
-per-call views (:meth:`assess_attribute`, :meth:`assess_local`) are
-one-lane calls of the stacked ones.
+and one lane-engine run with one disjoint lane per origin.  Each origin's
+share of that run is a cached *block* (its instance names, owners and
+compiled one-origin plan), compiled once per walk of the origin and
+carried across versions with the walk; a many-origin run assembles its
+plan from the blocks.  Both views share the same resolution order (⊥ rule
+→ posterior → prior), and the per-call views (:meth:`assess_attribute`,
+:meth:`assess_local`) are one-lane calls of the stacked ones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Mapping as TMapping, Optional, Sequence, Tuple
+from typing import (
+    Container,
+    Dict,
+    Iterable,
+    Mapping as TMapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..constants import DEFAULT_SEED, DEFAULT_TTL
 from ..exceptions import FeedbackError, ReproError
-from ..factorgraph.plan import SweepPlan
+from ..factorgraph.plan import SweepPlan, assemble_sweep_plan
 from ..mapping.mapping import Mapping
 from ..pdms.network import PDMSNetwork
+from ..pdms.probing import MappingCycle, ParallelPaths
 from ..pdms.routing import QueryRouter, RoutingPolicy
-from .analysis import NetworkEvidence, StructureCache, structure_signatures
+from .analysis import (
+    NetworkEvidence,
+    StructureCache,
+    structure_feedbacks,
+    structure_signatures,
+)
 from .batched import (
     AssessmentLane,
     BatchedEmbeddedMessagePassing,
@@ -58,7 +75,7 @@ from .batched import (
     compile_assessment_plan,
 )
 from .beliefs import PriorBeliefStore
-from .feedback import Feedback, compensation_probability
+from .feedback import compensation_probability
 from .local_graph import mapping_owner
 
 __all__ = ["AttributeAssessment", "MappingQualityAssessor"]
@@ -83,6 +100,26 @@ class AttributeAssessment:
         return self.result.iterations if self.result is not None else 0
 
 
+@dataclass(frozen=True)
+class _OriginBlock:
+    """One origin's share of the per-origin view, compiled from its walks.
+
+    ``signatures`` are the origin's structures in evidence order, their
+    mapping names replaced by per-origin instances
+    (:meth:`MappingQualityAssessor._instance_name`) so that blocks of
+    different origins share no mapping; ``names`` maps each instance back
+    to its mapping, in the order of ``plan.mapping_names``; ``plan`` is the
+    compiled one-origin plan.  A block stays valid while the neighbourhood
+    cache hands out the very same ``cycles`` and ``parallel_paths`` tuples.
+    """
+
+    cycles: Tuple[MappingCycle, ...]
+    parallel_paths: Tuple[ParallelPaths, ...]
+    signatures: Tuple[Tuple[str, Tuple[str, ...]], ...]
+    names: TMapping[str, str]
+    plan: SweepPlan
+
+
 class MappingQualityAssessor:
     """Derives P(mapping correct) per attribute and answers θ decisions.
 
@@ -91,9 +128,9 @@ class MappingQualityAssessor:
     :meth:`assess_all_attributes`, the EM loop of :meth:`update_priors`)
     make one lane per attribute over a plan compiled once per network
     version, and the decentralised views (:meth:`assess_locals`,
-    :meth:`assess_local_all`) one disjoint lane per origin over a
-    per-origin plan.  :meth:`assess_attribute` and :meth:`assess_local` are
-    one-lane calls of those two.
+    :meth:`assess_local_all`) one disjoint lane per origin over a plan
+    assembled from per-origin blocks.  :meth:`assess_attribute` and
+    :meth:`assess_local` are one-lane calls of those two.
 
     Parameters
     ----------
@@ -159,14 +196,16 @@ class MappingQualityAssessor:
         #: exactly once per (network version, ttl, parallel-path flag),
         #: however many attributes and EM rounds are assessed.
         self.plan_compile_count = 0
-        # Compiled plan of the decentralised per-origin view: one block of
-        # structures per origin, keyed on (cache key, origins tuple).
-        self._local_plan: Optional[SweepPlan] = None
-        self._local_plan_key: Optional[Tuple] = None
-        self._local_blocks: Dict[str, Tuple[int, ...]] = {}
-        #: :class:`SweepPlan` compiles of the local view — once per
-        #: (network version, ttl, parallel-path flag, origins) however many
-        #: attributes and EM rounds are assessed locally.
+        # The per-origin view's blocks, and the neighbourhood-cache key
+        # they were last checked against (blocks of removed peers go then).
+        self._blocks: Dict[str, _OriginBlock] = {}
+        self._blocks_key: Optional[Tuple[int, int, bool]] = None
+        #: Block compiles of the local view — one per origin and walk:
+        #: a block is compiled the first time its origin is assessed and
+        #: again only when a topology change re-walks the origin (or after
+        #: :meth:`invalidate`), however many attributes, EM rounds and
+        #: origins tuples are assessed locally.  Plans of several origins
+        #: are assembled from the blocks, not compiled.
         self.local_plan_compile_count = 0
         #: Per-round edge-row counts of the most recent
         #: :meth:`assess_locals` run — the lane engine's compaction
@@ -202,7 +241,7 @@ class MappingQualityAssessor:
         self,
         origin: str,
         attribute: str,
-        unmappable: Sequence[str],
+        unmappable: Container[str],
         posteriors: TMapping[str, float],
     ) -> Dict[str, float]:
         """The §4.5 decision over ``origin``'s own outgoing mappings.
@@ -214,11 +253,10 @@ class MappingQualityAssessor:
         belief.  Shared by the per-call and the stacked local paths so
         both return identical mapping sets and values.
         """
-        unmappable_set = set(unmappable)
         view: Dict[str, float] = {}
         for mapping in self.network.peer(origin).outgoing_mappings:
             name = mapping.name
-            if name in unmappable_set:
+            if name in unmappable:
                 view[name] = 0.0
             elif name in posteriors:
                 view[name] = posteriors[name]
@@ -248,55 +286,79 @@ class MappingQualityAssessor:
     def _instance_name(origin: str, mapping_name: str) -> str:
         """Per-origin mapping instance name of the block-diagonal local plan.
 
-        Instances are only ever mapped back by stripping the known origin
-        prefix (never by parsing).  Pathological peer names that make two
-        distinct (origin, mapping) pairs collide make two lanes share a
-        mapping; the lane engine then places them on separate slices, so
-        each still runs on its own evidence.
+        The origin is length-prefixed, so distinct (origin, mapping) pairs
+        always get distinct instances — whatever the peer names hold — and
+        the blocks of different origins share no mapping.  Instances are
+        mapped back through their block, never parsed.
         """
-        return f"{origin}::{mapping_name}"
+        return f"{len(origin)}:{origin}::{mapping_name}"
+
+    def _block(self, origin: str) -> _OriginBlock:
+        """``origin``'s block for its current walks.
+
+        Compiled when the origin is first assessed and again only when the
+        neighbourhood cache hands out other walk tuples than the block's —
+        a snapshot that carried the origin's walks hands out the same ones.
+        """
+        cycles, parallel_paths = self.neighborhood_cache.structures_for(origin)
+        block = self._blocks.get(origin)
+        if (
+            block is not None
+            and block.cycles is cycles
+            and block.parallel_paths is parallel_paths
+        ):
+            return block
+        names: Dict[str, str] = {}
+        signatures = []
+        for identifier, mapping_names in structure_signatures(cycles, parallel_paths):
+            instances = tuple(
+                self._instance_name(origin, name) for name in mapping_names
+            )
+            names.update(zip(instances, mapping_names))
+            signatures.append((identifier, instances))
+        plan = compile_assessment_plan(
+            signatures,
+            owners={instance: mapping_owner(name) for instance, name in names.items()},
+        )
+        block = _OriginBlock(cycles, parallel_paths, tuple(signatures), names, plan)
+        self._blocks[origin] = block
+        self.local_plan_compile_count += 1
+        return block
 
     def _local_assessment_plan(
         self, origins: Sequence[str]
     ) -> Tuple[SweepPlan, Dict[str, Tuple[int, ...]]]:
-        """Compiled plan of the per-origin view: one structure block per
-        origin, concatenated in origin order.
+        """Plan of the per-origin view over ``origins``, and each origin's
+        structure indices in it.
 
         Mapping names are replaced by per-origin *instances*
-        (``origin::mapping``) so the blocks are disjoint — each origin's
+        (:meth:`_instance_name`) so the blocks are disjoint — each origin's
         local inference is an independent subproblem, exactly as in the
         per-call runs — and the lane engine packs them block-diagonally on
-        one slice.  Compiled at most once per
-        ``(network version, ttl, parallel-path flag, origins)`` and reused
-        across attributes and EM rounds.  Each origin's block keeps its own
-        probe enumeration order and cycle orientation, so per-origin lanes
+        one slice.  Each block is compiled once per walk of its origin
+        (:meth:`_block`); one origin runs on its block's plan unchanged,
+        several on the block-diagonal plan
+        :func:`~repro.factorgraph.plan.assemble_sweep_plan` builds from
+        their blocks in origin order.  Each block keeps its origin's probe
+        enumeration order and cycle orientation, so per-origin lanes
         consume their rng streams exactly like one-lane runs.
         """
-        origins = tuple(origins)
-        key = self.neighborhood_cache.current_key() + (origins,)
-        if key == self._local_plan_key and self._local_plan is not None:
-            return self._local_plan, self._local_blocks
-        signatures: List[Tuple[str, Tuple[str, ...]]] = []
-        owners: Dict[str, str] = {}
-        blocks: Dict[str, Tuple[int, ...]] = {}
+        # One neighbourhood plan for every pending origin, not one each.
+        self.neighborhood_cache.warm(origins)
+        key = self.neighborhood_cache.current_key()
+        if key != self._blocks_key:
+            self._blocks_key = key
+            for origin in [o for o in self._blocks if not self.network.has_peer(o)]:
+                del self._blocks[origin]
+        plans = []
+        indices: Dict[str, Tuple[int, ...]] = {}
+        start = 0
         for origin in origins:
-            cycles, parallel_paths = self.neighborhood_cache.structures_for(origin)
-            block = structure_signatures(cycles, parallel_paths)
-            start = len(signatures)
-            for identifier, names in block:
-                instances = tuple(
-                    self._instance_name(origin, name) for name in names
-                )
-                for instance, name in zip(instances, names):
-                    owners.setdefault(instance, mapping_owner(name))
-                signatures.append((identifier, instances))
-            blocks[origin] = tuple(range(start, start + len(block)))
-        plan = compile_assessment_plan(signatures, owners=owners)
-        self._local_plan = plan
-        self._local_blocks = blocks
-        self._local_plan_key = key
-        self.local_plan_compile_count += 1
-        return plan, blocks
+            plan = self._block(origin).plan
+            plans.append(plan)
+            indices[origin] = tuple(range(start, start + plan.structure_count))
+            start += plan.structure_count
+        return assemble_sweep_plan(plans), indices
 
     def assess_locals(
         self, origins: Iterable[str], attribute: str
@@ -306,57 +368,40 @@ class MappingQualityAssessor:
         Every peer judges only its own outgoing mappings from the structures
         its own probes discover; all origins run simultaneously as disjoint
         lanes of one :class:`~repro.core.batched.BatchedEmbeddedMessagePassing`
-        over one compiled per-origin plan, each lane drawing from its own
-        freshly seeded rng stream, so each origin's view equals its
+        over the plan assembled from their blocks, each lane drawing from
+        its own freshly seeded rng stream, so each origin's view equals its
         one-lane run bit for bit.  Probing is amortised to at most one
         neighbourhood walk per (origin, network version), and none for an
-        origin whose walks the network's snapshot carried over.
+        origin whose walks the network's snapshot carried over; a block is
+        compiled once per walk of its origin, so a call compiles nothing
+        for origins whose walks it has seen and otherwise does only the
+        work that depends on the attribute: feedback kinds, priors and the
+        engine run.
         """
         origin_list = list(dict.fromkeys(origins))
-        # Batch the pending neighbourhood probes into one plan instead of
-        # probing origin-by-origin inside the plan compilation below.
-        self.neighborhood_cache.warm(origin_list)
-        plan, blocks = self._local_assessment_plan(origin_list)
-        evidences = {
-            origin: self.neighborhood_cache.evidence_for(origin, attribute)
-            for origin in origin_list
-        }
+        plan, indices = self._local_assessment_plan(origin_list)
+        blocks = [self._blocks[origin] for origin in origin_list]
         delta = self._delta_for(attribute)
-        lanes = []
-        for origin in origin_list:
-            # Per-lane priors keyed by the lane's own mapping instances —
-            # built alongside the renaming so no instance name is parsed.
-            lane_priors: Dict[str, float] = {}
-            feedbacks = []
-            for feedback in evidences[origin].feedbacks:
-                instances = tuple(
-                    self._instance_name(origin, name)
-                    for name in feedback.mapping_names
-                )
-                for instance, name in zip(instances, feedback.mapping_names):
-                    if instance not in lane_priors:
-                        lane_priors[instance] = self.priors.prior(
-                            name, attribute
-                        )
-                feedbacks.append(
-                    Feedback(
-                        identifier=feedback.identifier,
-                        kind=feedback.kind,
-                        structure=feedback.structure,
-                        mapping_names=instances,
-                        attribute=feedback.attribute,
-                        origin=feedback.origin,
+        prior = self.priors.prior
+        # One feedback per structure, evaluated for the attribute and
+        # labelled with the block's instances; priors keyed the same way.
+        lanes = [
+            AssessmentLane(
+                key=origin,
+                feedbacks=tuple(
+                    structure_feedbacks(
+                        block.cycles, block.parallel_paths, attribute, block.signatures
                     )
-                )
-            lanes.append(
-                AssessmentLane(
-                    key=origin,
-                    feedbacks=tuple(feedbacks),
-                    structure_indices=blocks[origin],
-                    priors=lane_priors,
-                    delta=delta,
-                )
+                ),
+                structure_indices=indices[origin],
+                priors={
+                    instance: prior(name, attribute)
+                    for instance, name in block.names.items()
+                },
+                delta=delta,
             )
+            for origin, block in zip(origin_list, blocks)
+        ]
         # The views read only the final posteriors: no per-round history.
         engine = BatchedEmbeddedMessagePassing(
             plan,
@@ -367,32 +412,32 @@ class MappingQualityAssessor:
         )
         results = engine.run()
         self.last_local_round_edge_counts = tuple(engine.round_edge_counts)
+        unmappable = set(self.neighborhood_cache.unmappable(attribute))
         views: Dict[str, Dict[str, float]] = {}
-        for origin in origin_list:
+        for origin, block in zip(origin_list, blocks):
             result = results[origin]
-            prefix_length = len(origin) + 2
+            names = block.names
             posteriors = (
-                {
-                    instance[prefix_length:]: value
-                    for instance, value in result.posteriors.items()
-                }
+                {names[instance]: value for instance, value in result.posteriors.items()}
                 if result is not None
                 else {}
             )
             views[origin] = self._resolve_local_view(
-                origin, attribute, evidences[origin].unmappable, posteriors
+                origin, attribute, unmappable, posteriors
             )
         return views
 
     def assess_local_all(self, attribute: str) -> Dict[str, Dict[str, float]]:
         """Every peer's own-mapping posteriors for ``attribute``, batched.
 
-        One compiled per-origin plan, one stacked engine run — the traffic
-        model of a live PDMS, where *all* peers assess their mappings, not
-        just an experimenter's global index.  The views are also kept for
-        :meth:`local_probability`, so a :meth:`local_router` over the same
-        attribute, topology version and priors runs no second sweep; the
-        returned dicts are the caller's own copies.
+        One plan assembled from the cached per-origin blocks (a block is
+        compiled only for an origin whose walks changed), one stacked
+        engine run — the traffic model of a live PDMS, where *all* peers
+        assess their mappings, not just an experimenter's global index.
+        The views are also kept for :meth:`local_probability`, so a
+        :meth:`local_router` over the same attribute, topology version and
+        priors runs no second sweep; the returned dicts are the caller's
+        own copies.
         """
         views = self.assess_locals(self.network.peer_names, attribute)
         self._local_views[attribute] = (self.neighborhood_cache.current_key(), views)
@@ -521,17 +566,16 @@ class MappingQualityAssessor:
         out-of-band surgery on network internals is invisible to the version
         counter entirely.  This clears the structure caches (global and
         per-origin) and the network's shared snapshot with its walks, the
-        compiled assessment plans (global and local), the assessment cache
-        and the cached local views.
+        compiled global plan and the local view's blocks, the assessment
+        cache and the cached local views.
         """
         self.structure_cache.invalidate()
         self.neighborhood_cache.invalidate()
         self._assessments.clear()
         self._plan = None
         self._plan_key = None
-        self._local_plan = None
-        self._local_plan_key = None
-        self._local_blocks = {}
+        self._blocks.clear()
+        self._blocks_key = None
         self._local_views.clear()
 
     # -- queries -----------------------------------------------------------------------------

@@ -20,6 +20,9 @@ that one IR:
 * :func:`compile_sweep_plan` — the one lowering, from ``(identifier,
   mapping names)`` structure lists, with edge rows built grouped by
   mapping.
+* :func:`assemble_sweep_plan` — the block-diagonal plan of already
+  compiled, mapping-disjoint blocks, equal to the lowering of their
+  concatenated structure lists without lowering them again.
 * The round phases themselves — :meth:`SweepPlan.variable_sweep`,
   :meth:`SweepPlan.message_pool` and :meth:`SweepPlan.factor_sweep` — which
   the engine calls directly, interleaving its own bookkeeping (selection
@@ -43,6 +46,7 @@ from *this* module rather than :mod:`repro.factorgraph.compiled`; the
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import (
     Callable,
     Dict,
@@ -78,6 +82,7 @@ __all__ = [
     "StackedCountFactorBatch",
     "BucketPlan",
     "SweepPlan",
+    "assemble_sweep_plan",
     "bucket_tables",
     "bucket_kernel",
     "cpt_levels",
@@ -459,6 +464,146 @@ def compile_sweep_plan(
         tx_dest=np.asarray(tx_dest, dtype=np.int64),
         tx_feedback=np.asarray(tx_feedback, dtype=np.int64),
         tx_mapping=np.asarray(tx_mapping, dtype=np.int64),
+        batches=tuple(batches),
+    )
+
+
+def assemble_sweep_plan(blocks: Sequence[SweepPlan]) -> SweepPlan:
+    """The block-diagonal plan of compiled ``blocks``, without lowering.
+
+    Blocks that share no mapping share no edge row, received cell or
+    transmission, so :func:`compile_sweep_plan` of their concatenated
+    structure lists lays each block out exactly as its own plan does,
+    shifted past the blocks before it: structure, mapping, edge, segment
+    and received-cell ids move by the counts those blocks hold, and a
+    gather id naming a received cell also moves past the later blocks'
+    edge rows.  Applying those shifts to the blocks' index arrays gives
+    that compilation in every field — array values, dtypes and shapes, the
+    order of ``owners`` and ``mapping_index``, ``recv_cells``, and bucket
+    order by first-seen arity.  One block is returned as it is; a mapping
+    in two blocks raises :class:`~repro.exceptions.FeedbackError`.
+    """
+    if len(blocks) == 1:
+        return blocks[0]
+    if not blocks:
+        return compile_sweep_plan(())
+    owners: Dict[str, str] = {}
+    for block in blocks:
+        if not owners.keys().isdisjoint(block.owners):
+            shared = next(name for name in block.owners if name in owners)
+            raise FeedbackError(
+                f"mapping {shared!r} appears in more than one plan block"
+            )
+        owners.update(block.owners)
+    mapping_names = tuple(owners)
+
+    # Per block: how many structures, mappings, edge rows, received cells,
+    # segments and transmissions it holds, where its run of each starts,
+    # and, per row of each, the block it comes from.
+    counts = np.array(
+        [
+            (
+                len(block.identifiers),
+                len(block.mapping_names),
+                block.edge_count,
+                block.recv_count,
+                block.segment_mapping.size,
+                block.tx_src.size,
+            )
+            for block in blocks
+        ],
+        dtype=np.int64,
+    )
+    structure_start, mapping_start, edge_start, recv_start, segment_start, _ = (
+        np.cumsum(counts, axis=0) - counts
+    ).T
+    edge_counts = counts[:, 2]
+    edge_count = int(edge_counts.sum())
+    edge_block, recv_block, segment_block, tx_block = (
+        np.repeat(np.arange(len(blocks)), counts[:, column]) for column in (2, 3, 4, 5)
+    )
+
+    def joined(arrays: List[np.ndarray], shift: np.ndarray) -> np.ndarray:
+        return np.concatenate(arrays) + shift
+
+    # Buckets by first-seen arity: blocks in order, each block's own
+    # buckets in its own (first-seen) order.
+    by_arity: Dict[int, List[Tuple[int, BucketPlan]]] = {}
+    for position, block in enumerate(blocks):
+        for bucket in block.batches:
+            by_arity.setdefault(bucket.arity, []).append((position, bucket))
+    batches: List[BucketPlan] = []
+    for arity, members in by_arity.items():
+        buckets = [bucket for _, bucket in members]
+        column_block = np.repeat(
+            [position for position, _ in members],
+            [bucket.feedback_indices.size for bucket in buckets],
+        )
+        # Pool ids below a block's edge count are its edge rows; the rest
+        # are its received cells, stacked after every block's edge rows.
+        gather_all = np.concatenate(
+            [bucket.gather_all for bucket in buckets], axis=-1
+        )
+        block_edges = edge_counts[column_block]
+        gather_all += np.where(
+            gather_all < block_edges,
+            edge_start[column_block],
+            edge_count + recv_start[column_block] - block_edges,
+        )
+        batches.append(
+            make_bucket(
+                arity=arity,
+                feedback_indices=joined(
+                    [bucket.feedback_indices for bucket in buckets],
+                    structure_start[column_block],
+                ),
+                gather_all=gather_all,
+                scatter_all=np.concatenate(
+                    [bucket.scatter_all for bucket in buckets], axis=-1
+                )
+                + edge_start[column_block],
+                use_count_kernel=buckets[0].use_count_kernel,
+                incorrect_counts=buckets[0].incorrect_counts,
+            )
+        )
+
+    return SweepPlan(
+        identifiers=tuple(chain.from_iterable(b.identifiers for b in blocks)),
+        structure_mappings=tuple(
+            chain.from_iterable(b.structure_mappings for b in blocks)
+        ),
+        owners=owners,
+        mapping_names=mapping_names,
+        mapping_index={name: index for index, name in enumerate(mapping_names)},
+        edge_mapping=joined(
+            [b.edge_mapping for b in blocks], mapping_start[edge_block]
+        ),
+        edge_structure=joined(
+            [b.edge_structure for b in blocks], structure_start[edge_block]
+        ),
+        segment_starts=joined(
+            [b.segment_starts for b in blocks], edge_start[segment_block]
+        ),
+        segment_of_edge=joined(
+            [b.segment_of_edge for b in blocks], segment_start[edge_block]
+        ),
+        segment_mapping=joined(
+            [b.segment_mapping for b in blocks], mapping_start[segment_block]
+        ),
+        edge_count=edge_count,
+        recv_count=int(counts[:, 3].sum()),
+        recv_cells=tuple(
+            (peer, structure + shift, name)
+            for block, shift in zip(blocks, structure_start.tolist())
+            for peer, structure, name in block.recv_cells
+        ),
+        recv_structure=joined(
+            [b.recv_structure for b in blocks], structure_start[recv_block]
+        ),
+        tx_src=joined([b.tx_src for b in blocks], edge_start[tx_block]),
+        tx_dest=joined([b.tx_dest for b in blocks], recv_start[tx_block]),
+        tx_feedback=joined([b.tx_feedback for b in blocks], structure_start[tx_block]),
+        tx_mapping=joined([b.tx_mapping for b in blocks], mapping_start[tx_block]),
         batches=tuple(batches),
     )
 

@@ -18,10 +18,17 @@ Two guarantees land here:
    lossless and lossy.  Random small topologies are
    covered by the differential guard in ``tests/core/test_differential.py``;
    this matrix pins the arities its TTL cannot reach.
+3. Block assembly: :func:`~repro.factorgraph.plan.assemble_sweep_plan` of
+   disjoint compiled blocks equals :func:`~repro.factorgraph.plan.
+   compile_sweep_plan` of their concatenated structures in every field,
+   and a lossy lane-engine run over it equals the run over the compiled
+   plan.
 """
 
 import pathlib
+from dataclasses import fields
 
+import numpy as np
 import pytest
 from embedded_reference import (
     ReferenceEmbedded,
@@ -29,11 +36,21 @@ from embedded_reference import (
     reference_assessment,
     reference_local_view,
 )
+from hypothesis import given, settings, strategies as st
 
 import repro
+from repro.constants import COUNT_KERNEL_MIN_ARITY
 from repro.core.analysis import analyze_network
+from repro.core.batched import (
+    AssessmentLane,
+    BatchedEmbeddedMessagePassing,
+    compile_assessment_plan,
+)
 from repro.core.embedded import EmbeddedMessagePassing, MessageTransport
+from repro.core.feedback import Feedback, FeedbackKind, StructureKind
 from repro.core.quality import MappingQualityAssessor
+from repro.exceptions import FeedbackError
+from repro.factorgraph.plan import assemble_sweep_plan
 from repro.generators.topologies import cycle_network
 from repro.lintkit import run_lint, rules_by_id
 
@@ -116,3 +133,100 @@ class TestLongStructureParity:
             assert set(views[origin]) == set(reference_view)
             for name, value in reference_view.items():
                 assert views[origin][name] == pytest.approx(value, abs=1e-9)
+
+
+def _assert_same_fields(assembled, compiled):
+    """Every dataclass field equal: arrays in values, dtype and shape,
+    mappings in item order, buckets field by field in order."""
+    for field in fields(compiled):
+        name = field.name
+        left, right = getattr(assembled, name), getattr(compiled, name)
+        if isinstance(right, np.ndarray):
+            assert left.dtype == right.dtype, name
+            assert left.shape == right.shape, name
+            assert np.array_equal(left, right), name
+        elif isinstance(right, dict):
+            assert list(left.items()) == list(right.items()), name
+        elif name == "batches":
+            assert len(left) == len(right)
+            for left_bucket, right_bucket in zip(left, right):
+                _assert_same_fields(left_bucket, right_bucket)
+        else:
+            assert left == right, name
+
+
+#: Mapping names one block draws its structures from, with their owners:
+#: ``b<block>p<owner>->b<block>m<index>``, so blocks never share a name.
+_POOL = COUNT_KERNEL_MIN_ARITY + 4
+
+_structures = st.lists(
+    st.integers(min_value=2, max_value=COUNT_KERNEL_MIN_ARITY + 2).flatmap(
+        lambda arity: st.tuples(
+            st.lists(
+                st.integers(min_value=0, max_value=_POOL - 1),
+                min_size=arity,
+                max_size=arity,
+                unique=True,
+            ),
+            st.sampled_from(list(FeedbackKind)),
+        )
+    ),
+    max_size=4,
+)
+
+
+@given(
+    blocks=st.lists(_structures, max_size=4),
+    owners=st.lists(st.integers(min_value=0, max_value=2), min_size=_POOL, max_size=_POOL),
+)
+@settings(max_examples=60, deadline=None)
+def test_assembled_plan_equals_the_compiled_concatenation(blocks, owners):
+    """Disjoint blocks — empty ones and a single one included, arities on
+    both sides of the count-kernel crossover — assemble into the plan the
+    lowering compiles from their concatenated structures, and a lossy
+    all-blocks run over either plan gives the same results."""
+    signatures, kinds = [], []
+    for b, structures in enumerate(blocks):
+        block = []
+        for s, (indices, kind) in enumerate(structures):
+            names = tuple(f"b{b}p{owners[i]}->b{b}m{i}" for i in indices)
+            block.append((f"f{s + 1}", names))
+            kinds.append(kind)
+        signatures.append(block)
+    compiled = compile_assessment_plan([pair for block in signatures for pair in block])
+    assembled = assemble_sweep_plan([compile_assessment_plan(block) for block in signatures])
+    _assert_same_fields(assembled, compiled)
+
+    def run(plan):
+        lanes, start = [], 0
+        for b, block in enumerate(signatures):
+            indices = tuple(range(start, start + len(block)))
+            lanes.append(
+                AssessmentLane(
+                    key=f"b{b}",
+                    feedbacks=tuple(
+                        Feedback(
+                            identifier=identifier,
+                            kind=kinds[index],
+                            structure=StructureKind.CYCLE,
+                            mapping_names=names,
+                            attribute="a",
+                        )
+                        for index, (identifier, names) in zip(indices, block)
+                    ),
+                    structure_indices=indices,
+                    delta=0.1,
+                )
+            )
+            start += len(block)
+        engine = BatchedEmbeddedMessagePassing(plan, lanes, send_probability=0.7, seed=5)
+        return engine.run(), engine.round_edge_counts
+
+    assert run(assembled) == run(compiled)
+
+
+def test_assembly_rejects_blocks_that_share_a_mapping():
+    first = compile_assessment_plan([("f1", ("p->q", "q->p"))])
+    second = compile_assessment_plan([("f1", ("q->p", "p->r", "r->q"))])
+    with pytest.raises(FeedbackError, match="'q->p'"):
+        assemble_sweep_plan([first, second])

@@ -54,7 +54,8 @@ def _origin_lanes(assessor, plan, blocks, origins, attribute, **kwargs):
             replace(
                 feedback,
                 mapping_names=tuple(
-                    f"{origin}::{name}" for name in feedback.mapping_names
+                    assessor._instance_name(origin, name)
+                    for name in feedback.mapping_names
                 ),
             )
             for feedback in evidence.feedbacks
@@ -241,9 +242,14 @@ class TestProbeOnce:
         for _ in range(3):
             assessor.assess_local_all("Creator")
             assessor.assess_local_all("Title")
+        for origin in network.peer_names:
+            assessor.assess_local(origin, "Creator")
+        assessor.assess_locals(["p4", "p2"], "Title")
         statistics = assessor.neighborhood_cache.statistics
         assert statistics.probes == len(network.peer_names)
-        assert assessor.local_plan_compile_count == 1
+        # One block per origin (p1..p4), compiled by the first call only:
+        # later all-origins, one-origin and two-origin calls reuse them.
+        assert assessor.local_plan_compile_count == 4
 
     def test_sequential_path_shares_the_cache(self):
         network = intro_example_network(with_records=False)
@@ -267,7 +273,9 @@ class TestProbeOnce:
         # The removal is replayed incrementally: no second full probe.
         assert statistics.probes == len(network.peer_names)
         assert statistics.partial_refreshes == len(network.peer_names)
-        assert assessor.local_plan_compile_count == 2
+        # p1, p2 and p4 had a cycle through p2->p4 and recompile their
+        # blocks; p3's walks were carried, and so is its block.
+        assert assessor.local_plan_compile_count == 4 + 3
         # The refreshed views match the reference on a fresh assessor.
         fresh = _reference_views(
             MappingQualityAssessor(network, delta=0.1, ttl=4, seed=0),
@@ -275,6 +283,133 @@ class TestProbeOnce:
             "Creator",
         )
         assert _worst_view_difference(after, fresh) <= 1e-9
+
+
+class TestOriginBlocks:
+    """The local view compiles one block per origin and walk, and
+    assembles every many-origin plan from the cached blocks."""
+
+    def test_one_origin_runs_on_its_block_plan(self):
+        network = intro_example_network(with_records=False)
+        assessor = MappingQualityAssessor(network, delta=0.1, ttl=4, seed=0)
+        plan, blocks = assessor._local_assessment_plan(["p3"])
+        assert plan is assessor._blocks["p3"].plan
+        assert blocks == {"p3": tuple(range(plan.structure_count))}
+
+    @pytest.mark.parametrize(
+        "include_parallel_paths, removed", [(False, "p0->p1"), (True, "p7->p1")]
+    )
+    def test_only_origins_with_new_walks_recompile(
+        self, include_parallel_paths, removed
+    ):
+        network = generate_scenario(
+            topology="scale-free",
+            peer_count=16,
+            attribute_count=8,
+            error_rate=0.2,
+            seed=7,
+        ).network
+        attribute = network.attribute_universe()[0]
+
+        def cache_walks():
+            return {
+                origin: assessor.neighborhood_cache.structures_for(origin)
+                for origin in network.peer_names
+            }
+
+        options = dict(
+            delta=None, ttl=3, seed=3, include_parallel_paths=include_parallel_paths
+        )
+        assessor = MappingQualityAssessor(network, **options)
+        assessor.assess_local_all(attribute)
+        assert assessor.local_plan_compile_count == 16
+        walks, blocks = cache_walks(), dict(assessor._blocks)
+        network.remove_mapping(removed)
+        views = assessor.assess_local_all(attribute)
+        new_walks = cache_walks()
+        rewalked = {
+            origin
+            for origin in network.peer_names
+            if new_walks[origin][0] is not walks[origin][0]
+            or new_walks[origin][1] is not walks[origin][1]
+        }
+        assert 0 < len(rewalked) < 16
+        assert assessor.local_plan_compile_count == 16 + len(rewalked)
+        assert {
+            origin
+            for origin in network.peer_names
+            if assessor._blocks[origin] is not blocks[origin]
+        } == rewalked
+        # Carried blocks give the views of an assessor that compiled all.
+        fresh = MappingQualityAssessor(network, **options)
+        assert views == fresh.assess_local_all(attribute)
+
+    def test_a_removed_peer_leaves_no_block_behind(self):
+        network = intro_example_network(with_records=False)
+        assessor = MappingQualityAssessor(network, delta=0.1, ttl=4, seed=0)
+        assessor.assess_local_all("Creator")
+        network.remove_peer("p3")
+        assessor.assess_local("p1", "Creator")
+        assert set(assessor._blocks) == {"p1", "p2", "p4"}
+
+    def test_invalidate_recompiles_every_block(self):
+        network = intro_example_network(with_records=False)
+        assessor = MappingQualityAssessor(network, delta=0.1, ttl=4, seed=0)
+        before = assessor.assess_local_all("Creator")
+        assessor.invalidate()
+        assert assessor.assess_local_all("Creator") == before
+        assert assessor.local_plan_compile_count == 4 + 4
+
+
+def _colliding_names_network():
+    """Five peers whose names contain ``::``.
+
+    Origin ``x`` sees mapping ``y::z->w`` and origin ``x::y`` sees mapping
+    ``z->w``: under an ``origin::mapping`` instance naming both would be
+    ``x::y::z->w``.  One swapped mapping makes ``x``'s cycle negative.
+    """
+    network = PDMSNetwork(directed=True)
+    for name in ("x", "y::z", "x::y", "z", "w"):
+        network.add_peer(Peer(name, Schema.from_names(name, ["A", "B"])))
+    same, swapped = {"A": "A", "B": "B"}, {"A": "B", "B": "A"}
+    for source, target, pairs in (
+        ("x", "y::z", same),
+        ("y::z", "w", swapped),
+        ("w", "x", same),
+        ("x::y", "z", same),
+        ("z", "w", same),
+        ("w", "x::y", same),
+    ):
+        network.add_mapping(
+            Mapping.from_pairs(source, target, pairs), bidirectional=False
+        )
+    return network
+
+
+class TestInstanceNames:
+    @pytest.mark.parametrize("send_probability", [1.0, 0.7])
+    def test_colliding_peer_names_keep_blocks_disjoint(self, send_probability):
+        network = _colliding_names_network()
+        assessor = MappingQualityAssessor(
+            network, delta=0.1, ttl=4, seed=0, send_probability=send_probability
+        )
+        plan, _ = assessor._local_assessment_plan(network.peer_names)
+        block_mappings = [
+            name
+            for origin in network.peer_names
+            for name in assessor._blocks[origin].plan.mapping_names
+        ]
+        assert list(plan.mapping_names) == block_mappings
+        assert len(set(block_mappings)) == len(block_mappings)
+        views = assessor.assess_local_all("A")
+        one_lane = MappingQualityAssessor(
+            network, delta=0.1, ttl=4, seed=0, send_probability=send_probability
+        )
+        assert views == {
+            origin: one_lane.assess_local(origin, "A")
+            for origin in network.peer_names
+        }
+        assert views["x"]["x->y::z"] < 0.5 < views["x::y"]["x::y->z"]
 
 
 class TestNeighborhoodCache:
