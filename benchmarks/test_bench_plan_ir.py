@@ -25,7 +25,7 @@ from typing import ClassVar, Tuple
 
 import numpy as np
 
-from repro.core.local_graph import mapping_owner
+from repro.core.feedback import mapping_owner
 from repro.evaluation.reporting import Column
 from repro.evaluation.timing import Measurement, measure
 from repro.factorgraph.plan import (

@@ -6,8 +6,9 @@ example builds the factor graph of the paper's worked example step by step:
 
 1. the three feedbacks p2 gathers in §4.5 (f1+, f2−, f3−⇒),
 2. their conditional probability tables (the Δ-compensation CPT of §3.2.1),
-3. the global factor graph of Figure 5 and the per-peer fragments of
-   Figure 6, and
+3. the global factor graph of Figure 5, then each peer's local view: the
+   cycles and parallel paths its probes find and the posteriors of its own
+   mappings (§4.5), and
 4. exact inference vs the decentralised loopy estimate.
 
 Run with::
@@ -17,13 +18,13 @@ Run with::
 
 from repro.core import (
     EmbeddedMessagePassing,
+    MappingQualityAssessor,
     build_factor_graph,
-    build_local_graphs,
     feedback_factor,
+    variable_name_for,
 )
-from repro.core.pdms_factor_graph import variable_name_for
 from repro.factorgraph import exact_marginals
-from repro.generators import intro_example_feedbacks
+from repro.generators import intro_example_feedbacks, intro_example_network
 
 
 def main() -> None:
@@ -51,11 +52,16 @@ def main() -> None:
     print(f"  factors   : {', '.join(graph.factor_names)}")
     print(f"  cycle-free: {graph.is_tree()}")
 
-    print("\n== 3b. per-peer fragments (Figure 6) ==")
-    for peer_name, fragment in sorted(build_local_graphs(feedbacks).items()):
-        print(f"  {peer_name}: owns {list(fragment.owned_mappings)}, "
-              f"replicates {[f.identifier for f in fragment.feedbacks]}, "
-              f"talks to {list(fragment.remote_peers)}")
+    print("\n== 3b. each peer's local view (§4.5) ==")
+    network = intro_example_network()
+    assessor = MappingQualityAssessor(network, delta=0.1, ttl=4)
+    for peer_name in network.peer_names:
+        cycles, parallel_paths = assessor.neighborhood_cache.structures_for(peer_name)
+        posteriors = assessor.assess_local(peer_name, "Creator")
+        print(f"  {peer_name}: cycles {[str(c) for c in cycles]}")
+        print(f"      parallel paths {[str(p) for p in parallel_paths]}")
+        print("      own mappings "
+              + ", ".join(f"{name}={value:.2f}" for name, value in posteriors.items()))
 
     print("\n== 4. exact inference vs decentralised loopy estimate ==")
     exact = exact_marginals(graph)

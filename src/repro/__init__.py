@@ -29,8 +29,8 @@ from .factorgraph import (
     prior_factor,
     run_sum_product,
 )
-from .schema import Attribute, AttributeType, DataModel, InstanceStore, Record, Schema, SchemaRegistry
-from .mapping import Correspondence, Mapping, compose, round_trip_outcome
+from .schema import Attribute, AttributeType, DataModel, InstanceStore, Record, Schema
+from .mapping import Correspondence, Mapping, round_trip_outcome
 from .pdms import (
     ClockDigest,
     GossipJournal,
@@ -47,7 +47,6 @@ from .pdms import (
     RoutingPolicy,
     TopologyEvent,
     VectorClock,
-    probe_neighborhood,
     substring_predicate,
 )
 from .pdms.gossip import GossipHarness, PeerNode, SeededTransport
@@ -95,10 +94,8 @@ __all__ = [
     "InstanceStore",
     "Record",
     "Schema",
-    "SchemaRegistry",
     "Correspondence",
     "Mapping",
-    "compose",
     "round_trip_outcome",
     "PDMSNetwork",
     "Peer",
@@ -106,7 +103,6 @@ __all__ = [
     "QueryRouter",
     "QueryTrace",
     "RoutingPolicy",
-    "probe_neighborhood",
     "substring_predicate",
     "VectorClock",
     "TopologyEvent",

@@ -9,18 +9,10 @@ from .matchers import (
     levenshtein_distance,
     ngram_matcher,
     normalized_label,
-    synonym_matcher,
     token_matcher,
 )
 from .aligner import AlignmentResult, OntologyAligner
-from .eon import (
-    CANONICAL_CONCEPTS,
-    EONScenario,
-    build_eon_network,
-    eon_ground_truth,
-    eon_ontologies,
-    eon_scenario,
-)
+from .eon import EONScenario, build_eon_network, eon_ground_truth, eon_ontologies
 
 __all__ = [
     "Concept",
@@ -31,14 +23,11 @@ __all__ = [
     "levenshtein_distance",
     "ngram_matcher",
     "normalized_label",
-    "synonym_matcher",
     "token_matcher",
     "AlignmentResult",
     "OntologyAligner",
-    "CANONICAL_CONCEPTS",
     "EONScenario",
     "build_eon_network",
     "eon_ground_truth",
     "eon_ontologies",
-    "eon_scenario",
 ]

@@ -11,8 +11,8 @@ the labels are invisible to the detector itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping as TMapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Mapping as TMapping, Optional, Sequence, Tuple
 
 from ..exceptions import AlignmentError
 from ..mapping.correspondence import Correspondence

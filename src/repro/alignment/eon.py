@@ -23,10 +23,9 @@ ground truth the evaluation harness scores against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Tuple
 
-from ..exceptions import AlignmentError
 from ..pdms.network import PDMSNetwork
 from ..pdms.peer import Peer
 from .aligner import AlignmentResult, OntologyAligner
@@ -34,49 +33,14 @@ from .matchers import CompositeMatcher
 from .ontology import Concept, Ontology
 
 __all__ = [
-    "CANONICAL_CONCEPTS",
     "eon_ontologies",
     "eon_ground_truth",
     "build_eon_network",
     "EONScenario",
-    "eon_scenario",
 ]
 
-#: Canonical bibliographic concepts shared by all six ontologies.
-CANONICAL_CONCEPTS: Tuple[str, ...] = (
-    "reference",
-    "article",
-    "book",
-    "conference-paper",
-    "technical-report",
-    "thesis",
-    "proceedings",
-    "journal",
-    "publisher",
-    "institution",
-    "school",
-    "author",
-    "editor",
-    "title",
-    "year",
-    "month",
-    "pages",
-    "volume",
-    "number",
-    "chapter",
-    "address",
-    "abstract",
-    "keywords",
-    "note",
-    "edition",
-    "series",
-    "isbn",
-    "url",
-    "conference",
-    "organization",
-)
-
-#: Per-ontology naming of every canonical concept (None = concept absent).
+#: Per-ontology naming of every canonical concept (None = concept absent);
+#: the reference ontology ``ref101`` names all thirty.
 _NAMING: Dict[str, Dict[str, Optional[str]]] = {
     # 101 — the reference ontology, plain English names.
     "ref101": {
@@ -382,8 +346,3 @@ def build_eon_network(
         alignments=alignments,
         ground_truth=ground_truth,
     )
-
-
-def eon_scenario(threshold: float = 0.55) -> EONScenario:
-    """Convenience alias for :func:`build_eon_network` with defaults."""
-    return build_eon_network(threshold=threshold)

@@ -14,7 +14,7 @@ a threshold.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..schema.attribute import tokenize_identifier
 from .ontology import Concept
@@ -26,7 +26,6 @@ __all__ = [
     "edit_distance_matcher",
     "ngram_matcher",
     "token_matcher",
-    "synonym_matcher",
     "CompositeMatcher",
 ]
 
@@ -115,32 +114,6 @@ def token_matcher(first: Concept, second: Concept) -> float:
             score = len(tokens_first & tokens_second) / len(tokens_first | tokens_second)
             best = max(best, score)
     return best
-
-
-def synonym_matcher(dictionary: Dict[str, Sequence[str]]) -> Matcher:
-    """Build a matcher from an explicit synonym / translation dictionary.
-
-    ``dictionary`` maps a normalised label to the normalised labels it is
-    considered equivalent to (the relation is applied symmetrically).
-    """
-    normalized: Dict[str, set[str]] = {}
-    for key, values in dictionary.items():
-        key_norm = normalized_label(key)
-        bucket = normalized.setdefault(key_norm, set())
-        for value in values:
-            value_norm = normalized_label(value)
-            bucket.add(value_norm)
-            normalized.setdefault(value_norm, set()).add(key_norm)
-
-    def matcher(first: Concept, second: Concept) -> float:
-        first_labels = {normalized_label(label) for label in first.all_labels}
-        second_labels = {normalized_label(label) for label in second.all_labels}
-        for label in first_labels:
-            if second_labels & normalized.get(label, set()):
-                return 1.0
-        return 0.0
-
-    return matcher
 
 
 class CompositeMatcher:

@@ -11,8 +11,8 @@ way they do on the real data: mostly right, sometimes confidently wrong.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 from ..exceptions import AlignmentError
 from ..schema.attribute import Attribute

@@ -2,14 +2,16 @@
 
 The pipeline is: gather cycle / parallel-path feedback
 (:mod:`repro.core.analysis`), encode it as factors
-(:mod:`repro.core.feedback`), build global or per-peer factor graphs
-(:mod:`repro.core.pdms_factor_graph`, :mod:`repro.core.local_graph`), run the
-decentralised embedded message passing — every run a set of lanes of one
-engine (:mod:`repro.core.batched`), a single lane being
-:mod:`repro.core.embedded` — under a periodic or lazy schedule
-(:mod:`repro.core.schedules`), and expose the
-posteriors for routing and prior updates (:mod:`repro.core.quality`,
-:mod:`repro.core.beliefs`).
+(:mod:`repro.core.feedback`), run the decentralised embedded message
+passing — every run a set of lanes of one engine
+(:mod:`repro.core.batched`), a single lane being :mod:`repro.core.embedded`
+— under a periodic or lazy schedule (:mod:`repro.core.schedules`), and
+expose the posteriors for routing and prior updates
+(:mod:`repro.core.quality`, :mod:`repro.core.beliefs`).  The assessor's
+per-peer view (§4.5) is one compiled plan block per origin, so no per-peer
+factor graph is ever materialised; :mod:`repro.core.pdms_factor_graph`
+builds the global factor graph the centralised sum–product oracle and the
+figure experiments run on.
 """
 
 from .feedback import (
@@ -20,7 +22,9 @@ from .feedback import (
     feedback_factor,
     feedback_from_cycle,
     feedback_from_parallel_paths,
+    mapping_owner,
     positive_feedback_probability,
+    variable_name_for,
 )
 from .analysis import (
     NetworkEvidence,
@@ -29,13 +33,7 @@ from .analysis import (
     analyze_network,
 )
 from .beliefs import MAXIMUM_ENTROPY_PRIOR, PriorBeliefStore
-from .pdms_factor_graph import (
-    PDMSFactorGraph,
-    build_factor_graph,
-    build_factor_graph_from_evidence,
-    variable_name_for,
-)
-from .local_graph import LocalFactorGraph, build_local_graphs, mapping_owner
+from .pdms_factor_graph import PDMSFactorGraph, build_factor_graph
 from ..factorgraph.plan import SweepPlan
 from .batched import (
     AssessmentLane,
@@ -60,7 +58,9 @@ __all__ = [
     "feedback_factor",
     "feedback_from_cycle",
     "feedback_from_parallel_paths",
+    "mapping_owner",
     "positive_feedback_probability",
+    "variable_name_for",
     "NetworkEvidence",
     "StructureCache",
     "StructureCacheStatistics",
@@ -69,11 +69,6 @@ __all__ = [
     "PriorBeliefStore",
     "PDMSFactorGraph",
     "build_factor_graph",
-    "build_factor_graph_from_evidence",
-    "variable_name_for",
-    "LocalFactorGraph",
-    "build_local_graphs",
-    "mapping_owner",
     "AssessmentLane",
     "SweepPlan",
     "BatchedEmbeddedMessagePassing",

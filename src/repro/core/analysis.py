@@ -48,7 +48,7 @@ from ..pdms.probing import (
     ParallelPaths,
     validate_ttl,
 )
-from .feedback import Feedback, FeedbackKind, feedback_from_cycle, feedback_from_parallel_paths
+from .feedback import Feedback, feedback_from_cycle, feedback_from_parallel_paths
 
 __all__ = [
     "NetworkEvidence",
@@ -74,26 +74,6 @@ class NetworkEvidence:
     def informative_feedbacks(self) -> Tuple[Feedback, ...]:
         """Feedbacks that translate into factors (positive or negative)."""
         return tuple(f for f in self.feedbacks if f.is_informative)
-
-    @property
-    def positive_count(self) -> int:
-        return sum(1 for f in self.feedbacks if f.kind is FeedbackKind.POSITIVE)
-
-    @property
-    def negative_count(self) -> int:
-        return sum(1 for f in self.feedbacks if f.kind is FeedbackKind.NEGATIVE)
-
-    @property
-    def neutral_count(self) -> int:
-        return sum(1 for f in self.feedbacks if f.kind is FeedbackKind.NEUTRAL)
-
-    def mappings_with_evidence(self) -> Tuple[str, ...]:
-        """Names of mappings constrained by at least one informative feedback."""
-        names: Dict[str, None] = {}
-        for feedback in self.informative_feedbacks:
-            for name in feedback.mapping_names:
-                names.setdefault(name, None)
-        return tuple(names)
 
 
 def _unmappable_mappings(network: PDMSNetwork, attribute: str) -> Tuple[str, ...]:
@@ -184,10 +164,6 @@ class StructureCacheStatistics:
     partial_refreshes: int = 0
     full_refreshes: int = 0
     work_units: int = 0
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
 
 
 class StructureCache:

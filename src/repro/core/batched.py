@@ -116,8 +116,7 @@ from ..factorgraph.plan import (
 )
 from ..factorgraph.sum_product import required_quiet_rounds
 from .beliefs import PriorBeliefStore
-from .feedback import Feedback, FeedbackKind
-from .local_graph import mapping_owner
+from .feedback import Feedback, FeedbackKind, mapping_owner
 
 __all__ = [
     "AssessmentLane",
@@ -156,8 +155,7 @@ class TransportStatistics:
 
         ``attempted=0`` is a valid no-op (an idle round of a quiet lane);
         negative counts or ``delivered > attempted`` would corrupt the
-        tallies (and could drive :attr:`delivery_rate` outside [0, 1] or
-        into a division by zero), so they are rejected.
+        tallies, so they are rejected.
         """
         if attempted < 0 or delivered < 0 or delivered > attempted:
             raise FeedbackError(
@@ -169,13 +167,6 @@ class TransportStatistics:
         self.attempted += attempted
         self.delivered += delivered
         self.dropped += attempted - delivered
-
-    @property
-    def delivery_rate(self) -> float:
-        """Fraction of attempted messages delivered (1.0 before any attempt)."""
-        if self.attempted == 0:
-            return 1.0
-        return self.delivered / self.attempted
 
 
 class MessageTransport:
@@ -310,8 +301,8 @@ def compile_assessment_plan(
     from the same structures aligns with the plan index for index.  A thin
     assessment-flavoured wrapper over
     :func:`repro.factorgraph.plan.compile_sweep_plan`: owners default to
-    the mapping-name convention (:func:`~repro.core.local_graph.
-    mapping_owner`) and structures keep the historical two-mapping floor.
+    the mapping-name convention (:func:`~repro.core.feedback.mapping_owner`)
+    and structures keep the historical two-mapping floor.
     """
     return compile_sweep_plan(
         structures, owners=owners, min_mappings=2, default_owner=mapping_owner
@@ -632,12 +623,6 @@ class BatchedEmbeddedMessagePassing:
     def mapping_names(self) -> Tuple[str, ...]:
         return self.plan.mapping_names
 
-    @property
-    def live_keys(self) -> Tuple[str, ...]:
-        """Keys of the lanes a round runs, in the order of
-        :meth:`run_round`'s changes."""
-        return tuple(self._keys[lane] for lane in self._live.tolist())
-
     def posteriors(self) -> Dict[str, Dict[str, float]]:
         """Current posterior P(correct) of every live lane's mappings."""
         return {
@@ -652,7 +637,7 @@ class BatchedEmbeddedMessagePassing:
 
         ``mapping_names`` restricts phases 1–2 to the named mappings — the
         lazy schedule's partial round (§4.3.2).  The changes are aligned
-        with :attr:`live_keys`.
+        with the keys of :meth:`posteriors`.
         """
         if not self._live.size:
             return np.zeros(0)

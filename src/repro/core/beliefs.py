@@ -14,8 +14,8 @@ posteriors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping as TMapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Tuple
 
 from ..exceptions import ReproError
 
@@ -66,9 +66,6 @@ class PriorBeliefStore:
         state = self._beliefs.get((mapping_name, attribute))
         return 0 if state is None else state.evidence_count
 
-    def known_keys(self) -> Tuple[BeliefKey, ...]:
-        return tuple(self._beliefs)
-
     # -- writes ------------------------------------------------------------------------
 
     def set_prior(
@@ -82,11 +79,6 @@ class PriorBeliefStore:
         """
         _validate_probability(prior, "prior")
         self._beliefs[(mapping_name, attribute)] = _BeliefState(prior=prior, pinned=pinned)
-
-    def bulk_set(self, priors: TMapping[BeliefKey, float]) -> None:
-        """Set many priors at once (convenience for scenario builders)."""
-        for (mapping_name, attribute), prior in priors.items():
-            self.set_prior(mapping_name, attribute, prior)
 
     def record_posterior(
         self, mapping_name: str, attribute: str, posterior_correct: float
@@ -110,15 +102,6 @@ class PriorBeliefStore:
         if not state.pinned:
             state.prior = state.evidence_sum / state.evidence_count
         return state.prior
-
-    def record_posteriors(
-        self, posteriors: TMapping[BeliefKey, float]
-    ) -> Dict[BeliefKey, float]:
-        """Fold many posterior observations at once; returns updated priors."""
-        return {
-            key: self.record_posterior(key[0], key[1], value)
-            for key, value in posteriors.items()
-        }
 
     # -- misc --------------------------------------------------------------------------
 

@@ -99,8 +99,7 @@ from .batched import (
     TransportStatistics,
 )
 from .beliefs import PriorBeliefStore
-from .feedback import Feedback
-from .local_graph import mapping_owner
+from .feedback import Feedback, mapping_owner
 
 __all__ = [
     "MessageTransport",
@@ -121,8 +120,8 @@ class EmbeddedMessagePassing:
         Informative feedback evidence (all for the same attribute).
     priors:
         Prior beliefs (dict by mapping name, single float, or None for the
-        0.5 default; use :meth:`from_prior_store` for a
-        :class:`PriorBeliefStore`).
+        0.5 default).  A :class:`PriorBeliefStore` is keyed by attribute
+        too, so read its priors into a dict first.
     delta:
         Error-compensation probability Δ used in all feedback factors.
     transport:
@@ -151,7 +150,7 @@ class EmbeddedMessagePassing:
             raise FeedbackError("embedded message passing needs informative feedback")
         if isinstance(priors, PriorBeliefStore):
             raise FeedbackError(
-                "pass PriorBeliefStore priors via from_prior_store()"
+                "pass priors as a {mapping name: prior} dict, not a PriorBeliefStore"
             )
         self.attribute = informative[0].attribute
         self.plan: SweepPlan = compile_sweep_plan(
@@ -170,23 +169,6 @@ class EmbeddedMessagePassing:
         self._engine = BatchedEmbeddedMessagePassing(
             self.plan, [self._lane], options=self.options
         )
-
-    @classmethod
-    def from_prior_store(
-        cls,
-        feedbacks: Iterable[Feedback],
-        store: PriorBeliefStore,
-        delta: float = 0.1,
-        **kwargs,
-    ) -> "EmbeddedMessagePassing":
-        """Build an engine whose priors come from a :class:`PriorBeliefStore`."""
-        feedback_list = [f for f in feedbacks if f.is_informative]
-        if not feedback_list:
-            raise FeedbackError("embedded message passing needs informative feedback")
-        attribute = feedback_list[0].attribute
-        mapping_names = {m for f in feedback_list for m in f.mapping_names}
-        priors = {m: store.prior(m, attribute) for m in mapping_names}
-        return cls(feedback_list, priors=priors, delta=delta, **kwargs)
 
     @property
     def mapping_names(self) -> Tuple[str, ...]:

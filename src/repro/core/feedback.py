@@ -30,18 +30,17 @@ is handled by :class:`repro.core.quality.MappingQualityAssessor`.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..constants import COUNT_KERNEL_MIN_ARITY
-from ..exceptions import FeedbackError
+from ..exceptions import FeedbackError, PDMSError
 from ..factorgraph.factors import CountFactor, Factor
-from ..factorgraph.variables import BinaryVariable, CORRECT, INCORRECT, mapping_variable_name
+from ..factorgraph.variables import BinaryVariable, CORRECT, INCORRECT
 from ..mapping import composition
-from ..mapping.mapping import Mapping
 from ..pdms.probing import MappingCycle, ParallelPaths
 
 __all__ = [
@@ -54,7 +53,27 @@ __all__ = [
     "feedback_factor",
     "feedback_from_cycle",
     "feedback_from_parallel_paths",
+    "mapping_owner",
+    "variable_name_for",
 ]
+
+
+def mapping_owner(mapping_name: str) -> str:
+    """Peer owning a mapping: the peer the mapping departs from.
+
+    Mapping names follow the ``source->target[#label]`` convention of
+    :class:`repro.mapping.mapping.MappingIdentifier`, whose endpoints never
+    contain ``->``.
+    """
+    if "->" not in mapping_name:
+        raise PDMSError(f"malformed mapping name {mapping_name!r}")
+    return mapping_name.split("->", 1)[0]
+
+
+def variable_name_for(mapping_name: str, attribute: str) -> str:
+    """Canonical factor-graph variable name of a (mapping, attribute) pair:
+    ``m[<mapping name>]@<attribute>`` (fine granularity, §4.1)."""
+    return f"m[{mapping_name}]@{attribute}"
 
 
 class FeedbackKind(str, Enum):
@@ -144,13 +163,11 @@ class Feedback:
         return len(self.mapping_names)
 
     def variable_names(self) -> Tuple[str, ...]:
-        """Factor-graph variable names of the involved mappings.
-
-        The naming convention matches
-        :func:`repro.factorgraph.variables.mapping_variable_name`:
-        ``m[<mapping name>]@<attribute>``.
-        """
-        return tuple(f"m[{name}]@{self.attribute}" for name in self.mapping_names)
+        """Factor-graph variable names of the involved mappings
+        (:func:`variable_name_for`)."""
+        return tuple(
+            variable_name_for(name, self.attribute) for name in self.mapping_names
+        )
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         sign = {"positive": "+", "negative": "-", "neutral": "⊥"}[self.kind.value]

@@ -8,30 +8,21 @@ Following §3.2/§3.3, the global factor graph for one attribute contains
 * one unary prior factor per such variable, and
 * one feedback factor per informative (positive or negative) feedback,
   linking all the mapping variables of that cycle / pair of parallel paths.
-
-The same builder also serves the *local* per-peer fragments (§4.1): a peer
-simply passes the subset of feedbacks it knows about.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping as TMapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping as TMapping, Optional, Tuple
 
 from ..exceptions import FactorGraphError, FeedbackError
 from ..factorgraph.factors import prior_factor
 from ..factorgraph.graph import FactorGraph
 from ..factorgraph.variables import BinaryVariable
-from .analysis import NetworkEvidence
 from .beliefs import PriorBeliefStore
-from .feedback import Feedback, feedback_factor
+from .feedback import Feedback, feedback_factor, variable_name_for
 
-__all__ = ["PDMSFactorGraph", "build_factor_graph", "variable_name_for"]
-
-
-def variable_name_for(mapping_name: str, attribute: str) -> str:
-    """Canonical factor-graph variable name for a (mapping, attribute) pair."""
-    return f"m[{mapping_name}]@{attribute}"
+__all__ = ["PDMSFactorGraph", "build_factor_graph"]
 
 
 @dataclass(frozen=True)
@@ -153,21 +144,4 @@ def build_factor_graph(
         attribute=attribute,
         mapping_names=tuple(mapping_names),
         delta=delta,
-    )
-
-
-def build_factor_graph_from_evidence(
-    evidence: NetworkEvidence,
-    priors: PriorBeliefStore | TMapping[str, float] | float | None = None,
-    delta: float = 0.1,
-    name: str = "pdms-factor-graph",
-) -> PDMSFactorGraph:
-    """Convenience wrapper building the graph straight from
-    :class:`~repro.core.analysis.NetworkEvidence`."""
-    return build_factor_graph(
-        evidence.feedbacks,
-        priors=priors,
-        delta=delta,
-        attribute=evidence.attribute,
-        name=name,
     )

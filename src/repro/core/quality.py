@@ -75,8 +75,7 @@ from .batched import (
     compile_assessment_plan,
 )
 from .beliefs import PriorBeliefStore
-from .feedback import compensation_probability
-from .local_graph import mapping_owner
+from .feedback import compensation_probability, mapping_owner
 
 __all__ = ["AttributeAssessment", "MappingQualityAssessor"]
 

@@ -18,11 +18,11 @@ this module decide *when* rounds happen:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..exceptions import ReproError
 from ..pdms.trace import QueryTrace
-from .embedded import EmbeddedMessagePassing, EmbeddedResult, required_quiet_rounds
+from .embedded import EmbeddedMessagePassing, required_quiet_rounds
 
 __all__ = ["PeriodicSchedule", "LazySchedule", "ScheduleReport"]
 
@@ -38,12 +38,6 @@ class ScheduleReport:
     messages_delivered: int
     posterior_history: List[Dict[str, float]] = field(default_factory=list)
     elapsed_time: float = 0.0
-
-    @property
-    def messages_per_round(self) -> float:
-        if self.rounds == 0:
-            return 0.0
-        return self.messages_attempted / self.rounds
 
 
 class PeriodicSchedule:
@@ -61,19 +55,6 @@ class PeriodicSchedule:
         self.engine = engine
         self.tau = tau
         self.clock = 0.0
-
-    def estimated_messages_per_period(self, peer_name: str) -> int:
-        """Upper bound on remote messages the peer sends each period.
-
-        The paper gives ``Σ_ci (l_ci − 1)`` where ``ci`` ranges over the
-        cycles (and parallel-path structures) through the peer and ``l_ci``
-        is their length: the plan transmissions sent by the peer's mappings.
-        """
-        plan = self.engine.plan
-        names, owners = plan.mapping_names, plan.owners
-        return sum(
-            1 for sender in plan.tx_mapping.tolist() if owners[names[sender]] == peer_name
-        )
 
     def run(
         self,
@@ -154,11 +135,6 @@ class LazySchedule:
             return 0.0, False
         self.piggybacked_mappings += len(used)
         return self.engine.run_round(mapping_names=used), True
-
-    def process_trace(self, trace: QueryTrace) -> float:
-        """Piggyback on one resolved query; return the posterior change."""
-        change, _ = self._process(trace)
-        return change
 
     def process_traces(
         self,

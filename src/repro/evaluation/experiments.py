@@ -18,8 +18,8 @@ from ..constants import COUNT_KERNEL_MIN_ARITY, DEFAULT_SEED
 from ..core.analysis import analyze_network
 from ..core.beliefs import PriorBeliefStore
 from ..core.embedded import EmbeddedMessagePassing, EmbeddedOptions, MessageTransport
-from ..core.feedback import Feedback, FeedbackKind
-from ..core.pdms_factor_graph import build_factor_graph, variable_name_for
+from ..core.feedback import Feedback, FeedbackKind, variable_name_for
+from ..core.pdms_factor_graph import build_factor_graph
 from ..core.quality import MappingQualityAssessor
 from ..core.schedules import LazySchedule, PeriodicSchedule
 from ..exceptions import EvaluationError

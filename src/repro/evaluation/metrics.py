@@ -9,7 +9,7 @@ couple of helpers for sweeping θ.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping as TMapping, Optional, Sequence, Tuple
+from typing import List, Mapping as TMapping, Sequence, Tuple
 
 from ..exceptions import EvaluationError
 

@@ -16,21 +16,18 @@ from .variables import (
     INCORRECT,
     BinaryVariable,
     DiscreteVariable,
-    mapping_variable_name,
 )
 from .compiled import StackedCountFactorBatch, normalize_rows
 from .plan import BucketPlan, SweepPlan, compile_sweep_plan
 from .factors import (
     CountFactor,
     Factor,
-    observation_factor,
     prior_factor,
-    uniform_factor,
 )
 from .graph import FactorGraph
 from .messages import MessageStore, message_distance, normalize, unit_message
 from .sum_product import SumProduct, SumProductOptions, SumProductResult, run_sum_product
-from .exact import exact_joint, exact_marginals, relative_error
+from .exact import exact_marginals
 
 __all__ = [
     "BINARY_DOMAIN",
@@ -38,7 +35,6 @@ __all__ = [
     "INCORRECT",
     "BinaryVariable",
     "DiscreteVariable",
-    "mapping_variable_name",
     "StackedCountFactorBatch",
     "normalize_rows",
     "BucketPlan",
@@ -46,9 +42,7 @@ __all__ = [
     "compile_sweep_plan",
     "CountFactor",
     "Factor",
-    "observation_factor",
     "prior_factor",
-    "uniform_factor",
     "FactorGraph",
     "MessageStore",
     "message_distance",
@@ -58,7 +52,5 @@ __all__ = [
     "SumProductOptions",
     "SumProductResult",
     "run_sum_product",
-    "exact_joint",
     "exact_marginals",
-    "relative_error",
 ]

@@ -10,7 +10,7 @@ right reference implementation to measure the loopy approximation against.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Dict, Iterable
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from ..exceptions import InferenceError
 from .graph import FactorGraph
 from .messages import normalize
 
-__all__ = ["exact_marginals", "exact_joint", "relative_error"]
+__all__ = ["exact_marginals"]
 
 #: Safety cap — enumeration over more than this many joint assignments is
 #: almost certainly a mistake (the global PDMS graph should be handled by
@@ -39,24 +39,6 @@ def _joint_assignments(graph: FactorGraph) -> Iterable[Dict[str, str]]:
         )
     for states in itertools.product(*domains):
         yield {variable.name: state for variable, state in zip(variables, states)}
-
-
-def exact_joint(graph: FactorGraph) -> Dict[Tuple[str, ...], float]:
-    """Unnormalised joint weight of every assignment, keyed by state tuple.
-
-    The key order follows ``graph.variables``.
-    """
-    joint: Dict[Tuple[str, ...], float] = {}
-    names = [variable.name for variable in graph.variables]
-    for assignment in _joint_assignments(graph):
-        weight = 1.0
-        for factor in graph.factors:
-            weight *= factor.value(assignment)
-            # Exact zero: a hard structural veto, not a rounding artifact.
-            if weight == 0.0:  # lint: disable=numeric-float-equality
-                break
-        joint[tuple(assignment[name] for name in names)] = weight
-    return joint
 
 
 def exact_marginals(graph: FactorGraph) -> Dict[str, np.ndarray]:
@@ -89,27 +71,3 @@ def exact_marginals(graph: FactorGraph) -> Dict[str, np.ndarray]:
             "(contradictory evidence)"
         )
     return {name: normalize(vector) for name, vector in totals.items()}
-
-
-def relative_error(
-    approximate: Mapping[str, np.ndarray],
-    exact: Mapping[str, np.ndarray],
-    variable_names: Iterable[str] | None = None,
-) -> float:
-    """Largest relative error of approximate marginals against exact ones.
-
-    The error of one variable is ``|approx − exact| / exact`` evaluated on
-    the P(correct) entry (index 0), which is the quantity Figure 9 reports.
-    """
-    names = list(variable_names) if variable_names is not None else list(exact)
-    worst = 0.0
-    for name in names:
-        exact_p = float(exact[name][0])
-        approx_p = float(approximate[name][0])
-        # A zero exact marginal is produced, not computed — safe to test.
-        if exact_p == 0.0:  # lint: disable=numeric-float-equality
-            error = abs(approx_p)
-        else:
-            error = abs(approx_p - exact_p) / exact_p
-        worst = max(worst, error)
-    return worst

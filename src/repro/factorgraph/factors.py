@@ -30,8 +30,6 @@ __all__ = [
     "Factor",
     "CountFactor",
     "prior_factor",
-    "uniform_factor",
-    "observation_factor",
 ]
 
 
@@ -385,25 +383,3 @@ def prior_factor(
     epsilon = 1e-9
     table = np.clip(table, epsilon, 1.0)
     return Factor(name or f"prior({variable.name})", (variable,), table)
-
-
-def uniform_factor(variable: DiscreteVariable, name: str | None = None) -> Factor:
-    """Build a unary factor that carries no information about ``variable``."""
-    table = np.ones(variable.cardinality)
-    return Factor(name or f"uniform({variable.name})", (variable,), table)
-
-
-def observation_factor(
-    variable: DiscreteVariable, state: str, name: str | None = None, strength: float = 1.0
-) -> Factor:
-    """Build a unary factor (softly) clamping ``variable`` to ``state``.
-
-    ``strength`` is the probability mass put on the observed state; 1.0
-    clamps hard (up to a numerical epsilon).
-    """
-    if not 0.0 < strength <= 1.0:
-        raise FactorShapeError(f"strength must be in (0, 1], got {strength}")
-    table = np.full(variable.cardinality, (1.0 - strength) / max(variable.cardinality - 1, 1))
-    table[variable.index_of(state)] = strength
-    table = np.clip(table, 1e-9, 1.0)
-    return Factor(name or f"obs({variable.name}={state})", (variable,), table)

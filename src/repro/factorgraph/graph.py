@@ -8,7 +8,7 @@ used both for the *global* PDMS factor graph (paper §3.2–3.3) and for the
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import networkx as nx
 
@@ -109,9 +109,6 @@ class FactorGraph:
     def has_variable(self, name: str) -> bool:
         return name in self._variables
 
-    def has_factor(self, name: str) -> bool:
-        return name in self._factors
-
     def factors_of(self, variable_name: str) -> Tuple[Factor, ...]:
         """Factors neighbouring ``variable_name``."""
         if variable_name not in self._variables:
@@ -119,10 +116,6 @@ class FactorGraph:
         return tuple(
             self._factors[fname] for fname in self._variable_neighbors[variable_name]
         )
-
-    def neighbors_of_factor(self, factor_name: str) -> Tuple[DiscreteVariable, ...]:
-        """Variables neighbouring ``factor_name``."""
-        return self.factor(factor_name).variables
 
     def degree(self, variable_name: str) -> int:
         """Number of factors attached to ``variable_name``."""
@@ -177,26 +170,6 @@ class FactorGraph:
                     raise FactorGraphError(
                         f"inconsistent adjacency between {vname!r} and {fname!r}"
                     )
-
-    # -- convenience -----------------------------------------------------------
-
-    def subgraph_for_variables(
-        self, variable_names: Iterable[str], name: Optional[str] = None
-    ) -> "FactorGraph":
-        """Return the sub-factor-graph induced by ``variable_names``.
-
-        A factor is included when *all* of its variables are in the set;
-        this is the notion of locality used when carving per-peer fragments
-        out of the global PDMS factor graph.
-        """
-        wanted = set(variable_names)
-        sub = FactorGraph(name or f"{self.name}[sub]")
-        for vname in wanted:
-            sub.add_variable(self.variable(vname))
-        for factor in self._factors.values():
-            if set(factor.variable_names) <= wanted:
-                sub.add_factor(factor)
-        return sub
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

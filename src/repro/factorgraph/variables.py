@@ -11,7 +11,7 @@ rest of the library uses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence, Tuple
+from typing import Tuple
 
 from ..exceptions import VariableDomainError
 
@@ -21,7 +21,6 @@ __all__ = [
     "BINARY_DOMAIN",
     "DiscreteVariable",
     "BinaryVariable",
-    "mapping_variable_name",
 ]
 
 #: Canonical state labels for mapping-correctness variables.
@@ -86,34 +85,3 @@ class BinaryVariable(DiscreteVariable):
 
     def __init__(self, name: str) -> None:
         super().__init__(name=name, domain=BINARY_DOMAIN)
-
-
-def mapping_variable_name(source: str, target: str, attribute: str | None = None) -> str:
-    """Build the canonical variable name for a mapping's correctness.
-
-    The paper works at *fine granularity* (one correctness variable per
-    attribute per mapping, §4.1); passing ``attribute`` produces that name.
-    Omitting it produces the coarse-granularity name for the whole mapping.
-
-    Examples
-    --------
-    >>> mapping_variable_name("p2", "p3")
-    'm[p2->p3]'
-    >>> mapping_variable_name("p2", "p3", "Creator")
-    'm[p2->p3]@Creator'
-    """
-    base = f"m[{source}->{target}]"
-    if attribute is None:
-        return base
-    return f"{base}@{attribute}"
-
-
-def validate_states(variables: Sequence[DiscreteVariable], states: Sequence[str]) -> None:
-    """Validate that ``states`` is a legal joint assignment of ``variables``."""
-    if len(variables) != len(states):
-        raise VariableDomainError(
-            f"assignment length {len(states)} does not match "
-            f"number of variables {len(variables)}"
-        )
-    for variable, state in zip(variables, states):
-        variable.index_of(state)

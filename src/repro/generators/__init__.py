@@ -3,11 +3,9 @@ the paper's named experimental setups."""
 
 from .schemas import DEFAULT_CONCEPTS, concept_pool, generate_schema, generate_schema_family
 from .topologies import (
-    chain_network,
     cycle_network,
     identity_mapping,
     network_from_graph,
-    parallel_paths_network,
     random_network,
     scale_free_network,
 )
@@ -27,11 +25,9 @@ __all__ = [
     "concept_pool",
     "generate_schema",
     "generate_schema_family",
-    "chain_network",
     "cycle_network",
     "identity_mapping",
     "network_from_graph",
-    "parallel_paths_network",
     "random_network",
     "scale_free_network",
     "Scenario",

@@ -24,7 +24,7 @@ simply posits the feedback signs).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ..core.feedback import Feedback, FeedbackKind, StructureKind
 from ..mapping.mapping import Mapping

@@ -9,20 +9,13 @@ evaluation harness.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
 from ..exceptions import GenerationError
 from ..mapping.corruption import corrupt_mapping_in_place
-from ..mapping.mapping import Mapping
 from ..pdms.network import PDMSNetwork
-from ..pdms.peer import Peer
-from .topologies import (
-    cycle_network,
-    parallel_paths_network,
-    random_network,
-    scale_free_network,
-)
+from .topologies import cycle_network, random_network, scale_free_network
 
 __all__ = ["Scenario", "generate_scenario", "inject_errors"]
 
@@ -47,10 +40,6 @@ class Scenario:
     def erroneous_pairs(self) -> Tuple[Tuple[str, str], ...]:
         """(mapping name, attribute) pairs that are actually wrong."""
         return tuple(key for key, correct in self.ground_truth.items() if not correct)
-
-    @property
-    def correct_pairs(self) -> Tuple[Tuple[str, str], ...]:
-        return tuple(key for key, correct in self.ground_truth.items() if correct)
 
     def is_correct(self, mapping_name: str, attribute: str) -> Optional[bool]:
         return self.ground_truth.get((mapping_name, attribute))

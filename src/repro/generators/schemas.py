@@ -14,7 +14,7 @@ import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..exceptions import GenerationError
-from ..schema.attribute import Attribute, AttributeType
+from ..schema.attribute import Attribute
 from ..schema.schema import DataModel, Schema
 
 __all__ = [

@@ -3,7 +3,7 @@
 The paper motivates its cycle analysis with the topology of real semantic
 overlay networks: high clustering, scale-free degree distributions, and an
 exponentially growing number of loops (§3.2.1).  The generators here build
-mapping graphs with those characteristics — simple cycles and chains for the
+mapping graphs with those characteristics — simple cycles for the
 controlled experiments, Erdős–Rényi and Barabási–Albert graphs for the
 larger simulations — and wire correct identity mappings along every edge.
 Error injection is applied afterwards by the scenario builder.
@@ -12,7 +12,7 @@ Error injection is applied afterwards by the scenario builder.
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import networkx as nx
 
@@ -26,8 +26,6 @@ from .schemas import generate_schema_family
 __all__ = [
     "identity_mapping",
     "cycle_network",
-    "chain_network",
-    "parallel_paths_network",
     "random_network",
     "scale_free_network",
     "network_from_graph",
@@ -78,64 +76,6 @@ def cycle_network(
         successor = peers[(index + 1) % peer_count]
         network.add_mapping(
             identity_mapping(peer.schema, successor.schema), bidirectional=False
-        )
-    return network
-
-
-def chain_network(
-    peer_count: int,
-    attribute_count: int = 10,
-    directed: bool = True,
-    seed: int = 0,
-    name: str = "chain",
-) -> PDMSNetwork:
-    """A simple chain p1 → p2 → … → pn (no cycle, hence no feedback)."""
-    if peer_count < 2:
-        raise GenerationError(f"a chain needs at least 2 peers, got {peer_count}")
-    network = PDMSNetwork(name=name, directed=directed)
-    peers = _build_peers(peer_count, attribute_count, seed)
-    for peer in peers:
-        network.add_peer(peer)
-    for first, second in zip(peers, peers[1:]):
-        network.add_mapping(
-            identity_mapping(first.schema, second.schema), bidirectional=False
-        )
-    return network
-
-
-def parallel_paths_network(
-    branch_lengths: Sequence[int] = (1, 2),
-    attribute_count: int = 10,
-    seed: int = 0,
-    name: str = "parallel",
-) -> PDMSNetwork:
-    """Two (or more) directed branches from a common source to a common sink.
-
-    ``branch_lengths`` gives the number of mappings on each branch; the
-    shortest possible branch has length 1 (a direct mapping).
-    """
-    if len(branch_lengths) < 2:
-        raise GenerationError("need at least two branches for parallel paths")
-    if any(length < 1 for length in branch_lengths):
-        raise GenerationError("branch lengths must be >= 1")
-    intermediate_count = sum(length - 1 for length in branch_lengths)
-    peers = _build_peers(2 + intermediate_count, attribute_count, seed)
-    source, sink = peers[0], peers[1]
-    network = PDMSNetwork(name=name, directed=True)
-    for peer in peers:
-        network.add_peer(peer)
-    next_intermediate = 2
-    for length in branch_lengths:
-        previous = source
-        for _ in range(length - 1):
-            middle = peers[next_intermediate]
-            next_intermediate += 1
-            network.add_mapping(
-                identity_mapping(previous.schema, middle.schema), bidirectional=False
-            )
-            previous = middle
-        network.add_mapping(
-            identity_mapping(previous.schema, sink.schema), bidirectional=False
         )
     return network
 

@@ -25,6 +25,8 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Mapping, Tuple
 
+from ..constants import KNOWN_ENV_KNOBS
+
 __all__ = [
     "RULESET_VERSION",
     "LAYER_PREFIXES",
@@ -40,7 +42,6 @@ __all__ = [
     "DETERMINISM_SCOPE",
     "GLOBAL_RANDOM_FUNCS",
     "ALLOWED_NUMPY_RANDOM",
-    "WALLCLOCK_BANNED",
     "RNG_FACTORIES",
     "PROCESS_SUBMISSION_ATTRS",
     "EXECUTOR_SUBMISSION_ATTRS",
@@ -54,7 +55,7 @@ __all__ = [
 #: Version of the rule set, stamped into every ``--json`` report and into
 #: the ``lintkit_version`` field of the ``BENCH_*.json`` provenance records.
 #: Bump it whenever a contract table or a rule's semantics change.
-RULESET_VERSION = "1.5.0"
+RULESET_VERSION = "1.6.0"
 
 
 # ---------------------------------------------------------------------------
@@ -228,9 +229,6 @@ WALKER_NAMES: FrozenSet[str] = frozenset(
     {
         "find_cycles_through",
         "find_parallel_paths_from",
-        "find_all_cycles",
-        "find_all_parallel_paths",
-        "probe_neighborhood",
     }
 )
 
@@ -296,13 +294,6 @@ ALLOWED_NUMPY_RANDOM: FrozenSet[str] = frozenset(
         "MT19937",
         "SFC64",
     }
-)
-
-#: Wall-clock reads banned inside :data:`DETERMINISM_SCOPE`:
-#: ``time.<name>`` for the ``time`` entries, ``datetime``/``date`` class
-#: methods for the rest.
-WALLCLOCK_BANNED: FrozenSet[str] = frozenset(
-    {"time", "time_ns", "now", "utcnow", "today"}
 )
 
 #: Rng factory callables that must always receive an explicit seed
@@ -379,12 +370,6 @@ PICKLABLE_BOUNDARY: FrozenSet[str] = frozenset(
 #: the variable name against :data:`KNOWN_ENV_KNOBS` so every knob is
 #: declared, documented and strictly parsed in exactly one place.
 KNOB_RESOLVER_MODULES: FrozenSet[str] = frozenset({"repro.constants"})
-
-#: Every environment knob the package reads, by its declared name — none
-#: today.  Kept in lockstep with :data:`repro.constants.KNOWN_ENV_KNOBS`
-#: (the doc-sync test asserts the two sets are equal and that
-#: ARCHITECTURE.md names each knob).
-KNOWN_ENV_KNOBS: FrozenSet[str] = frozenset()
 
 
 def _validate_contracts() -> None:

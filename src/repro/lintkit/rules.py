@@ -35,7 +35,7 @@ from . import contracts
 from .engine import ParsedModule
 from .model import Finding, Rule
 
-__all__ = ["DEFAULT_RULES", "all_rules", "rules_by_id"]
+__all__ = ["all_rules", "rules_by_id"]
 
 
 def _attribute_chain(node: ast.AST) -> List[str]:
@@ -599,7 +599,3 @@ def all_rules() -> List[Rule]:
 
 def rules_by_id() -> Dict[str, Rule]:
     return {rule.rule_id: rule for rule in all_rules()}
-
-
-#: The default rule set ``repro-lint`` runs.
-DEFAULT_RULES: List[Rule] = all_rules()

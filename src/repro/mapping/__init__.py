@@ -7,8 +7,6 @@ from .composition import (
     NEGATIVE,
     NEUTRAL,
     POSITIVE,
-    apply_chain,
-    compose,
     parallel_paths_outcome,
     round_trip_outcome,
     validate_chain,
@@ -17,7 +15,6 @@ from .corruption import (
     CorruptionReport,
     corrupt_correspondence,
     corrupt_mapping,
-    drop_correspondences,
 )
 
 __all__ = [
@@ -27,13 +24,10 @@ __all__ = [
     "POSITIVE",
     "NEGATIVE",
     "NEUTRAL",
-    "apply_chain",
-    "compose",
     "parallel_paths_outcome",
     "round_trip_outcome",
     "validate_chain",
     "CorruptionReport",
     "corrupt_correspondence",
     "corrupt_mapping",
-    "drop_correspondences",
 ]

@@ -16,15 +16,13 @@ helpers; the conversion of outcomes into factor-graph factors lives in
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from ..exceptions import MappingCompositionError
 from .mapping import Mapping
 
 __all__ = [
     "validate_chain",
-    "apply_chain",
-    "compose",
     "round_trip_outcome",
     "parallel_paths_outcome",
     "RoundTripOutcome",
@@ -53,63 +51,15 @@ def validate_chain(mappings: Sequence[Mapping]) -> None:
             )
 
 
-def apply_chain(mappings: Sequence[Mapping], attribute: str) -> Optional[str]:
-    """Push ``attribute`` through the chain; return its final image.
-
-    Returns ``None`` as soon as any mapping in the chain lacks a
-    correspondence for the current attribute (the ⊥ case).
-    """
-    validate_chain(mappings)
-    return _push(mappings, attribute)
-
-
 def _push(mappings: Sequence[Mapping], attribute: str) -> Optional[str]:
-    """:func:`apply_chain` on a chain the caller has already validated."""
+    """Push ``attribute`` through a validated chain; return its final image,
+    or ``None`` as soon as a mapping lacks a correspondence (the ⊥ case)."""
     current: Optional[str] = attribute
     for mapping in mappings:
         if current is None:
             return None
         current = mapping.apply(current)
     return current
-
-
-def compose(mappings: Sequence[Mapping], label: str = "") -> Mapping:
-    """Compose a chain into a single mapping from the first source to the
-    last target.
-
-    Only attributes that survive the whole chain get a correspondence in the
-    composite; the composite's ground-truth labels are the conjunction of
-    the labels along the chain (unknown labels propagate as unknown).
-    """
-    validate_chain(mappings)
-    source = mappings[0].source
-    target = mappings[-1].target
-    if source == target:
-        # A full cycle composes to an endomapping on the starting schema;
-        # Mapping forbids identical endpoints, so the caller should use
-        # round_trip_outcome() for cycles instead.
-        raise MappingCompositionError(
-            "chain composes to a self-mapping; use round_trip_outcome() for cycles"
-        )
-    composite = Mapping(source, target, label=label or "composed")
-    for attribute in mappings[0].source_attributes:
-        image = apply_chain(mappings, attribute)
-        if image is None:
-            continue
-        correct: Optional[bool] = True
-        current = attribute
-        for mapping in mappings:
-            c = mapping.correspondence_for(current)
-            assert c is not None  # guaranteed because image is not None
-            if c.is_correct is None:
-                correct = None
-            elif c.is_correct is False and correct is not None:
-                correct = False
-            current = c.target_attribute
-        composite.add(
-            mappings[0].correspondence_for(attribute).with_target(image, correct)
-        )
-    return composite
 
 
 def round_trip_outcome(cycle: Sequence[Mapping], attribute: str) -> RoundTripOutcome:

@@ -12,7 +12,7 @@ trips, exactly as in the paper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from ..exceptions import MappingError

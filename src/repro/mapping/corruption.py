@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..exceptions import GenerationError
 from ..schema.schema import Schema
@@ -25,7 +25,6 @@ __all__ = [
     "corrupt_mapping",
     "corrupt_mapping_in_place",
     "corrupt_correspondence",
-    "drop_correspondences",
 ]
 
 
@@ -35,11 +34,6 @@ class CorruptionReport:
 
     mapping_name: str
     corrupted_attributes: Tuple[str, ...]
-    dropped_attributes: Tuple[str, ...] = ()
-
-    @property
-    def error_count(self) -> int:
-        return len(self.corrupted_attributes)
 
 
 def corrupt_correspondence(
@@ -145,28 +139,3 @@ def corrupt_mapping_in_place(
     for correspondence in corrupted.correspondences:
         mapping._by_source[correspondence.source_attribute] = correspondence
     return report
-
-
-def drop_correspondences(
-    mapping: Mapping,
-    attributes: Iterable[str],
-) -> Tuple[Mapping, CorruptionReport]:
-    """Remove the correspondences for ``attributes`` from a mapping.
-
-    Models schemas that simply lack a representation for a concept — the
-    source of ⊥ (neutral) feedback in the paper.
-    """
-    to_drop = set(attributes)
-    reduced = Mapping(mapping.source, mapping.target, label=mapping.label)
-    dropped: List[str] = []
-    for correspondence in mapping.correspondences:
-        if correspondence.source_attribute in to_drop:
-            dropped.append(correspondence.source_attribute)
-            continue
-        reduced.add(correspondence)
-    report = CorruptionReport(
-        mapping_name=mapping.name,
-        corrupted_attributes=(),
-        dropped_attributes=tuple(dropped),
-    )
-    return reduced, report

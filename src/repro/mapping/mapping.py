@@ -11,13 +11,15 @@ relies on:
 
 Mappings are identified by ``(source, target)`` peer/schema names plus an
 optional explicit identifier so that two parallel mappings between the same
-pair of peers remain distinguishable.
+pair of peers remain distinguishable.  The name ``source->target[#label]``
+parses back to its endpoints, so an endpoint may contain neither ``->`` nor
+``#``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Mapping as TMapping, Optional, Tuple
+from typing import Dict, Iterable, Iterator, Mapping as TMapping, Optional, Tuple
 
 from ..exceptions import MappingError
 from .correspondence import Correspondence
@@ -69,6 +71,12 @@ class Mapping:
             raise MappingError(
                 f"mapping endpoints must differ, got {source!r} twice"
             )
+        for endpoint in (source, target):
+            if "->" in endpoint or "#" in endpoint:
+                raise MappingError(
+                    f"mapping endpoint {endpoint!r} contains '->' or '#', "
+                    "the delimiters of mapping names"
+                )
         self.identifier = MappingIdentifier(source=source, target=target, label=label)
         self._by_source: Dict[str, Correspondence] = {}
         for correspondence in correspondences:
@@ -164,21 +172,7 @@ class Mapping:
             return None
         return correspondence.target_attribute
 
-    def as_renaming(self) -> Dict[str, str]:
-        """The mapping as a plain ``{source_attr: target_attr}`` dict."""
-        return {
-            c.source_attribute: c.target_attribute for c in self._by_source.values()
-        }
-
     # -- ground truth (evaluation only) ----------------------------------------------------
-
-    def erroneous_attributes(self) -> Tuple[str, ...]:
-        """Source attributes whose correspondence is labelled incorrect."""
-        return tuple(
-            c.source_attribute
-            for c in self._by_source.values()
-            if c.is_correct is False
-        )
 
     def is_correct_for(self, source_attribute: str) -> Optional[bool]:
         """Ground-truth label of the correspondence for ``source_attribute``."""

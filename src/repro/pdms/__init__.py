@@ -22,18 +22,14 @@ from .events import (
     TopologyEvent,
 )
 from .query import Operation, OperationKind, Query, substring_predicate
-from .reformulation import ReformulationResult, reformulate, reformulate_through_chain
+from .reformulation import ReformulationResult, reformulate
 from .routing import QueryRouter, RoutingPolicy, execute_locally
 from .trace import HopRecord, PeerAnswer, QueryTrace
 from .probing import (
     MappingCycle,
     ParallelPaths,
-    ProbeResult,
-    find_all_cycles,
-    find_all_parallel_paths,
     find_cycles_through,
     find_parallel_paths_from,
-    probe_neighborhood,
     validate_ttl,
 )
 from .discovery import (
@@ -65,7 +61,6 @@ __all__ = [
     "substring_predicate",
     "ReformulationResult",
     "reformulate",
-    "reformulate_through_chain",
     "QueryRouter",
     "RoutingPolicy",
     "execute_locally",
@@ -74,12 +69,8 @@ __all__ = [
     "QueryTrace",
     "MappingCycle",
     "ParallelPaths",
-    "ProbeResult",
-    "find_all_cycles",
-    "find_all_parallel_paths",
     "find_cycles_through",
     "find_parallel_paths_from",
-    "probe_neighborhood",
     "validate_ttl",
     "ProbeOutcome",
     "ProbePlan",

@@ -429,9 +429,9 @@ def plan_full_probe(
 ) -> ProbePlan:
     """The global structure enumeration as a frontier: one cycles-through
     unit per peer, then one paths-from unit per peer (when enabled) — the
-    unit order whose canonical merge reproduces the historical
-    ``find_all_cycles`` / ``find_all_parallel_paths`` structure lists
-    exactly, orientation and order included."""
+    unit order whose canonical merge lists every distinct structure in the
+    order of a sequential per-peer sweep, first discovery's orientation
+    included."""
     snapshot = TopologySnapshot.of(snapshot)
     validate_ttl(ttl)
     units = [ProbeWorkUnit(CYCLES_THROUGH, name) for name in snapshot.peer_names]

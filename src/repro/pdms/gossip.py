@@ -29,7 +29,7 @@ substrate the ROADMAP's "peers as processes" socket runtime plugs into.
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..constants import DEFAULT_SEED
 from ..core.quality import MappingQualityAssessor
@@ -304,10 +304,6 @@ class GossipHarness:
     def nodes(self) -> Tuple[PeerNode, ...]:
         return tuple(self._nodes.values())
 
-    @property
-    def node_names(self) -> Tuple[str, ...]:
-        return tuple(self._nodes)
-
     def node(self, name: str) -> PeerNode:
         try:
             return self._nodes[name]
@@ -374,17 +370,6 @@ class GossipHarness:
             self.run_round()
             used += 1
         return used
-
-    def broadcast(
-        self,
-        origin: str,
-        events: Iterable[TopologyEvent],
-        max_rounds: int = 64,
-    ) -> int:
-        """Originate ``events`` at ``origin`` and gossip to convergence."""
-        for event in events:
-            self.originate(origin, event)
-        return self.run_until_converged(max_rounds=max_rounds)
 
     # -- accounting ----------------------------------------------------------------
 

@@ -11,7 +11,7 @@ substrate stays independent of the inference machinery.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Mapping as TMapping, Optional, Tuple
+from typing import Any, Dict, Iterable, Mapping as TMapping, Tuple
 
 from ..exceptions import PDMSError
 from ..mapping.mapping import Mapping
@@ -66,27 +66,6 @@ class Peer:
     def outgoing_mappings(self) -> Tuple[Mapping, ...]:
         """All mappings departing from this peer."""
         return tuple(self._outgoing.values())
-
-    @property
-    def neighbor_names(self) -> Tuple[str, ...]:
-        """Names of peers reachable through one outgoing mapping."""
-        seen: Dict[str, None] = {}
-        for mapping in self._outgoing.values():
-            seen.setdefault(mapping.target, None)
-        return tuple(seen)
-
-    def mappings_to(self, target: str) -> Tuple[Mapping, ...]:
-        """Outgoing mappings towards ``target`` (possibly several, parallel)."""
-        return tuple(m for m in self._outgoing.values() if m.target == target)
-
-    def mapping_named(self, name: str) -> Mapping:
-        """Return the outgoing mapping called ``name``."""
-        try:
-            return self._outgoing[name]
-        except KeyError:
-            raise PDMSError(
-                f"peer {self.name!r} owns no mapping named {name!r}"
-            ) from None
 
     # -- data ------------------------------------------------------------------------
 

@@ -18,19 +18,17 @@ peer ids, a visited bytearray, a ttl-bounded path stack); the parallel-path
 walker still walks the peers' mapping objects.  Whole-network enumeration
 is a composition concern — :mod:`repro.pdms.discovery` builds frontiers of
 per-origin work units over these walkers, walks each origin once per
-snapshot, and runs them with :func:`~repro.pdms.discovery.run_plan`;
-:func:`find_all_cycles` and :func:`find_all_parallel_paths` remain as thin
-conveniences delegating to a full-probe plan.
+snapshot, and runs them with :func:`~repro.pdms.discovery.run_plan`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from ..constants import DEFAULT_TTL
-from ..exceptions import PDMSError, UnknownPeerError
+from ..exceptions import UnknownPeerError
 from ..mapping.mapping import Mapping
 from .network import PDMSNetwork
 
@@ -39,11 +37,7 @@ __all__ = [
     "ParallelPaths",
     "find_cycles_through",
     "find_parallel_paths_from",
-    "find_all_cycles",
-    "find_all_parallel_paths",
-    "probe_neighborhood",
     "validate_ttl",
-    "ProbeResult",
 ]
 
 
@@ -120,20 +114,6 @@ class ParallelPaths:
         first = " -> ".join(m.name for m in self.first)
         second = " -> ".join(m.name for m in self.second)
         return f"{first} || {second}"
-
-
-@dataclass(frozen=True)
-class ProbeResult:
-    """Everything a peer learns from probing its neighbourhood."""
-
-    origin: str
-    ttl: int
-    cycles: Tuple[MappingCycle, ...]
-    parallel_paths: Tuple[ParallelPaths, ...]
-
-    @property
-    def structure_count(self) -> int:
-        return len(self.cycles) + len(self.parallel_paths)
 
 
 def _paths_from(
@@ -254,60 +234,3 @@ def find_parallel_paths_from(
                 seen.add(key)
                 results.append(pair)
     return tuple(results)
-
-
-def probe_neighborhood(
-    network: PDMSNetwork, origin: str, ttl: int = DEFAULT_TTL
-) -> ProbeResult:
-    """Run a full probe from ``origin``: cycles and parallel paths within TTL."""
-    validate_ttl(ttl)
-    if not network.has_peer(origin):
-        raise PDMSError(f"unknown peer {origin!r}")
-    return ProbeResult(
-        origin=origin,
-        ttl=ttl,
-        cycles=find_cycles_through(network, origin, ttl=ttl),
-        parallel_paths=find_parallel_paths_from(network, origin, ttl=ttl),
-    )
-
-
-def find_all_cycles(
-    network: PDMSNetwork, ttl: int = DEFAULT_TTL
-) -> Tuple[MappingCycle, ...]:
-    """All distinct mapping cycles in the network (deduplicated across peers).
-
-    Delegates to a full-probe plan of :mod:`repro.pdms.discovery`
-    (imported lazily — discovery composes this module's walkers); the
-    canonical merge reproduces the historical per-peer sweep exactly.
-    """
-    from .discovery import plan_full_probe, run_plan
-
-    plan = plan_full_probe(network, ttl=ttl, include_parallel_paths=False)
-    cycles, _ = run_plan(plan).merged()
-    return cycles
-
-
-def find_all_parallel_paths(
-    network: PDMSNetwork, ttl: int = DEFAULT_TTL
-) -> Tuple[ParallelPaths, ...]:
-    """All distinct pairs of parallel paths in the network."""
-    from .discovery import (
-        PATHS_FROM,
-        ProbePlan,
-        ProbeWorkUnit,
-        TopologySnapshot,
-        run_plan,
-    )
-
-    validate_ttl(ttl)
-    snapshot = TopologySnapshot.of(network)
-    plan = ProbePlan(
-        snapshot=snapshot,
-        work_units=tuple(
-            ProbeWorkUnit(PATHS_FROM, name) for name in snapshot.peer_names
-        ),
-        ttl=ttl,
-        include_parallel_paths=True,
-    )
-    _, pairs = run_plan(plan).merged()
-    return pairs

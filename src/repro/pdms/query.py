@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..exceptions import QueryError
 
@@ -111,18 +111,6 @@ class Query:
         for operation in self.operations:
             seen.setdefault(operation.attribute, None)
         return tuple(seen)
-
-    @property
-    def projections(self) -> Tuple[Operation, ...]:
-        return tuple(
-            op for op in self.operations if op.kind is OperationKind.PROJECTION
-        )
-
-    @property
-    def selections(self) -> Tuple[Operation, ...]:
-        return tuple(
-            op for op in self.operations if op.kind is OperationKind.SELECTION
-        )
 
     # -- builders ---------------------------------------------------------------------
 

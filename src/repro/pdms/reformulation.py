@@ -10,14 +10,14 @@ the feedback analysis can reason about them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from ..exceptions import QueryError
 from ..mapping.mapping import Mapping
 from .query import Operation, Query
 
-__all__ = ["ReformulationResult", "reformulate", "reformulate_through_chain"]
+__all__ = ["ReformulationResult", "reformulate"]
 
 
 @dataclass(frozen=True)
@@ -40,11 +40,6 @@ class ReformulationResult:
     query: Optional[Query]
     translated: Dict[str, str]
     lost: Tuple[str, ...]
-
-    @property
-    def is_complete(self) -> bool:
-        """True when every attribute of the original query was translated."""
-        return not self.lost
 
 
 def reformulate(query: Query, mapping: Mapping) -> ReformulationResult:
@@ -75,35 +70,3 @@ def reformulate(query: Query, mapping: Mapping) -> ReformulationResult:
         query=reformulated, translated=translated, lost=tuple(lost)
     )
 
-
-def reformulate_through_chain(
-    query: Query, mappings: Sequence[Mapping]
-) -> ReformulationResult:
-    """Reformulate ``query`` through a chain of mappings.
-
-    Used to compute the transitive closure ``q' = m_{n-1}(...(m_0(q)))`` the
-    paper compares against the original query when analysing cycles.
-    ``translated`` maps original attributes to their final images; ``lost``
-    collects original attributes dropped anywhere along the chain.
-    """
-    if not mappings:
-        raise QueryError("cannot reformulate through an empty mapping chain")
-    current = query
-    overall: Dict[str, str] = {attribute: attribute for attribute in query.attributes}
-    lost: List[str] = []
-    for mapping in mappings:
-        result = reformulate(current, mapping)
-        # Track loss in terms of the *original* attribute names.
-        surviving: Dict[str, str] = {}
-        for original, intermediate in overall.items():
-            if original in [l for l in lost]:
-                continue
-            if intermediate in result.translated:
-                surviving[original] = result.translated[intermediate]
-            else:
-                lost.append(original)
-        overall = surviving
-        if result.query is None:
-            return ReformulationResult(query=None, translated=overall, lost=tuple(lost))
-        current = result.query
-    return ReformulationResult(query=current, translated=overall, lost=tuple(lost))

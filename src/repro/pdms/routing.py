@@ -16,7 +16,7 @@ receives the per-(mapping, attribute) probabilities through a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping as TMapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping as TMapping, Optional, Tuple
 
 from ..exceptions import RoutingError, UnknownPeerError
 from ..mapping.mapping import Mapping

@@ -9,7 +9,7 @@ messages on query traffic (§4.3.2).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from ..schema.instances import Record
 
@@ -74,13 +74,6 @@ class QueryTrace:
     @property
     def total_answers(self) -> int:
         return sum(answer.count for answer in self.answers)
-
-    def answers_from(self, peer_name: str) -> Tuple[Record, ...]:
-        records: List[Record] = []
-        for answer in self.answers:
-            if answer.peer_name == peer_name:
-                records.extend(answer.records)
-        return tuple(records)
 
     def used_mappings(self) -> Tuple[str, ...]:
         """Names of mappings actually used to forward the query."""

@@ -1,9 +1,8 @@
-"""Schema substrate: attributes, schemas, instance data and the registry."""
+"""Schema substrate: attributes, schemas and instance data."""
 
 from .attribute import Attribute, AttributeType, tokenize_identifier
 from .schema import DataModel, Schema
 from .instances import InstanceStore, Record
-from .registry import SchemaRegistry
 
 __all__ = [
     "Attribute",
@@ -13,5 +12,4 @@ __all__ = [
     "Schema",
     "InstanceStore",
     "Record",
-    "SchemaRegistry",
 ]

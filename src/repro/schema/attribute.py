@@ -10,9 +10,9 @@ data type and free-form annotations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..exceptions import SchemaError
 

@@ -12,10 +12,10 @@ selection/projection operations the paper's queries are built from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
-from ..exceptions import QueryError, SchemaError, UnknownAttributeError
+from ..exceptions import UnknownAttributeError
 from .schema import Schema
 
 __all__ = ["Record", "InstanceStore"]
@@ -41,21 +41,6 @@ class Record:
         return Record(
             schema_name=self.schema_name,
             values={name: self.values[name] for name in attribute_names if name in self.values},
-        )
-
-    def rename_attributes(self, renaming: Mapping[str, str], schema_name: str) -> "Record":
-        """Return a record with attributes renamed per ``renaming``.
-
-        Attributes without an entry in ``renaming`` are dropped — this is how
-        a record travels through a (possibly partial) schema mapping.
-        """
-        return Record(
-            schema_name=schema_name,
-            values={
-                renaming[name]: value
-                for name, value in self.values.items()
-                if name in renaming
-            },
         )
 
 
@@ -98,26 +83,6 @@ class InstanceStore:
         """All records."""
         return tuple(self._records)
 
-    def select(self, attribute_name: str, predicate) -> Tuple[Record, ...]:
-        """Records whose ``attribute_name`` value satisfies ``predicate``.
-
-        Records lacking the attribute never match.
-        """
-        if not self.schema.has_attribute(attribute_name):
-            raise UnknownAttributeError(
-                f"schema {self.schema.name!r} has no attribute {attribute_name!r}"
-            )
-        if not callable(predicate):
-            raise QueryError("predicate must be callable")
-        matches = []
-        for record in self._records:
-            value = record.get(attribute_name)
-            if value is None:
-                continue
-            if predicate(value):
-                matches.append(record)
-        return tuple(matches)
-
     def project(self, attribute_names: Sequence[str]) -> Tuple[Record, ...]:
         """Project every record onto ``attribute_names``."""
         for name in attribute_names:
@@ -126,18 +91,6 @@ class InstanceStore:
                     f"schema {self.schema.name!r} has no attribute {name!r}"
                 )
         return tuple(record.project(attribute_names) for record in self._records)
-
-    def values_of(self, attribute_name: str) -> Tuple[Any, ...]:
-        """All non-null values of ``attribute_name`` across records."""
-        if not self.schema.has_attribute(attribute_name):
-            raise UnknownAttributeError(
-                f"schema {self.schema.name!r} has no attribute {attribute_name!r}"
-            )
-        return tuple(
-            record.get(attribute_name)
-            for record in self._records
-            if record.get(attribute_name) is not None
-        )
 
     def __len__(self) -> int:
         return len(self._records)

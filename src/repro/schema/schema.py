@@ -9,9 +9,8 @@ alignment substrate use it to produce realistic synthetic scenarios.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from ..exceptions import SchemaError, UnknownAttributeError
 from .attribute import Attribute, AttributeType
@@ -36,7 +35,7 @@ class Schema:
     Parameters
     ----------
     name:
-        Schema name, unique within a :class:`~repro.schema.registry.SchemaRegistry`.
+        Schema name.
     attributes:
         Attributes of the schema.  Names must be unique (case-sensitive).
     data_model:
@@ -136,15 +135,6 @@ class Schema:
         return Schema(
             new_name,
             attributes=self.attributes,
-            data_model=self.data_model,
-            description=self.description,
-        )
-
-    def restrict(self, attribute_names: Sequence[str], name: Optional[str] = None) -> "Schema":
-        """Return a copy containing only ``attribute_names`` (in that order)."""
-        return Schema(
-            name or self.name,
-            attributes=[self.attribute(a) for a in attribute_names],
             data_model=self.data_model,
             description=self.description,
         )

@@ -3,12 +3,7 @@
 import pytest
 
 from repro.alignment.aligner import OntologyAligner
-from repro.alignment.eon import (
-    CANONICAL_CONCEPTS,
-    build_eon_network,
-    eon_ground_truth,
-    eon_ontologies,
-)
+from repro.alignment.eon import build_eon_network, eon_ground_truth, eon_ontologies
 from repro.alignment.ontology import Concept, Ontology
 from repro.exceptions import AlignmentError
 
@@ -72,10 +67,13 @@ class TestEONOntologies:
 
     def test_ground_truth_covers_every_concept(self):
         truth = eon_ground_truth()
+        # The reference ontology names every canonical concept.
+        canonical = {c for (ontology, _), c in truth.items() if ontology == "ref101"}
+        assert len(canonical) == 30
         for ontology in eon_ontologies():
             for concept in ontology.concept_names:
                 assert (ontology.name, concept) in truth
-                assert truth[(ontology.name, concept)] in CANONICAL_CONCEPTS
+                assert truth[(ontology.name, concept)] in canonical
 
     def test_french_ontology_uses_french_labels(self):
         by_name = {o.name: o for o in eon_ontologies()}

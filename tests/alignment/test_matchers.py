@@ -9,7 +9,6 @@ from repro.alignment.matchers import (
     levenshtein_distance,
     ngram_matcher,
     normalized_label,
-    synonym_matcher,
     token_matcher,
 )
 from repro.alignment.ontology import Concept
@@ -82,17 +81,6 @@ class TestNgramAndTokenMatchers:
 
     def test_token_matcher_disjoint(self):
         assert token_matcher(Concept("Author"), Concept("Publisher")) == 0.0
-
-
-class TestSynonymMatcher:
-    def test_dictionary_lookup_is_symmetric(self):
-        matcher = synonym_matcher({"Auteur": ["Author"]})
-        assert matcher(Concept("Auteur"), Concept("Author")) == 1.0
-        assert matcher(Concept("Author"), Concept("Auteur")) == 1.0
-
-    def test_unlisted_pair_scores_zero(self):
-        matcher = synonym_matcher({"Auteur": ["Author"]})
-        assert matcher(Concept("Titre"), Concept("Title")) == 0.0
 
 
 class TestCompositeMatcher:

@@ -31,9 +31,7 @@ from repro.core.embedded import (
     MessageTransport,
     required_quiet_rounds,
 )
-from repro.core.feedback import feedback_factor
-from repro.core.local_graph import mapping_owner
-from repro.core.pdms_factor_graph import variable_name_for
+from repro.core.feedback import feedback_factor, mapping_owner, variable_name_for
 from repro.exceptions import ConvergenceError, FeedbackError
 from repro.factorgraph.messages import normalize, unit_message
 from repro.factorgraph.variables import BinaryVariable

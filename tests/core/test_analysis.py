@@ -5,14 +5,17 @@ import pytest
 from repro.core.analysis import StructureCache, analyze_network
 from repro.core.feedback import FeedbackKind
 from repro.generators.paper import intro_example_network
-from repro.generators.topologies import chain_network, cycle_network
-from repro.mapping.corruption import drop_correspondences
+from repro.generators.topologies import cycle_network
 from repro.pdms.discovery import TopologySnapshot, plan_full_probe, run_plan
 
 
 @pytest.fixture(scope="module")
 def intro_network():
     return intro_example_network(with_records=False)
+
+
+def count(evidence, kind):
+    return sum(1 for feedback in evidence.feedbacks if feedback.kind is kind)
 
 
 def _cut_out_of_band(network, name):
@@ -25,8 +28,8 @@ def _cut_out_of_band(network, name):
 class TestAnalyzeNetwork:
     def test_intro_network_has_positive_and_negative_evidence(self, intro_network):
         evidence = analyze_network(intro_network, "Creator", ttl=4)
-        assert evidence.positive_count > 0
-        assert evidence.negative_count > 0
+        assert count(evidence, FeedbackKind.POSITIVE) > 0
+        assert count(evidence, FeedbackKind.NEGATIVE) > 0
         assert evidence.attribute == "Creator"
 
     def test_negative_evidence_involves_the_faulty_mapping(self, intro_network):
@@ -37,33 +40,34 @@ class TestAnalyzeNetwork:
 
     def test_correct_attribute_has_no_negative_evidence(self, intro_network):
         evidence = analyze_network(intro_network, "Title", ttl=4)
-        assert evidence.negative_count == 0
-        assert evidence.positive_count > 0
+        assert count(evidence, FeedbackKind.NEGATIVE) == 0
+        assert count(evidence, FeedbackKind.POSITIVE) > 0
 
     def test_correct_cycle_network_all_positive(self):
         network = cycle_network(4)
         evidence = analyze_network(network, network.attribute_universe()[0], ttl=5)
-        assert evidence.negative_count == 0
-        assert evidence.positive_count == 1
+        assert count(evidence, FeedbackKind.NEGATIVE) == 0
+        assert count(evidence, FeedbackKind.POSITIVE) == 1
 
     def test_chain_network_has_no_evidence(self):
-        network = chain_network(4)
+        network = cycle_network(4)
+        network.remove_mapping("p4->p1")
         evidence = analyze_network(network, network.attribute_universe()[0], ttl=5)
         assert evidence.feedbacks == ()
 
-    def test_unmappable_rule(self, intro_network):
-        reduced, _ = drop_correspondences(
-            intro_network.mapping("p3->p4"), ["Creator"]
-        )
-        # Swap in the reduced correspondence set (test-only surgery).
-        intro_network.mapping("p3->p4")._by_source.clear()
-        intro_network.mapping("p3->p4")._by_source.update(reduced._by_source)
-        evidence = analyze_network(intro_network, "Creator", ttl=4)
+    def test_unmappable_rule(self):
+        network = intro_example_network(with_records=False)
+        # Drop p3->p4's Creator correspondence (test-only surgery).
+        del network.mapping("p3->p4")._by_source["Creator"]
+        evidence = analyze_network(network, "Creator", ttl=4)
         assert "p3->p4" in evidence.unmappable
 
-    def test_mappings_with_evidence(self, intro_network):
+    def test_informative_feedback_covers_the_mappings(self, intro_network):
         evidence = analyze_network(intro_network, "Title", ttl=4)
-        assert "p2->p3" in evidence.mappings_with_evidence()
+        assert any(
+            "p2->p3" in feedback.mapping_names
+            for feedback in evidence.informative_feedbacks
+        )
 
     def test_parallel_paths_only_for_directed_networks(self, intro_network):
         with_parallel = analyze_network(
@@ -332,4 +336,4 @@ class TestLocalEvidence:
 
     def test_neighborhood_detects_the_fault_from_p2(self, intro_network):
         local = StructureCache(intro_network, ttl=4).evidence_for("p2", "Creator")
-        assert local.negative_count > 0
+        assert count(local, FeedbackKind.NEGATIVE) > 0

@@ -27,9 +27,10 @@ class TestExplicitPriors:
         assert store.prior("p1->p2", "Creator") == 0.9
         assert store.prior("p1->p2", "Title") == MAXIMUM_ENTROPY_PRIOR
 
-    def test_bulk_set(self):
+    def test_set_prior_tracks_each_pair(self):
         store = PriorBeliefStore()
-        store.bulk_set({("a->b", "X"): 0.8, ("b->c", "X"): 0.6})
+        store.set_prior("a->b", "X", 0.8)
+        store.set_prior("b->c", "X", 0.6)
         assert store.prior("a->b", "X") == 0.8
         assert store.prior("b->c", "X") == 0.6
         assert len(store) == 2
@@ -69,20 +70,12 @@ class TestEMUpdates:
         assert store.prior("a->b", "X") == 1.0
         assert store.evidence_count("a->b", "X") == 1
 
-    def test_record_posteriors_bulk(self):
-        store = PriorBeliefStore()
-        updated = store.record_posteriors({("a->b", "X"): 0.8, ("b->c", "X"): 0.2})
-        assert updated[("a->b", "X")] == pytest.approx(0.8)
-        assert updated[("b->c", "X")] == pytest.approx(0.2)
-
     def test_invalid_posterior_rejected(self):
         store = PriorBeliefStore()
         with pytest.raises(ReproError):
             store.record_posterior("a->b", "X", 1.1)
 
-    def test_snapshot_and_known_keys(self):
+    def test_snapshot(self):
         store = PriorBeliefStore()
         store.set_prior("a->b", "X", 0.8)
-        snapshot = store.snapshot()
-        assert snapshot == {("a->b", "X"): 0.8}
-        assert store.known_keys() == (("a->b", "X"),)
+        assert store.snapshot() == {("a->b", "X"): 0.8}

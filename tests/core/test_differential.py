@@ -7,7 +7,7 @@ production path is compared against its two oracles:
 1. **§4 fixed points.**  Lossless ``assess_attributes`` must land on the
    fixed points of centralised loopy belief propagation — the loops
    :class:`~repro.factorgraph.sum_product.SumProduct` reference run on
-   ``build_factor_graph_from_evidence`` of the same evidence.
+   ``build_factor_graph`` of the same evidence.
 2. **Incremental caches.**  After the churn (mapping removal and re-add,
    peer leave and rejoin, assessed between every step so the caches refresh
    incrementally), the live assessor's ``assess_attributes`` and
@@ -29,10 +29,8 @@ from embedded_reference import (
 from hypothesis import given, settings, strategies as st
 
 from repro.core.embedded import EmbeddedOptions
-from repro.core.pdms_factor_graph import (
-    build_factor_graph_from_evidence,
-    variable_name_for,
-)
+from repro.core.feedback import variable_name_for
+from repro.core.pdms_factor_graph import build_factor_graph
 from repro.core.quality import MappingQualityAssessor
 from repro.factorgraph.sum_product import run_sum_product
 from repro.generators.scenarios import generate_scenario
@@ -180,7 +178,9 @@ def test_production_path_matches_its_oracles(
             continue
         if not assessment.converged:
             continue
-        graph = build_factor_graph_from_evidence(evidence, priors=0.5, delta=DELTA)
+        graph = build_factor_graph(
+            evidence.feedbacks, priors=0.5, delta=DELTA, attribute=attribute
+        )
         reference = run_sum_product(
             graph.graph,
             max_iterations=2000,

@@ -5,7 +5,7 @@ Five guarantees land here, mirroring ``test_plan_ir.py`` one layer up:
 1. The walker-ban layering invariant: the core must reach structure
    discovery through the probe-plan frontier of
    :mod:`repro.pdms.discovery` — never by importing the enumeration
-   walkers (``find_cycles_through``, ``find_all_parallel_paths``, ...)
+   walkers (``find_cycles_through``, ``find_parallel_paths_from``)
    from :mod:`repro.pdms.probing` directly.  Structure types
    (``MappingCycle``, ``ParallelPaths``) and ``validate_ttl`` remain fair
    game; it is the *enumeration* that must flow through plans.  The ban is

@@ -11,7 +11,8 @@ from repro.core.embedded import (
     required_quiet_rounds,
 )
 from repro.core.beliefs import PriorBeliefStore
-from repro.core.pdms_factor_graph import build_factor_graph, variable_name_for
+from repro.core.feedback import variable_name_for
+from repro.core.pdms_factor_graph import build_factor_graph
 from repro.exceptions import ConvergenceError, FeedbackError
 from repro.factorgraph.sum_product import run_sum_product
 from repro.generators.paper import (
@@ -57,16 +58,16 @@ class TestConstruction:
         with pytest.raises(FeedbackError):
             MessageTransport(send_probability=0.0)
 
-    def test_prior_store_constructor(self):
-        store = PriorBeliefStore()
-        store.set_prior("p2->p4", "Creator", 0.2)
-        engine = EmbeddedMessagePassing.from_prior_store(
-            intro_example_feedbacks(), store
-        )
+    def test_prior_dict_seeds_the_posteriors(self):
+        engine = EmbeddedMessagePassing(intro_example_feedbacks(), priors={"p2->p4": 0.2})
         # Before the first round every factor message is uniform, so the
         # posteriors are the priors.
         assert engine.posteriors()["p2->p4"] == pytest.approx(0.2)
         assert engine.posteriors()["p2->p3"] == pytest.approx(0.5)
+
+    def test_prior_store_rejected(self):
+        with pytest.raises(FeedbackError, match="PriorBeliefStore"):
+            EmbeddedMessagePassing(intro_example_feedbacks(), priors=PriorBeliefStore())
 
 
 class TestSection45:
@@ -192,7 +193,7 @@ class TestMessageLoss:
         stats = engine.transport.statistics
         assert stats.attempted > 0
         assert stats.delivered + stats.dropped == stats.attempted
-        assert 0.2 < stats.delivery_rate < 0.8
+        assert 0.2 < stats.delivered / stats.attempted < 0.8
 
 
 class TestCompiledKernels:
@@ -348,8 +349,7 @@ class TestPriorValidation:
 
 class TestTransportStatistics:
     def test_record_many_with_zero_attempts_is_a_noop(self):
-        """Regression: an idle batch must leave the tallies (and the
-        delivery rate) well-defined instead of risking a 0/0."""
+        """Regression: an idle batch must leave the tallies untouched."""
         from repro.core.embedded import TransportStatistics
 
         stats = TransportStatistics()
@@ -357,7 +357,6 @@ class TestTransportStatistics:
         assert stats.attempted == 0
         assert stats.delivered == 0
         assert stats.dropped == 0
-        assert stats.delivery_rate == 1.0
 
     def test_record_many_rejects_invalid_batches(self):
         from repro.core.embedded import TransportStatistics
@@ -382,7 +381,6 @@ class TestTransportStatistics:
         assert stats.attempted == 15
         assert stats.delivered == 12
         assert stats.dropped == 3
-        assert stats.delivery_rate == pytest.approx(0.8)
 
 
 class TestResultAccessors:

@@ -13,9 +13,11 @@ from repro.core.feedback import (
     feedback_factor,
     feedback_from_cycle,
     feedback_from_parallel_paths,
+    mapping_owner,
     positive_feedback_probability,
+    variable_name_for,
 )
-from repro.exceptions import FeedbackError
+from repro.exceptions import FeedbackError, PDMSError
 from repro.factorgraph.variables import CORRECT, INCORRECT, BinaryVariable
 from repro.mapping.mapping import Mapping
 from repro.pdms.probing import MappingCycle, ParallelPaths
@@ -79,6 +81,26 @@ class TestFeedback:
 
     def test_size(self):
         assert make_feedback().size == 3
+
+
+class TestMappingNames:
+    def test_owner_is_source_peer(self):
+        assert mapping_owner("p2->p3") == "p2"
+        assert mapping_owner("ref101->fr221") == "ref101"
+
+    def test_malformed_name_rejected(self):
+        with pytest.raises(PDMSError):
+            mapping_owner("not-a-mapping")
+
+    def test_names_parse_back_to_their_owner(self):
+        # Endpoints cannot contain the name delimiters, so the first "->"
+        # always ends the source, even when a label contains one.
+        for mapping in (Mapping("a", "b"), Mapping("a", "b", label="x->y")):
+            assert mapping_owner(mapping.name) == "a"
+
+    def test_variable_name_format(self):
+        assert variable_name_for("p2->p3", "Creator") == "m[p2->p3]@Creator"
+        assert variable_name_for("p2->p3#alt", "Creator") == "m[p2->p3#alt]@Creator"
 
 
 class TestFeedbackFactor:

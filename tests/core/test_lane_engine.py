@@ -31,7 +31,7 @@ from repro.core.batched import (
 )
 from repro.core.embedded import EmbeddedOptions, MessageTransport
 from repro.core.feedback import Feedback, FeedbackKind, StructureKind
-from repro.core.local_graph import mapping_owner
+from repro.core.feedback import mapping_owner
 from repro.factorgraph.plan import BucketPlan, compile_sweep_plan, normalize_rows
 
 OPTIONS = EmbeddedOptions(max_rounds=60)

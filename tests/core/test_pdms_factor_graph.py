@@ -3,12 +3,8 @@
 import pytest
 
 from repro.core.beliefs import PriorBeliefStore
-from repro.core.feedback import FeedbackKind
-from repro.core.pdms_factor_graph import (
-    build_factor_graph,
-    build_factor_graph_from_evidence,
-    variable_name_for,
-)
+from repro.core.feedback import FeedbackKind, variable_name_for
+from repro.core.pdms_factor_graph import build_factor_graph
 from repro.core.analysis import analyze_network
 from repro.exceptions import FactorGraphError, FeedbackError
 from repro.factorgraph.exact import exact_marginals
@@ -112,7 +108,9 @@ class TestBuildFromEvidence:
     def test_evidence_pipeline(self):
         network = intro_example_network(with_records=False)
         evidence = analyze_network(network, "Creator", ttl=4)
-        pfg = build_factor_graph_from_evidence(evidence, priors=0.5, delta=0.1)
+        pfg = build_factor_graph(
+            evidence.feedbacks, priors=0.5, delta=0.1, attribute=evidence.attribute
+        )
         assert pfg.attribute == "Creator"
         assert "p2->p4" in pfg.mapping_names
         exact = exact_marginals(pfg.graph)

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.embedded import EmbeddedMessagePassing, EmbeddedOptions
-from repro.core.pdms_factor_graph import build_factor_graph, variable_name_for
+from repro.core.feedback import variable_name_for
+from repro.core.pdms_factor_graph import build_factor_graph
 from repro.factorgraph.exact import exact_marginals
 from repro.generators.paper import single_cycle_feedback
 

@@ -38,16 +38,6 @@ class TestPeriodicSchedule:
         report = schedule.run(periods=3, tolerance=1e-12, stop_on_convergence=False)
         assert report.rounds == 3
         assert report.messages_attempted > 0
-        assert report.messages_per_round == pytest.approx(report.messages_attempted / 3)
-
-    def test_estimated_messages_per_period(self):
-        engine = make_engine()
-        schedule = PeriodicSchedule(engine, tau=1.0)
-        # Paper bound: Σ_ci (l_ci − 1) over the structures through the peer.
-        # p2 participates in f1 (length 4 → 3 remote messages), f2 (3 → 2)
-        # and f3=> (3 mappings, 2 of them owned by p2 → 2 remote messages).
-        assert schedule.estimated_messages_per_period("p2") == 7
-        assert schedule.estimated_messages_per_period("unknown-peer") == 0
 
     def test_invalid_parameters(self):
         with pytest.raises(ReproError):
@@ -155,7 +145,7 @@ class TestLazySchedule:
         lazy_engine = make_engine()
         schedule = LazySchedule(lazy_engine)
         trace = self._traces(count=1)[0]
-        schedule.process_trace(trace)
+        schedule.process_traces([trace])
         assert schedule.processed_queries == 1
         assert schedule.piggybacked_mappings <= len(trace.used_mappings())
 
@@ -165,7 +155,9 @@ class TestLazySchedule:
         from repro.pdms.trace import QueryTrace
 
         empty_trace = QueryTrace(query_id=1, origin="p2")
-        assert schedule.process_trace(empty_trace) == 0.0
+        report = schedule.process_traces([empty_trace])
+        assert report.rounds == 0
+        assert report.messages_attempted == 0
         assert schedule.piggybacked_mappings == 0
 
     def test_irrelevant_traces_do_not_fake_convergence(self):

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from repro.exceptions import InferenceError
-from repro.factorgraph.exact import exact_joint, exact_marginals, relative_error
-from repro.factorgraph.factors import Factor, observation_factor, prior_factor
+from repro.factorgraph.exact import exact_marginals
+from repro.factorgraph.factors import Factor, prior_factor
 from repro.factorgraph.graph import FactorGraph
-from repro.factorgraph.variables import CORRECT, INCORRECT, BinaryVariable
+from repro.factorgraph.variables import BinaryVariable
 
 
 def independent_graph():
@@ -32,7 +32,7 @@ class TestExactMarginals:
         graph.add_factor(prior_factor(a, 0.5))
         # b copies a exactly.
         graph.add_factor(Factor("copy", (a, b), np.array([[1.0, 0.0], [0.0, 1.0]])))
-        graph.add_factor(observation_factor(b, CORRECT))
+        graph.add_factor(prior_factor(b, 1.0))
         marginals = exact_marginals(graph)
         assert marginals["a"][0] == pytest.approx(1.0, abs=1e-6)
 
@@ -48,31 +48,3 @@ class TestExactMarginals:
         graph.add_factor(Factor("no", (a,), np.array([0.0, 1.0])))
         with pytest.raises(InferenceError):
             exact_marginals(graph)
-
-
-class TestExactJoint:
-    def test_joint_enumerates_all_assignments(self):
-        joint = exact_joint(independent_graph())
-        assert len(joint) == 4
-        assert joint[(CORRECT, CORRECT)] == pytest.approx(0.8 * 0.3, rel=1e-6)
-        assert joint[(INCORRECT, INCORRECT)] == pytest.approx(0.2 * 0.7, rel=1e-6)
-
-    def test_joint_total_mass_matches_product_of_priors(self):
-        joint = exact_joint(independent_graph())
-        assert sum(joint.values()) == pytest.approx(1.0, rel=1e-6)
-
-
-class TestRelativeError:
-    def test_zero_for_identical_marginals(self):
-        marginals = exact_marginals(independent_graph())
-        assert relative_error(marginals, marginals) == 0.0
-
-    def test_reports_largest_relative_deviation(self):
-        exact = {"a": np.array([0.5, 0.5]), "b": np.array([0.8, 0.2])}
-        approx = {"a": np.array([0.55, 0.45]), "b": np.array([0.8, 0.2])}
-        assert relative_error(approx, exact) == pytest.approx(0.1)
-
-    def test_respects_variable_selection(self):
-        exact = {"a": np.array([0.5, 0.5]), "b": np.array([0.8, 0.2])}
-        approx = {"a": np.array([0.55, 0.45]), "b": np.array([0.4, 0.6])}
-        assert relative_error(approx, exact, variable_names=["a"]) == pytest.approx(0.1)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import FactorShapeError, VariableDomainError
-from repro.factorgraph.factors import Factor, observation_factor, prior_factor, uniform_factor
+from repro.factorgraph.factors import Factor, prior_factor
 from repro.factorgraph.variables import CORRECT, INCORRECT, BinaryVariable
 
 
@@ -140,28 +140,6 @@ class TestFactorBuilders:
         a = BinaryVariable("a")
         with pytest.raises(FactorShapeError):
             prior_factor(a, 1.5)
-
-    def test_uniform_factor(self):
-        a = BinaryVariable("a")
-        factor = uniform_factor(a)
-        assert factor.table == pytest.approx([1.0, 1.0])
-
-    def test_observation_factor_clamps(self):
-        a = BinaryVariable("a")
-        factor = observation_factor(a, INCORRECT)
-        assert factor.table[1] == pytest.approx(1.0)
-        assert factor.table[0] <= 1e-8
-
-    def test_observation_factor_soft(self):
-        a = BinaryVariable("a")
-        factor = observation_factor(a, CORRECT, strength=0.8)
-        assert factor.table[0] == pytest.approx(0.8)
-        assert factor.table[1] == pytest.approx(0.2)
-
-    def test_observation_factor_bad_strength(self):
-        a = BinaryVariable("a")
-        with pytest.raises(FactorShapeError):
-            observation_factor(a, CORRECT, strength=0.0)
 
     def test_normalized_sums_to_one(self):
         a = BinaryVariable("a")

@@ -6,7 +6,7 @@ import pytest
 from repro import constants
 from repro.exceptions import ConvergenceError, FactorGraphError
 from repro.factorgraph.exact import exact_marginals
-from repro.factorgraph.factors import Factor, observation_factor, prior_factor
+from repro.factorgraph.factors import Factor, prior_factor
 from repro.factorgraph.graph import FactorGraph
 from repro.factorgraph.sum_product import (
     SumProduct,
@@ -127,7 +127,7 @@ class TestRunContract:
         graph = FactorGraph("zeros")
         a = graph.add_variable(BinaryVariable("a"))
         b = graph.add_variable(BinaryVariable("b"))
-        graph.add_factor(observation_factor(a, CORRECT, strength=1.0))
+        graph.add_factor(prior_factor(a, 1.0))
         graph.add_factor(Factor("ab", (a, b), np.array([[1.0, 0.0], [0.0, 1.0]])))
         graph.add_factor(prior_factor(b, 0.5))
         result = run_sum_product(graph, max_iterations=50)

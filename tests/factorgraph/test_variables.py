@@ -9,8 +9,6 @@ from repro.factorgraph.variables import (
     INCORRECT,
     BinaryVariable,
     DiscreteVariable,
-    mapping_variable_name,
-    validate_states,
 )
 
 
@@ -61,27 +59,3 @@ class TestBinaryVariable:
 
     def test_name_preserved(self):
         assert BinaryVariable("x").name == "x"
-
-
-class TestMappingVariableName:
-    def test_coarse_granularity(self):
-        assert mapping_variable_name("p2", "p3") == "m[p2->p3]"
-
-    def test_fine_granularity(self):
-        assert mapping_variable_name("p2", "p3", "Creator") == "m[p2->p3]@Creator"
-
-
-class TestValidateStates:
-    def test_accepts_valid_assignment(self):
-        variables = [BinaryVariable("a"), BinaryVariable("b")]
-        validate_states(variables, [CORRECT, INCORRECT])
-
-    def test_rejects_wrong_length(self):
-        variables = [BinaryVariable("a"), BinaryVariable("b")]
-        with pytest.raises(VariableDomainError):
-            validate_states(variables, [CORRECT])
-
-    def test_rejects_unknown_state(self):
-        variables = [BinaryVariable("a")]
-        with pytest.raises(VariableDomainError):
-            validate_states(variables, ["bogus"])

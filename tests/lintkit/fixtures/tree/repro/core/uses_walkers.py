@@ -1,7 +1,7 @@
 """Violating fixture: an engine enumerating structures with raw walkers."""
 
-from repro.pdms.probing import find_all_cycles
+from repro.pdms.probing import find_cycles_through
 
 
-def probe(network, ttl):
-    return find_all_cycles(network, ttl)
+def probe(network, origin, ttl):
+    return find_cycles_through(network, origin, ttl)

@@ -51,10 +51,10 @@ def test_kernel_and_walker_surfaces_are_documented(doc_text):
         assert f"`{name}`" in doc_text, f"name {name!r} missing"
 
 
-def test_knob_registries_are_the_same_set():
+def test_knob_registry_is_declared_once():
     from repro.constants import KNOWN_ENV_KNOBS
 
-    assert contracts.KNOWN_ENV_KNOBS == KNOWN_ENV_KNOBS
+    assert contracts.KNOWN_ENV_KNOBS is KNOWN_ENV_KNOBS
 
 
 def test_version_is_documented(doc_text):

@@ -7,8 +7,6 @@ from repro.mapping.composition import (
     NEGATIVE,
     NEUTRAL,
     POSITIVE,
-    apply_chain,
-    compose,
     parallel_paths_outcome,
     round_trip_outcome,
     validate_chain,
@@ -42,19 +40,6 @@ class TestValidateChain:
     def test_empty_chain_rejected(self):
         with pytest.raises(MappingCompositionError):
             validate_chain([])
-
-
-class TestApplyChain:
-    def test_identity_chain_preserves_attribute(self, correct_cycle):
-        assert apply_chain(correct_cycle, "Creator") == "Creator"
-
-    def test_faulty_chain_redirects_attribute(self, faulty_cycle):
-        assert apply_chain(faulty_cycle, "Creator") == "Title"
-
-    def test_missing_correspondence_returns_none(self):
-        partial = Mapping.from_pairs("p2", "p3", {"Title": "Title"})
-        chain = [identity("p1", "p2"), partial]
-        assert apply_chain(chain, "Creator") is None
 
 
 class TestRoundTripOutcome:
@@ -123,28 +108,3 @@ class TestParallelPathsOutcome:
         with pytest.raises(MappingCompositionError, match="chain is broken"):
             parallel_paths_outcome(*paths, "Creator")
 
-
-class TestCompose:
-    def test_compose_chain_into_single_mapping(self):
-        chain = [identity("p1", "p2"), identity("p2", "p3")]
-        composite = compose(chain)
-        assert composite.source == "p1"
-        assert composite.target == "p3"
-        assert composite.apply("Creator") == "Creator"
-
-    def test_compose_drops_lost_attributes(self):
-        chain = [identity("p1", "p2"), Mapping.from_pairs("p2", "p3", {"Title": "Title"})]
-        composite = compose(chain)
-        assert not composite.maps_attribute("Creator")
-        assert composite.apply("Title") == "Title"
-
-    def test_compose_propagates_error_labels(self):
-        faulty = Mapping.from_pairs(
-            "p2", "p3", {"Creator": "Title", "Title": "Title"}, is_correct=False
-        )
-        composite = compose([identity("p1", "p2"), faulty])
-        assert composite.is_correct_for("Creator") is False
-
-    def test_compose_full_cycle_rejected(self, correct_cycle):
-        with pytest.raises(MappingCompositionError):
-            compose(correct_cycle)

@@ -35,6 +35,16 @@ class TestIdentity:
         with pytest.raises(MappingError):
             Mapping("", "p2")
 
+    @pytest.mark.parametrize(
+        "source, target",
+        [("a", "b->c"), ("a->b", "c"), ("a", "b#x"), ("a#x", "b")],
+    )
+    def test_name_delimiters_in_endpoints_rejected(self, source, target):
+        # ("a", "b->c") and ("a->b", "c") would share the name a->b->c, and
+        # ("a", "b#x") the name of ("a", "b", label="x").
+        with pytest.raises(MappingError, match="delimiters"):
+            Mapping(source, target)
+
 
 class TestCorrespondences:
     def test_apply_returns_target_attribute(self, mapping):
@@ -52,9 +62,6 @@ class TestCorrespondences:
         with pytest.raises(MappingError):
             mapping.add(Correspondence("Creator", "Painter"))
 
-    def test_as_renaming(self, mapping):
-        assert mapping.as_renaming() == {"Creator": "Creator", "Title": "Name"}
-
     def test_len_and_iter(self, mapping):
         assert len(mapping) == 2
         assert {c.source_attribute for c in mapping} == {"Creator", "Title"}
@@ -68,10 +75,11 @@ class TestCorrespondences:
 
 
 class TestGroundTruthHelpers:
-    def test_erroneous_attributes_empty_when_all_correct(self, mapping):
-        assert mapping.erroneous_attributes() == ()
+    def test_is_correct_for(self, mapping):
+        assert mapping.is_correct_for("Creator") is True
+        assert mapping.is_correct_for("Missing") is None
 
-    def test_erroneous_attributes_lists_wrong_ones(self):
+    def test_is_correct_for_reads_each_label(self):
         m = Mapping(
             "a",
             "b",
@@ -80,11 +88,8 @@ class TestGroundTruthHelpers:
                 Correspondence("Y", "Z", is_correct=False),
             ],
         )
-        assert m.erroneous_attributes() == ("Y",)
-
-    def test_is_correct_for(self, mapping):
-        assert mapping.is_correct_for("Creator") is True
-        assert mapping.is_correct_for("Missing") is None
+        assert m.is_correct_for("X") is True
+        assert m.is_correct_for("Y") is False
 
 
 class TestReversal:

@@ -294,10 +294,12 @@ class TestGossipHarness:
 
         assert run(11) == run(11)
 
-    def test_broadcast_reaches_every_node(self):
+    def test_events_from_one_origin_reach_every_node(self):
         network, peer_events, _ = intro_events()
         harness = GossipHarness.of_names(network.peer_names, seed=3)
-        harness.broadcast("p1", peer_events.values())
+        for event in peer_events.values():
+            harness.originate("p1", event)
+        harness.run_until_converged()
         for node in harness.nodes:
             assert node.local_network().peer_names == network.peer_names
 

@@ -38,24 +38,18 @@ class TestPeer:
         with pytest.raises(PDMSError):
             peer.add_outgoing_mapping(Mapping.from_pairs("p1", "p2", {"Title": "Title"}))
 
-    def test_neighbor_names_and_mappings_to(self):
+    def test_parallel_outgoing_mappings_keep_insertion_order(self):
         peer = Peer("p1", schema("p1"))
         peer.add_outgoing_mapping(Mapping.from_pairs("p1", "p2", {"Creator": "Creator"}))
         peer.add_outgoing_mapping(
             Mapping.from_pairs("p1", "p2", {"Title": "Title"}, label="alt")
         )
         peer.add_outgoing_mapping(Mapping.from_pairs("p1", "p3", {"Creator": "Creator"}))
-        assert peer.neighbor_names == ("p2", "p3")
-        assert len(peer.mappings_to("p2")) == 2
-
-    def test_mapping_named(self):
-        peer = Peer("p1", schema("p1"))
-        mapping = peer.add_outgoing_mapping(
-            Mapping.from_pairs("p1", "p2", {"Creator": "Creator"})
-        )
-        assert peer.mapping_named("p1->p2") is mapping
-        with pytest.raises(PDMSError):
-            peer.mapping_named("p1->p9")
+        assert [m.name for m in peer.outgoing_mappings] == [
+            "p1->p2",
+            "p1->p2#alt",
+            "p1->p3",
+        ]
 
     def test_insert_records(self):
         peer = Peer("p1", schema("p1"), records=[{"Creator": "Monet"}])
@@ -83,7 +77,7 @@ class TestPDMSNetwork:
         mapping = Mapping.from_pairs("p1", "p2", {"Creator": "Creator"})
         network.add_mapping(mapping)
         assert network.has_mapping("p1->p2")
-        assert network.peer("p1").mappings_to("p2") == (mapping,)
+        assert network.peer("p1").outgoing_mappings == (mapping,)
 
     def test_add_mapping_unknown_endpoint_rejected(self, network):
         with pytest.raises(UnknownPeerError):
@@ -223,7 +217,7 @@ class TestRemovePeer:
         assert not network.has_peer("p2")
         assert network.mapping_names == ("p1->p3",)
         # The survivor's outgoing index no longer references the peer.
-        assert network.peer("p1").mappings_to("p2") == ()
+        assert [m.name for m in network.peer("p1").outgoing_mappings] == ["p1->p3"]
 
     def test_remove_unknown_peer_raises(self, network):
         with pytest.raises(UnknownPeerError):
@@ -254,10 +248,9 @@ class TestRemovePeer:
         assert network.peer_names == fresh.peer_names
         assert network.mapping_names == fresh.mapping_names
         for name in ("p1", "p2", "p3"):
-            assert (
-                network.peer(name).neighbor_names
-                == fresh.peer(name).neighbor_names
-            )
+            assert [m.name for m in network.peer(name).outgoing_mappings] == [
+                m.name for m in fresh.peer(name).outgoing_mappings
+            ]
 
     def test_churned_structure_caches_match_a_fresh_network(self):
         """After churn, both structure caches serve exactly the structures

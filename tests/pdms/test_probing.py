@@ -4,19 +4,21 @@ import pytest
 
 from repro.exceptions import PDMSError
 from repro.generators.paper import intro_example_network
-from repro.generators.topologies import chain_network, cycle_network
-from repro.pdms.probing import (
-    find_all_cycles,
-    find_all_parallel_paths,
-    find_cycles_through,
-    find_parallel_paths_from,
-    probe_neighborhood,
-)
+from repro.generators.topologies import cycle_network
+from repro.pdms.discovery import plan_full_probe, plan_neighborhood_probe, run_plan
+from repro.pdms.probing import find_cycles_through, find_parallel_paths_from
 
 
 @pytest.fixture(scope="module")
 def intro_network():
     return intro_example_network(with_records=False)
+
+
+def chain_network(peer_count):
+    """The chain p1 → p2 → … → pn: a ring without its closing mapping."""
+    network = cycle_network(peer_count)
+    network.remove_mapping(f"p{peer_count}->p1")
+    return network
 
 
 class TestCycleDiscovery:
@@ -45,7 +47,8 @@ class TestCycleDiscovery:
         assert ("p2->p1", "p1->p2") in keys
 
     def test_cycles_deduplicated_across_origins(self, intro_network):
-        cycles = find_all_cycles(intro_network, ttl=4)
+        plan = plan_full_probe(intro_network, ttl=4, include_parallel_paths=False)
+        cycles, _ = run_plan(plan).merged()
         keys = [cycle.canonical_key() for cycle in cycles]
         assert len(keys) == len(set(keys))
 
@@ -74,7 +77,9 @@ class TestParallelPathDiscovery:
         ) in keys
 
     def test_paths_are_edge_disjoint(self, intro_network):
-        for pair in find_all_parallel_paths(intro_network, ttl=3):
+        _, pairs = run_plan(plan_full_probe(intro_network, ttl=3)).merged()
+        assert pairs
+        for pair in pairs:
             first_names = {m.name for m in pair.first}
             second_names = {m.name for m in pair.second}
             assert not (first_names & second_names)
@@ -84,17 +89,12 @@ class TestParallelPathDiscovery:
         assert find_parallel_paths_from(network, "p1", ttl=5) == ()
 
 
-class TestProbe:
-    def test_probe_neighborhood_bundles_both(self, intro_network):
-        probe = probe_neighborhood(intro_network, "p2", ttl=4)
-        assert probe.origin == "p2"
-        assert probe.cycles
-        assert probe.parallel_paths
-        assert probe.structure_count == len(probe.cycles) + len(probe.parallel_paths)
-
-    def test_probe_unknown_peer_raises(self, intro_network):
+class TestUnknownOrigin:
+    def test_walkers_reject_an_unknown_origin(self, intro_network):
         with pytest.raises(PDMSError):
-            probe_neighborhood(intro_network, "zz")
+            find_cycles_through(intro_network, "zz")
+        with pytest.raises(PDMSError):
+            find_parallel_paths_from(intro_network, "zz")
 
 
 class TestTtlValidation:
@@ -107,17 +107,16 @@ class TestTtlValidation:
         with pytest.raises(ValueError, match="positive hop count"):
             find_parallel_paths_from(intro_network, "p1", ttl=ttl)
         with pytest.raises(ValueError, match="positive hop count"):
-            probe_neighborhood(intro_network, "p1", ttl=ttl)
+            plan_full_probe(intro_network, ttl=ttl)
         with pytest.raises(ValueError, match="positive hop count"):
-            find_all_cycles(intro_network, ttl=ttl)
-        with pytest.raises(ValueError, match="positive hop count"):
-            find_all_parallel_paths(intro_network, ttl=ttl)
+            plan_neighborhood_probe(intro_network, ("p1",), ttl=ttl)
 
     def test_ttl_one_is_a_valid_probe_without_cycles(self, intro_network):
         # One hop cannot close a cycle, but it is a well-defined probe —
         # not an error, and no longer a silent historical special case.
         assert find_cycles_through(intro_network, "p1", ttl=1) == ()
-        assert probe_neighborhood(intro_network, "p1", ttl=1).cycles == ()
+        plan = plan_neighborhood_probe(intro_network, ("p1",), ttl=1)
+        assert run_plan(plan).merged()[0] == ()
 
     def test_structure_caches_reject_non_positive_ttl(self, intro_network):
         from repro.core.analysis import StructureCache
@@ -145,9 +144,8 @@ class TestTtlValidation:
         for callable_ in (
             find_cycles_through,
             find_parallel_paths_from,
-            probe_neighborhood,
-            find_all_cycles,
-            find_all_parallel_paths,
+            plan_full_probe,
+            plan_neighborhood_probe,
             analyze_network,
             MappingQualityAssessor,
             StructureCache,

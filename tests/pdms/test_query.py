@@ -64,9 +64,10 @@ class TestQuery:
             where={"Subject": substring_predicate("river")},
             where_descriptions={"Subject": "LIKE '%river%'"},
         )
-        assert len(query.projections) == 1
-        assert len(query.selections) == 1
-        assert query.selections[0].predicate_description == "LIKE '%river%'"
+        projection, selection = query.operations
+        assert projection.kind is OperationKind.PROJECTION
+        assert selection.kind is OperationKind.SELECTION
+        assert selection.predicate_description == "LIKE '%river%'"
 
     def test_query_ids_are_unique(self):
         first = Query.select_project("p2", project=["A"])

@@ -5,7 +5,7 @@ import pytest
 from repro.exceptions import QueryError
 from repro.mapping.mapping import Mapping
 from repro.pdms.query import Query, substring_predicate
-from repro.pdms.reformulation import reformulate, reformulate_through_chain
+from repro.pdms.reformulation import reformulate
 
 
 @pytest.fixture
@@ -23,7 +23,7 @@ class TestReformulate:
             "p2", "p3", {"Creator": "Author", "Subject": "Topic"}
         )
         result = reformulate(query, mapping)
-        assert result.is_complete
+        assert result.lost == ()
         assert result.query.schema_name == "p3"
         assert result.query.attributes == ("Author", "Topic")
         assert result.translated == {"Creator": "Author", "Subject": "Topic"}
@@ -35,7 +35,6 @@ class TestReformulate:
     def test_drops_untranslatable_operations(self, query):
         mapping = Mapping.from_pairs("p2", "p3", {"Creator": "Author"})
         result = reformulate(query, mapping)
-        assert not result.is_complete
         assert result.lost == ("Subject",)
         assert result.query.attributes == ("Author",)
 
@@ -50,31 +49,3 @@ class TestReformulate:
         with pytest.raises(QueryError):
             reformulate(query, mapping)
 
-
-class TestReformulateThroughChain:
-    def test_identity_chain_round_trip(self, query):
-        chain = [
-            Mapping.from_pairs("p2", "p3", {"Creator": "Creator", "Subject": "Subject"}),
-            Mapping.from_pairs("p3", "p2", {"Creator": "Creator", "Subject": "Subject"}),
-        ]
-        result = reformulate_through_chain(query, chain)
-        assert result.is_complete
-        assert result.translated == {"Creator": "Creator", "Subject": "Subject"}
-
-    def test_tracks_loss_in_original_attribute_names(self, query):
-        chain = [
-            Mapping.from_pairs("p2", "p3", {"Creator": "Author", "Subject": "Topic"}),
-            Mapping.from_pairs("p3", "p4", {"Author": "Painter"}),
-        ]
-        result = reformulate_through_chain(query, chain)
-        assert result.lost == ("Subject",)
-        assert result.translated == {"Creator": "Painter"}
-
-    def test_empty_chain_rejected(self, query):
-        with pytest.raises(QueryError):
-            reformulate_through_chain(query, [])
-
-    def test_all_lost_returns_none_query(self, query):
-        chain = [Mapping.from_pairs("p2", "p3", {"Title": "Title"})]
-        result = reformulate_through_chain(query, chain)
-        assert result.query is None

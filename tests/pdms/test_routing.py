@@ -4,8 +4,12 @@ import pytest
 
 from repro.exceptions import UnknownPeerError
 from repro.generators.paper import intro_example_network
+from repro.mapping.mapping import Mapping
+from repro.pdms.network import PDMSNetwork
+from repro.pdms.peer import Peer
 from repro.pdms.query import Query, substring_predicate
 from repro.pdms.routing import QueryRouter, RoutingPolicy, execute_locally
+from repro.schema.schema import Schema
 
 
 @pytest.fixture
@@ -20,6 +24,44 @@ def river_query():
         project=["Creator"],
         where={"Subject": substring_predicate("river")},
     )
+
+
+@pytest.fixture
+def chain():
+    """p2 -> p3 -> p4: the first mapping renames both attributes, the
+    second keeps only the creator."""
+    network = PDMSNetwork(name="chain")
+    network.add_peer(Peer("p2", Schema.from_names("p2", ["Creator", "Subject"])))
+    network.add_peer(
+        Peer(
+            "p3",
+            Schema.from_names("p3", ["Author", "Topic"]),
+            records=[
+                {"Author": "Monet", "Topic": "river"},
+                {"Author": "Turner", "Topic": "sea"},
+                {"Author": "Anonymous"},
+            ],
+        )
+    )
+    network.add_peer(
+        Peer(
+            "p4",
+            Schema.from_names("p4", ["Painter"]),
+            records=[{"Painter": "Corot"}, {"Painter": "Sisley"}],
+        )
+    )
+    network.add_mapping(
+        Mapping.from_pairs("p2", "p3", {"Creator": "Author", "Subject": "Topic"})
+    )
+    network.add_mapping(Mapping.from_pairs("p3", "p4", {"Author": "Painter"}))
+    return network
+
+
+def _answers(trace):
+    return {
+        answer.peer_name: [dict(record.values) for record in answer.records]
+        for answer in trace.answers
+    }
 
 
 class TestRoutingPolicy:
@@ -45,6 +87,34 @@ class TestExecuteLocally:
         )
         # The attribute is not in the schema: nothing can match.
         assert execute_locally(query, network, "p2") == ()
+
+    def test_records_without_the_selected_value_are_skipped(self, chain):
+        query = Query.select_project(
+            "p3", project=["Author"], where={"Topic": lambda v: True}
+        )
+        records = execute_locally(query, chain, "p3")
+        assert [record.values for record in records] == [
+            {"Author": "Monet"},
+            {"Author": "Turner"},
+        ]
+
+    def test_selections_are_conjunctive(self, chain):
+        query = Query.select_project(
+            "p3",
+            project=["Author"],
+            where={"Topic": lambda v: True, "Author": substring_predicate("turn")},
+        )
+        records = execute_locally(query, chain, "p3")
+        assert [record.values for record in records] == [{"Author": "Turner"}]
+
+    def test_without_projection_whole_records_are_returned(self, chain):
+        query = Query.select_project(
+            "p3", project=[], where={"Topic": substring_predicate("sea")}
+        )
+        records = execute_locally(query, chain, "p3")
+        assert [record.values for record in records] == [
+            {"Author": "Turner", "Topic": "sea"}
+        ]
 
 
 class TestQueryRouterStandard:
@@ -145,4 +215,50 @@ class TestTrace:
     def test_answers_from(self, network, river_query):
         router = QueryRouter(network, policy=RoutingPolicy(default_threshold=0.0))
         trace = router.route(river_query)
-        assert len(trace.answers_from("p2")) == 2
+        assert sum(a.count for a in trace.answers if a.peer_name == "p2") == 2
+
+
+class TestReformulationAlongAChain:
+    """The router reformulates the query at every hop, so each peer answers
+    it in its own attribute names."""
+
+    def test_every_peer_answers_in_its_own_attribute_names(self, chain):
+        query = Query.select_project("p2", project=["Creator"])
+        router = QueryRouter(chain, policy=RoutingPolicy(default_threshold=0.0))
+        assert _answers(router.route(query)) == {
+            "p2": [],
+            "p3": [{"Author": "Monet"}, {"Author": "Turner"}, {"Author": "Anonymous"}],
+            "p4": [{"Painter": "Corot"}, {"Painter": "Sisley"}],
+        }
+
+    def test_a_renamed_selection_still_filters(self, chain, river_query):
+        router = QueryRouter(chain, policy=RoutingPolicy(default_threshold=0.0))
+        assert _answers(router.route(river_query))["p3"] == [{"Author": "Monet"}]
+
+    def test_a_lost_attribute_blocks_the_next_hop_by_default(self, chain, river_query):
+        router = QueryRouter(chain, policy=RoutingPolicy(default_threshold=0.0))
+        trace = router.route(river_query)
+        assert trace.visited_peers == ["p2", "p3"]
+        (blocked,) = [hop for hop in trace.hops if not hop.forwarded]
+        assert blocked.mapping_name == "p3->p4"
+        assert "Topic" in blocked.reason
+
+    def test_a_lost_selection_is_dropped_on_partial_forwarding(self, chain, river_query):
+        router = QueryRouter(
+            chain,
+            policy=RoutingPolicy(default_threshold=0.0, forward_on_partial=True),
+        )
+        answers = _answers(router.route(river_query))
+        # p4 cannot express the subject filter, so it answers unfiltered.
+        assert answers["p3"] == [{"Author": "Monet"}]
+        assert answers["p4"] == [{"Painter": "Corot"}, {"Painter": "Sisley"}]
+
+    def test_a_hop_that_translates_nothing_visits_no_peer(self, chain):
+        query = Query.select_project("p3", project=["Topic"])
+        router = QueryRouter(
+            chain,
+            policy=RoutingPolicy(default_threshold=0.0, forward_on_partial=True),
+        )
+        trace = router.route(query)
+        assert [hop.mapping_name for hop in trace.hops] == ["p3->p4"]
+        assert trace.visited_peers == ["p3"]

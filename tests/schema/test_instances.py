@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.exceptions import QueryError, UnknownAttributeError
+from repro.exceptions import UnknownAttributeError
 from repro.schema.instances import InstanceStore, Record
 from repro.schema.schema import Schema
 
@@ -40,23 +40,6 @@ class TestInsertion:
 
 
 class TestQueryPrimitives:
-    def test_select_matches_predicate(self, store):
-        results = store.select("Subject", lambda v: "river" in v)
-        assert len(results) == 1
-        assert results[0].get("Creator") == "Monet"
-
-    def test_select_skips_missing_values(self, store):
-        results = store.select("Title", lambda v: True)
-        assert len(results) == 2  # Hokusai record has no Title
-
-    def test_select_unknown_attribute_raises(self, store):
-        with pytest.raises(UnknownAttributeError):
-            store.select("Painter", lambda v: True)
-
-    def test_select_requires_callable(self, store):
-        with pytest.raises(QueryError):
-            store.select("Subject", "not callable")
-
     def test_project(self, store):
         projected = store.project(["Creator"])
         assert all(set(record.values) <= {"Creator"} for record in projected)
@@ -65,10 +48,6 @@ class TestQueryPrimitives:
     def test_project_unknown_attribute_raises(self, store):
         with pytest.raises(UnknownAttributeError):
             store.project(["Painter"])
-
-    def test_values_of(self, store):
-        assert set(store.values_of("Creator")) == {"Monet", "Turner", "Hokusai"}
-        assert len(store.values_of("Title")) == 2
 
     def test_scan_returns_all(self, store):
         assert len(store.scan()) == 3
@@ -83,8 +62,3 @@ class TestRecord:
         record = Record("s", {"A": 1, "B": 2})
         assert record.project(["A"]).values == {"A": 1}
 
-    def test_rename_attributes_drops_unmapped(self):
-        record = Record("s", {"A": 1, "B": 2})
-        renamed = record.rename_attributes({"A": "X"}, schema_name="t")
-        assert renamed.schema_name == "t"
-        assert renamed.values == {"X": 1}

@@ -70,14 +70,6 @@ class TestEqualityAndCopies:
         assert renamed.name == "p9"
         assert renamed.attribute_names == art_schema.attribute_names
 
-    def test_restrict(self, art_schema):
-        restricted = art_schema.restrict(["Title", "Creator"])
-        assert restricted.attribute_names == ("Title", "Creator")
-
-    def test_restrict_unknown_attribute_raises(self, art_schema):
-        with pytest.raises(UnknownAttributeError):
-            art_schema.restrict(["Nope"])
-
     def test_add_attribute_after_construction(self, art_schema):
         art_schema.add_attribute("CreatedOn")
         assert art_schema.has_attribute("CreatedOn")
