@@ -7,9 +7,11 @@ This script walks through the paper's introductory example end to end:
    which erroneously maps ``Creator`` onto ``CreatedOn``),
 2. let the system gather cycle / parallel-path feedback and run the
    decentralised probabilistic message passing,
-3. inspect the resulting posteriors, and
+3. inspect the resulting posteriors,
 4. route the "artists who painted rivers" query with and without the
-   quality information.
+   quality information and fold the posteriors into the priors, and
+5. repair the faulty correspondence with a versioned edit, re-assess and
+   route the query again.
 
 Run with::
 
@@ -70,6 +72,28 @@ def main() -> None:
     print("\nupdated priors after this round of evidence:")
     for (mapping_name, attribute), prior in sorted(updated.items()):
         print(f"  {mapping_name:10s} @ {attribute}: {prior:.3f}")
+
+    # 5. Repair p2->p4's Creator correspondence (§4.4).  The edit swaps in a
+    #    corrected copy of the mapping and bumps the network version, so the
+    #    assessor re-evaluates the structures through p2->p4 on its own.
+    before = assessor.probability("p2->p4", "Creator")
+    faulty = network.mapping("p2->p4")
+    network.change_correspondences(
+        faulty.with_correspondence(
+            faulty.correspondence_for("Creator").with_target(
+                "Creator", is_correct=True
+            )
+        )
+    )
+    assessor.assess_attribute("Creator")
+    after = assessor.probability("p2->p4", "Creator")
+    flagged = assessor.flagged_mappings("Creator", theta=0.5)
+    print(f"\nafter repairing p2->p4 (network version {network.version}):")
+    print(f"  P(p2->p4 correct) for 'Creator': {before:.3f} -> {after:.3f}")
+    print(f"  flagged at θ = 0.5: {', '.join(flagged) or 'none'}")
+    repaired_trace = aware.route(query)
+    print(repaired_trace.summary())
+    _print_answers(repaired_trace)
 
 
 def _print_answers(trace) -> None:

@@ -33,6 +33,7 @@ from .schema import Attribute, AttributeType, DataModel, InstanceStore, Record, 
 from .mapping import Correspondence, Mapping, round_trip_outcome
 from .pdms import (
     ClockDigest,
+    CorrespondenceChanged,
     GossipJournal,
     JournalEntry,
     MappingAdded,
@@ -110,6 +111,7 @@ __all__ = [
     "PeerRemoved",
     "MappingAdded",
     "MappingRemoved",
+    "CorrespondenceChanged",
     "JournalEntry",
     "ClockDigest",
     "GossipJournal",

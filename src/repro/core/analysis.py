@@ -16,7 +16,10 @@ of §4.5, one per *origin* peer (the cycles through the origin and the
 parallel paths departing from it — exactly what the peer's own TTL-bounded
 probes can discover, :meth:`StructureCache.structures_for`).  Structures are
 attribute-independent (§3.2.1), so the cache amortises one enumeration
-across all attributes and EM rounds of a topology version.
+across all attributes and EM rounds of a topology version, and a feedback
+is fixed by the correspondences along its structure, so the cache
+evaluates each structure once per attribute and version
+(:meth:`StructureCache.evidence_for`).
 
 The cache never walks the network itself: it reads every structure through
 :class:`~repro.pdms.discovery.ProbePlan` frontiers run by
@@ -186,10 +189,15 @@ class StructureCache:
     snapshot for mutations the version counter cannot see (e.g. direct
     fiddling with network internals in tests).
 
-    Correspondence-level edits (corruptions, repairs) deliberately do *not*
-    invalidate: they change how a structure evaluates for an attribute —
-    :meth:`evidence_for` re-evaluates the feedbacks on every call — not
-    which structures exist.
+    The evidence of each scope (:meth:`evidence_for`) and the ⊥ scan
+    (:meth:`unmappable`) are memoised per attribute under the same key and
+    dropped with the structures.  That is exact because correspondences
+    change only through
+    :meth:`~repro.pdms.network.PDMSNetwork.change_correspondences`, which
+    bumps the version (the ``layering-correspondence-store`` lint rule
+    keeps every other module away from a mapping's store); an edit made
+    behind the network's back needs :meth:`invalidate`, like any other
+    out-of-band surgery.
     """
 
     def __init__(
@@ -214,6 +222,8 @@ class StructureCache:
         # The unmappable-mapping scan is origin-independent; share it across
         # the evidence_for calls of one (attribute, key).
         self._unmappable: Dict[str, Tuple[str, ...]] = {}
+        # Evidence per scope, ``(attribute,)`` or ``(origin, attribute)``.
+        self._evidence: Dict[Tuple[str, ...], NetworkEvidence] = {}
 
     def current_key(self) -> Tuple[int, int, bool]:
         """The ``(version, ttl, include_parallel_paths)`` key a lookup made
@@ -242,6 +252,7 @@ class StructureCache:
             self._global = None
             self._local = {}
             self._unmappable = {}
+            self._evidence = {}
         return key
 
     def _run(self, plan: ProbePlan, inherited: Iterable[bool]) -> ProbeRun:
@@ -312,17 +323,22 @@ class StructureCache:
         ``evidence_for(attribute)`` over the global view — the structures
         and feedback identifiers of :func:`analyze_network` — and
         ``evidence_for(origin, attribute)`` over ``origin``'s local view.
-        The enumeration is amortised across attributes and EM rounds.  The
-        ⊥ scan (mappings with no correspondence for the attribute) is
-        memoised per attribute and key: an edit that drops or adds a
-        correspondence shows after the next version bump or
-        :meth:`invalidate`.
+
+        Each scope is evaluated once per key and memoised, so the
+        enumeration and the evaluation are amortised across attributes and
+        EM rounds; a memo hit returns the same object and counts as a
+        lookup hit.
         """
+        self._sync()
+        evidence = self._evidence.get(scope)
+        if evidence is not None:
+            self.statistics.hits += 1
+            return evidence
         *origin, attribute = scope
         cycles, parallel_paths = (
             self.structures_for(*origin) if origin else self.structures()
         )
-        return NetworkEvidence(
+        evidence = self._evidence[scope] = NetworkEvidence(
             attribute=attribute,
             feedbacks=tuple(
                 structure_feedbacks(cycles, parallel_paths, attribute)
@@ -331,6 +347,7 @@ class StructureCache:
             cycles=cycles,
             parallel_paths=parallel_paths,
         )
+        return evidence
 
     def unmappable(self, attribute: str) -> Tuple[str, ...]:
         """The ⊥ scan of :meth:`evidence_for`: mappings whose source schema
@@ -344,13 +361,15 @@ class StructureCache:
         return unmappable
 
     def invalidate(self) -> None:
-        """Drop the cached structures and the network's shared snapshot
-        with its walks; the next lookup walks the current topology cold."""
+        """Drop the cached structures, the memoised evidence and the
+        network's shared snapshot with its walks; the next lookup walks the
+        current topology cold."""
         self.network.invalidate_snapshot()
         self._key = None
         self._global = None
         self._local = {}
         self._unmappable = {}
+        self._evidence = {}
 
 
 def analyze_network(

@@ -180,9 +180,6 @@ class EmbeddedMessagePassing:
         """Peers owning at least one modelled mapping."""
         return tuple(dict.fromkeys(self.plan.owners.values()))
 
-    def owner_of(self, mapping_name: str) -> str:
-        return self.plan.owners[mapping_name]
-
     @property
     def remote_message_count(self) -> int:
         """Remote transmissions one full round attempts (the paper's

@@ -7,7 +7,8 @@ core contribution.  Given a PDMS network it
    through a :class:`~repro.core.analysis.StructureCache`, so the
    exponential structure enumeration runs at most once per topology version
    (and after a change only for the origins it touched) instead of once per
-   attribute and per EM round,
+   attribute and per EM round, and each structure is evaluated once per
+   attribute and version,
 2. runs the decentralised embedded message passing — all attributes at once
    as lanes of one :class:`~repro.core.batched.BatchedEmbeddedMessagePassing`
    over one compiled :class:`~repro.factorgraph.plan.SweepPlan` per network
@@ -21,8 +22,10 @@ core contribution.  Given a PDMS network it
 Mappings whose source schema declares an attribute but that provide no
 correspondence for it get probability zero for that attribute (the ⊥ rule
 of §3.2.1); mappings with no evidence at all fall back to their prior.
-Topology mutations bump :attr:`~repro.pdms.network.PDMSNetwork.version` and
-refresh the structures automatically, re-walking only the origins a change
+Topology mutations and correspondence edits
+(:meth:`~repro.pdms.network.PDMSNetwork.change_correspondences`) bump
+:attr:`~repro.pdms.network.PDMSNetwork.version` and refresh the structures
+and their evidence automatically, re-walking only the origins a change
 touches; call :meth:`MappingQualityAssessor.invalidate` after out-of-band
 network surgery.
 
@@ -33,17 +36,18 @@ and :meth:`assess_locals` / :meth:`assess_local_all` run that decision for
 many origins at once — one neighbourhood read per (origin, network
 version) through a second :class:`~repro.core.analysis.StructureCache`
 and one lane-engine run with one disjoint lane per origin.  Each origin's
-share of that run is a cached *block* (its instance names, owners and
-compiled one-origin plan), compiled once per walk of the origin and
-carried across versions with the walk; a many-origin run assembles its
-plan from the blocks.  Both views share the same resolution order (⊥ rule
-→ posterior → prior), and the per-call views (:meth:`assess_attribute`,
-:meth:`assess_local`) are one-lane calls of the stacked ones.
+share of that run is a cached *block* (its instance names, owners,
+compiled one-origin plan and evidence per attribute), compiled once per
+walk of the origin and carried across versions with the walk; a
+many-origin run assembles its plan from the blocks.  Both views share the
+same resolution order (⊥ rule → posterior → prior), and the per-call views
+(:meth:`assess_attribute`, :meth:`assess_local`) are one-lane calls of the
+stacked ones.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import (
     Container,
     Dict,
@@ -75,7 +79,7 @@ from .batched import (
     compile_assessment_plan,
 )
 from .beliefs import PriorBeliefStore
-from .feedback import compensation_probability, mapping_owner
+from .feedback import Feedback, compensation_probability, mapping_owner
 
 __all__ = ["AttributeAssessment", "MappingQualityAssessor"]
 
@@ -109,7 +113,11 @@ class _OriginBlock:
     different origins share no mapping; ``names`` maps each instance back
     to its mapping, in the order of ``plan.mapping_names``; ``plan`` is the
     compiled one-origin plan.  A block stays valid while the neighbourhood
-    cache hands out the very same ``cycles`` and ``parallel_paths`` tuples.
+    cache hands out the very same ``cycles`` and ``parallel_paths`` tuples,
+    and so does its per-attribute evidence (:meth:`feedbacks_for`): the
+    walks hold the very mapping objects they were walked on, and a
+    correspondence change re-walks every origin whose walks hold the
+    changed mapping.
     """
 
     cycles: Tuple[MappingCycle, ...]
@@ -117,6 +125,20 @@ class _OriginBlock:
     signatures: Tuple[Tuple[str, Tuple[str, ...]], ...]
     names: TMapping[str, str]
     plan: SweepPlan
+    evidence: Dict[str, Tuple[Feedback, ...]] = field(default_factory=dict)
+
+    def feedbacks_for(self, attribute: str) -> Tuple[Feedback, ...]:
+        """One feedback per structure, evaluated for ``attribute`` and
+        labelled with the block's instances; memoised per attribute for
+        the life of the block."""
+        feedbacks = self.evidence.get(attribute)
+        if feedbacks is None:
+            feedbacks = self.evidence[attribute] = tuple(
+                structure_feedbacks(
+                    self.cycles, self.parallel_paths, attribute, self.signatures
+                )
+            )
+        return feedbacks
 
 
 class MappingQualityAssessor:
@@ -372,26 +394,22 @@ class MappingQualityAssessor:
         one-lane run bit for bit.  Probing is amortised to at most one
         neighbourhood walk per (origin, network version), and none for an
         origin whose walks the network's snapshot carried over; a block is
-        compiled once per walk of its origin, so a call compiles nothing
-        for origins whose walks it has seen and otherwise does only the
-        work that depends on the attribute: feedback kinds, priors and the
-        engine run.
+        compiled once per walk of its origin and evaluates its structures
+        once per attribute, so a call on seen walks and attributes compiles
+        and evaluates nothing and otherwise does only the work that
+        depends on the priors: the lanes and the engine run.
         """
         origin_list = list(dict.fromkeys(origins))
         plan, indices = self._local_assessment_plan(origin_list)
         blocks = [self._blocks[origin] for origin in origin_list]
         delta = self._delta_for(attribute)
         prior = self.priors.prior
-        # One feedback per structure, evaluated for the attribute and
-        # labelled with the block's instances; priors keyed the same way.
+        # Each block's memoised evidence for the attribute; priors keyed on
+        # the block's instances too.
         lanes = [
             AssessmentLane(
                 key=origin,
-                feedbacks=tuple(
-                    structure_feedbacks(
-                        block.cycles, block.parallel_paths, attribute, block.signatures
-                    )
-                ),
+                feedbacks=block.feedbacks_for(attribute),
                 structure_indices=indices[origin],
                 priors={
                     instance: prior(name, attribute)
@@ -564,9 +582,10 @@ class MappingQualityAssessor:
         assessments still reflect the old evidence until re-assessed — and
         out-of-band surgery on network internals is invisible to the version
         counter entirely.  This clears the structure caches (global and
-        per-origin) and the network's shared snapshot with its walks, the
-        compiled global plan and the local view's blocks, the assessment
-        cache and the cached local views.
+        per-origin, memoised evidence included) and the network's shared
+        snapshot with its walks, the compiled global plan, the local view's
+        blocks and their evidence, the assessment cache and the cached
+        local views.
         """
         self.structure_cache.invalidate()
         self.neighborhood_cache.invalidate()

@@ -69,11 +69,10 @@ def inject_errors(
 
     Every correspondence of every mapping is corrupted independently with
     probability ``error_rate`` (retargeted to a random wrong attribute of
-    the target schema).  Because :class:`PDMSNetwork` and
-    :class:`~repro.pdms.peer.Peer` hold references to the original
-    ``Mapping`` objects, corrupted replacements are swapped in by rebuilding
-    the registrations — callers should therefore inject errors right after
-    building the network, before taking other references to the mappings.
+    the target schema).  The corrupted correspondences are swapped into
+    the registered ``Mapping`` objects in place, with no version bump —
+    callers should therefore inject errors right after building the
+    network, before any snapshot or assessor reads it.
     """
     if not 0.0 <= error_rate <= 1.0:
         raise GenerationError(f"error_rate must be in [0, 1], got {error_rate}")

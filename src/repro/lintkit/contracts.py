@@ -2,9 +2,9 @@
 
 Every invariant the :mod:`repro.lintkit` rules enforce is declared in this
 module — the layering DAG, the plan-IR kernel surface, the discovery-walker
-ban, the rng-stream contract's banned global entry points, the
-picklable-boundary allowlist of process submission sites, and the registry
-of validated environment knobs.  ``ARCHITECTURE.md`` at the repository root is
+ban, the correspondence-store owner, the rng-stream contract's banned
+global entry points, the picklable-boundary allowlist of process
+submission sites, and the registry of validated environment knobs.  ``ARCHITECTURE.md`` at the repository root is
 the prose rendering of the same contracts (a doc-sync test asserts it names
 every layer, boundary type and knob declared here); the rules in
 :mod:`repro.lintkit.rules` are generated from these tables, so changing a
@@ -39,6 +39,8 @@ __all__ = [
     "WALKER_MODULE",
     "WALKER_NAMES",
     "ENGINE_LAYER_PREFIXES",
+    "CORRESPONDENCE_STORE_ATTR",
+    "CORRESPONDENCE_STORE_OWNER",
     "DETERMINISM_SCOPE",
     "GLOBAL_RANDOM_FUNCS",
     "ALLOWED_NUMPY_RANDOM",
@@ -55,7 +57,7 @@ __all__ = [
 #: Version of the rule set, stamped into every ``--json`` report and into
 #: the ``lintkit_version`` field of the ``BENCH_*.json`` provenance records.
 #: Bump it whenever a contract table or a rule's semantics change.
-RULESET_VERSION = "1.6.0"
+RULESET_VERSION = "1.7.0"
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +237,17 @@ WALKER_NAMES: FrozenSet[str] = frozenset(
 #: Module prefixes the kernel-surface and walker bans apply to.
 ENGINE_LAYER_PREFIXES: Tuple[str, ...] = ("repro.core",)
 
+#: A mapping's private correspondence store.  The structure cache and the
+#: per-origin blocks memoise evidence per topology version and walk, which
+#: is exact only while correspondences change through the versioned
+#: ``PDMSNetwork.change_correspondences``: no module outside
+#: :data:`CORRESPONDENCE_STORE_OWNER` may touch the store.
+CORRESPONDENCE_STORE_ATTR = "_by_source"
+
+#: The package that owns the correspondence store (``Mapping`` itself and
+#: the construction-time corruption tools).
+CORRESPONDENCE_STORE_OWNER = "repro.mapping"
+
 
 # ---------------------------------------------------------------------------
 # determinism — the rng-stream contract and the wall-clock ban
@@ -354,6 +367,7 @@ PICKLABLE_BOUNDARY: FrozenSet[str] = frozenset(
         "PeerRemoved",
         "MappingAdded",
         "MappingRemoved",
+        "CorrespondenceChanged",
         "VectorClock",
         "JournalEntry",
         "ClockDigest",

@@ -6,7 +6,9 @@ Five families, generated from the tables in :mod:`repro.lintkit.contracts`:
     ``layering-import-dag`` — the sanctioned import DAG between layers;
     ``layering-plan-kernels`` — engines reach compiled kernels through the
     plan IR only; ``layering-discovery-walkers`` — the core reaches
-    structure discovery through probe plans, never the raw walkers.
+    structure discovery through probe plans, never the raw walkers;
+    ``layering-correspondence-store`` — only ``repro.mapping`` touches a
+    mapping's correspondence store.
 ``determinism``
     ``determinism-global-rng`` — no hidden-global-state randomness;
     ``determinism-unseeded-rng`` — rng factories take explicit seeds;
@@ -178,6 +180,35 @@ class DiscoveryWalkerRule:
                         f"{contracts.WALKER_MODULE}; lower the probe onto "
                         f"a repro.pdms.discovery plan instead",
                     )
+
+
+class CorrespondenceStoreRule:
+    """Only the mapping package touches a mapping's correspondence store."""
+
+    rule_id = "layering-correspondence-store"
+    family = "layering"
+    description = (
+        "modules outside repro.mapping must not touch a mapping's "
+        "correspondence store; edit correspondences through "
+        "PDMSNetwork.change_correspondences, which bumps the version"
+    )
+
+    def check(self, module: ParsedModule) -> Iterator[Finding]:
+        if _in_scope(module.module, (contracts.CORRESPONDENCE_STORE_OWNER,)):
+            return
+        for node in ast.walk(module.tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr == contracts.CORRESPONDENCE_STORE_ATTR
+            ):
+                yield module.finding(
+                    self.rule_id,
+                    node,
+                    f"touches the correspondence store "
+                    f"{contracts.CORRESPONDENCE_STORE_ATTR!r} outside "
+                    f"{contracts.CORRESPONDENCE_STORE_OWNER}; swap in a new "
+                    f"mapping with PDMSNetwork.change_correspondences",
+                )
 
 
 # ---------------------------------------------------------------------------
@@ -586,6 +617,7 @@ def all_rules() -> List[Rule]:
         ImportDagRule(),
         PlanKernelRule(),
         DiscoveryWalkerRule(),
+        CorrespondenceStoreRule(),
         GlobalRngRule(),
         UnseededRngRule(),
         WallclockRule(),

@@ -124,10 +124,15 @@ def corrupt_mapping_in_place(
 
     Same selection modes as :func:`corrupt_mapping`, but the corrupted
     correspondences are swapped into the existing :class:`Mapping` object,
-    so every holder of a reference (the network index, the owning peer)
-    sees them — the pattern scenario generation and the benchmark network
-    builders need.  This is the one sanctioned place that touches the
-    mapping's correspondence store directly.
+    so every holder of a reference (the network index, the owning peer,
+    the ``MappingAdded`` event) sees them — the pattern scenario
+    generation and the long-cycle network builder need.
+
+    A construction-time tool: they call it while building a network,
+    before any snapshot, structure cache or assessor has read the mapping.
+    The edit bumps no version, so on a network already being assessed use
+    :meth:`~repro.pdms.network.PDMSNetwork.change_correspondences` with a
+    :func:`corrupt_mapping` copy instead.
     """
     corrupted, report = corrupt_mapping(
         mapping,

@@ -94,6 +94,17 @@ class Mapping:
         self._by_source[correspondence.source_attribute] = correspondence
         return correspondence
 
+    def with_correspondence(self, correspondence: Correspondence) -> "Mapping":
+        """A copy of this mapping, same name, holding ``correspondence`` in
+        place of the one for its source attribute (appended when there is
+        none).  This mapping is left untouched: the copy is what
+        :meth:`~repro.pdms.network.PDMSNetwork.change_correspondences`
+        swaps in for it."""
+        copy = Mapping(self.source, self.target, label=self.label)
+        copy._by_source = dict(self._by_source)
+        copy._by_source[correspondence.source_attribute] = correspondence
+        return copy
+
     @classmethod
     def from_pairs(
         cls,

@@ -13,6 +13,7 @@ from .network import PDMSNetwork
 from .clock import VectorClock
 from .events import (
     ClockDigest,
+    CorrespondenceChanged,
     GossipJournal,
     JournalEntry,
     MappingAdded,
@@ -52,6 +53,7 @@ __all__ = [
     "PeerRemoved",
     "MappingAdded",
     "MappingRemoved",
+    "CorrespondenceChanged",
     "JournalEntry",
     "ClockDigest",
     "GossipJournal",

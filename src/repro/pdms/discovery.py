@@ -41,7 +41,13 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 from ..constants import DEFAULT_TTL
 from ..exceptions import PDMSError, UnknownPeerError
 from ..mapping.mapping import Mapping
-from .events import MappingAdded, MappingRemoved, PeerRemoved, TopologyEvent
+from .events import (
+    CorrespondenceChanged,
+    MappingAdded,
+    MappingRemoved,
+    PeerRemoved,
+    TopologyEvent,
+)
 from .probing import (
     MappingCycle,
     ParallelPaths,
@@ -184,19 +190,22 @@ class TopologySnapshot:
         snapshot's version — leave unchanged.
 
         * Removed peers drop their walks; (re)joined peers walk cold.
+        * A :class:`~repro.pdms.events.CorrespondenceChanged` mapping
+          counts as removed for carrying: it keeps its name and position,
+          but a carried walk would hold the replaced object.
         * An origin's cycles are carried unless (a) one of its old cycles
           holds a removed mapping, or (b) it lies on a new cycle through an
           added mapping.  Rule (b) is settled at the first cycle lookup of
           each ttl, by walking each added mapping's source on the new
           snapshot (that walk stays in the memo).  Any other cycle uses
-          only mappings present, in the same relative order, in both
-          topologies, so the depth-first walk meets the same cycles in the
-          same order.
+          only mapping objects present, in the same relative order, in
+          both topologies, so the depth-first walk meets the same cycles in
+          the same order.
         * An origin's parallel paths are carried unless it lies within
           ``ttl - 1`` reverse hops, in the new topology, of the source of
-          an added or removed mapping: an origin none of whose simple paths
-          of at most ``ttl`` hops crosses a changed mapping enumerates the
-          same paths in the same order.
+          an added, removed or changed mapping: an origin none of whose
+          simple paths of at most ``ttl`` hops crosses such a mapping
+          enumerates the same paths in the same order.
         """
         removed: Set[str] = set()
         added: Dict[str, None] = {}
@@ -206,12 +215,12 @@ class TopologySnapshot:
             if isinstance(event, MappingAdded):
                 added[event.mapping.name] = None
                 changed.add(event.mapping.source)
-            elif isinstance(event, MappingRemoved):
-                removed.add(event.name)
+            elif isinstance(event, (MappingRemoved, CorrespondenceChanged)):
+                removed.add(event.subject)
             elif isinstance(event, PeerRemoved):
                 left.add(event.name)
-        # A removed mapping added after this snapshot has its source in
-        # ``changed`` already.
+        # A removed (or changed) mapping added after this snapshot has its
+        # source in ``changed`` already.
         changed.update(
             self.mapping(name).source for name in removed if self.has_mapping(name)
         )

@@ -3,14 +3,17 @@
 The paper's system is decentralised — peers learn about the mapping
 network from information that *travels*.  This module makes topology
 change itself first-class: every mutation of a :class:`~repro.pdms.network.PDMSNetwork`
-is one of four typed, frozen, picklable records —
+is one of five typed, frozen, picklable records —
 
 * :class:`PeerAdded` — a peer (name + schema) joined;
 * :class:`PeerRemoved` — a peer left (its incident mappings are removed
   first, as explicit :class:`MappingRemoved` events, so logs replay
   without hidden cascades);
 * :class:`MappingAdded` — a directed mapping was registered;
-* :class:`MappingRemoved` — a mapping was unregistered —
+* :class:`MappingRemoved` — a mapping was unregistered;
+* :class:`CorrespondenceChanged` — a registered mapping was replaced by a
+  new :class:`~repro.mapping.mapping.Mapping` of the same name (a §4.4
+  repair or a corruption), copy-on-write —
 
 plus the deterministic transition :func:`apply` that turns an event into
 the corresponding network mutation.  ``PDMSNetwork.from_events`` replays
@@ -50,6 +53,7 @@ __all__ = [
     "PeerRemoved",
     "MappingAdded",
     "MappingRemoved",
+    "CorrespondenceChanged",
     "apply",
     "JournalEntry",
     "ClockDigest",
@@ -64,7 +68,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TopologyEvent:
-    """Base of the four topology transitions.
+    """Base of the five topology transitions.
 
     Every event names its transition (``kind``) and the peer or mapping it
     touches (``subject``).
@@ -140,6 +144,25 @@ class MappingRemoved(TopologyEvent):
         return self.name
 
 
+@dataclass(frozen=True)
+class CorrespondenceChanged(TopologyEvent):
+    """A registered mapping's correspondences were replaced.
+
+    ``mapping`` is the replacement, a new object with the registered
+    mapping's name: it takes that mapping's place, and nothing ever
+    mutates the replaced object, which replicas that have not delivered
+    this event (and walks carried from before it) still hold.
+    """
+
+    mapping: Mapping
+
+    kind: ClassVar[str] = "change_correspondences"
+
+    @property
+    def subject(self) -> str:
+        return self.mapping.name
+
+
 # ---------------------------------------------------------------------------
 # the deterministic transition
 # ---------------------------------------------------------------------------
@@ -164,6 +187,8 @@ def apply(network: "PDMSNetwork", event: TopologyEvent) -> object:
         return network.add_mapping(event.mapping, bidirectional=False)
     if isinstance(event, MappingRemoved):
         return network.remove_mapping(event.name)
+    if isinstance(event, CorrespondenceChanged):
+        return network.change_correspondences(event.mapping)
     raise PDMSError(f"unknown topology event {event!r}")
 
 

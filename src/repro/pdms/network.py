@@ -22,6 +22,7 @@ from ..exceptions import PDMSError, UnknownPeerError
 from ..mapping.mapping import Mapping
 from ..schema.schema import Schema
 from .events import (
+    CorrespondenceChanged,
     MappingAdded,
     MappingRemoved,
     PeerAdded,
@@ -67,7 +68,8 @@ class PDMSNetwork:
 
     @property
     def version(self) -> int:
-        """Monotonic topology version, bumped on every peer/mapping mutation.
+        """Monotonic topology version, bumped on every peer/mapping mutation
+        and every :meth:`change_correspondences`.
 
         Consumers that derive expensive structures from the topology (e.g.
         :class:`repro.core.analysis.StructureCache`) key their caches on
@@ -256,6 +258,33 @@ class PDMSNetwork:
         self._version += 1
         self._record_event(MappingRemoved(name=name))
         return mapping
+
+    def change_correspondences(self, replacement: Mapping) -> Mapping:
+        """Swap a registered mapping for ``replacement``, which carries its
+        name and new correspondences; return the replaced mapping.
+
+        Copy-on-write: ``replacement`` takes the registered mapping's place
+        at the same position in :attr:`mappings` and in its owner's
+        outgoing order, and the replaced object is never mutated — gossip
+        replicas and the oracle share the ``Mapping`` objects of their
+        :class:`~repro.pdms.events.MappingAdded` entries, and walks carried
+        from earlier versions hold them.  The change is recorded as a
+        :class:`~repro.pdms.events.CorrespondenceChanged` event and bumps
+        :attr:`version`, so every derived cache sees it; the next
+        :meth:`snapshot` re-walks the origins whose walks hold the mapping.
+        Only the named direction changes, also in an undirected network.
+        """
+        current = self.mapping(replacement.name)
+        if replacement is current:
+            raise PDMSError(
+                f"change_correspondences({replacement.name}) needs a new "
+                "Mapping object; the registered one is never edited in place"
+            )
+        self._mappings[replacement.name] = replacement
+        self._peers[replacement.source]._outgoing[replacement.name] = replacement
+        self._version += 1
+        self._record_event(CorrespondenceChanged(mapping=replacement))
+        return current
 
     def has_mapping(self, name: str) -> bool:
         return name in self._mappings

@@ -106,6 +106,36 @@ class TestStructureCache:
         assert cache.statistics.misses == 1
         assert cache.statistics.hits == 3
 
+    def test_evidence_is_memoised_per_key_and_attribute(self):
+        network = self._fresh_network()
+        cache = StructureCache(network, ttl=4)
+        creator = cache.evidence_for("Creator")
+        local = cache.evidence_for("p2", "Creator")
+        assert cache.evidence_for("Creator") is creator
+        assert cache.evidence_for("p2", "Creator") is local
+        assert cache.evidence_for("Title") is not creator
+        assert FeedbackKind.NEGATIVE in {f.kind for f in creator.feedbacks}
+
+        # The versioned repair of p2->p4 is a new key: evaluated afresh.
+        faulty = network.mapping("p2->p4")
+        network.change_correspondences(
+            faulty.with_correspondence(
+                faulty.correspondence_for("Creator").with_target(
+                    "Creator", is_correct=True
+                )
+            )
+        )
+        repaired = cache.evidence_for("Creator")
+        assert repaired is not creator
+        assert cache.evidence_for("Creator") is repaired
+        assert FeedbackKind.NEGATIVE not in {f.kind for f in repaired.feedbacks}
+        assert [(f.identifier, f.kind) for f in repaired.feedbacks] == [
+            (f.identifier, f.kind)
+            for f in analyze_network(network, "Creator", ttl=4).feedbacks
+        ]
+        cache.invalidate()
+        assert cache.evidence_for("Creator") is not repaired
+
     def test_topology_mutation_triggers_refresh(self):
         from repro.mapping.correspondence import Correspondence
         from repro.mapping.mapping import Mapping

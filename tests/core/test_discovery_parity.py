@@ -276,7 +276,17 @@ def _peer(name):
 #: walks its predecessor never checked against the added mappings).
 STEPS = st.tuples(
     st.sampled_from(
-        ["add", "remove", "readd", "rejoin", "join", "peek", "invalidate", "flood"]
+        [
+            "add",
+            "remove",
+            "readd",
+            "change",
+            "rejoin",
+            "join",
+            "peek",
+            "invalidate",
+            "flood",
+        ]
     ),
     st.integers(min_value=0, max_value=63),
     st.integers(min_value=0, max_value=63),
@@ -329,6 +339,13 @@ def _run_script(script):
             network.remove_mapping(names[i % len(names)])
         elif operation == "readd" and names:
             network.add_mapping(network.remove_mapping(names[i % len(names)]))
+        elif operation == "change" and names:
+            # Same name and correspondences, new object: a carried walk
+            # holding the replaced one no longer equals a cold walk.
+            mapping = network.mapping(names[i % len(names)])
+            network.change_correspondences(
+                mapping.with_correspondence(mapping.correspondences[0])
+            )
         elif operation == "rejoin":
             name = peers[i % len(peers)]
             incident = [

@@ -46,7 +46,7 @@ class TestConstruction:
             "p2->p4",
         }
         assert set(engine.peer_names) == {"p1", "p2", "p3", "p4"}
-        assert engine.owner_of("p2->p4") == "p2"
+        assert engine.plan.owners["p2->p4"] == "p2"
 
     def test_options_validation(self):
         with pytest.raises(FeedbackError):

@@ -221,17 +221,23 @@ class TestRoutingIntegration:
         assert 0.0 <= oracle(mapping, "Creator") <= 1.0
 
 
-def _retarget(network, mapping_name, attribute, target, is_correct):
-    """Point one correspondence elsewhere (test-only surgery, like the
-    ⊥-rule test's): every structure stays, only its evidence changes."""
+def _pointed(network, mapping_name, attribute, target, is_correct):
+    """A copy of the registered mapping whose ``attribute`` correspondence
+    points at ``target``: every structure stays, only its evidence
+    changes."""
     mapping = network.mapping(mapping_name)
-    mapping._by_source[attribute] = mapping.correspondence_for(
-        attribute
-    ).with_target(target, is_correct=is_correct)
+    return mapping.with_correspondence(
+        mapping.correspondence_for(attribute).with_target(
+            target, is_correct=is_correct
+        )
+    )
 
 
 class TestCorrespondenceChurn:
-    """§4.4: a PDMS keeps evolving, and re-assessment follows the evidence."""
+    """§4.4: a PDMS keeps evolving, and re-assessment follows the evidence.
+
+    Every edit goes through the versioned ``change_correspondences``: no
+    ``invalidate()``, and the memoised evidence must still follow it."""
 
     def test_corrupting_a_correspondence_lowers_its_posterior(self):
         network = intro_example_network(with_records=False)
@@ -239,7 +245,9 @@ class TestCorrespondenceChurn:
             network, delta=0.1, ttl=4, include_parallel_paths=False
         )
         assert assessor.assess_attribute("Creator").posteriors["p3->p4"] > 0.5
-        _retarget(network, "p3->p4", "Creator", "Title", is_correct=False)
+        network.change_correspondences(
+            _pointed(network, "p3->p4", "Creator", "Title", is_correct=False)
+        )
         assert network.mapping("p3->p4").apply("Creator") == "Title"
         assert assessor.assess_attribute("Creator").posteriors["p3->p4"] < 0.5
 
@@ -249,7 +257,9 @@ class TestCorrespondenceChurn:
             network, delta=0.1, ttl=4, include_parallel_paths=False
         )
         assert assessor.assess_attribute("Creator").posteriors["p2->p4"] < 0.5
-        _retarget(network, "p2->p4", "Creator", "Creator", is_correct=True)
+        network.change_correspondences(
+            _pointed(network, "p2->p4", "Creator", "Creator", is_correct=True)
+        )
         assert network.mapping("p2->p4").apply("Creator") == "Creator"
         assert assessor.assess_attribute("Creator").posteriors["p2->p4"] > 0.5
 

@@ -344,6 +344,84 @@ class TestOriginBlocks:
         fresh = MappingQualityAssessor(network, **options)
         assert views == fresh.assess_local_all(attribute)
 
+    def test_a_block_evaluates_each_attribute_once(self):
+        network = intro_example_network(with_records=False)
+        assessor = MappingQualityAssessor(network, delta=0.1, ttl=4, seed=0)
+        assessor.assess_local_all("Creator")
+        memo = {
+            origin: assessor._blocks[origin].feedbacks_for("Creator")
+            for origin in network.peer_names
+        }
+        assessor.update_priors(["Creator"])
+        with mock.patch.object(
+            quality, "structure_feedbacks", side_effect=AssertionError
+        ):
+            views = assessor.assess_local_all("Creator")
+            assert assessor.assess_local("p2", "Creator") == views["p2"]
+        for origin in network.peer_names:
+            assert assessor._blocks[origin].feedbacks_for("Creator") is memo[origin]
+        # Memoised evidence under the updated priors equals a fresh run's.
+        fresh = MappingQualityAssessor(
+            network, priors=assessor.priors, delta=0.1, ttl=4, seed=0
+        )
+        assert views == fresh.assess_local_all("Creator")
+
+    def test_a_correspondence_change_recompiles_the_blocks_holding_it(self):
+        network = generate_scenario(
+            topology="scale-free",
+            peer_count=16,
+            attribute_count=8,
+            error_rate=0.2,
+            seed=7,
+        ).network
+        attribute = network.attribute_universe()[0]
+        options = dict(delta=None, ttl=3, seed=3, include_parallel_paths=False)
+        assessor = MappingQualityAssessor(network, **options)
+        assessor.assess_local_all(attribute)
+        blocks = dict(assessor._blocks)
+
+        def holders(name):
+            return {
+                origin
+                for origin, block in blocks.items()
+                if any(name in cycle.mapping_names for cycle in block.cycles)
+            }
+
+        name = next(
+            name
+            for name in network.mapping_names
+            if network.mapping(name).maps_attribute(attribute)
+            and 0 < len(holders(name)) < 16
+        )
+        mapping = network.mapping(name)
+        network.change_correspondences(
+            Mapping(
+                mapping.source,
+                mapping.target,
+                [c for c in mapping if c.source_attribute != attribute],
+                label=mapping.label,
+            )
+        )
+        compiles = assessor.local_plan_compile_count
+        views = assessor.assess_local_all(attribute)
+        recompiled = {
+            origin
+            for origin in network.peer_names
+            if assessor._blocks[origin] is not blocks[origin]
+        }
+        assert recompiled == holders(name)
+        assert assessor.local_plan_compile_count == compiles + len(recompiled)
+        for origin in set(network.peer_names) - recompiled:
+            assert (
+                assessor._blocks[origin].feedbacks_for(attribute)
+                is blocks[origin].feedbacks_for(attribute)
+            )
+        assert views[mapping.source][name] == 0.0  # the ⊥ rule
+        assert not network.log_truncated
+        replayed = PDMSNetwork.from_events(network.event_log())
+        fresh = MappingQualityAssessor(replayed, **options)
+        assert views == fresh.assess_local_all(attribute)
+
     def test_a_removed_peer_leaves_no_block_behind(self):
         network = intro_example_network(with_records=False)
         assessor = MappingQualityAssessor(network, delta=0.1, ttl=4, seed=0)

@@ -20,6 +20,9 @@ VIOLATING = {
     "repro/core/imports_upward.py": {(3, "layering-import-dag", False)},
     "repro/core/uses_kernels.py": {(3, "layering-plan-kernels", False)},
     "repro/core/uses_walkers.py": {(3, "layering-discovery-walkers", False)},
+    "repro/core/touches_correspondences.py": {
+        (5, "layering-correspondence-store", False)
+    },
     "repro/core/suppressed.py": {
         (5, "numeric-float-equality", True),
         (6, "numeric-float-equality", False),
@@ -56,6 +59,7 @@ CLEAN = {
     "repro/core/clean_module.py",
     "repro/factorgraph/clean_timing.py",
     "repro/pdms/clean_fanout.py",
+    "repro/mapping/clean_store.py",
     "repro/evaluation/clean_env.py",
     "repro/evaluation/clean_numeric.py",
 }
@@ -99,6 +103,7 @@ def test_every_rule_family_has_a_violating_fixture(corpus):
         "layering-import-dag",
         "layering-plan-kernels",
         "layering-discovery-walkers",
+        "layering-correspondence-store",
         "determinism-global-rng",
         "determinism-unseeded-rng",
         "determinism-wallclock",

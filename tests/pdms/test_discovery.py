@@ -280,6 +280,44 @@ class TestSuccessorRules:
         # Re-walked at ttl 2: z, y1, y2; at ttl 3: x, z, y1, y2.
         assert snapshot.walks == 7
 
+    def test_a_changed_mapping_rewalks_the_origins_whose_cycles_hold_it(self):
+        network = _network("abcd", ["ab", "ba", "bc", "cd", "dc"])
+        before = _read_all(network.snapshot(), 3)
+        old = network.change_correspondences(Mapping("a", "b"))
+        snapshot = network.snapshot()
+        assert snapshot.inherited == frozenset("abcd")
+        for origin in "cd":
+            assert snapshot.cycles_through(origin, 3) is before[origin]
+        assert snapshot.walks == 0
+        assert _read_all(snapshot, 3) == _read_all(TopologySnapshot.of(network), 3)
+        assert snapshot.walks == 2  # a and b
+        for origin in "ab":
+            [cycle] = snapshot.cycles_through(origin, 3)
+            assert network.mapping("a->b") in cycle.mappings
+            assert old not in cycle.mappings
+
+    def test_a_changed_mapping_rewalks_parallel_paths_within_ttl_minus_one(self):
+        walk = TopologySnapshot.parallel_paths_from
+        network = _network(["w", "x", "y1", "y2", "z"], [])
+        for source, target in [
+            ("w", "x"), ("x", "y1"), ("x", "y2"), ("y1", "z"), ("y2", "z")
+        ]:
+            network.add_mapping(Mapping.from_pairs(source, target, {"A": "A"}))
+        before = _read_all(network.snapshot(), 2, walk)
+        assert len(before["x"]) == 1
+        network.change_correspondences(Mapping("y1", "z"))
+        snapshot = network.snapshot()
+        # y1 is the changed source and x one reverse hop from it: within
+        # ttl - 1 at ttl 2; w is two hops away.
+        for origin in ("w", "y2", "z"):
+            assert walk(snapshot, origin, 2) is before[origin]
+        assert snapshot.walks == 0
+        cold = TopologySnapshot.of(network)
+        assert _read_all(snapshot, 2, walk) == _read_all(cold, 2, walk)
+        assert snapshot.walks == 2  # x and y1
+        [pair] = walk(snapshot, "x", 2)
+        assert network.mapping("y1->z") in pair.mappings
+
     def test_a_removed_peer_drops_its_walks_and_rejoins_cold(self):
         network = _network("abc", ["ab", "ba", "bc", "cb"])
         before = _read_all(network.snapshot(), 3)

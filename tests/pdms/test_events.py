@@ -11,6 +11,7 @@ from repro.mapping.mapping import Mapping
 from repro.pdms.clock import VectorClock
 from repro.pdms.events import (
     ClockDigest,
+    CorrespondenceChanged,
     GossipJournal,
     JournalEntry,
     MappingAdded,
@@ -63,6 +64,33 @@ class TestApply:
         apply(network, MappingRemoved(name="p1->p2"))
         assert not network.has_mapping("p1->p2")
 
+    def test_correspondence_changed_swaps_in_place(self, network):
+        network.add_mapping(identity("p1", "p2"))
+        network.add_mapping(identity("p1", "p3"))
+        old = network.mapping("p1->p2")
+        replacement = Mapping.from_pairs("p1", "p2", {"Creator": "Title"})
+        assert apply(network, CorrespondenceChanged(mapping=replacement)) is old
+        assert network.mapping("p1->p2") is replacement
+        assert network.mapping_names == ("p1->p2", "p1->p3")
+        assert network.peer("p1").outgoing_mappings == (
+            replacement,
+            network.mapping("p1->p3"),
+        )
+        # Copy-on-write: the replaced object is untouched.
+        assert old.apply("Creator") == "Creator"
+        assert old.maps_attribute("Title")
+
+    def test_correspondence_changed_needs_a_registered_name(self, network):
+        with pytest.raises(PDMSError):
+            apply(network, CorrespondenceChanged(mapping=identity("p1", "p2")))
+
+    def test_correspondence_changed_needs_a_new_object(self, network):
+        mapping = network.add_mapping(identity("p1", "p2"))
+        version = network.version
+        with pytest.raises(PDMSError):
+            network.change_correspondences(mapping)
+        assert network.version == version
+
     def test_unknown_event_rejected(self, network):
         with pytest.raises(PDMSError):
             apply(network, TopologyEvent())
@@ -77,15 +105,18 @@ class TestEventLog:
         start = network.version
         network.add_mapping(identity("p1", "p2"))
         network.add_peer(Peer("p4", schema("p4")))
+        network.change_correspondences(identity("p1", "p2"))
         network.remove_mapping("p1->p2")
         network.remove_peer("p4")
         events = [event for _, event in network.events_since(start)]
         assert [type(e) for e in events] == [
             MappingAdded,
             PeerAdded,
+            CorrespondenceChanged,
             MappingRemoved,
             PeerRemoved,
         ]
+        assert network.version == start + 5
 
     def test_remove_peer_cascades_incident_mappings_first(self, network):
         network.add_mapping(identity("p1", "p2"))
@@ -110,6 +141,31 @@ class TestEventLog:
         assert replayed.mapping_names == network.mapping_names
         assert replayed.version == network.version
 
+    def test_from_events_replays_correspondence_changes(self, network):
+        network.add_mapping(identity("p1", "p2"))
+        network.add_mapping(identity("p1", "p3"))
+        network.add_mapping(identity("p2", "p3"))
+        network.change_correspondences(
+            Mapping.from_pairs("p1", "p2", {"Creator": "Title"}, is_correct=False)
+        )
+        network.change_correspondences(
+            Mapping.from_pairs("p2", "p3", {"Title": "Title"})
+        )
+        replayed = PDMSNetwork.from_events(network.event_log(), name="test")
+        assert replayed.version == network.version
+        assert replayed.mapping_names == network.mapping_names
+        for name in network.mapping_names:
+            assert (
+                replayed.mapping(name).correspondences
+                == network.mapping(name).correspondences
+            )
+        assert [m.name for m in replayed.peer("p1").outgoing_mappings] == [
+            "p1->p2",
+            "p1->p3",
+        ]
+        assert replayed.mapping("p1->p2").apply("Creator") == "Title"
+        assert not replayed.mapping("p2->p3").maps_attribute("Creator")
+
 
 class TestWireTypes:
     def test_events_pickle_round_trip(self):
@@ -119,6 +175,7 @@ class TestWireTypes:
             PeerRemoved(name="p1"),
             MappingAdded(mapping=mapping),
             MappingRemoved(name="p1->p2"),
+            CorrespondenceChanged(mapping=mapping),
         ):
             clone = pickle.loads(pickle.dumps(event))
             assert type(clone) is type(event)
@@ -132,6 +189,16 @@ class TestWireTypes:
         assert isinstance(clone, JournalEntry)
         assert clone.key == entry.key
         assert clone.clock == entry.clock
+
+    def test_journal_entry_with_a_correspondence_change_pickles(self):
+        journal = GossipJournal("a")
+        replacement = Mapping.from_pairs("p1", "p2", {"Creator": "Title"})
+        entry = journal.append(CorrespondenceChanged(mapping=replacement))
+        clone = pickle.loads(pickle.dumps(entry))
+        assert clone.key == entry.key
+        assert isinstance(clone.event, CorrespondenceChanged)
+        assert clone.event.subject == "p1->p2"
+        assert clone.event.mapping.correspondences == replacement.correspondences
 
     def test_clock_digest_pickle_round_trip(self):
         journal = GossipJournal("a")
@@ -159,7 +226,15 @@ class TestWireTypes:
 #: draws degrade to no-ops, so every generated sequence is applicable.
 operations = st.lists(
     st.tuples(
-        st.sampled_from(["add_peer", "add_mapping", "remove_mapping", "remove_peer"]),
+        st.sampled_from(
+            [
+                "add_peer",
+                "add_mapping",
+                "remove_mapping",
+                "remove_peer",
+                "change_correspondences",
+            ]
+        ),
         st.integers(min_value=0, max_value=7),
         st.integers(min_value=0, max_value=7),
     ),
@@ -192,6 +267,19 @@ def _run_operations(network, ops):
         elif op == "remove_peer" and peers:
             network.remove_peer(peers[i % len(peers)])
             applied += 1
+        elif op == "change_correspondences" and network.mapping_names:
+            names = network.mapping_names
+            mapping = network.mapping(names[i % len(names)])
+            dropped = ("Creator", "Title")[j % 2]
+            network.change_correspondences(
+                Mapping(
+                    mapping.source,
+                    mapping.target,
+                    [c for c in mapping if c.source_attribute != dropped],
+                    label=mapping.label,
+                )
+            )
+            applied += 1
     return applied
 
 
@@ -209,7 +297,7 @@ def test_any_mutation_sequence_replays_bit_identically(ops):
         clone = replayed.mapping(name)
         assert clone.source == original.source
         assert clone.target == original.target
-        assert clone.source_attributes == original.source_attributes
+        assert clone.correspondences == original.correspondences
 
 
 @given(operations)

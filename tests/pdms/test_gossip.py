@@ -8,6 +8,7 @@ from repro.generators.paper import intro_example_network
 from repro.mapping.mapping import Mapping
 from repro.pdms.clock import VectorClock
 from repro.pdms.events import (
+    CorrespondenceChanged,
     GossipJournal,
     MappingAdded,
     MappingRemoved,
@@ -279,6 +280,41 @@ class TestGossipHarness:
         local = harness.local_views("Creator")
         oracle = harness.oracle_views("Creator")
         assert local == oracle  # exact float equality, not approximate
+
+    def test_a_correspondence_change_converges_to_the_oracle(self):
+        network, peer_events, mapping_events = intro_events()
+        transport = SeededTransport(
+            seed=5, drop_probability=0.2, duplicate_probability=0.2
+        )
+        harness = GossipHarness.of_names(
+            network.peer_names, transport=transport, fanout=2, seed=5
+        )
+        for name, event in peer_events.items():
+            harness.originate(name, event)
+        harness.run_until_converged()
+        for name, events in mapping_events.items():
+            for event in events:
+                harness.originate(name, event)
+        harness.run_until_converged()
+        assert harness.local_views("Creator")["p2"]["p2->p4"] < 0.5
+
+        faulty = network.mapping("p2->p4")
+        repaired = faulty.with_correspondence(
+            faulty.correspondence_for("Creator").with_target(
+                "Creator", is_correct=True
+            )
+        )
+        harness.originate("p2", CorrespondenceChanged(mapping=repaired))
+        harness.run_until_converged()
+        local = harness.local_views("Creator")
+        assert local == harness.oracle_views("Creator")  # exact
+        assert local["p2"]["p2->p4"] > 0.5
+        for node in harness.nodes:
+            assert node.local_network().mapping("p2->p4").apply("Creator") == (
+                "Creator"
+            )
+        # Copy-on-write: the object every replica registered is untouched.
+        assert faulty.apply("Creator") == "CreatedOn"
 
     def test_same_seed_reproduces_the_run(self):
         def run(seed):
