@@ -1,19 +1,18 @@
 """Probe throughput — full-probe structure discovery.
 
-This benchmark times full-probe
-:class:`~repro.pdms.discovery.ProbePlan` runs — every peer's
-cycles-through and paths-from work units at ttl 3 — on scale-free networks
-of 256 and 1024 peers, run by :func:`~repro.pdms.discovery.run_plan`, and
-doubles as a regression tripwire: the median run must sustain a minimum
-structure-enumeration rate (catches accidental quadratic regressions in
-the walkers).
+This benchmark times global-view reads on cold snapshots
+(:meth:`~repro.pdms.discovery.TopologySnapshot.structures`: every peer's
+cycles and parallel-path walks at ttl 3) on scale-free networks of 256
+and 1024 peers, and doubles as a regression tripwire: the median run must
+sustain a minimum structure-enumeration rate (catches accidental quadratic
+regressions in the walkers).
 """
 
 import pytest
 
 from repro.evaluation.experiments import run_probe_throughput
 from repro.generators.topologies import scale_free_network
-from repro.pdms.discovery import TopologySnapshot, plan_full_probe, run_plan
+from repro.pdms.discovery import TopologySnapshot
 
 SIZES = (256, 1024)
 
@@ -21,8 +20,8 @@ TTL = 3
 
 #: Serial enumeration floor, structures per second, both sizes, on the
 #: median of ``RUNS`` runs.  A 2-core container read medians of 36k-40k/s
-#: at 256 peers (0.57-0.63 s per run) and 28.5k/s at 1024, the paths-from
-#: units taking most of the time; the floor leaves about 7x headroom for
+#: at 256 peers (0.57-0.63 s per run) and 28.5k/s at 1024, the parallel-path
+#: walks taking most of the time; the floor leaves about 7x headroom for
 #: slow CI runners.
 MIN_SERIAL_STRUCTURES_PER_SECOND = 4_000
 
@@ -41,16 +40,17 @@ def test_bench_probe_throughput(benchmark, report_points, peer_count):
     )
 
     # Time the enumeration under pytest-benchmark as well, so the walkers'
-    # raw cost is tracked alongside the median.  Every round plans on a
-    # fresh snapshot: a snapshot remembers its walks, so rerunning one plan
-    # would time lookups.
+    # raw cost is tracked alongside the median.  Every round reads a fresh
+    # snapshot: a snapshot remembers its walks, so rereading one would time
+    # lookups.
     network = scale_free_network(peer_count, seed=peer_count)
 
-    def fresh_plan():
-        snapshot = TopologySnapshot.of(network)
-        return (plan_full_probe(snapshot, ttl=TTL, include_parallel_paths=True),), {}
+    def fresh_snapshot():
+        return (TopologySnapshot.of(network), TTL, True), {}
 
-    benchmark.pedantic(run_plan, setup=fresh_plan, rounds=ROUNDS[peer_count])
+    benchmark.pedantic(
+        TopologySnapshot.structures, setup=fresh_snapshot, rounds=ROUNDS[peer_count]
+    )
 
     report_points(
         f"probe_throughput_{peer_count}_peers",
@@ -60,8 +60,8 @@ def test_bench_probe_throughput(benchmark, report_points, peer_count):
         f"{RUNS[peer_count]} runs",
     )
 
-    # Assert the run actually enumerated a non-trivial frontier.
-    assert point.work_units == 2 * peer_count
+    # Assert the run actually walked every peer twice (cycles, paths).
+    assert point.walks == 2 * peer_count
     assert point.structure_count > peer_count
     assert point.structures_per_second >= MIN_SERIAL_STRUCTURES_PER_SECOND, (
         f"serial discovery enumerates only {point.structures_per_second:,.0f} "

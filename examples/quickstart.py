@@ -10,8 +10,8 @@ This script walks through the paper's introductory example end to end:
 3. inspect the resulting posteriors,
 4. route the "artists who painted rivers" query with and without the
    quality information and fold the posteriors into the priors, and
-5. repair the faulty correspondence with a versioned edit, re-assess and
-   route the query again.
+5. repair the faulty correspondence with a versioned edit and route the
+   query again: the assessor re-assesses on its own.
 
 Run with::
 
@@ -85,7 +85,6 @@ def main() -> None:
             )
         )
     )
-    assessor.assess_attribute("Creator")
     after = assessor.probability("p2->p4", "Creator")
     flagged = assessor.flagged_mappings("Creator", theta=0.5)
     print(f"\nafter repairing p2->p4 (network version {network.version}):")

@@ -18,18 +18,19 @@ probes can discover, :meth:`StructureCache.structures_for`).  Structures are
 attribute-independent (§3.2.1), so the cache amortises one enumeration
 across all attributes and EM rounds of a topology version, and a feedback
 is fixed by the correspondences along its structure, so the cache
-evaluates each structure once per attribute and version
+evaluates the global view's structures once per attribute and version
 (:meth:`StructureCache.evidence_for`).
 
-The cache never walks the network itself: it reads every structure through
-:class:`~repro.pdms.discovery.ProbePlan` frontiers run by
-:func:`~repro.pdms.discovery.run_plan` on the network's shared snapshot
-(:meth:`~repro.pdms.network.PDMSNetwork.snapshot`).  That snapshot walks
-each origin once per version and inherits, from the previous version's
-snapshot, every walk the topology events in between leave unchanged — so a
-change re-walks only the origins it touches, and every list is
-order-identical to a fresh probe.  :class:`StructureCacheStatistics`
-accounts for lookups and the walks they ran.
+The cache never walks the network itself: it reads the walks of the
+network's shared snapshot (:meth:`~repro.pdms.network.PDMSNetwork.snapshot`)
+— one origin's for a local view, and the global lists
+:meth:`~repro.pdms.discovery.TopologySnapshot.structures` reads from every
+origin's.  That snapshot walks each origin once per version and inherits,
+from the previous version's snapshot, every walk the topology events in
+between leave unchanged — so a change re-walks only the origins it
+touches, and every list is order-identical to a fresh probe.
+:class:`StructureCacheStatistics` accounts for lookups and the walks they
+ran.
 """
 
 from __future__ import annotations
@@ -39,13 +40,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..constants import DEFAULT_TTL
 from ..pdms.network import PDMSNetwork
-from ..pdms.discovery import (
-    ProbePlan,
-    ProbeRun,
-    plan_full_probe,
-    plan_neighborhood_probe,
-    run_plan,
-)
+from ..pdms.discovery import TopologySnapshot
 from ..pdms.probing import (
     MappingCycle,
     ParallelPaths,
@@ -154,31 +149,28 @@ class StructureCacheStatistics:
     miss is a *partial refresh* when that snapshot inherited walks from its
     predecessor (for a per-origin lookup: that origin's walks), so at most
     the origins a change touched were walked again.  Any other miss is a
-    *probe* (``full_refreshes`` is the same count): it is served by cold
-    walks only — no previous snapshot, an invalidated one, a truncated
-    event log, or a (re)joined peer.  ``work_units`` counts the walks
-    actually run on the cache's behalf: one per origin for its cycles and
-    one for its parallel paths.
+    *probe*: it is served by cold walks only — no previous snapshot, an
+    invalidated one, a truncated event log, or a (re)joined peer.
+    ``work_units`` counts the walks actually run on the cache's behalf: one
+    per origin for its cycles and one for its parallel paths.
     """
 
     probes: int = 0
     hits: int = 0
     misses: int = 0
     partial_refreshes: int = 0
-    full_refreshes: int = 0
     work_units: int = 0
 
 
 class StructureCache:
     """Per-version cache of a network's cycle / parallel-path structures.
 
-    :meth:`structures` serves the global view — the canonical merge of every
-    origin's walks in peer order, exactly what
-    :func:`~repro.pdms.discovery.plan_full_probe` plus
-    :func:`~repro.pdms.discovery.merge_structures` return — and
+    :meth:`structures` serves the global view — every origin's walks, each
+    structure listed once from its owner's
+    (:meth:`~repro.pdms.discovery.TopologySnapshot.structures`) — and
     :meth:`structures_for` / :meth:`warm` serve one origin's local view
-    (§4.5).  An assessor keeps one instance per view, so each keeps its own
-    :class:`StructureCacheStatistics`.
+    (§4.5): the origin's own walks.  An assessor keeps one instance per
+    view, so each keeps its own :class:`StructureCacheStatistics`.
 
     Entries are keyed on ``(network version, ttl, include_parallel_paths)``:
     a lookup on an unchanged key is a dict hit, and a topology mutation
@@ -189,7 +181,7 @@ class StructureCache:
     snapshot for mutations the version counter cannot see (e.g. direct
     fiddling with network internals in tests).
 
-    The evidence of each scope (:meth:`evidence_for`) and the ⊥ scan
+    The global view's evidence (:meth:`evidence_for`) and the ⊥ scan
     (:meth:`unmappable`) are memoised per attribute under the same key and
     dropped with the structures.  That is exact because correspondences
     change only through
@@ -220,10 +212,10 @@ class StructureCache:
             str, Tuple[Tuple[MappingCycle, ...], Tuple[ParallelPaths, ...]]
         ] = {}
         # The unmappable-mapping scan is origin-independent; share it across
-        # the evidence_for calls of one (attribute, key).
+        # both views' reads of one (attribute, key).
         self._unmappable: Dict[str, Tuple[str, ...]] = {}
-        # Evidence per scope, ``(attribute,)`` or ``(origin, attribute)``.
-        self._evidence: Dict[Tuple[str, ...], NetworkEvidence] = {}
+        # The global view's evidence per attribute.
+        self._evidence: Dict[str, NetworkEvidence] = {}
 
     def current_key(self) -> Tuple[int, int, bool]:
         """The ``(version, ttl, include_parallel_paths)`` key a lookup made
@@ -255,32 +247,29 @@ class StructureCache:
             self._evidence = {}
         return key
 
-    def _run(self, plan: ProbePlan, inherited: Iterable[bool]) -> ProbeRun:
-        """Run ``plan`` for one lookup per ``inherited`` flag, accounting
-        for the lookups and the walks they ran."""
-        snapshot = plan.snapshot
-        walks = snapshot.walks
-        run = run_plan(plan)
-        self.statistics.work_units += snapshot.walks - walks
+    def _account(self, walked: int, inherited: Iterable[bool]) -> None:
+        """Count ``walked`` walks and one lookup miss per ``inherited``
+        flag: a partial refresh where the snapshot inherited the walks, a
+        probe where it did not."""
+        self.statistics.work_units += walked
         for partial in inherited:
             self.statistics.misses += 1
             if partial:
                 self.statistics.partial_refreshes += 1
             else:
                 self.statistics.probes += 1
-                self.statistics.full_refreshes += 1
-        return run
 
     def structures(self) -> Tuple[Tuple[MappingCycle, ...], Tuple[ParallelPaths, ...]]:
-        """The network's cycles and parallel paths, merged once per topology
+        """The network's cycles and parallel paths, listed once per topology
         version from the per-origin walks of the network's snapshot."""
         _, ttl, include = self._sync()
         if self._global is not None:
             self.statistics.hits += 1
             return self._global
         snapshot = self.network.snapshot()
-        plan = plan_full_probe(snapshot, ttl=ttl, include_parallel_paths=include)
-        self._global = self._run(plan, (bool(snapshot.inherited),)).merged()
+        walks = snapshot.walks
+        self._global = snapshot.structures(ttl, include)
+        self._account(snapshot.walks - walks, (bool(snapshot.inherited),))
         return self._global
 
     def structures_for(
@@ -297,12 +286,14 @@ class StructureCache:
         return self._local[origin]
 
     def warm(self, origins: Sequence[str]) -> None:
-        """Bring many origins' entries up to the current key in one plan.
+        """Bring many origins' entries up to the current key.
 
         Fresh entries are left untouched (and unaccounted: no lookup
-        happens); the other origins are read through a *single*
-        neighbourhood plan, with the per-origin statistics of one
-        :meth:`structures_for` call each.
+        happens); the other origins' walks are read from the network's
+        snapshot, with the statistics of one :meth:`structures_for` call
+        each.  An unknown origin raises
+        :class:`~repro.exceptions.UnknownPeerError` before anything is
+        walked or counted.
         """
         _, ttl, include = self._sync()
         pending = [
@@ -311,38 +302,39 @@ class StructureCache:
         if not pending:
             return
         snapshot = self.network.snapshot()
-        plan = plan_neighborhood_probe(
-            snapshot, pending, ttl=ttl, include_parallel_paths=include
+        for origin in pending:
+            snapshot.peer(origin)  # raises UnknownPeerError before any walk
+        walks = snapshot.walks
+        for origin in pending:
+            self._local[origin] = (
+                snapshot.cycles_through(origin, ttl),
+                snapshot.parallel_paths_from(origin, ttl) if include else (),
+            )
+        self._account(
+            snapshot.walks - walks,
+            (origin in snapshot.inherited for origin in pending),
         )
-        run = self._run(plan, (origin in snapshot.inherited for origin in pending))
-        for origin, outcome in zip(pending, run.outcomes):
-            self._local[origin] = (outcome.cycles, outcome.parallel_paths)
 
-    def evidence_for(self, *scope: str) -> NetworkEvidence:
-        """Per-attribute evidence from the cached structures:
-        ``evidence_for(attribute)`` over the global view — the structures
-        and feedback identifiers of :func:`analyze_network` — and
-        ``evidence_for(origin, attribute)`` over ``origin``'s local view.
+    def evidence_for(self, attribute: str) -> NetworkEvidence:
+        """The global view's evidence for ``attribute``: the structures and
+        feedback identifiers of :func:`analyze_network`, from the cached
+        structures.
 
-        Each scope is evaluated once per key and memoised, so the
+        Evaluated once per key and attribute and memoised, so the
         enumeration and the evaluation are amortised across attributes and
         EM rounds; a memo hit returns the same object and counts as a
-        lookup hit.
+        lookup hit.  (The per-origin view's evidence lives with the
+        assessor's per-origin blocks.)
         """
         self._sync()
-        evidence = self._evidence.get(scope)
+        evidence = self._evidence.get(attribute)
         if evidence is not None:
             self.statistics.hits += 1
             return evidence
-        *origin, attribute = scope
-        cycles, parallel_paths = (
-            self.structures_for(*origin) if origin else self.structures()
-        )
-        evidence = self._evidence[scope] = NetworkEvidence(
+        cycles, parallel_paths = self.structures()
+        evidence = self._evidence[attribute] = NetworkEvidence(
             attribute=attribute,
-            feedbacks=tuple(
-                structure_feedbacks(cycles, parallel_paths, attribute)
-            ),
+            feedbacks=tuple(structure_feedbacks(cycles, parallel_paths, attribute)),
             unmappable=self.unmappable(attribute),
             cycles=cycles,
             parallel_paths=parallel_paths,
@@ -383,7 +375,8 @@ def analyze_network(
     ``include_parallel_paths`` defaults to the network's directedness:
     parallel paths are only meaningful in directed PDMS (§3.3) — in an
     undirected network they already appear as cycles.  The enumeration is
-    one full-probe plan.
+    the global view of
+    :meth:`~repro.pdms.discovery.TopologySnapshot.structures`.
 
     This probes a private, cold snapshot on every call; use a
     :class:`StructureCache` when gathering evidence for several
@@ -391,10 +384,9 @@ def analyze_network(
     """
     if include_parallel_paths is None:
         include_parallel_paths = network.directed
-    plan = plan_full_probe(
-        network, ttl=ttl, include_parallel_paths=include_parallel_paths
+    cycles, parallel_paths = TopologySnapshot.of(network).structures(
+        ttl, include_parallel_paths
     )
-    cycles, parallel_paths = run_plan(plan).merged()
     feedbacks = structure_feedbacks(cycles, parallel_paths, attribute)
     return NetworkEvidence(
         attribute=attribute,

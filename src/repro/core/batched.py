@@ -12,8 +12,8 @@ It is the only engine that runs embedded rounds: the one-lane
 the assessor's global and local views (:mod:`repro.core.quality`).  The
 normative layering, determinism and process-safety contracts are stated in
 ``ARCHITECTURE.md`` at the repository root and enforced by ``repro-lint``
-(:mod:`repro.lintkit`); the structure lists compiled here arrive from the
-discovery frontier of :mod:`repro.pdms.discovery`.
+(:mod:`repro.lintkit`); the structure lists compiled here are the walks of
+the network's :class:`~repro.pdms.discovery.TopologySnapshot`.
 
 Lanes placed on slices
 ----------------------

@@ -43,13 +43,13 @@ views, the EM rounds.
 
 The layering, determinism and process-safety invariants this lowering
 rests on — engines import kernels from the plan surface only, discovery
-flows through probe plans, rng streams are explicitly seeded, wire payloads are
-registered picklable types — are stated normatively in ``ARCHITECTURE.md``
-at the repository root and enforced mechanically by ``repro-lint``
-(:mod:`repro.lintkit`).  One layer *up*, the structures every lowering
-consumes are discovered by a :class:`~repro.pdms.discovery.ProbePlan`
-frontier that :func:`~repro.pdms.discovery.run_plan` walks in-process, in
-plan order.
+flows through the network's snapshot, rng streams are explicitly seeded,
+wire payloads are registered picklable types — are stated normatively in
+``ARCHITECTURE.md`` at the repository root and enforced mechanically by
+``repro-lint`` (:mod:`repro.lintkit`).  One layer *up*, the structures
+every lowering consumes are the per-origin walks of the network's
+:class:`~repro.pdms.discovery.TopologySnapshot`, which also lists the
+global view from them.
 
 The *kernel crossover rule* is stated once, in the plan IR: a feedback
 factor with ``arity >=`` :data:`repro.constants.COUNT_KERNEL_MIN_ARITY`

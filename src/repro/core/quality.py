@@ -24,10 +24,10 @@ correspondence for it get probability zero for that attribute (the ⊥ rule
 of §3.2.1); mappings with no evidence at all fall back to their prior.
 Topology mutations and correspondence edits
 (:meth:`~repro.pdms.network.PDMSNetwork.change_correspondences`) bump
-:attr:`~repro.pdms.network.PDMSNetwork.version` and refresh the structures
-and their evidence automatically, re-walking only the origins a change
-touches; call :meth:`MappingQualityAssessor.invalidate` after out-of-band
-network surgery.
+:attr:`~repro.pdms.network.PDMSNetwork.version` and refresh the structures,
+their evidence and every answer automatically, re-walking only the origins
+a change touches; call :meth:`MappingQualityAssessor.invalidate` after
+out-of-band network surgery.
 
 Besides the global (experimenter's) view, the assessor exposes the fully
 decentralised per-peer decision of §4.5: :meth:`assess_local` judges one
@@ -52,6 +52,7 @@ from typing import (
     Container,
     Dict,
     Iterable,
+    List,
     Mapping as TMapping,
     Optional,
     Sequence,
@@ -210,7 +211,11 @@ class MappingQualityAssessor:
         self.neighborhood_cache = StructureCache(
             network, ttl=ttl, include_parallel_paths=include_parallel_paths
         )
-        self._assessments: Dict[str, AttributeAssessment] = {}
+        # Each attribute's latest global assessment with the structure-cache
+        # key it was made under; a read under another key re-assesses.
+        self._assessments: Dict[
+            str, Tuple[Tuple[int, int, bool], AttributeAssessment]
+        ] = {}
         self._plan: Optional[SweepPlan] = None
         self._plan_key: Optional[Tuple[int, int, bool]] = None
         #: How many times the global :class:`SweepPlan` was compiled —
@@ -524,6 +529,7 @@ class MappingQualityAssessor:
         """
         attribute_list = list(attributes)
         plan = self.assessment_plan()
+        key = self.structure_cache.key
         evidences = {
             attribute: self.structure_cache.evidence_for(attribute)
             for attribute in attribute_list
@@ -556,7 +562,7 @@ class MappingQualityAssessor:
                 posteriors=dict(result.posteriors) if result is not None else {},
                 unmappable=evidence.unmappable,
             )
-            self._assessments[attribute] = assessment
+            self._assessments[attribute] = (key, assessment)
             assessments[attribute] = assessment
         return assessments
 
@@ -568,20 +574,35 @@ class MappingQualityAssessor:
         """
         return self.assess_attributes(self.network.attribute_universe())
 
+    def _stale(self, attributes: Iterable[str]) -> List[str]:
+        """The ``attributes`` with no assessment under the current
+        structure-cache key (never assessed, or assessed on an older
+        topology)."""
+        key = self.structure_cache.current_key()
+        return [
+            attribute
+            for attribute in attributes
+            if attribute not in self._assessments
+            or self._assessments[attribute][0] != key
+        ]
+
     def assessment(self, attribute: str) -> AttributeAssessment:
-        """Cached assessment for ``attribute`` (computing it if needed)."""
-        if attribute not in self._assessments:
+        """The assessment of ``attribute`` on the current topology: the
+        cached one while the network version (and so the structure-cache
+        key) it was made under is current, a fresh
+        :meth:`assess_attribute` otherwise."""
+        if self._stale((attribute,)):
             return self.assess_attribute(attribute)
-        return self._assessments[attribute]
+        return self._assessments[attribute][1]
 
     def invalidate(self) -> None:
-        """Drop all cached state after a network mutation.
+        """Drop all cached state after out-of-band network surgery.
 
-        Topology changes made through the :class:`PDMSNetwork` API bump the
-        network version and re-probe automatically, but the per-attribute
-        assessments still reflect the old evidence until re-assessed — and
-        out-of-band surgery on network internals is invisible to the version
-        counter entirely.  This clears the structure caches (global and
+        Topology changes and correspondence edits made through the
+        :class:`PDMSNetwork` API bump the network version, and every read
+        re-probes and re-assesses on its own; out-of-band surgery on
+        network internals is invisible to the version counter, so it needs
+        this.  This clears the structure caches (global and
         per-origin, memoised evidence included) and the network's shared
         snapshot with its walks, the compiled global plan, the local view's
         blocks and their evidence, the assessment cache and the cached
@@ -604,8 +625,16 @@ class MappingQualityAssessor:
         Resolution order: ⊥ rule (no correspondence → 0), posterior from the
         embedded run, otherwise the prior belief.
         """
+        return self._probability(mapping, attribute, self.assessment(attribute))
+
+    def _probability(
+        self,
+        mapping: Mapping | str,
+        attribute: str,
+        assessment: AttributeAssessment,
+    ) -> float:
+        """:meth:`probability` against an already resolved ``assessment``."""
         mapping_name = mapping if isinstance(mapping, str) else mapping.name
-        assessment = self.assessment(attribute)
         if mapping_name in assessment.unmappable:
             return 0.0
         if not isinstance(mapping, str) and not mapping.maps_attribute(attribute):
@@ -639,7 +668,7 @@ class MappingQualityAssessor:
             mapping.name
             for mapping in self.network.mappings
             if (mapping.name in unmappable or mapping.maps_attribute(attribute))
-            and self.probability(mapping, attribute) <= theta
+            and self._probability(mapping, attribute, assessment) <= theta
         ]
         return tuple(sorted(flagged))
 
@@ -702,9 +731,11 @@ class MappingQualityAssessor:
     def update_priors(self, attributes: Optional[Iterable[str]] = None) -> Dict[Tuple[str, str], float]:
         """Fold the cached posteriors into the prior store (EM step, §4.4).
 
-        Attributes not yet assessed are computed first in one batched run,
-        so an EM round over many attributes shares a single compiled plan
-        and stacked engine.
+        ``attributes`` defaults to every attribute assessed so far.  Those
+        not assessed on the current topology (never, or before the last
+        version bump) are assessed first in one batched run, so an EM round
+        over many attributes shares a single compiled plan and stacked
+        engine.
         Returns the updated priors keyed by (mapping, attribute).
 
         The cached local views backing :meth:`local_probability` are
@@ -715,11 +746,11 @@ class MappingQualityAssessor:
         self._local_views.clear()
         updated: Dict[Tuple[str, str], float] = {}
         targets = list(attributes) if attributes is not None else list(self._assessments)
-        missing = [a for a in targets if a not in self._assessments]
-        if missing:
-            self.assess_attributes(missing)
+        stale = self._stale(targets)
+        if stale:
+            self.assess_attributes(stale)
         for attribute in targets:
-            assessment = self.assessment(attribute)
+            _, assessment = self._assessments[attribute]
             for mapping_name, posterior in assessment.posteriors.items():
                 updated[(mapping_name, attribute)] = self.priors.record_posterior(
                     mapping_name, attribute, posterior

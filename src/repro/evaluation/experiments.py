@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, ClassVar, Dict, List, Optional, Sequence, Tuple
 
 from ..constants import COUNT_KERNEL_MIN_ARITY, DEFAULT_SEED
-from ..core.analysis import analyze_network
+from ..core.analysis import analyze_network, structure_feedbacks
 from ..core.beliefs import PriorBeliefStore
 from ..core.embedded import EmbeddedMessagePassing, EmbeddedOptions, MessageTransport
 from ..core.feedback import Feedback, FeedbackKind, variable_name_for
@@ -36,7 +36,7 @@ from ..generators.paper import (
     single_cycle_feedback,
 )
 from ..alignment.eon import EONScenario, build_eon_network
-from ..pdms.discovery import TopologySnapshot, plan_full_probe, run_plan
+from ..pdms.discovery import TopologySnapshot
 from ..pdms.events import MappingAdded, PeerAdded
 from ..pdms.gossip import GossipHarness, SeededTransport
 from ..pdms.network import PDMSNetwork
@@ -1565,9 +1565,13 @@ def run_long_cycle_throughput(
         compaction = assessor.last_local_round_edge_counts
         local_worst = 0.0
         for origin in network.peer_names:
-            local = assessor.neighborhood_cache.evidence_for(
-                origin, attribute
-            ).informative_feedbacks
+            local = [
+                feedback
+                for feedback in structure_feedbacks(
+                    *assessor.neighborhood_cache.structures_for(origin), attribute
+                )
+                if feedback.is_informative
+            ]
             if not local:
                 continue
             local_loops = run_sum_product(
@@ -1606,14 +1610,15 @@ def run_long_cycle_throughput(
 
 @dataclass(frozen=True)
 class ProbeThroughputPoint:
-    """Timing of one full-probe frontier run by
-    :func:`~repro.pdms.discovery.run_plan` (one snapshot, one frontier of
-    cycles-through / paths-from work units); the rate is the median run's."""
+    """Timing of one global-view read on a cold snapshot
+    (:meth:`~repro.pdms.discovery.TopologySnapshot.structures`: every
+    peer's cycles and parallel-path walks); the rate is the median run's."""
 
     peer_count: int
     ttl: int
     mapping_count: int
-    work_units: int
+    #: Walks the read ran: one per peer for its cycles, one for its paths.
+    walks: int
     cycle_count: int
     parallel_path_count: int
     timing: Measurement
@@ -1621,7 +1626,7 @@ class ProbeThroughputPoint:
     COLUMNS: ClassVar[Tuple[Column, ...]] = (
         Column("peers", "peer_count"),
         Column("mappings", "mapping_count"),
-        Column("work units", "work_units"),
+        Column("walks", "walks"),
         Column("structures", "structure_count"),
         Column("median ms", "seconds", "{:.1f}", 1e3),
         Column("structures/s", "structures_per_second", "{:,.0f}"),
@@ -1648,32 +1653,29 @@ def run_probe_throughput(
     """Measure full-probe structure discovery.
 
     For each peer count a scale-free PDMS is generated (mappings in both
-    directions, the probe-heavy regime) and ``repeats`` runs of one
-    full-probe plan — every peer's cycles-through and paths-from units at
-    ``ttl`` — by :func:`~repro.pdms.discovery.run_plan` are timed.  Each
-    run plans on a fresh private snapshot outside the timed region: a
-    snapshot remembers its walks, so a second run of the same plan would
-    time lookups, not walks.
+    directions, the probe-heavy regime) and ``repeats`` reads of the
+    global view — every peer's cycles and parallel-path walks at ``ttl``,
+    :meth:`~repro.pdms.discovery.TopologySnapshot.structures` — are timed.
+    Each read runs on a fresh private snapshot built outside the timed
+    region: a snapshot remembers its walks, so a second read of the same
+    snapshot would time lookups, not walks.
     """
     points: List[ProbeThroughputPoint] = []
     for peer_count in peer_counts:
         network = scale_free_network(peer_count, seed=peer_count)
 
-        def fresh_plan():
-            plan = plan_full_probe(
-                TopologySnapshot.of(network), ttl=ttl, include_parallel_paths=True
-            )
-            return lambda: run_plan(plan)
+        def fresh_snapshot():
+            snapshot = TopologySnapshot.of(network)
+            return lambda: (snapshot, snapshot.structures(ttl, True))
 
-        timing = measure([fresh_plan], repeats)
-        (run,) = timing.values
-        cycles, paths = run.merged()
+        timing = measure([fresh_snapshot], repeats)
+        ((snapshot, (cycles, paths)),) = timing.values
         points.append(
             ProbeThroughputPoint(
                 peer_count=peer_count,
                 ttl=ttl,
                 mapping_count=len(network.mapping_names),
-                work_units=len(run.plan.work_units),
+                walks=snapshot.walks,
                 cycle_count=len(cycles),
                 parallel_path_count=len(paths),
                 timing=timing,

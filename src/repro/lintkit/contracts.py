@@ -57,7 +57,7 @@ __all__ = [
 #: Version of the rule set, stamped into every ``--json`` report and into
 #: the ``lintkit_version`` field of the ``BENCH_*.json`` provenance records.
 #: Bump it whenever a contract table or a rule's semantics change.
-RULESET_VERSION = "1.7.0"
+RULESET_VERSION = "1.8.0"
 
 
 # ---------------------------------------------------------------------------
@@ -169,8 +169,9 @@ IMPORT_DAG: Mapping[str, FrozenSet[str]] = {
 
 #: Function-scope imports sanctioned *against* the DAG — the lazy edges
 #: that break bootstrap cycles.  ``(from_layer, to_layer)`` pairs:
-#: ``repro.pdms.probing``/``repro.pdms.network`` lower onto discovery
-#: plans lazily.
+#: ``repro.pdms.probing``/``repro.pdms.network`` reach the discovery
+#: layer's ``TopologySnapshot`` lazily (the cycles walker runs on its
+#: integer adjacency, and a network hands out its shared snapshot).
 DEFERRED_EDGES: FrozenSet[Tuple[str, str]] = frozenset(
     {
         ("pdms", "discovery"),
@@ -221,12 +222,14 @@ KERNEL_NAMES: FrozenSet[str] = frozenset(
 )
 
 #: The structure-enumeration module whose walkers are off-limits to the
-#: engine layer — discovery flows through ``repro.pdms.discovery`` plans.
+#: engine layer — discovery flows through the walks of the network's
+#: ``repro.pdms.discovery.TopologySnapshot``.
 WALKER_MODULE = "repro.pdms.probing"
 
 #: Enumeration walkers of ``repro.pdms.probing``.  Structure types
 #: (``MappingCycle``, ``ParallelPaths``) and ``validate_ttl`` remain fair
-#: game; it is the *enumeration* that must flow through probe plans.
+#: game; it is the *enumeration* that must flow through the snapshot's
+#: walks, which are walked once per origin and version and carried.
 WALKER_NAMES: FrozenSet[str] = frozenset(
     {
         "find_cycles_through",
@@ -360,9 +363,6 @@ PROCESS_CONSTRUCTORS: FrozenSet[str] = frozenset(
 PICKLABLE_BOUNDARY: FrozenSet[str] = frozenset(
     {
         "TopologySnapshot",
-        "ProbePlan",
-        "ProbeWorkUnit",
-        "ProbeOutcome",
         "PeerAdded",
         "PeerRemoved",
         "MappingAdded",

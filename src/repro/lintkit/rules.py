@@ -6,7 +6,8 @@ Five families, generated from the tables in :mod:`repro.lintkit.contracts`:
     ``layering-import-dag`` — the sanctioned import DAG between layers;
     ``layering-plan-kernels`` — engines reach compiled kernels through the
     plan IR only; ``layering-discovery-walkers`` — the core reaches
-    structure discovery through probe plans, never the raw walkers;
+    structure discovery through the network snapshot's walks, never the
+    raw walkers;
     ``layering-correspondence-store`` — only ``repro.mapping`` touches a
     mapping's correspondence store.
 ``determinism``
@@ -155,14 +156,15 @@ class PlanKernelRule:
 
 
 class DiscoveryWalkerRule:
-    """The core reaches discovery through probe plans, not raw walkers."""
+    """The core reaches discovery through the snapshot's walks, not raw
+    walkers."""
 
     rule_id = "layering-discovery-walkers"
     family = "layering"
     description = (
         "engine-layer modules must not import enumeration walkers from "
-        "repro.pdms.probing; discovery flows through repro.pdms.discovery "
-        "plans"
+        "repro.pdms.probing; discovery flows through the walks of the "
+        "network's repro.pdms.discovery snapshot"
     )
 
     def check(self, module: ParsedModule) -> Iterator[Finding]:
@@ -177,8 +179,8 @@ class DiscoveryWalkerRule:
                         self.rule_id,
                         record.lineno,
                         f"imports walker {name!r} from "
-                        f"{contracts.WALKER_MODULE}; lower the probe onto "
-                        f"a repro.pdms.discovery plan instead",
+                        f"{contracts.WALKER_MODULE}; read the walks of the "
+                        f"network's repro.pdms.discovery snapshot instead",
                     )
 
 

@@ -1,6 +1,6 @@
 """PDMS substrate: peers, mapping networks, typed topology events, vector
 clocks, queries, reformulation, routing, neighbourhood probing and the
-probe-plan discovery core.
+discovery core's topology snapshot.
 
 The multi-node gossip harness (:mod:`repro.pdms.gossip`) is *not*
 re-exported here: it sits in its own layer above the core engines, so
@@ -33,16 +33,7 @@ from .probing import (
     find_parallel_paths_from,
     validate_ttl,
 )
-from .discovery import (
-    ProbeOutcome,
-    ProbePlan,
-    ProbeRun,
-    ProbeWorkUnit,
-    TopologySnapshot,
-    plan_full_probe,
-    plan_neighborhood_probe,
-    run_plan,
-)
+from .discovery import TopologySnapshot
 
 __all__ = [
     "Peer",
@@ -74,12 +65,5 @@ __all__ = [
     "find_cycles_through",
     "find_parallel_paths_from",
     "validate_ttl",
-    "ProbeOutcome",
-    "ProbePlan",
-    "ProbeRun",
-    "ProbeWorkUnit",
     "TopologySnapshot",
-    "plan_full_probe",
-    "plan_neighborhood_probe",
-    "run_plan",
 ]

@@ -1,23 +1,16 @@
-"""The discovery core: probe plans run in-process, walks carried across
-topology versions.
+"""The discovery core: one topology snapshot per version, whose carried
+walks are the global view.
 
 Cycle / parallel-path discovery is the probe phase of §3.2.1 — peers flood
 their neighbourhood with TTL-bounded probe messages.  The walkers living in
 :mod:`repro.pdms.probing` enumerate one origin's view at a time; this
-module is the layer above them, mirroring what
-:mod:`repro.factorgraph.plan` does for the sweep engines one level down.
+module is the layer above them.
 
-A :class:`ProbePlan` states *what* to discover: an immutable, picklable
-:class:`TopologySnapshot` of the network plus a *frontier* of per-origin
-:class:`ProbeWorkUnit`\\ s (cycles-through, parallel-paths-from and
-full-neighbourhood probes), with the TTL and the parallel-path flag stated
-once for the whole plan.  The structure cache of :mod:`repro.core.analysis`
-reads every structure through such plans.
-
-A snapshot lowers itself once to integer adjacency, which the cycles
+A :class:`TopologySnapshot` is an immutable, picklable view of a network's
+topology.  It lowers itself once to integer adjacency, which the cycles
 walker runs on, and walks each origin's cycles and parallel paths at most
 once per ttl: the structures a peer's probe finds do not depend on the
-attribute or on which plan asked.  A network hands every consumer the same
+attribute or on who asked.  A network hands every consumer the same
 snapshot per topology version
 (:meth:`~repro.pdms.network.PDMSNetwork.snapshot`), and builds each new
 version's snapshot from the previous one plus the events in between
@@ -25,20 +18,18 @@ version's snapshot from the previous one plus the events in between
 unchanged is carried over, so a change re-walks only the origins it
 touches.
 
-:func:`run_plan` runs a plan's units in plan order on the calling thread,
-one :class:`ProbeOutcome` per unit, and :meth:`ProbeRun.merged` deduplicates
-them canonically (:func:`merge_structures`): cycles by their
-rotation-invariant key, parallel paths by their branch-order-invariant key,
-keeping the first discovery's orientation.  The merged lists are therefore
-order-identical to the historical per-peer sweeps.
+The global view is the union of those per-peer walks
+(:meth:`TopologySnapshot.structures`).  Each structure has one owner — a
+cycle the earliest peer on it in peer order, a parallel-path pair its
+source — and is listed from its owner's walk only, so the global lists
+are a concatenation of walks, with no dedupe, in the order and orientation
+of a sequential per-peer sweep.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from ..constants import DEFAULT_TTL
 from ..exceptions import PDMSError, UnknownPeerError
 from ..mapping.mapping import Mapping
 from .events import (
@@ -56,21 +47,7 @@ from .probing import (
     validate_ttl,
 )
 
-__all__ = [
-    "TopologySnapshot",
-    "ProbeWorkUnit",
-    "ProbePlan",
-    "ProbeOutcome",
-    "ProbeRun",
-    "CYCLES_THROUGH",
-    "PATHS_FROM",
-    "NEIGHBORHOOD",
-    "plan_full_probe",
-    "plan_neighborhood_probe",
-    "execute_work_unit",
-    "merge_structures",
-    "run_plan",
-]
+__all__ = ["TopologySnapshot"]
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +66,7 @@ class _SnapshotPeer:
 
 
 class TopologySnapshot:
-    """Immutable, picklable topology view a probe plan is executed against.
+    """Immutable, picklable topology view the probe walkers run against.
 
     Captures exactly what the walkers of :mod:`repro.pdms.probing` consult
     — the peer names and the mapping edges, in network insertion order —
@@ -101,8 +78,9 @@ class TopologySnapshot:
     adjacency (:meth:`adjacency`: peer ids plus per-peer out-edge rows in
     insertion order), which the cycles walker runs on.  A snapshot also
     remembers each origin's walks (:meth:`cycles_through`,
-    :meth:`parallel_paths_from`), so every plan run against it walks an
-    origin at a given ttl once; :attr:`walks` counts the walks it ran.
+    :meth:`parallel_paths_from`), so every reader of it walks an origin at
+    a given ttl once; :attr:`walks` counts the walks it ran, and
+    :meth:`structures` lists the global view from them.
     A snapshot built by :meth:`successor` starts out holding the walks of
     its predecessor that the events in between leave unchanged, and
     :attr:`inherited` names the origins whose walks it could inherit.
@@ -354,6 +332,39 @@ class TopologySnapshot:
             self.walks += 1
         return paths
 
+    def structures(
+        self, ttl: int, include_parallel_paths: bool
+    ) -> Tuple[Tuple[MappingCycle, ...], Tuple[ParallelPaths, ...]]:
+        """The global view at ``ttl``: every cycle, then (when
+        ``include_parallel_paths``) every parallel-path pair, each listed
+        once, read from :meth:`cycles_through` and
+        :meth:`parallel_paths_from`.
+
+        Per peer in :attr:`peer_names` order come the cycles of its walk
+        whose earliest peer it is; then each peer's parallel-path walk as
+        it stands.  That is exact: every peer on a cycle of at most ``ttl``
+        hops walks it, so the first peer in order to find it is the
+        earliest peer on it, and that walk fixes its orientation; a pair
+        is walked only from its source, whose walk lists it once.  Nothing
+        is memoised here — callers keep the lists — so when a peer rejoins
+        (and moves to the end of the order) the cycles through it change
+        owner on the next read.
+        """
+        validate_ttl(ttl)
+        ids, _ = self.adjacency()
+        cycles: List[MappingCycle] = []
+        for index, origin in enumerate(self.peer_names):
+            cycles.extend(
+                cycle
+                for cycle in self.cycles_through(origin, ttl)
+                if all(ids[mapping.source] >= index for mapping in cycle.mappings)
+            )
+        parallel_paths: List[ParallelPaths] = []
+        if include_parallel_paths:
+            for origin in self.peer_names:
+                parallel_paths.extend(self.parallel_paths_from(origin, ttl))
+        return tuple(cycles), tuple(parallel_paths)
+
     def peer(self, name: str) -> _SnapshotPeer:
         try:
             return self._index()[name]
@@ -382,162 +393,3 @@ class TopologySnapshot:
             f"TopologySnapshot({self.name!r}, version={self.version}, "
             f"peers={len(self.peer_names)}, mappings={len(self.mappings)})"
         )
-
-
-# ---------------------------------------------------------------------------
-# work units and plans
-# ---------------------------------------------------------------------------
-
-#: Simple directed cycles through an origin peer (``subject`` = peer name).
-CYCLES_THROUGH = "cycles-through"
-
-#: Edge-disjoint parallel-path pairs departing from an origin peer.
-PATHS_FROM = "paths-from"
-
-#: Full neighbourhood probe of one origin: its cycles and (when the plan
-#: includes them) its departing parallel paths, in one unit.
-NEIGHBORHOOD = "neighborhood"
-
-
-@dataclass(frozen=True)
-class ProbeWorkUnit:
-    """One origin-addressable piece of probe work: ``subject`` names the
-    origin peer."""
-
-    kind: str
-    subject: str
-
-
-@dataclass(frozen=True)
-class ProbePlan:
-    """An immutable, picklable description of one discovery problem.
-
-    The TTL and the parallel-path flag are stated once for the whole plan;
-    the units never re-derive them.  Plans are self-contained (snapshot
-    included), so the same plan always produces the same outcomes.
-    """
-
-    snapshot: TopologySnapshot
-    work_units: Tuple[ProbeWorkUnit, ...]
-    ttl: int
-    include_parallel_paths: bool
-
-
-@dataclass(frozen=True)
-class ProbeOutcome:
-    """What one work unit discovered."""
-
-    cycles: Tuple[MappingCycle, ...]
-    parallel_paths: Tuple[ParallelPaths, ...]
-
-
-def plan_full_probe(
-    snapshot,
-    ttl: int = DEFAULT_TTL,
-    include_parallel_paths: bool = True,
-) -> ProbePlan:
-    """The global structure enumeration as a frontier: one cycles-through
-    unit per peer, then one paths-from unit per peer (when enabled) — the
-    unit order whose canonical merge lists every distinct structure in the
-    order of a sequential per-peer sweep, first discovery's orientation
-    included."""
-    snapshot = TopologySnapshot.of(snapshot)
-    validate_ttl(ttl)
-    units = [ProbeWorkUnit(CYCLES_THROUGH, name) for name in snapshot.peer_names]
-    if include_parallel_paths:
-        units.extend(
-            ProbeWorkUnit(PATHS_FROM, name) for name in snapshot.peer_names
-        )
-    return ProbePlan(snapshot, tuple(units), ttl, include_parallel_paths)
-
-
-def plan_neighborhood_probe(
-    snapshot,
-    origins: Iterable[str],
-    ttl: int = DEFAULT_TTL,
-    include_parallel_paths: bool = True,
-) -> ProbePlan:
-    """Per-origin local views (§4.5): one neighbourhood unit per origin."""
-    snapshot = TopologySnapshot.of(snapshot)
-    validate_ttl(ttl)
-    units = tuple(ProbeWorkUnit(NEIGHBORHOOD, origin) for origin in origins)
-    for unit in units:
-        snapshot.peer(unit.subject)  # raises UnknownPeerError eagerly
-    return ProbePlan(snapshot, units, ttl, include_parallel_paths)
-
-
-def execute_work_unit(plan: ProbePlan, unit: ProbeWorkUnit) -> ProbeOutcome:
-    """Run one unit of a plan against the plan's snapshot with the walkers
-    of :mod:`repro.pdms.probing`.
-
-    Walks go through the snapshot's memo
-    (:meth:`TopologySnapshot.cycles_through`,
-    :meth:`TopologySnapshot.parallel_paths_from`), so the units of every
-    plan on the same snapshot share one walk per origin and ttl."""
-    snapshot, ttl = plan.snapshot, plan.ttl
-    cycles: Tuple[MappingCycle, ...] = ()
-    parallel_paths: Tuple[ParallelPaths, ...] = ()
-    if unit.kind not in (CYCLES_THROUGH, PATHS_FROM, NEIGHBORHOOD):
-        raise PDMSError(f"unknown probe work unit kind {unit.kind!r}")
-    if unit.kind != PATHS_FROM:
-        cycles = snapshot.cycles_through(unit.subject, ttl)
-    if unit.kind != CYCLES_THROUGH and plan.include_parallel_paths:
-        parallel_paths = snapshot.parallel_paths_from(unit.subject, ttl)
-    return ProbeOutcome(cycles=cycles, parallel_paths=parallel_paths)
-
-
-# ---------------------------------------------------------------------------
-# canonical merge
-# ---------------------------------------------------------------------------
-
-
-def merge_structures(
-    outcomes: Iterable[ProbeOutcome],
-) -> Tuple[Tuple[MappingCycle, ...], Tuple[ParallelPaths, ...]]:
-    """Merge per-unit outcomes into one deduplicated structure set.
-
-    Outcomes are consumed in plan position and deduplicated by the
-    structures' canonical keys — rotation-invariant for cycles,
-    branch-order-invariant for parallel paths — keeping the first
-    discovery's orientation.  The merged lists therefore depend only on the
-    plan, and coincide with the historical sequential enumeration for the
-    plans :func:`plan_full_probe` builds.
-    """
-    cycles: List[MappingCycle] = []
-    parallel_paths: List[ParallelPaths] = []
-    seen_cycles: set = set()
-    seen_paths: set = set()
-    for outcome in outcomes:
-        for cycle in outcome.cycles:
-            key = cycle.canonical_key()
-            if key not in seen_cycles:
-                seen_cycles.add(key)
-                cycles.append(cycle)
-        for pair in outcome.parallel_paths:
-            key = pair.canonical_key()
-            if key not in seen_paths:
-                seen_paths.add(key)
-                parallel_paths.append(pair)
-    return tuple(cycles), tuple(parallel_paths)
-
-
-@dataclass(frozen=True)
-class ProbeRun:
-    """A plan's executed outcomes, one per work unit in plan order."""
-
-    plan: ProbePlan
-    outcomes: Tuple[ProbeOutcome, ...]
-
-    def merged(self) -> Tuple[Tuple[MappingCycle, ...], Tuple[ParallelPaths, ...]]:
-        return merge_structures(self.outcomes)
-
-
-def run_plan(plan: ProbePlan) -> ProbeRun:
-    """Run every unit of ``plan`` in plan order on the calling thread.
-
-    Running the units in plan order makes even discovery *order* (not just
-    the canonical sets) match the historical per-peer sweeps."""
-    return ProbeRun(
-        plan=plan,
-        outcomes=tuple(execute_work_unit(plan, unit) for unit in plan.work_units),
-    )

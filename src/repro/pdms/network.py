@@ -308,8 +308,8 @@ class PDMSNetwork:
     def snapshot(self):
         """The immutable, picklable
         :class:`~repro.pdms.discovery.TopologySnapshot` of the current peers
-        and mappings (insertion order preserved) that probe plans are built
-        on.
+        and mappings (insertion order preserved) whose walks every
+        structure read goes through.
 
         Shared per topology version: every call returns the same snapshot
         until :attr:`version` changes, so its integer lowering and the

@@ -11,14 +11,15 @@ departing from it, both bounded by a TTL (maximum number of mapping hops).
 The returned structures are lists of :class:`~repro.mapping.mapping.Mapping`
 objects in traversal order, ready to be fed to the feedback analysis.
 
-This module holds only the *per-work-unit* walkers: each entry point
+This module holds only the *per-origin* walkers: each entry point
 enumerates one origin peer's view.  The cycles walker runs on the integer
 adjacency a :class:`~repro.pdms.discovery.TopologySnapshot` lowers to (int
 peer ids, a visited bytearray, a ttl-bounded path stack); the parallel-path
 walker still walks the peers' mapping objects.  Whole-network enumeration
-is a composition concern — :mod:`repro.pdms.discovery` builds frontiers of
-per-origin work units over these walkers, walks each origin once per
-snapshot, and runs them with :func:`~repro.pdms.discovery.run_plan`.
+is a composition concern — a :class:`~repro.pdms.discovery.TopologySnapshot`
+walks each origin once, carries the walks across versions, and lists the
+global view from them
+(:meth:`~repro.pdms.discovery.TopologySnapshot.structures`).
 """
 
 from __future__ import annotations
@@ -74,13 +75,6 @@ class MappingCycle:
     @cached_property
     def mapping_names(self) -> Tuple[str, ...]:
         return tuple(m.name for m in self.mappings)
-
-    def canonical_key(self) -> Tuple[str, ...]:
-        """Rotation-invariant key identifying the cycle regardless of the
-        peer that discovered it."""
-        names = list(self.mapping_names)
-        rotations = [tuple(names[i:] + names[:i]) for i in range(len(names))]
-        return min(rotations)
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return " -> ".join(self.mapping_names)

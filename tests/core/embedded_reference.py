@@ -25,6 +25,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.analysis import structure_feedbacks
 from repro.core.embedded import (
     EmbeddedOptions,
     EmbeddedResult,
@@ -222,8 +223,8 @@ def assert_matches_reference(result, reference, tolerance: float = 1e-9) -> None
         assert abs(result.posteriors[name] - value) <= tolerance, name
 
 
-def _reference_run(assessor, evidence, attribute):
-    informative = evidence.informative_feedbacks
+def _reference_run(assessor, feedbacks, attribute):
+    informative = [feedback for feedback in feedbacks if feedback.is_informative]
     if not informative:
         return None
     return ReferenceEmbedded(
@@ -244,18 +245,19 @@ def reference_assessment(assessor, attribute: str):
     configured like the assessor's own lane (``None`` without informative
     evidence)."""
     return _reference_run(
-        assessor, assessor.structure_cache.evidence_for(attribute), attribute
+        assessor, assessor.structure_cache.evidence_for(attribute).feedbacks, attribute
     )
 
 
 def reference_local_view(assessor, origin: str, attribute: str) -> Dict[str, float]:
-    """``origin``'s §4.5 view computed by the reference over the evidence of
-    the assessor's neighbourhood cache, resolved like the assessor's."""
-    evidence = assessor.neighborhood_cache.evidence_for(origin, attribute)
-    result = _reference_run(assessor, evidence, attribute)
+    """``origin``'s §4.5 view computed by the reference over the structures
+    of the assessor's neighbourhood cache, resolved like the assessor's."""
+    cache = assessor.neighborhood_cache
+    feedbacks = structure_feedbacks(*cache.structures_for(origin), attribute)
+    result = _reference_run(assessor, feedbacks, attribute)
     return assessor._resolve_local_view(
         origin,
         attribute,
-        evidence.unmappable,
+        cache.unmappable(attribute),
         result.posteriors if result is not None else {},
     )

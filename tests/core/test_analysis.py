@@ -2,11 +2,17 @@
 
 import pytest
 
-from repro.core.analysis import StructureCache, analyze_network
+from repro.core.analysis import (
+    StructureCache,
+    StructureCacheStatistics,
+    analyze_network,
+    structure_feedbacks,
+)
 from repro.core.feedback import FeedbackKind
+from repro.exceptions import UnknownPeerError
 from repro.generators.paper import intro_example_network
 from repro.generators.topologies import cycle_network
-from repro.pdms.discovery import TopologySnapshot, plan_full_probe, run_plan
+from repro.pdms.discovery import TopologySnapshot
 
 
 @pytest.fixture(scope="module")
@@ -110,9 +116,9 @@ class TestStructureCache:
         network = self._fresh_network()
         cache = StructureCache(network, ttl=4)
         creator = cache.evidence_for("Creator")
-        local = cache.evidence_for("p2", "Creator")
+        local = cache.structures_for("p2")
         assert cache.evidence_for("Creator") is creator
-        assert cache.evidence_for("p2", "Creator") is local
+        assert cache.structures_for("p2") is local
         assert cache.evidence_for("Title") is not creator
         assert FeedbackKind.NEGATIVE in {f.kind for f in creator.feedbacks}
 
@@ -202,12 +208,9 @@ class TestStructureCache:
         fresh = analyze_network(
             network, "Creator", ttl=4, include_parallel_paths=False
         )
-        # Incrementally found cycles may be rotated differently (they are
-        # discovered from the new mapping's source peer, like a real probe
-        # from that peer would); compare the rotation-invariant keys.
-        assert {c.canonical_key() for c in after.cycles} == {
-            c.canonical_key() for c in fresh.cycles
-        }
+        # Carried and re-walked alike, each cycle comes from its owner's
+        # walk: the very list, orientation included, of a fresh probe.
+        assert after.cycles == fresh.cycles
 
     def test_added_mapping_refreshes_incrementally_for_parallel_paths(self):
         from repro.mapping.mapping import Mapping
@@ -225,12 +228,8 @@ class TestStructureCache:
         fresh = analyze_network(
             network, "Creator", ttl=4, include_parallel_paths=True
         )
-        assert {c.canonical_key() for c in after.cycles} == {
-            c.canonical_key() for c in fresh.cycles
-        }
-        assert {p.canonical_key() for p in after.parallel_paths} == {
-            p.canonical_key() for p in fresh.parallel_paths
-        }
+        assert after.cycles == fresh.cycles
+        assert after.parallel_paths == fresh.parallel_paths
 
     def test_mutation_churn_is_served_incrementally(self):
         """A burst of adds and removals with parallel paths enabled is
@@ -247,12 +246,8 @@ class TestStructureCache:
             fresh = analyze_network(
                 network, "Creator", ttl=4, include_parallel_paths=True
             )
-            assert {c.canonical_key() for c in after.cycles} == {
-                c.canonical_key() for c in fresh.cycles
-            }
-            assert {p.canonical_key() for p in after.parallel_paths} == {
-                p.canonical_key() for p in fresh.parallel_paths
-            }
+            assert after.cycles == fresh.cycles
+            assert after.parallel_paths == fresh.parallel_paths
 
         network.add_mapping(
             Mapping.from_pairs("p4", "p2", {"Creator": "Creator"}),
@@ -270,9 +265,6 @@ class TestStructureCache:
         check()
         assert cache.statistics.probes == 1
         assert cache.statistics.partial_refreshes == 4
-        assert (
-            cache.statistics.partial_refreshes > cache.statistics.full_refreshes
-        )
 
     def test_added_peer_walks_cold_and_carries_the_rest(self):
         from repro.pdms.peer import Peer
@@ -287,7 +279,6 @@ class TestStructureCache:
         cache.evidence_for("Creator")
         assert cache.statistics.probes == 1
         assert cache.statistics.partial_refreshes == 1
-        assert cache.statistics.full_refreshes == 1
         # Only the new peer is walked: every other origin's walks carry.
         assert cache.statistics.work_units == 2 * len(network.peer_names)
 
@@ -307,9 +298,7 @@ class TestStructureCache:
         fresh = analyze_network(
             network, "Creator", ttl=4, include_parallel_paths=False
         )
-        assert {c.canonical_key() for c in after.cycles} == {
-            c.canonical_key() for c in fresh.cycles
-        }
+        assert after.cycles == fresh.cycles
 
     def test_invalidate_forces_reprobe(self):
         network = self._fresh_network()
@@ -334,15 +323,26 @@ class TestStructureCache:
         local.invalidate()
         cycles, paths = cache.structures()
         assert not any("p1->p2" in s.mapping_names for s in cycles + paths)
-        expected, _ = run_plan(
-            plan_full_probe(TopologySnapshot.of(network), ttl=4)
-        ).merged()
+        expected, _ = TopologySnapshot.of(network).structures(4, True)
         assert [c.mapping_names for c in cycles] == [
             c.mapping_names for c in expected
         ]
         for origin in network.peer_names:
             l_cycles, l_paths = local.structures_for(origin)
             assert not any("p1->p2" in s.mapping_names for s in l_cycles + l_paths)
+
+    def test_warm_rejects_an_unknown_origin_before_walking(self):
+        # At ttl 1 no walk would notice: one hop closes no cycle, and no
+        # parallel paths are read.
+        network = self._fresh_network()
+        cache = StructureCache(network, ttl=1, include_parallel_paths=False)
+        with pytest.raises(UnknownPeerError):
+            cache.warm(("p1", "zz"))
+        assert cache.statistics == StructureCacheStatistics()
+        assert network.snapshot().walks == 0
+        with pytest.raises(UnknownPeerError):
+            cache.structures_for("zz")
+        assert cache.statistics == StructureCacheStatistics()
 
     def test_network_version_counter(self):
         from repro.pdms.peer import Peer
@@ -357,13 +357,18 @@ class TestStructureCache:
 
 
 class TestLocalEvidence:
+    """An origin's local view, evaluated as the assessor's per-origin
+    blocks evaluate it."""
+
     def test_neighborhood_view_is_subset_of_global_view(self, intro_network):
-        local = StructureCache(intro_network, ttl=4).evidence_for("p2", "Title")
+        cycles, paths = StructureCache(intro_network, ttl=4).structures_for("p2")
+        local = structure_feedbacks(cycles, paths, "Title")
         global_view = analyze_network(intro_network, "Title", ttl=4)
-        assert len(local.feedbacks) <= len(global_view.feedbacks)
-        for cycle in local.cycles:
+        assert len(local) <= len(global_view.feedbacks)
+        for cycle in cycles:
             assert cycle.origin == "p2"
 
     def test_neighborhood_detects_the_fault_from_p2(self, intro_network):
-        local = StructureCache(intro_network, ttl=4).evidence_for("p2", "Creator")
-        assert count(local, FeedbackKind.NEGATIVE) > 0
+        cache = StructureCache(intro_network, ttl=4)
+        local = structure_feedbacks(*cache.structures_for("p2"), "Creator")
+        assert FeedbackKind.NEGATIVE in {feedback.kind for feedback in local}

@@ -1,33 +1,41 @@
-"""Discovery-frontier contract tests for the core layer.
+"""Discovery contract tests for the core layer.
 
-Five guarantees land here, mirroring ``test_plan_ir.py`` one layer up:
+Six guarantees land here, mirroring ``test_plan_ir.py`` one layer up:
 
 1. The walker-ban layering invariant: the core must reach structure
-   discovery through the probe-plan frontier of
-   :mod:`repro.pdms.discovery` — never by importing the enumeration
-   walkers (``find_cycles_through``, ``find_parallel_paths_from``)
-   from :mod:`repro.pdms.probing` directly.  Structure types
-   (``MappingCycle``, ``ParallelPaths``) and ``validate_ttl`` remain fair
-   game; it is the *enumeration* that must flow through plans.  The ban is
-   stated once in :mod:`repro.lintkit.contracts` (``WALKER_NAMES``) and
-   enforced by the ``layering-discovery-walkers`` rule; this test asserts
-   ``repro-lint`` reports zero findings for it.
+   discovery through the walks of the network's
+   :class:`~repro.pdms.discovery.TopologySnapshot` — never by importing
+   the enumeration walkers (``find_cycles_through``,
+   ``find_parallel_paths_from``) from :mod:`repro.pdms.probing` directly.
+   Structure types (``MappingCycle``, ``ParallelPaths``) and
+   ``validate_ttl`` remain fair game; it is the *enumeration* that must
+   flow through the snapshot.  The ban is stated once in
+   :mod:`repro.lintkit.contracts` (``WALKER_NAMES``) and enforced by the
+   ``layering-discovery-walkers`` rule; this test asserts ``repro-lint``
+   reports zero findings for it.
 2. The live x fresh parity matrix: both views of the structure cache, kept
-   live across a mutation, must hand back canonically identical structure
-   sets to a cache probing the mutated network from scratch.  A network
-   shares one snapshot and its walks per version, so the fresh side probes
-   a replay of the network's event log (or, where the log is truncated, a
-   private snapshot) — never the live side's snapshot.
+   live across a mutation, must hand back the same structure lists, in
+   the same order, as a cache probing the mutated network from scratch.
+   A network shares one snapshot and its walks per version, so the fresh
+   side probes a replay of the network's event log (or, where the log is
+   truncated, a private snapshot) — never the live side's snapshot.
 3. Carried walks are exact: after any event sequence, every origin's walks
    on the network's snapshot — inherited or re-walked — equal a cold
    private snapshot's, in order and orientation, and so do the cache's
    global lists.
-4. A change re-walks only the origins it touches: one mapping removed and
+4. The global lists are listed by ownership: on carried walks too, they
+   hold the very objects, in the very order, that the canonical-key merge
+   of every origin's walks keeps (the oracle of
+   ``tests/pdms/walker_reference.py``), at 1024 peers through churned
+   epochs.
+5. A change re-walks only the origins it touches: one mapping removed and
    re-added at 1024 peers walks exactly the origins on a cycle through it.
-5. One walk per origin per topology version and ttl, across both views.
+6. One walk per origin per topology version and ttl, across both views.
 """
 
 import pathlib
+import random
+import runpy
 from dataclasses import replace
 
 import pytest
@@ -40,11 +48,18 @@ from repro.generators.topologies import scale_free_network
 from repro.lintkit import run_lint, rules_by_id
 from repro.mapping.mapping import Mapping
 from repro.pdms import discovery
-from repro.pdms.discovery import TopologySnapshot, plan_full_probe, run_plan
+from repro.pdms.discovery import TopologySnapshot
 from repro.pdms.network import PDMSNetwork
 from repro.pdms.peer import Peer
 from repro.pdms.probing import find_cycles_through
 from repro.schema.schema import Schema
+
+#: The discovery oracles, kept with the reference walker in ``tests/pdms``.
+ORACLES = runpy.run_path(
+    str(pathlib.Path(__file__).parents[1] / "pdms" / "walker_reference.py")
+)
+assert_owned = ORACLES["assert_owned"]
+canonical_merge = ORACLES["canonical_merge"]
 
 SEEDS = (1, 2, 3)
 
@@ -52,7 +67,7 @@ PEERS = 10
 
 
 def _canon(structures):
-    return {s.canonical_key() for s in structures}
+    return [s.mapping_names for s in structures]
 
 
 def _churn(network):
@@ -98,7 +113,7 @@ class TestFreshSideReplay:
         assert replayed.snapshot() is not network.snapshot()
 
 
-class TestCoreUsesTheDiscoveryFrontier:
+class TestCoreReadsTheSnapshotsWalks:
     def test_no_core_module_imports_walkers_from_probing(self):
         package_dir = pathlib.Path(repro.__file__).parent
         rule = rules_by_id()["layering-discovery-walkers"]
@@ -109,8 +124,9 @@ class TestCoreUsesTheDiscoveryFrontier:
             if not finding.suppressed
         ]
         assert not offenders, (
-            "core modules must discover structures via repro.pdms.discovery "
-            "plans, not the repro.pdms.probing walkers:\n" + "\n".join(offenders)
+            "core modules must read the walks of the network's "
+            "repro.pdms.discovery snapshot, not the repro.pdms.probing "
+            "walkers:\n" + "\n".join(offenders)
         )
 
 
@@ -142,7 +158,7 @@ class TestNeighborhoodCacheParity:
         lazy = StructureCache(network, ttl=ttl)
         origins = list(network.peer_names)[:4]
 
-        # warm() lowers all pending origins onto ONE plan but must keep the
+        # warm() reads all pending origins at once but must keep the
         # per-origin accounting of individual structures_for calls.  Each
         # origin is walked twice (cycles, parallel paths), once for both
         # caches: the lazy one reads the same snapshot.
@@ -212,16 +228,46 @@ class TestIncrementalRefreshIsODelta:
         assert g.partial_refreshes == global_before.partial_refreshes + 1
         # The 1024-peer log is truncated, so the fresh side is a private
         # snapshot's full probe rather than a replay.
-        fresh, _ = run_plan(
-            plan_full_probe(
-                TopologySnapshot.of(network), ttl=3, include_parallel_paths=False
-            )
-        ).merged()
+        fresh, _ = TopologySnapshot.of(network).structures(3, False)
         assert cycles == fresh
         # The local view reads the walks the global read left behind.
         assert l.work_units == local_before.work_units
         assert l.probes == local_before.probes
         assert l.partial_refreshes == local_before.partial_refreshes + len(peers)
+
+
+class TestOwnershipThroughChurn:
+    def test_owned_lists_at_1024_peers_across_churned_epochs(self):
+        """Each epoch a peer leaves and rejoins with its mappings (so the
+        cycles through it change owner) and 4 mappings churn; the cache's
+        global lists, read from carried walks, are the very objects of the
+        merge, in its order."""
+        network = generate_scenario(
+            "scale-free", 1024, attribute_count=10, error_rate=0.15
+        ).network
+        cache = StructureCache(network, ttl=3, include_parallel_paths=False)
+        rng = random.Random(7919)
+        for epoch in range(4):
+            snapshot = network.snapshot()
+            assert bool(snapshot.inherited) == (epoch > 0)
+            cycles, paths = cache.structures()
+            expected, _ = canonical_merge(
+                snapshot, 3, False, cycles_of=TopologySnapshot.cycles_through
+            )
+            assert len(cycles) == len(expected) and paths == ()
+            assert all(a is b for a, b in zip(cycles, expected))
+            if epoch == 0:
+                assert_owned(snapshot, 3, False)
+            victim = rng.choice(network.peer_names)
+            incident = [
+                m for m in network.mappings if victim in (m.source, m.target)
+            ]
+            network.add_peer(network.remove_peer(victim))
+            for mapping in incident:
+                network.add_mapping(mapping, bidirectional=False)
+            for name in rng.sample(network.mapping_names, 4):
+                network.add_mapping(network.remove_mapping(name), bidirectional=False)
+        assert cache.statistics.partial_refreshes == 3
 
 
 class TestOneWalkPerOriginPerVersion:
@@ -383,12 +429,9 @@ def _run_script(script):
             reads = len(network.peer_names) * (2 if include else 1)
             carried += reads - (snapshot.walks - walked)
             checked = snapshot
-        expected = run_plan(
-            plan_full_probe(
-                TopologySnapshot.of(network), ttl=ttl, include_parallel_paths=include
-            )
-        ).merged()
+        expected = TopologySnapshot.of(network).structures(ttl, include)
         assert cache.structures() == expected
+        assert_owned(snapshot, ttl, include)
         local.warm(network.peer_names)
         for origin in network.peer_names:
             assert local.structures_for(origin) == (

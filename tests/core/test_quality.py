@@ -264,6 +264,37 @@ class TestCorrespondenceChurn:
         assert assessor.assess_attribute("Creator").posteriors["p2->p4"] > 0.5
 
 
+    def test_reads_after_a_repair_answer_from_the_repaired_topology(self):
+        """The global view's reads re-assess on their own after a versioned
+        edit, as the local view's always have: no assess call follows the
+        repair."""
+        network = intro_example_network(with_records=False)
+        assessor = MappingQualityAssessor(network, delta=0.1, ttl=4)
+        assessor.assess_attribute("Creator")
+        assert assessor.flagged_mappings("Creator") == ("p2->p4",)
+        network.change_correspondences(
+            _pointed(network, "p2->p4", "Creator", "Creator", is_correct=True)
+        )
+        repaired = network.mapping("p2->p4")
+        fresh = MappingQualityAssessor(network, delta=0.1, ttl=4)
+        posterior = fresh.assess_attribute("Creator").posteriors["p2->p4"]
+
+        assert assessor.probability("p2->p4", "Creator") == posterior > 0.5
+        assert assessor.flagged_mappings("Creator") == ()
+        oracle = assessor.router().quality_oracle
+        assert oracle(repaired, "Creator") == posterior
+        assert assessor.local_probability(repaired, "Creator") > 0.5
+        query = Query.select_project(
+            "p2", project=["Creator"], where={"Subject": substring_predicate("river")}
+        )
+        trace = assessor.router(RoutingPolicy(default_threshold=0.5)).route(query)
+        assert "p2->p4" in {hop.mapping_name for hop in trace.forwarded_hops}
+        updated = assessor.update_priors()
+        assert updated[("p2->p4", "Creator")] == posterior
+        assert assessor.priors.prior("p2->p4", "Creator") == posterior
+        assert assessor.structure_cache.statistics.probes == 1
+
+
 class TestPriorUpdates:
     def test_update_priors_folds_posteriors(self):
         network = intro_example_network(with_records=False)

@@ -2,11 +2,14 @@
 the sanctioned deferred (function-scope) discovery import."""
 
 
-def probe_entry(plan):
-    return plan
+def probe_entry(snapshot):
+    return snapshot
 
 
-def fan_out(pool, snapshot):
-    from repro.pdms.discovery import ProbePlan
+def fan_out(pool, network):
+    from repro.pdms.discovery import TopologySnapshot
 
-    return pool.apply_async(probe_entry, args=(ProbePlan(snapshot),))
+    return pool.apply_async(
+        probe_entry,
+        args=(TopologySnapshot(network.peer_names, network.mappings),),
+    )

@@ -1,38 +1,33 @@
-"""Unit tests for the shared probe-plan discovery core.
+"""Unit tests for the shared discovery core.
 
-The :mod:`repro.pdms.discovery` frontier is the single enumeration engine
-behind the structure cache: these tests pin its contract — snapshots and
-plans pickle (without their integer lowering or remembered walks), the
-cycles walker on a snapshot's integer adjacency is *order*-identical to
-the recursive object-graph walker kept in ``walker_reference.py``, a
+The :mod:`repro.pdms.discovery` snapshot is the single enumeration engine
+behind the structure cache: these tests pin its contract — snapshots
+pickle (without their integer lowering or remembered walks), the cycles
+walker on a snapshot's integer adjacency is *order*-identical to the
+recursive object-graph walker kept in ``walker_reference.py``, a
 network's next snapshot carries exactly the walks its events leave
-unchanged, and :func:`~repro.pdms.discovery.run_plan` is order-identical
-to per-peer sweeps of that reference.
+unchanged, and the global view listed by ownership
+(:meth:`~repro.pdms.discovery.TopologySnapshot.structures`) holds the very
+objects, in the very order, of the canonical-key merge kept there.
 """
 
 import pickle
 from dataclasses import dataclass
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import UnknownPeerError
 from repro.generators.paper import intro_example_network
-from repro.generators.topologies import scale_free_network
+from repro.generators.topologies import network_from_graph, scale_free_network
 from repro.mapping.mapping import Mapping
-from repro.pdms.discovery import (
-    CYCLES_THROUGH,
-    PATHS_FROM,
-    TopologySnapshot,
-    plan_full_probe,
-    plan_neighborhood_probe,
-    run_plan,
-)
+from repro.pdms.discovery import TopologySnapshot
 from repro.pdms.network import PDMSNetwork
 from repro.pdms.peer import Peer
-from repro.pdms.probing import find_cycles_through, find_parallel_paths_from
+from repro.pdms.probing import find_cycles_through
 from repro.schema.schema import Schema
-from walker_reference import reference_cycles_through
+from walker_reference import assert_owned, reference_cycles_through
 
 
 @pytest.fixture(scope="module")
@@ -49,27 +44,6 @@ def _names(structures):
     return [s.mapping_names for s in structures]
 
 
-def _walker_reference(network, ttl):
-    """The pre-frontier sequential enumeration: per-peer walkers (the
-    recursive reference for cycles), deduped by canonical key in peer
-    order."""
-    cycles, paths = [], []
-    seen_cycles, seen_paths = set(), set()
-    for name in network.peer_names:
-        for cycle in reference_cycles_through(network, name, ttl):
-            key = cycle.canonical_key()
-            if key not in seen_cycles:
-                seen_cycles.add(key)
-                cycles.append(cycle)
-    for name in network.peer_names:
-        for pair in find_parallel_paths_from(network, name, ttl=ttl):
-            key = pair.canonical_key()
-            if key not in seen_paths:
-                seen_paths.add(key)
-                paths.append(pair)
-    return cycles, paths
-
-
 class TestTopologySnapshot:
     def test_snapshot_pickle_round_trip(self, sparse_network):
         snapshot = sparse_network.snapshot()
@@ -79,22 +53,14 @@ class TestTopologySnapshot:
             m.name for m in snapshot.mappings
         ]
         # The clone is a fully functional probe substrate.
-        plan = plan_full_probe(clone, ttl=4)
-        cycles, paths = run_plan(plan).merged()
-        reference = plan_full_probe(snapshot, ttl=4)
-        ref_cycles, ref_paths = run_plan(reference).merged()
+        cycles, paths = clone.structures(4, True)
+        ref_cycles, ref_paths = snapshot.structures(4, True)
         assert _names(cycles) == _names(ref_cycles)
         assert _names(paths) == _names(ref_paths)
 
     def test_snapshot_of_is_idempotent(self, intro_network):
         snapshot = TopologySnapshot.of(intro_network)
         assert TopologySnapshot.of(snapshot) is snapshot
-
-    def test_plan_pickles(self, intro_network):
-        plan = plan_full_probe(intro_network, ttl=4)
-        clone = pickle.loads(pickle.dumps(plan))
-        assert clone.work_units == plan.work_units
-        assert clone.ttl == plan.ttl
 
 
 @dataclass(frozen=True)
@@ -347,33 +313,67 @@ class TestSuccessorRules:
         assert clone.walks == 3
 
 
-class TestSerialExecutor:
+class TestOwnership:
+    """The global view lists each structure from its owner's walk: the
+    same objects, in the same order, as the canonical-key merge of every
+    peer's walks (``walker_reference.assert_owned``)."""
+
     @pytest.mark.parametrize("ttl", [3, 4, 5])
-    def test_order_identical_to_walkers(self, sparse_network, ttl):
-        plan = plan_full_probe(sparse_network, ttl=ttl)
-        cycles, paths = run_plan(plan).merged()
-        ref_cycles, ref_paths = _walker_reference(sparse_network, ttl)
-        assert _names(cycles) == _names(ref_cycles)
-        assert _names(paths) == _names(ref_paths)
+    def test_sparse_scale_free(self, sparse_network, ttl):
+        cycles, paths = assert_owned(TopologySnapshot.of(sparse_network), ttl)
+        assert cycles and paths
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_scale_free_at_ttl_four(self, seed):
+        assert_owned(TopologySnapshot.of(scale_free_network(24, seed=seed)), 4)
+
+    @pytest.mark.parametrize("ttl", [2, 3, 4, 5])
+    def test_undirected(self, ttl):
+        graph = nx.barabasi_albert_graph(20, 2, seed=1)
+        network = network_from_graph(graph, directed=False)
+        # Each undirected cycle is two directed ones, both owned by the
+        # same peer and listed in the order its walk met them.
+        cycles, paths = assert_owned(TopologySnapshot.of(network), ttl, False)
+        assert cycles and paths == ()
+
+    @pytest.mark.parametrize("ttl", [2, 3, 4, 5, 6])
+    def test_intro_network(self, intro_network, ttl):
+        cycles, _ = assert_owned(TopologySnapshot.of(intro_network), ttl)
+        # Owned by p1, the first peer: the cycles through it, from its walk.
+        assert {c.origin for c in cycles} == {"p1"}
+
+    @given(topology=_topologies(), ttl=st.integers(min_value=2, max_value=4))
+    @settings(max_examples=60, deadline=None)
+    def test_multigraphs(self, topology, ttl):
+        network, snapshot = topology
+        assert_owned(snapshot, ttl)
+        assert_owned(TopologySnapshot.of(network), ttl)
+
+    def test_a_rejoined_peer_hands_its_cycles_on(self):
+        network = _network("abc", ["ab", "ba", "bc", "cb"])
+        before, _ = network.snapshot().structures(3, False)
+        assert [c.origin for c in before] == ["a", "b"]
+        network.add_peer(network.remove_peer("a"))
+        for source, target in ("ab", "ba"):
+            network.add_mapping(Mapping.from_pairs(source, target, {"A": "A"}))
+        cycles, _ = assert_owned(network.snapshot(), 3, False)
+        assert [(c.origin, c.mapping_names) for c in cycles] == [
+            ("b", ("b->c", "c->b")),
+            ("b", ("b->a", "a->b")),
+        ]
 
 
-class TestPlans:
-    def test_full_probe_frontier_shape(self, intro_network):
-        plan = plan_full_probe(intro_network, ttl=4)
-        kinds = [unit.kind for unit in plan.work_units]
-        peers = list(intro_network.peer_names)
-        assert kinds == [CYCLES_THROUGH] * len(peers) + [PATHS_FROM] * len(peers)
-
+class TestGlobalView:
     def test_paths_can_be_excluded(self, intro_network):
-        plan = plan_full_probe(intro_network, ttl=4, include_parallel_paths=False)
-        assert all(unit.kind == CYCLES_THROUGH for unit in plan.work_units)
-        _, paths = run_plan(plan).merged()
+        snapshot = TopologySnapshot.of(intro_network)
+        cycles, paths = snapshot.structures(4, False)
         assert paths == ()
-
-    def test_neighborhood_probe_rejects_unknown_peer(self, intro_network):
-        with pytest.raises(UnknownPeerError):
-            plan_neighborhood_probe(intro_network, ("p1", "zz"), ttl=4)
+        assert snapshot.walks == len(intro_network.peer_names)
+        assert snapshot.structures(4, True)[0] == cycles
 
     def test_non_positive_ttl_rejected(self, intro_network):
-        with pytest.raises(ValueError, match="positive hop count"):
-            plan_full_probe(intro_network, ttl=0)
+        snapshot = TopologySnapshot.of(intro_network)
+        for ttl in (0, -1):
+            with pytest.raises(ValueError, match="positive hop count"):
+                snapshot.structures(ttl, True)
+        assert snapshot.walks == 0

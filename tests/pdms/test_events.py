@@ -24,6 +24,7 @@ from repro.pdms.events import (
 from repro.pdms.network import PDMSNetwork
 from repro.pdms.peer import Peer
 from repro.schema.schema import Schema
+from walker_reference import cycle_key
 
 
 def schema(name):
@@ -312,8 +313,8 @@ def test_replayed_network_yields_identical_structure_cache(ops):
     replayed_cycles, replayed_paths = StructureCache(
         replayed, ttl=4
     ).structures()
-    assert [c.canonical_key() for c in replayed_cycles] == [
-        c.canonical_key() for c in original_cycles
+    assert [cycle_key(c) for c in replayed_cycles] == [
+        cycle_key(c) for c in original_cycles
     ]
     assert [p.canonical_key() for p in replayed_paths] == [
         p.canonical_key() for p in original_paths

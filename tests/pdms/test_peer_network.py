@@ -7,6 +7,7 @@ from repro.mapping.mapping import Mapping
 from repro.pdms.network import PDMSNetwork
 from repro.pdms.peer import Peer
 from repro.schema.schema import Schema
+from walker_reference import cycle_key
 
 
 def schema(name):
@@ -283,16 +284,16 @@ class TestRemovePeer:
 
         cycles, paths = cache.structures()
         fresh_cycles, fresh_paths = StructureCache(fresh, ttl=4).structures()
-        assert [c.canonical_key() for c in cycles] == [
-            c.canonical_key() for c in fresh_cycles
+        assert [cycle_key(c) for c in cycles] == [
+            cycle_key(c) for c in fresh_cycles
         ]
         assert [p.canonical_key() for p in paths] == [
             p.canonical_key() for p in fresh_paths
         ]
         local = neighborhood.structures_for("p1")
         fresh_local = StructureCache(fresh, ttl=4).structures_for("p1")
-        assert [c.canonical_key() for c in local[0]] == [
-            c.canonical_key() for c in fresh_local[0]
+        assert [cycle_key(c) for c in local[0]] == [
+            cycle_key(c) for c in fresh_local[0]
         ]
 
     def test_remove_peer_drops_only_its_own_walks(self):

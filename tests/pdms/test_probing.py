@@ -5,8 +5,9 @@ import pytest
 from repro.exceptions import PDMSError
 from repro.generators.paper import intro_example_network
 from repro.generators.topologies import cycle_network
-from repro.pdms.discovery import plan_full_probe, plan_neighborhood_probe, run_plan
+from repro.pdms.discovery import TopologySnapshot
 from repro.pdms.probing import find_cycles_through, find_parallel_paths_from
+from walker_reference import cycle_key
 
 
 @pytest.fixture(scope="module")
@@ -47,19 +48,18 @@ class TestCycleDiscovery:
         assert ("p2->p1", "p1->p2") in keys
 
     def test_cycles_deduplicated_across_origins(self, intro_network):
-        plan = plan_full_probe(intro_network, ttl=4, include_parallel_paths=False)
-        cycles, _ = run_plan(plan).merged()
-        keys = [cycle.canonical_key() for cycle in cycles]
+        cycles, _ = TopologySnapshot.of(intro_network).structures(4, False)
+        keys = [cycle_key(cycle) for cycle in cycles]
         assert len(keys) == len(set(keys))
 
     def test_canonical_key_rotation_invariant(self, intro_network):
         from_p2 = {
-            c.canonical_key()
+            cycle_key(c)
             for c in find_cycles_through(intro_network, "p2", ttl=4)
             if c.length == 4
         }
         from_p1 = {
-            c.canonical_key()
+            cycle_key(c)
             for c in find_cycles_through(intro_network, "p1", ttl=4)
             if c.length == 4
         }
@@ -77,7 +77,7 @@ class TestParallelPathDiscovery:
         ) in keys
 
     def test_paths_are_edge_disjoint(self, intro_network):
-        _, pairs = run_plan(plan_full_probe(intro_network, ttl=3)).merged()
+        _, pairs = TopologySnapshot.of(intro_network).structures(3, True)
         assert pairs
         for pair in pairs:
             first_names = {m.name for m in pair.first}
@@ -107,16 +107,16 @@ class TestTtlValidation:
         with pytest.raises(ValueError, match="positive hop count"):
             find_parallel_paths_from(intro_network, "p1", ttl=ttl)
         with pytest.raises(ValueError, match="positive hop count"):
-            plan_full_probe(intro_network, ttl=ttl)
-        with pytest.raises(ValueError, match="positive hop count"):
-            plan_neighborhood_probe(intro_network, ("p1",), ttl=ttl)
+            TopologySnapshot.of(intro_network).structures(ttl, True)
 
     def test_ttl_one_is_a_valid_probe_without_cycles(self, intro_network):
         # One hop cannot close a cycle, but it is a well-defined probe —
         # not an error, and no longer a silent historical special case.
+        from repro.core.analysis import StructureCache
+
         assert find_cycles_through(intro_network, "p1", ttl=1) == ()
-        plan = plan_neighborhood_probe(intro_network, ("p1",), ttl=1)
-        assert run_plan(plan).merged()[0] == ()
+        assert TopologySnapshot.of(intro_network).structures(1, False) == ((), ())
+        assert StructureCache(intro_network, ttl=1).structures_for("p1")[0] == ()
 
     def test_structure_caches_reject_non_positive_ttl(self, intro_network):
         from repro.core.analysis import StructureCache
@@ -144,8 +144,6 @@ class TestTtlValidation:
         for callable_ in (
             find_cycles_through,
             find_parallel_paths_from,
-            plan_full_probe,
-            plan_neighborhood_probe,
             analyze_network,
             MappingQualityAssessor,
             StructureCache,
