@@ -19,9 +19,10 @@ SIZES = (256, 1024)
 TTL = 3
 
 #: Serial enumeration floor, structures per second, both sizes, on the
-#: median of ``RUNS`` runs.  A 2-core container read medians of 36k-40k/s
-#: at 256 peers (0.57-0.63 s per run) and 28.5k/s at 1024, the parallel-path
-#: walks taking most of the time; the floor leaves about 7x headroom for
+#: median of ``RUNS`` runs.  With both walkers on the snapshot's integer
+#: rows, a 2-core container read medians of 83k-125k/s at 256 peers
+#: (0.18-0.28 s per run) and 53k-67k/s at 1024, the parallel-path walks
+#: taking most of the time; the floor leaves more than 10x headroom for
 #: slow CI runners.
 MIN_SERIAL_STRUCTURES_PER_SECOND = 4_000
 

@@ -102,14 +102,6 @@ class Ontology:
     def concept_names(self) -> Tuple[str, ...]:
         return tuple(self._order)
 
-    def concept(self, name: str) -> Concept:
-        try:
-            return self._concepts[name]
-        except KeyError:
-            raise AlignmentError(
-                f"ontology {self.name!r} has no concept {name!r}"
-            ) from None
-
     def has_concept(self, name: str) -> bool:
         return name in self._concepts
 

@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..constants import DEFAULT_TTL
+from ..exceptions import UnknownPeerError
 from ..pdms.network import PDMSNetwork
 from ..pdms.discovery import TopologySnapshot
 from ..pdms.probing import (
@@ -302,8 +303,9 @@ class StructureCache:
         if not pending:
             return
         snapshot = self.network.snapshot()
-        for origin in pending:
-            snapshot.peer(origin)  # raises UnknownPeerError before any walk
+        for origin in pending:  # before any walk is run or counted
+            if not snapshot.has_peer(origin):
+                raise UnknownPeerError(f"unknown peer {origin!r}")
         walks = snapshot.walks
         for origin in pending:
             self._local[origin] = (

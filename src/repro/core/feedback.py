@@ -271,12 +271,13 @@ def feedback_from_cycle(
     """Evaluate a mapping cycle for ``attribute`` and wrap the outcome.
 
     The outcome is computed by pushing the attribute around the cycle's
-    transitive closure (§3.2.1).  ``mapping_names`` labels the constrained
-    mappings (the cycle's own names by default), one label per mapping in
-    traversal order — e.g. the per-origin instances of the local view.
+    transitive closure (§3.2.1); the cycle checked its chain when it was
+    built.  ``mapping_names`` labels the constrained mappings (the cycle's
+    own names by default), one label per mapping in traversal order — e.g.
+    the per-origin instances of the local view.
     """
-    outcome = composition.round_trip_outcome(list(cycle.mappings), attribute)
-    kind = FeedbackKind(outcome)
+    image = composition.image_of(cycle.mappings, attribute)
+    kind = FeedbackKind(composition.compare_images(attribute, image))
     return Feedback(
         identifier=identifier or f"cycle[{'|'.join(cycle.mapping_names)}]",
         kind=kind,
@@ -295,9 +296,11 @@ def feedback_from_parallel_paths(
 ) -> Feedback:
     """Evaluate a pair of parallel paths for ``attribute`` and wrap the
     outcome; ``mapping_names`` labels the mappings as in
-    :func:`feedback_from_cycle`."""
-    outcome = composition.parallel_paths_outcome(
-        list(paths.first), list(paths.second), attribute
+    :func:`feedback_from_cycle`, and the pair checked its chains when it
+    was built."""
+    outcome = composition.compare_images(
+        composition.image_of(paths.first, attribute),
+        composition.image_of(paths.second, attribute),
     )
     kind = FeedbackKind(outcome)
     return Feedback(

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping as TMapping, Optional, Tuple
 
-from ..exceptions import FactorGraphError, FeedbackError
+from ..exceptions import FeedbackError
 from ..factorgraph.factors import prior_factor
 from ..factorgraph.graph import FactorGraph
 from ..factorgraph.variables import BinaryVariable
@@ -46,15 +46,6 @@ class PDMSFactorGraph:
     attribute: str
     mapping_names: Tuple[str, ...]
     delta: float
-
-    def variable_name(self, mapping_name: str) -> str:
-        """Variable name of ``mapping_name`` (must be part of the graph)."""
-        name = variable_name_for(mapping_name, self.attribute)
-        if not self.graph.has_variable(name):
-            raise FactorGraphError(
-                f"mapping {mapping_name!r} has no variable in this factor graph"
-            )
-        return name
 
     def has_mapping(self, mapping_name: str) -> bool:
         return self.graph.has_variable(variable_name_for(mapping_name, self.attribute))

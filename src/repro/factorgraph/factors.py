@@ -17,7 +17,6 @@ only provides the generic table machinery.
 from __future__ import annotations
 
 import itertools
-import math
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 import numpy as np
@@ -166,12 +165,6 @@ class Factor:
             result = result.sum(axis=axes_to_sum)
         return np.asarray(result, dtype=float)
 
-    # -- misc ----------------------------------------------------------------
-
-    def normalized(self) -> "Factor":
-        """Return a copy whose table sums to one (useful for display)."""
-        return Factor(self.name, self.variables, self.table / self.table.sum())
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Factor({self.name!r}, variables={self.variable_names})"
 
@@ -298,14 +291,6 @@ class CountFactor(Factor):
                 )
             incorrect += variable.index_of(assignment[variable.name])
         return float(self.count_values[incorrect])
-
-    def normalized(self) -> "CountFactor":
-        """Copy whose (virtual) dense table sums to one."""
-        total = sum(
-            math.comb(self.arity, k) * value
-            for k, value in enumerate(self.count_values)
-        )
-        return CountFactor(self.name, self.variables, self.count_values / total)
 
     # -- message-passing primitives -----------------------------------------
 

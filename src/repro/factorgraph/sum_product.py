@@ -131,10 +131,6 @@ class SumProductResult:
     #: built by :class:`SumProduct` always carry it.
     domains: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
 
-    def belief(self, variable_name: str) -> np.ndarray:
-        """Normalised marginal vector of ``variable_name``."""
-        return self.marginals[variable_name]
-
     def _correct_index(self, variable_name: str) -> int:
         """Index of the CORRECT state in ``variable_name``'s marginal.
 

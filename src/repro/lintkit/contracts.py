@@ -169,9 +169,10 @@ IMPORT_DAG: Mapping[str, FrozenSet[str]] = {
 
 #: Function-scope imports sanctioned *against* the DAG — the lazy edges
 #: that break bootstrap cycles.  ``(from_layer, to_layer)`` pairs:
-#: ``repro.pdms.probing``/``repro.pdms.network`` reach the discovery
-#: layer's ``TopologySnapshot`` lazily (the cycles walker runs on its
-#: integer adjacency, and a network hands out its shared snapshot).
+#: ``PDMSNetwork.snapshot`` (``repro.pdms.network``) reaches the discovery
+#: layer's ``TopologySnapshot`` lazily to hand out its shared snapshot.
+#: The walkers of ``repro.pdms.probing`` take a snapshot as an argument
+#: and import nothing from the discovery layer.
 DEFERRED_EDGES: FrozenSet[Tuple[str, str]] = frozenset(
     {
         ("pdms", "discovery"),

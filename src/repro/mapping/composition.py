@@ -11,7 +11,12 @@ of a pair of parallel paths) and looking at what comes out at the end
 
 This module implements the chain-application primitive and the comparison
 helpers; the conversion of outcomes into factor-graph factors lives in
-:mod:`repro.core.feedback`.
+:mod:`repro.core.feedback`.  :func:`round_trip_outcome` and
+:func:`parallel_paths_outcome` check raw mapping lists first; the probe
+structures (:class:`~repro.pdms.probing.MappingCycle`,
+:class:`~repro.pdms.probing.ParallelPaths`) check their chains once when
+built, and their evaluation goes straight to :func:`image_of` and
+:func:`compare_images`.
 """
 
 from __future__ import annotations
@@ -23,6 +28,8 @@ from .mapping import Mapping
 
 __all__ = [
     "validate_chain",
+    "image_of",
+    "compare_images",
     "round_trip_outcome",
     "parallel_paths_outcome",
     "RoundTripOutcome",
@@ -51,7 +58,7 @@ def validate_chain(mappings: Sequence[Mapping]) -> None:
             )
 
 
-def _push(mappings: Sequence[Mapping], attribute: str) -> Optional[str]:
+def image_of(mappings: Sequence[Mapping], attribute: str) -> Optional[str]:
     """Push ``attribute`` through a validated chain; return its final image,
     or ``None`` as soon as a mapping lacks a correspondence (the ⊥ case)."""
     current: Optional[str] = attribute
@@ -60,6 +67,17 @@ def _push(mappings: Sequence[Mapping], attribute: str) -> Optional[str]:
             return None
         current = mapping.apply(current)
     return current
+
+
+def compare_images(first: Optional[str], second: Optional[str]) -> RoundTripOutcome:
+    """Compare two images of one attribute: either missing → neutral,
+    equal → positive, different → negative.  A round trip compares the
+    attribute with its image around the cycle."""
+    if first is None or second is None:
+        return NEUTRAL
+    if first == second:
+        return POSITIVE
+    return NEGATIVE
 
 
 def round_trip_outcome(cycle: Sequence[Mapping], attribute: str) -> RoundTripOutcome:
@@ -74,12 +92,7 @@ def round_trip_outcome(cycle: Sequence[Mapping], attribute: str) -> RoundTripOut
             f"not a cycle: starts at {cycle[0].source!r}, "
             f"ends at {cycle[-1].target!r}"
         )
-    image = _push(cycle, attribute)
-    if image is None:
-        return NEUTRAL
-    if image == attribute:
-        return POSITIVE
-    return NEGATIVE
+    return compare_images(attribute, image_of(cycle, attribute))
 
 
 def parallel_paths_outcome(
@@ -105,10 +118,6 @@ def parallel_paths_outcome(
             "parallel paths must share their destination peer, got "
             f"{first_path[-1].target!r} and {second_path[-1].target!r}"
         )
-    first_image = _push(first_path, attribute)
-    second_image = _push(second_path, attribute)
-    if first_image is None or second_image is None:
-        return NEUTRAL
-    if first_image == second_image:
-        return POSITIVE
-    return NEGATIVE
+    return compare_images(
+        image_of(first_path, attribute), image_of(second_path, attribute)
+    )

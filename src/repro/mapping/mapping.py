@@ -35,7 +35,7 @@ class MappingIdentifier:
     target: str
     label: str = ""
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
+    def __str__(self) -> str:
         suffix = f"#{self.label}" if self.label else ""
         return f"{self.source}->{self.target}{suffix}"
 
@@ -78,6 +78,8 @@ class Mapping:
                     "the delimiters of mapping names"
                 )
         self.identifier = MappingIdentifier(source=source, target=target, label=label)
+        # Formatted once: the walkers and the evidence read names in bulk.
+        self._name = str(self.identifier)
         self._by_source: Dict[str, Correspondence] = {}
         for correspondence in correspondences:
             self.add(correspondence)
@@ -152,7 +154,7 @@ class Mapping:
     @property
     def name(self) -> str:
         """Human-readable mapping name, e.g. ``'p2->p3'``."""
-        return str(self.identifier)
+        return self._name
 
     # -- correspondences ----------------------------------------------------------------
 

@@ -3,14 +3,14 @@ walks are the global view.
 
 Cycle / parallel-path discovery is the probe phase of §3.2.1 — peers flood
 their neighbourhood with TTL-bounded probe messages.  The walkers living in
-:mod:`repro.pdms.probing` enumerate one origin's view at a time; this
-module is the layer above them.
+:mod:`repro.pdms.probing` enumerate one origin's view of a snapshot at a
+time; this module is the layer above them.
 
 A :class:`TopologySnapshot` is an immutable, picklable view of a network's
-topology.  It lowers itself once to integer adjacency, which the cycles
-walker runs on, and walks each origin's cycles and parallel paths at most
-once per ttl: the structures a peer's probe finds do not depend on the
-attribute or on who asked.  A network hands every consumer the same
+topology.  It lowers itself once to integer adjacency, the one lowering
+both walkers run on, and walks each origin's cycles and parallel paths at
+most once per ttl: the structures a peer's probe finds do not depend on
+the attribute or on who asked.  A network hands every consumer the same
 snapshot per topology version
 (:meth:`~repro.pdms.network.PDMSNetwork.snapshot`), and builds each new
 version's snapshot from the previous one plus the events in between
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from ..exceptions import PDMSError, UnknownPeerError
+from ..exceptions import PDMSError
 from ..mapping.mapping import Mapping
 from .events import (
     CorrespondenceChanged,
@@ -55,32 +55,19 @@ __all__ = ["TopologySnapshot"]
 # ---------------------------------------------------------------------------
 
 
-class _SnapshotPeer:
-    """One peer's probe-relevant view inside a snapshot: name + out-edges."""
-
-    __slots__ = ("name", "outgoing_mappings")
-
-    def __init__(self, name: str, outgoing_mappings: Tuple[Mapping, ...]) -> None:
-        self.name = name
-        self.outgoing_mappings = outgoing_mappings
-
-
 class TopologySnapshot:
     """Immutable, picklable topology view the probe walkers run against.
 
     Captures exactly what the walkers of :mod:`repro.pdms.probing` consult
-    — the peer names and the mapping edges, in network insertion order —
-    and exposes the same duck-typed surface (:meth:`peer`, :meth:`mapping`,
-    :attr:`mappings`, :meth:`has_peer`) as a live
-    :class:`~repro.pdms.network.PDMSNetwork`.
+    — the peer names and the mapping edges, in network insertion order.
 
     The first lookup lowers the snapshot, in one pass, to integer
     adjacency (:meth:`adjacency`: peer ids plus per-peer out-edge rows in
-    insertion order), which the cycles walker runs on.  A snapshot also
-    remembers each origin's walks (:meth:`cycles_through`,
-    :meth:`parallel_paths_from`), so every reader of it walks an origin at
-    a given ttl once; :attr:`walks` counts the walks it ran, and
-    :meth:`structures` lists the global view from them.
+    insertion order) and a mapping index (:meth:`mapping`); both walkers
+    run on the adjacency.  A snapshot also remembers each origin's walks
+    (:meth:`cycles_through`, :meth:`parallel_paths_from`), so every reader
+    of it walks an origin at a given ttl once; :attr:`walks` counts the
+    walks it ran, and :meth:`structures` lists the global view from them.
     A snapshot built by :meth:`successor` starts out holding the walks of
     its predecessor that the events in between leave unchanged, and
     :attr:`inherited` names the origins whose walks it could inherit.
@@ -96,7 +83,6 @@ class TopologySnapshot:
         "mappings",
         "inherited",
         "walks",
-        "_peers",
         "_by_name",
         "_ids",
         "_rows",
@@ -122,7 +108,6 @@ class TopologySnapshot:
         self._reset()
 
     def _reset(self) -> None:
-        self._peers: Optional[Dict[str, _SnapshotPeer]] = None
         self._by_name: Optional[Dict[str, Mapping]] = None
         self._ids: Optional[Dict[str, int]] = None
         self._rows: Optional[List[List[Tuple[int, Mapping]]]] = None
@@ -193,8 +178,10 @@ class TopologySnapshot:
             if isinstance(event, MappingAdded):
                 added[event.mapping.name] = None
                 changed.add(event.mapping.source)
-            elif isinstance(event, (MappingRemoved, CorrespondenceChanged)):
-                removed.add(event.subject)
+            elif isinstance(event, MappingRemoved):
+                removed.add(event.name)
+            elif isinstance(event, CorrespondenceChanged):
+                removed.add(event.mapping.name)
             elif isinstance(event, PeerRemoved):
                 left.add(event.name)
         # A removed (or changed) mapping added after this snapshot has its
@@ -277,36 +264,24 @@ class TopologySnapshot:
         self.name, self.version, self.directed, self.peer_names, self.mappings = state
         self._reset()
 
-    # -- probe surface (mirrors PDMSNetwork) ---------------------------------
-
-    def _index(self) -> Dict[str, _SnapshotPeer]:
-        """Lower the snapshot once: peer ids, integer out-edge rows, the
-        per-peer views and the mapping index, all in one pass."""
-        if self._peers is None:
-            ids = {name: index for index, name in enumerate(self.peer_names)}
-            rows: List[List[Tuple[int, Mapping]]] = [[] for _ in self.peer_names]
-            outgoing: List[List[Mapping]] = [[] for _ in self.peer_names]
-            by_name: Dict[str, Mapping] = {}
-            for mapping in self.mappings:
-                by_name[mapping.name] = mapping
-                source = ids[mapping.source]
-                rows[source].append((ids[mapping.target], mapping))
-                outgoing[source].append(mapping)
-            self._ids = ids
-            self._rows = rows
-            self._peers = {
-                name: _SnapshotPeer(name, tuple(edges))
-                for name, edges in zip(self.peer_names, outgoing)
-            }
-            self._by_name = by_name
-        return self._peers
+    # -- the lowering and the walks -----------------------------------------
 
     def adjacency(self) -> Tuple[Dict[str, int], List[List[Tuple[int, Mapping]]]]:
         """The integer lowering: ``(ids, rows)``, where ``ids`` maps each
         peer name to its position in :attr:`peer_names` and ``rows[i]``
         lists peer ``i``'s out-edges as ``(target id, mapping)`` pairs in
-        mapping insertion order."""
-        self._index()
+        mapping insertion order.  Built once, in one pass that also fills
+        the mapping index."""
+        if self._rows is None:
+            ids = {name: index for index, name in enumerate(self.peer_names)}
+            rows: List[List[Tuple[int, Mapping]]] = [[] for _ in self.peer_names]
+            by_name: Dict[str, Mapping] = {}
+            for mapping in self.mappings:
+                by_name[mapping.name] = mapping
+                rows[ids[mapping.source]].append((ids[mapping.target], mapping))
+            self._ids = ids
+            self._rows = rows
+            self._by_name = by_name
         return self._ids, self._rows
 
     def cycles_through(self, origin: str, ttl: int) -> Tuple[MappingCycle, ...]:
@@ -365,24 +340,18 @@ class TopologySnapshot:
                 parallel_paths.extend(self.parallel_paths_from(origin, ttl))
         return tuple(cycles), tuple(parallel_paths)
 
-    def peer(self, name: str) -> _SnapshotPeer:
-        try:
-            return self._index()[name]
-        except KeyError:
-            raise UnknownPeerError(f"unknown peer {name!r} in snapshot") from None
-
     def has_peer(self, name: str) -> bool:
-        return name in self._index()
+        return name in self.adjacency()[0]
 
     def mapping(self, name: str) -> Mapping:
-        self._index()
+        self.adjacency()
         try:
             return self._by_name[name]
         except KeyError:
             raise PDMSError(f"unknown mapping {name!r} in snapshot") from None
 
     def has_mapping(self, name: str) -> bool:
-        self._index()
+        self.adjacency()
         return name in self._by_name
 
     def __len__(self) -> int:

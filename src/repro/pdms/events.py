@@ -36,7 +36,7 @@ digest's sender still misses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, ClassVar, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..exceptions import PDMSError
 from ..mapping.mapping import Mapping
@@ -68,17 +68,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TopologyEvent:
-    """Base of the five topology transitions.
-
-    Every event names its transition (``kind``) and the peer or mapping it
-    touches (``subject``).
-    """
-
-    kind: ClassVar[str] = ""
-
-    @property
-    def subject(self) -> str:
-        raise NotImplementedError  # pragma: no cover - abstract
+    """Base of the five topology transitions: the event's type names the
+    transition, and its fields carry the peer or mapping it touches."""
 
 
 @dataclass(frozen=True)
@@ -93,12 +84,6 @@ class PeerAdded(TopologyEvent):
     name: str
     schema: Schema
 
-    kind: ClassVar[str] = "add_peer"
-
-    @property
-    def subject(self) -> str:
-        return self.name
-
 
 @dataclass(frozen=True)
 class PeerRemoved(TopologyEvent):
@@ -111,12 +96,6 @@ class PeerRemoved(TopologyEvent):
 
     name: str
 
-    kind: ClassVar[str] = "remove_peer"
-
-    @property
-    def subject(self) -> str:
-        return self.name
-
 
 @dataclass(frozen=True)
 class MappingAdded(TopologyEvent):
@@ -124,24 +103,12 @@ class MappingAdded(TopologyEvent):
 
     mapping: Mapping
 
-    kind: ClassVar[str] = "add_mapping"
-
-    @property
-    def subject(self) -> str:
-        return self.mapping.name
-
 
 @dataclass(frozen=True)
 class MappingRemoved(TopologyEvent):
     """A mapping was unregistered."""
 
     name: str
-
-    kind: ClassVar[str] = "remove_mapping"
-
-    @property
-    def subject(self) -> str:
-        return self.name
 
 
 @dataclass(frozen=True)
@@ -155,12 +122,6 @@ class CorrespondenceChanged(TopologyEvent):
     """
 
     mapping: Mapping
-
-    kind: ClassVar[str] = "change_correspondences"
-
-    @property
-    def subject(self) -> str:
-        return self.mapping.name
 
 
 # ---------------------------------------------------------------------------

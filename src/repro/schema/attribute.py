@@ -65,15 +65,6 @@ class Attribute:
                 f"attribute path must start with '/', got {self.path!r}"
             )
 
-    @property
-    def tokens(self) -> Tuple[str, ...]:
-        """Lower-cased word tokens of the attribute name.
-
-        Splits camelCase, snake_case and dashes; used by the string-based
-        alignment matchers.
-        """
-        return tokenize_identifier(self.name)
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.name
 

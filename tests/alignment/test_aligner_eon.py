@@ -114,5 +114,5 @@ class TestEONScenario:
     def test_network_contains_cycles_for_feedback(self, eon):
         from repro.pdms.probing import find_cycles_through
 
-        cycles = find_cycles_through(eon.network, "ref101", ttl=3)
+        cycles = find_cycles_through(eon.network.snapshot(), "ref101", ttl=3)
         assert len(cycles) >= 5

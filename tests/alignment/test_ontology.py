@@ -31,11 +31,6 @@ class TestOntology:
         with pytest.raises(AlignmentError):
             Ontology("bib", concepts=["Author", "Author"])
 
-    def test_unknown_concept_raises(self):
-        ontology = Ontology("bib", concepts=["Author"])
-        with pytest.raises(AlignmentError):
-            ontology.concept("Nope")
-
     def test_has_concept_and_iteration(self):
         ontology = Ontology("bib", concepts=["Author", "Title"])
         assert ontology.has_concept("Author")

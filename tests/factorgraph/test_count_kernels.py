@@ -190,19 +190,6 @@ class TestCountFactor:
         assignment = {"x0": "correct", "x1": "incorrect", "x2": "incorrect"}
         assert factor.value(assignment) == pytest.approx(0.2)
 
-    def test_normalized_preserves_count_space(self):
-        factor = _count_factor(40)
-        normalized = factor.normalized()
-        assert isinstance(normalized, CountFactor)
-        # virtual table sums to one: Σ_k C(n,k) f(k) == 1
-        import math
-
-        total = sum(
-            math.comb(40, k) * value
-            for k, value in enumerate(normalized.count_values)
-        )
-        assert total == pytest.approx(1.0)
-
     def test_rejects_non_constant_tail(self):
         values = np.array([1.0, 0.0, 0.1, 0.2, 0.1])
         with pytest.raises(FactorShapeError, match="constant tail"):

@@ -140,8 +140,3 @@ class TestFactorBuilders:
         a = BinaryVariable("a")
         with pytest.raises(FactorShapeError):
             prior_factor(a, 1.5)
-
-    def test_normalized_sums_to_one(self):
-        a = BinaryVariable("a")
-        factor = Factor("f", (a,), np.array([2.0, 6.0]))
-        assert factor.normalized().table == pytest.approx([0.25, 0.75])

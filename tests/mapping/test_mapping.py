@@ -24,6 +24,13 @@ class TestIdentity:
         labelled = Mapping("p2", "p3", label="alt")
         assert labelled.name == "p2->p3#alt"
 
+    @pytest.mark.parametrize("label, name", [("", "p2->p3"), ("alt", "p2->p3#alt")])
+    def test_name_is_built_once(self, label, name):
+        mapping = Mapping("p2", "p3", label=label)
+        assert mapping.name is mapping.name
+        assert mapping.name == str(mapping.identifier) == name
+        assert mapping.with_correspondence(Correspondence("A", "B")).name == name
+
     def test_identifier_ordering(self):
         assert MappingIdentifier("a", "b") < MappingIdentifier("b", "a")
 

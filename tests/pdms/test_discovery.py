@@ -2,13 +2,14 @@
 
 The :mod:`repro.pdms.discovery` snapshot is the single enumeration engine
 behind the structure cache: these tests pin its contract — snapshots
-pickle (without their integer lowering or remembered walks), the cycles
-walker on a snapshot's integer adjacency is *order*-identical to the
-recursive object-graph walker kept in ``walker_reference.py``, a
-network's next snapshot carries exactly the walks its events leave
-unchanged, and the global view listed by ownership
+pickle (without their integer lowering or remembered walks), both walkers
+on a snapshot's integer adjacency are *order*-identical to the recursive
+object-graph walkers kept in ``walker_reference.py``, a network's next
+snapshot carries exactly the walks its events leave unchanged, and the
+global view listed by ownership
 (:meth:`~repro.pdms.discovery.TopologySnapshot.structures`) holds the very
-objects, in the very order, of the canonical-key merge kept there.
+structures, in the very order, of the canonical-key merge of the reference
+walks kept there.
 """
 
 import pickle
@@ -18,6 +19,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.evaluation.experiments import gossip_workload_network
 from repro.exceptions import UnknownPeerError
 from repro.generators.paper import intro_example_network
 from repro.generators.topologies import network_from_graph, scale_free_network
@@ -25,9 +27,13 @@ from repro.mapping.mapping import Mapping
 from repro.pdms.discovery import TopologySnapshot
 from repro.pdms.network import PDMSNetwork
 from repro.pdms.peer import Peer
-from repro.pdms.probing import find_cycles_through
+from repro.pdms.probing import find_cycles_through, find_parallel_paths_from
 from repro.schema.schema import Schema
-from walker_reference import assert_owned, reference_cycles_through
+from walker_reference import (
+    assert_owned,
+    reference_cycles_through,
+    reference_parallel_paths_from,
+)
 
 
 @pytest.fixture(scope="module")
@@ -112,18 +118,19 @@ class TestCyclesWalker:
     @settings(max_examples=100, deadline=None)
     def test_order_identical_to_reference(self, topology, ttl):
         network, snapshot = topology
-        for source in (network, snapshot):
+        for source in (TopologySnapshot.of(network), snapshot):
             for origin in source.peer_names:
                 assert _walked(find_cycles_through(source, origin, ttl)) == _walked(
                     reference_cycles_through(source, origin, ttl)
                 ), (origin, ttl)
 
     def test_errors(self, intro_network):
+        snapshot = TopologySnapshot.of(intro_network)
         with pytest.raises(ValueError, match="positive hop count"):
-            find_cycles_through(intro_network, "p1", ttl=0)
-        assert find_cycles_through(intro_network, "zz", ttl=1) == ()
+            find_cycles_through(snapshot, "p1", ttl=0)
+        assert find_cycles_through(snapshot, "zz", ttl=1) == ()
         with pytest.raises(UnknownPeerError):
-            find_cycles_through(intro_network, "zz", ttl=2)
+            find_cycles_through(snapshot, "zz", ttl=2)
         with pytest.raises(UnknownPeerError):
             find_cycles_through(intro_network.snapshot(), "zz", ttl=4)
 
@@ -131,11 +138,72 @@ class TestCyclesWalker:
         snapshot = TopologySnapshot.of(intro_network)
         first = snapshot.cycles_through("p2", 4)
         assert snapshot.cycles_through("p2", 4) is first
-        assert _walked(first) == _walked(find_cycles_through(intro_network, "p2", 4))
+        cold = TopologySnapshot.of(intro_network)
+        assert _walked(first) == _walked(find_cycles_through(cold, "p2", 4))
         # The lowering and the walks never travel: a walked snapshot
         # pickles exactly like a cold one.
-        cold = TopologySnapshot.of(intro_network)
         assert pickle.dumps(snapshot) == pickle.dumps(cold)
+
+
+def _pairs(pairs):
+    return [(pair.source, pair.target, pair.first, pair.second) for pair in pairs]
+
+
+def _assert_paths_match_reference(snapshot, ttl):
+    """Every origin's row walk lists the reference walk's pairs: the same
+    endpoints and the very mapping objects, in the same order."""
+    for origin in snapshot.peer_names:
+        assert _pairs(find_parallel_paths_from(snapshot, origin, ttl)) == _pairs(
+            reference_parallel_paths_from(snapshot, origin, ttl)
+        ), (origin, ttl)
+
+
+class TestParallelPathsWalker:
+    """The row walker against the object-graph walker it replaced, on every
+    network :class:`TestOwnership` reads and on the gossip workload."""
+
+    @given(topology=_topologies(), ttl=st.integers(min_value=1, max_value=4))
+    @settings(max_examples=100, deadline=None)
+    def test_multigraphs(self, topology, ttl):
+        network, snapshot = topology
+        _assert_paths_match_reference(snapshot, ttl)
+        _assert_paths_match_reference(TopologySnapshot.of(network), ttl)
+
+    @pytest.mark.parametrize("ttl", [2, 3, 4, 5, 6])
+    def test_intro_network(self, intro_network, ttl):
+        _assert_paths_match_reference(TopologySnapshot.of(intro_network), ttl)
+
+    @pytest.mark.parametrize("ttl", [3, 4, 5])
+    def test_sparse_scale_free(self, sparse_network, ttl):
+        _assert_paths_match_reference(TopologySnapshot.of(sparse_network), ttl)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_scale_free_at_ttl_four(self, seed):
+        network = scale_free_network(24, seed=seed)
+        _assert_paths_match_reference(TopologySnapshot.of(network), 4)
+
+    @pytest.mark.parametrize("ttl", [2, 3, 4, 5])
+    def test_undirected(self, ttl):
+        graph = nx.barabasi_albert_graph(20, 2, seed=1)
+        network = network_from_graph(graph, directed=False)
+        _assert_paths_match_reference(TopologySnapshot.of(network), ttl)
+
+    @pytest.mark.parametrize("ttl, pairs", [(5, 0), (12, 6)])
+    def test_gossip_workload(self, ttl, pairs):
+        # The gossip32-churn workload probes at ttl 5, where the chord
+        # ring's backward chords close cycles but no pair of paths.
+        snapshot = TopologySnapshot.of(gossip_workload_network(32))
+        _assert_paths_match_reference(snapshot, ttl)
+        found = [snapshot.parallel_paths_from(o, ttl) for o in snapshot.peer_names]
+        assert sum(map(len, found)) == pairs
+
+    def test_parallel_mappings_pair_at_ttl_one(self):
+        network = _network("ab", ["ab"])
+        network.add_mapping(Mapping.from_pairs("a", "b", {"A": "A"}, label="x"))
+        snapshot = TopologySnapshot.of(network)
+        [pair] = find_parallel_paths_from(snapshot, "a", 1)
+        assert pair.mapping_names == ("a->b", "a->b#x")
+        _assert_paths_match_reference(snapshot, 1)
 
 
 class TestSharedSnapshot:
@@ -315,8 +383,8 @@ class TestSuccessorRules:
 
 class TestOwnership:
     """The global view lists each structure from its owner's walk: the
-    same objects, in the same order, as the canonical-key merge of every
-    peer's walks (``walker_reference.assert_owned``)."""
+    same structures, in the same order, as the canonical-key merge of every
+    peer's reference walks (``walker_reference.assert_owned``)."""
 
     @pytest.mark.parametrize("ttl", [3, 4, 5])
     def test_sparse_scale_free(self, sparse_network, ttl):

@@ -1,6 +1,7 @@
 """Unit and property tests for the typed topology event log."""
 
 import pickle
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,7 +25,7 @@ from repro.pdms.events import (
 from repro.pdms.network import PDMSNetwork
 from repro.pdms.peer import Peer
 from repro.schema.schema import Schema
-from walker_reference import cycle_key
+from walker_reference import canonical_key, cycle_key
 
 
 def schema(name):
@@ -180,8 +181,11 @@ class TestWireTypes:
         ):
             clone = pickle.loads(pickle.dumps(event))
             assert type(clone) is type(event)
-            assert clone.kind == event.kind
-            assert clone.subject == event.subject
+            # The same fields; a schema or mapping arrives as a copy of
+            # the same name.
+            for field in fields(event):
+                value, copied = getattr(event, field.name), getattr(clone, field.name)
+                assert getattr(copied, "name", copied) == getattr(value, "name", value)
 
     def test_journal_entry_pickle_round_trip(self):
         journal = GossipJournal("a")
@@ -198,7 +202,7 @@ class TestWireTypes:
         clone = pickle.loads(pickle.dumps(entry))
         assert clone.key == entry.key
         assert isinstance(clone.event, CorrespondenceChanged)
-        assert clone.event.subject == "p1->p2"
+        assert clone.event.mapping.name == "p1->p2"
         assert clone.event.mapping.correspondences == replacement.correspondences
 
     def test_clock_digest_pickle_round_trip(self):
@@ -316,6 +320,6 @@ def test_replayed_network_yields_identical_structure_cache(ops):
     assert [cycle_key(c) for c in replayed_cycles] == [
         cycle_key(c) for c in original_cycles
     ]
-    assert [p.canonical_key() for p in replayed_paths] == [
-        p.canonical_key() for p in original_paths
+    assert [canonical_key(p) for p in replayed_paths] == [
+        canonical_key(p) for p in original_paths
     ]

@@ -4,10 +4,11 @@ import pytest
 
 from repro.exceptions import PDMSError, UnknownPeerError
 from repro.mapping.mapping import Mapping
+from repro.pdms.events import MappingAdded, MappingRemoved, PeerAdded
 from repro.pdms.network import PDMSNetwork
 from repro.pdms.peer import Peer
 from repro.schema.schema import Schema
-from walker_reference import cycle_key
+from walker_reference import canonical_key, cycle_key
 
 
 def schema(name):
@@ -142,11 +143,10 @@ class TestMutationLog:
         network.add_peer(Peer("p4", schema("p4")))
         network.remove_mapping("p1->p2")
         entries = network.events_since(start)
-        assert [(event.kind, event.subject) for _, event in entries] == [
-            ("add_mapping", "p1->p2"),
-            ("add_peer", "p4"),
-            ("remove_mapping", "p1->p2"),
-        ]
+        added, joined, removed = (event for _, event in entries)
+        assert (type(added), added.mapping.name) == (MappingAdded, "p1->p2")
+        assert (type(joined), joined.name) == (PeerAdded, "p4")
+        assert (type(removed), removed.name) == (MappingRemoved, "p1->p2")
         # Versions in the log are strictly increasing past the start.
         versions = [version for version, _ in entries]
         assert versions == sorted(versions)
@@ -162,9 +162,8 @@ class TestMutationLog:
         net.add_peer(Peer("b", schema("b")))
         start = net.version
         net.add_mapping(Mapping.from_pairs("a", "b", {"Creator": "Creator"}))
-        kinds = [(e.kind, e.subject) for _, e in net.events_since(start)]
-        assert ("add_mapping", "a->b") in kinds
-        assert ("add_mapping", "b->a") in kinds
+        events = [(type(e), e.mapping.name) for _, e in net.events_since(start)]
+        assert events == [(MappingAdded, "a->b"), (MappingAdded, "b->a")]
 
     def test_truncated_log_reports_none(self, network):
         start = network.version
@@ -204,7 +203,7 @@ class TestMutationLog:
         versions = [version for version, _ in tail]
         assert versions == list(range(floor + 1, network.version + 1))
         # Every retained event is an addition from the overflow loop.
-        assert all(event.kind == "add_mapping" for _, event in tail)
+        assert all(isinstance(event, MappingAdded) for _, event in tail)
 
 
 class TestRemovePeer:
@@ -287,8 +286,8 @@ class TestRemovePeer:
         assert [cycle_key(c) for c in cycles] == [
             cycle_key(c) for c in fresh_cycles
         ]
-        assert [p.canonical_key() for p in paths] == [
-            p.canonical_key() for p in fresh_paths
+        assert [canonical_key(p) for p in paths] == [
+            canonical_key(p) for p in fresh_paths
         ]
         local = neighborhood.structures_for("p1")
         fresh_local = StructureCache(fresh, ttl=4).structures_for("p1")

@@ -32,9 +32,6 @@ class TestAttribute:
         with pytest.raises(AttributeError):
             Attribute("Creator").name = "Other"
 
-    def test_tokens_property(self):
-        assert Attribute("CreatedOn").tokens == ("created", "on")
-
 
 class TestTokenizeIdentifier:
     @pytest.mark.parametrize(

@@ -12,8 +12,17 @@ nothing alive.  The match is by name: any read of ``x`` counts for every
 definition called ``x``.  A deliberate exception goes in :data:`ALLOWLIST`
 with its reason; an entry that is no longer needed fails the test.
 
-The second test keeps every module's imports used: a top-level import the
-module never reads is dead weight on the import graph.  Both checks are
+The second test holds the public methods and properties of every class
+under ``src/repro`` to the same rule.  A member is read by an attribute
+access or by a ``getattr`` string — any string constant other than a
+docstring, since the report tables keep the properties they print as
+strings in their ``Column`` declarations — matched by name anywhere, its
+own body included.  The ``visit_*`` methods of
+``ast.NodeVisitor`` subclasses are called by the visitor and exempt;
+deliberate exceptions go in :data:`MEMBER_ALLOWLIST`.
+
+The third test keeps every module's imports used: a top-level import the
+module never reads is dead weight on the import graph.  The checks are
 functions, and the classes at the end run them on small synthetic trees.
 """
 
@@ -22,7 +31,7 @@ from __future__ import annotations
 import ast
 from collections import Counter
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import pytest
 
@@ -35,6 +44,41 @@ ALLOWLIST: Dict[str, str] = {
     "repro.constants.read_env": (
         "the one sanctioned environment gate of the knob-env-read lint rule; "
         "no knob is registered, so nothing calls it yet"
+    ),
+    "repro.mapping.composition.round_trip_outcome": (
+        "the checked §3.2.1 round trip of a raw mapping list, a top-level "
+        "export; probe cycles check their chain once when built and are "
+        "evaluated through image_of / compare_images"
+    ),
+    "repro.mapping.composition.parallel_paths_outcome": (
+        "the checked comparison of two raw mapping paths; probe pairs check "
+        "their chains once when built"
+    ),
+}
+
+#: ``{qualified name: reason}`` of public methods and properties kept
+#: although nothing in the scanned trees reads them.
+MEMBER_ALLOWLIST: Dict[str, str] = {
+    "repro.alignment.ontology.Ontology.concept_names": "aligner ground truth",
+    "repro.alignment.ontology.Ontology.has_concept": "aligner ground truth",
+    "repro.pdms.clock.VectorClock.as_dict": "gossip tests",
+    "repro.pdms.clock.VectorClock.merge": "gossip tests",
+    "repro.pdms.clock.VectorClock.concurrent_with": "gossip tests",
+    "repro.pdms.network.PDMSNetwork.event_log": "replay and gossip tests",
+    "repro.pdms.network.PDMSNetwork.log_truncated": (
+        "the only public sign that from_events cannot replay the log"
+    ),
+    "repro.pdms.network.PDMSNetwork.mappings_between": "replay and gossip tests",
+    "repro.mapping.mapping.Mapping.is_correct_for": "generator ground truth",
+    "repro.core.beliefs.PriorBeliefStore.set_prior": (
+        "the §4.4 expert-validated (pinned) prior"
+    ),
+    "repro.core.quality.MappingQualityAssessor.assess_mapping": (
+        "the §4.1 coarse mode"
+    ),
+    "repro.core.quality.MappingQualityAssessor.is_erroneous": "the θ decision",
+    "repro.core.batched.MessageTransport.try_send": (
+        "the embedded_reference.py oracle calls it"
     ),
 }
 
@@ -94,6 +138,26 @@ def _package_modules(
             yield path, tree
 
 
+def _report(
+    found: Iterable[Tuple[str, str, bool]], allowlist: Dict[str, str], kind: str
+) -> List[str]:
+    """One line per unread, unallowlisted ``(qualified name, location,
+    is_read)`` in ``found``, and per stale allowlist entry."""
+    unread: List[str] = []
+    defined = set()
+    for qualified, location, is_read in found:
+        defined.add(qualified)
+        if not is_read and qualified not in allowlist:
+            unread.append(f"{qualified} ({location})")
+        elif is_read and qualified in allowlist:
+            unread.append(f"{qualified}: stale allowlist entry, it is read now")
+    unread.extend(
+        f"{qualified}: stale allowlist entry, no such {kind}"
+        for qualified in sorted(set(allowlist) - defined)
+    )
+    return unread
+
+
 def unread_definitions(
     parsed: Dict[Path, ast.Module], root: Path, allowlist: Dict[str, str]
 ) -> List[str]:
@@ -101,22 +165,83 @@ def unread_definitions(
     in ``parsed`` reads outside its own body, and per stale allowlist entry."""
     package = root / "src" / "repro"
     reads = Counter(name for tree in parsed.values() for name in _reads(tree))
-    unread: List[str] = []
-    defined = set()
-    for path, tree in _package_modules(parsed, package):
-        for name, node in _public_definitions(tree):
-            qualified = f"{_module_name(path, package)}.{name}"
-            defined.add(qualified)
-            is_read = reads[name] > sum(1 for read in _reads(node) if read == name)
-            if not is_read and qualified not in allowlist:
-                unread.append(f"{qualified} ({path.relative_to(root)}:{node.lineno})")
-            elif is_read and qualified in allowlist:
-                unread.append(f"{qualified}: stale allowlist entry, it is read now")
-    unread.extend(
-        f"{qualified}: stale allowlist entry, no such definition"
-        for qualified in sorted(set(allowlist) - defined)
+    found = (
+        (
+            f"{_module_name(path, package)}.{name}",
+            f"{path.relative_to(root)}:{node.lineno}",
+            reads[name] > sum(1 for read in _reads(node) if read == name),
+        )
+        for path, tree in _package_modules(parsed, package)
+        for name, node in _public_definitions(tree)
     )
-    return unread
+    return _report(found, allowlist, "definition")
+
+
+DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _member_reads(tree: ast.Module) -> Iterator[str]:
+    """Names ``tree`` reads as members: attribute accesses and string
+    constants other than docstrings (what ``getattr`` is given)."""
+    docstrings = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, DOCUMENTED) and ast.get_docstring(node, clean=False)
+    }
+    for child in ast.walk(tree):
+        if isinstance(child, ast.Attribute):
+            yield child.attr
+        elif (
+            isinstance(child, ast.Constant)
+            and isinstance(child.value, str)
+            and id(child) not in docstrings
+        ):
+            yield child.value
+
+
+def _is_node_visitor(node: ast.ClassDef) -> bool:
+    return any(
+        (base.attr if isinstance(base, ast.Attribute) else getattr(base, "id", ""))
+        == "NodeVisitor"
+        for base in node.bases
+    )
+
+
+def _public_members(tree: ast.Module) -> Iterator[Tuple[str, ast.AST]]:
+    """``(Class.member, node)`` of each public method and property of every
+    class in ``tree``, but the ``visit_*`` methods of a ``NodeVisitor``."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        visitor = _is_node_visitor(node)
+        for member in node.body:
+            if (
+                isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not member.name.startswith("_")
+                and not (visitor and member.name.startswith("visit_"))
+            ):
+                yield f"{node.name}.{member.name}", member
+
+
+def unread_members(
+    parsed: Dict[Path, ast.Module], root: Path, allowlist: Dict[str, str]
+) -> List[str]:
+    """One line per public method or property of a class under
+    ``root/src/repro`` whose name nothing in ``parsed`` reads as a member,
+    and per stale allowlist entry."""
+    package = root / "src" / "repro"
+    reads = Counter(name for tree in parsed.values() for name in _member_reads(tree))
+    found = {
+        f"{_module_name(path, package)}.{member}": (
+            f"{path.relative_to(root)}:{node.lineno}",
+            reads[node.name] > 0,
+        )
+        for path, tree in _package_modules(parsed, package)
+        for member, node in _public_members(tree)
+    }
+    return _report(
+        ((qualified, *entry) for qualified, entry in found.items()), allowlist, "member"
+    )
 
 
 def _declared_all(tree: ast.Module) -> set:
@@ -164,6 +289,16 @@ def test_every_public_definition_is_read(parsed):
         f"{', '.join(SCAN_ROOTS)} reads (delete them, move a test-only "
         "reference under tests/, or allowlist with a reason):\n  "
         + "\n  ".join(unread)
+    )
+
+
+def test_every_public_member_is_read(parsed):
+    unread = unread_members(parsed, ROOT, MEMBER_ALLOWLIST)
+    assert not unread, (
+        "public methods and properties under src/repro whose name nothing in "
+        f"{', '.join(SCAN_ROOTS)} reads as an attribute or a getattr string "
+        "(delete them, move a test-only helper under tests/, or allowlist "
+        "with a reason):\n  " + "\n  ".join(unread)
     )
 
 
@@ -282,6 +417,92 @@ class TestAllowlist:
         assert _unread({"src/repro/core/feedback.py": ""}, allowlist) == [
             "repro.core.local_graph.build_local_graphs: "
             "stale allowlist entry, no such definition"
+        ]
+
+
+def _unread_members(
+    files: Dict[str, str], allowlist: Optional[Dict[str, str]] = None
+) -> List[str]:
+    return unread_members(_parse(files), TREE, allowlist or {})
+
+
+BOX = (
+    "class Box:\n"
+    "    def unread(self):\n"
+    "        pass\n"
+    "\n"
+    "    @property\n"
+    "    def size(self):\n"
+    "        return 1\n"
+)
+
+
+class TestUnreadMembers:
+    def test_unread_methods_and_properties_are_reported(self):
+        assert _unread_members({"src/repro/m.py": BOX}) == [
+            "repro.m.Box.unread (src/repro/m.py:2)",
+            "repro.m.Box.size (src/repro/m.py:6)",
+        ]
+
+    @pytest.mark.parametrize(
+        "reader",
+        [
+            "box.unread()\nbox.size\n",
+            "getattr(box, 'unread')\ngetattr(box, 'size')\n",
+            "COLUMNS = ('unread', 'size')\n",
+        ],
+        ids=["attribute", "getattr", "table-column"],
+    )
+    def test_a_member_read_by_attribute_or_string_passes(self, reader):
+        files = {"src/repro/m.py": BOX, "examples/tour.py": reader}
+        assert _unread_members(files) == []
+
+    @pytest.mark.parametrize(
+        "mention",
+        [
+            "unread = size = 1\nprint(unread, size)\n",
+            '"""Call unread() and read size."""\n',
+            "from repro.m import unread, size\n",
+        ],
+        ids=["name-load", "docstring", "import"],
+    )
+    def test_a_mention_that_is_not_a_member_read_does_not_count(self, mention):
+        files = {"src/repro/m.py": BOX, "examples/tour.py": mention}
+        assert len(_unread_members(files)) == 2
+
+    def test_private_and_dunder_members_are_not_checked(self):
+        source = (
+            "class Box:\n"
+            "    def _helper(self):\n        pass\n\n"
+            "    def __len__(self):\n        return 0\n"
+        )
+        assert _unread_members({"src/repro/m.py": source}) == []
+
+    def test_members_of_classes_outside_the_package_are_not_checked(self):
+        assert _unread_members({"examples/tour.py": BOX}) == []
+
+    def test_only_a_node_visitors_visit_methods_are_exempt(self):
+        visitor = (
+            "import ast\n\n"
+            "class V(ast.NodeVisitor):\n    def visit_Name(self, node):\n        pass\n"
+        )
+        plain = "class P:\n    def visit_Name(self, node):\n        pass\n"
+        assert _unread_members({"src/repro/v.py": visitor}) == []
+        assert _unread_members({"src/repro/p.py": plain}) == [
+            "repro.p.P.visit_Name (src/repro/p.py:2)"
+        ]
+
+    def test_an_allowlisted_unread_member_passes(self):
+        allowlist = {"repro.m.Box.unread": "kept", "repro.m.Box.size": "kept"}
+        assert _unread_members({"src/repro/m.py": BOX}, allowlist) == []
+
+    def test_a_stale_member_allowlist_entry_is_reported(self):
+        files = {"src/repro/m.py": BOX, "examples/tour.py": "box.unread()\n"}
+        allowlist = {"repro.m.Box.unread": "kept", "repro.m.Box.gone": "kept"}
+        assert _unread_members(files, allowlist) == [
+            "repro.m.Box.unread: stale allowlist entry, it is read now",
+            "repro.m.Box.size (src/repro/m.py:6)",
+            "repro.m.Box.gone: stale allowlist entry, no such member",
         ]
 
 
