@@ -1,7 +1,7 @@
 """Gossip convergence — the event-sourced multi-node harness vs its oracle.
 
-Every consumer of topology state reads one typed event log, and the
-causally-delivered gossip harness replicates that log between peers by
+Topology changes travel as typed events, and the causally-delivered
+gossip harness replicates each node's journal of them between peers by
 push-pull anti-entropy: each round a node exchanges vector-clock digests
 with its partners and ships only the journal delta a partner misses.
 This benchmark runs the 32-peer corrupted chord-ring workload — every

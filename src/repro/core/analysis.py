@@ -26,8 +26,8 @@ network's shared snapshot (:meth:`~repro.pdms.network.PDMSNetwork.snapshot`)
 — one origin's for a local view, and the global lists
 :meth:`~repro.pdms.discovery.TopologySnapshot.structures` reads from every
 origin's.  That snapshot walks each origin once per version and inherits,
-from the previous version's snapshot, every walk the topology events in
-between leave unchanged — so a change re-walks only the origins it
+from the previous version's snapshot, every walk the net topology change
+in between leaves unchanged — so a change re-walks only the origins it
 touches, and every list is order-identical to a fresh probe.
 :class:`StructureCacheStatistics` accounts for lookups and the walks they
 ran.
@@ -151,7 +151,7 @@ class StructureCacheStatistics:
     predecessor (for a per-origin lookup: that origin's walks), so at most
     the origins a change touched were walked again.  Any other miss is a
     *probe*: it is served by cold walks only — no previous snapshot, an
-    invalidated one, a truncated event log, or a (re)joined peer.
+    invalidated one, or a (re)joined peer.
     ``work_units`` counts the walks actually run on the cache's behalf: one
     per origin for its cycles and one for its parallel paths.
     """
@@ -212,8 +212,9 @@ class StructureCache:
         self._local: Dict[
             str, Tuple[Tuple[MappingCycle, ...], Tuple[ParallelPaths, ...]]
         ] = {}
-        # The unmappable-mapping scan is origin-independent; share it across
-        # both views' reads of one (attribute, key).
+        # The ⊥ scan per attribute.  It is origin-independent: the
+        # assessor's local view reads the global view's cache, so both views
+        # share one scan per (attribute, key).
         self._unmappable: Dict[str, Tuple[str, ...]] = {}
         # The global view's evidence per attribute.
         self._evidence: Dict[str, NetworkEvidence] = {}

@@ -143,13 +143,6 @@ class TransportStatistics:
     delivered: int = 0
     dropped: int = 0
 
-    def record(self, delivered: bool) -> None:
-        self.attempted += 1
-        if delivered:
-            self.delivered += 1
-        else:
-            self.dropped += 1
-
     def record_many(self, attempted: int, delivered: int) -> None:
         """Record a whole batch of attempts at once.
 
@@ -204,22 +197,15 @@ class MessageTransport:
             self._rng = random.Random(self._seed)
         return self._rng
 
-    def try_send(self) -> bool:
-        """Decide whether one message makes it through; update statistics."""
-        delivered = (
-            self.send_probability >= 1.0
-            or self._stream().random() < self.send_probability
-        )
-        self.statistics.record(delivered)
-        return delivered
-
     def send_mask(self, count: int) -> np.ndarray:
-        """Vectorized equivalent of ``count`` consecutive :meth:`try_send`.
+        """Decide which of ``count`` consecutive messages make it through;
+        update statistics.
 
-        The uniforms are drawn from the same ``random.Random`` stream in the
-        same order as the scalar calls (and, like them, a perfectly reliable
-        transport draws nothing), so a per-message loop and the lane engine
-        make identical drop decisions under a shared seed.
+        Message ``i`` is delivered when the ``i``-th uniform drawn from the
+        transport's ``random.Random`` stream falls below
+        ``send_probability`` (a perfectly reliable transport draws
+        nothing), so a per-message loop calling ``send_mask(1)`` and the
+        lane engine make identical drop decisions under a shared seed.
         """
         if count <= 0:
             return np.zeros(0, dtype=bool)

@@ -64,9 +64,9 @@ kernel call, one normalisation and one scatter.
 Rng-stream reproducibility contract: the transport's ``random.Random``
 uniforms are consumed in transmission order (structure → sender mapping →
 recipient), only for informative transmissions, so a seeded run is
-reproducible and makes the same drop decisions as a per-message loop over
-:meth:`MessageTransport.try_send` in that order.  A perfectly reliable
-transport draws nothing and seeds no stream.
+reproducible and makes the same drop decisions as a per-message loop of
+one-message :meth:`MessageTransport.send_mask` calls in that order.  A
+perfectly reliable transport draws nothing and seeds no stream.
 
 Plan-IR equivalence contract
 ----------------------------

@@ -434,7 +434,8 @@ class MappingQualityAssessor:
         )
         results = engine.run()
         self.last_local_round_edge_counts = tuple(engine.round_edge_counts)
-        unmappable = set(self.neighborhood_cache.unmappable(attribute))
+        # The ⊥ scan is the global view's: one scan per attribute and version.
+        unmappable = set(self.structure_cache.unmappable(attribute))
         views: Dict[str, Dict[str, float]] = {}
         for origin, block in zip(origin_list, blocks):
             result = results[origin]

@@ -13,10 +13,11 @@ most once per ttl: the structures a peer's probe finds do not depend on
 the attribute or on who asked.  A network hands every consumer the same
 snapshot per topology version
 (:meth:`~repro.pdms.network.PDMSNetwork.snapshot`), and builds each new
-version's snapshot from the previous one plus the events in between
-(:meth:`TopologySnapshot.successor`): every walk those events leave
+version's snapshot from the previous one plus the net change in between
+(:meth:`TopologySnapshot.successor` of a
+:class:`~repro.pdms.network.TopologyDelta`): every walk that change leaves
 unchanged is carried over, so a change re-walks only the origins it
-touches.
+touches, however many mutations it took.
 
 The global view is the union of those per-peer walks
 (:meth:`TopologySnapshot.structures`).  Each structure has one owner — a
@@ -32,13 +33,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 
 from ..exceptions import PDMSError
 from ..mapping.mapping import Mapping
-from .events import (
-    CorrespondenceChanged,
-    MappingAdded,
-    MappingRemoved,
-    PeerRemoved,
-    TopologyEvent,
-)
+from .network import TopologyDelta
 from .probing import (
     MappingCycle,
     ParallelPaths,
@@ -69,7 +64,7 @@ class TopologySnapshot:
     of it walks an origin at a given ttl once; :attr:`walks` counts the
     walks it ran, and :meth:`structures` lists the global view from them.
     A snapshot built by :meth:`successor` starts out holding the walks of
-    its predecessor that the events in between leave unchanged, and
+    its predecessor that the change in between leaves unchanged, and
     :attr:`inherited` names the origins whose walks it could inherit.
     Neither the lowering nor the walks are pickled; both are rebuilt
     lazily after unpickling.
@@ -144,18 +139,15 @@ class TopologySnapshot:
             directed=source.directed,
         )
 
-    def successor(
-        self, network, events: Sequence[Tuple[int, TopologyEvent]]
-    ) -> "TopologySnapshot":
+    def successor(self, network, delta: TopologyDelta) -> "TopologySnapshot":
         """A snapshot of ``network``'s current topology that inherits every
-        walk of this snapshot which ``events`` — the typed entries of
-        :meth:`~repro.pdms.network.PDMSNetwork.events_since` this
-        snapshot's version — leave unchanged.
+        walk of this snapshot which ``delta`` — the net change the network
+        folded since this snapshot was its shared one — leaves unchanged.
 
-        * Removed peers drop their walks; (re)joined peers walk cold.
-        * A :class:`~repro.pdms.events.CorrespondenceChanged` mapping
-          counts as removed for carrying: it keeps its name and position,
-          but a carried walk would hold the replaced object.
+        * Peers that left drop their walks; (re)joined peers walk cold.
+        * A mapping whose correspondences changed counts as removed for
+          carrying: it keeps its name and position, but a carried walk
+          would hold the replaced object.
         * An origin's cycles are carried unless (a) one of its old cycles
           holds a removed mapping, or (b) it lies on a new cycle through an
           added mapping.  Rule (b) is settled at the first cycle lookup of
@@ -170,26 +162,6 @@ class TopologySnapshot:
           simple paths of at most ``ttl`` hops crosses such a mapping
           enumerates the same paths in the same order.
         """
-        removed: Set[str] = set()
-        added: Dict[str, None] = {}
-        changed: Set[str] = set()  # sources of added or removed mappings
-        left: Set[str] = set()
-        for _, event in events:
-            if isinstance(event, MappingAdded):
-                added[event.mapping.name] = None
-                changed.add(event.mapping.source)
-            elif isinstance(event, MappingRemoved):
-                removed.add(event.name)
-            elif isinstance(event, CorrespondenceChanged):
-                removed.add(event.mapping.name)
-            elif isinstance(event, PeerRemoved):
-                left.add(event.name)
-        # A removed (or changed) mapping added after this snapshot has its
-        # source in ``changed`` already.
-        changed.update(
-            self.mapping(name).source for name in removed if self.has_mapping(name)
-        )
-
         successor = TopologySnapshot.of(network)
         walked: Set[str] = {origin for origin, _ in self._cycles}
         walked.update(origin for origin, _ in self._paths)
@@ -199,25 +171,25 @@ class TopologySnapshot:
             walked.update(cycles)
         for (origin, ttl), cycles in self._cycles.items():
             cycles_by_ttl.setdefault(ttl, {})[origin] = cycles
-        successor.inherited = frozenset(walked - left)
+        successor.inherited = frozenset(walked - delta.left)
 
         for ttl, cycles_of in cycles_by_ttl.items():
             kept = {
                 origin: cycles
                 for origin, cycles in cycles_of.items()
-                if origin not in left
-                and all(removed.isdisjoint(c.mapping_names) for c in cycles)
+                if origin not in delta.left
+                and all(delta.removed.isdisjoint(c.mapping_names) for c in cycles)
             }
             earlier = self._unsettled.get(ttl, ({}, ()))[1]
             successor._unsettled[ttl] = (
                 kept,
-                tuple(dict.fromkeys(earlier + tuple(added))),
+                tuple(dict.fromkeys(earlier + tuple(delta.added))),
             )
 
         for ttl in {ttl for _, ttl in self._paths}:
-            near = successor._upstream(changed, ttl - 1)
+            stale = successor._upstream(delta.sources, ttl - 1) | delta.left
             for (origin, walked_ttl), paths in self._paths.items():
-                if walked_ttl == ttl and origin not in near and origin not in left:
+                if walked_ttl == ttl and origin not in stale:
                     successor._paths[(origin, ttl)] = paths
         return successor
 

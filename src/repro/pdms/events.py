@@ -1,14 +1,13 @@
-"""Typed topology events: the replicable log every consumer shares.
+"""Typed topology events: the vocabulary of replication and replay.
 
 The paper's system is decentralised — peers learn about the mapping
 network from information that *travels*.  This module makes topology
-change itself first-class: every mutation of a :class:`~repro.pdms.network.PDMSNetwork`
-is one of five typed, frozen, picklable records —
+change itself first-class: each mutation of a
+:class:`~repro.pdms.network.PDMSNetwork` can travel as one of five typed,
+frozen, picklable records —
 
 * :class:`PeerAdded` — a peer (name + schema) joined;
-* :class:`PeerRemoved` — a peer left (its incident mappings are removed
-  first, as explicit :class:`MappingRemoved` events, so logs replay
-  without hidden cascades);
+* :class:`PeerRemoved` — a peer left, its incident mappings with it;
 * :class:`MappingAdded` — a directed mapping was registered;
 * :class:`MappingRemoved` — a mapping was unregistered;
 * :class:`CorrespondenceChanged` — a registered mapping was replaced by a
@@ -17,8 +16,10 @@ is one of five typed, frozen, picklable records —
 
 plus the deterministic transition :func:`apply` that turns an event into
 the corresponding network mutation.  ``PDMSNetwork.from_events`` replays
-a recorded log through :func:`apply`, reproducing peers, mappings and the
-``version`` counter exactly.
+a script of events through :func:`apply`, so one script always yields the
+same peers, mappings and ``version`` counter.  The network itself records
+no events: the gossip journals below hold every event a node originated
+or delivered.
 
 :class:`GossipJournal` is the replication substrate on top: it stamps
 each locally-originated event with a dynamically-growing
@@ -78,7 +79,7 @@ class PeerAdded(TopologyEvent):
 
     Carries the peer's name and schema — everything needed to rebuild the
     peer on replay.  Local instance records are *data*, not topology, and
-    do not ride the event log.
+    do not ride the events.
     """
 
     name: str
@@ -89,9 +90,10 @@ class PeerAdded(TopologyEvent):
 class PeerRemoved(TopologyEvent):
     """A peer left the network.
 
-    Well-formed logs remove the peer's incident mappings first (the
-    cascade :meth:`~repro.pdms.network.PDMSNetwork.remove_peer` records
-    explicitly), so applying this event finds the peer isolated.
+    Applying it removes the peer's incident mappings first, one mutation
+    each (:meth:`~repro.pdms.network.PDMSNetwork.remove_peer`), so a
+    script that removes them explicitly beforehand replays to the same
+    network and ``version``.
     """
 
     name: str
@@ -133,12 +135,12 @@ def apply(network: "PDMSNetwork", event: TopologyEvent) -> object:
     """Apply one event to ``network``; return the affected peer / mapping.
 
     This is the single transition function replay and the gossip
-    replicas lower to: each event maps to exactly one public
-    mutator call (mapping additions always apply *directionally* —
-    undirected networks record the reverse direction as its own event),
-    so replaying a recorded log bumps ``version`` exactly as the original
-    run did.  Malformed events (duplicate peers, unknown mappings, ...)
-    raise the same exceptions the mutators raise, deterministically.
+    replicas lower to: each event maps to exactly one public mutator call
+    (mapping additions always apply *directionally*: the reverse direction
+    of an undirected mapping is its own event), so replaying a script
+    bumps ``version`` exactly as applying it did.  Malformed events
+    (duplicate peers, unknown mappings, ...) raise the same exceptions the
+    mutators raise, deterministically.
     """
     if isinstance(event, PeerAdded):
         return network.add_peer(Peer(event.name, event.schema))

@@ -13,26 +13,39 @@ undirected network simply registers every mapping in both directions
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Dict, Iterable, Iterator, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Iterable, Iterator, Optional, Set, Tuple
 
 import networkx as nx
 
 from ..exceptions import PDMSError, UnknownPeerError
 from ..mapping.mapping import Mapping
 from ..schema.schema import Schema
-from .events import (
-    CorrespondenceChanged,
-    MappingAdded,
-    MappingRemoved,
-    PeerAdded,
-    PeerRemoved,
-    TopologyEvent,
-    apply as apply_event,
-)
+from .events import TopologyEvent, apply as apply_event
 from .peer import Peer
 
-__all__ = ["PDMSNetwork"]
+__all__ = ["PDMSNetwork", "TopologyDelta"]
+
+
+@dataclass
+class TopologyDelta:
+    """The net topology change since a network's shared snapshot.
+
+    A :class:`PDMSNetwork` folds every mutation into one delta while it
+    holds a shared snapshot, and :meth:`PDMSNetwork.snapshot` hands it to
+    :meth:`~repro.pdms.discovery.TopologySnapshot.successor`.  Its size is
+    bounded by the peers and mapping names the changes touch, however many
+    mutations it folds.
+    """
+
+    #: Peers that left (a peer that rejoined stays here: it walks cold).
+    left: Set[str] = field(default_factory=set)
+    #: Names of the mappings added, in first-addition order.
+    added: Dict[str, None] = field(default_factory=dict)
+    #: Names of the mappings removed or whose correspondences changed.
+    removed: Set[str] = field(default_factory=set)
+    #: The sources of the mappings named in ``added`` and ``removed``.
+    sources: Set[str] = field(default_factory=set)
 
 
 class PDMSNetwork:
@@ -50,21 +63,15 @@ class PDMSNetwork:
         ``auto_reverse`` is left on.
     """
 
-    #: Event-log entries kept for incremental consumers; older entries
-    #: are dropped and :meth:`events_since` reports the log as truncated.
-    MUTATION_LOG_LIMIT = 256
-
     def __init__(self, name: str = "pdms", directed: bool = True) -> None:
         self.name = name
         self.directed = directed
         self._peers: Dict[str, Peer] = {}
         self._mappings: Dict[str, Mapping] = {}
         self._version = 0
-        self._event_log: Deque[Tuple[int, TopologyEvent]] = deque(
-            maxlen=self.MUTATION_LOG_LIMIT
-        )
-        self._mutation_floor = 0
         self._snapshot = None
+        # The change since ``_snapshot``; ``None`` while there is none.
+        self._delta: Optional[TopologyDelta] = None
 
     @property
     def version(self) -> int:
@@ -77,53 +84,16 @@ class PDMSNetwork:
         """
         return self._version
 
-    def _record_event(self, event: TopologyEvent) -> None:
-        """Append one typed event to the bounded log (O(1)).
-
-        The log is a ``deque(maxlen=...)``: when full, appending evicts
-        the oldest entry in constant time, and the evicted entry's version
-        becomes the truncation floor below which incremental consumers
-        must fall back to a full re-derivation.
-        """
-        if len(self._event_log) == self.MUTATION_LOG_LIMIT:
-            self._mutation_floor = self._event_log[0][0]
-        self._event_log.append((self._version, event))
-
-    def events_since(
-        self, version: int
-    ) -> Optional[Tuple[Tuple[int, TopologyEvent], ...]]:
-        """Typed topology events applied after ``version``, oldest first.
-
-        Each entry is ``(version_after_mutation, event)``.  Returns
-        ``None`` when the bounded log no longer reaches back to
-        ``version`` — callers must then fall back to a full
-        re-derivation.  :meth:`snapshot` feeds these entries to
-        :meth:`~repro.pdms.discovery.TopologySnapshot.successor` to carry
-        every walk they leave unchanged into the next version.
-        """
-        if version < self._mutation_floor:
-            return None
-        newer = []
-        for entry in reversed(self._event_log):
-            if entry[0] <= version:
-                break
-            newer.append(entry)
-        return tuple(reversed(newer))
-
-    def event_log(self) -> Tuple[TopologyEvent, ...]:
-        """The retained typed events, oldest first.
-
-        Bounded by :attr:`MUTATION_LOG_LIMIT`; when :attr:`log_truncated`
-        is ``False`` this is the *complete* mutation history and
-        :meth:`from_events` replays it to a network with identical peers,
-        mappings and :attr:`version`.
-        """
-        return tuple(event for _, event in self._event_log)
-
-    @property
-    def log_truncated(self) -> bool:
-        """``True`` when the bounded log has dropped its oldest entries."""
-        return self._mutation_floor > 0
+    def _fold(self, mapping: Mapping, added: bool) -> None:
+        """Fold one mapping's addition, or its removal or change, into the
+        delta since the shared snapshot."""
+        delta = self._delta
+        if delta is not None:
+            if added:
+                delta.added[mapping.name] = None
+            else:
+                delta.removed.add(mapping.name)
+            delta.sources.add(mapping.source)
 
     @classmethod
     def from_events(
@@ -132,13 +102,13 @@ class PDMSNetwork:
         name: str = "pdms",
         directed: bool = True,
     ) -> "PDMSNetwork":
-        """Replay a recorded event log into a fresh network.
+        """Replay a script of typed events into a fresh network.
 
         Applies each event through the deterministic transition
-        :func:`repro.pdms.events.apply`; replaying a network's complete
-        :meth:`event_log` reproduces its peers, mappings and ``version``
-        exactly (instance records are data, not topology, and are not
-        replayed).
+        :func:`repro.pdms.events.apply`, so the same script always yields
+        the same peers, mapping order and ``version`` (instance records
+        are data, not topology, and are not replayed).  The gossip
+        journals rebuild their replicas this way.
         """
         network = cls(name=name, directed=directed)
         for event in events:
@@ -158,18 +128,14 @@ class PDMSNetwork:
             raise PDMSError(f"peer {peer.name!r} already exists in {self.name!r}")
         self._peers[peer.name] = peer
         self._version += 1
-        self._record_event(PeerAdded(name=peer.name, schema=peer.schema))
         return peer
 
     def remove_peer(self, name: str) -> Peer:
         """Remove a peer, cascading the removal of its incident mappings.
 
         Every incident mapping (outgoing *and* incoming) is removed first
-        through :meth:`remove_mapping` — each recording its own
-        :class:`~repro.pdms.events.MappingRemoved` event — and the peer's
-        departure is then recorded as a typed
-        :class:`~repro.pdms.events.PeerRemoved` event, so the log stays
-        replayable without hidden cascades.  The next :meth:`snapshot`
+        through :meth:`remove_mapping`, each bumping :attr:`version`, and
+        the peer's departure bumps it once more.  The next :meth:`snapshot`
         drops the peer's walks (a rejoining peer walks cold) and re-walks
         exactly the other origins its mapping removals touch.
         """
@@ -183,7 +149,8 @@ class PDMSNetwork:
             self.remove_mapping(mapping_name)
         del self._peers[name]
         self._version += 1
-        self._record_event(PeerRemoved(name=name))
+        if self._delta is not None:
+            self._delta.left.add(name)
         return peer
 
     def peer(self, name: str) -> Peer:
@@ -231,7 +198,7 @@ class PDMSNetwork:
         self._mappings[mapping.name] = mapping
         self._peers[mapping.source].add_outgoing_mapping(mapping)
         self._version += 1
-        self._record_event(MappingAdded(mapping=mapping))
+        self._fold(mapping, added=True)
 
         reverse = (not self.directed) if bidirectional is None else bidirectional
         if reverse:
@@ -240,7 +207,7 @@ class PDMSNetwork:
                 self._mappings[reversed_mapping.name] = reversed_mapping
                 self._peers[reversed_mapping.source].add_outgoing_mapping(reversed_mapping)
                 self._version += 1
-                self._record_event(MappingAdded(mapping=reversed_mapping))
+                self._fold(reversed_mapping, added=True)
         return mapping
 
     def mapping(self, name: str) -> Mapping:
@@ -256,7 +223,7 @@ class PDMSNetwork:
         del self._mappings[name]
         self._peers[mapping.source]._outgoing.pop(name, None)
         self._version += 1
-        self._record_event(MappingRemoved(name=name))
+        self._fold(mapping, added=False)
         return mapping
 
     def change_correspondences(self, replacement: Mapping) -> Mapping:
@@ -268,10 +235,9 @@ class PDMSNetwork:
         outgoing order, and the replaced object is never mutated — gossip
         replicas and the oracle share the ``Mapping`` objects of their
         :class:`~repro.pdms.events.MappingAdded` entries, and walks carried
-        from earlier versions hold them.  The change is recorded as a
-        :class:`~repro.pdms.events.CorrespondenceChanged` event and bumps
-        :attr:`version`, so every derived cache sees it; the next
-        :meth:`snapshot` re-walks the origins whose walks hold the mapping.
+        from earlier versions hold them.  The change bumps :attr:`version`,
+        so every derived cache sees it; the next :meth:`snapshot` re-walks
+        the origins whose walks hold the mapping.
         Only the named direction changes, also in an undirected network.
         """
         current = self.mapping(replacement.name)
@@ -283,7 +249,7 @@ class PDMSNetwork:
         self._mappings[replacement.name] = replacement
         self._peers[replacement.source]._outgoing[replacement.name] = replacement
         self._version += 1
-        self._record_event(CorrespondenceChanged(mapping=replacement))
+        self._fold(replacement, added=False)
         return current
 
     def has_mapping(self, name: str) -> bool:
@@ -314,25 +280,26 @@ class PDMSNetwork:
         Shared per topology version: every call returns the same snapshot
         until :attr:`version` changes, so its integer lowering and the
         per-origin walks it remembers serve every consumer of this version.
-        A new version's snapshot is built from the previous one plus
-        :meth:`events_since` its version
+        While it holds a shared snapshot the network folds every mutation
+        into one :class:`TopologyDelta`; a new version's snapshot is built
+        from the previous one plus that delta
         (:meth:`~repro.pdms.discovery.TopologySnapshot.successor`) and
-        inherits every walk those events leave unchanged.  It starts cold
-        when there is no previous snapshot, after
-        :meth:`invalidate_snapshot`, or when the bounded log no longer
-        reaches back to the previous version.  ``TopologySnapshot.of(network)``
-        builds a private, cold snapshot instead.
+        inherits every walk the change leaves unchanged, however many
+        mutations it took.  It starts cold only when there is no previous
+        snapshot or after :meth:`invalidate_snapshot`.
+        ``TopologySnapshot.of(network)`` builds a private, cold snapshot
+        instead.
         """
         from .discovery import TopologySnapshot
 
         previous = self._snapshot
         if previous is None or previous.version != self._version:
-            events = None if previous is None else self.events_since(previous.version)
             self._snapshot = (
                 TopologySnapshot.of(self)
-                if events is None
-                else previous.successor(self, events)
+                if previous is None
+                else previous.successor(self, self._delta)
             )
+            self._delta = TopologyDelta()
         return self._snapshot
 
     def invalidate_snapshot(self) -> None:
@@ -341,6 +308,7 @@ class PDMSNetwork:
         out-of-band surgery the version counter cannot see; the structure
         caches' ``invalidate()`` calls this."""
         self._snapshot = None
+        self._delta = None
 
     def to_networkx(self) -> nx.MultiDiGraph:
         """Export the mapping graph; edge key is the mapping name."""

@@ -13,7 +13,7 @@ it replaced, deliberately left slow and simple:
 * factor messages come from the scalar ``Factor.message_to`` /
   ``CountFactor.message_to``, one directed message at a time, so the oracle
   shares no sweep code with the engine under test;
-* drops are drawn with :meth:`MessageTransport.try_send`, one transmission
+* drops are drawn with ``MessageTransport.send_mask(1)``, one transmission
   at a time, in transmission order (feedback → sender mapping → recipient).
 
 Its posteriors sit within a few ulps of the engine's (the kernels group the
@@ -121,6 +121,7 @@ class ReferenceEmbedded:
                 per_feedback[feedback_id] = normalize(message)
 
     def _exchange(self, selection) -> None:
+        send = self.transport.send_mask
         for feedback in self.feedbacks:
             for name in feedback.mapping_names:
                 if selection is not None and name not in selection:
@@ -129,7 +130,7 @@ class ReferenceEmbedded:
                 message = self.v2f[name][feedback.identifier]
                 for other in feedback.mapping_names:
                     recipient = self.owners[other]
-                    if recipient == sender or not self.transport.try_send():
+                    if recipient == sender or not send(1)[0]:
                         continue
                     self.received[recipient][(feedback.identifier, name)] = message.copy()
 

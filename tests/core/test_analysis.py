@@ -25,8 +25,8 @@ def count(evidence, kind):
 
 
 def _cut_out_of_band(network, name):
-    """Delete a mapping behind the network's back: the version counter and
-    the event log never see it, which is what ``invalidate()`` is for."""
+    """Delete a mapping behind the network's back: the version counter
+    never sees it, which is what ``invalidate()`` is for."""
     mapping = network._mappings.pop(name)
     del network.peer(mapping.source)._outgoing[name]
 

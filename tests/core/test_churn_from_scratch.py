@@ -6,29 +6,22 @@ one assessor live across all epochs.  Its structures come from snapshots
 that carry every walk a change leaves unchanged.  Here the same epoch shape
 runs on 64 peers, and after every epoch the live posteriors and local
 views must equal, float for float, those of an assessor that shares the
-live priors but sits on a cold copy of the topology.  The copy is rebuilt
-from ``PeerAdded`` / ``MappingAdded`` events in the live network's peer and
-mapping order, because the live event log is truncated and cannot be
-replayed.  The parallel-path run probes with ttl 2: at ttl 3 the 64-peer
-network holds ~6,100 parallel-path structures and one sweep takes seconds.
+live priors but sits on a cold copy of the topology (``cold_copy``:
+``PeerAdded`` / ``MappingAdded`` events in the live network's peer and
+mapping order).  The parallel-path run probes with ttl 2: at ttl 3 the
+64-peer network holds ~6,100 parallel-path structures and one sweep takes
+seconds.
 """
 
 import random
 
 import pytest
+from cold_copy import cold_copy
 
 from repro.core.quality import MappingQualityAssessor
 from repro.generators.scenarios import generate_scenario
-from repro.pdms.events import MappingAdded, PeerAdded
-from repro.pdms.network import PDMSNetwork
 
 EPOCHS = 8
-
-
-def _cold_copy(network):
-    events = [PeerAdded(name=peer.name, schema=peer.schema) for peer in network.peers]
-    events += [MappingAdded(mapping=mapping) for mapping in network.mappings]
-    return PDMSNetwork.from_events(events, name=network.name)
 
 
 def _epoch(network, rng):
@@ -80,7 +73,7 @@ def test_live_assessor_matches_a_cold_topology(include_parallel_paths, ttl):
         _epoch(network, rng)
         attribute = attributes[epoch % len(attributes)]
         observed = state(live, attribute)
-        assert observed == state(assessor(_cold_copy(network), live.priors), attribute)
+        assert observed == state(assessor(cold_copy(network), live.priors), attribute)
         live.update_priors([attribute])
     # The live side read carried walks, not cold ones.
     statistics = live.neighborhood_cache.statistics

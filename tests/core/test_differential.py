@@ -21,6 +21,7 @@ production path is compared against its two oracles:
 """
 
 import pytest
+from cold_copy import cold_copy
 from embedded_reference import (
     assert_matches_reference,
     reference_assessment,
@@ -34,8 +35,6 @@ from repro.core.pdms_factor_graph import build_factor_graph
 from repro.core.quality import MappingQualityAssessor
 from repro.factorgraph.sum_product import run_sum_product
 from repro.generators.scenarios import generate_scenario
-from repro.pdms.events import MappingAdded, PeerAdded
-from repro.pdms.network import PDMSNetwork
 from repro.pdms.peer import Peer
 
 TTL = 3
@@ -76,18 +75,6 @@ def _worst(stacked, reference):
 def _assessor(network, **kwargs):
     return MappingQualityAssessor(
         network, delta=DELTA, ttl=TTL, include_parallel_paths=False, **kwargs
-    )
-
-
-def _replayed(network):
-    """A new network replaying ``network``'s current peers and mappings, in
-    order, as events.  Peer churn at 16 peers can overflow the bounded
-    event log, so the twin replays the current state rather than the
-    history."""
-    events = [PeerAdded(name=peer.name, schema=peer.schema) for peer in network.peers]
-    events.extend(MappingAdded(mapping=mapping) for mapping in network.mappings)
-    return PDMSNetwork.from_events(
-        events, name=network.name, directed=network.directed
     )
 
 
@@ -156,7 +143,7 @@ def test_production_path_matches_its_oracles(
     _snapshot(live, attributes)
     _churn(network, live, attributes, steps)
     live_global, live_local = _snapshot(live, attributes)
-    fresh_global, fresh_local = _snapshot(_assessor(_replayed(network)), attributes)
+    fresh_global, fresh_local = _snapshot(_assessor(cold_copy(network)), attributes)
     for attribute in attributes:
         assert _worst(
             live_global[attribute], fresh_global[attribute]

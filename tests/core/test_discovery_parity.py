@@ -17,9 +17,9 @@ Six guarantees land here, mirroring ``test_plan_ir.py`` one layer up:
    live across a mutation, must hand back the same structure lists, in
    the same order, as a cache probing the mutated network from scratch.
    A network shares one snapshot and its walks per version, so the fresh
-   side probes a replay of the network's event log (or, where the log is
-   truncated, a private snapshot) — never the live side's snapshot.
-3. Carried walks are exact: after any event sequence, every origin's walks
+   side probes a cold copy of the network (``cold_copy``) — never the live
+   side's snapshot.
+3. Carried walks are exact: after any change sequence, every origin's walks
    on the network's snapshot — inherited or re-walked — equal a cold
    private snapshot's, in order and orientation, and so do the cache's
    global lists.
@@ -29,7 +29,8 @@ Six guarantees land here, mirroring ``test_plan_ir.py`` one layer up:
    ``tests/pdms/walker_reference.py``), at 1024 peers through churned
    epochs.
 5. A change re-walks only the origins it touches: one mapping removed and
-   re-added at 1024 peers walks exactly the origins on a cycle through it.
+   re-added at 1024 peers walks exactly the origins on a cycle through it,
+   and so does a burst of more mutations than a 256-entry log would hold.
 6. One walk per origin per topology version and ttl, across both views.
 """
 
@@ -39,6 +40,7 @@ import runpy
 from dataclasses import replace
 
 import pytest
+from cold_copy import cold_copy
 from hypothesis import given, settings, strategies as st
 
 import repro
@@ -79,17 +81,13 @@ def _churn(network):
     network.add_mapping(mapping, bidirectional=False)
 
 
-def _replayed(network):
-    """A from-scratch twin of ``network``: its complete event log replayed
-    into a new network, which lowers its own snapshot."""
-    assert not network.log_truncated
-    return PDMSNetwork.from_events(
-        network.event_log(), name=network.name, directed=network.directed
-    )
+#: Join/leave pairs of one flood: 258 mutations between two snapshots, more
+#: than a 256-entry mutation log would hold.
+FLOOD_PAIRS = 129
 
 
-class TestFreshSideReplay:
-    def test_replay_reproduces_a_churned_network(self):
+class TestFreshSide:
+    def test_a_cold_copy_reproduces_a_churned_network(self):
         network = scale_free_network(16, seed=4)
         _churn(network)
         peer = network.peers[3]
@@ -102,15 +100,14 @@ class TestFreshSideReplay:
             network.add_mapping(mapping, bidirectional=False)
         _churn(network)
 
-        replayed = _replayed(network)
-        assert replayed.peer_names == network.peer_names
-        assert replayed.mapping_names == network.mapping_names
-        assert replayed.version == network.version
+        copy = cold_copy(network)
+        assert copy.peer_names == network.peer_names
+        assert copy.mappings == network.mappings
         for name in network.peer_names:
-            assert [m.name for m in replayed.peer(name).outgoing_mappings] == [
-                m.name for m in network.peer(name).outgoing_mappings
-            ]
-        assert replayed.snapshot() is not network.snapshot()
+            assert copy.peer(name).outgoing_mappings == (
+                network.peer(name).outgoing_mappings
+            )
+        assert copy.snapshot() is not network.snapshot()
 
 
 class TestCoreReadsTheSnapshotsWalks:
@@ -143,7 +140,7 @@ class TestNetworkCacheParity:
         cycles, paths = live.structures()
         assert live.statistics.partial_refreshes == 1
         assert live.statistics.probes == 1
-        fresh = StructureCache(_replayed(network), ttl=ttl)
+        fresh = StructureCache(cold_copy(network), ttl=ttl)
         f_cycles, f_paths = fresh.structures()
         assert _canon(cycles) == _canon(f_cycles)
         assert _canon(paths) == _canon(f_paths)
@@ -176,7 +173,7 @@ class TestNeighborhoodCacheParity:
         assert live.statistics.misses == lazy.statistics.misses
 
         _churn(network)
-        fresh = StructureCache(_replayed(network), ttl=ttl)
+        fresh = StructureCache(cold_copy(network), ttl=ttl)
         for origin in origins:
             cycles, paths = live.structures_for(origin)
             f_cycles, f_paths = fresh.structures_for(origin)
@@ -226,8 +223,6 @@ class TestIncrementalRefreshIsODelta:
         assert g.work_units == global_before.work_units + len(touched)
         assert g.probes == global_before.probes
         assert g.partial_refreshes == global_before.partial_refreshes + 1
-        # The 1024-peer log is truncated, so the fresh side is a private
-        # snapshot's full probe rather than a replay.
         fresh, _ = TopologySnapshot.of(network).structures(3, False)
         assert cycles == fresh
         # The local view reads the walks the global read left behind.
@@ -407,14 +402,21 @@ def _run_script(script):
         elif operation == "invalidate":
             network.invalidate_snapshot()
         elif operation == "flood":
-            # Push the previous version out of the bounded log.
-            for _ in range(PDMSNetwork.MUTATION_LOG_LIMIT // 2 + 1):
+            # Every walk read, then a burst that touches no mapping.
+            before = network.snapshot()
+            for origin in network.peer_names:
+                before.cycles_through(origin, ttl)
+                if include:
+                    before.parallel_paths_from(origin, ttl)
+            for _ in range(FLOOD_PAIRS):
                 network.remove_peer(network.add_peer(_peer("flood")).name)
         if not (check or operation in ("invalidate", "flood")):
             continue
         snapshot = network.snapshot()
-        if operation in ("invalidate", "flood"):
+        if operation == "invalidate":
             assert snapshot.inherited == frozenset()
+        elif operation == "flood":
+            assert snapshot.inherited == frozenset(network.peer_names)
         cold = TopologySnapshot.of(network)
         walked = snapshot.walks
         for origin in network.peer_names:
@@ -425,6 +427,8 @@ def _run_script(script):
                 assert snapshot.parallel_paths_from(
                     origin, ttl
                 ) == cold.parallel_paths_from(origin, ttl), (origin, operation)
+        if operation == "flood":
+            assert snapshot.walks == walked  # every walk was carried
         if snapshot is not checked:
             reads = len(network.peer_names) * (2 if include else 1)
             carried += reads - (snapshot.walks - walked)
@@ -439,6 +443,26 @@ def _run_script(script):
                 cold.parallel_paths_from(origin, ttl) if include else (),
             )
     return carried
+
+
+def _hub_network(spokes):
+    """A ring of ten peers, each linked both ways to the next and by a chord
+    back from the one after it, plus a hub linked both ways to ``r0`` and
+    to each of ``spokes`` leaf peers."""
+    network = PDMSNetwork("hub", directed=True)
+    ring = [f"r{index}" for index in range(10)]
+    leaves = [f"s{index}" for index in range(spokes)]
+    for name in [*ring, "hub", *leaves]:
+        network.add_peer(_peer(name))
+    for index, name in enumerate(ring):
+        after, next_after = ring[(index + 1) % 10], ring[(index + 2) % 10]
+        network.add_mapping(_mapping(name, after, ""))
+        network.add_mapping(_mapping(after, name, ""))
+        network.add_mapping(_mapping(next_after, name, "chord"))
+    for name in ["r0", *leaves]:
+        network.add_mapping(_mapping("hub", name, ""))
+        network.add_mapping(_mapping(name, "hub", ""))
+    return network
 
 
 class TestCarriedWalks:
@@ -483,17 +507,53 @@ class TestCarriedWalks:
         network.invalidate_snapshot()
         assert network.snapshot().inherited == frozenset()
 
-    def test_a_truncated_log_gives_a_cold_snapshot(self):
+    def test_a_long_burst_carries_every_walk_it_leaves_unchanged(self):
         network = scale_free_network(16, seed=3)
-        network.snapshot().cycles_through(network.peer_names[0], 4)
-        for _ in range(PDMSNetwork.MUTATION_LOG_LIMIT // 2):
-            _churn(network)
-        # Exactly MUTATION_LOG_LIMIT events since the last snapshot: the
-        # log still reaches back to it.
-        assert network.snapshot().inherited
-        network.snapshot().cycles_through(network.peer_names[0], 4)
-        previous = network.version
-        for _ in range(PDMSNetwork.MUTATION_LOG_LIMIT // 2 + 1):
-            _churn(network)
-        assert network.events_since(previous) is None
-        assert network.snapshot().inherited == frozenset()
+        before = network.snapshot()
+        walks = {
+            origin: before.cycles_through(origin, 4) for origin in network.peer_names
+        }
+        touched = _touched(before, sorted(network.mapping_names)[0], 4)
+        assert len(touched) < len(network.peer_names)
+        for _ in range(FLOOD_PAIRS):
+            _churn(network)  # the same mapping, removed and added back
+        snapshot = network.snapshot()
+        assert snapshot.inherited == frozenset(network.peer_names)
+        cold = TopologySnapshot.of(network)
+        for origin in network.peer_names:
+            cycles = snapshot.cycles_through(origin, 4)
+            assert cycles == cold.cycles_through(origin, 4), origin
+            if origin not in touched:
+                assert cycles is walks[origin], origin
+        assert snapshot.walks == len(touched)
+
+    def test_a_hub_rejoin_rewalks_only_the_origins_it_touches(self):
+        """A hub with 130 incident mappings leaves and rejoins with them
+        (262 mutations): the next snapshot walks the hub and the origins on
+        a cycle through it, and carries every other origin's walk."""
+        network = _hub_network(spokes=64)
+        peers = network.peer_names
+        before = network.snapshot()
+        walks = {origin: before.cycles_through(origin, 3) for origin in peers}
+        incident = [m for m in network.mappings if "hub" in (m.source, m.target)]
+        assert 2 * len(incident) + 2 > 256
+        names = {mapping.name for mapping in incident}
+        touched = {"hub"} | {
+            origin
+            for origin, cycles in walks.items()
+            if any(not names.isdisjoint(cycle.mapping_names) for cycle in cycles)
+        }
+        assert 1 < len(touched) < len(peers)
+
+        network.add_peer(network.remove_peer("hub"))
+        for mapping in incident:
+            network.add_mapping(mapping)
+        snapshot = network.snapshot()
+        assert snapshot.inherited == frozenset(peers) - {"hub"}
+        cold = TopologySnapshot.of(network)
+        for origin in peers:
+            cycles = snapshot.cycles_through(origin, 3)
+            assert cycles == cold.cycles_through(origin, 3), origin
+            if origin not in touched:
+                assert cycles is walks[origin], origin
+        assert snapshot.walks == len(touched)

@@ -7,15 +7,18 @@ can alter a feedback — a topology event or a correspondence edit through
 ``PDMSNetwork.change_correspondences`` — reaches them.  Here one live
 assessor runs through a random script of such changes; after each checked
 step its global posteriors and every origin's local view must equal, float
-for float, those of a fresh assessor with the same priors on a replay of
-the network's event log, which shares no snapshot, walk, block or memo
-with the live side.
+for float, those of a fresh assessor with the same priors on a cold copy
+of the network (``cold_copy``), which shares no snapshot, walk, block or
+memo with the live side.
 """
 
 import pytest
+from cold_copy import cold_copy
 from hypothesis import given, settings, strategies as st
 
+from repro.core import analysis
 from repro.core.quality import MappingQualityAssessor
+from repro.generators.paper import intro_example_network
 from repro.mapping.correspondence import Correspondence
 from repro.mapping.mapping import Mapping
 from repro.pdms.network import PDMSNetwork
@@ -145,9 +148,9 @@ def _run_script(script, send_probability):
             live.update_priors()
         if not check:
             continue
-        assert not network.log_truncated
-        replayed = PDMSNetwork.from_events(network.event_log(), name="memo")
-        fresh = MappingQualityAssessor(replayed, priors=live.priors, **options)
+        fresh = MappingQualityAssessor(
+            cold_copy(network), priors=live.priors, **options
+        )
         assert _outcomes(live) == _outcomes(fresh), operation
         compared += 1
     return compared
@@ -165,3 +168,25 @@ def test_memoised_evidence_equals_a_fresh_assessor(send_probability):
     check()
     # Not vacuous: the scripts did compare states after their steps.
     assert sum(compared) > 0
+
+
+def test_both_views_share_one_bottom_scan_per_version(monkeypatch):
+    """The ⊥ scan reads every mapping; a global and an all-origins
+    assessment of one attribute at one version run it once."""
+    scans = []
+    scan = analysis._unmappable_mappings
+
+    def counted(network, attribute):
+        scans.append((network.version, attribute))
+        return scan(network, attribute)
+
+    monkeypatch.setattr(analysis, "_unmappable_mappings", counted)
+    network = intro_example_network(with_records=False)
+    assessor = MappingQualityAssessor(network, ttl=4)
+    assessor.assess_attributes(["Creator"])
+    assessor.assess_local_all("Creator")
+    assert scans == [(network.version, "Creator")]
+    network.remove_mapping("p2->p4")
+    assessor.assess_local_all("Creator")
+    assessor.assess_attributes(["Creator"])
+    assert len(scans) == 2 and scans[1] == (network.version, "Creator")

@@ -11,6 +11,7 @@ from dataclasses import replace
 from unittest import mock
 
 import pytest
+from cold_copy import cold_copy
 from embedded_reference import reference_local_view
 
 from repro.core.analysis import StructureCache, structure_feedbacks
@@ -417,9 +418,7 @@ class TestOriginBlocks:
                 is blocks[origin].feedbacks_for(attribute)
             )
         assert views[mapping.source][name] == 0.0  # the ⊥ rule
-        assert not network.log_truncated
-        replayed = PDMSNetwork.from_events(network.event_log())
-        fresh = MappingQualityAssessor(replayed, **options)
+        fresh = MappingQualityAssessor(cold_copy(network), **options)
         assert views == fresh.assess_local_all(attribute)
 
     def test_a_removed_peer_leaves_no_block_behind(self):
@@ -494,14 +493,14 @@ class TestNeighborhoodCache:
     def _canonical(self, structures):
         return [structure.mapping_names for structure in structures]
 
-    def test_matches_a_cold_cache_on_a_replayed_network(self):
+    def test_matches_a_cold_cache_on_a_cold_copy(self):
         network = intro_example_network(with_records=False)
         cache = StructureCache(network, ttl=4)
         cache.warm(network.peer_names)
         network.remove_mapping("p2->p4")
-        replayed = PDMSNetwork.from_events(network.event_log())
+        copy = cold_copy(network)
         for origin in network.peer_names:
-            fresh_cache = StructureCache(replayed, ttl=4)
+            fresh_cache = StructureCache(copy, ttl=4)
             cached = structure_feedbacks(*cache.structures_for(origin), "Creator")
             fresh = structure_feedbacks(
                 *fresh_cache.structures_for(origin), "Creator"

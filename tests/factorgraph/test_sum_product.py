@@ -272,13 +272,13 @@ class TestSharedDefaults:
     def test_transport_default_seed_is_deterministic(self):
         from repro.core.embedded import MessageTransport
 
-        draws = [MessageTransport(0.5).try_send() for _ in range(20)]
-        redraws = [MessageTransport(0.5).try_send() for _ in range(20)]
+        draws = [bool(MessageTransport(0.5).send_mask(1)[0]) for _ in range(20)]
+        redraws = [bool(MessageTransport(0.5).send_mask(1)[0]) for _ in range(20)]
         assert draws != [True] * 20  # actually lossy
         first = MessageTransport(0.5)
         second = MessageTransport(0.5)
-        assert [first.try_send() for _ in range(50)] == [
-            second.try_send() for _ in range(50)
+        assert [bool(first.send_mask(1)[0]) for _ in range(50)] == [
+            bool(second.send_mask(1)[0]) for _ in range(50)
         ]
         assert draws == redraws
 

@@ -1,4 +1,4 @@
-"""Unit and property tests for the typed topology event log."""
+"""Unit and property tests for the typed topology events and their replay."""
 
 import pickle
 from dataclasses import fields
@@ -102,71 +102,93 @@ class TestApply:
             apply(network, PeerAdded(name="p1", schema=schema("p1")))
 
 
-class TestEventLog:
-    def test_mutators_record_typed_events(self, network):
-        start = network.version
-        network.add_mapping(identity("p1", "p2"))
-        network.add_peer(Peer("p4", schema("p4")))
-        network.change_correspondences(identity("p1", "p2"))
-        network.remove_mapping("p1->p2")
-        network.remove_peer("p4")
-        events = [event for _, event in network.events_since(start)]
-        assert [type(e) for e in events] == [
-            MappingAdded,
-            PeerAdded,
-            CorrespondenceChanged,
-            MappingRemoved,
-            PeerRemoved,
-        ]
-        assert network.version == start + 5
+def shape(network):
+    """What a replay must reproduce: peer order, mapping order and objects'
+    correspondences, each peer's outgoing order, and the version."""
+    return (
+        network.peer_names,
+        tuple((m.name, m.correspondences) for m in network.mappings),
+        tuple(
+            (peer.name, tuple(m.name for m in peer.outgoing_mappings))
+            for peer in network.peers
+        ),
+        network.version,
+    )
 
-    def test_remove_peer_cascades_incident_mappings_first(self, network):
-        network.add_mapping(identity("p1", "p2"))
-        network.add_mapping(identity("p2", "p3"))
-        start = network.version
-        network.remove_peer("p2")
-        events = [event for _, event in network.events_since(start)]
-        assert events == [
-            MappingRemoved(name="p1->p2"),
-            MappingRemoved(name="p2->p3"),
-            PeerRemoved(name="p2"),
-        ]
 
+def apply_all(network, script):
+    """Apply each event of ``script`` to ``network`` through ``apply``."""
+    for event in script:
+        apply(network, event)
+
+
+def joined(network):
+    """A ``PeerAdded`` per peer of ``network``, in order."""
+    return [PeerAdded(name=p.name, schema=p.schema) for p in network.peers]
+
+
+class TestReplay:
     def test_from_events_replays_exactly(self, network):
-        network.add_mapping(identity("p1", "p2"))
-        network.add_mapping(identity("p2", "p3"))
-        network.remove_mapping("p1->p2")
-        network.add_peer(Peer("p4", schema("p4")))
-        network.remove_peer("p3")
-        replayed = PDMSNetwork.from_events(network.event_log(), name="test")
-        assert replayed.peer_names == network.peer_names
-        assert replayed.mapping_names == network.mapping_names
-        assert replayed.version == network.version
+        script = [
+            MappingAdded(mapping=identity("p1", "p2")),
+            MappingAdded(mapping=identity("p2", "p3")),
+            MappingRemoved(name="p1->p2"),
+            PeerAdded(name="p4", schema=schema("p4")),
+            PeerRemoved(name="p3"),
+        ]
+        start = network.version
+        replayed = PDMSNetwork.from_events(joined(network) + script, name="test")
+        apply_all(network, script)
+        assert network.peer_names == ("p1", "p2", "p4")
+        assert network.mapping_names == ()
+        # One version per event, and one per mapping a departure cascades.
+        assert network.version == start + 6
+        assert shape(replayed) == shape(network)
 
     def test_from_events_replays_correspondence_changes(self, network):
-        network.add_mapping(identity("p1", "p2"))
-        network.add_mapping(identity("p1", "p3"))
-        network.add_mapping(identity("p2", "p3"))
-        network.change_correspondences(
-            Mapping.from_pairs("p1", "p2", {"Creator": "Title"}, is_correct=False)
-        )
-        network.change_correspondences(
-            Mapping.from_pairs("p2", "p3", {"Title": "Title"})
-        )
-        replayed = PDMSNetwork.from_events(network.event_log(), name="test")
-        assert replayed.version == network.version
-        assert replayed.mapping_names == network.mapping_names
-        for name in network.mapping_names:
-            assert (
-                replayed.mapping(name).correspondences
-                == network.mapping(name).correspondences
-            )
+        script = [
+            MappingAdded(mapping=identity("p1", "p2")),
+            MappingAdded(mapping=identity("p1", "p3")),
+            MappingAdded(mapping=identity("p2", "p3")),
+            CorrespondenceChanged(
+                mapping=Mapping.from_pairs(
+                    "p1", "p2", {"Creator": "Title"}, is_correct=False
+                )
+            ),
+            CorrespondenceChanged(
+                mapping=Mapping.from_pairs("p2", "p3", {"Title": "Title"})
+            ),
+        ]
+        replayed = PDMSNetwork.from_events(joined(network) + script, name="test")
+        apply_all(network, script)
+        assert shape(replayed) == shape(network)
         assert [m.name for m in replayed.peer("p1").outgoing_mappings] == [
             "p1->p2",
             "p1->p3",
         ]
         assert replayed.mapping("p1->p2").apply("Creator") == "Title"
         assert not replayed.mapping("p2->p3").maps_attribute("Creator")
+
+    def test_peer_removed_equals_its_explicit_cascade(self, network):
+        network.add_mapping(identity("p1", "p2"))
+        network.add_mapping(identity("p2", "p3"))
+        network.add_mapping(identity("p1", "p3"))
+        start = network.version
+        explicit = PDMSNetwork.from_events(
+            joined(network)
+            + [MappingAdded(mapping=m) for m in network.mappings]
+            + [
+                MappingRemoved(name="p1->p2"),
+                MappingRemoved(name="p2->p3"),
+                PeerRemoved(name="p2"),
+            ],
+            name="test",
+        )
+        apply(network, PeerRemoved(name="p2"))
+        assert network.peer_names == ("p1", "p3")
+        assert network.mapping_names == ("p1->p3",)
+        assert network.version == start + 3
+        assert shape(explicit) == shape(network)
 
 
 class TestWireTypes:
@@ -224,11 +246,11 @@ class TestWireTypes:
 
 
 # ---------------------------------------------------------------------------
-# property: any mutation sequence replays bit-identically
+# property: any event script replays bit-identically
 # ---------------------------------------------------------------------------
 
 #: (op, i, j) triples interpreted modulo the current topology — invalid
-#: draws degrade to no-ops, so every generated sequence is applicable.
+#: draws degrade to no-ops, so every generated script is applicable.
 operations = st.lists(
     st.tuples(
         st.sampled_from(
@@ -248,72 +270,68 @@ operations = st.lists(
 )
 
 
-def _run_operations(network, ops):
-    """Interpret the generated script; returns the mutation count applied."""
-    applied = 0
+def _script(ops):
+    """Interpret the generated ops as typed events, each applied through
+    ``apply`` as it is drawn; return the network and the event script."""
+    network = PDMSNetwork("subject", directed=True)
+    script = []
     next_peer = 1
     for op, i, j in ops:
         peers = network.peer_names
+        names = network.mapping_names
+        event = None
         if op == "add_peer":
             name = f"q{next_peer}"
             next_peer += 1
-            network.add_peer(Peer(name, schema(name)))
-            applied += 1
+            event = PeerAdded(name=name, schema=schema(name))
         elif op == "add_mapping" and len(peers) >= 2:
             source = peers[i % len(peers)]
             target = peers[j % len(peers)]
             if source != target and not network.mappings_between(source, target):
-                network.add_mapping(identity(source, target))
-                applied += 1
-        elif op == "remove_mapping" and network.mapping_names:
-            names = network.mapping_names
-            network.remove_mapping(names[i % len(names)])
-            applied += 1
+                event = MappingAdded(mapping=identity(source, target))
+        elif op == "remove_mapping" and names:
+            event = MappingRemoved(name=names[i % len(names)])
         elif op == "remove_peer" and peers:
-            network.remove_peer(peers[i % len(peers)])
-            applied += 1
-        elif op == "change_correspondences" and network.mapping_names:
-            names = network.mapping_names
+            event = PeerRemoved(name=peers[i % len(peers)])
+        elif op == "change_correspondences" and names:
             mapping = network.mapping(names[i % len(names)])
             dropped = ("Creator", "Title")[j % 2]
-            network.change_correspondences(
-                Mapping(
+            event = CorrespondenceChanged(
+                mapping=Mapping(
                     mapping.source,
                     mapping.target,
                     [c for c in mapping if c.source_attribute != dropped],
                     label=mapping.label,
                 )
             )
-            applied += 1
-    return applied
+        if event is not None:
+            apply(network, event)
+            script.append(event)
+    return network, script
 
 
 @given(operations)
 @settings(max_examples=50, deadline=None)
 def test_any_mutation_sequence_replays_bit_identically(ops):
-    network = PDMSNetwork("subject", directed=True)
-    _run_operations(network, ops)
-    replayed = PDMSNetwork.from_events(network.event_log(), name="subject")
-    assert replayed.peer_names == network.peer_names
-    assert replayed.mapping_names == network.mapping_names
-    assert replayed.version == network.version
-    for name in network.mapping_names:
-        original = network.mapping(name)
-        clone = replayed.mapping(name)
-        assert clone.source == original.source
-        assert clone.target == original.target
-        assert clone.correspondences == original.correspondences
+    network, script = _script(ops)
+    replayed = PDMSNetwork.from_events(script, name="subject")
+    assert shape(replayed) == shape(network)
 
 
 @given(operations)
 @settings(max_examples=15, deadline=None)
 def test_replayed_network_yields_identical_structure_cache(ops):
-    network = PDMSNetwork("subject", directed=True)
-    _run_operations(network, ops)
-    replayed = PDMSNetwork.from_events(network.event_log(), name="subject")
-    original_cycles, original_paths = StructureCache(
-        network, ttl=4
-    ).structures()
+    """A cache read after every event of a script — its walks carried from
+    snapshot to snapshot — ends where a cold replay of the script starts."""
+    _, script = _script(ops)
+    live = PDMSNetwork("subject", directed=True)
+    cache = StructureCache(live, ttl=4)
+    for event in script:
+        apply(live, event)
+        cache.structures()
+    replayed = PDMSNetwork.from_events(script, name="subject")
+    assert replayed.version == live.version
+    original_cycles, original_paths = cache.structures()
     replayed_cycles, replayed_paths = StructureCache(
         replayed, ttl=4
     ).structures()

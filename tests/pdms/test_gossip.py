@@ -316,6 +316,55 @@ class TestGossipHarness:
         # Copy-on-write: the object every replica registered is untouched.
         assert faulty.apply("Creator") == "CreatedOn"
 
+    def test_a_replica_grown_through_a_hub_rejoin_carries_its_walks(self):
+        """A hub with 130 incident mappings leaves and rejoins: 262
+        mutations grow every replica in place, each replica's next snapshot
+        carries the walks the burst leaves unchanged, and the views still
+        equal the oracle's."""
+        names = ("a", "b", "c")
+        harness = GossipHarness.of_names(
+            names, seed=3, ttl=3, include_parallel_paths=False
+        )
+        spokes = [f"s{index}" for index in range(64)]
+        for name in (*names, "hub", *spokes):
+            harness.originate("a", PeerAdded(name=name, schema=_schema(name)))
+        links = [("a", "b"), ("b", "c"), ("c", "a")]
+        for name in ("c", *spokes):
+            links += [("hub", name), (name, "hub")]
+        for source, target in links:
+            mapping = Mapping.from_pairs(
+                source, target, {"Creator": "Creator", "Title": "Title"}
+            )
+            harness.originate("a", MappingAdded(mapping=mapping))
+        harness.run_until_converged()
+        harness.local_views("Creator")
+        replicas = {node.name: node.local_network() for node in harness.nodes}
+        walks = {
+            name: replica.snapshot().cycles_through(name, 3)
+            for name, replica in replicas.items()
+        }
+
+        incident = [
+            m
+            for m in harness.oracle_network().mappings
+            if "hub" in (m.source, m.target)
+        ]
+        assert 2 * len(incident) + 2 > 256
+        harness.originate("a", PeerRemoved(name="hub"))
+        harness.originate("a", PeerAdded(name="hub", schema=_schema("hub")))
+        for mapping in incident:
+            harness.originate("a", MappingAdded(mapping=mapping))
+        harness.run_until_converged()
+        for node in harness.nodes:
+            replica = node.local_network()
+            assert replica is replicas[node.name]  # grown in place
+            assert replica.snapshot().inherited == {node.name}
+        assert harness.local_views("Creator") == harness.oracle_views("Creator")
+        # a and b lie on no cycle through the hub; c's walk holds c->hub.
+        for name in ("a", "b"):
+            assert replicas[name].snapshot().cycles_through(name, 3) is walks[name]
+        assert replicas["c"].snapshot().cycles_through("c", 3) is not walks["c"]
+
     def test_same_seed_reproduces_the_run(self):
         def run(seed):
             network, peer_events, mapping_events = intro_events()

@@ -4,8 +4,8 @@ import pytest
 
 from repro.exceptions import PDMSError, UnknownPeerError
 from repro.mapping.mapping import Mapping
-from repro.pdms.events import MappingAdded, MappingRemoved, PeerAdded
-from repro.pdms.network import PDMSNetwork
+from repro.pdms.discovery import TopologySnapshot
+from repro.pdms.network import PDMSNetwork, TopologyDelta
 from repro.pdms.peer import Peer
 from repro.schema.schema import Schema
 from walker_reference import canonical_key, cycle_key
@@ -96,9 +96,11 @@ class TestPDMSNetwork:
         net = PDMSNetwork(directed=False)
         net.add_peer(Peer("a", schema("a")))
         net.add_peer(Peer("b", schema("b")))
+        start = net.version
         net.add_mapping(Mapping.from_pairs("a", "b", {"Creator": "Creator"}))
-        assert net.has_mapping("a->b")
-        assert net.has_mapping("b->a")
+        # Each direction is its own mutation, the given one first.
+        assert net.mapping_names == ("a->b", "b->a")
+        assert net.version == start + 2
 
     def test_directed_network_does_not_reverse_by_default(self, network):
         network.add_mapping(Mapping.from_pairs("p1", "p2", {"Creator": "Creator"}))
@@ -136,74 +138,103 @@ class TestPDMSNetwork:
         assert {peer.name for peer in network} == {"p1", "p2", "p3"}
 
 
-class TestMutationLog:
-    def test_events_since_reports_peer_and_mapping_changes(self, network):
+@pytest.fixture
+def deltas(monkeypatch):
+    """Every delta the network hands ``TopologySnapshot.successor``."""
+    handed = []
+    successor = TopologySnapshot.successor
+
+    def spy(self, network, delta):
+        handed.append(delta)
+        return successor(self, network, delta)
+
+    monkeypatch.setattr(TopologySnapshot, "successor", spy)
+    return handed
+
+
+def delta(left=(), added=(), removed=(), sources=()):
+    return TopologyDelta(
+        left=set(left),
+        added=dict.fromkeys(added),
+        removed=set(removed),
+        sources=set(sources),
+    )
+
+
+class TestTopologyDelta:
+    def test_a_burst_folds_to_the_names_it_touches(self, network, deltas):
+        network.snapshot()
         start = network.version
-        network.add_mapping(Mapping.from_pairs("p1", "p2", {"Creator": "Creator"}))
+        for _ in range(150):
+            network.add_mapping(Mapping.from_pairs("p1", "p2", {"Creator": "Creator"}))
+            network.remove_mapping("p1->p2")
         network.add_peer(Peer("p4", schema("p4")))
-        network.remove_mapping("p1->p2")
-        entries = network.events_since(start)
-        added, joined, removed = (event for _, event in entries)
-        assert (type(added), added.mapping.name) == (MappingAdded, "p1->p2")
-        assert (type(joined), joined.name) == (PeerAdded, "p4")
-        assert (type(removed), removed.name) == (MappingRemoved, "p1->p2")
-        # Versions in the log are strictly increasing past the start.
-        versions = [version for version, _ in entries]
-        assert versions == sorted(versions)
-        assert all(version > start for version in versions)
+        network.add_mapping(Mapping.from_pairs("p4", "p3", {"Creator": "Creator"}))
+        network.remove_peer("p4")
+        network.snapshot()
+        assert network.version == start + 304
+        assert deltas == [
+            delta(
+                left=["p4"],
+                added=["p1->p2", "p4->p3"],
+                removed=["p1->p2", "p4->p3"],
+                sources=["p1", "p4"],
+            )
+        ]
+        assert list(deltas[0].added) == ["p1->p2", "p4->p3"]
 
-    def test_events_since_current_version_is_empty(self, network):
-        network.add_mapping(Mapping.from_pairs("p1", "p2", {"Creator": "Creator"}))
-        assert network.events_since(network.version) == ()
-
-    def test_bidirectional_add_logs_both_directions(self):
+    def test_bidirectional_add_folds_both_directions(self, deltas):
         net = PDMSNetwork("undirected", directed=False)
         net.add_peer(Peer("a", schema("a")))
         net.add_peer(Peer("b", schema("b")))
-        start = net.version
+        net.snapshot()
         net.add_mapping(Mapping.from_pairs("a", "b", {"Creator": "Creator"}))
-        events = [(type(e), e.mapping.name) for _, e in net.events_since(start)]
-        assert events == [(MappingAdded, "a->b"), (MappingAdded, "b->a")]
+        net.snapshot()
+        assert deltas == [delta(added=["a->b", "b->a"], sources=["a", "b"])]
+        assert list(deltas[0].added) == ["a->b", "b->a"]
 
-    def test_truncated_log_reports_none(self, network):
-        start = network.version
-        limit = PDMSNetwork.MUTATION_LOG_LIMIT
-        for index in range(limit + 10):
-            network.add_mapping(
-                Mapping.from_pairs(
-                    "p1", "p2", {"Creator": "Creator"}, label=f"m{index}"
-                )
-            )
-            network.remove_mapping(f"p1->p2#m{index}")
-        assert network.events_since(start) is None
-        # Recent history is still reachable.
-        assert network.events_since(network.version) == ()
+    def test_a_correspondence_change_folds_as_a_removal(self, network, deltas):
+        network.add_mapping(Mapping.from_pairs("p1", "p2", {"Creator": "Creator"}))
+        network.snapshot()
+        network.change_correspondences(
+            Mapping.from_pairs("p1", "p2", {"Title": "Title"})
+        )
+        network.snapshot()
+        assert deltas == [delta(removed=["p1->p2"], sources=["p1"])]
 
-    def test_deque_truncation_preserves_floor_semantics(self, network):
-        """Regression for the bounded log's O(1) rewrite: the deque must
-        keep exactly the newest LIMIT events and report every version at
-        or below the truncation floor as unanswerable."""
-        limit = PDMSNetwork.MUTATION_LOG_LIMIT
-        assert not network.log_truncated
-        total = limit + 25
-        for index in range(total):
-            network.add_mapping(
-                Mapping.from_pairs(
-                    "p1", "p2", {"Creator": "Creator"}, label=f"m{index}"
-                )
+    def test_remove_peer_folds_its_cascade_and_departure(self, network, deltas):
+        network.add_mapping(Mapping.from_pairs("p1", "p2", {"Creator": "Creator"}))
+        network.add_mapping(Mapping.from_pairs("p2", "p3", {"Creator": "Creator"}))
+        network.snapshot()
+        network.remove_peer("p2")
+        network.snapshot()
+        assert deltas == [
+            delta(
+                left=["p2"],
+                removed=["p1->p2", "p2->p3"],
+                sources=["p1", "p2"],
             )
-        assert network.log_truncated
-        assert len(network.event_log()) == limit
-        floor = network.version - limit
-        # Below the floor the history is gone; at the floor the full
-        # retained tail is served, contiguously versioned.
-        assert network.events_since(floor - 1) is None
-        tail = network.events_since(floor)
-        assert tail is not None and len(tail) == limit
-        versions = [version for version, _ in tail]
-        assert versions == list(range(floor + 1, network.version + 1))
-        # Every retained event is an addition from the overflow loop.
-        assert all(isinstance(event, MappingAdded) for _, event in tail)
+        ]
+
+    def test_only_a_shared_snapshot_folds_a_delta(self, network, deltas):
+        """Before the first snapshot and after ``invalidate_snapshot`` the
+        next snapshot starts cold; an unchanged version hands nothing on,
+        and each delta holds only the change since the snapshot before."""
+        network.add_mapping(Mapping.from_pairs("p1", "p2", {"Creator": "Creator"}))
+        first = network.snapshot()
+        assert network.snapshot() is first
+        network.invalidate_snapshot()
+        network.add_mapping(Mapping.from_pairs("p2", "p3", {"Creator": "Creator"}))
+        assert network.snapshot().inherited == frozenset()
+        assert deltas == []
+        network.add_mapping(Mapping.from_pairs("p3", "p1", {"Creator": "Creator"}))
+        network.snapshot()
+        network.remove_mapping("p1->p2")
+        network.snapshot()
+        assert deltas == [
+            delta(added=["p3->p1"], sources=["p3"]),
+            delta(removed=["p1->p2"], sources=["p1"]),
+        ]
 
 
 class TestRemovePeer:
