@@ -13,7 +13,7 @@ once, where one fresh assessor per attribute probes once per attribute.
 
 import pytest
 
-from repro.core.embedded import EmbeddedMessagePassing, EmbeddedOptions
+from repro.core.embedded import EmbeddedMessagePassing
 from repro.evaluation.experiments import (
     run_assessor_amortization,
     run_embedded_throughput,
@@ -36,12 +36,7 @@ LOSSY_SEND_PROBABILITY = 0.7
 @pytest.mark.parametrize("peer_count", SIZES)
 def test_bench_embedded_round_throughput(benchmark, report_points, peer_count):
     feedbacks = throughput_feedbacks(peer_count, ttl=3)
-    engine = EmbeddedMessagePassing(
-        feedbacks,
-        priors=0.5,
-        delta=0.1,
-        options=EmbeddedOptions(record_history=False),
-    )
+    engine = EmbeddedMessagePassing(feedbacks, priors=0.5, delta=0.1)
     benchmark(engine.run_round)
 
     points = run_embedded_throughput(

@@ -70,6 +70,12 @@ leaves the lane's values untouched for the same reason, so a lane's
 it lands on.  Mappings not constrained by any informative structure of a
 lane are left out of its result.
 
+A run keeps no per-round history: each lane's result is its snapshot of
+the round it stopped in.  A trajectory is read by stepping the engine —
+:meth:`~BatchedEmbeddedMessagePassing.run_round`, then
+:meth:`~BatchedEmbeddedMessagePassing.posteriors` — which is what
+:class:`~repro.core.schedules.PeriodicSchedule` does for Figure 7.
+
 Reproducibility contract
 ------------------------
 Every lane draws from its **own** ``random.Random`` stream — a freshly
@@ -84,8 +90,7 @@ decisions, attempt counts included, as it makes alone under the same seed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
-from itertools import compress
+from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Mapping as TMapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -234,7 +239,6 @@ class EmbeddedOptions:
 
     max_rounds: int = DEFAULT_MAX_ITERATIONS
     tolerance: float = DEFAULT_TOLERANCE
-    record_history: bool = True
     strict: bool = False
 
     def __post_init__(self) -> None:
@@ -252,7 +256,6 @@ class EmbeddedResult:
     iterations: int
     converged: bool
     final_change: float
-    history: List[Dict[str, float]] = field(default_factory=list)
     messages_attempted: int = 0
     messages_delivered: int = 0
 
@@ -269,11 +272,6 @@ class EmbeddedResult:
         self._require_known(mapping_name)
         return self.posteriors[mapping_name]
 
-    def history_of(self, mapping_name: str) -> List[float]:
-        """Per-round posterior trajectory of one mapping."""
-        self._require_known(mapping_name)
-        return [snapshot[mapping_name] for snapshot in self.history]
-
 
 def compile_assessment_plan(
     structures: Sequence[Tuple[str, Sequence[str]]],
@@ -287,11 +285,10 @@ def compile_assessment_plan(
     from the same structures aligns with the plan index for index.  A thin
     assessment-flavoured wrapper over
     :func:`repro.factorgraph.plan.compile_sweep_plan`: owners default to
-    the mapping-name convention (:func:`~repro.core.feedback.mapping_owner`)
-    and structures keep the historical two-mapping floor.
+    the mapping-name convention (:func:`~repro.core.feedback.mapping_owner`).
     """
     return compile_sweep_plan(
-        structures, owners=owners, min_mappings=2, default_owner=mapping_owner
+        structures, owners=owners, default_owner=mapping_owner
     )
 
 
@@ -835,7 +832,6 @@ class BatchedEmbeddedMessagePassing:
             segment_mapping=segment_mapping,
             edge_count=new_edge_count,
             recv_count=int(keep_recv.sum()),
-            recv_cells=tuple(compress(old.recv_cells, keep_recv)),
             recv_structure=old.recv_structure[keep_recv],
             tx_src=edge_renumber[old.tx_src[keep_tx]],
             tx_dest=recv_renumber[old.tx_dest[keep_tx]],
@@ -851,7 +847,7 @@ class BatchedEmbeddedMessagePassing:
 
         Lanes without informative evidence map to ``None``.  Every other
         lane receives the :class:`EmbeddedResult` it computes alone —
-        iteration count, convergence flag, history and transport statistics
+        iteration count, convergence flag and transport statistics
         included.  A lane stops once its posterior change stays below
         tolerance for :func:`required_quiet_rounds` consecutive rounds; its
         result is the snapshot of that round, and its rows leave the
@@ -875,9 +871,6 @@ class BatchedEmbeddedMessagePassing:
         converged = np.zeros(lane_count, dtype=bool)
         rounds = np.zeros(lane_count, dtype=np.int64)
         final_change = np.zeros(lane_count)
-        histories: Optional[List[List[np.ndarray]]] = (
-            [[] for _ in range(lane_count)] if options.record_history else None
-        )
         final: List[Optional[np.ndarray]] = [None] * lane_count
         quiet = np.zeros(self._live.size, dtype=np.int64)
         for round_number in range(1, options.max_rounds + 1):
@@ -885,14 +878,9 @@ class BatchedEmbeddedMessagePassing:
             change = self.run_round()
             quiet = np.where(change < options.tolerance, quiet + 1, 0)
             done = quiet >= needed
-            any_done = done.any()
-            if histories is not None or any_done:
-                values = self._lane_values()
-                if histories is not None:
-                    for lane, snapshot in zip(live.tolist(), values):
-                        histories[lane].append(snapshot)
-            if not any_done:
+            if not done.any():
                 continue
+            values = self._lane_values()
             finished = live[done]
             converged[finished] = True
             rounds[finished] = round_number
@@ -919,17 +907,12 @@ class BatchedEmbeddedMessagePassing:
                 f"{options.max_rounds} rounds for: {stuck}"
             )
         for lane, key in enumerate(self._keys):
-            lane_names = self._active_names[lane]
             statistics = self._transports[lane].statistics
             results[key] = EmbeddedResult(
-                posteriors=dict(zip(lane_names, final[lane].tolist())),
+                posteriors=dict(zip(self._active_names[lane], final[lane].tolist())),
                 iterations=int(rounds[lane]),
                 converged=bool(converged[lane]),
                 final_change=float(final_change[lane]),
-                history=[
-                    dict(zip(lane_names, snapshot.tolist()))
-                    for snapshot in (histories[lane] if histories is not None else ())
-                ],
                 messages_attempted=statistics.attempted,
                 messages_delivered=statistics.delivered,
             )

@@ -23,11 +23,11 @@ One engine, one lane
 :class:`EmbeddedMessagePassing` is a single lane of the lane engine
 :class:`~repro.core.batched.BatchedEmbeddedMessagePassing`: construction
 lowers the informative feedback to a
-:class:`~repro.factorgraph.plan.SweepPlan`
-(:func:`~repro.factorgraph.plan.compile_sweep_plan` with
-``min_mappings=1``, owners defaulting to each mapping's source peer) and
-binds it to one :class:`~repro.core.batched.AssessmentLane` carrying the
-caller's transport.  The lane engine holds the message state; this class
+:class:`~repro.factorgraph.plan.SweepPlan` the way the assessor does
+(:func:`~repro.core.batched.compile_assessment_plan`, owners defaulting to
+each mapping's source peer) and binds it to one
+:class:`~repro.core.batched.AssessmentLane` carrying the caller's
+transport.  The lane engine holds the message state; this class
 keeps none of its own.  The peers, owners and remote-message counts it
 reports are read off the plan's owners and transmission list.  The
 transport, options and result types are the lane engine's, re-exported
@@ -88,7 +88,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, Mapping as TMapping, Optional, Tuple
 
 from ..exceptions import FeedbackError
-from ..factorgraph.plan import SweepPlan, compile_sweep_plan
+from ..factorgraph.plan import SweepPlan
 from ..factorgraph.sum_product import required_quiet_rounds
 from .batched import (
     AssessmentLane,
@@ -97,9 +97,9 @@ from .batched import (
     EmbeddedResult,
     MessageTransport,
     TransportStatistics,
+    compile_assessment_plan,
 )
-from .beliefs import PriorBeliefStore
-from .feedback import Feedback, mapping_owner
+from .feedback import Feedback
 
 __all__ = [
     "MessageTransport",
@@ -120,8 +120,9 @@ class EmbeddedMessagePassing:
         Informative feedback evidence (all for the same attribute).
     priors:
         Prior beliefs (dict by mapping name, single float, or None for the
-        0.5 default).  A :class:`PriorBeliefStore` is keyed by attribute
-        too, so read its priors into a dict first.
+        0.5 default).  A :class:`~repro.core.beliefs.PriorBeliefStore` is
+        keyed by attribute too, so read its priors into a dict first (the
+        lane engine rejects a store).
     delta:
         Error-compensation probability Δ used in all feedback factors.
     transport:
@@ -148,16 +149,9 @@ class EmbeddedMessagePassing:
         informative = tuple(f for f in feedbacks if f.is_informative)
         if not informative:
             raise FeedbackError("embedded message passing needs informative feedback")
-        if isinstance(priors, PriorBeliefStore):
-            raise FeedbackError(
-                "pass priors as a {mapping name: prior} dict, not a PriorBeliefStore"
-            )
         self.attribute = informative[0].attribute
-        self.plan: SweepPlan = compile_sweep_plan(
-            [(f.identifier, f.mapping_names) for f in informative],
-            owners=owners,
-            min_mappings=1,
-            default_owner=mapping_owner,
+        self.plan: SweepPlan = compile_assessment_plan(
+            [(f.identifier, f.mapping_names) for f in informative], owners=owners
         )
         self._lane = AssessmentLane(
             key=self.attribute,

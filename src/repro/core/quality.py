@@ -47,7 +47,7 @@ stacked ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import (
     Container,
     Dict,
@@ -424,13 +424,12 @@ class MappingQualityAssessor:
             )
             for origin, block in zip(origin_list, blocks)
         ]
-        # The views read only the final posteriors: no per-round history.
         engine = BatchedEmbeddedMessagePassing(
             plan,
             lanes,
             send_probability=self.send_probability,
             seed=self.seed,
-            options=replace(self.options, record_history=False),
+            options=self.options,
         )
         results = engine.run()
         self.last_local_round_edge_counts = tuple(engine.round_edge_counts)
@@ -560,7 +559,7 @@ class MappingQualityAssessor:
                 attribute=attribute,
                 evidence=evidence,
                 result=result,
-                posteriors=dict(result.posteriors) if result is not None else {},
+                posteriors=result.posteriors if result is not None else {},
                 unmappable=evidence.unmappable,
             )
             self._assessments[attribute] = (key, assessment)
@@ -746,7 +745,11 @@ class MappingQualityAssessor:
         """
         self._local_views.clear()
         updated: Dict[Tuple[str, str], float] = {}
-        targets = list(attributes) if attributes is not None else list(self._assessments)
+        # Each attribute once, in order: a repeated name would fold its
+        # posteriors into the running average twice.
+        targets = list(
+            dict.fromkeys(attributes) if attributes is not None else self._assessments
+        )
         stale = self._stale(targets)
         if stale:
             self.assess_attributes(stale)

@@ -13,6 +13,14 @@ this module decide *when* rounds happen:
   forwarded through a mapping, the inference messages pertaining to that
   mapping are piggybacked on the query message.  Convergence speed is then
   proportional to the query load.
+
+This is also how a trajectory is read: the engine keeps no per-round
+history, and :attr:`ScheduleReport.posterior_history` holds the posteriors
+after every round a schedule ran.  A :class:`PeriodicSchedule` run for the
+engine's ``max_rounds`` periods stops where
+:meth:`~repro.core.embedded.EmbeddedMessagePassing.run` stops, so its
+history ends on that run's result; Figure 7
+(:func:`~repro.evaluation.experiments.run_convergence`) is read this way.
 """
 
 from __future__ import annotations

@@ -225,26 +225,27 @@ def run_convergence(
     max_rounds: int = 20,
     tolerance: float = 1e-3,
 ) -> ConvergenceResult:
-    """Reproduce Figure 7 on the Figure 4 example graph."""
-    feedbacks = figure4_feedbacks(signs=signs)
+    """Reproduce Figure 7 on the Figure 4 example graph.
+
+    The trajectory is read by stepping the engine one period per round
+    (:class:`~repro.core.schedules.PeriodicSchedule`), under the engine's
+    own stopping rule.
+    """
     engine = EmbeddedMessagePassing(
-        feedbacks,
+        figure4_feedbacks(signs=signs),
         priors=priors,
         delta=delta,
-        options=EmbeddedOptions(
-            max_rounds=max_rounds, tolerance=tolerance, record_history=True
-        ),
+        options=EmbeddedOptions(max_rounds=max_rounds, tolerance=tolerance),
     )
-    result = engine.run()
-    history = {
-        mapping_name: result.history_of(mapping_name)
-        for mapping_name in result.posteriors
-    }
+    report = PeriodicSchedule(engine).run(max_rounds)
+    snapshots = report.posterior_history
     return ConvergenceResult(
-        history=history,
-        iterations=result.iterations,
-        converged=result.converged,
-        final_posteriors=result.posteriors,
+        history={
+            name: [snapshot[name] for snapshot in snapshots] for name in snapshots[-1]
+        },
+        iterations=report.rounds,
+        converged=report.converged,
+        final_posteriors=snapshots[-1],
     )
 
 
@@ -299,9 +300,7 @@ def run_relative_error(
             feedbacks,
             priors=priors,
             delta=delta,
-            options=EmbeddedOptions(
-                max_rounds=iterations, tolerance=1e-12, record_history=False
-            ),
+            options=EmbeddedOptions(max_rounds=iterations, tolerance=1e-12),
         )
         approx = engine.run().posteriors
         graph = build_factor_graph(feedbacks, priors=priors, delta=delta).graph
@@ -639,7 +638,7 @@ def run_real_world(
         priors=PriorBeliefStore(default_prior=priors),
         delta=delta,
         ttl=ttl,
-        options=EmbeddedOptions(max_rounds=max_rounds, record_history=False),
+        options=EmbeddedOptions(max_rounds=max_rounds),
         include_parallel_paths=False,
     )
     posteriors: Dict[Tuple[str, str], float] = {}
@@ -923,7 +922,6 @@ def run_embedded_throughput(
                         priors=0.5,
                         delta=0.1,
                         transport=MessageTransport(send_probability, seed=seed),
-                        options=EmbeddedOptions(record_history=False),
                     ),
                     "run_round",
                     rounds,
@@ -1511,7 +1509,6 @@ def run_long_cycle_throughput(
                         informative,
                         priors=0.5,
                         delta=0.1,
-                        options=EmbeddedOptions(record_history=False),
                     ),
                     "run_round",
                     iterations,

@@ -297,49 +297,41 @@ def _count_space_messages(
     in O(arity) operations — no ``(2,)**arity`` table, no divisions (exact
     zeros in the messages are safe by construction).
     """
-    stacked = np.stack(operands, axis=0) if operands else None
-    return _count_space_from_stacked(count_tables, stacked)
+    return _count_space_from_stacked(count_tables, np.stack(operands, axis=0))
 
 
 def _count_space_from_stacked(
-    count_tables: np.ndarray, stacked: Optional[np.ndarray]
+    count_tables: np.ndarray, stacked: np.ndarray
 ) -> np.ndarray:
     """:func:`_count_space_messages` over pre-stacked operands.
 
     ``stacked`` carries the non-target incoming messages along its leading
-    axis (``None`` for arity-1 factors, which have no operands).  Every
+    axis (at least one: the kernels take two slots or more).  Every
     reduction below runs along that axis elementwise in the trailing axes,
     so evaluating *all* targets of a bucket at once — an extra target axis
     inside ``...`` — produces, per target, bitwise the same floats as the
     one-target-at-a-time calls.
     """
-    lead_shape = count_tables.shape[:-1]
-    if stacked is not None:
-        low = stacked[..., 0]
-        high = stacked[..., 1]
-        coeff0 = np.multiply.reduce(low, axis=0)
-        total = np.multiply.reduce(low + high, axis=0)
-        # Exclusive products of `low` along the slot axis (prefix × suffix
-        # cumulative products), feeding C_1 = Σ_u m_u[1]·∏_{s≠u} m_s[0].
-        exclusive = np.ones_like(low)
-        if low.shape[0] > 1:
-            np.cumprod(low[:-1], axis=0, out=exclusive[1:])
-            exclusive[:-1] *= np.cumprod(low[:0:-1], axis=0)[::-1]
-        coeff1 = (high * exclusive).sum(axis=0)
-        # Σ_{k≥1} and Σ_{k≥2} coefficient masses.  The subtractions only
-        # cancel when the tail mass is negligible against C_0/C_1, where the
-        # absolute error is ~1e-16 of the (normalised) message; the clamp
-        # keeps float rounding from producing small negative masses.
-        tail1 = np.maximum(total - coeff0, 0.0)
-        tail2 = np.maximum(tail1 - coeff1, 0.0)
-    else:
-        coeff0 = np.ones(lead_shape)
-        coeff1 = np.zeros(lead_shape)
-        tail1 = np.zeros(lead_shape)
-        tail2 = np.zeros(lead_shape)
+    low = stacked[..., 0]
+    high = stacked[..., 1]
+    coeff0 = np.multiply.reduce(low, axis=0)
+    total = np.multiply.reduce(low + high, axis=0)
+    # Exclusive products of `low` along the slot axis (prefix × suffix
+    # cumulative products), feeding C_1 = Σ_u m_u[1]·∏_{s≠u} m_s[0].
+    exclusive = np.ones_like(low)
+    if low.shape[0] > 1:
+        np.cumprod(low[:-1], axis=0, out=exclusive[1:])
+        exclusive[:-1] *= np.cumprod(low[:0:-1], axis=0)[::-1]
+    coeff1 = (high * exclusive).sum(axis=0)
+    # Σ_{k≥1} and Σ_{k≥2} coefficient masses.  The subtractions only
+    # cancel when the tail mass is negligible against C_0/C_1, where the
+    # absolute error is ~1e-16 of the (normalised) message; the clamp
+    # keeps float rounding from producing small negative masses.
+    tail1 = np.maximum(total - coeff0, 0.0)
+    tail2 = np.maximum(tail1 - coeff1, 0.0)
     f0 = count_tables[..., 0]
     f1 = count_tables[..., 1]
-    tail = count_tables[..., 2] if count_tables.shape[-1] > 2 else 0.0
+    tail = count_tables[..., 2]
     return np.stack(
         (f0 * coeff0 + f1 * coeff1 + tail * tail2, f1 * coeff0 + tail * tail1),
         axis=-1,
@@ -380,10 +372,10 @@ class StackedCountFactorBatch:
                 f"StackedCountFactorBatch needs a (stack, factors, arity + 1) "
                 f"count-table array, got ndim={tables.ndim}"
             )
-        if tables.shape[-1] < 2:
+        if tables.shape[-1] < 3:
             raise FactorGraphError(
-                f"count tables need at least two count values, got shape "
-                f"{tables.shape}"
+                f"count tables need at least two slots (three count values), "
+                f"got shape {tables.shape}"
             )
         if np.any(tables < 0):
             raise FactorGraphError("count tables must be non-negative")
@@ -443,7 +435,6 @@ class StackedCountFactorBatch:
                 f"gathered operand array has shape {gathered.shape}, "
                 f"expected {expected}"
             )
-        tables = self.tables[:, None]
-        if self.arity == 1:
-            return _count_space_from_stacked(tables, None)
-        return _count_space_from_stacked(tables, np.moveaxis(gathered, -3, 0))
+        return _count_space_from_stacked(
+            self.tables[:, None], np.moveaxis(gathered, -3, 0)
+        )

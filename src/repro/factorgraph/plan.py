@@ -183,7 +183,6 @@ class SweepPlan:
     segment_mapping: np.ndarray
     edge_count: int
     recv_count: int
-    recv_cells: Tuple[Tuple[str, int, str], ...]
     recv_structure: np.ndarray
     tx_src: np.ndarray
     tx_dest: np.ndarray
@@ -270,8 +269,7 @@ def make_bucket(
     ``gather_all`` and ``scatter_all`` are any int array-likes of the
     :class:`BucketPlan` layouts; the lowering and compaction funnel through
     this so the two plans are always int64 arrays of exactly the
-    ``(arity, arity - 1, size)`` and ``(arity, size)`` shapes — including
-    arity-1 buckets, whose gather plan holds no source at all.
+    ``(arity, arity - 1, size)`` and ``(arity, size)`` shapes.
     """
     feedback_indices = np.asarray(feedback_indices, dtype=np.int64)
     size = feedback_indices.size
@@ -295,7 +293,6 @@ def make_bucket(
 def compile_sweep_plan(
     structures: Sequence[Tuple[str, Sequence[str]]],
     owners: Optional[TMapping[str, str]] = None,
-    min_mappings: int = 2,
     default_owner: Optional[Callable[[str], str]] = None,
 ) -> SweepPlan:
     """Compile ``(identifier, mapping names)`` structures into a plan.
@@ -305,13 +302,13 @@ def compile_sweep_plan(
     per-attribute :class:`~repro.core.feedback.Feedback` evidence derived
     from the same structures aligns with the plan index for index.
 
-    ``min_mappings`` is the smallest legal structure size: the assessment
-    engines keep the historical two-mapping floor (a cycle or parallel
-    path over a single mapping is a caller bug), the one-lane
-    :class:`~repro.core.embedded.EmbeddedMessagePassing` accepts singleton
-    structures.  ``default_owner`` maps a mapping
-    name to its owning peer when ``owners`` does not list it; without one,
-    every name must be covered by ``owners``.
+    Every structure needs at least two mappings, the floor of the
+    :class:`~repro.core.feedback.Feedback` it is evaluated into (a cycle
+    or parallel path over a single mapping is a caller bug, and raises
+    :class:`~repro.exceptions.FeedbackError` naming it).
+    ``default_owner`` maps a mapping name to its owning peer when
+    ``owners`` does not list it; without one, every name must be covered
+    by ``owners``.
     """
     normalized: List[Tuple[str, Tuple[str, ...]]] = [
         (identifier, tuple(names)) for identifier, names in structures
@@ -319,12 +316,9 @@ def compile_sweep_plan(
     owner_map: Dict[str, str] = {}
     mapping_list: List[str] = []
     for identifier, names in normalized:
-        if len(names) < min_mappings:
-            noun = "two mappings" if min_mappings == 2 else (
-                f"{min_mappings} mapping" + ("s" if min_mappings != 1 else "")
-            )
+        if len(names) < 2:
             raise FeedbackError(
-                f"structure {identifier!r} needs at least {noun}, "
+                f"structure {identifier!r} needs at least two mappings, "
                 f"got {names!r}"
             )
         for name in names:
@@ -439,10 +433,6 @@ def compile_sweep_plan(
             )
         )
 
-    recv_cells = [None] * len(recv_rows)
-    for cell, row in recv_rows.items():
-        recv_cells[row] = cell
-
     return SweepPlan(
         identifiers=tuple(identifier for identifier, _ in normalized),
         structure_mappings=tuple(names for _, names in normalized),
@@ -456,9 +446,11 @@ def compile_sweep_plan(
         segment_mapping=segment_mapping,
         edge_count=edge_count,
         recv_count=len(recv_rows),
-        recv_cells=tuple(recv_cells),
-        recv_structure=np.asarray(
-            [structure for _, structure, _ in recv_cells], dtype=np.int64
+        # The cell table lists its cells in row order.
+        recv_structure=np.fromiter(
+            (structure for _, structure, _ in recv_rows),
+            dtype=np.int64,
+            count=len(recv_rows),
         ),
         tx_src=np.asarray(tx_src, dtype=np.int64),
         tx_dest=np.asarray(tx_dest, dtype=np.int64),
@@ -479,8 +471,8 @@ def assemble_sweep_plan(blocks: Sequence[SweepPlan]) -> SweepPlan:
     gather id naming a received cell also moves past the later blocks'
     edge rows.  Applying those shifts to the blocks' index arrays gives
     that compilation in every field — array values, dtypes and shapes, the
-    order of ``owners`` and ``mapping_index``, ``recv_cells``, and bucket
-    order by first-seen arity.  One block is returned as it is; a mapping
+    order of ``owners`` and ``mapping_index``, and bucket order by
+    first-seen arity.  One block is returned as it is; a mapping
     in two blocks raises :class:`~repro.exceptions.FeedbackError`.
     """
     if len(blocks) == 1:
@@ -592,11 +584,6 @@ def assemble_sweep_plan(blocks: Sequence[SweepPlan]) -> SweepPlan:
         ),
         edge_count=edge_count,
         recv_count=int(counts[:, 3].sum()),
-        recv_cells=tuple(
-            (peer, structure + shift, name)
-            for block, shift in zip(blocks, structure_start.tolist())
-            for peer, structure, name in block.recv_cells
-        ),
         recv_structure=joined(
             [b.recv_structure for b in blocks], structure_start[recv_block]
         ),

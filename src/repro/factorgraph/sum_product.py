@@ -162,11 +162,6 @@ class SumProductResult:
             self.marginals[variable_name][self._correct_index(variable_name)]
         )
 
-    def history_of(self, variable_name: str) -> List[float]:
-        """Per-iteration P(correct) trajectory (requires ``record_history``)."""
-        index = self._correct_index(variable_name)
-        return [float(snapshot[variable_name][index]) for snapshot in self.history]
-
 
 class SumProduct:
     """Runs loopy belief propagation over a :class:`FactorGraph`.

@@ -27,12 +27,14 @@ import numpy as np
 
 from repro.core.analysis import structure_feedbacks
 from repro.core.embedded import (
+    EmbeddedMessagePassing,
     EmbeddedOptions,
     EmbeddedResult,
     MessageTransport,
     required_quiet_rounds,
 )
 from repro.core.feedback import feedback_factor, mapping_owner, variable_name_for
+from repro.core.schedules import PeriodicSchedule
 from repro.exceptions import ConvergenceError, FeedbackError
 from repro.factorgraph.messages import normalize, unit_message
 from repro.factorgraph.variables import BinaryVariable
@@ -182,7 +184,6 @@ class ReferenceEmbedded:
         return max(abs(after[name] - before[name]) for name in after)
 
     def run(self) -> EmbeddedResult:
-        history: List[Dict[str, float]] = []
         needed = required_quiet_rounds(self.transport.send_probability)
         quiet = 0
         converged = False
@@ -190,8 +191,6 @@ class ReferenceEmbedded:
         rounds = 0
         for rounds in range(1, self.options.max_rounds + 1):
             change = self.run_round()
-            if self.options.record_history:
-                history.append(self.posteriors())
             quiet = quiet + 1 if change < self.options.tolerance else 0
             if quiet >= needed:
                 converged = True
@@ -206,7 +205,6 @@ class ReferenceEmbedded:
             iterations=rounds,
             converged=converged,
             final_change=change,
-            history=history,
             messages_attempted=stats.attempted,
             messages_delivered=stats.delivered,
         )
@@ -222,6 +220,36 @@ def assert_matches_reference(result, reference, tolerance: float = 1e-9) -> None
     assert set(result.posteriors) == set(reference.posteriors)
     for name, value in reference.posteriors.items():
         assert abs(result.posteriors[name] - value) <= tolerance, name
+
+
+def assert_trajectory_matches_reference(build, tolerance: float = 1e-12):
+    """Step the lane engine under the periodic schedule and check that it
+    replays the reference round by round; return the schedule's report.
+
+    ``build(engine_class)`` makes a fresh engine of either class over one
+    evidence set, with a freshly seeded transport.  Run for its
+    ``max_rounds`` periods, the schedule must stop where the reference's
+    own :meth:`ReferenceEmbedded.run` stops, with its convergence flag,
+    attempts and deliveries, and after every round its posteriors (key
+    order included) must sit within ``tolerance`` of a reference stepped
+    alongside.
+    """
+    engine = build(EmbeddedMessagePassing)
+    report = PeriodicSchedule(engine).run(engine.options.max_rounds)
+    result = build(ReferenceEmbedded).run()
+    assert (report.rounds, report.converged) == (result.iterations, result.converged)
+    assert (report.messages_attempted, report.messages_delivered) == (
+        result.messages_attempted,
+        result.messages_delivered,
+    )
+    stepped = build(ReferenceEmbedded)
+    for posteriors in report.posterior_history:
+        stepped.run_round()
+        expected = stepped.posteriors()
+        assert list(posteriors) == list(expected)
+        for name, value in expected.items():
+            assert abs(posteriors[name] - value) <= tolerance, name
+    return report
 
 
 def _reference_run(assessor, feedbacks, attribute):

@@ -2,7 +2,11 @@
 
 import numpy as np
 import pytest
-from embedded_reference import assert_matches_reference, reference_assessment
+from embedded_reference import (
+    assert_matches_reference,
+    assert_trajectory_matches_reference,
+    reference_assessment,
+)
 
 from repro.core.batched import (
     AssessmentLane,
@@ -10,7 +14,7 @@ from repro.core.batched import (
     compile_assessment_plan,
 )
 from repro.constants import COUNT_KERNEL_MIN_ARITY, MAX_COMPILED_ARITY
-from repro.core.embedded import EmbeddedOptions
+from repro.core.embedded import EmbeddedOptions, MessageTransport
 from repro.core.feedback import Feedback, FeedbackKind, StructureKind
 from repro.core.quality import MappingQualityAssessor
 from repro.exceptions import ConvergenceError, FactorGraphError, FeedbackError
@@ -96,8 +100,14 @@ class TestPlanCompilation:
         )
 
     def test_structures_need_two_mappings(self):
-        with pytest.raises(FeedbackError):
+        # The Feedback floor: a one-mapping structure is a caller bug, named
+        # in the error, wherever it sits in the list.
+        with pytest.raises(FeedbackError, match="'f1' needs at least two mappings"):
             compile_assessment_plan([("f1", ("a->b",))])
+        with pytest.raises(FeedbackError, match="'solo'"):
+            compile_assessment_plan(
+                [("pair", ("a->b", "b->a")), ("solo", ("b->c",))]
+            )
 
 
 class TestBatchedSequentialParity:
@@ -148,17 +158,34 @@ class TestBatchedSequentialParity:
             assessor.assess_attributes(attributes), _references(assessor, attributes)
         )
 
-    def test_history_parity(self):
+    @pytest.mark.parametrize("send_probability", [1.0, 0.7])
+    def test_history_parity(self, send_probability):
+        """The assessor's intro-network evidence, stepped one round per
+        period, replays the reference round by round and stops on the
+        posteriors of the assessor's own lane."""
         network = intro_example_network(with_records=False)
-        assessor = MappingQualityAssessor(network, delta=0.1, ttl=4, seed=0)
-        b = assessor.assess_attributes(["Creator"])["Creator"]
-        reference = reference_assessment(assessor, "Creator")
-        assert b.result is not None and reference is not None
-        assert len(b.result.history) == len(reference.history)
-        for batched_round, reference_round in zip(b.result.history, reference.history):
-            assert batched_round.keys() == reference_round.keys()
-            for name, value in reference_round.items():
-                assert batched_round[name] == pytest.approx(value, abs=1e-9)
+        assessor = MappingQualityAssessor(
+            network, delta=0.1, ttl=4, seed=0, send_probability=send_probability
+        )
+        assessment = assessor.assess_attributes(["Creator"])["Creator"]
+        feedbacks = assessment.evidence.feedbacks
+
+        def build(engine_class):
+            return engine_class(
+                feedbacks,
+                priors={
+                    name: assessor.priors.prior(name, "Creator")
+                    for feedback in feedbacks
+                    for name in feedback.mapping_names
+                },
+                delta=assessor._delta_for("Creator"),
+                transport=MessageTransport(send_probability, seed=assessor.seed),
+                options=assessor.options,
+            )
+
+        report = assert_trajectory_matches_reference(build)
+        assert report.rounds == assessment.iterations
+        assert report.posterior_history[-1] == assessment.posteriors
 
     def test_attribute_without_informative_feedback_gets_none_result(self):
         network = intro_example_network(with_records=False)

@@ -50,9 +50,7 @@ ATTRIBUTE_COUNT = 3
 #: or a dropped message moves posteriors by ≥1e-3).
 FIXED_POINT_TOLERANCE = 1e-8
 STOP_TOLERANCE = 1e-11
-CONVERGED = EmbeddedOptions(
-    max_rounds=500, tolerance=STOP_TOLERANCE, record_history=False
-)
+CONVERGED = EmbeddedOptions(max_rounds=500, tolerance=STOP_TOLERANCE)
 
 #: A refreshed structure cache may list structures in a different order
 #: than a fresh probe, which permutes floating-point products; the end-to-end

@@ -13,6 +13,7 @@ from repro.core.embedded import (
 from repro.core.beliefs import PriorBeliefStore
 from repro.core.feedback import variable_name_for
 from repro.core.pdms_factor_graph import build_factor_graph
+from repro.core.schedules import PeriodicSchedule
 from repro.exceptions import ConvergenceError, FeedbackError
 from repro.factorgraph.sum_product import run_sum_product
 from repro.generators.paper import (
@@ -389,8 +390,6 @@ class TestResultAccessors:
         result = engine.run()
         with pytest.raises(FeedbackError, match="p9->p10"):
             result.probability_correct("p9->p10")
-        with pytest.raises(FeedbackError, match="p9->p10"):
-            result.history_of("p9->p10")
 
 
 class TestControls:
@@ -405,15 +404,23 @@ class TestControls:
             engine.run()
 
     def test_history_recording(self):
-        engine = EmbeddedMessagePassing(
-            intro_example_feedbacks(), priors=0.5, delta=0.1,
-            options=EmbeddedOptions(max_rounds=10, record_history=True),
+        """The engine records no trajectory; stepping it under the
+        periodic schedule reads one, which ends on the run's result."""
+
+        def engine():
+            return EmbeddedMessagePassing(
+                intro_example_feedbacks(), priors=0.5, delta=0.1,
+                options=EmbeddedOptions(max_rounds=10),
+            )
+
+        result = engine().run()
+        report = PeriodicSchedule(engine()).run(10)
+        assert (report.rounds, report.converged) == (
+            result.iterations,
+            result.converged,
         )
-        result = engine.run()
-        assert len(result.history) == result.iterations
-        trajectory = result.history_of("p2->p4")
-        assert len(trajectory) == result.iterations
-        assert trajectory[-1] == pytest.approx(result.posteriors["p2->p4"])
+        assert len(report.posterior_history) == result.iterations
+        assert report.posterior_history[-1] == result.posteriors
 
     def test_partial_round_only_updates_selected_mappings(self):
         engine = EmbeddedMessagePassing(intro_example_feedbacks(), priors=0.5, delta=0.1)

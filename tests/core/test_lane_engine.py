@@ -15,9 +15,7 @@ on how the installed numpy's einsum orders its sums over differently laid
 out operands, so this guard runs wherever the suite runs.
 """
 
-from dataclasses import dataclass
 from itertools import permutations
-from typing import Tuple
 from unittest import mock
 
 from hypothesis import given, settings, strategies as st
@@ -31,8 +29,7 @@ from repro.core.batched import (
 )
 from repro.core.embedded import EmbeddedOptions, MessageTransport
 from repro.core.feedback import Feedback, FeedbackKind, StructureKind
-from repro.core.feedback import mapping_owner
-from repro.factorgraph.plan import BucketPlan, compile_sweep_plan, normalize_rows
+from repro.factorgraph.plan import BucketPlan, normalize_rows
 
 OPTIONS = EmbeddedOptions(max_rounds=60)
 KINDS = [FeedbackKind.NEUTRAL, FeedbackKind.POSITIVE, FeedbackKind.NEGATIVE]
@@ -185,20 +182,6 @@ def test_placement_follows_the_lanes():
 # -- the fused bucket sweep --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Evidence:
-    """Lane evidence without :class:`Feedback`'s two-mapping floor, so
-    singleton structures (arity-1 buckets) can be bound too."""
-
-    identifier: str
-    mapping_names: Tuple[str, ...]
-    kind: FeedbackKind
-
-    @property
-    def is_informative(self) -> bool:
-        return self.kind is not FeedbackKind.NEUTRAL
-
-
 def _per_target_sweep(bucket, kernel, pool, out):
     """Reference bucket sweep: one gather, ``messages_toward`` call,
     normalisation and scatter per target slot."""
@@ -212,16 +195,29 @@ def _per_target_sweep(bucket, kernel, pool, out):
         )
 
 
-def _expected_bucket_plans(plan, bucket):
-    """``gather_all`` / ``scatter_all`` re-derived from the plan's edge and
-    received-cell layout: per target, the source slots in ascending order."""
+def _expected_recv_rows(plan):
+    """The received-cell rows re-derived from the structure list and the
+    owners: per structure, each peer holding a replica (in mapping order)
+    gets one cell per mapping of the structure it does not own."""
+    rows = {}
+    for s, names in enumerate(plan.structure_mappings):
+        for peer in dict.fromkeys(plan.owners[name] for name in names):
+            for name in names:
+                if plan.owners[name] != peer:
+                    rows[(peer, s, name)] = len(rows)
+    return rows
+
+
+def _expected_bucket_plans(plan, bucket, recv_row):
+    """``gather_all`` / ``scatter_all`` re-derived from the plan's edge
+    layout and the received-cell rows ``recv_row``: per target, the source
+    slots in ascending order."""
     edge_row = {
         pair: row
         for row, pair in enumerate(
             zip(plan.edge_mapping.tolist(), plan.edge_structure.tolist())
         )
     }
-    recv_row = {cell: row for row, cell in enumerate(plan.recv_cells)}
     index, owners = plan.mapping_index, plan.owners
     gather, scatter = [], []
     for target in range(bucket.arity):
@@ -248,13 +244,12 @@ def _expected_bucket_plans(plan, bucket):
     return gather, scatter
 
 
-#: The 12 mappings among four peers, and structures over 1–12 of them:
-#: singletons and short structures land in dense buckets (arity 1
-#: included), structures of COUNT_KERNEL_MIN_ARITY or more mappings in
-#: count buckets.
+#: The 12 mappings among four peers, and structures over 2–12 of them:
+#: short structures land in dense buckets, structures of
+#: COUNT_KERNEL_MIN_ARITY or more mappings in count buckets.
 _PAIRS = list(permutations(range(4), 2))
 sweep_structure = st.tuples(
-    st.sampled_from([1, 2, 3, 5, COUNT_KERNEL_MIN_ARITY, 12]),
+    st.sampled_from([2, 3, 5, COUNT_KERNEL_MIN_ARITY, 12]),
     st.permutations(range(len(_PAIRS))),
 ).map(lambda drawn: drawn[1][: drawn[0]])
 sweep_lanes = st.lists(
@@ -271,7 +266,7 @@ sweep_lanes = st.lists(
     min_size=1,
     max_size=4,
 )
-HISTORY = EmbeddedOptions(max_rounds=40, record_history=True)
+SWEEP_OPTIONS = EmbeddedOptions(max_rounds=40)
 
 
 @given(
@@ -291,11 +286,12 @@ def test_fused_bucket_sweep_matches_the_per_target_sweep(blocks, specs):
             )
             structures.append((f"s{len(structures)}", names))
         ranges.append(range(start, len(structures)))
-    plan = compile_sweep_plan(
-        structures, min_mappings=1, default_owner=mapping_owner
-    )
+    plan = compile_assessment_plan(structures)
+    recv_row = _expected_recv_rows(plan)
+    assert plan.recv_count == len(recv_row)
+    assert plan.recv_structure.tolist() == [s for _, s, _ in recv_row]
     for bucket in plan.batches:
-        gather, scatter = _expected_bucket_plans(plan, bucket)
+        gather, scatter = _expected_bucket_plans(plan, bucket, recv_row)
         assert bucket.gather_all.tolist() == gather
         assert bucket.scatter_all.tolist() == scatter
 
@@ -311,10 +307,12 @@ def test_fused_bucket_sweep_matches_the_per_target_sweep(blocks, specs):
                 AssessmentLane(
                     key=f"lane{number}",
                     feedbacks=tuple(
-                        _Evidence(
-                            plan.identifiers[s],
-                            plan.structure_mappings[s],
-                            spec["kinds"][position % len(spec["kinds"])],
+                        Feedback(
+                            identifier=plan.identifiers[s],
+                            kind=spec["kinds"][position % len(spec["kinds"])],
+                            structure=StructureKind.CYCLE,
+                            mapping_names=plan.structure_mappings[s],
+                            attribute="a",
                         )
                         for position, s in enumerate(covered)
                     ),
@@ -329,12 +327,22 @@ def test_fused_bucket_sweep_matches_the_per_target_sweep(blocks, specs):
         return built
 
     def run():
-        engine = BatchedEmbeddedMessagePassing(plan, lanes(), options=HISTORY)
-        return engine.run(), engine.round_edge_counts
+        engine = BatchedEmbeddedMessagePassing(plan, lanes(), options=SWEEP_OPTIONS)
+        rounds = []
+        step = engine.run_round
+
+        def recorded_round():
+            change = step()
+            rounds.append(engine.posteriors())
+            return change
+
+        engine.run_round = recorded_round
+        return engine.run(), rounds, engine.round_edge_counts
 
     fused = run()
     with mock.patch.object(BucketPlan, "sweep", _per_target_sweep):
         reference = run()
-    # Exact equality: posteriors, iterations, flags, final changes,
-    # histories, message counts and the per-round (compacted) row counts.
+    # Exact equality: posteriors, iterations, flags, final changes and
+    # message counts, the live lanes' posteriors after every round, and
+    # the per-round (compacted) row counts.
     assert fused == reference

@@ -112,9 +112,7 @@ class TestAssessLocal:
             network,
             delta=DELTA,
             ttl=TTL,
-            options=EmbeddedOptions(
-                max_rounds=500, tolerance=STOP_TOLERANCE, record_history=False
-            ),
+            options=EmbeddedOptions(max_rounds=500, tolerance=STOP_TOLERANCE),
         )
         cycles, parallel_paths = converged.neighborhood_cache.structures_for(peer)
         graph = build_factor_graph(

@@ -306,3 +306,18 @@ class TestPriorUpdates:
         # Updated priors feed the next assessment round.
         second = assessor.assess_attribute("Creator")
         assert second.posteriors["p2->p4"] < 0.5
+
+    def test_a_repeated_attribute_is_folded_once(self):
+        """One EM step folds each posterior once, however often its
+        attribute is named: a second fold would skew the running average."""
+        network = intro_example_network(with_records=False)
+        once = MappingQualityAssessor(network, delta=0.1, ttl=4)
+        twice = MappingQualityAssessor(network, delta=0.1, ttl=4)
+        expected = once.update_priors(["Creator"])
+        updated = twice.update_priors(["Creator", "Creator"])
+        assert updated == expected
+        for mapping_name, attribute in expected:
+            assert twice.priors.evidence_count(mapping_name, attribute) == 1
+            assert twice.priors.prior(mapping_name, attribute) == once.priors.prior(
+                mapping_name, attribute
+            )

@@ -168,49 +168,6 @@ class TestBatchedLocalParity:
             "p2", "Creator"
         )
 
-    @pytest.mark.parametrize("send_probability", [1.0, 0.7])
-    def test_local_runs_record_no_history(self, send_probability):
-        """The local views read only final posteriors, so the local lanes
-        run without per-round history — with the views and the per-round
-        edge counts of a run that records it."""
-        network = generate_scenario(
-            topology="scale-free",
-            peer_count=16,
-            attribute_count=8,
-            error_rate=0.2,
-            seed=7,
-        ).network
-        attribute = network.attribute_universe()[0]
-        engine = quality.BatchedEmbeddedMessagePassing
-        recorded = []
-
-        def spy(*args, options, **kwargs):
-            recorded.append(options.record_history)
-            return engine(*args, options=options, **kwargs)
-
-        def recording(*args, options, **kwargs):
-            return engine(
-                *args, options=replace(options, record_history=True), **kwargs
-            )
-
-        def views(patched):
-            assessor = MappingQualityAssessor(
-                network,
-                delta=None,
-                ttl=3,
-                include_parallel_paths=False,
-                seed=3,
-                send_probability=send_probability,
-            )
-            with mock.patch.object(quality, "BatchedEmbeddedMessagePassing", patched):
-                result = assessor.assess_local_all(attribute)
-            return result, assessor.last_local_round_edge_counts
-
-        without = views(spy)
-        assert recorded == [False]
-        assert without == views(recording)
-        assert len(without[1]) > 1
-
     def test_blocked_engine_matches_general_lane_engine(self):
         """The block-diagonal packing is an execution detail: disjoint
         per-origin lanes sharing one slice give each lane's solo result."""

@@ -1,6 +1,7 @@
 """Unit tests for the periodic and lazy message-passing schedules."""
 
 import pytest
+from embedded_reference import assert_trajectory_matches_reference
 
 from repro.core.embedded import (
     EmbeddedMessagePassing,
@@ -10,7 +11,11 @@ from repro.core.embedded import (
 )
 from repro.core.schedules import LazySchedule, PeriodicSchedule
 from repro.exceptions import ReproError
-from repro.generators.paper import intro_example_feedbacks, intro_example_network
+from repro.generators.paper import (
+    figure4_feedbacks,
+    intro_example_feedbacks,
+    intro_example_network,
+)
 from repro.pdms.query import Query, substring_predicate
 from repro.pdms.routing import QueryRouter, RoutingPolicy
 
@@ -22,6 +27,33 @@ def make_engine(**options):
         delta=0.1,
         options=EmbeddedOptions(max_rounds=200, **options),
     )
+
+
+class TestTrajectoryByStepping:
+    """The engine records no trajectory: the periodic schedule reads one
+    by stepping it, and that trajectory replays the per-message reference
+    round by round."""
+
+    @pytest.mark.parametrize("send_probability", [1.0, 0.7])
+    @pytest.mark.parametrize(
+        ("feedbacks", "priors"),
+        [(intro_example_feedbacks, 0.5), (figure4_feedbacks, 0.7)],
+        ids=["intro", "figure4"],
+    )
+    def test_periodic_trajectory_replays_the_reference(
+        self, feedbacks, priors, send_probability
+    ):
+        def build(engine_class):
+            return engine_class(
+                feedbacks(),
+                priors=priors,
+                delta=0.1,
+                transport=MessageTransport(send_probability, seed=11),
+                options=EmbeddedOptions(max_rounds=200),
+            )
+
+        report = assert_trajectory_matches_reference(build)
+        assert report.converged and report.rounds > 1
 
 
 class TestPeriodicSchedule:

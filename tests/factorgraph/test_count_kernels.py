@@ -209,10 +209,15 @@ class TestKernelValidation:
         # kernel takes (stack, factors, arity + 1) arrays only.
         with pytest.raises(FactorGraphError, match="count-table"):
             StackedCountFactorBatch(np.full((1, 1, 2, 2), 0.25))
-        with pytest.raises(FactorGraphError, match="two count values"):
-            StackedCountFactorBatch(np.ones((1, 1, 1)))
         with pytest.raises(FactorGraphError, match="non-negative"):
-            StackedCountFactorBatch(np.array([[[1.0, -0.5]]]))
+            StackedCountFactorBatch(np.array([[[1.0, -0.5, 0.2]]]))
+
+    @pytest.mark.parametrize("slots", [0, 1])
+    def test_count_batch_rejects_fewer_than_two_slots(self, slots):
+        # The two-mapping floor of every structure: a count table over
+        # fewer than two slots has no operand to sweep.
+        with pytest.raises(FactorGraphError, match="at least two slots"):
+            StackedCountFactorBatch(np.ones((1, 1, slots + 1)))
 
     def test_stacked_batch_rejects_non_constant_tail(self):
         tables = np.array([[[1.0, 0.0, 0.1, 0.2, 0.1]]])

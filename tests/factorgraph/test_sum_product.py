@@ -188,9 +188,9 @@ class TestResultAccessors:
     def test_history_recorded_when_requested(self):
         result = run_sum_product(loopy_graph(), max_iterations=20, record_history=True)
         assert len(result.history) == result.iterations
-        trajectory = result.history_of("a")
-        assert len(trajectory) == result.iterations
+        trajectory = [snapshot["a"][0] for snapshot in result.history]
         assert all(0.0 <= value <= 1.0 for value in trajectory)
+        assert result.history[-1]["a"] == pytest.approx(result.marginals["a"])
 
     def test_history_empty_by_default(self):
         result = run_sum_product(loopy_graph(), max_iterations=20)
@@ -215,9 +215,8 @@ class TestResultAccessors:
             DiscreteVariable("x", domain=(INCORRECT, CORRECT))
         )
         graph.add_factor(Factor("prior", (x,), np.array([0.3, 0.7])))
-        result = run_sum_product(graph, record_history=True)
+        result = run_sum_product(graph)
         assert result.probability_correct("x") == pytest.approx(0.7, abs=1e-6)
-        assert result.history_of("x")[-1] == pytest.approx(0.7, abs=1e-6)
 
     def test_probability_correct_rejects_non_correctness_domain(self):
         graph = FactorGraph("ternary")
@@ -228,8 +227,6 @@ class TestResultAccessors:
         result = run_sum_product(graph)
         with pytest.raises(FactorGraphError, match="probability_correct"):
             result.probability_correct("x")
-        with pytest.raises(FactorGraphError, match="probability_correct"):
-            result.history_of("x")
 
     def test_handmade_result_without_domains_assumes_binary_layout(self):
         result = SumProductResult(
