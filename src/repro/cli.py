@@ -8,7 +8,7 @@ the same runners the benchmark harness uses, without the timing machinery.
 
 A sibling ``repro-lint`` console script (``python -m repro.lintkit``) runs
 the AST-based architectural analyzer over the tree — the layering,
-determinism, process-safety, knob-hygiene and numeric invariants stated in
+determinism, knob-hygiene and numeric invariants stated in
 ``ARCHITECTURE.md``.
 
 Examples

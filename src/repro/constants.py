@@ -20,8 +20,6 @@ repetition) to obtain independent lossy runs.
 
 from __future__ import annotations
 
-import os
-
 __all__ = [
     "DEFAULT_MAX_ITERATIONS",
     "DEFAULT_TOLERANCE",
@@ -31,8 +29,6 @@ __all__ = [
     "DEFAULT_TTL",
     "MAX_COMPILED_ARITY",
     "COUNT_KERNEL_MIN_ARITY",
-    "KNOWN_ENV_KNOBS",
-    "read_env",
 ]
 
 #: Hard cap on synchronous rounds, shared by the centralised and embedded runs.
@@ -73,28 +69,3 @@ MAX_COMPILED_ARITY: int = 25
 #: time and O(arity) table memory per structure, removing the exponential
 #: cliff for long cycles and parallel paths.
 COUNT_KERNEL_MIN_ARITY: int = 10
-
-#: Every environment knob the package reads; empty, because it reads none.
-#: :func:`read_env` — the one sanctioned gate to ``os.environ`` outside this
-#: module (enforced by the ``knob-env-read`` rule of :mod:`repro.lintkit`) —
-#: refuses names missing from this registry, so a new knob cannot ship
-#: without being declared, documented and validated here first.
-KNOWN_ENV_KNOBS: frozenset = frozenset()
-
-
-def read_env(name: str) -> str:
-    """Read a *declared* environment knob, stripped; ``''`` when unset.
-
-    The single sanctioned environment gate of the package: every module
-    except this one resolves its knobs through here (the lintkit
-    ``knob-env-read`` rule bans direct ``os.environ`` access), and the
-    name must be registered in :data:`KNOWN_ENV_KNOBS` — PR 8's strict
-    named-variable validation pattern applied at the read itself.
-    """
-    if name not in KNOWN_ENV_KNOBS:
-        raise ValueError(
-            f"undeclared environment knob {name!r}; register it in "
-            f"repro.constants.KNOWN_ENV_KNOBS (known: "
-            f"{', '.join(sorted(KNOWN_ENV_KNOBS))})"
-        )
-    return os.environ.get(name, "").strip()

@@ -182,10 +182,9 @@ class StructureCache:
     snapshot for mutations the version counter cannot see (e.g. direct
     fiddling with network internals in tests).
 
-    The global view's evidence (:meth:`evidence_for`) and the ⊥ scan
-    (:meth:`unmappable`) are memoised per attribute under the same key and
-    dropped with the structures.  That is exact because correspondences
-    change only through
+    The global view's evidence (:meth:`evidence_for`, the ⊥ scan included)
+    is memoised per attribute under the same key and dropped with the
+    structures.  That is exact because correspondences change only through
     :meth:`~repro.pdms.network.PDMSNetwork.change_correspondences`, which
     bumps the version (the ``layering-correspondence-store`` lint rule
     keeps every other module away from a mapping's store); an edit made
@@ -212,10 +211,6 @@ class StructureCache:
         self._local: Dict[
             str, Tuple[Tuple[MappingCycle, ...], Tuple[ParallelPaths, ...]]
         ] = {}
-        # The ⊥ scan per attribute.  It is origin-independent: the
-        # assessor's local view reads the global view's cache, so both views
-        # share one scan per (attribute, key).
-        self._unmappable: Dict[str, Tuple[str, ...]] = {}
         # The global view's evidence per attribute.
         self._evidence: Dict[str, NetworkEvidence] = {}
 
@@ -245,7 +240,6 @@ class StructureCache:
             self._key = key
             self._global = None
             self._local = {}
-            self._unmappable = {}
             self._evidence = {}
         return key
 
@@ -338,22 +332,11 @@ class StructureCache:
         evidence = self._evidence[attribute] = NetworkEvidence(
             attribute=attribute,
             feedbacks=tuple(structure_feedbacks(cycles, parallel_paths, attribute)),
-            unmappable=self.unmappable(attribute),
+            unmappable=_unmappable_mappings(self.network, attribute),
             cycles=cycles,
             parallel_paths=parallel_paths,
         )
         return evidence
-
-    def unmappable(self, attribute: str) -> Tuple[str, ...]:
-        """The ⊥ scan of :meth:`evidence_for`: mappings whose source schema
-        declares ``attribute`` but that provide no correspondence for it,
-        memoised per attribute and key."""
-        self._sync()
-        unmappable = self._unmappable.get(attribute)
-        if unmappable is None:
-            unmappable = _unmappable_mappings(self.network, attribute)
-            self._unmappable[attribute] = unmappable
-        return unmappable
 
     def invalidate(self) -> None:
         """Drop the cached structures, the memoised evidence and the
@@ -363,7 +346,6 @@ class StructureCache:
         self._key = None
         self._global = None
         self._local = {}
-        self._unmappable = {}
         self._evidence = {}
 
 

@@ -10,7 +10,7 @@ compiled :class:`~repro.factorgraph.plan.SweepPlan` — and
 It is the only engine that runs embedded rounds: the one-lane
 :class:`~repro.core.embedded.EmbeddedMessagePassing` wraps it, and so do
 the assessor's global and local views (:mod:`repro.core.quality`).  The
-normative layering, determinism and process-safety contracts are stated in
+normative layering and determinism contracts are stated in
 ``ARCHITECTURE.md`` at the repository root and enforced by ``repro-lint``
 (:mod:`repro.lintkit`); the structure lists compiled here are the walks of
 the network's :class:`~repro.pdms.discovery.TopologySnapshot`.

@@ -24,8 +24,8 @@ One engine, one lane
 :class:`~repro.core.batched.BatchedEmbeddedMessagePassing`: construction
 lowers the informative feedback to a
 :class:`~repro.factorgraph.plan.SweepPlan` the way the assessor does
-(:func:`~repro.core.batched.compile_assessment_plan`, owners defaulting to
-each mapping's source peer) and binds it to one
+(:func:`~repro.core.batched.compile_assessment_plan`, each mapping owned by
+its source peer) and binds it to one
 :class:`~repro.core.batched.AssessmentLane` carrying the caller's
 transport.  The lane engine holds the message state; this class
 keeps none of its own.  The peers, owners and remote-message counts it
@@ -41,15 +41,14 @@ attribute, or one shared block-diagonal slice of per-origin lanes.  It
 serves every embedded run: this class, the assessor's global and local
 views, the EM rounds.
 
-The layering, determinism and process-safety invariants this lowering
-rests on — engines import kernels from the plan surface only, discovery
-flows through the network's snapshot, rng streams are explicitly seeded,
-wire payloads are registered picklable types — are stated normatively in
-``ARCHITECTURE.md`` at the repository root and enforced mechanically by
-``repro-lint`` (:mod:`repro.lintkit`).  One layer *up*, the structures
-every lowering consumes are the per-origin walks of the network's
-:class:`~repro.pdms.discovery.TopologySnapshot`, which also lists the
-global view from them.
+The layering and determinism invariants this lowering rests on — engines
+import kernels from the plan surface only, discovery flows through the
+network's snapshot, rng streams are explicitly seeded — are stated
+normatively in ``ARCHITECTURE.md`` at the repository root and enforced
+mechanically by ``repro-lint`` (:mod:`repro.lintkit`).  One layer *up*, the
+structures every lowering consumes are the per-origin walks of the
+network's :class:`~repro.pdms.discovery.TopologySnapshot`, which also lists
+the global view from them.
 
 The *kernel crossover rule* is stated once, in the plan IR: a feedback
 factor with ``arity >=`` :data:`repro.constants.COUNT_KERNEL_MIN_ARITY`
@@ -129,9 +128,6 @@ class EmbeddedMessagePassing:
         Unreliable message transport; defaults to a perfectly reliable one.
     options:
         Iteration control.
-    owners:
-        Optional explicit mapping→peer ownership (defaults to each mapping's
-        source peer).
     """
 
     def __init__(
@@ -141,7 +137,6 @@ class EmbeddedMessagePassing:
         delta: float = 0.1,
         transport: Optional[MessageTransport] = None,
         options: Optional[EmbeddedOptions] = None,
-        owners: Optional[TMapping[str, str]] = None,
     ) -> None:
         self.options = options or EmbeddedOptions()
         self.transport = transport or MessageTransport()
@@ -151,7 +146,7 @@ class EmbeddedMessagePassing:
             raise FeedbackError("embedded message passing needs informative feedback")
         self.attribute = informative[0].attribute
         self.plan: SweepPlan = compile_assessment_plan(
-            [(f.identifier, f.mapping_names) for f in informative], owners=owners
+            [(f.identifier, f.mapping_names) for f in informative]
         )
         self._lane = AssessmentLane(
             key=self.attribute,

@@ -49,7 +49,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import (
-    Container,
     Dict,
     Iterable,
     List,
@@ -263,31 +262,36 @@ class MappingQualityAssessor:
         """
         return self.assess_attributes([attribute])[attribute]
 
-    def _resolve_local_view(
-        self,
-        origin: str,
-        attribute: str,
-        unmappable: Container[str],
-        posteriors: TMapping[str, float],
-    ) -> Dict[str, float]:
-        """The §4.5 decision over ``origin``'s own outgoing mappings.
+    def _resolve(
+        self, mapping: Mapping, attribute: str, posteriors: TMapping[str, float]
+    ) -> Optional[float]:
+        """The resolution rule of every answer, both views alike; ``None``
+        when ``attribute`` is out of ``mapping``'s scope.
 
-        Applies the module's resolution order to every own mapping for which
-        the attribute is in scope: the ⊥ rule first (the origin's schema
-        declares the attribute but the mapping provides no correspondence →
-        0.0), then the posterior from the embedded run, then the prior
-        belief.  Shared by the per-call and the stacked local paths so
-        both return identical mapping sets and values.
+        In scope are the mappings that map the attribute and those whose
+        source schema declares it.  The value is 0.0 unless the mapping
+        maps the attribute (the ⊥ rule), otherwise its posterior in
+        ``posteriors``, otherwise its prior belief.
         """
+        if mapping.maps_attribute(attribute):
+            posterior = posteriors.get(mapping.name)
+            if posterior is None:
+                return self.priors.prior(mapping.name, attribute)
+            return posterior
+        if self.network.peer(mapping.source).schema.has_attribute(attribute):
+            return 0.0
+        return None
+
+    def _resolve_local_view(
+        self, origin: str, attribute: str, posteriors: TMapping[str, float]
+    ) -> Dict[str, float]:
+        """The §4.5 decision: :meth:`_resolve` over ``origin``'s own
+        outgoing mappings in scope, against the origin's own posteriors."""
         view: Dict[str, float] = {}
         for mapping in self.network.peer(origin).outgoing_mappings:
-            name = mapping.name
-            if name in unmappable:
-                view[name] = 0.0
-            elif name in posteriors:
-                view[name] = posteriors[name]
-            elif mapping.maps_attribute(attribute):
-                view[name] = self.priors.prior(name, attribute)
+            value = self._resolve(mapping, attribute, posteriors)
+            if value is not None:
+                view[mapping.name] = value
         return view
 
     def assess_local(self, origin: str, attribute: str) -> Dict[str, float]:
@@ -433,8 +437,6 @@ class MappingQualityAssessor:
         )
         results = engine.run()
         self.last_local_round_edge_counts = tuple(engine.round_edge_counts)
-        # The ⊥ scan is the global view's: one scan per attribute and version.
-        unmappable = set(self.structure_cache.unmappable(attribute))
         views: Dict[str, Dict[str, float]] = {}
         for origin, block in zip(origin_list, blocks):
             result = results[origin]
@@ -444,9 +446,7 @@ class MappingQualityAssessor:
                 if result is not None
                 else {}
             )
-            views[origin] = self._resolve_local_view(
-                origin, attribute, unmappable, posteriors
-            )
+            views[origin] = self._resolve_local_view(origin, attribute, posteriors)
         return views
 
     def assess_local_all(self, attribute: str) -> Dict[str, Dict[str, float]]:
@@ -622,26 +622,17 @@ class MappingQualityAssessor:
     def probability(self, mapping: Mapping | str, attribute: str) -> float:
         """P(attribute preserved by mapping) — the router's quality measure.
 
-        Resolution order: ⊥ rule (no correspondence → 0), posterior from the
-        embedded run, otherwise the prior belief.
+        Resolution order (:meth:`_resolve`): ⊥ rule (no correspondence →
+        0), posterior from the embedded run, otherwise the prior belief.  A
+        name answers as its mapping does; an unknown name raises
+        :class:`~repro.exceptions.PDMSError`.
         """
-        return self._probability(mapping, attribute, self.assessment(attribute))
-
-    def _probability(
-        self,
-        mapping: Mapping | str,
-        attribute: str,
-        assessment: AttributeAssessment,
-    ) -> float:
-        """:meth:`probability` against an already resolved ``assessment``."""
-        mapping_name = mapping if isinstance(mapping, str) else mapping.name
-        if mapping_name in assessment.unmappable:
-            return 0.0
-        if not isinstance(mapping, str) and not mapping.maps_attribute(attribute):
-            return 0.0
-        if mapping_name in assessment.posteriors:
-            return assessment.posteriors[mapping_name]
-        return self.priors.prior(mapping_name, attribute)
+        if isinstance(mapping, str):
+            mapping = self.network.mapping(mapping)
+        value = self._resolve(
+            mapping, attribute, self.assessment(attribute).posteriors
+        )
+        return 0.0 if value is None else value
 
     def is_erroneous(self, mapping: Mapping | str, attribute: str, theta: float = 0.5) -> bool:
         """Decision: flag the mapping as erroneous for ``attribute`` at θ."""
@@ -655,21 +646,19 @@ class MappingQualityAssessor:
         Consistent with :meth:`is_erroneous` over the *full* mapping set of
         the network: every mapping for which the attribute is in scope —
         it maps the attribute, or its source schema declares it (the ⊥
-        case) — is judged by :meth:`probability`, so mappings without
-        posterior evidence are flagged on their prior exactly as
+        case) — is judged as :meth:`probability` judges it, so mappings
+        without posterior evidence are flagged on their prior exactly as
         :meth:`is_erroneous` flags them, instead of silently escaping the
         scan.
         """
         if not 0.0 <= theta <= 1.0:
             raise ReproError(f"theta must be in [0, 1], got {theta}")
-        assessment = self.assessment(attribute)
-        unmappable = set(assessment.unmappable)
-        flagged = [
-            mapping.name
-            for mapping in self.network.mappings
-            if (mapping.name in unmappable or mapping.maps_attribute(attribute))
-            and self._probability(mapping, attribute, assessment) <= theta
-        ]
+        posteriors = self.assessment(attribute).posteriors
+        flagged = []
+        for mapping in self.network.mappings:
+            value = self._resolve(mapping, attribute, posteriors)
+            if value is not None and value <= theta:
+                flagged.append(mapping.name)
         return tuple(sorted(flagged))
 
     # -- integration -----------------------------------------------------------------------------
@@ -705,12 +694,10 @@ class MappingQualityAssessor:
         if cached is None or cached[0] != self.neighborhood_cache.current_key():
             self.assess_local_all(attribute)
             cached = self._local_views[attribute]
-        view = cached[1].get(mapping_obj.source, {})
-        if mapping_obj.name in view:
-            return view[mapping_obj.name]
-        if not mapping_obj.maps_attribute(attribute):
-            return 0.0
-        return self.priors.prior(mapping_obj.name, attribute)
+        value = self._resolve(
+            mapping_obj, attribute, cached[1].get(mapping_obj.source, {})
+        )
+        return 0.0 if value is None else value
 
     def as_local_oracle(self):
         """Quality oracle answering each hop from the forwarding peer's own

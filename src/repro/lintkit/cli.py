@@ -4,30 +4,24 @@
 
     repro-lint [paths...]            # text report, exit 1 on any finding
     repro-lint --json [paths...]     # machine-readable report on stdout
-    repro-lint --update-baseline     # rewrite the baseline from findings
     repro-lint --list-rules          # enumerate the rule set
 
 With no paths, the tree is auto-detected: ``src/repro`` (or ``src``) under
 the current directory if present, else the installed ``repro`` package.
-The baseline defaults to the nearest ``lintkit-baseline.txt`` found from
-the first scanned path upward.  Exit codes: 0 clean (every finding
-suppressed or baselined), 1 findings, 2 usage error.
+Exit codes: 0 clean (every finding suppressed inline), 1 findings, 2 usage
+error.  A reader that closes the pipe early (``repro-lint --json | head``)
+leaves the exit code the lint verdict.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import pathlib
 import sys
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
-from .baseline import (
-    find_default_baseline,
-    load_baseline,
-    save_baseline,
-    update_entries,
-)
 from .contracts import RULESET_VERSION
 from .report import build_report, failing, run_lint
 from .rules import all_rules, rules_by_id
@@ -40,8 +34,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-lint",
         description=(
             "AST-based architectural analyzer enforcing the repository's "
-            "determinism, layering, process-safety, knob-hygiene and "
-            "numeric-correctness invariants (see ARCHITECTURE.md)"
+            "layering, determinism, knob-hygiene and numeric-correctness "
+            "invariants (see ARCHITECTURE.md)"
         ),
     )
     parser.add_argument(
@@ -53,23 +47,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json",
         action="store_true",
         help="emit the machine-readable report on stdout",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="PATH",
-        help="baseline file of grandfathered findings "
-        "(default: nearest lintkit-baseline.txt)",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline from the current findings "
-        "(keeps existing justifications) and exit 0",
     )
     parser.add_argument(
         "--rules",
@@ -112,64 +89,45 @@ def _select_rules(spec: Optional[str], parser: argparse.ArgumentParser):
     return selected
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-
+def _report(parser: argparse.ArgumentParser, args) -> Tuple[str, int]:
+    """The text to print and the exit code of one invocation."""
     if args.list_rules:
-        for rule in all_rules():
-            print(f"{rule.rule_id:28} [{rule.family}] {rule.description}")
-        return 0
+        lines = [
+            f"{rule.rule_id:28} [{rule.family}] {rule.description}"
+            for rule in all_rules()
+        ]
+        return "\n".join(lines), 0
 
     paths = [pathlib.Path(p) for p in args.paths] or _default_paths()
     for path in paths:
         if not path.exists():
             parser.error(f"no such file or directory: {path}")
-
-    baseline_path: Optional[pathlib.Path]
-    if args.no_baseline:
-        baseline_path = None
-    elif args.baseline:
-        baseline_path = pathlib.Path(args.baseline)
-        if not baseline_path.exists() and not args.update_baseline:
-            parser.error(f"baseline file not found: {baseline_path}")
-    else:
-        baseline_path = find_default_baseline(paths[0])
-
-    entries = (
-        load_baseline(baseline_path)
-        if baseline_path is not None and baseline_path.exists()
-        else []
-    )
     rules = _select_rules(args.rules, parser)
-    findings, stale = run_lint(paths, rules=rules, baseline=entries)
-
-    if args.update_baseline:
-        target = baseline_path or pathlib.Path("lintkit-baseline.txt")
-        save_baseline(target, update_entries(findings, entries))
-        print(f"[repro-lint] baseline written: {target}")
-        return 0
-
-    if args.json:
-        print(json.dumps(build_report(paths, findings, stale, rules), indent=2))
-        return 1 if failing(findings) else 0
-
+    findings = run_lint(paths, rules=rules)
     active = failing(findings)
-    for finding in active:
-        print(finding.render())
-    for entry in stale:
-        print(
-            f"stale baseline entry: {entry.rule} {entry.module} "
-            f"{entry.fingerprint} ({entry.justification})"
-        )
-    baselined = sum(1 for f in findings if f.baselined)
-    suppressed = sum(1 for f in findings if f.suppressed)
-    print(
+    verdict = 1 if active else 0
+    if args.json:
+        return json.dumps(build_report(paths, findings, rules), indent=2), verdict
+    lines = [finding.render() for finding in active]
+    lines.append(
         f"[repro-lint] ruleset {RULESET_VERSION}: {len(active)} finding(s), "
-        f"{baselined} baselined, {suppressed} suppressed, "
-        f"{len(stale)} stale baseline entr{'y' if len(stale) == 1 else 'ies'}"
+        f"{len(findings) - len(active)} suppressed"
     )
-    return 1 if active else 0
+    return "\n".join(lines), verdict
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    parser = build_parser()
+    output, verdict = _report(parser, parser.parse_args(argv))
+    try:
+        print(output)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe (``... | head -1``): stop quietly, and
+        # point stdout at devnull so the interpreter's exit flush stays
+        # quiet too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return verdict
 
 
 if __name__ == "__main__":  # pragma: no cover

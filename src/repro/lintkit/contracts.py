@@ -2,11 +2,10 @@
 
 Every invariant the :mod:`repro.lintkit` rules enforce is declared in this
 module — the layering DAG, the plan-IR kernel surface, the discovery-walker
-ban, the correspondence-store owner, the rng-stream contract's banned
-global entry points, the picklable-boundary allowlist of process
-submission sites, and the registry of validated environment knobs.  ``ARCHITECTURE.md`` at the repository root is
-the prose rendering of the same contracts (a doc-sync test asserts it names
-every layer, boundary type and knob declared here); the rules in
+ban, the correspondence-store owner and the rng-stream contract's banned
+global entry points.  ``ARCHITECTURE.md`` at the repository root is the
+prose rendering of the same contracts (a doc-sync test asserts it names
+every layer, rule and surface declared here); the rules in
 :mod:`repro.lintkit.rules` are generated from these tables, so changing a
 contract means editing exactly one data structure and its prose twin.
 
@@ -24,8 +23,6 @@ imports that break bootstrap cycles — is allowlisted in
 from __future__ import annotations
 
 from typing import Dict, FrozenSet, Mapping, Tuple
-
-from ..constants import KNOWN_ENV_KNOBS
 
 __all__ = [
     "RULESET_VERSION",
@@ -45,19 +42,13 @@ __all__ = [
     "GLOBAL_RANDOM_FUNCS",
     "ALLOWED_NUMPY_RANDOM",
     "RNG_FACTORIES",
-    "PROCESS_SUBMISSION_ATTRS",
-    "EXECUTOR_SUBMISSION_ATTRS",
-    "PROCESS_CONSTRUCTORS",
-    "PICKLABLE_BOUNDARY",
-    "KNOB_RESOLVER_MODULES",
-    "KNOWN_ENV_KNOBS",
     "layer_of",
 ]
 
 #: Version of the rule set, stamped into every ``--json`` report and into
 #: the ``lintkit_version`` field of the ``BENCH_*.json`` provenance records.
 #: Bump it whenever a contract table or a rule's semantics change.
-RULESET_VERSION = "1.8.0"
+RULESET_VERSION = "2.0.0"
 
 
 # ---------------------------------------------------------------------------
@@ -319,72 +310,6 @@ ALLOWED_NUMPY_RANDOM: FrozenSet[str] = frozenset(
 RNG_FACTORIES: FrozenSet[str] = frozenset(
     {"Random", "default_rng", "RandomState"}
 )
-
-
-# ---------------------------------------------------------------------------
-# process safety — submission sites and the picklable boundary
-# ---------------------------------------------------------------------------
-
-#: Method names that ship a callable to a *process* pool.  The callable
-#: must be a module-level function (bound methods and closures do not
-#: survive the pickle boundary the way the shard protocol requires).
-PROCESS_SUBMISSION_ATTRS: FrozenSet[str] = frozenset(
-    {
-        "apply",
-        "apply_async",
-        "map_async",
-        "imap",
-        "imap_unordered",
-        "starmap",
-        "starmap_async",
-    }
-)
-
-#: Method names that ship a callable to *any* executor (thread or process).
-#: Lambdas and local functions are banned at these sites too — thread
-#: submissions stay debuggable and swappable for the process executors.
-EXECUTOR_SUBMISSION_ATTRS: FrozenSet[str] = frozenset(
-    {"submit"} | PROCESS_SUBMISSION_ATTRS
-)
-
-#: Constructor names that spawn workers; their ``target=``/``initializer=``
-#: callables cross the process boundary.
-PROCESS_CONSTRUCTORS: FrozenSet[str] = frozenset(
-    {"Process", "Pool", "ProcessPoolExecutor"}
-)
-
-#: Repository-defined types sanctioned to cross a process boundary —
-#: immutable and explicitly picklable, like ``TopologySnapshot``.  A repo
-#: class constructed inline at a process submission site must be
-#: registered here.  The topology
-#: event records, the vector clock, the journal entry and the clock digest
-#: are the wire vocabulary of the gossip substrate (:mod:`repro.pdms.events` /
-#: :mod:`repro.pdms.clock`): frozen dataclasses a future socket runtime
-#: ships between peer processes.
-PICKLABLE_BOUNDARY: FrozenSet[str] = frozenset(
-    {
-        "TopologySnapshot",
-        "PeerAdded",
-        "PeerRemoved",
-        "MappingAdded",
-        "MappingRemoved",
-        "CorrespondenceChanged",
-        "VectorClock",
-        "JournalEntry",
-        "ClockDigest",
-    }
-)
-
-
-# ---------------------------------------------------------------------------
-# knob hygiene — the validated environment-variable gate
-# ---------------------------------------------------------------------------
-
-#: The only modules allowed to touch ``os.environ`` — everything else
-#: reads knobs through :func:`repro.constants.read_env`, which validates
-#: the variable name against :data:`KNOWN_ENV_KNOBS` so every knob is
-#: declared, documented and strictly parsed in exactly one place.
-KNOB_RESOLVER_MODULES: FrozenSet[str] = frozenset({"repro.constants"})
 
 
 def _validate_contracts() -> None:

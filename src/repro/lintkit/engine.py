@@ -7,7 +7,7 @@ the two cross-cutting mechanics rules should not reimplement:
 
 * **module naming** — a scanned file is addressed by its dotted module name
   relative to the scanned tree (``repro.core.embedded``), which is what the
-  layer tables, the baseline fingerprints and the reports key on;
+  layer tables and the reports key on;
 * **inline suppressions** — ``# lint: disable=<rule-id>[,<rule-id>...]``
   silences the named rules on that physical line only.  A suppression that
   does not name a rule, or names an unknown one, is itself reported under
@@ -21,7 +21,7 @@ import io
 import pathlib
 import re
 import tokenize
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import (
     Dict,
     FrozenSet,
@@ -86,9 +86,6 @@ class ParsedModule:
     #: registry at run time, since the engine does not know the rule set)
     suppression_names: Tuple[Tuple[int, str], ...]
     imports: Tuple[ImportRecord, ...] = ()
-    #: names of functions defined inside another function (closure
-    #: candidates for the process-safety rules)
-    local_function_names: FrozenSet[str] = frozenset()
 
     def finding(self, rule_id: str, node_or_line, message: str) -> Finding:
         line = getattr(node_or_line, "lineno", node_or_line)
@@ -157,29 +154,22 @@ def _resolve_from_import(
 
 
 class _Indexer(ast.NodeVisitor):
-    """One walk collecting imports (with deferral depth) and local defs."""
+    """One walk collecting imports with their deferral depth."""
 
     def __init__(self, module: str, is_package: bool) -> None:
         self.module = module
         self.is_package = is_package
         self.depth = 0
         self.imports: List[ImportRecord] = []
-        self.local_function_names: set = set()
 
-    def _visit_function(self, node) -> None:
-        if self.depth:
-            self.local_function_names.add(node.name)
+    def _visit_scope(self, node) -> None:
         self.depth += 1
         self.generic_visit(node)
         self.depth -= 1
 
-    visit_FunctionDef = _visit_function
-    visit_AsyncFunctionDef = _visit_function
-
-    def visit_Lambda(self, node: ast.Lambda) -> None:
-        self.depth += 1
-        self.generic_visit(node)
-        self.depth -= 1
+    visit_FunctionDef = _visit_scope
+    visit_AsyncFunctionDef = _visit_scope
+    visit_Lambda = _visit_scope
 
     def visit_Import(self, node: ast.Import) -> None:
         for alias in node.names:
@@ -262,7 +252,6 @@ def parse_module(
         malformed_suppressions=malformed,
         suppression_names=names,
         imports=tuple(indexer.imports),
-        local_function_names=frozenset(indexer.local_function_names),
     )
     _CACHE[key] = parsed
     return parsed
@@ -309,7 +298,7 @@ def run_rules(
             for finding in rule.check(parsed):
                 disabled = parsed.suppressions.get(finding.line, frozenset())
                 if finding.rule in disabled:
-                    finding = finding.with_flags(suppressed=True)
+                    finding = replace(finding, suppressed=True)
                 findings.append(finding)
         for line, reason in parsed.malformed_suppressions:
             findings.append(parsed.finding(SUPPRESSION_RULE_ID, line, reason))

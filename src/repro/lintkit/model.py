@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator, Protocol, runtime_checkable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -17,8 +16,7 @@ class Finding:
     """One rule violation, anchored to a file/line and a rule id.
 
     ``module`` is the dotted module name relative to the scanned tree —
-    stable across checkouts, unlike ``path`` — and is what the baseline
-    fingerprint is computed from."""
+    stable across checkouts, unlike ``path``."""
 
     rule: str
     module: str
@@ -26,22 +24,6 @@ class Finding:
     line: int
     message: str
     suppressed: bool = field(default=False, compare=False)
-    baselined: bool = field(default=False, compare=False)
-
-    def fingerprint(self) -> str:
-        """Stable identity of the finding for baseline matching.
-
-        Deliberately excludes the line number, so baselined findings
-        survive unrelated edits that shift the file."""
-        digest = hashlib.sha256(
-            f"{self.rule}:{self.module}:{self.message}".encode("utf-8")
-        )
-        return digest.hexdigest()[:12]
-
-    def with_flags(
-        self, *, suppressed: bool = False, baselined: bool = False
-    ) -> "Finding":
-        return replace(self, suppressed=suppressed, baselined=baselined)
 
     def render(self) -> str:
         return f"{self.path}:{self.line}: {self.rule} {self.message}"
@@ -51,8 +33,8 @@ class Finding:
 class Rule(Protocol):
     """A pluggable lint rule.
 
-    Implementations carry a stable ``rule_id`` (what suppressions and the
-    baseline refer to), a ``family`` grouping related rules, and a one-line
+    Implementations carry a stable ``rule_id`` (what suppressions refer
+    to), a ``family`` grouping related rules, and a one-line
     ``description`` rendered by ``repro-lint --list-rules``.  ``check``
     receives a fully parsed module (AST + suppression table, cached per
     file) and yields findings; it must not mutate the module."""

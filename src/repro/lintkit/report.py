@@ -14,7 +14,6 @@ import pathlib
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence
 
-from .baseline import BaselineEntry, find_default_baseline, load_baseline
 from .contracts import RULESET_VERSION
 from .engine import run_rules
 from .model import Finding, Rule
@@ -24,34 +23,22 @@ __all__ = ["build_report", "run_lint", "lint_status"]
 
 
 def run_lint(
-    paths: Sequence,
-    *,
-    rules: Optional[Sequence[Rule]] = None,
-    baseline: Optional[Sequence[BaselineEntry]] = None,
-):
-    """Run the rule set over ``paths`` and apply the baseline.
-
-    Returns ``(findings, stale_entries)`` — findings carry their
-    ``suppressed``/``baselined`` flags, stale entries are baseline lines
-    matching no current finding."""
-    from .baseline import apply_baseline
-
+    paths: Sequence, *, rules: Optional[Sequence[Rule]] = None
+) -> List[Finding]:
+    """Run the rule set over ``paths``; findings carry their
+    ``suppressed`` flag."""
     active_rules = list(rules) if rules is not None else all_rules()
     known = [rule.rule_id for rule in all_rules()]
-    findings = run_rules(paths, active_rules, known_rule_ids=known)
-    return apply_baseline(findings, baseline or [])
+    return run_rules(paths, active_rules, known_rule_ids=known)
 
 
 def failing(findings: Sequence[Finding]) -> List[Finding]:
-    """The findings that fail a CI run: neither suppressed nor baselined."""
-    return [f for f in findings if not f.suppressed and not f.baselined]
+    """The findings that fail a CI run: the unsuppressed ones."""
+    return [f for f in findings if not f.suppressed]
 
 
 def build_report(
-    paths: Sequence,
-    findings: Sequence[Finding],
-    stale: Sequence[BaselineEntry],
-    rules: Sequence[Rule],
+    paths: Sequence, findings: Sequence[Finding], rules: Sequence[Rule]
 ) -> Dict:
     """The stable ``--json`` payload (see tests for the pinned schema)."""
     active = failing(findings)
@@ -63,9 +50,7 @@ def build_report(
         "counts": {
             "total": len(findings),
             "active": len(active),
-            "baselined": sum(1 for f in findings if f.baselined),
-            "suppressed": sum(1 for f in findings if f.suppressed),
-            "stale_baseline": len(stale),
+            "suppressed": len(findings) - len(active),
         },
         "rules": [
             {
@@ -82,20 +67,9 @@ def build_report(
                 "file": finding.path,
                 "line": finding.line,
                 "message": finding.message,
-                "baselined": finding.baselined,
                 "suppressed": finding.suppressed,
-                "fingerprint": finding.fingerprint(),
             }
             for finding in findings
-        ],
-        "stale_baseline": [
-            {
-                "rule": entry.rule,
-                "module": entry.module,
-                "fingerprint": entry.fingerprint,
-                "justification": entry.justification,
-            }
-            for entry in stale
         ],
     }
 
@@ -110,10 +84,7 @@ def lint_status() -> Dict:
     provenance next to the perf numbers."""
     try:
         package_dir = pathlib.Path(__file__).resolve().parents[1]
-        baseline_path = find_default_baseline(package_dir)
-        baseline = load_baseline(baseline_path) if baseline_path else []
-        findings, _ = run_lint([package_dir], baseline=baseline)
-        clean = not failing(findings)
+        clean = not failing(run_lint([package_dir]))
     except Exception:  # pragma: no cover - only on broken installs
         return {"lint_clean": None, "lintkit_version": RULESET_VERSION}
     return {"lint_clean": clean, "lintkit_version": RULESET_VERSION}

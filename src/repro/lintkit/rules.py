@@ -1,6 +1,6 @@
 """First-class rule set encoding the repository's architectural invariants.
 
-Five families, generated from the tables in :mod:`repro.lintkit.contracts`:
+Four families, generated from the tables in :mod:`repro.lintkit.contracts`:
 
 ``layering``
     ``layering-import-dag`` — the sanctioned import DAG between layers;
@@ -15,15 +15,8 @@ Five families, generated from the tables in :mod:`repro.lintkit.contracts`:
     ``determinism-unseeded-rng`` — rng factories take explicit seeds;
     ``determinism-wallclock`` — no wall-clock reads in kernel/sweep/
     discovery code paths.
-``process``
-    ``process-closure`` — no lambdas/local functions at executor
-    submission sites; ``process-boundary`` — worker entries are
-    module-level functions and inline-constructed wire payloads are
-    registered in the picklable-boundary allowlist.
 ``knob``
-    ``knob-env-read`` — ``os.environ`` only inside the validated resolver
-    modules; everything else goes through
-    :func:`repro.constants.read_env`.
+    ``knob-env-read`` — the package reads no environment variable.
 ``numeric``
     ``numeric-float-equality`` — no ``==``/``!=`` against float literals;
     ``numeric-mutable-default`` — no mutable default arguments.
@@ -359,153 +352,22 @@ class WallclockRule:
 
 
 # ---------------------------------------------------------------------------
-# process safety
-# ---------------------------------------------------------------------------
-
-
-def _submitted_callable(node: ast.Call):
-    """The callable argument of a submission/constructor call, if any."""
-    func_chain = _attribute_chain(node.func)
-    terminal = func_chain[-1] if func_chain else ""
-    if terminal in contracts.EXECUTOR_SUBMISSION_ATTRS and isinstance(
-        node.func, ast.Attribute
-    ):
-        return node.args[0] if node.args else None, terminal
-    if terminal in contracts.PROCESS_CONSTRUCTORS:
-        for keyword in node.keywords:
-            if keyword.arg in ("target", "initializer", "func"):
-                return keyword.value, terminal
-    return None, None
-
-
-def _is_process_site(terminal: str) -> bool:
-    return (
-        terminal in contracts.PROCESS_SUBMISSION_ATTRS
-        or terminal in contracts.PROCESS_CONSTRUCTORS
-    )
-
-
-class ClosureSubmissionRule:
-    """No lambdas or local functions at executor submission sites."""
-
-    rule_id = "process-closure"
-    family = "process"
-    description = (
-        "lambdas/local functions must not be shipped to multiprocessing "
-        "or executor submission sites; submit module-level functions"
-    )
-
-    def check(self, module: ParsedModule) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            target, terminal = _submitted_callable(node)
-            if target is None:
-                continue
-            if isinstance(target, ast.Lambda):
-                yield module.finding(
-                    self.rule_id,
-                    node,
-                    f"lambda passed to {terminal}(); executors take "
-                    f"module-level functions only",
-                )
-            elif (
-                isinstance(target, ast.Name)
-                and target.id in module.local_function_names
-            ):
-                yield module.finding(
-                    self.rule_id,
-                    node,
-                    f"local function {target.id!r} passed to "
-                    f"{terminal}(); closures do not survive the process "
-                    f"boundary — hoist it to module level",
-                )
-
-
-class PicklableBoundaryRule:
-    """Process fan-outs ship registered, module-level-addressable types."""
-
-    rule_id = "process-boundary"
-    family = "process"
-    description = (
-        "worker entries must be module-level functions and inline-"
-        "constructed wire payloads must be registered in the "
-        "picklable-boundary allowlist (contracts.PICKLABLE_BOUNDARY)"
-    )
-
-    def check(self, module: ParsedModule) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            target, terminal = _submitted_callable(node)
-            if terminal is None or not _is_process_site(terminal):
-                continue
-            if target is not None and not isinstance(
-                target, (ast.Name, ast.Lambda)
-            ):
-                chain = _attribute_chain(target)
-                if chain and chain[0] in ("self", "cls"):
-                    yield module.finding(
-                        self.rule_id,
-                        node,
-                        f"bound method {'.'.join(chain)} shipped through "
-                        f"{terminal}(); process workers take module-level "
-                        f"functions (the instance would cross the pickle "
-                        f"boundary whole)",
-                    )
-            for finding in self._check_payloads(module, node, terminal):
-                yield finding
-
-    def _check_payloads(
-        self, module: ParsedModule, node: ast.Call, terminal: str
-    ) -> Iterator[Finding]:
-        payloads: List[ast.AST] = list(node.args[1:])
-        for keyword in node.keywords:
-            if keyword.arg in ("args", "initargs", "iterable"):
-                payloads.append(keyword.value)
-        stack = payloads
-        while stack:
-            expr = stack.pop()
-            if isinstance(expr, (ast.Tuple, ast.List)):
-                stack.extend(expr.elts)
-                continue
-            if isinstance(expr, ast.Call):
-                chain = _attribute_chain(expr.func)
-                name = chain[-1] if chain else ""
-                if (
-                    name
-                    and name[0].isupper()
-                    and name not in contracts.PICKLABLE_BOUNDARY
-                ):
-                    yield module.finding(
-                        self.rule_id,
-                        expr,
-                        f"{name!r} constructed inline at a {terminal}() "
-                        f"fan-out but not registered in the picklable-"
-                        f"boundary allowlist "
-                        f"(repro.lintkit.contracts.PICKLABLE_BOUNDARY)",
-                    )
-
-
-# ---------------------------------------------------------------------------
 # knob hygiene
 # ---------------------------------------------------------------------------
 
 
 class EnvReadRule:
-    """``os.environ`` stays behind the validated resolver modules."""
+    """The package reads no environment variable."""
 
     rule_id = "knob-env-read"
     family = "knob"
     description = (
-        "os.environ/os.getenv outside repro.constants is banned; read "
-        "knobs through repro.constants.read_env so every knob is declared "
-        "and validated once"
+        "os.environ/os.getenv/os.putenv are banned in every module: the "
+        "package reads no environment variable, so every setting is an "
+        "explicit argument"
     )
 
     def check(self, module: ParsedModule) -> Iterator[Finding]:
-        if module.module in contracts.KNOB_RESOLVER_MODULES:
-            return
         for record in module.imports:
             if record.is_from and record.base == "os":
                 for name in record.names:
@@ -513,8 +375,8 @@ class EnvReadRule:
                         yield module.finding(
                             self.rule_id,
                             record.lineno,
-                            f"imports os.{name}; environment knobs are "
-                            f"read through repro.constants.read_env",
+                            f"imports os.{name}; the package reads no "
+                            f"environment variable",
                         )
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Attribute):
@@ -530,9 +392,9 @@ class EnvReadRule:
                 yield module.finding(
                     self.rule_id,
                     node,
-                    f"direct os.{chain[1]} access bypasses the validated "
-                    f"knob resolvers; use repro.constants.read_env "
-                    f"(declared knobs only)",
+                    f"direct os.{chain[1]} access; the package reads no "
+                    f"environment variable — pass the setting as an "
+                    f"argument",
                 )
 
 
@@ -623,8 +485,6 @@ def all_rules() -> List[Rule]:
         GlobalRngRule(),
         UnseededRngRule(),
         WallclockRule(),
-        ClosureSubmissionRule(),
-        PicklableBoundaryRule(),
         EnvReadRule(),
         FloatEqualityRule(),
         MutableDefaultRule(),

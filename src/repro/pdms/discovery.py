@@ -73,7 +73,6 @@ class TopologySnapshot:
     __slots__ = (
         "name",
         "version",
-        "directed",
         "peer_names",
         "mappings",
         "inherited",
@@ -93,11 +92,9 @@ class TopologySnapshot:
         *,
         name: str = "pdms",
         version: int = 0,
-        directed: bool = True,
     ) -> None:
         self.name = name
         self.version = version
-        self.directed = directed
         self.peer_names = tuple(peer_names)
         self.mappings = tuple(mappings)
         self._reset()
@@ -136,7 +133,6 @@ class TopologySnapshot:
             source.mappings,
             name=source.name,
             version=source.version,
-            directed=source.directed,
         )
 
     def successor(self, network, delta: TopologyDelta) -> "TopologySnapshot":
@@ -230,10 +226,10 @@ class TopologySnapshot:
     # -- pickling: core fields only, adjacency and walks rebuilt lazily -------
 
     def __getstate__(self):
-        return (self.name, self.version, self.directed, self.peer_names, self.mappings)
+        return (self.name, self.version, self.peer_names, self.mappings)
 
     def __setstate__(self, state) -> None:
-        self.name, self.version, self.directed, self.peer_names, self.mappings = state
+        self.name, self.version, self.peer_names, self.mappings = state
         self._reset()
 
     # -- the lowering and the walks -----------------------------------------

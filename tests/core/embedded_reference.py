@@ -54,7 +54,6 @@ class ReferenceEmbedded:
         delta: float = 0.1,
         transport: Optional[MessageTransport] = None,
         options: Optional[EmbeddedOptions] = None,
-        owners=None,
     ) -> None:
         self.options = options or EmbeddedOptions()
         self.transport = transport or MessageTransport()
@@ -66,11 +65,7 @@ class ReferenceEmbedded:
         for feedback in self.feedbacks:
             for name in feedback.mapping_names:
                 if name not in self.owners:
-                    self.owners[name] = (
-                        owners[name]
-                        if owners is not None and name in owners
-                        else mapping_owner(name)
-                    )
+                    self.owners[name] = mapping_owner(name)
 
         self.priors: Dict[str, np.ndarray] = {}
         for name in self.owners:
@@ -280,13 +275,26 @@ def reference_assessment(assessor, attribute: str):
 
 def reference_local_view(assessor, origin: str, attribute: str) -> Dict[str, float]:
     """``origin``'s §4.5 view computed by the reference over the structures
-    of the assessor's neighbourhood cache, resolved like the assessor's."""
+    of the assessor's neighbourhood cache.
+
+    Each of the origin's own outgoing mappings resolves in the order ⊥ rule
+    (the origin's schema declares the attribute, the mapping maps nothing
+    for it: 0.0), then the reference posterior, then the prior of a mapping
+    that maps the attribute; any other mapping is out of the view.
+    """
     cache = assessor.neighborhood_cache
     feedbacks = structure_feedbacks(*cache.structures_for(origin), attribute)
     result = _reference_run(assessor, feedbacks, attribute)
-    return assessor._resolve_local_view(
-        origin,
-        attribute,
-        cache.unmappable(attribute),
-        result.posteriors if result is not None else {},
-    )
+    posteriors = result.posteriors if result is not None else {}
+    peer = assessor.network.peer(origin)
+    declared = peer.schema.has_attribute(attribute)
+    view: Dict[str, float] = {}
+    for mapping in peer.outgoing_mappings:
+        name = mapping.name
+        if declared and not mapping.maps_attribute(attribute):
+            view[name] = 0.0
+        elif name in posteriors:
+            view[name] = posteriors[name]
+        elif mapping.maps_attribute(attribute):
+            view[name] = assessor.priors.prior(name, attribute)
+    return view

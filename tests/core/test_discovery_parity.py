@@ -114,7 +114,7 @@ class TestCoreReadsTheSnapshotsWalks:
     def test_no_core_module_imports_walkers_from_probing(self):
         package_dir = pathlib.Path(repro.__file__).parent
         rule = rules_by_id()["layering-discovery-walkers"]
-        findings, _ = run_lint([package_dir], rules=[rule])
+        findings = run_lint([package_dir], rules=[rule])
         offenders = [
             finding.render()
             for finding in findings

@@ -171,8 +171,9 @@ def test_memoised_evidence_equals_a_fresh_assessor(send_probability):
 
 
 def test_both_views_share_one_bottom_scan_per_version(monkeypatch):
-    """The ⊥ scan reads every mapping; a global and an all-origins
-    assessment of one attribute at one version run it once."""
+    """The ⊥ scan reads every mapping; only the global view runs it, once
+    per attribute and version, and an all-origins assessment runs none
+    (each origin's own mappings resolve the ⊥ rule themselves)."""
     scans = []
     scan = analysis._unmappable_mappings
 

@@ -59,7 +59,7 @@ class TestEnginesUseThePlanIR:
     def test_no_engine_imports_kernels_from_compiled(self):
         package_dir = pathlib.Path(repro.__file__).parent
         rule = rules_by_id()["layering-plan-kernels"]
-        findings, _ = run_lint([package_dir], rules=[rule])
+        findings = run_lint([package_dir], rules=[rule])
         offenders = [
             finding.render()
             for finding in findings

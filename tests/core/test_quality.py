@@ -2,11 +2,12 @@
 
 import pytest
 
+from repro.alignment.eon import build_eon_network
 from repro.core.analysis import analyze_network
 from repro.core.beliefs import PriorBeliefStore
 from repro.core.embedded import EmbeddedMessagePassing
 from repro.core.quality import MappingQualityAssessor
-from repro.exceptions import ReproError
+from repro.exceptions import PDMSError, ReproError
 from repro.generators.paper import intro_example_network
 from repro.pdms.query import Query, substring_predicate
 from repro.pdms.routing import RoutingPolicy
@@ -79,6 +80,67 @@ class TestAssessment:
         network = intro_example_network(with_records=False)
         assessor = MappingQualityAssessor(network, delta=None, ttl=3)
         assert assessor._delta_for("Creator") == pytest.approx(0.1)
+
+
+class TestNamesAnswerAsTheirMappings:
+    """``probability`` resolves a name to its mapping first, so a name and
+    its mapping get one answer, the ⊥ rule included."""
+
+    @staticmethod
+    def _assessed(network_name):
+        if network_name == "eon":
+            network = build_eon_network().network
+            assessor = MappingQualityAssessor(
+                network, delta=0.1, ttl=3, include_parallel_paths=False
+            )
+        else:
+            network = intro_example_network(with_records=False)
+            assessor = MappingQualityAssessor(network, delta=0.1, ttl=4)
+        assessor.assess_all_attributes()
+        return network, assessor
+
+    @pytest.mark.parametrize("network_name", ["eon", "intro"])
+    def test_name_and_mapping_agree_everywhere(self, network_name):
+        network, assessor = self._assessed(network_name)
+        for mapping in network.mappings:
+            for attribute in network.attribute_universe():
+                by_mapping = assessor.probability(mapping, attribute)
+                assert assessor.probability(mapping.name, attribute) == by_mapping
+                for theta in (0.4, 0.5):
+                    assert assessor.is_erroneous(
+                        mapping.name, attribute, theta
+                    ) == assessor.is_erroneous(mapping, attribute, theta)
+
+    @pytest.mark.parametrize("network_name", ["eon", "intro"])
+    def test_flagged_mappings_are_the_names_judged_erroneous(self, network_name):
+        network, assessor = self._assessed(network_name)
+        for attribute in network.attribute_universe():
+            in_scope = [
+                mapping.name
+                for mapping in network.mappings
+                if mapping.maps_attribute(attribute)
+                or network.peer(mapping.source).schema.has_attribute(attribute)
+            ]
+            for theta in (0.4, 0.5):
+                assert assessor.flagged_mappings(attribute, theta) == tuple(
+                    sorted(
+                        name
+                        for name in in_scope
+                        if assessor.is_erroneous(name, attribute, theta)
+                    )
+                )
+
+    def test_a_mapping_without_the_attribute_reads_zero_by_name(self):
+        network, assessor = self._assessed("eon")
+        mapping = network.mapping("ref101->fr221")
+        assert not mapping.maps_attribute("AbstractText")
+        assert assessor.probability("ref101->fr221", "AbstractText") == 0.0
+        assert assessor.local_probability(mapping, "AbstractText") == 0.0
+        assert assessor.is_erroneous("ref101->fr221", "AbstractText", theta=0.4)
+
+    def test_an_unknown_name_raises(self, assessor):
+        with pytest.raises(PDMSError):
+            assessor.probability("p9->p1", "Creator")
 
 
 class TestStructureCacheWiring:

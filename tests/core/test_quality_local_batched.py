@@ -464,7 +464,10 @@ class TestNeighborhoodCache:
             )
             assert [f.identifier for f in cached] == [f.identifier for f in fresh]
             assert [f.kind for f in cached] == [f.kind for f in fresh]
-            assert cache.unmappable("Creator") == fresh_cache.unmappable("Creator")
+            assert (
+                cache.evidence_for("Creator").unmappable
+                == fresh_cache.evidence_for("Creator").unmappable
+            )
 
     def test_remove_mapping_refreshes_incrementally(self):
         network = intro_example_network(with_records=False)

@@ -1,7 +1,7 @@
-"""Clean fixture: knobs flow through the validated resolver."""
+"""Clean fixture: a setting arrives as an explicit argument."""
 
-from repro.constants import read_env
+from repro.constants import DEFAULT_SEED
 
 
-def example_choice():
-    return read_env("REPRO_EXAMPLE_KNOB")
+def example_choice(seed=DEFAULT_SEED):
+    return seed

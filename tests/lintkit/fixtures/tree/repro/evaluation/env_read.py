@@ -1,4 +1,4 @@
-"""Violating fixture: a direct environment read outside the resolvers."""
+"""Violating fixture: a direct environment read."""
 
 import os
 

@@ -1,7 +1,10 @@
-"""Engine mechanics: suppression scoping, module naming, parse caching."""
+"""Engine mechanics (suppression scoping, module naming, parse caching,
+rule selection) and the forms ``knob-env-read`` flags."""
 
 import pathlib
 import textwrap
+
+import pytest
 
 from repro.lintkit import parse_module, run_lint, rules_by_id
 
@@ -12,7 +15,7 @@ def lint_source(tmp_path, source, name="repro/evaluation/sample.py"):
     target = tmp_path / name
     target.parent.mkdir(parents=True, exist_ok=True)
     target.write_text(textwrap.dedent(source), encoding="utf-8")
-    findings, _ = run_lint([tmp_path])
+    findings = run_lint([tmp_path])
     return findings
 
 
@@ -91,6 +94,45 @@ class TestSuppressions:
         assert findings == []
 
 
+class TestEnvReads:
+    """``knob-env-read`` flags every way of reading the environment, in
+    every module: ``repro.constants`` is held to it like the rest."""
+
+    #: form -> (source, line of its one finding)
+    FORMS = {
+        "environ-item": ("import os\n\nVALUE = os.environ['HOME']\n", 3),
+        "environ-get": ("import os\n\nVALUE = os.environ.get('HOME')\n", 3),
+        "getenv": ("import os\n\nVALUE = os.getenv('HOME')\n", 3),
+        "putenv": ("import os\n\nos.putenv('HOME', '/')\n", 3),
+        "from-environ": ("from os import environ\n", 1),
+        "from-getenv": ("from os import getenv\n", 1),
+    }
+
+    @pytest.mark.parametrize("name", ["repro/constants.py", "repro/pdms/sample.py"])
+    @pytest.mark.parametrize("form", sorted(FORMS))
+    def test_every_env_read_is_one_finding(self, tmp_path, form, name):
+        source, line = self.FORMS[form]
+        findings = lint_source(tmp_path, source, name=name)
+        assert [(f.rule, f.line, f.suppressed) for f in findings] == [
+            ("knob-env-read", line, False)
+        ]
+
+    def test_os_without_the_environment_is_not_flagged(self, tmp_path):
+        findings = lint_source(
+            tmp_path,
+            """\
+            import os
+            from os import path
+
+            SEPARATOR = os.sep
+            ROOT = path.join(os.curdir, "data")
+            NOTE = "os.environ is never read"
+            """,
+            name="repro/constants.py",
+        )
+        assert findings == []
+
+
 class TestModuleNaming:
     def test_scan_roots_name_modules_identically(self):
         from_src = parse_module(SRC / "repro" / "constants.py", SRC)
@@ -124,5 +166,5 @@ class TestRuleSelection:
             encoding="utf-8",
         )
         rule = rules_by_id()["layering-import-dag"]
-        findings, _ = run_lint([tmp_path], rules=[rule])
+        findings = run_lint([tmp_path], rules=[rule])
         assert {f.rule for f in findings} == {"layering-import-dag"}

@@ -1,4 +1,4 @@
-"""The ``repro-lint`` entry point: exit codes, JSON schema, baseline flow."""
+"""The ``repro-lint`` entry point: exit codes and the JSON schema."""
 
 import json
 import pathlib
@@ -6,7 +6,6 @@ import pathlib
 import pytest
 
 from repro.lintkit import main
-from repro.lintkit.baseline import HEADER, TODO_JUSTIFICATION
 from repro.lintkit.contracts import RULESET_VERSION
 from repro.lintkit.rules import all_rules
 
@@ -24,9 +23,8 @@ TOP_KEYS = {
     "counts",
     "rules",
     "findings",
-    "stale_baseline",
 }
-COUNT_KEYS = {"total", "active", "baselined", "suppressed", "stale_baseline"}
+COUNT_KEYS = {"total", "active", "suppressed"}
 RULE_KEYS = {"id", "family", "description"}
 FINDING_KEYS = {
     "rule",
@@ -34,11 +32,8 @@ FINDING_KEYS = {
     "file",
     "line",
     "message",
-    "baselined",
     "suppressed",
-    "fingerprint",
 }
-STALE_KEYS = {"rule", "module", "fingerprint", "justification"}
 
 
 def write_violation(tree, rel="repro/mapping/bad.py",
@@ -50,16 +45,8 @@ def write_violation(tree, rel="repro/mapping/bad.py",
 
 
 class TestJsonReport:
-    def test_schema_key_sets_are_stable(self, capsys, tmp_path):
-        ghost = tmp_path / "baseline.txt"
-        ghost.write_text(
-            f"{HEADER}\n"
-            f"knob-env-read repro.long.gone aaaaaaaaaaaa  # ghost entry\n",
-            encoding="utf-8",
-        )
-        code = main(
-            ["--json", "--baseline", str(ghost), str(FIXTURE_TREE)]
-        )
+    def test_schema_key_sets_are_stable(self, capsys):
+        code = main(["--json", str(FIXTURE_TREE)])
         report = json.loads(capsys.readouterr().out)
         assert code == 1
         assert set(report) == TOP_KEYS
@@ -69,20 +56,16 @@ class TestJsonReport:
             assert set(rule) == RULE_KEYS
         for finding in report["findings"]:
             assert set(finding) == FINDING_KEYS
-        assert report["stale_baseline"], "ghost entry must be reported stale"
-        for stale in report["stale_baseline"]:
-            assert set(stale) == STALE_KEYS
         assert report["tool"] == "repro-lint"
         assert report["ruleset_version"] == RULESET_VERSION
         assert report["clean"] is False
-        assert report["counts"]["stale_baseline"] == 1
         assert report["counts"]["suppressed"] == 1
 
     def test_json_lists_the_full_default_rule_set(self, capsys, tmp_path):
         clean = tmp_path / "repro" / "evaluation"
         clean.mkdir(parents=True)
         (clean / "ok.py").write_text("VALUE = 1\n", encoding="utf-8")
-        code = main(["--json", "--no-baseline", str(tmp_path)])
+        code = main(["--json", str(tmp_path)])
         report = json.loads(capsys.readouterr().out)
         assert code == 0
         assert report["clean"] is True
@@ -94,7 +77,7 @@ class TestExitCodes:
     def test_clean_tree_exits_zero(self, capsys, tmp_path):
         (tmp_path / "repro").mkdir()
         (tmp_path / "repro" / "ok.py").write_text("VALUE = 1\n")
-        assert main(["--no-baseline", str(tmp_path)]) == 0
+        assert main([str(tmp_path)]) == 0
 
     def test_synthetic_layering_violation_fails_ci_mode(self, capsys, tmp_path):
         write_violation(tmp_path)
@@ -121,34 +104,18 @@ class TestExitCodes:
     def test_list_rules_prints_every_id(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule in all_rules():
-            assert rule.rule_id in out
-
-
-class TestBaselineFlow:
-    def test_update_then_rerun_is_clean(self, capsys, tmp_path):
-        write_violation(tmp_path)
-        baseline = tmp_path / "lintkit-baseline.txt"
-        assert main(
-            ["--baseline", str(baseline), "--update-baseline", str(tmp_path)]
-        ) == 0
-        assert TODO_JUSTIFICATION in baseline.read_text(encoding="utf-8")
-        # The grandfathered finding no longer fails the run ...
-        assert main(["--baseline", str(baseline), str(tmp_path)]) == 0
-        # ... but a fresh violation still does.
-        write_violation(tmp_path, rel="repro/schema/worse.py")
-        assert main(["--baseline", str(baseline), str(tmp_path)]) == 1
-
-    def test_update_preserves_edited_justifications(self, capsys, tmp_path):
-        write_violation(tmp_path)
-        baseline = tmp_path / "lintkit-baseline.txt"
-        main(["--baseline", str(baseline), "--update-baseline", str(tmp_path)])
-        edited = baseline.read_text(encoding="utf-8").replace(
-            TODO_JUSTIFICATION, "sanctioned legacy edge, tracked in ISSUE 12"
-        )
-        baseline.write_text(edited, encoding="utf-8")
-        main(["--baseline", str(baseline), "--update-baseline", str(tmp_path)])
-        assert "sanctioned legacy edge" in baseline.read_text(encoding="utf-8")
+        assert [line.split()[0] for line in out.splitlines()] == [
+            "layering-import-dag",
+            "layering-plan-kernels",
+            "layering-discovery-walkers",
+            "layering-correspondence-store",
+            "determinism-global-rng",
+            "determinism-unseeded-rng",
+            "determinism-wallclock",
+            "knob-env-read",
+            "numeric-float-equality",
+            "numeric-mutable-default",
+        ]
 
 
 class TestRepositoryIsClean:

@@ -105,7 +105,7 @@ def _topologies(draw):
     for number, (index, position) in enumerate(loops):
         loop = _SelfLoop(f"p{index}-loop{number}", f"p{index}", f"p{index}")
         mappings.insert(position % (len(mappings) + 1), loop)
-    snapshot = TopologySnapshot(network.peer_names, mappings, directed=directed)
+    snapshot = TopologySnapshot(network.peer_names, mappings)
     return network, snapshot
 
 

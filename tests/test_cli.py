@@ -156,16 +156,24 @@ class TestCommands:
 
 class TestClosedPipe:
     """``repro-experiments intro | head -1``: the reader closes the pipe
-    after one line, and the CLI still exits 0 without a traceback."""
+    after one line, and the CLI still exits 0 without a traceback.  So does
+    ``repro-lint``, whose exit code stays the lint verdict."""
 
-    @pytest.mark.parametrize("lines_read", [0, 1])
-    def test_closed_stdout_pipe_exits_quietly(self, lines_read):
-        src = pathlib.Path(__file__).parents[1] / "src"
-        env = {**os.environ, "PYTHONPATH": str(src)}
-        command = [sys.executable, "-m", "repro.cli", "intro"]
+    ROOT = pathlib.Path(__file__).parents[1]
+
+    @classmethod
+    def _run_into_closed_pipe(cls, arguments, lines_read):
+        """Run ``python -m <arguments>`` with a reader that closes stdout
+        after ``lines_read`` lines; return its exit code and stderr."""
+        env = {**os.environ, "PYTHONPATH": str(cls.ROOT / "src")}
+        command = [sys.executable, "-m", *arguments]
         if lines_read:
             process = subprocess.Popen(
-                command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+                command,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                env=env,
+                cwd=cls.ROOT,
             )
             assert process.stdout.readline()
             process.stdout.close()
@@ -178,9 +186,35 @@ class TestClosedPipe:
             os.close(reader)
             with open(writer, "wb") as stdout:
                 process = subprocess.Popen(
-                    command, stdout=stdout, stderr=subprocess.PIPE, env=env
+                    command,
+                    stdout=stdout,
+                    stderr=subprocess.PIPE,
+                    env=env,
+                    cwd=cls.ROOT,
                 )
             stderr = process.stderr.read()
             process.stderr.close()
-        assert process.wait() == 0, stderr.decode()
+        return process.wait(), stderr
+
+    @pytest.mark.parametrize("lines_read", [0, 1])
+    def test_closed_stdout_pipe_exits_quietly(self, lines_read):
+        code, stderr = self._run_into_closed_pipe(["repro.cli", "intro"], lines_read)
+        assert code == 0, stderr.decode()
+        assert b"Traceback" not in stderr
+
+    @pytest.mark.parametrize(
+        "arguments, verdict",
+        [
+            (["repro.lintkit", "--list-rules"], 0),
+            (["repro.lintkit", "--json", "src/repro"], 0),
+            (["repro.lintkit", "--json", "tests/lintkit/fixtures/tree"], 1),
+        ],
+        ids=["rules", "json-clean", "json-findings"],
+    )
+    @pytest.mark.parametrize("lines_read", [0, 1])
+    def test_closed_lint_pipe_exits_with_the_verdict(
+        self, lines_read, arguments, verdict
+    ):
+        code, stderr = self._run_into_closed_pipe(arguments, lines_read)
+        assert code == verdict, stderr.decode()
         assert b"Traceback" not in stderr

@@ -41,10 +41,6 @@ SCAN_ROOTS = ("src", "benchmarks", "e2ebench", "examples")
 #: ``{qualified name: reason}`` of public definitions kept although nothing
 #: in the scanned trees reads them.
 ALLOWLIST: Dict[str, str] = {
-    "repro.constants.read_env": (
-        "the one sanctioned environment gate of the knob-env-read lint rule; "
-        "no knob is registered, so nothing calls it yet"
-    ),
     "repro.mapping.composition.round_trip_outcome": (
         "the checked §3.2.1 round trip of a raw mapping list, a top-level "
         "export; probe cycles check their chain once when built and are "
@@ -400,8 +396,8 @@ class TestUnreadDefinitions:
 
 class TestAllowlist:
     def test_an_allowlisted_unread_definition_passes(self):
-        files = {"src/repro/constants.py": "def read_env(name):\n    return name\n"}
-        assert _unread(files, {"repro.constants.read_env": "the env gate"}) == []
+        files = {"src/repro/m.py": HELPER}
+        assert _unread(files, {"repro.m.helper": "kept"}) == []
 
     def test_an_entry_for_a_read_definition_is_stale(self):
         files = {"src/repro/m.py": HELPER, "examples/tour.py": CALLER}
