@@ -17,7 +17,7 @@ from typing import Dict, Iterable, List, Mapping as TMapping, Optional, Sequence
 from ..exceptions import AlignmentError
 from ..mapping.correspondence import Correspondence
 from ..mapping.mapping import Mapping
-from .matchers import CompositeMatcher
+from .matchers import CompositeMatcher, label_forms
 from .ontology import Concept, Ontology
 
 __all__ = ["AlignmentResult", "OntologyAligner"]
@@ -98,11 +98,14 @@ class OntologyAligner:
         scores: Dict[Tuple[str, str], float] = {}
         correspondences: List[Correspondence] = []
         unmatched: List[str] = []
+        # Each concept's labels normalised once for this alignment.
+        targets = [(concept, label_forms(concept)) for concept in target.concepts]
         for source_concept in source.concepts:
+            source_forms = label_forms(source_concept)
             best_target: Optional[Concept] = None
             best_score = 0.0
-            for target_concept in target.concepts:
-                score = self.matcher.score(source_concept, target_concept)
+            for target_concept, target_forms in targets:
+                score = self.matcher.score_forms(source_forms, target_forms)
                 scores[(source_concept.name, target_concept.name)] = score
                 if score > best_score:
                     best_score = score

@@ -9,18 +9,25 @@ the probabilistic detector something to find.
 
 Every matcher scores a pair of concepts in ``[0, 1]``; the aligner combines
 the scores and keeps, for each source concept, the best-scoring target above
-a threshold.
+a threshold.  The built-in matchers compare label *forms* — each label's
+normal form, word tokens and character trigrams — which
+:func:`label_forms` computes once per concept, so an aligner scoring every
+concept pair of two ontologies normalises each concept once per alignment,
+not once per pair.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..schema.attribute import tokenize_identifier
 from .ontology import Concept
 
 __all__ = [
     "normalized_label",
+    "LabelForms",
+    "label_forms",
     "exact_matcher",
     "levenshtein_distance",
     "edit_distance_matcher",
@@ -38,11 +45,51 @@ def normalized_label(label: str) -> str:
     return " ".join(tokenize_identifier(label))
 
 
+def _ngrams(text: str, n: int) -> set[str]:
+    padded = f" {text} "
+    if len(padded) < n:
+        return {padded}
+    return {padded[i : i + n] for i in range(len(padded) - n + 1)}
+
+
+@dataclass(frozen=True)
+class LabelForms:
+    """A concept's labels in the forms the built-in matchers compare.
+
+    ``labels`` holds the distinct normal forms (:func:`normalized_label`)
+    of :attr:`~repro.alignment.ontology.Concept.all_labels`, in order;
+    ``tokens`` and ``grams`` hold each one's word-token set and character
+    trigram set.  Two labels with one normal form have the same tokens and
+    trigrams, and every built-in matcher scores a concept pair by its best
+    label pair, so keeping one of them changes no score.
+    """
+
+    concept: Concept
+    labels: Tuple[str, ...]
+    tokens: Tuple[FrozenSet[str], ...]
+    grams: Tuple[FrozenSet[str], ...]
+
+
+def label_forms(concept: Concept) -> LabelForms:
+    """Normalise ``concept``'s labels once, for any number of pairs."""
+    forms: Dict[str, FrozenSet[str]] = {}
+    for label in concept.all_labels:
+        forms.setdefault(normalized_label(label), frozenset(tokenize_identifier(label)))
+    return LabelForms(
+        concept=concept,
+        labels=tuple(forms),
+        tokens=tuple(forms.values()),
+        grams=tuple(frozenset(_ngrams(label, 3)) for label in forms),
+    )
+
+
+def _exact(first: LabelForms, second: LabelForms) -> float:
+    return 0.0 if set(first.labels).isdisjoint(second.labels) else 1.0
+
+
 def exact_matcher(first: Concept, second: Concept) -> float:
     """1.0 when any pair of (normalised) labels matches exactly, else 0.0."""
-    first_labels = {normalized_label(label) for label in first.all_labels}
-    second_labels = {normalized_label(label) for label in second.all_labels}
-    return 1.0 if first_labels & second_labels else 0.0
+    return _exact(label_forms(first), label_forms(second))
 
 
 def levenshtein_distance(first: str, second: str) -> int:
@@ -65,13 +112,10 @@ def levenshtein_distance(first: str, second: str) -> int:
     return previous[-1]
 
 
-def edit_distance_matcher(first: Concept, second: Concept) -> float:
-    """Similarity ``1 − d/max_len`` over the best label pair."""
+def _edit(first: LabelForms, second: LabelForms) -> float:
     best = 0.0
-    for label_first in first.all_labels:
-        for label_second in second.all_labels:
-            a = normalized_label(label_first)
-            b = normalized_label(label_second)
+    for a in first.labels:
+        for b in second.labels:
             longest = max(len(a), len(b))
             if longest == 0:
                 continue
@@ -80,40 +124,58 @@ def edit_distance_matcher(first: Concept, second: Concept) -> float:
     return best
 
 
-def _ngrams(text: str, n: int) -> set[str]:
-    padded = f" {text} "
-    if len(padded) < n:
-        return {padded}
-    return {padded[i : i + n] for i in range(len(padded) - n + 1)}
+def edit_distance_matcher(first: Concept, second: Concept) -> float:
+    """Similarity ``1 − d/max_len`` over the best label pair."""
+    return _edit(label_forms(first), label_forms(second))
 
 
-def ngram_matcher(first: Concept, second: Concept, n: int = 3) -> float:
-    """Dice coefficient over character n-grams of the best label pair."""
+def _dice(grams: Sequence[FrozenSet[str]], others: Sequence[FrozenSet[str]]) -> float:
     best = 0.0
-    for label_first in first.all_labels:
-        for label_second in second.all_labels:
-            grams_first = _ngrams(normalized_label(label_first), n)
-            grams_second = _ngrams(normalized_label(label_second), n)
-            if not grams_first or not grams_second:
-                continue
+    for grams_first in grams:
+        for grams_second in others:
             overlap = len(grams_first & grams_second)
             score = 2.0 * overlap / (len(grams_first) + len(grams_second))
             best = max(best, score)
     return best
 
 
-def token_matcher(first: Concept, second: Concept) -> float:
-    """Jaccard similarity of the word-token sets of the best label pair."""
+def _ngram(first: LabelForms, second: LabelForms) -> float:
+    return _dice(first.grams, second.grams)
+
+
+def ngram_matcher(first: Concept, second: Concept, n: int = 3) -> float:
+    """Dice coefficient over character n-grams of the best label pair."""
+    if n == 3:
+        return _ngram(label_forms(first), label_forms(second))
+    return _dice(
+        [frozenset(_ngrams(label, n)) for label in label_forms(first).labels],
+        [frozenset(_ngrams(label, n)) for label in label_forms(second).labels],
+    )
+
+
+def _token(first: LabelForms, second: LabelForms) -> float:
     best = 0.0
-    for label_first in first.all_labels:
-        for label_second in second.all_labels:
-            tokens_first = set(tokenize_identifier(label_first))
-            tokens_second = set(tokenize_identifier(label_second))
+    for tokens_first in first.tokens:
+        for tokens_second in second.tokens:
             if not tokens_first or not tokens_second:
                 continue
             score = len(tokens_first & tokens_second) / len(tokens_first | tokens_second)
             best = max(best, score)
     return best
+
+
+def token_matcher(first: Concept, second: Concept) -> float:
+    """Jaccard similarity of the word-token sets of the best label pair."""
+    return _token(label_forms(first), label_forms(second))
+
+
+#: The label-forms scorer behind each built-in matcher.
+_ON_FORMS: Dict[Callable, Callable[[LabelForms, LabelForms], float]] = {
+    exact_matcher: _exact,
+    edit_distance_matcher: _edit,
+    ngram_matcher: _ngram,
+    token_matcher: _token,
+}
 
 
 class CompositeMatcher:
@@ -137,12 +199,24 @@ class CompositeMatcher:
         self.matchers: List[Tuple[Matcher, float]] = list(matchers)
 
     def add(self, matcher: Matcher, weight: float = 1.0) -> None:
+        """Add a matcher of two concepts, weighted."""
         self.matchers.append((matcher, weight))
 
     def score(self, first: Concept, second: Concept) -> float:
+        return self.score_forms(label_forms(first), label_forms(second))
+
+    def score_forms(self, first: LabelForms, second: LabelForms) -> float:
+        """:meth:`score` of the two concepts behind ``first`` and
+        ``second``: the built-in matchers score the forms, any other
+        matcher the concepts."""
         best = 0.0
         for matcher, weight in self.matchers:
-            best = max(best, weight * matcher(first, second))
+            on_forms = _ON_FORMS.get(matcher)
+            if on_forms is None:
+                value = matcher(first.concept, second.concept)
+            else:
+                value = on_forms(first, second)
+            best = max(best, weight * value)
         return min(best, 1.0)
 
     def __call__(self, first: Concept, second: Concept) -> float:

@@ -63,9 +63,15 @@ DEFAULT_TTL: int = 6
 MAX_COMPILED_ARITY: int = 25
 
 #: Crossover arity between the dense einsum kernels and the count-space
-#: kernels for count-symmetric feedback factors.  Below it the dense
-#: ``(2,)**arity`` tables win (one einsum per sweep, tiny tables); from it
-#: on the count-space kernels run the same sum–product sweep in O(arity²)
-#: time and O(arity) table memory per structure, removing the exponential
-#: cliff for long cycles and parallel paths.
+#: kernels for count-symmetric feedback factors: from it on the count-space
+#: kernels run the same sum–product sweep in O(arity²) time and O(arity)
+#: table memory per structure, removing the exponential cliff for long
+#: cycles and parallel paths; below it the lane engine runs the dense
+#: ``(2,)**arity`` tables.  What was measured: in a microbenchmark of
+#: isolated buckets (20–1,500 structures, 1–30 slices) count space was 2–4x
+#: faster at arity 3, 6–100x faster at arities 5–9 and 1.1–1.65x slower at
+#: arity 2; in the end-to-end runs, whose per-origin engines are tiny, the
+#: dense tables won (``eon-em``'s 180 one-origin runs took 0.107–0.121 s
+#: dense against 0.158–0.177 s with count space at every arity) or tied
+#: (``sf1024-churn``).  The value is kept for those in-situ numbers.
 COUNT_KERNEL_MIN_ARITY: int = 10

@@ -18,22 +18,31 @@ the network's :class:`~repro.pdms.discovery.TopologySnapshot`.
 Lanes placed on slices
 ----------------------
 The message state is ``(slices, rows, 2)``: a *slice* is one copy of the
-plan's row space (owner edges, received cells).  Lanes are placed in order
-— a lane joins the current slice when it shares no structure and no
-mapping with the lanes already there, otherwise it opens a new slice — so
-the layout follows from the lanes:
+plan's row space (owner edges, received cells).  A lane binds a range of
+plan structures, and lanes are placed in order — a lane joins the current
+slice when it and the lane before it bind whole blocks of the plan
+(:attr:`~repro.factorgraph.plan.SweepPlan.block_bounds`, which share no
+mapping) and it starts where that lane stopped or later, otherwise it
+opens a new slice — so the layout follows from the lanes:
 
 * attribute lanes each bind the whole plan (the multi-attribute sweeps and
   EM rounds of :func:`compile_assessment_plan`), so each gets its own slice
   and the state is the stacked ``(attributes, edges, 2)`` layout;
-* per-origin lanes bind disjoint blocks of ``origin::mapping`` instances,
-  so they share one block-diagonal slice and a round costs one set of
-  numpy calls over the blocks' combined rows;
-* overlapping lanes, or lanes sharing a mapping, simply land on separate
-  slices.
+* per-origin lanes bind the blocks of ``origin::mapping`` instances that
+  :func:`~repro.factorgraph.plan.assemble_sweep_plan` lays out in origin
+  order, so they share one block-diagonal slice and a round costs one set
+  of numpy calls over the blocks' combined rows;
+* any other lane simply lands on a slice of its own.
 
-Kind codes and Δ are ``(slices, structures)``, priors ``(slices, mappings,
-2)``, and every bucket's stacked kernel comes from
+A lane arrives lowered: :func:`lower_feedbacks` checks its evidence against
+the plan once and keeps one int8 kind code per structure, and its priors
+are one array indexed by plan mapping id (or one float).  Construction
+gathers the lanes' codes into one array and derives the rest with array
+operations over the plan — placement, each lane's result rows, its
+informative transmissions, the CPT tables and the priors — with no Python
+loop per structure or mapping.  Kind codes and Δ are ``(slices,
+structures)``, priors ``(slices, mappings, 2)``, and every bucket's stacked
+kernel comes from
 :func:`~repro.factorgraph.plan.cpt_levels` /
 :func:`~repro.factorgraph.plan.bucket_tables` /
 :func:`~repro.factorgraph.plan.bucket_kernel`, whatever the layout.  A
@@ -120,7 +129,6 @@ from ..factorgraph.plan import (
     segment_products,
 )
 from ..factorgraph.sum_product import required_quiet_rounds
-from .beliefs import PriorBeliefStore
 from .feedback import Feedback, FeedbackKind, mapping_owner
 
 __all__ = [
@@ -131,6 +139,8 @@ __all__ = [
     "MessageTransport",
     "TransportStatistics",
     "compile_assessment_plan",
+    "lower_feedbacks",
+    "lower_priors",
 ]
 
 _KIND_CODES = {
@@ -138,6 +148,7 @@ _KIND_CODES = {
     FeedbackKind.POSITIVE: KIND_POSITIVE,
     FeedbackKind.NEGATIVE: KIND_NEGATIVE,
 }
+_NO_CODES = np.zeros(0, dtype=np.int8)
 
 
 @dataclass
@@ -296,7 +307,7 @@ def compile_assessment_plan(
 class AssessmentLane:
     """One inference lane of the engine.
 
-    A lane binds an evidence subset to its priors, Δ and rng stream.  The
+    A lane binds lowered evidence to its priors, Δ and rng stream.  The
     multi-attribute assessor builds one lane per attribute over the full
     plan; the decentralised view builds one lane per origin over that
     origin's block of plan structures; the one-lane
@@ -308,17 +319,20 @@ class AssessmentLane:
     key:
         Result key of the lane (attribute name, origin peer, ...); must be
         unique within one engine.
-    feedbacks:
-        The lane's evidence, aligned index for index with
-        ``structure_indices`` (neutral feedbacks included — they mask
-        themselves out via all-ones factor tables).
+    codes:
+        The lane's evidence lowered by :func:`lower_feedbacks`: one kind
+        code per structure of ``structure_indices``, in order (neutral
+        codes included — they mask themselves out via all-ones factor
+        tables).
     structure_indices:
-        The plan structure indices ``feedbacks`` binds to, **strictly
-        increasing** so the lane consumes its rng stream in the plan's
-        transmission order.  ``None`` binds the full plan, index for index.
+        The ``range`` of plan structures ``codes`` binds to; a range is
+        strictly increasing, so the lane consumes its rng stream in the
+        plan's transmission order.  ``None`` binds the full plan.
     priors:
-        ``None`` (0.5 everywhere), a single float, or a ``{mapping name:
-        prior}`` dict.
+        ``None`` (0.5 everywhere), a single float, or an array of one prior
+        per plan mapping id (:func:`lower_priors` builds one from a
+        ``{mapping name: prior}`` dict).  Lanes may share one array; only
+        the entries of the mappings a lane binds are read for it.
     delta:
         Error-compensation probability Δ of the lane's factor tables.
         ``None`` means unspecified, which is an error only if the lane
@@ -329,8 +343,8 @@ class AssessmentLane:
     """
 
     key: str
-    feedbacks: Tuple[Feedback, ...]
-    structure_indices: Optional[Tuple[int, ...]] = None
+    codes: np.ndarray
+    structure_indices: Optional[range] = None
     priors: object = None
     delta: Optional[float] = 0.1
     transport: Optional[MessageTransport] = None
@@ -351,6 +365,37 @@ def _validate_prior(value, mapping_name: str) -> float:
     return prior
 
 
+def _checked_priors(values: np.ndarray, plan: SweepPlan) -> np.ndarray:
+    """``values``, one prior per plan mapping id, under the rule of
+    :func:`_validate_prior`: the first offending entry raises its error."""
+    if values.shape != (plan.mapping_count,):
+        raise FeedbackError(
+            f"a prior array needs one value per plan mapping "
+            f"({plan.mapping_count}), got shape {values.shape}"
+        )
+    # NaN fails both comparisons.
+    if values.size and (
+        values.dtype == bool or not (values.min() >= 0.0 and values.max() <= 1.0)
+    ):
+        first = 0
+        if values.dtype != bool:
+            first = int(np.flatnonzero(~((values >= 0.0) & (values <= 1.0)))[0])
+        _validate_prior(values[first].item(), plan.mapping_names[first])
+    return values
+
+
+def lower_priors(plan: SweepPlan, priors: TMapping[str, float]) -> np.ndarray:
+    """A ``{mapping name: prior}`` dict as a lane's prior array: one value
+    per plan mapping id, 0.5 for the mappings it does not name.  Names the
+    plan does not hold are ignored; every named prior is validated."""
+    values = np.full(plan.mapping_count, 0.5)
+    index = plan.mapping_index
+    for name, value in priors.items():
+        if name in index:
+            values[index[name]] = _validate_prior(value, name)
+    return values
+
+
 def _check_delta(value: Optional[float], key: str) -> float:
     if value is None:
         raise FeedbackError(f"no Δ supplied for lane {key!r}")
@@ -360,90 +405,140 @@ def _check_delta(value: Optional[float], key: str) -> float:
     return value
 
 
-def _lane_codes(
-    plan: SweepPlan, lane: AssessmentLane
-) -> Tuple[np.ndarray, np.ndarray, bool]:
-    """Validate one lane's evidence against the plan.
-
-    Returns ``(indices, codes, informative)``: the lane's plan structure
-    indices, the kind code of each of them, and whether any is informative.
-    """
-    if lane.structure_indices is None:
-        indices = list(range(plan.structure_count))
-    else:
-        indices = [int(index) for index in lane.structure_indices]
-        if indices and (
-            indices[0] < 0
-            or indices[-1] >= plan.structure_count
-            or any(a >= b for a, b in zip(indices, indices[1:]))
-        ):
-            raise FeedbackError(
-                f"lane {lane.key!r} structure indices must be strictly "
-                f"increasing within the plan's {plan.structure_count} "
-                f"structures"
-            )
-    if len(lane.feedbacks) != len(indices):
+def _structure_span(plan: SweepPlan, indices: Optional[range]) -> range:
+    """The plan structures ``indices`` names: the whole plan for ``None``,
+    else a step-one range within the plan."""
+    if indices is None:
+        return range(plan.structure_count)
+    if not (
+        isinstance(indices, range)
+        and indices.step == 1
+        and 0 <= indices.start <= indices.stop <= plan.structure_count
+    ):
         raise FeedbackError(
-            f"lane {lane.key!r} supplies {len(lane.feedbacks)} feedbacks "
-            f"for {len(indices)} plan structures"
+            f"structure indices must be a step-one range within the plan's "
+            f"{plan.structure_count} structures, got {indices!r}"
+        )
+    return indices
+
+
+def lower_feedbacks(
+    plan: SweepPlan,
+    feedbacks: Sequence[Feedback],
+    structure_indices: Optional[range] = None,
+) -> np.ndarray:
+    """``feedbacks`` checked against ``plan`` and lowered to a lane's codes.
+
+    The feedbacks bind the plan structures ``structure_indices`` (the
+    whole plan by default), one each, in order: each must carry its
+    structure's identifier and mapping names, or
+    :class:`~repro.exceptions.FeedbackError` is raised.  Returns one int8
+    kind code per feedback.  This is the one lowering of evidence: the
+    one-lane engine, both assessor views and the tests build every lane's
+    codes here, and a caller that keeps the codes (the assessor's
+    per-origin blocks) lowers each evidence list once.
+    """
+    span = _structure_span(plan, structure_indices)
+    if len(feedbacks) != len(span):
+        raise FeedbackError(
+            f"{len(feedbacks)} feedbacks for {len(span)} plan structures"
         )
     identifiers, structure_mappings = plan.identifiers, plan.structure_mappings
-    codes = []
-    for index, feedback in zip(indices, lane.feedbacks):
+    for index, feedback in zip(span, feedbacks):
         if (
             feedback.identifier != identifiers[index]
             or feedback.mapping_names != structure_mappings[index]
         ):
             raise FeedbackError(
-                f"feedback {feedback.identifier!r} of lane {lane.key!r} "
-                f"does not match plan structure {identifiers[index]!r}"
+                f"feedback {feedback.identifier!r} does not match plan "
+                f"structure {identifiers[index]!r}"
             )
-        codes.append(_KIND_CODES[feedback.kind])
-    informative = any(code != KIND_NEUTRAL for code in codes)
-    return np.asarray(indices, dtype=np.int64), np.asarray(codes, dtype=np.int8), informative
+    return np.fromiter(
+        (_KIND_CODES[feedback.kind] for feedback in feedbacks),
+        dtype=np.int8,
+        count=len(feedbacks),
+    )
 
 
-def _place(
-    plan: SweepPlan, lane_indices: Sequence[np.ndarray]
-) -> Tuple[List[int], List[Optional[Dict[str, None]]]]:
-    """The slice of every lane, in order, and the mapping names it binds
-    (``None`` for a lane binding the whole plan).
+def _lane_span(plan: SweepPlan, lane: AssessmentLane) -> Tuple[int, int]:
+    """``(start, stop)`` of the structures ``lane`` binds, one code each."""
+    span = _structure_span(plan, lane.structure_indices)
+    if len(lane.codes) != len(span):
+        raise FeedbackError(
+            f"lane {lane.key!r} supplies {len(lane.codes)} kind codes for "
+            f"{len(span)} plan structures"
+        )
+    return span.start, span.stop
 
-    A lane joins the current slice when it shares no structure and no
-    mapping with the lanes already there; otherwise it opens a new slice.
-    A lane binding the whole plan shares everything with any other lane.
+
+def _place(block_bounds: np.ndarray, spans: np.ndarray) -> np.ndarray:
+    """The slice of every lane, in order, from its ``(start, stop)`` span.
+
+    A lane joins the current slice when it and the lane before it each
+    bind whole blocks of the plan and it starts where that lane stopped or
+    later; otherwise it opens a new slice.  The lanes of one slice so bind
+    disjoint runs of blocks, which share no structure and no mapping (the
+    per-origin blocks of an assembled plan, in order, share one slice); a
+    lane binding the whole plan gets a slice to itself.
     """
-    structure_mappings = plan.structure_mappings
-    slice_of: List[int] = []
-    bound: List[Optional[Dict[str, None]]] = []
-    taken_structures: set = set()
-    taken_names: set = set()
-    whole_slice = False
-    for indices in lane_indices:
-        whole = indices.size == plan.structure_count
-        names = None
-        if not whole:
-            structures = indices.tolist()
-            names = dict.fromkeys(
-                name for s in structures for name in structure_mappings[s]
-            )
-        if (
-            not slice_of
-            or whole
-            or whole_slice
-            or not taken_structures.isdisjoint(structures)
-            or not taken_names.isdisjoint(names)
-        ):
-            slice_of.append(slice_of[-1] + 1 if slice_of else 0)
-            taken_structures, taken_names = set(), set()
-            whole_slice = whole
+    if len(spans) == 1:
+        return np.zeros(1, dtype=np.int64)
+    starts, stops = spans[:, 0], spans[:, 1]
+    is_bound = np.zeros(block_bounds[-1] + 1, dtype=bool)
+    is_bound[block_bounds] = True
+    whole = is_bound[starts] & is_bound[stops]
+    opens = np.ones(len(spans), dtype=bool)
+    opens[1:] = ~(whole[1:] & whole[:-1] & (starts[1:] >= stops[:-1]))
+    return np.cumsum(opens) - 1
+
+
+def _lane_priors(
+    plan: SweepPlan, lanes: Sequence[AssessmentLane], binder: np.ndarray
+):
+    """P(correct) per (slice, mapping id), broadcastable to ``(slices,
+    mappings)``: the prior of the lane binding the mapping on the slice
+    (``binder``, per slice and segment), 0.5 where none does.
+
+    Each distinct prior spec is validated once, so lanes sharing one
+    array cost one check.
+    """
+    rows: Dict[object, int] = {}
+    values: List[object] = []
+    source = np.empty(len(lanes), dtype=np.int64)
+    for lane_id, lane in enumerate(lanes):
+        spec = lane.priors
+        if isinstance(spec, np.ndarray):
+            key = id(spec)
+        elif spec is None or isinstance(spec, (bool, int, float)):
+            key = (type(spec), spec)
         else:
-            slice_of.append(slice_of[-1])
-        if not whole:
-            taken_structures.update(structures)
-            taken_names.update(names)
-        bound.append(names)
-    return slice_of, bound
+            raise FeedbackError(
+                f"priors of lane {lane.key!r} must be None, a probability or "
+                f"an array indexed by plan mapping id, got "
+                f"{type(spec).__name__}"
+            )
+        row = rows.get(key)
+        if row is None:
+            row = rows[key] = len(values)
+            if spec is None:
+                values.append(0.5)
+            elif isinstance(spec, np.ndarray):
+                values.append(_checked_priors(spec, plan))
+            else:
+                values.append(_validate_prior(spec, lane.key))
+        source[lane_id] = row
+    if len(values) == 1:
+        # One spec serves every lane; entries no lane binds are never read.
+        return values[0]
+    table = np.empty((len(values), plan.mapping_count))
+    for row, value in enumerate(values):
+        table[row] = value
+    correct = np.full((binder.shape[0], plan.mapping_count), 0.5)
+    segment_mapping = plan.segment_mapping
+    correct[:, segment_mapping] = np.where(
+        binder >= 0, table[source[binder], segment_mapping], 0.5
+    )
+    return correct
 
 
 def _runs(sorted_ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -484,6 +579,7 @@ class BatchedEmbeddedMessagePassing:
     ) -> None:
         self.plan = plan
         self.options = options or EmbeddedOptions()
+        lanes = tuple(lanes)
         self.lane_keys: Tuple[str, ...] = tuple(lane.key for lane in lanes)
         if len(set(self.lane_keys)) != len(self.lane_keys):
             raise FeedbackError(f"duplicate lane keys: {sorted(self.lane_keys)}")
@@ -491,17 +587,36 @@ class BatchedEmbeddedMessagePassing:
         #: the compaction shrinks.
         self.round_edge_counts: List[int] = []
 
-        # Placed lanes: those with at least one informative structure.
-        placed: List[Tuple[AssessmentLane, np.ndarray, np.ndarray]] = []
-        for lane in lanes:
-            indices, codes, informative = _lane_codes(plan, lane)
-            if informative:
-                placed.append((lane, indices, codes))
-        self._keys: Tuple[str, ...] = tuple(lane.key for lane, _, _ in placed)
-        lane_deltas = [_check_delta(lane.delta, lane.key) for lane, _, _ in placed]
+        # Every lane's span and codes, gathered; the placed lanes are those
+        # with at least one informative (non-zero) code.
+        spans = np.array(
+            [_lane_span(plan, lane) for lane in lanes], dtype=np.int64
+        ).reshape(-1, 2)
+        sizes = spans[:, 1] - spans[:, 0]
+        codes = np.concatenate([lane.codes for lane in lanes] + [_NO_CODES])
+        if codes.dtype != np.int8 or (
+            codes.size and codes.view(np.uint8).max() > KIND_NEGATIVE
+        ):
+            raise FeedbackError(
+                "kind codes must be an int8 array of "
+                f"{KIND_NEUTRAL}, {KIND_POSITIVE} and {KIND_NEGATIVE}; "
+                "lower evidence with lower_feedbacks"
+            )
+        code_lane = np.arange(len(lanes)).repeat(sizes)
+        informative = np.bincount(code_lane, weights=codes, minlength=len(lanes)) > 0
+        placed_ids = informative.nonzero()[0].tolist()
+        if len(placed_ids) < len(lanes):
+            codes = codes[informative[code_lane]]
+            spans, sizes = spans[informative], sizes[informative]
+            code_lane = np.arange(len(spans)).repeat(sizes)
+        placed = [lanes[lane] for lane in placed_ids]
+        self._keys: Tuple[str, ...] = tuple(lane.key for lane in placed)
+        lane_deltas = np.array(
+            [_check_delta(lane.delta, lane.key) for lane in placed], dtype=float
+        )
         self._transports = [
             lane.transport or MessageTransport(send_probability, seed=seed)
-            for lane, _, _ in placed
+            for lane in placed
         ]
         self._lossless = np.asarray(
             [t.send_probability >= 1.0 for t in self._transports], dtype=bool
@@ -511,74 +626,62 @@ class BatchedEmbeddedMessagePassing:
         if not placed:
             return
 
+        # Kind code, Δ and owning lane of every (slice, structure); a
+        # structure no lane binds on a slice is neutral there (its Δ is
+        # never read).  The lanes of one slice bind disjoint spans in plan
+        # order, so one slice whose lanes bind every structure holds the
+        # gathered codes as they are.
         lane_count = len(placed)
-        slice_of, bound = _place(plan, [indices for _, indices, _ in placed])
-        lane_slice = np.asarray(slice_of, dtype=np.int64)
-        slice_count = slice_of[-1] + 1
-        structure_count, mapping_count = plan.structure_count, plan.mapping_count
-        kinds = np.zeros((slice_count, structure_count), dtype=np.int8)
-        deltas = np.zeros((slice_count, structure_count))
-        owner = np.full((slice_count, structure_count), -1, dtype=np.int64)
-        for lane_id, (_, indices, codes) in enumerate(placed):
-            k = lane_slice[lane_id]
-            kinds[k, indices] = codes
-            deltas[k, indices] = lane_deltas[lane_id]
-            owner[k, indices] = lane_id
+        lane_slice = _place(plan.block_bounds, spans)
+        slice_count = int(lane_slice[-1]) + 1
+        structure_count = plan.structure_count
+        tiled = slice_count == 1 and codes.size == structure_count
+        if tiled:
+            kinds, owner = codes[None], code_lane[None]
+        else:
+            offsets = sizes.cumsum() - sizes
+            flat = np.arange(codes.size) + (
+                spans[:, 0] - offsets + structure_count * lane_slice
+            ).repeat(sizes)
+            kinds = np.zeros(slice_count * structure_count, dtype=np.int8)
+            kinds[flat] = codes
+            kinds = kinds.reshape(slice_count, structure_count)
+            owner = np.full(slice_count * structure_count, -1, dtype=np.int64)
+            owner[flat] = code_lane
+            owner = owner.reshape(slice_count, structure_count)
+        deltas = lane_deltas[owner]
         self._lane_slice = lane_slice
         self._owner = owner
 
-        # The mappings an informative structure constrains — each lane's
-        # result and convergence rows — in plan order.
-        index = plan.mapping_index
-        active_ids = [
-            sorted(
-                {
-                    index[name]
-                    for s, code in zip(indices.tolist(), codes.tolist())
-                    if code != KIND_NEUTRAL
-                    for name in plan.structure_mappings[s]
-                }
-            )
-            for _, indices, codes in placed
-        ]
-        names = plan.mapping_names
-        #: Names of each lane's active mappings, in plan order.
-        self._active_names = [[names[i] for i in ids] for ids in active_ids]
-        counts = [len(ids) for ids in active_ids]
-        self._act_lane = np.repeat(np.arange(lane_count), counts)
-        self._act_mapping = np.fromiter(
-            (i for ids in active_ids for i in ids), dtype=np.int64, count=sum(counts)
+        # Per slice and mapping (segment): the lane binding the mapping
+        # there, and whether an informative structure constrains it — the
+        # lane's result and convergence rows, in plan order.
+        edge_structure, segment_starts = plan.edge_structure, plan.segment_starts
+        binder = np.maximum.reduceat(
+            owner[:, edge_structure], segment_starts, axis=1
         )
+        active = np.logical_or.reduceat(
+            kinds[:, edge_structure] != KIND_NEUTRAL, segment_starts, axis=1
+        )
+        slices, segments = active.nonzero()
+        act_lane = binder[slices, segments]
+        order = act_lane.argsort(kind="stable")
+        self._act_lane = act_lane[order]
+        self._act_mapping = plan.segment_mapping[segments[order]]
+        #: Every lane's active mapping ids, kept for naming its results.
+        self._lane_mappings = self._act_mapping
 
         # Priors, read for the mappings each lane binds.
-        correct = np.full((slice_count, mapping_count), 0.5)
-        for lane_id, (lane, _, _) in enumerate(placed):
-            spec = lane.priors
-            if spec is None:
-                continue
-            if isinstance(spec, PriorBeliefStore):
-                raise FeedbackError(
-                    "pass per-lane prior dicts, not a PriorBeliefStore"
-                )
-            names = bound[lane_id] or plan.mapping_names
-            ids = [index[name] for name in names] if bound[lane_id] else slice(None)
-            if isinstance(spec, (bool, int, float)):
-                correct[slice_of[lane_id], ids] = _validate_prior(spec, lane.key)
-            else:
-                get = spec.get
-                correct[slice_of[lane_id], ids] = [
-                    _validate_prior(get(name, 0.5), name) for name in names
-                ]
-        self._priors = np.clip(
-            np.stack((correct, 1.0 - correct), axis=-1), 1e-9, 1.0
-        )
+        correct = _lane_priors(plan, placed, binder)
+        priors = np.empty((slice_count, plan.mapping_count, 2))
+        priors[..., 0] = correct
+        priors[..., 1] = 1.0 - priors[..., 0]
+        self._priors = priors.clip(1e-9, 1.0, out=priors)
 
         # Informative transmissions per lane, in plan (= rng) order.
-        slice_ids, positions = np.nonzero(
-            (kinds != KIND_NEUTRAL)[:, plan.tx_feedback]
-        )
+        slice_ids, positions = (kinds != KIND_NEUTRAL)[:, plan.tx_feedback].nonzero()
         tx_lane = owner[slice_ids, plan.tx_feedback[positions]]
-        order = np.argsort(tx_lane, kind="stable")
+        order = tx_lane.argsort(kind="stable")
         self._tx_lane, self._tx_pos = tx_lane[order], positions[order]
         #: Informative transmissions of each lane — a round's attempts.
         self._tx_counts = np.bincount(tx_lane, minlength=lane_count).tolist()
@@ -594,11 +697,13 @@ class BatchedEmbeddedMessagePassing:
         self._v2f = np.full((slice_count, plan.edge_count, 2), 0.5)
         self._f2v = np.full((slice_count, plan.edge_count, 2), 0.5)
         self._recv = np.full((slice_count, plan.recv_count, 2), 0.5)
-        if (owner < 0).all(axis=0).any():
+        if not tiled and (owner < 0).all(axis=0).any():
             # Structures only lanes without informative evidence bind.
             self._compact()
         else:
             self._bind()
+        #: ``_lane_mappings[bounds[l]:bounds[l + 1]]`` are lane ``l``'s.
+        self._lane_bounds = self._row_starts.tolist() + [self._act_lane.size]
 
     # -- introspection ------------------------------------------------------------------
 
@@ -609,9 +714,15 @@ class BatchedEmbeddedMessagePassing:
     def posteriors(self) -> Dict[str, Dict[str, float]]:
         """Current posterior P(correct) of every live lane's mappings."""
         return {
-            self._keys[lane]: dict(zip(self._active_names[lane], values.tolist()))
+            self._keys[lane]: dict(zip(self._active_names(lane), values.tolist()))
             for lane, values in zip(self._live.tolist(), self._lane_values())
         }
+
+    def _active_names(self, lane: int) -> List[str]:
+        """Names of ``lane``'s active mappings, in plan order."""
+        names = self.plan.mapping_names
+        ids = self._lane_mappings[self._lane_bounds[lane] : self._lane_bounds[lane + 1]]
+        return [names[i] for i in ids.tolist()]
 
     # -- the round ----------------------------------------------------------------------
 
@@ -909,7 +1020,7 @@ class BatchedEmbeddedMessagePassing:
         for lane, key in enumerate(self._keys):
             statistics = self._transports[lane].statistics
             results[key] = EmbeddedResult(
-                posteriors=dict(zip(self._active_names[lane], final[lane].tolist())),
+                posteriors=dict(zip(self._active_names(lane), final[lane].tolist())),
                 iterations=int(rounds[lane]),
                 converged=bool(converged[lane]),
                 final_change=float(final_change[lane]),

@@ -51,6 +51,10 @@ class PriorBeliefStore:
         _validate_probability(default_prior, "default_prior")
         self.default_prior = default_prior
         self._beliefs: Dict[BeliefKey, _BeliefState] = {}
+        #: Bumped by every write (:meth:`set_prior`, :meth:`record_posterior`),
+        #: so state derived from the priors — the assessor's cached local
+        #: views — can tell when it went stale.
+        self.version = 0
 
     # -- reads ------------------------------------------------------------------------
 
@@ -79,6 +83,7 @@ class PriorBeliefStore:
         """
         _validate_probability(prior, "prior")
         self._beliefs[(mapping_name, attribute)] = _BeliefState(prior=prior, pinned=pinned)
+        self.version += 1
 
     def record_posterior(
         self, mapping_name: str, attribute: str, posterior_correct: float
@@ -101,6 +106,7 @@ class PriorBeliefStore:
         state.evidence_count += 1
         if not state.pinned:
             state.prior = state.evidence_sum / state.evidence_count
+        self.version += 1
         return state.prior
 
     # -- misc --------------------------------------------------------------------------

@@ -25,7 +25,9 @@ One engine, one lane
 lowers the informative feedback to a
 :class:`~repro.factorgraph.plan.SweepPlan` the way the assessor does
 (:func:`~repro.core.batched.compile_assessment_plan`, each mapping owned by
-its source peer) and binds it to one
+its source peer), lowers the evidence and a prior dict the way every lane
+is lowered (:func:`~repro.core.batched.lower_feedbacks`,
+:func:`~repro.core.batched.lower_priors`) and binds them to one
 :class:`~repro.core.batched.AssessmentLane` carrying the caller's
 transport.  The lane engine holds the message state; this class
 keeps none of its own.  The peers, owners and remote-message counts it
@@ -56,7 +58,8 @@ mappings is evaluated in count space (``StackedCountFactorBatch``) from the
 ``arity + 1`` count-value vector in O(arity) per message, which lets every
 run handle structures far beyond the dense limit of
 :data:`repro.constants.MAX_COMPILED_ARITY` slots; below the crossover the
-dense ``StackedFactorBatch`` einsum over ``(2,)**arity`` tables wins.
+dense ``StackedFactorBatch`` einsum over ``(2,)**arity`` tables runs (the
+constant's comment gives the measurements behind the choice).
 Either way a bucket sweeps in one path: one gather, one ``messages_all``
 kernel call, one normalisation and one scatter.
 
@@ -84,6 +87,7 @@ with it through :mod:`repro.constants`, and both stop after
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from typing import Dict, Iterable, Mapping as TMapping, Optional, Tuple
 
 from ..exceptions import FeedbackError
@@ -97,6 +101,8 @@ from .batched import (
     MessageTransport,
     TransportStatistics,
     compile_assessment_plan,
+    lower_feedbacks,
+    lower_priors,
 )
 from .feedback import Feedback
 
@@ -148,9 +154,11 @@ class EmbeddedMessagePassing:
         self.plan: SweepPlan = compile_assessment_plan(
             [(f.identifier, f.mapping_names) for f in informative]
         )
+        if isinstance(priors, Mapping):
+            priors = lower_priors(self.plan, priors)
         self._lane = AssessmentLane(
             key=self.attribute,
-            feedbacks=informative,
+            codes=lower_feedbacks(self.plan, informative),
             priors=priors,
             delta=delta,
             transport=self.transport,

@@ -37,12 +37,18 @@ many origins at once — one neighbourhood read per (origin, network
 version) through a second :class:`~repro.core.analysis.StructureCache`
 and one lane-engine run with one disjoint lane per origin.  Each origin's
 share of that run is a cached *block* (its instance names, owners,
-compiled one-origin plan and evidence per attribute), compiled once per
-walk of the origin and carried across versions with the walk; a
-many-origin run assembles its plan from the blocks.  Both views share the
-same resolution order (⊥ rule → posterior → prior), and the per-call views
-(:meth:`assess_attribute`, :meth:`assess_local`) are one-lane calls of the
-stacked ones.
+compiled one-origin plan and lowered evidence — int8 kind codes — per
+attribute), compiled once per walk of the origin and carried across
+versions with the walk; a many-origin run assembles its plan from the
+blocks.  Every local run fills the *local-view cache*, keyed by (origin,
+attribute) and valid while the topology version and the prior store's
+:attr:`~repro.core.beliefs.PriorBeliefStore.version` hold; the local
+routing oracle (:meth:`local_probability`) reads it and runs one lane per
+miss.  The global assessments are keyed on the topology only, so a prior
+write reaches :meth:`probability` when the attribute is next assessed.
+Both views share the same resolution order (⊥ rule → posterior → prior),
+and the per-call views (:meth:`assess_attribute`, :meth:`assess_local`)
+are one-lane calls of the stacked ones.
 """
 
 from __future__ import annotations
@@ -57,6 +63,8 @@ from typing import (
     Sequence,
     Tuple,
 )
+
+import numpy as np
 
 from ..constants import DEFAULT_SEED, DEFAULT_TTL
 from ..exceptions import FeedbackError, ReproError
@@ -77,9 +85,10 @@ from .batched import (
     EmbeddedOptions,
     EmbeddedResult,
     compile_assessment_plan,
+    lower_feedbacks,
 )
 from .beliefs import PriorBeliefStore
-from .feedback import Feedback, compensation_probability, mapping_owner
+from .feedback import compensation_probability, mapping_owner
 
 __all__ = ["AttributeAssessment", "MappingQualityAssessor"]
 
@@ -114,7 +123,7 @@ class _OriginBlock:
     to its mapping, in the order of ``plan.mapping_names``; ``plan`` is the
     compiled one-origin plan.  A block stays valid while the neighbourhood
     cache hands out the very same ``cycles`` and ``parallel_paths`` tuples,
-    and so does its per-attribute evidence (:meth:`feedbacks_for`): the
+    and so do its lowered per-attribute kind codes (:meth:`codes_for`): the
     walks hold the very mapping objects they were walked on, and a
     correspondence change re-walks every origin whose walks hold the
     changed mapping.
@@ -125,20 +134,24 @@ class _OriginBlock:
     signatures: Tuple[Tuple[str, Tuple[str, ...]], ...]
     names: TMapping[str, str]
     plan: SweepPlan
-    evidence: Dict[str, Tuple[Feedback, ...]] = field(default_factory=dict)
+    codes: Dict[str, np.ndarray] = field(default_factory=dict)
 
-    def feedbacks_for(self, attribute: str) -> Tuple[Feedback, ...]:
-        """One feedback per structure, evaluated for ``attribute`` and
-        labelled with the block's instances; memoised per attribute for
-        the life of the block."""
-        feedbacks = self.evidence.get(attribute)
-        if feedbacks is None:
-            feedbacks = self.evidence[attribute] = tuple(
+    def codes_for(self, attribute: str) -> np.ndarray:
+        """The block's structures evaluated for ``attribute`` and lowered
+        against its plan (:func:`~repro.core.batched.lower_feedbacks`): one
+        read-only int8 kind code per structure, memoised per attribute for
+        the life of the block.  The feedbacks are not kept."""
+        codes = self.codes.get(attribute)
+        if codes is None:
+            codes = lower_feedbacks(
+                self.plan,
                 structure_feedbacks(
                     self.cycles, self.parallel_paths, attribute, self.signatures
-                )
+                ),
             )
-        return feedbacks
+            codes.flags.writeable = False
+            self.codes[attribute] = codes
+        return codes
 
 
 class MappingQualityAssessor:
@@ -237,10 +250,14 @@ class MappingQualityAssessor:
         #: trajectory (shrinks as origins converge); empty until a local
         #: sweep has run.
         self.last_local_round_edge_counts: Tuple[int, ...] = ()
-        # Cached per-attribute local views backing the local routing oracle,
-        # keyed on the neighbourhood cache key so topology mutations refresh
-        # them automatically.
-        self._local_views: Dict[str, Tuple[Tuple, Dict[str, Dict[str, float]]]] = {}
+        # The local-view cache: every (origin, attribute) view a local run
+        # made, valid while the neighbourhood-cache key and the prior
+        # store's version it was made under hold (:meth:`_local_views`).
+        self._views: Dict[Tuple[str, str], Dict[str, float]] = {}
+        self._views_key: Optional[Tuple[Tuple[int, int, bool], int]] = None
+        # The global view's evidence lowered against the compiled plan, per
+        # attribute; dropped with the plan.
+        self._codes: Dict[str, np.ndarray] = {}
 
     # -- inference --------------------------------------------------------------------------
 
@@ -357,9 +374,9 @@ class MappingQualityAssessor:
 
     def _local_assessment_plan(
         self, origins: Sequence[str]
-    ) -> Tuple[SweepPlan, Dict[str, Tuple[int, ...]]]:
-        """Plan of the per-origin view over ``origins``, and each origin's
-        structure indices in it.
+    ) -> Tuple[SweepPlan, Dict[str, range]]:
+        """Plan of the per-origin view over ``origins``, and the range of
+        each origin's structures in it.
 
         Mapping names are replaced by per-origin *instances*
         (:meth:`_instance_name`) so the blocks are disjoint — each origin's
@@ -381,14 +398,25 @@ class MappingQualityAssessor:
             for origin in [o for o in self._blocks if not self.network.has_peer(o)]:
                 del self._blocks[origin]
         plans = []
-        indices: Dict[str, Tuple[int, ...]] = {}
+        spans: Dict[str, range] = {}
         start = 0
         for origin in origins:
             plan = self._block(origin).plan
             plans.append(plan)
-            indices[origin] = tuple(range(start, start + plan.structure_count))
+            spans[origin] = range(start, start + plan.structure_count)
             start += plan.structure_count
-        return assemble_sweep_plan(plans), indices
+        return assemble_sweep_plan(plans), spans
+
+    def _local_views(self) -> Dict[Tuple[str, str], Dict[str, float]]:
+        """The local-view cache, keyed by (origin, attribute); emptied first
+        when the neighbourhood-cache key or the prior store's
+        :attr:`~repro.core.beliefs.PriorBeliefStore.version` moved since
+        it was filled."""
+        key = (self.neighborhood_cache.current_key(), self.priors.version)
+        if key != self._views_key:
+            self._views_key = key
+            self._views = {}
+        return self._views
 
     def assess_locals(
         self, origins: Iterable[str], attribute: str
@@ -403,27 +431,36 @@ class MappingQualityAssessor:
         one-lane run bit for bit.  Probing is amortised to at most one
         neighbourhood walk per (origin, network version), and none for an
         origin whose walks the network's snapshot carried over; a block is
-        compiled once per walk of its origin and evaluates its structures
-        once per attribute, so a call on seen walks and attributes compiles
-        and evaluates nothing and otherwise does only the work that
-        depends on the priors: the lanes and the engine run.
+        compiled once per walk of its origin and lowers its evidence once
+        per attribute, so a call on seen walks and attributes compiles and
+        evaluates nothing and otherwise does only the work that depends on
+        the priors: reading them, and the engine run.
+
+        The call always runs, and every view it makes goes into the
+        local-view cache :meth:`local_probability` reads; the returned
+        dicts are the caller's own copies.
         """
         origin_list = list(dict.fromkeys(origins))
-        plan, indices = self._local_assessment_plan(origin_list)
+        plan, spans = self._local_assessment_plan(origin_list)
         blocks = [self._blocks[origin] for origin in origin_list]
         delta = self._delta_for(attribute)
         prior = self.priors.prior
-        # Each block's memoised evidence for the attribute; priors keyed on
-        # the block's instances too.
+        # One prior array by plan mapping id, in block order, for all lanes.
+        priors = np.fromiter(
+            (
+                prior(name, attribute)
+                for block in blocks
+                for name in block.names.values()
+            ),
+            dtype=float,
+            count=plan.mapping_count,
+        )
         lanes = [
             AssessmentLane(
                 key=origin,
-                feedbacks=block.feedbacks_for(attribute),
-                structure_indices=indices[origin],
-                priors={
-                    instance: prior(name, attribute)
-                    for instance, name in block.names.items()
-                },
+                codes=block.codes_for(attribute),
+                structure_indices=spans[origin],
+                priors=priors,
                 delta=delta,
             )
             for origin, block in zip(origin_list, blocks)
@@ -437,6 +474,7 @@ class MappingQualityAssessor:
         )
         results = engine.run()
         self.last_local_round_edge_counts = tuple(engine.round_edge_counts)
+        cache = self._local_views()
         views: Dict[str, Dict[str, float]] = {}
         for origin, block in zip(origin_list, blocks):
             result = results[origin]
@@ -446,24 +484,25 @@ class MappingQualityAssessor:
                 if result is not None
                 else {}
             )
-            views[origin] = self._resolve_local_view(origin, attribute, posteriors)
+            view = self._resolve_local_view(origin, attribute, posteriors)
+            cache[(origin, attribute)] = view
+            views[origin] = dict(view)
         return views
 
     def assess_local_all(self, attribute: str) -> Dict[str, Dict[str, float]]:
         """Every peer's own-mapping posteriors for ``attribute``, batched.
 
-        One plan assembled from the cached per-origin blocks (a block is
-        compiled only for an origin whose walks changed), one stacked
-        engine run — the traffic model of a live PDMS, where *all* peers
-        assess their mappings, not just an experimenter's global index.
-        The views are also kept for :meth:`local_probability`, so a
+        One :meth:`assess_locals` call over every peer: one plan assembled
+        from the cached per-origin blocks (a block is compiled only for an
+        origin whose walks changed), one stacked engine run — the traffic
+        model of a live PDMS, where *all* peers assess their mappings, not
+        just an experimenter's global index.  Like every local run it
+        always runs and fills the local-view cache, so a
         :meth:`local_router` over the same attribute, topology version and
         priors runs no second sweep; the returned dicts are the caller's
         own copies.
         """
-        views = self.assess_locals(self.network.peer_names, attribute)
-        self._local_views[attribute] = (self.neighborhood_cache.current_key(), views)
-        return {origin: dict(view) for origin, view in views.items()}
+        return self.assess_locals(self.network.peer_names, attribute)
 
     def assess_mapping(self, mapping_name: str, attributes: Optional[Iterable[str]] = None) -> float:
         """Coarse-granularity quality of a whole mapping (§4.1).
@@ -517,8 +556,22 @@ class MappingQualityAssessor:
             structure_signatures(cycles, parallel_paths)
         )
         self._plan_key = key
+        self._codes.clear()
         self.plan_compile_count += 1
         return self._plan
+
+    def _evidence_codes(
+        self, evidence: NetworkEvidence, plan: SweepPlan
+    ) -> np.ndarray:
+        """The global view's ``evidence`` lowered against the compiled
+        ``plan``: once per (structure-cache key, attribute), like the
+        structure cache's evidence memo it comes from."""
+        codes = self._codes.get(evidence.attribute)
+        if codes is None:
+            codes = self._codes[evidence.attribute] = lower_feedbacks(
+                plan, evidence.feedbacks
+            )
+        return codes
 
     def assess_attributes(self, attributes: Iterable[str]) -> Dict[str, AttributeAssessment]:
         """Assess several attributes (fine granularity).
@@ -534,11 +587,16 @@ class MappingQualityAssessor:
             attribute: self.structure_cache.evidence_for(attribute)
             for attribute in attribute_list
         }
+        prior = self.priors.prior
         lanes = [
             AssessmentLane(
                 key=a,
-                feedbacks=tuple(evidence.feedbacks),
-                priors={m: self.priors.prior(m, a) for m in plan.mapping_names},
+                codes=self._evidence_codes(evidence, plan),
+                priors=np.fromiter(
+                    (prior(m, a) for m in plan.mapping_names),
+                    dtype=float,
+                    count=plan.mapping_count,
+                ),
                 delta=self._delta_for(a),
             )
             for a, evidence in evidences.items()
@@ -590,7 +648,15 @@ class MappingQualityAssessor:
         """The assessment of ``attribute`` on the current topology: the
         cached one while the network version (and so the structure-cache
         key) it was made under is current, a fresh
-        :meth:`assess_attribute` otherwise."""
+        :meth:`assess_attribute` otherwise.
+
+        The key is the topology only, not the priors: after a prior write
+        (:meth:`~repro.core.beliefs.PriorBeliefStore.set_prior`, or the EM
+        step of :meth:`update_priors`) this still returns the assessment
+        made on the earlier priors, until the attribute is assessed again.
+        An EM loop reads each round's posteriors this way, and keying on
+        the prior version would re-assess after every update.
+        """
         if self._stale((attribute,)):
             return self.assess_attribute(attribute)
         return self._assessments[attribute][1]
@@ -615,7 +681,9 @@ class MappingQualityAssessor:
         self._plan_key = None
         self._blocks.clear()
         self._blocks_key = None
-        self._local_views.clear()
+        self._views = {}
+        self._views_key = None
+        self._codes.clear()
 
     # -- queries -----------------------------------------------------------------------------
 
@@ -625,7 +693,10 @@ class MappingQualityAssessor:
         Resolution order (:meth:`_resolve`): ⊥ rule (no correspondence →
         0), posterior from the embedded run, otherwise the prior belief.  A
         name answers as its mapping does; an unknown name raises
-        :class:`~repro.exceptions.PDMSError`.
+        :class:`~repro.exceptions.PDMSError`.  The posterior is that of
+        :meth:`assessment`, which is keyed on the topology only: a prior
+        write changes this answer only once the attribute is assessed
+        again (the prior fallback reads the live store).
         """
         if isinstance(mapping, str):
             mapping = self.network.mapping(mapping)
@@ -679,24 +750,25 @@ class MappingQualityAssessor:
         """P(attribute preserved) as judged by the mapping's *own* peer.
 
         The decentralised counterpart of :meth:`probability`: the answer
-        comes from the source peer's local view (§4.5) — the views of the
-        latest :meth:`assess_local_all` run for the attribute, made lazily
-        when none exists for the current topology version (a version bump
-        refreshes the views automatically; :meth:`update_priors` and
-        :meth:`invalidate` drop them) — not from the global evidence index.
-        The resolution order is shared with the local views: ⊥ rule, local
-        posterior, prior.
+        comes from the source peer's local view (§4.5), not from the global
+        evidence index.  It is read from the local-view cache that every
+        :meth:`assess_locals` run fills, keyed by (origin, attribute) and
+        valid while the topology version (the neighbourhood-cache key) and
+        the prior store's version are those it was made under — so a
+        topology change, :meth:`update_priors` or any other prior write
+        refreshes it.  A miss runs exactly one lane, the source's:
+        ``assess_locals([source], attribute)``, whose view is bit-identical
+        to the source's view in any many-origin run.  The resolution order
+        is shared with the local views: ⊥ rule, local posterior, prior.
         """
         mapping_obj = (
             self.network.mapping(mapping) if isinstance(mapping, str) else mapping
         )
-        cached = self._local_views.get(attribute)
-        if cached is None or cached[0] != self.neighborhood_cache.current_key():
-            self.assess_local_all(attribute)
-            cached = self._local_views[attribute]
-        value = self._resolve(
-            mapping_obj, attribute, cached[1].get(mapping_obj.source, {})
-        )
+        source = mapping_obj.source
+        view = self._local_views().get((source, attribute))
+        if view is None:
+            view = self.assess_locals([source], attribute)[source]
+        value = self._resolve(mapping_obj, attribute, view)
         return 0.0 if value is None else value
 
     def as_local_oracle(self):
@@ -725,12 +797,16 @@ class MappingQualityAssessor:
         engine.
         Returns the updated priors keyed by (mapping, attribute).
 
-        The cached local views backing :meth:`local_probability` are
-        dropped: their prior-fallback entries were baked in from the
-        pre-update store and would otherwise diverge from
-        :meth:`probability`'s live prior reads after the EM step.
+        Every recorded posterior bumps the prior store's
+        :attr:`~repro.core.beliefs.PriorBeliefStore.version`, so the cached
+        local views behind :meth:`local_probability` go stale with the
+        step and the next read re-runs the asked lane on the new priors.
+        The global assessments do not: they are keyed on the topology only
+        (:meth:`assessment`), so after this step :meth:`probability` still
+        answers the posteriors the step folded in (and, for mappings
+        without one, the live prior) until the next assessment of the
+        attribute.
         """
-        self._local_views.clear()
         updated: Dict[Tuple[str, str], float] = {}
         # Each attribute once, in order: a repeated name would fold its
         # posteriors into the running average twice.

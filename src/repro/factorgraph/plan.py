@@ -168,7 +168,10 @@ class SweepPlan:
     behind each posterior snapshot).  ``recv_structure[cell]`` is the
     structure id of each received cell (the compaction's filter).
     ``tx_mapping`` carries the sender mapping id of each transmission (the
-    partial round's filter).
+    partial round's filter).  ``block_bounds`` cuts the structure list into
+    its *blocks*: ``block_bounds[j]:block_bounds[j + 1]`` is block ``j``,
+    the cuts are every structure offset no mapping straddles, so distinct
+    blocks share no mapping (the lane engine's placement reads them).
     """
 
     identifiers: Tuple[str, ...]
@@ -189,6 +192,7 @@ class SweepPlan:
     tx_feedback: np.ndarray
     tx_mapping: np.ndarray
     batches: Tuple[BucketPlan, ...]
+    block_bounds: np.ndarray
 
     @property
     def structure_count(self) -> int:
@@ -433,6 +437,7 @@ def compile_sweep_plan(
             )
         )
 
+    edge_structure = np.asarray(edge_structure_list, dtype=np.int64)
     return SweepPlan(
         identifiers=tuple(identifier for identifier, _ in normalized),
         structure_mappings=tuple(names for _, names in normalized),
@@ -440,7 +445,7 @@ def compile_sweep_plan(
         mapping_names=tuple(mapping_list),
         mapping_index=mapping_index,
         edge_mapping=edge_mapping,
-        edge_structure=np.asarray(edge_structure_list, dtype=np.int64),
+        edge_structure=edge_structure,
         segment_starts=segment_starts,
         segment_of_edge=segment_of_edge,
         segment_mapping=segment_mapping,
@@ -457,7 +462,32 @@ def compile_sweep_plan(
         tx_feedback=np.asarray(tx_feedback, dtype=np.int64),
         tx_mapping=np.asarray(tx_mapping, dtype=np.int64),
         batches=tuple(batches),
+        block_bounds=_block_bounds(edge_structure, segment_starts, len(normalized)),
     )
+
+
+def _block_bounds(
+    edge_structure: np.ndarray, segment_starts: np.ndarray, structure_count: int
+) -> np.ndarray:
+    """Every structure offset no mapping straddles, ``0`` and
+    ``structure_count`` included (``[0]`` for no structures).
+
+    Each mapping's edge rows list its structures in increasing order, so
+    its first and last row bound the structures it spans; a cut ``b``
+    falls between structures when no mapping has ``first < b <= last``.
+    """
+    if not structure_count:
+        return np.zeros(1, dtype=np.int64)
+    first = edge_structure[segment_starts]
+    last = np.empty_like(first)
+    last[:-1] = edge_structure[segment_starts[1:] - 1]
+    last[-1] = edge_structure[-1]
+    straddling = (
+        np.bincount(first + 1, minlength=structure_count + 1)
+        - np.bincount(last + 1, minlength=structure_count + 1)
+    ).cumsum()
+    # Position 0 and the end are never straddled.
+    return (straddling == 0).nonzero()[0]
 
 
 def assemble_sweep_plan(blocks: Sequence[SweepPlan]) -> SweepPlan:
@@ -467,9 +497,9 @@ def assemble_sweep_plan(blocks: Sequence[SweepPlan]) -> SweepPlan:
     transmission, so :func:`compile_sweep_plan` of their concatenated
     structure lists lays each block out exactly as its own plan does,
     shifted past the blocks before it: structure, mapping, edge, segment
-    and received-cell ids move by the counts those blocks hold, and a
-    gather id naming a received cell also moves past the later blocks'
-    edge rows.  Applying those shifts to the blocks' index arrays gives
+    and received-cell ids (and block bounds) move by the counts those
+    blocks hold, and a gather id naming a received cell also moves past
+    the later blocks' edge rows.  Applying those shifts to the blocks' index arrays gives
     that compilation in every field — array values, dtypes and shapes, the
     order of ``owners`` and ``mapping_index``, and bucket order by
     first-seen arity.  One block is returned as it is; a mapping
@@ -592,6 +622,10 @@ def assemble_sweep_plan(blocks: Sequence[SweepPlan]) -> SweepPlan:
         tx_feedback=joined([b.tx_feedback for b in blocks], structure_start[tx_block]),
         tx_mapping=joined([b.tx_mapping for b in blocks], mapping_start[tx_block]),
         batches=tuple(batches),
+        block_bounds=np.concatenate(
+            [b.block_bounds[:-1] + start for b, start in zip(blocks, structure_start)]
+            + [np.array([structure_start[-1] + counts[-1, 0]], dtype=np.int64)]
+        ),
     )
 
 

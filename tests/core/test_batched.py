@@ -12,6 +12,7 @@ from repro.core.batched import (
     AssessmentLane,
     BatchedEmbeddedMessagePassing,
     compile_assessment_plan,
+    lower_feedbacks,
 )
 from repro.constants import COUNT_KERNEL_MIN_ARITY, MAX_COMPILED_ARITY
 from repro.core.embedded import EmbeddedOptions, MessageTransport
@@ -244,21 +245,58 @@ class TestEngineValidation:
         return plan, evidence
 
     @staticmethod
-    def _lane(feedbacks, **kwargs):
-        return AssessmentLane(key="Creator", feedbacks=tuple(feedbacks), **kwargs)
+    def _lane(plan, feedbacks, **kwargs):
+        return AssessmentLane(
+            key="Creator", codes=lower_feedbacks(plan, feedbacks), **kwargs
+        )
 
     def test_misaligned_feedback_set_rejected(self):
         plan, evidence = self._plan_and_evidence()
-        with pytest.raises(FeedbackError):
+        # The lowering checks evidence against its plan; the engine checks
+        # a lane's codes against the structures the lane binds.
+        with pytest.raises(FeedbackError, match="feedbacks for"):
+            lower_feedbacks(plan, evidence.feedbacks[:-1])
+        codes = lower_feedbacks(plan, evidence.feedbacks)
+        with pytest.raises(FeedbackError, match="kind codes for"):
             BatchedEmbeddedMessagePassing(
-                plan, [self._lane(evidence.feedbacks[:-1])]
+                plan, [AssessmentLane(key="Creator", codes=codes[:-1])]
+            )
+
+    def test_mismatched_feedback_rejected(self):
+        plan, evidence = self._plan_and_evidence()
+        shifted = evidence.feedbacks[1:] + evidence.feedbacks[:1]
+        with pytest.raises(FeedbackError, match="does not match plan structure"):
+            lower_feedbacks(plan, shifted)
+        with pytest.raises(FeedbackError, match="step-one range"):
+            lower_feedbacks(plan, evidence.feedbacks[:1], range(0, 2, 2))
+
+    def test_invalid_codes_rejected(self):
+        plan, evidence = self._plan_and_evidence()
+        codes = lower_feedbacks(plan, evidence.feedbacks).copy()
+        codes[0] = 3
+        with pytest.raises(FeedbackError, match="kind codes must be"):
+            BatchedEmbeddedMessagePassing(
+                plan, [AssessmentLane(key="Creator", codes=codes)]
+            )
+        with pytest.raises(FeedbackError, match="step-one range"):
+            BatchedEmbeddedMessagePassing(
+                plan,
+                [
+                    AssessmentLane(
+                        key="Creator",
+                        codes=codes[:1],
+                        structure_indices=range(
+                            plan.structure_count, plan.structure_count + 1
+                        ),
+                    )
+                ],
             )
 
     def test_invalid_delta_rejected(self):
         plan, evidence = self._plan_and_evidence()
         with pytest.raises(FeedbackError):
             BatchedEmbeddedMessagePassing(
-                plan, [self._lane(evidence.feedbacks, delta=1.5)]
+                plan, [self._lane(plan, evidence.feedbacks, delta=1.5)]
             )
 
     def test_missing_delta_for_neutral_attribute_tolerated(self):
@@ -273,10 +311,12 @@ class TestEngineValidation:
         engine = BatchedEmbeddedMessagePassing(
             plan,
             [
-                AssessmentLane(key="Creator", feedbacks=tuple(creator), delta=0.1),
+                self._lane(plan, creator, delta=0.1),
                 # "Unmapped" exists in no schema: neutral everywhere, and
                 # no Δ supplied for it.
-                AssessmentLane(key="Unmapped", feedbacks=tuple(neutral), delta=None),
+                AssessmentLane(
+                    key="Unmapped", codes=lower_feedbacks(plan, neutral), delta=None
+                ),
             ],
         )
         results = engine.run()
@@ -284,22 +324,42 @@ class TestEngineValidation:
         assert results["Creator"] is not None
         with pytest.raises(FeedbackError, match="no Δ supplied"):
             BatchedEmbeddedMessagePassing(
-                plan,
-                [AssessmentLane(key="Creator", feedbacks=tuple(creator), delta=None)],
+                plan, [self._lane(plan, creator, delta=None)]
             )
 
     def test_invalid_prior_rejected(self):
         plan, evidence = self._plan_and_evidence()
-        with pytest.raises(FeedbackError):
+        priors = np.full(plan.mapping_count, 0.5)
+        priors[plan.mapping_index["p2->p4"]] = 2.0
+        with pytest.raises(FeedbackError, match="'p2->p4'.* got 2.0"):
             BatchedEmbeddedMessagePassing(
-                plan, [self._lane(evidence.feedbacks, priors={"p2->p4": 2.0})]
+                plan, [self._lane(plan, evidence.feedbacks, priors=priors)]
+            )
+        with pytest.raises(FeedbackError, match="boolean"):
+            BatchedEmbeddedMessagePassing(
+                plan,
+                [
+                    self._lane(
+                        plan,
+                        evidence.feedbacks,
+                        priors=np.ones(plan.mapping_count, dtype=bool),
+                    )
+                ],
+            )
+        with pytest.raises(FeedbackError, match="one value per plan mapping"):
+            BatchedEmbeddedMessagePassing(
+                plan, [self._lane(plan, evidence.feedbacks, priors=priors[:-1])]
+            )
+        with pytest.raises(FeedbackError, match="got dict"):
+            BatchedEmbeddedMessagePassing(
+                plan, [self._lane(plan, evidence.feedbacks, priors={"p2->p4": 0.2})]
             )
 
     def test_strict_mode_raises_on_non_convergence(self):
         plan, evidence = self._plan_and_evidence()
         engine = BatchedEmbeddedMessagePassing(
             plan,
-            [self._lane(evidence.feedbacks, priors=0.5)],
+            [self._lane(plan, evidence.feedbacks, priors=0.5)],
             options=EmbeddedOptions(max_rounds=1, tolerance=1e-12, strict=True),
         )
         with pytest.raises(ConvergenceError, match="Creator"):
@@ -308,7 +368,7 @@ class TestEngineValidation:
     def test_scalar_prior_and_delta_broadcast(self):
         plan, evidence = self._plan_and_evidence()
         engine = BatchedEmbeddedMessagePassing(
-            plan, [self._lane(evidence.feedbacks, priors=0.5, delta=0.1)]
+            plan, [self._lane(plan, evidence.feedbacks, priors=0.5, delta=0.1)]
         )
         results = engine.run()
         assert results["Creator"] is not None
@@ -384,18 +444,22 @@ class TestFrozenBlockCompaction:
 
         live_lane = AssessmentLane(
             key="live",
-            feedbacks=(
-                feedback("f1", ("p1->p2", "p2->p1"), FeedbackKind.NEGATIVE),
+            codes=lower_feedbacks(
+                plan,
+                [feedback("f1", ("p1->p2", "p2->p1"), FeedbackKind.NEGATIVE)],
+                range(0, 1),
             ),
-            structure_indices=(0,),
+            structure_indices=range(0, 1),
             delta=0.1,
         )
         idle_lane = AssessmentLane(
             key="idle",
-            feedbacks=(
-                feedback("f2", ("p3->p4", "p4->p3"), FeedbackKind.NEUTRAL),
+            codes=lower_feedbacks(
+                plan,
+                [feedback("f2", ("p3->p4", "p4->p3"), FeedbackKind.NEUTRAL)],
+                range(1, 2),
             ),
-            structure_indices=(1,),
+            structure_indices=range(1, 2),
             delta=0.1,
         )
         engine = BatchedEmbeddedMessagePassing(plan, [live_lane, idle_lane])

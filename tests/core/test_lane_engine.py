@@ -26,6 +26,8 @@ from repro.core.batched import (
     AssessmentLane,
     BatchedEmbeddedMessagePassing,
     compile_assessment_plan,
+    lower_feedbacks,
+    lower_priors,
 )
 from repro.core.embedded import EmbeddedOptions, MessageTransport
 from repro.core.feedback import Feedback, FeedbackKind, StructureKind
@@ -79,12 +81,13 @@ def _plan(blocks):
         for edges in block:
             names = tuple(f"p{a}->p{b}#b{number}" for a, b in edges)
             structures.append((f"s{len(structures)}", names))
-        ranges.append(tuple(range(start, len(structures))))
+        ranges.append(range(start, len(structures)))
     return compile_assessment_plan(structures), ranges
 
 
 def _lanes(plan, ranges, specs):
-    """Fresh lanes (fresh transports) for ``specs``."""
+    """Fresh lanes (fresh transports) for ``specs``, each with the
+    feedbacks and prior dict it was lowered from."""
     lanes = []
     for number, spec in enumerate(specs):
         if spec["block"] is None:
@@ -115,16 +118,15 @@ def _lanes(plan, ranges, specs):
                 for key, value in priors.items()
                 if name.startswith(f"p{key}->")
             }
-        lanes.append(
-            AssessmentLane(
-                key=f"lane{number}",
-                feedbacks=feedbacks,
-                structure_indices=indices,
-                priors=priors,
-                delta=spec["delta"],
-                transport=MessageTransport(spec["send_probability"], seed=spec["seed"]),
-            )
+        lane = AssessmentLane(
+            key=f"lane{number}",
+            codes=lower_feedbacks(plan, feedbacks, indices),
+            structure_indices=indices,
+            priors=lower_priors(plan, priors) if isinstance(priors, dict) else priors,
+            delta=spec["delta"],
+            transport=MessageTransport(spec["send_probability"], seed=spec["seed"]),
         )
+        lanes.append((lane, feedbacks, priors))
     return lanes
 
 
@@ -133,19 +135,19 @@ def _lanes(plan, ranges, specs):
 def test_lanes_are_independent_and_match_the_reference(blocks, specs):
     plan, ranges = _plan(blocks)
     together = BatchedEmbeddedMessagePassing(
-        plan, _lanes(plan, ranges, specs), options=OPTIONS
+        plan, [lane for lane, _, _ in _lanes(plan, ranges, specs)], options=OPTIONS
     ).run()
-    for lane in _lanes(plan, ranges, specs):
+    for lane, feedbacks, priors in _lanes(plan, ranges, specs):
         alone = BatchedEmbeddedMessagePassing(plan, [lane], options=OPTIONS).run()
         assert together[lane.key] == alone[lane.key]
 
-        informative = [f for f in lane.feedbacks if f.is_informative]
+        informative = [f for f in feedbacks if f.is_informative]
         if not informative:
             assert together[lane.key] is None
             continue
         reference = ReferenceEmbedded(
             informative,
-            priors=lane.priors,
+            priors=priors,
             delta=lane.delta,
             transport=MessageTransport(
                 lane.transport.send_probability,
@@ -157,8 +159,9 @@ def test_lanes_are_independent_and_match_the_reference(blocks, specs):
 
 
 def test_placement_follows_the_lanes():
-    """Whole-plan lanes get a slice each; disjoint blocks share one; a lane
-    overlapping the current slice opens a new one."""
+    """Whole-plan lanes get a slice each; lanes binding blocks in order
+    share one; a lane that does not start after the previous lane's blocks
+    opens a new one."""
     plan, ranges = _plan([[[(0, 1), (1, 0)]], [[(2, 3), (3, 2)]]])
     spec = {
         "kinds": [FeedbackKind.NEGATIVE] * 9,
@@ -170,7 +173,7 @@ def test_placement_follows_the_lanes():
 
     def slices(blocks):
         lanes = _lanes(plan, ranges, [dict(spec, block=b) for b in blocks])
-        engine = BatchedEmbeddedMessagePassing(plan, lanes)
+        engine = BatchedEmbeddedMessagePassing(plan, [lane for lane, _, _ in lanes])
         return engine._lane_slice.tolist()
 
     assert slices([None, None]) == [0, 1]
@@ -301,20 +304,23 @@ def test_fused_bucket_sweep_matches_the_per_target_sweep(blocks, specs):
             if spec["block"] is None:
                 indices, covered = None, range(plan.structure_count)
             else:
-                covered = ranges[spec["block"] % len(ranges)]
-                indices = tuple(covered)
+                covered = indices = ranges[spec["block"] % len(ranges)]
             built.append(
                 AssessmentLane(
                     key=f"lane{number}",
-                    feedbacks=tuple(
-                        Feedback(
-                            identifier=plan.identifiers[s],
-                            kind=spec["kinds"][position % len(spec["kinds"])],
-                            structure=StructureKind.CYCLE,
-                            mapping_names=plan.structure_mappings[s],
-                            attribute="a",
-                        )
-                        for position, s in enumerate(covered)
+                    codes=lower_feedbacks(
+                        plan,
+                        [
+                            Feedback(
+                                identifier=plan.identifiers[s],
+                                kind=spec["kinds"][position % len(spec["kinds"])],
+                                structure=StructureKind.CYCLE,
+                                mapping_names=plan.structure_mappings[s],
+                                attribute="a",
+                            )
+                            for position, s in enumerate(covered)
+                        ],
+                        indices,
                     ),
                     structure_indices=indices,
                     priors=spec["prior"],

@@ -45,6 +45,7 @@ from repro.core.batched import (
     AssessmentLane,
     BatchedEmbeddedMessagePassing,
     compile_assessment_plan,
+    lower_feedbacks,
 )
 from repro.core.embedded import EmbeddedMessagePassing, MessageTransport
 from repro.core.feedback import Feedback, FeedbackKind, StructureKind
@@ -200,19 +201,23 @@ def test_assembled_plan_equals_the_compiled_concatenation(blocks, owners):
     def run(plan):
         lanes, start = [], 0
         for b, block in enumerate(signatures):
-            indices = tuple(range(start, start + len(block)))
+            indices = range(start, start + len(block))
             lanes.append(
                 AssessmentLane(
                     key=f"b{b}",
-                    feedbacks=tuple(
-                        Feedback(
-                            identifier=identifier,
-                            kind=kinds[index],
-                            structure=StructureKind.CYCLE,
-                            mapping_names=names,
-                            attribute="a",
-                        )
-                        for index, (identifier, names) in zip(indices, block)
+                    codes=lower_feedbacks(
+                        plan,
+                        [
+                            Feedback(
+                                identifier=identifier,
+                                kind=kinds[index],
+                                structure=StructureKind.CYCLE,
+                                mapping_names=names,
+                                attribute="a",
+                            )
+                            for index, (identifier, names) in zip(indices, block)
+                        ],
+                        indices,
                     ),
                     structure_indices=indices,
                     delta=0.1,

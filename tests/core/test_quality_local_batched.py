@@ -15,7 +15,11 @@ from cold_copy import cold_copy
 from embedded_reference import reference_local_view
 
 from repro.core.analysis import StructureCache, structure_feedbacks
-from repro.core.batched import AssessmentLane, BatchedEmbeddedMessagePassing
+from repro.core.batched import (
+    AssessmentLane,
+    BatchedEmbeddedMessagePassing,
+    lower_feedbacks,
+)
 from repro.core import quality
 from repro.core.beliefs import PriorBeliefStore
 from repro.core.quality import MappingQualityAssessor
@@ -64,7 +68,7 @@ def _origin_lanes(assessor, plan, blocks, origins, attribute, **kwargs):
         lanes.append(
             AssessmentLane(
                 key=origin,
-                feedbacks=feedbacks,
+                codes=lower_feedbacks(plan, feedbacks, blocks[origin]),
                 structure_indices=blocks[origin],
                 **kwargs,
             )
@@ -252,7 +256,7 @@ class TestOriginBlocks:
         assessor = MappingQualityAssessor(network, delta=0.1, ttl=4, seed=0)
         plan, blocks = assessor._local_assessment_plan(["p3"])
         assert plan is assessor._blocks["p3"].plan
-        assert blocks == {"p3": tuple(range(plan.structure_count))}
+        assert blocks == {"p3": range(plan.structure_count)}
 
     @pytest.mark.parametrize(
         "include_parallel_paths, removed", [(False, "p0->p1"), (True, "p7->p1")]
@@ -302,22 +306,22 @@ class TestOriginBlocks:
         fresh = MappingQualityAssessor(network, **options)
         assert views == fresh.assess_local_all(attribute)
 
-    def test_a_block_evaluates_each_attribute_once(self):
+    def test_a_block_lowers_each_attribute_once(self):
         network = intro_example_network(with_records=False)
         assessor = MappingQualityAssessor(network, delta=0.1, ttl=4, seed=0)
         assessor.assess_local_all("Creator")
         memo = {
-            origin: assessor._blocks[origin].feedbacks_for("Creator")
+            origin: assessor._blocks[origin].codes_for("Creator")
             for origin in network.peer_names
         }
         assessor.update_priors(["Creator"])
         with mock.patch.object(
             quality, "structure_feedbacks", side_effect=AssertionError
-        ):
+        ), mock.patch.object(quality, "lower_feedbacks", side_effect=AssertionError):
             views = assessor.assess_local_all("Creator")
             assert assessor.assess_local("p2", "Creator") == views["p2"]
         for origin in network.peer_names:
-            assert assessor._blocks[origin].feedbacks_for("Creator") is memo[origin]
+            assert assessor._blocks[origin].codes_for("Creator") is memo[origin]
         # Memoised evidence under the updated priors equals a fresh run's.
         fresh = MappingQualityAssessor(
             network, priors=assessor.priors, delta=0.1, ttl=4, seed=0
@@ -371,8 +375,8 @@ class TestOriginBlocks:
         assert assessor.local_plan_compile_count == compiles + len(recompiled)
         for origin in set(network.peer_names) - recompiled:
             assert (
-                assessor._blocks[origin].feedbacks_for(attribute)
-                is blocks[origin].feedbacks_for(attribute)
+                assessor._blocks[origin].codes_for(attribute)
+                is blocks[origin].codes_for(attribute)
             )
         assert views[mapping.source][name] == 0.0  # the ⊥ rule
         fresh = MappingQualityAssessor(cold_copy(network), **options)
@@ -715,15 +719,17 @@ class TestOverlappingLanes:
         shared_plan = assessor.assessment_plan()
         evidence = assessor.structure_cache.evidence_for("Creator")
         half = shared_plan.structure_count // 2
+        first_half = range(half)
+        second_half = range(half, shared_plan.structure_count)
         first = AssessmentLane(
             key="first",
-            feedbacks=tuple(evidence.feedbacks[:half]),
-            structure_indices=tuple(range(half)),
+            codes=lower_feedbacks(shared_plan, evidence.feedbacks[:half], first_half),
+            structure_indices=first_half,
         )
         second = AssessmentLane(
             key="second",
-            feedbacks=tuple(evidence.feedbacks[half:]),
-            structure_indices=tuple(range(half, shared_plan.structure_count)),
+            codes=lower_feedbacks(shared_plan, evidence.feedbacks[half:], second_half),
+            structure_indices=second_half,
         )
         together = BatchedEmbeddedMessagePassing(shared_plan, [first, second]).run()
         alone = {
@@ -796,7 +802,8 @@ class TestLocalRoutingWiring:
     def test_local_router_reuses_assess_local_all(self, monkeypatch):
         """After ``assess_local_all(a)`` a local router over ``a`` runs no
         second sweep and answers exactly the views that sweep returned;
-        ``update_priors`` drops them."""
+        after ``update_priors`` they are stale, and a read runs the one
+        lane of the asked mapping's source."""
         from repro.pdms.query import Query
 
         network = intro_example_network(with_records=True)
@@ -806,7 +813,7 @@ class TestLocalRoutingWiring:
         sweep = assessor.assess_locals
 
         def counting_sweep(origins, attribute):
-            sweeps.append(attribute)
+            sweeps.append((list(origins), attribute))
             return sweep(origins, attribute)
 
         monkeypatch.setattr(assessor, "assess_locals", counting_sweep)
@@ -824,4 +831,4 @@ class TestLocalRoutingWiring:
 
         assessor.update_priors(["Creator"])
         assessor.local_probability("p2->p4", "Creator")
-        assert sweeps == ["Creator"]
+        assert sweeps == [(["p2"], "Creator")]
